@@ -7,20 +7,21 @@ Three floors guard the coalescing machinery:
    members share 16 cohort timers (measured ~100x: the heap shrinks from
    one event per member to one per cohort).
 2. **End-to-end rounds** — a full SOC run (state updates + index
-   diffusion, no queries) in cohort mode must beat per-node ticking by a
-   conservative noise-safe floor.  The end-to-end win is Amdahl-limited:
-   both modes share the same vectorized protocol kernels (routing fronts,
-   diffusion tree walks), so the measured ratio (~1.7-2x, recorded in
-   ``extra_info``) is far below the machinery ratio — see
-   ``docs/coalescing.md`` for the decomposition.  The run summaries must
-   also be identical, re-asserting tick-mode equivalence at bench scale.
+   diffusion, no queries) on cohort timers must beat the same run on the
+   per-member reference scheduler (``ReferenceCohortScheduler``: one
+   grid chain and one one-member round per node) by a conservative
+   noise-safe floor.  The end-to-end win is Amdahl-limited: both sides
+   share the same vectorized protocol kernels (routing fronts, diffusion
+   tree walks), so the measured ratio (recorded in ``extra_info``) is
+   far below the machinery ratio — see ``docs/coalescing.md`` for the
+   decomposition.  The run summaries must also be identical,
+   re-asserting the cohort-timer equivalence at bench scale.
 3. **Mega throughput** — the ``mega`` scenario (10^5 nodes at paper
    scale) must sustain a queries-per-wall-second floor, keeping the mega
    tier affordable.
 """
 
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -28,7 +29,9 @@ from repro.core.protocol import PIDCANParams
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import SOCSimulation
 from repro.experiments.scenarios import mega_configs
+from repro.sim import engine
 from repro.sim.engine import Simulator
+from repro.testing import ReferenceCohortScheduler
 
 from benchmarks.conftest import run_once
 
@@ -109,11 +112,11 @@ def test_cohort_ticking_machinery_5x(benchmark):
 
 
 @pytest.mark.benchmark(group="coalescing-rounds")
-def test_cohort_round_throughput(benchmark, scale):
-    """End-to-end state+diffusion rounds: cohort mode must beat per-node
-    ticking (noise-safe 1.3x floor; measured ratio in ``extra_info``)
-    and produce the identical run."""
-    base = ExperimentConfig(
+def test_cohort_round_throughput(benchmark, scale, monkeypatch):
+    """End-to-end state+diffusion rounds: cohort timers must beat the
+    per-member reference scheduler (noise-safe 1.3x floor; measured ratio
+    in ``extra_info``) and produce the identical run."""
+    cfg = ExperimentConfig(
         n_nodes=ROUNDS_POPULATION[scale],
         duration=2_000.0,
         protocol="hid-can",
@@ -124,15 +127,13 @@ def test_cohort_round_throughput(benchmark, scale):
         pidcan=PIDCANParams(phase_buckets=16),
     )
 
-    def run(mode: str):
-        cfg = replace(base, pidcan=replace(base.pidcan, tick_mode=mode))
-        return SOCSimulation(cfg).run()
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "CohortTimer", ReferenceCohortScheduler)
+        t0 = time.perf_counter()
+        per_node = SOCSimulation(cfg).run()
+        per_node_s = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    per_node = run("per-node")
-    per_node_s = time.perf_counter() - t0
-
-    cohort = run_once(benchmark, run, "cohort")
+    cohort = run_once(benchmark, lambda: SOCSimulation(cfg).run())
     cohort_s = benchmark.stats.stats.mean
 
     # Free identity check: same rounds, same records, same traffic.

@@ -6,8 +6,8 @@ Two floors guard the delivery calendar (``repro.sim.delivery``):
    coalesce into >= 5x fewer heap events than per-message scheduling
    (measured ~100x at this collision density), with identical delivery
    order and identical ``events_processed`` accounting.
-2. **Mega throughput** — the ``mega`` scenario (which since this PR runs
-   with ``coalesce_deliveries`` + a 0.1 s delivery quantum) must beat
+2. **Mega throughput** — the ``mega`` scenario (which runs with a 0.1 s
+   delivery quantum) must beat
    the PR 6 mega floor of ~280 q/s by >= 1.3x at paper scale; smaller
    scales carry proportionally calibrated floors.  The measured ratio
    against the old floor is recorded in ``extra_info``.
@@ -107,7 +107,7 @@ def test_mega_delivery_queries_per_second(benchmark, scale):
     throughput floor (paper scale: >= 364 q/s vs the old ~280 q/s)."""
     overrides, floor = MEGA_CELLS[scale]
     cfg = mega_configs("paper", seed=42, **overrides)["hid-can"]
-    assert cfg.coalesce_deliveries  # the lever under test is on
+    assert cfg.delivery_quantum > 0  # the lever under test is on
 
     res = run_once(benchmark, lambda: SOCSimulation(cfg).run())
 

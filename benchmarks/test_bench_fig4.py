@@ -14,12 +14,12 @@ import pytest
 
 from benchmarks.conftest import attach_results, run_once
 from repro.experiments.reporting import render_scenario
-from repro.experiments.scenarios import fig4a, fig4b
+from repro.experiments.scenarios import run_scenario
 
 
 @pytest.mark.benchmark(group="fig4")
 def test_fig4a_wide_demands(benchmark, scale):
-    results = run_once(benchmark, fig4a, scale=scale)
+    results = run_once(benchmark, run_scenario, "fig4a", scale=scale)
     attach_results(benchmark, results)
     print()
     print(render_scenario("fig4a", results))
@@ -34,7 +34,7 @@ def test_fig4a_wide_demands(benchmark, scale):
 
 @pytest.mark.benchmark(group="fig4")
 def test_fig4b_narrow_demands_crossover(benchmark, scale):
-    results = run_once(benchmark, fig4b, scale=scale)
+    results = run_once(benchmark, run_scenario, "fig4b", scale=scale)
     attach_results(benchmark, results)
     print()
     print(render_scenario("fig4b", results))

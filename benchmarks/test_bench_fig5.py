@@ -9,12 +9,12 @@ import pytest
 
 from benchmarks.conftest import attach_results, run_once
 from repro.experiments.reporting import render_scenario
-from repro.experiments.scenarios import fig5
+from repro.experiments.scenarios import run_scenario
 
 
 @pytest.mark.benchmark(group="fig5")
 def test_fig5_lambda_1(benchmark, scale):
-    results = run_once(benchmark, fig5, scale=scale)
+    results = run_once(benchmark, run_scenario, "fig5", scale=scale)
     attach_results(benchmark, results)
     print()
     print(render_scenario("fig5", results))

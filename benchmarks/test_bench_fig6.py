@@ -8,12 +8,12 @@ import pytest
 
 from benchmarks.conftest import attach_results, run_once
 from repro.experiments.reporting import render_scenario
-from repro.experiments.scenarios import fig6
+from repro.experiments.scenarios import run_scenario
 
 
 @pytest.mark.benchmark(group="fig6")
 def test_fig6_lambda_05(benchmark, scale):
-    results = run_once(benchmark, fig6, scale=scale)
+    results = run_once(benchmark, run_scenario, "fig6", scale=scale)
     attach_results(benchmark, results)
     print()
     print(render_scenario("fig6", results))

@@ -10,12 +10,12 @@ import pytest
 
 from benchmarks.conftest import attach_results, run_once
 from repro.experiments.reporting import render_scenario
-from repro.experiments.scenarios import fig7
+from repro.experiments.scenarios import run_scenario
 
 
 @pytest.mark.benchmark(group="fig7")
 def test_fig7_lambda_025(benchmark, scale):
-    results = run_once(benchmark, fig7, scale=scale)
+    results = run_once(benchmark, run_scenario, "fig7", scale=scale)
     attach_results(benchmark, results)
     print()
     print(render_scenario("fig7", results))

@@ -9,12 +9,12 @@ import pytest
 
 from benchmarks.conftest import attach_results, run_once
 from repro.experiments.reporting import render_scenario
-from repro.experiments.scenarios import fig8
+from repro.experiments.scenarios import run_scenario
 
 
 @pytest.mark.benchmark(group="fig8")
 def test_fig8_churn_tolerance(benchmark, scale):
-    results = run_once(benchmark, fig8, scale=scale)
+    results = run_once(benchmark, run_scenario, "fig8", scale=scale)
     attach_results(benchmark, results)
     print()
     print(render_scenario("fig8", results))

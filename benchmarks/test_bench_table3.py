@@ -14,12 +14,12 @@ import pytest
 
 from benchmarks.conftest import attach_results, run_once
 from repro.experiments.reporting import scalability_table
-from repro.experiments.scenarios import table3
+from repro.experiments.scenarios import run_scenario
 
 
 @pytest.mark.benchmark(group="table3")
 def test_table3_scalability(benchmark, scale):
-    results = run_once(benchmark, table3, scale=scale)
+    results = run_once(benchmark, run_scenario, "table3", scale=scale)
     attach_results(benchmark, results)
     print()
     print(scalability_table(results))

@@ -3,40 +3,27 @@
 ``randomwalk-can``, ``khdn-can`` and ``inscan-rq`` all keep the same
 per-node state as PID-CAN minus the index diffusion: a CAN overlay,
 per-node state caches γ, INSCAN pointer tables, and the §IV-A periodic
-state updates routed to duty nodes.  This base centralizes that
-membership and state-update plumbing in one place (it had drifted across
-per-baseline copies — e.g. whether a churn join charges maintenance
-traffic); subclasses add their query strategy on top and may hook
-:meth:`_on_state_stored` (KHDN's K-hop replication).
+state updates routed to duty nodes.  All of that — including the timer
+plumbing and the state-update action/round — is
+:class:`repro.core.protocol.DutyStateProtocol`, shared with PID-CAN; this
+base adds the baselines' membership handling and query lifecycle.
+Subclasses add their query strategy on top and may hook
+:meth:`~repro.core.protocol.DutyStateProtocol._on_state_stored` (KHDN's
+K-hop replication).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
-from repro.can.inscan import (
-    IndexPointerTable, build_index_table, inscan_path, inscan_paths,
-)
-from repro.can.overlay import CANOverlay
-from repro.can.routing import RoutingError
 from repro.core.context import ProtocolContext
 from repro.core.lifecycle import QueryLifecycle
-from repro.core.protocol import (
-    DiscoveryProtocol, PIDCANParams, arm_grid_chain, quantize_phase,
-)
-from repro.core.state import StateCache, StateRecord
+from repro.core.protocol import DutyStateProtocol, PIDCANParams
+from repro.core.state import StateCache
 
 __all__ = ["CANStateBaseline"]
 
 
-class CANStateBaseline(DiscoveryProtocol):
-    """Overlay + duty caches + periodic state updates, no diffusion.
-
-    ``overlay_cls`` swaps the CAN substrate (vectorized default or the
-    scalar :class:`repro.testing.ReferenceCANOverlay` oracle).
-    """
+class CANStateBaseline(DutyStateProtocol):
+    """Overlay + duty caches + periodic state updates, no diffusion."""
 
     def __init__(
         self,
@@ -44,44 +31,23 @@ class CANStateBaseline(DiscoveryProtocol):
         params: PIDCANParams,
         overlay_cls: type | None = None,
     ):
-        self.ctx = ctx
-        self.params = params
-        if overlay_cls is not None:
-            self.overlay = overlay_cls(params.resource_dims, ctx.rng)
-        else:
-            self.overlay = CANOverlay(
-                params.resource_dims, ctx.rng, compact=params.compact_dtypes
-            )
-        self.caches: dict[int, StateCache] = {}
-        self.tables: dict[int, IndexPointerTable] = {}
+        super().__init__(ctx, params, params.resource_dims, overlay_cls)
         self.lifecycle = QueryLifecycle(ctx, params.query_timeout)
-        #: phase -> shared state-update CohortTimer (cohort mode only).
-        self._cohorts: dict[float, "object"] = {}
-        self._memberships: dict[int, list] = {}
 
-    # ------------------------------------------------------------------
-    # membership
-    # ------------------------------------------------------------------
     def bootstrap(self, node_ids: list[int]) -> None:
         self.overlay.bootstrap(node_ids)
         for node_id in node_ids:
-            self.caches[node_id] = StateCache(
-                self.params.state_ttl, compact=self.params.compact_dtypes
-            )
+            self._init_cache(node_id)
         # Tables are built after the full overlay exists (uncharged, like
         # PID-CAN's bootstrap).
         for node_id in node_ids:
-            self.tables[node_id] = build_index_table(self.overlay, node_id, self.ctx.rng)
+            self._refresh_table(node_id, charge=False)
         self._arm_all(node_ids)
 
     def on_join(self, node_id: int) -> None:
         self.overlay.join(node_id)
-        self.caches[node_id] = StateCache(
-            self.params.state_ttl, compact=self.params.compact_dtypes
-        )
-        table = build_index_table(self.overlay, node_id, self.ctx.rng)
-        self.tables[node_id] = table
-        self.ctx.charge_local("maintenance", node_id, table.build_messages)
+        self._init_cache(node_id)
+        self._refresh_table(node_id, charge=True)
         self._arm_all([node_id])
 
     def on_leave(self, node_id: int) -> None:
@@ -89,105 +55,9 @@ class CANStateBaseline(DiscoveryProtocol):
             self.overlay.leave(node_id)
         self.caches.pop(node_id, None)
         self.tables.pop(node_id, None)
-        for timer in self._memberships.pop(node_id, ()):
-            timer.discard(node_id)
+        self._disarm(node_id)
 
-    # ------------------------------------------------------------------
-    # periodic state updates (self-chaining so they die with the node)
-    # ------------------------------------------------------------------
-    def _arm_all(self, node_ids: Sequence[int]) -> None:
-        """Single-activity twin of ``PIDCANProtocol._arm_all``: phase
-        draws stay node-major, and with buckets the nodes share grid
-        instants across both tick modes."""
-        params = self.params
-        period = params.state_period
-        if params.phase_buckets == 0:
-            for node_id in node_ids:
-                self._arm_state_updates(node_id)
-            return
-        for node_id in node_ids:
-            phase = quantize_phase(
-                self.ctx.rng.uniform(0, period), period, params.phase_buckets
-            )
-            if params.tick_mode == "cohort":
-                timer = self._cohorts.get(phase)
-                if timer is None:
-                    timer = self.ctx.sim.periodic_cohort(
-                        period, self._state_round, epoch=phase
-                    )
-                    self._cohorts[phase] = timer
-                timer.add(node_id)
-                self._memberships.setdefault(node_id, []).append(timer)
-            else:
-                arm_grid_chain(
-                    self.ctx.sim, period, phase,
-                    lambda node_id=node_id: (
-                        self.ctx.is_alive(node_id) and node_id in self.overlay
-                    ),
-                    lambda node_id=node_id: self._state_update(node_id),
-                )
-
-    def _arm_state_updates(self, node_id: int) -> None:
-        self.ctx.start_periodic(
-            self.params.state_period,
-            lambda: self._state_update(node_id),
-            alive=lambda: (
-                self.ctx.is_alive(node_id) and node_id in self.overlay
-            ),
+    def _init_cache(self, node_id: int) -> None:
+        self.caches[node_id] = StateCache(
+            self.params.state_ttl, compact=self.params.compact_dtypes
         )
-
-    def _state_round(self, members: Sequence[int]) -> None:
-        """One cohort state-update round: records in member order, routes
-        in one batched :func:`inscan_paths` pass, sends in member order —
-        event-identical to per-node ticking at the same instants."""
-        live = [
-            m for m in members
-            if self.ctx.is_alive(m) and m in self.overlay
-        ]
-        if not live:
-            return
-        now = self.ctx.sim.now
-        avail = self.ctx.availability_matrix(live)
-        records = [
-            StateRecord(node_id, avail[i].copy(), now)
-            for i, node_id in enumerate(live)
-        ]
-        points = np.clip(avail / self.ctx.cmax, 0.0, 1.0)
-        paths = inscan_paths(
-            self.overlay, self.tables, live, points, on_error="none",
-        )
-        routed = [
-            (record, path) for record, path in zip(records, paths)
-            if path is not None  # overlay mid-repair; next round retries
-        ]
-        if routed:
-            self.ctx.send_path_batch(
-                "state-update",
-                [path for _, path in routed],
-                self._deliver_state,
-                [(path[-1], record) for record, path in routed],
-            )
-
-    def _state_update(self, node_id: int) -> None:
-        availability = self.ctx.availability_of(node_id)
-        record = StateRecord(node_id, availability.copy(), self.ctx.sim.now)
-        try:
-            path = inscan_path(
-                self.overlay, self.tables, node_id, self.ctx.normalize(availability)
-            )
-        except (RoutingError, KeyError):
-            return  # overlay mid-repair; next cycle retries
-        self.ctx.send_path(
-            "state-update", path, self._deliver_state, path[-1], record
-        )
-
-    def _deliver_state(self, duty: int, record: StateRecord) -> None:
-        cache = self.caches.get(duty)
-        if cache is None:
-            return
-        cache.put(record)
-        self._on_state_stored(duty, record)
-
-    def _on_state_stored(self, duty: int, record: StateRecord) -> None:
-        """Hook invoked after a state record lands in ``duty``'s cache
-        (KHDN replicates it to the negative K-hop frontier here)."""

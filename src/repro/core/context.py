@@ -56,10 +56,11 @@ class ProtocolContext:
         self.is_alive = is_alive
         self._alive_mask = alive_mask
         self._availability_matrix_of = availability_matrix_of
-        #: Optional :class:`DeliveryCalendar`; when set, every message
-        #: delivery goes through it (same-instant batching), otherwise
-        #: each delivery is its own heap event (the reference path).
-        self.delivery = delivery
+        #: Every message delivery goes through this calendar (one heap
+        #: event per delivery instant); harnesses that share a calendar
+        #: with their own sends pass it in, the default is an exact
+        #: (quantum 0) one.
+        self.delivery = delivery if delivery is not None else DeliveryCalendar(sim)
 
     def alive_mask(self, ids: np.ndarray) -> np.ndarray:
         """Vectorized membership test over an id array (the diffusion
@@ -104,7 +105,7 @@ class ProtocolContext:
         """
         self.traffic.charge(kind, src)
         delay = self.network.delay(src, dst, size_bits)
-        self._schedule_delivery(delay, dst, handler, args)
+        self.delivery.deliver(delay, self._deliver, dst, handler, args)
 
     def send_path(
         self,
@@ -125,7 +126,7 @@ class ProtocolContext:
         for sender in path[:-1]:
             self.traffic.charge(kind, sender)
         delay = self.network.path_delay(list(path), size_bits)
-        self._schedule_delivery(delay, path[-1], handler, args)
+        self.delivery.deliver(delay, self._deliver, path[-1], handler, args)
 
     def send_path_batch(
         self,
@@ -154,14 +155,9 @@ class ProtocolContext:
             # zero-count kind the sequential path would never create)
             self.traffic.by_kind[kind] += total_hops
         delays = self.network.path_delays([list(p) for p in paths], size_bits)
-        if self.delivery is not None:
-            deliver = self.delivery.deliver
-            for path, delay, args in zip(paths, delays, args_list):
-                deliver(delay, self._deliver, path[-1], handler, args)
-        else:
-            schedule = self.sim.schedule
-            for path, delay, args in zip(paths, delays, args_list):
-                schedule(delay, self._deliver, path[-1], handler, args)
+        deliver = self.delivery.deliver
+        for path, delay, args in zip(paths, delays, args_list):
+            deliver(delay, self._deliver, path[-1], handler, args)
 
     def deliver_after(
         self, delay: float, dst: int, handler: Callable[..., None], *args
@@ -171,20 +167,12 @@ class ProtocolContext:
         send-side traffic — for protocols that account hop charges
         themselves (e.g. Mercury's hub forwarding) yet must not bypass
         delivery accounting or coalescing."""
-        self._schedule_delivery(delay, dst, handler, args)
+        self.delivery.deliver(delay, self._deliver, dst, handler, args)
 
     def charge_local(self, kind: str, node_id: int, n: int = 1) -> None:
         """Charge messages without scheduling delivery (in-process bursts
         such as the diffusion tree expansion or a query flood)."""
         self.traffic.charge(kind, node_id, n)
-
-    def _schedule_delivery(
-        self, delay: float, dst: int, handler: Callable[..., None], args: tuple
-    ) -> None:
-        if self.delivery is not None:
-            self.delivery.deliver(delay, self._deliver, dst, handler, args)
-        else:
-            self.sim.schedule(delay, self._deliver, dst, handler, args)
 
     def _deliver(self, dst: int, handler: Callable[..., None], args: tuple) -> None:
         if not self.is_alive(dst):
@@ -209,7 +197,7 @@ class ProtocolContext:
         The phase draw happens *at call time* on the ctx RNG stream
         (identical stream position to the inlined pattern it replaces).
         The chain dies when ``alive()`` turns false, so it needs no
-        cancellation handle — exactly like the legacy per-node chains.
+        cancellation handle.
         """
         def chain() -> None:
             if alive is not None and not alive():

@@ -148,7 +148,7 @@ class DiffusionEngine:
         previous chain, so the triggers cannot be fused without changing
         draws.  The round's win is upstream — one heap pop wakes the whole
         cohort instead of one event per origin — while the per-origin
-        results stay bit-identical to per-node ticking.
+        results stay bit-identical to triggering each origin on its own.
         """
         return [self.diffuse(origin, method) for origin in origins]
 

@@ -2,7 +2,7 @@
 
 ``PIDCANProtocol`` owns the INSCAN overlay, per-node state caches γ,
 PILists and index-pointer tables, and drives three periodic activities per
-node (self-chaining timers that stop when the node churns out):
+node (they stop when the node churns out):
 
 - **state update** (cycle 400 s, TTL 600 s — §IV-A): availability ``a_i``
   is measured and routed over INSCAN to its duty node;
@@ -15,12 +15,18 @@ The factory :func:`make_protocol` builds every protocol evaluated in §IV:
 ``sid``, ``hid``, ``sid+sos``, ``hid+sos``, ``sid+vd``, plus the baselines
 (``newscast``, ``khdn-can``, ``randomwalk-can``, ``mercury``,
 ``inscan-rq``) from :mod:`repro.baselines` — see ``docs/baselines.md``.
+
+:class:`DutyStateProtocol` is the one home of the overlay + duty-cache
+substrate and the periodic-activity plumbing (phase draws, cohort timers,
+the state-update action and round) that PID-CAN and the duty-cache
+baselines (:mod:`repro.baselines.can_base`) share.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,19 +43,16 @@ from repro.core.lifecycle import LifecycleStats, QueryLifecycle, submit_batch
 from repro.core.pilist import PIList
 from repro.core.query import QueryEngine, QueryParams
 from repro.core.state import StateCache, StateRecord
-from repro.sim.engine import Simulator, next_grid_index
 
 __all__ = [
     "DiscoveryProtocol",
+    "DutyStateProtocol",
     "PIDCANParams",
     "PIDCANProtocol",
     "make_protocol",
     "PROTOCOL_NAMES",
     "quantize_phase",
-    "arm_grid_chain",
 ]
-
-TICK_MODES = ("per-node", "cohort")
 
 
 def quantize_phase(u: float, period: float, buckets: int) -> float:
@@ -59,39 +62,12 @@ def quantize_phase(u: float, period: float, buckets: int) -> float:
     Quantization is what makes nodes share tick instants at all: with
     continuous phases every cohort would hold one node.  The draw itself
     is kept (and only then snapped) so the RNG stream position is
-    identical across tick modes and bucket counts.
+    identical across bucket counts.
     """
     if buckets < 1:
         raise ValueError(f"buckets must be >= 1, got {buckets!r}")
     b = min(int(u / period * buckets), buckets - 1)
     return b * (period / buckets)
-
-
-def arm_grid_chain(
-    sim: Simulator,
-    period: float,
-    phase: float,
-    alive: Callable[[], bool],
-    action: Callable[[], None],
-) -> None:
-    """Self-chaining per-node tick pinned to the multiplicative grid
-    ``phase + k * period`` — the reference twin of a cohort timer with
-    ``epoch=phase``.
-
-    Computing each fire time from ``k`` (never by repeated addition)
-    means the chain hits *bit-for-bit* the same float instants as the
-    cohort timer, which is what lets lockstep tests assert event-order
-    identity between tick modes.  The chain dies when ``alive()`` turns
-    false, exactly like the legacy continuous-phase chains.
-    """
-    def tick(k: int) -> None:
-        if not alive():
-            return
-        action()
-        sim.schedule_at(phase + (k + 1) * period, tick, k + 1)
-
-    k0 = next_grid_index(phase, period, sim.now)
-    sim.schedule_at(phase + k0 * period, tick, k0)
 
 
 class DiscoveryProtocol(abc.ABC):
@@ -193,13 +169,11 @@ class PIDCANParams:
     table_refresh_period: float = 3600.0
     query_timeout: float = 60.0
     sos_bias: float = 1.0
-    #: ``"per-node"`` = one self-chaining timer per node per activity
-    #: (the reference path); ``"cohort"`` = one CohortTimer per
-    #: (activity, phase) delivering whole member batches.
-    tick_mode: str = "per-node"
-    #: 0 = legacy continuous phases (per-node only, byte-identical to the
-    #: seed); >= 1 quantizes phase draws onto a shared grid so nodes can
-    #: share tick instants across both tick modes.
+    #: 0 = the seed's continuous phases: every node ticks at its own
+    #: instants through one self-chaining timer per activity.  >= 1
+    #: quantizes phase draws onto a shared grid of that many instants per
+    #: period, and one CohortTimer per (activity, phase) delivers each
+    #: instant's members to a batched round (docs/coalescing.md).
     phase_buckets: int = 0
     #: Store the overlay's ZoneStore and the duty-node StateCaches in
     #: compact dtypes (float32 + int32) — see ``ExperimentConfig``; the
@@ -218,14 +192,8 @@ class PIDCANParams:
     replication_window: float = 400.0
 
     def __post_init__(self) -> None:
-        if self.tick_mode not in TICK_MODES:
-            raise ValueError(
-                f"tick_mode must be one of {TICK_MODES}, got {self.tick_mode!r}"
-            )
         if self.phase_buckets < 0:
             raise ValueError(f"phase_buckets must be >= 0, got {self.phase_buckets!r}")
-        if self.tick_mode == "cohort" and self.phase_buckets < 1:
-            raise ValueError("cohort tick mode requires phase_buckets >= 1")
         if self.cache_policy is not None and self.cache_policy not in CACHE_POLICIES:
             raise ValueError(
                 f"cache_policy must be None or one of {CACHE_POLICIES}, "
@@ -262,8 +230,19 @@ class PIDCANParams:
         )
 
 
-class PIDCANProtocol(DiscoveryProtocol):
-    """Proactive Index-Diffusion CAN (§III).
+class DutyStateProtocol(DiscoveryProtocol):
+    """CAN overlay + per-node duty caches γ + INSCAN pointer tables + the
+    §IV-A periodic state updates routed to duty nodes: the substrate
+    PID-CAN and the duty-cache baselines share.
+
+    It is also the one home of the periodic-activity plumbing.
+    Subclasses list their activities in :meth:`_periodic_kinds`;
+    ``params.phase_buckets`` alone selects how they tick — continuous
+    per-node phases through ``ctx.start_periodic`` (scalar actions), or
+    quantized phases through one cohort timer per (activity, phase)
+    (batched rounds).  Two hooks specialize the state update:
+    :meth:`_virtual_coordinates` (PID-CAN's VD variants) and
+    :meth:`_on_state_stored` (KHDN's K-hop replication).
 
     ``overlay_cls`` swaps the CAN substrate: the default vectorized
     :class:`CANOverlay` or :class:`repro.testing.ReferenceCANOverlay`
@@ -274,20 +253,181 @@ class PIDCANProtocol(DiscoveryProtocol):
         self,
         ctx: ProtocolContext,
         params: PIDCANParams,
+        overlay_dims: int,
         overlay_cls: Optional[type] = None,
     ):
         self.ctx = ctx
         self.params = params
-        self.name = _variant_name(params)
         if overlay_cls is not None:
-            self.overlay = overlay_cls(params.overlay_dims, ctx.rng)
+            self.overlay = overlay_cls(overlay_dims, ctx.rng)
         else:
             self.overlay = CANOverlay(
-                params.overlay_dims, ctx.rng, compact=params.compact_dtypes
+                overlay_dims, ctx.rng, compact=params.compact_dtypes
             )
         self.caches: dict[int, StateCache] = {}
-        self.pilists: dict[int, PIList] = {}
         self.tables: dict[int, IndexPointerTable] = {}
+        #: (activity kind, phase) -> shared CohortTimer (phase_buckets >= 1).
+        self._cohorts: dict[tuple[str, float], "object"] = {}
+        #: node id -> the cohort timers it belongs to, for O(1) discard.
+        self._memberships: dict[int, list] = {}
+
+    # ------------------------------------------------------------------
+    # periodic activities (they die with the node)
+    # ------------------------------------------------------------------
+    def _periodic_kinds(self) -> tuple:
+        """``(kind, period, round_fn, action)`` per periodic activity, in
+        arming order: ``action(node_id)`` is the scalar tick,
+        ``round_fn(members)`` its batched cohort twin."""
+        return (
+            ("state", self.params.state_period, self._state_round,
+             self._state_update),
+        )
+
+    def _arm_all(self, node_ids: Sequence[int]) -> None:
+        """Arm every periodic activity for a set of nodes.
+
+        With ``phase_buckets == 0`` this is the seed's path: continuous
+        per-node phases make every cohort a singleton, so each node gets
+        one self-chaining timer per activity running the scalar action.
+        With buckets, phase draws stay **node-major** (the seed's RNG
+        stream order: one draw per activity, node by node) while cohort
+        membership is filled **kind-major** — all state ticks, then all
+        diffusion ticks, then all table refreshes — the delivery order
+        the per-member reference scheduler reproduces event for event
+        (see ``docs/coalescing.md``).
+        """
+        kinds = self._periodic_kinds()
+        buckets = self.params.phase_buckets
+        if buckets == 0:
+            for node_id in node_ids:
+                alive = partial(self._ticking, node_id)
+                for _, period, _, action in kinds:
+                    self.ctx.start_periodic(
+                        period, partial(action, node_id), alive=alive
+                    )
+            return
+        rng = self.ctx.rng
+        phases = [
+            [
+                quantize_phase(rng.uniform(0, period), period, buckets)
+                for _, period, _, _ in kinds
+            ]
+            for _ in node_ids
+        ]
+        for i, (kind, period, round_fn, _) in enumerate(kinds):
+            for node_id, node_phases in zip(node_ids, phases):
+                key = (kind, node_phases[i])
+                timer = self._cohorts.get(key)
+                if timer is None:
+                    timer = self._cohorts[key] = self.ctx.sim.periodic_cohort(
+                        period, round_fn, epoch=node_phases[i]
+                    )
+                timer.add(node_id)
+                self._memberships.setdefault(node_id, []).append(timer)
+
+    def _disarm(self, node_id: int) -> None:
+        for timer in self._memberships.pop(node_id, ()):
+            timer.discard(node_id)
+
+    def _ticking(self, node_id: int) -> bool:
+        return self.ctx.is_alive(node_id) and node_id in self.overlay
+
+    def _live_members(self, members: Sequence[int]) -> list[int]:
+        """A cohort batch filtered by the liveness predicate the
+        self-chaining timers use; ``_disarm`` also discards members
+        eagerly, so this is a belt-and-braces guard."""
+        return [m for m in members if self._ticking(m)]
+
+    # ------------------------------------------------------------------
+    # state updates: the scalar action and the batched round
+    # ------------------------------------------------------------------
+    def _virtual_coordinates(self, n: int) -> Optional[np.ndarray]:
+        """Hook: ``n`` fresh coordinates for an extra (virtual) overlay
+        dimension, drawn in member order, or None when the overlay has
+        only the resource dimensions."""
+        return None
+
+    def _on_state_stored(self, duty: int, record: StateRecord) -> None:
+        """Hook invoked after a state record lands in ``duty``'s cache
+        (KHDN replicates it to the negative K-hop frontier here)."""
+
+    def _state_update(self, node_id: int) -> None:
+        availability = self.ctx.availability_of(node_id)
+        record = StateRecord(node_id, availability.copy(), self.ctx.sim.now)
+        point = self.ctx.normalize(availability)
+        extra = self._virtual_coordinates(1)
+        if extra is not None:
+            point = np.append(point, extra)
+        try:
+            path = inscan_path(self.overlay, self.tables, node_id, point)
+        except (RoutingError, KeyError):
+            return  # overlay mid-repair; next cycle retries
+        self.ctx.send_path(
+            "state-update", path, self._deliver_state, path[-1], record
+        )
+
+    def _state_round(self, members: Sequence[int]) -> None:
+        """One state-update cycle for a whole cohort: per-member records
+        and query points are built in member order (virtual coordinates
+        included, so the protocol RNG stream matches member-by-member
+        ticking), every route is computed in one batched
+        :func:`inscan_paths` pass, and the sends go out in the same
+        member order."""
+        live = self._live_members(members)
+        if not live:
+            return
+        now = self.ctx.sim.now
+        # One SoA gather + one rowwise normalize; rows are bitwise-equal
+        # to the per-member ``availability_of`` / ``normalize`` sequence.
+        avail = self.ctx.availability_matrix(live)
+        records = [
+            StateRecord(node_id, avail[i].copy(), now)
+            for i, node_id in enumerate(live)
+        ]
+        points = self.ctx.normalize(avail)
+        extra = self._virtual_coordinates(len(live))
+        if extra is not None:
+            points = np.concatenate([points, extra[:, None]], axis=1)
+        paths = inscan_paths(
+            self.overlay, self.tables, live, points, on_error="none",
+        )
+        routed = [
+            (record, path) for record, path in zip(records, paths)
+            if path is not None  # overlay mid-repair; next round retries
+        ]
+        if routed:
+            self.ctx.send_path_batch(
+                "state-update",
+                [path for _, path in routed],
+                self._deliver_state,
+                [(path[-1], record) for record, path in routed],
+            )
+
+    def _deliver_state(self, duty: int, record: StateRecord) -> None:
+        cache = self.caches.get(duty)
+        if cache is not None:
+            cache.put(record)
+            self._on_state_stored(duty, record)
+
+    def _refresh_table(self, node_id: int, charge: bool) -> None:
+        table = build_index_table(self.overlay, node_id, self.ctx.rng)
+        self.tables[node_id] = table
+        if charge:
+            self.ctx.charge_local("maintenance", node_id, table.build_messages)
+
+
+class PIDCANProtocol(DutyStateProtocol):
+    """Proactive Index-Diffusion CAN (§III)."""
+
+    def __init__(
+        self,
+        ctx: ProtocolContext,
+        params: PIDCANParams,
+        overlay_cls: Optional[type] = None,
+    ):
+        super().__init__(ctx, params, params.overlay_dims, overlay_cls)
+        self.name = _variant_name(params)
+        self.pilists: dict[int, PIList] = {}
         self.diffusion = DiffusionEngine(
             ctx, self.tables, self.pilists, params.overlay_dims, params.L
         )
@@ -309,10 +449,6 @@ class PIDCANProtocol(DiscoveryProtocol):
             params.query_params(), cache=self.path_cache,
         )
         self.lifecycle = self.queries.lifecycle
-        #: (activity kind, phase) -> shared CohortTimer (cohort mode only).
-        self._cohorts: dict[tuple[str, float], "object"] = {}
-        #: node id -> the cohort timers it belongs to, for O(1) discard.
-        self._memberships: dict[int, list] = {}
 
     # ------------------------------------------------------------------
     # membership
@@ -341,8 +477,7 @@ class PIDCANProtocol(DiscoveryProtocol):
         self.tables.pop(node_id, None)
         if self.path_cache is not None:
             self.path_cache.drop_node(node_id)
-        for timer in self._memberships.pop(node_id, ()):
-            timer.discard(node_id)
+        self._disarm(node_id)
 
     def _init_node_state(self, node_id: int) -> None:
         self.caches[node_id] = StateCache(
@@ -353,143 +488,25 @@ class PIDCANProtocol(DiscoveryProtocol):
             self.path_cache.add_node(node_id)
 
     # ------------------------------------------------------------------
-    # periodic activities (self-chaining so they die with the node)
+    # periodic activities: state update (inherited), diffusion, tables
     # ------------------------------------------------------------------
-    def _arm_all(self, node_ids: Sequence[int]) -> None:
-        """Arm the three periodic activities for a set of nodes.
-
-        With ``phase_buckets == 0`` this is the seed's path, untouched:
-        continuous per-node phases make every cohort a singleton, so
-        nothing is gained by grouping.  With buckets, phase draws stay
-        **node-major** (the legacy RNG stream order: one state, diffusion
-        and table draw per node, node by node) while arming runs
-        **kind-major** — all state ticks, then all diffusion ticks, then
-        all table refreshes — so the per-node heap order at a shared
-        instant matches cohort delivery order and the two tick modes stay
-        event-for-event identical (see ``docs/coalescing.md``).
-        """
+    def _periodic_kinds(self) -> tuple:
         p = self.params
-        if p.phase_buckets == 0:
-            for node_id in node_ids:
-                self._arm_periodics(node_id)
-            return
-        rng = self.ctx.rng
-        kinds = self._periodic_kinds()
-        phases = [
-            tuple(
-                quantize_phase(rng.uniform(0, period), period, p.phase_buckets)
-                for _, period, _, _ in kinds
-            )
-            for _ in node_ids
-        ]
-        for i, (kind, period, round_fn, action) in enumerate(kinds):
-            for node_id, node_phases in zip(node_ids, phases):
-                self._arm_one(
-                    kind, period, node_phases[i], node_id, round_fn, action
-                )
-
-    def _periodic_kinds(self):
-        p = self.params
-        return (
-            ("state", p.state_period, self._state_round, self._state_update),
+        return super()._periodic_kinds() + (
             ("diffusion", p.diffusion_period, self._diffusion_round,
              self._diffusion_tick),
             ("table", p.table_refresh_period, self._table_round,
              self._table_tick),
         )
 
-    def _arm_one(
-        self,
-        kind: str,
-        period: float,
-        phase: float,
-        node_id: int,
-        round_fn: Callable[[Sequence[int]], None],
-        action: Callable[[int], None],
-    ) -> None:
-        if self.params.tick_mode == "cohort":
-            key = (kind, phase)
-            timer = self._cohorts.get(key)
-            if timer is None:
-                timer = self.ctx.sim.periodic_cohort(period, round_fn, epoch=phase)
-                self._cohorts[key] = timer
-            timer.add(node_id)
-            self._memberships.setdefault(node_id, []).append(timer)
-        else:
-            arm_grid_chain(
-                self.ctx.sim, period, phase,
-                lambda: self.ctx.is_alive(node_id) and node_id in self.overlay,
-                lambda: action(node_id),
-            )
+    def _virtual_coordinates(self, n: int) -> Optional[np.ndarray]:
+        return self.ctx.rng.uniform(size=n) if self.params.vd else None
 
-    def _arm_periodics(self, node_id: int) -> None:
-        rng = self.ctx.rng
-        self._chain(node_id, self.params.state_period, self._state_update,
-                    first=rng.uniform(0, self.params.state_period))
-        self._chain(node_id, self.params.diffusion_period, self._diffusion_tick,
-                    first=rng.uniform(0, self.params.diffusion_period))
-        self._chain(node_id, self.params.table_refresh_period, self._table_tick,
-                    first=rng.uniform(0, self.params.table_refresh_period))
-
-    def _chain(
-        self, node_id: int, period: float, action: Callable[[int], None], first: float
-    ) -> None:
-        def tick() -> None:
-            if not self.ctx.is_alive(node_id) or node_id not in self.overlay:
-                return
-            action(node_id)
-            self.ctx.sim.schedule(period, tick)
-
-        self.ctx.sim.schedule(first, tick)
-
-    def _live_members(self, members: Sequence[int]) -> list[int]:
-        """A cohort batch filtered by the same per-node liveness predicate
-        the self-chaining timers use; ``on_leave`` also discards members
-        eagerly, so this is a belt-and-braces guard."""
-        return [
-            m for m in members
-            if self.ctx.is_alive(m) and m in self.overlay
-        ]
-
-    # ------------------------------------------------------------------
-    # cohort rounds (one call per (activity, phase) per period)
-    # ------------------------------------------------------------------
-    def _state_round(self, members: Sequence[int]) -> None:
-        """One state-update cycle for a whole cohort: per-member records
-        and query points are built in member order (VD draws included, so
-        the protocol RNG stream matches per-node ticking), every route is
-        computed in one batched :func:`inscan_paths` pass, and the sends
-        go out in the same member order."""
-        live = self._live_members(members)
-        if not live:
-            return
-        now = self.ctx.sim.now
-        # One SoA gather + one rowwise normalize; rows (and the VD draws,
-        # batched in member order) are bitwise-equal to the per-member
-        # ``availability_of`` / ``_point_for`` sequence.
-        avail = self.ctx.availability_matrix(live)
-        records = [
-            StateRecord(node_id, avail[i].copy(), now)
-            for i, node_id in enumerate(live)
-        ]
-        points = np.clip(avail / self.ctx.cmax, 0.0, 1.0)
-        if self.params.vd:
-            extra = self.ctx.rng.uniform(size=len(live))
-            points = np.concatenate([points, extra[:, None]], axis=1)
-        paths = inscan_paths(
-            self.overlay, self.tables, live, points, on_error="none",
-        )
-        routed = [
-            (record, path) for record, path in zip(records, paths)
-            if path is not None  # overlay mid-repair; next round retries
-        ]
-        if routed:
-            self.ctx.send_path_batch(
-                "state-update",
-                [path for _, path in routed],
-                self._deliver_state,
-                [(path[-1], record) for record, path in routed],
-            )
+    def _diffusion_tick(self, node_id: int) -> None:
+        cache = self.caches.get(node_id)
+        if cache is not None and cache.non_empty(self.ctx.sim.now):
+            self.diffusion.diffuse(node_id, self.params.diffusion_method)
+        self._maybe_replicate(node_id)
 
     def _diffusion_round(self, members: Sequence[int]) -> None:
         now = self.ctx.sim.now
@@ -503,45 +520,6 @@ class PIDCANProtocol(DiscoveryProtocol):
             self.diffusion.diffuse_round(origins, self.params.diffusion_method)
         for node_id in live:
             self._maybe_replicate(node_id)
-
-    def _table_round(self, members: Sequence[int]) -> None:
-        for node_id in self._live_members(members):
-            self._table_tick(node_id)
-
-    # ------------------------------------------------------------------
-    # state updates
-    # ------------------------------------------------------------------
-    def _point_for(self, vector: np.ndarray) -> np.ndarray:
-        point = self.ctx.normalize(vector)
-        if self.params.vd:
-            point = np.append(point, self.ctx.rng.uniform())
-        return point
-
-    def _state_update(self, node_id: int) -> None:
-        availability = self.ctx.availability_of(node_id)
-        record = StateRecord(node_id, availability.copy(), self.ctx.sim.now)
-        point = self._point_for(availability)
-        try:
-            path = inscan_path(self.overlay, self.tables, node_id, point)
-        except (RoutingError, KeyError):
-            return  # overlay mid-repair; next cycle retries
-        self.ctx.send_path(
-            "state-update", path, self._deliver_state, path[-1], record
-        )
-
-    def _deliver_state(self, duty: int, record: StateRecord) -> None:
-        cache = self.caches.get(duty)
-        if cache is not None:
-            cache.put(record)
-
-    # ------------------------------------------------------------------
-    # diffusion + maintenance
-    # ------------------------------------------------------------------
-    def _diffusion_tick(self, node_id: int) -> None:
-        cache = self.caches.get(node_id)
-        if cache is not None and cache.non_empty(self.ctx.sim.now):
-            self.diffusion.diffuse(node_id, self.params.diffusion_method)
-        self._maybe_replicate(node_id)
 
     def _maybe_replicate(self, node_id: int) -> None:
         """Hot-partition replica diffusion (docs/caching.md), piggybacked
@@ -565,11 +543,9 @@ class PIDCANProtocol(DiscoveryProtocol):
     def _table_tick(self, node_id: int) -> None:
         self._refresh_table(node_id, charge=True)
 
-    def _refresh_table(self, node_id: int, charge: bool) -> None:
-        table = build_index_table(self.overlay, node_id, self.ctx.rng)
-        self.tables[node_id] = table
-        if charge:
-            self.ctx.charge_local("maintenance", node_id, table.build_messages)
+    def _table_round(self, members: Sequence[int]) -> None:
+        for node_id in self._live_members(members):
+            self._table_tick(node_id)
 
     # ------------------------------------------------------------------
     # queries

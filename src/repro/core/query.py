@@ -59,7 +59,7 @@ from repro.core.cache import PathCacheIndex
 from repro.core.context import ProtocolContext
 from repro.core.lifecycle import QueryLifecycle, QueryRuntime, submit_batch
 from repro.core.pilist import PIList
-from repro.core.sos import slack_expectation, slack_expectations
+from repro.core.sos import slack_expectation
 from repro.core.state import StateCache, StateRecord
 
 __all__ = ["QueryEngine", "QueryRuntime", "QueryParams", "submit_batch"]
@@ -205,63 +205,27 @@ class QueryEngine:
         ``items`` holds ``(demand, requester, callback)`` triples in
         arrival order; every path, RNG draw, message charge and delivery
         event is bit-identical to submitting them one by one in that
-        order.  Three draw regimes keep the stream exact:
-
-        - **SoS only** — the sequential path draws each query's slack
-          vector inside ``_begin`` *before* the requester-liveness check,
-          so all items draw; one batched
-          :func:`~repro.core.sos.slack_expectations` call consumes the
-          identical doubles.
-        - **VD only** — the sequential path checks liveness first and
-          draws the virtual coordinate only for live requesters; one
-          ``uniform(size=n_live)`` call over the live items matches.
-        - **SoS + VD** — the draws interleave per item (slack, liveness,
-          coordinate), so they stay per-item; routing is still batched.
-
-        Routing itself (:func:`~repro.can.inscan.inscan_paths`) consumes
-        no randomness, and a failed query's resolution invokes only the
-        requester callback (no RNG, no sends), so deferring dead/unroutable
-        resolutions behind the batch changes nothing observable.
+        order.  The per-query draws (SoS slack inside ``_begin``, then —
+        for live requesters only — the VD coordinate) stay per item in
+        arrival order, exactly the sequential stream; only routing is
+        batched.  Routing (:func:`~repro.can.inscan.inscan_paths`)
+        consumes no randomness, and a failed query's resolution invokes
+        only the requester callback (no RNG, no sends), so deferring
+        dead/unroutable resolutions behind the batch changes nothing
+        observable.
         """
-        if not items:
-            return []
-        p = self.params
         rts: list[QueryRuntime] = []
         live: list[QueryRuntime] = []
         dead: list[QueryRuntime] = []
         points: list[np.ndarray] = []
-        if p.sos and not p.vd:
-            for demand, requester, callback in items:
-                rts.append(self.lifecycle.begin(demand, requester, callback))
-            slacked = slack_expectations(
-                np.asarray([rt.demand for rt in rts]),
-                self.ctx.cmax, self.ctx.rng, p.sos_bias,
-            )
-            for rt, v in zip(rts, slacked):
-                rt.v = v
-                rt.sos_attempted = True
-            for rt in rts:
-                (live if self.ctx.is_alive(rt.requester) else dead).append(rt)
-            points = [self.ctx.normalize(rt.v) for rt in live]
-        elif p.vd and not p.sos:
-            for demand, requester, callback in items:
-                rt = self._begin(demand, requester, callback)
-                rts.append(rt)
-                (live if self.ctx.is_alive(requester) else dead).append(rt)
-            extra = self.ctx.rng.uniform(size=len(live))
-            points = [
-                np.append(self.ctx.normalize(rt.v), x)
-                for rt, x in zip(live, extra)
-            ]
-        else:
-            for demand, requester, callback in items:
-                rt = self._begin(demand, requester, callback)
-                rts.append(rt)
-                if self.ctx.is_alive(requester):
-                    live.append(rt)
-                    points.append(self._query_point(rt.v))
-                else:
-                    dead.append(rt)
+        for demand, requester, callback in items:
+            rt = self._begin(demand, requester, callback)
+            rts.append(rt)
+            if self.ctx.is_alive(requester):
+                live.append(rt)
+                points.append(self._query_point(rt.v))
+            else:
+                dead.append(rt)
         for rt in dead:
             self._resolve(rt, False)
         if live:

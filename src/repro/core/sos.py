@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["slack_expectation", "slack_expectations"]
+__all__ = ["slack_expectation"]
 
 
 def slack_expectation(
@@ -30,32 +30,6 @@ def slack_expectation(
     if bias <= 0:
         raise ValueError("bias must be positive")
     e = np.asarray(expectation, dtype=np.float64)
-    top = np.asarray(cmax, dtype=np.float64)
-    if bool(np.any(e > top + 1e-9)):
-        raise ValueError("expectation exceeds cmax; nothing to slack into")
-    u = rng.uniform(0.0, 1.0, size=e.shape) ** bias
-    return e + u * np.maximum(top - e, 0.0)
-
-
-def slack_expectations(
-    expectations: np.ndarray,
-    cmax: np.ndarray,
-    rng: np.random.Generator,
-    bias: float = 1.0,
-) -> np.ndarray:
-    """Batched Formula (3): slack a ``(k, d)`` matrix of expectation
-    vectors in one draw.
-
-    Stream-identical to ``k`` sequential :func:`slack_expectation` calls:
-    ``rng.uniform(size=(k, d))`` consumes exactly the doubles the scalar
-    loop would, in the same (row-major) order, so coalesced query bursts
-    produce bit-identical slack vectors to one-by-one submission.
-    """
-    if bias <= 0:
-        raise ValueError("bias must be positive")
-    e = np.asarray(expectations, dtype=np.float64)
-    if e.ndim != 2:
-        raise ValueError(f"expected a (k, d) matrix, got shape {e.shape}")
     top = np.asarray(cmax, dtype=np.float64)
     if bool(np.any(e > top + 1e-9)):
         raise ValueError("expectation exceeds cmax; nothing to slack into")

@@ -91,23 +91,19 @@ class ExperimentConfig:
     checkpoint_period: float = 600.0
 
     # event coalescing (docs/coalescing.md) ------------------------------
-    #: Buffer query arrivals landing at the same delivery instant and hand
-    #: them to the protocol as one ``submit_bulk`` batch.  Event-identical
-    #: to uncoalesced submission; the win is batched duty-query routing.
-    coalesce_arrivals: bool = False
-    #: Round task arrival times *up* onto this grid (0 = off).  The
+    #: Round task arrival times *up* onto this grid (0 = exact).  The
     #: exponential draws are untouched — only the fire instants snap — so
-    #: many arrivals share an instant and coalesce into real batches.
+    #: many arrivals share an instant; the runner hands each instant's
+    #: queries to the protocol as one ``submit_bulk`` batch
+    #: (event-identical to one-by-one submission at the same instants).
     arrival_quantum: float = 0.0
-    #: Batch same-instant message deliveries into one heap event per
-    #: delivery instant (:class:`repro.sim.delivery.DeliveryCalendar`).
-    #: Bit-identical to per-message scheduling when ``delivery_quantum``
-    #: is 0; event accounting is preserved either way.
-    coalesce_deliveries: bool = False
-    #: Round message delivery instants *up* onto this grid (0 = off) so
-    #: independent messages collide into real batches.  Deterministic but
-    #: no longer identical to the un-quantized run (bounded added latency
-    #: per message) — the delivery-side twin of ``arrival_quantum``.
+    #: Round message delivery instants *up* onto this grid (0 = exact) so
+    #: independent messages collide into real batches in the
+    #: :class:`repro.sim.delivery.DeliveryCalendar` every message goes
+    #: through.  At 0 only genuinely same-instant deliveries share a heap
+    #: event and the run is bit-identical to per-message scheduling; > 0
+    #: stays deterministic but adds bounded latency per message — the
+    #: delivery-side twin of ``arrival_quantum``.
     delivery_quantum: float = 0.0
     #: Soft ceiling on the SoA storage of the host engine + overlay
     #: geometry; a periodic sweep trims slack capacity when exceeded
@@ -241,10 +237,30 @@ def config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
     return json.loads(json.dumps(doc, default=float))
 
 
+def _migrate_retired_fields(data: dict[str, Any]) -> None:
+    """Read documents written before the dual event paths were collapsed.
+
+    ``coalesce_arrivals`` and ``pidcan.tick_mode`` selected between
+    result-identical paths and are dropped.  ``coalesce_deliveries=False``
+    meant per-message scheduling, which the calendar reproduces exactly
+    only at quantum 0 — so a stored quantum that was never in effect is
+    zeroed rather than switched on.
+    """
+    data.pop("coalesce_arrivals", None)
+    if not data.pop("coalesce_deliveries", True):
+        data["delivery_quantum"] = 0.0
+    pidcan = data.get("pidcan")
+    if isinstance(pidcan, Mapping):
+        data["pidcan"] = {k: v for k, v in pidcan.items() if k != "tick_mode"}
+
+
 def config_from_dict(doc: Mapping[str, Any]) -> ExperimentConfig:
     """Rebuild an :class:`ExperimentConfig` from :func:`config_to_dict`
-    output (e.g. the ``config`` section of a stored result document)."""
+    output (e.g. the ``config`` section of a stored result document).
+    Documents stored before fields were retired still load (see
+    :func:`_migrate_retired_fields`); any other unknown key raises."""
     data = dict(doc)
+    _migrate_retired_fields(data)
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(data) - known
     if unknown:

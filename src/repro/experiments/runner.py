@@ -201,12 +201,10 @@ class SOCSimulation:
             HostEngine(compact=config.compact_dtypes) if engine is None
             else engine
         )
-        #: Same-instant delivery batching (docs/coalescing.md): one heap
-        #: event per delivery instant; ``None`` = per-message scheduling.
-        self.delivery: Optional[DeliveryCalendar] = (
-            DeliveryCalendar(self.sim, quantum=config.delivery_quantum)
-            if config.coalesce_deliveries else None
-        )
+        #: Every message (protocol traffic and task placements) reaches
+        #: its handler through this calendar: one heap event per delivery
+        #: instant, exact at quantum 0 (docs/coalescing.md).
+        self.delivery = DeliveryCalendar(self.sim, quantum=config.delivery_quantum)
         self.hosts: dict[int, HostNode] = {}
         self._alive: set[int] = set()
         self._next_node_id = 0
@@ -301,7 +299,7 @@ class SOCSimulation:
                 node_id, self.sim, self._submit_task, self.is_alive,
                 quantum=config.arrival_quantum,
             )
-        #: Same-instant arrival buffer (``coalesce_arrivals``): the first
+        #: Same-instant arrival buffer (``arrival_quantum > 0``): the first
         #: enqueue schedules a zero-delay flush, which runs after every
         #: arrival event of the instant and hands the protocol one batch.
         self._arrival_buffer: list[tuple[Task, object]] = []
@@ -400,12 +398,14 @@ class SOCSimulation:
         after ``query_failsafe_timeout`` unless the protocol answered
         first; whichever fires second is a no-op.
 
-        With ``coalesce_arrivals`` the query is buffered instead and every
-        query of the instant goes to the protocol as one ``submit_bulk``
-        batch — same submission instant, same failsafes, same per-query
-        callbacks, so results are event-identical to direct dispatch.
+        With quantized arrivals (``arrival_quantum > 0``) many queries
+        share an instant, so the query is buffered instead and every query
+        of the instant goes to the protocol as one ``submit_bulk`` batch —
+        same submission instant, same failsafes, same per-query callbacks,
+        so results are event-identical to direct dispatch.  Un-quantized
+        Poisson arrivals never share an instant and dispatch directly.
         """
-        if self.config.coalesce_arrivals:
+        if self.config.arrival_quantum > 0:
             self._enqueue_query(task, on_records)
             return
         self.protocol.submit_query(
@@ -497,16 +497,10 @@ class SOCSimulation:
         remaining = [r for r in records if r.owner != pick.owner]
         delay = self.network.delay(task.origin, pick.owner, PLACEMENT_MSG_BITS)
         self.traffic.charge("placement", task.origin)
-        if self.delivery is not None:
-            self.delivery.deliver(
-                delay, self._arrive_placement, task, pick.owner, remaining,
-                retries_left,
-            )
-        else:
-            self.sim.schedule(
-                delay, self._arrive_placement, task, pick.owner, remaining,
-                retries_left,
-            )
+        self.delivery.deliver(
+            delay, self._arrive_placement, task, pick.owner, remaining,
+            retries_left,
+        )
 
     def _arrive_placement(
         self,

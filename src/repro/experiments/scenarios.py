@@ -85,8 +85,9 @@ HOTRANGE_POLICIES = ("ttl", "lru", "lfu", "adaptive")
 
 #: Population per scale of the ``mega`` tier.  Unlike the figure
 #: scenarios (which use :data:`~repro.experiments.config.SCALES`), mega
-#: exists to exercise the coalesced event path at populations the
-#: per-node ticking engine cannot reach — 10^5 nodes at ``paper``.
+#: exists to exercise cohort ticking and quantized deliveries at
+#: populations continuous per-node phases cannot reach — 10^5 nodes at
+#: ``paper``.
 MEGA_POPULATIONS: dict[str, int] = {
     "paper": 100_000,
     "small": 20_000,
@@ -102,8 +103,8 @@ MEGA_DURATIONS: dict[str, float] = {
 }
 
 #: Population per scale of the ``mega2`` tier: the next rung toward 10^6
-#: nodes, reachable only with delivery coalescing + compact dtypes on
-#: top of mega's levers — 3x10^5 nodes at ``paper``.
+#: nodes, reachable only with compact dtypes on top of mega's levers —
+#: 3x10^5 nodes at ``paper``.
 MEGA2_POPULATIONS: dict[str, int] = {
     "paper": 300_000,
     "small": 40_000,
@@ -320,8 +321,9 @@ def mega_configs(
     scale: str = "small", seed: int = 42, **overrides: Any
 ) -> dict[str, ExperimentConfig]:
     """The coalesced 10^5-node tier (docs/coalescing.md): HID-CAN at
-    λ=0.5 with cohort ticking, quantized+coalesced arrivals and a memory
-    budget — every batching lever on at once.
+    λ=0.5 with cohort ticking, quantized (hence batched) arrivals, a
+    0.1 s delivery quantum and a memory budget — every batching lever on
+    at once.
 
     Populations/horizons come from :data:`MEGA_POPULATIONS` /
     :data:`MEGA_DURATIONS` rather than the figure scales: ``paper`` is
@@ -337,10 +339,8 @@ def mega_configs(
         "duration": MEGA_DURATIONS[scale],
         "protocol": "hid-can",
         "demand_ratio": 0.5,
-        "pidcan": PIDCANParams(tick_mode="cohort", phase_buckets=16),
-        "coalesce_arrivals": True,
+        "pidcan": PIDCANParams(phase_buckets=16),
         "arrival_quantum": 1.0,
-        "coalesce_deliveries": True,
         "delivery_quantum": 0.1,
         "memory_budget_mb": 768.0,
         "memory_sweep_period": 300.0,
@@ -408,112 +408,18 @@ def scenario_configs(
 
 
 # ----------------------------------------------------------------------
-# serial scenario runners (the legacy `python -m repro <scenario>` path)
+# serial scenario runner (the `python -m repro <scenario>` path)
 # ----------------------------------------------------------------------
-def _run_grid(configs: dict[str, ExperimentConfig]) -> dict[str, SimulationResult]:
-    return {label: SOCSimulation(cfg).run() for label, cfg in configs.items()}
-
-
-def fig4a(scale: str = "small", seed: int = 42) -> dict[str, SimulationResult]:
-    """T-Ratio over a day at demand ratio 0.84 (wide demands)."""
-    return _run_grid(fig4a_configs(scale, seed))
-
-
-def fig4b(scale: str = "small", seed: int = 42) -> dict[str, SimulationResult]:
-    """Same at demand ratio 0.25 — the Newscast/SID-CAN crossover."""
-    return _run_grid(fig4b_configs(scale, seed))
-
-
-def fig5(scale: str = "small", seed: int = 42) -> dict[str, SimulationResult]:
-    """Six protocols at λ=1 (T-Ratio, F-Ratio, fairness series)."""
-    return _run_grid(fig5_configs(scale, seed))
-
-
-def fig6(scale: str = "small", seed: int = 42) -> dict[str, SimulationResult]:
-    """Six protocols at λ=0.5."""
-    return _run_grid(fig6_configs(scale, seed))
-
-
-def fig7(scale: str = "small", seed: int = 42) -> dict[str, SimulationResult]:
-    """Six protocols at λ=0.25 (HID's near-zero failed tasks)."""
-    return _run_grid(fig7_configs(scale, seed))
-
-
-def fig8(scale: str = "small", seed: int = 42) -> dict[str, SimulationResult]:
-    """HID-CAN under churn, λ=0.5 (dynamic degree sweep)."""
-    return _run_grid(fig8_configs(scale, seed))
-
-
-def churn(scale: str = "small", seed: int = 42) -> dict[str, SimulationResult]:
-    """Churn-hardened comparison across the full protocol axis (see
-    :func:`churn_configs`)."""
-    return _run_grid(churn_configs(scale, seed))
-
-
-def burst(
-    scale: str = "small", seed: int = 42, burst_factor: float = 8.0
-) -> dict[str, SimulationResult]:
-    """High-throughput stress (see :func:`burst_configs`)."""
-    return _run_grid(burst_configs(scale, seed, burst_factor=burst_factor))
-
-
-def hotrange(
-    scale: str = "small", seed: int = 42, **overrides: Any
-) -> dict[str, SimulationResult]:
-    """Hot-range caching grid (see :func:`hotrange_configs`).  Extra
-    keyword arguments are config overrides (``zipf_s``, ``n_nodes``,
-    ``duration``, ...) so ablations and smokes can reshape the cells."""
-    return _run_grid(hotrange_configs(scale, seed, **overrides))
-
-
-def table3(scale: str = "small", seed: int = 42) -> dict[str, SimulationResult]:
-    """HID-CAN scalability sweep (λ=0.5): four metrics vs population."""
-    return _run_grid(table3_configs(scale, seed))
-
-
-def mega(
-    scale: str = "small", seed: int = 42, **overrides: Any
-) -> dict[str, SimulationResult]:
-    """The coalesced 10^5-node tier (see :func:`mega_configs`).  Extra
-    keyword arguments are config overrides (``n_nodes``, ``duration``,
-    ...) so smokes can shrink the cell."""
-    return _run_grid(mega_configs(scale, seed, **overrides))
-
-
-def mega2(
-    scale: str = "small", seed: int = 42, **overrides: Any
-) -> dict[str, SimulationResult]:
-    """The compact-dtype 3x10^5-node tier (see :func:`mega2_configs`).
-    Extra keyword arguments are config overrides (``n_nodes``,
-    ``duration``, ...) so smokes can shrink the cell."""
-    return _run_grid(mega2_configs(scale, seed, **overrides))
-
-
-SCENARIOS: dict[str, Callable[..., dict[str, SimulationResult]]] = {
-    "fig4a": fig4a,
-    "fig4b": fig4b,
-    "fig5": fig5,
-    "fig6": fig6,
-    "fig7": fig7,
-    "fig8": fig8,
-    "churn": churn,
-    "burst": burst,
-    "hotrange": hotrange,
-    "table3": table3,
-    "mega": mega,
-    "mega2": mega2,
-}
+#: Every scenario name, in experiment-index order.
+SCENARIOS: tuple[str, ...] = tuple(SCENARIO_CONFIGS)
 
 
 def run_scenario(
     name: str, scale: str = "small", seed: int = 42, **kwargs: Any
 ) -> dict[str, SimulationResult]:
-    """Dispatch a scenario by its paper figure/table id (extra keyword
-    arguments are forwarded to the builder, e.g. ``burst_factor``)."""
-    try:
-        builder = SCENARIOS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; expected one of {sorted(SCENARIOS)}"
-        ) from None
-    return builder(scale=scale, seed=seed, **kwargs)
+    """Run one scenario's grid serially, by its paper figure/table id:
+    ``{label: SimulationResult}``.  Extra keyword arguments are the
+    config overrides :func:`scenario_configs` takes (``burst_factor``,
+    ``n_nodes``/``duration`` for smokes, ``zipf_s`` for ablations)."""
+    configs = scenario_configs(name, scale=scale, seed=seed, **kwargs)
+    return {label: SOCSimulation(cfg).run() for label, cfg in configs.items()}

@@ -1,11 +1,13 @@
 """Delivery-event coalescing: one heap entry per delivery instant.
 
-At 10⁵ nodes the per-*message* heap events become the next bottleneck
-after cohort ticking (see ``docs/coalescing.md``): every state update,
-walk hop and placement message costs one ``Simulator.schedule`` — a heap
-push, a heap pop and a Python callback — even though whole cohorts send
-at the same instant and their messages land at instants that collide
-once delays are quantized.
+Every message of a run — protocol traffic and task placements — reaches
+its handler through one :class:`DeliveryCalendar`.  Scheduled one by
+one, each state update, walk hop and placement message would cost a heap
+push, a heap pop and a Python callback, and at 10⁵ nodes those per-
+*message* heap events are the next bottleneck after cohort ticking (see
+``docs/coalescing.md``) — even though whole cohorts send at the same
+instant and their messages land at instants that collide once delays are
+quantized.
 
 :class:`DeliveryCalendar` batches same-instant deliveries the way
 :class:`~repro.sim.engine.CohortTimer` batches same-instant cycles: the
@@ -28,7 +30,7 @@ added latency for real batches; results remain deterministic but are no
 longer identical to the un-quantized run — the same contract stance as
 ``arrival_quantum``.
 
-The per-message reference discipline is preserved verbatim as
+The per-message discipline lives on only as the oracle
 :class:`repro.testing.ReferenceDeliveryCalendar`, and the equivalence
 suites (``tests/sim/test_delivery.py``,
 ``tests/experiments/test_coalescing.py``) pin the identity end to end.

@@ -33,7 +33,7 @@ def next_grid_index(epoch: float, interval: float, now: float) -> int:
     Grid instants are always computed multiplicatively (``epoch + k *
     interval``, never by repeated addition), so a timer armed late joins
     the exact float instants of one armed at the epoch — the property the
-    cohort scheduler and its per-node reference path both rely on to stay
+    cohort timer and its per-member reference scheduler both rely on to stay
     tick-for-tick identical.
     """
     if interval <= 0:
@@ -361,7 +361,7 @@ class Simulator:
         A coalesced cohort tick performs the work of many per-member
         events in one callback; charging its member count keeps
         ``events_processed`` and ``run(max_events=...)`` budgets
-        comparable across tick modes instead of silently deflating by the
+        comparable across cohort sizes instead of silently deflating by the
         batch size.  Outside of event execution the charge is a no-op
         (the unit bookkeeping resets when the next event starts).
         """
@@ -378,7 +378,7 @@ class Simulator:
 
         Event units are 1 per event plus whatever the event charged via
         :meth:`charge_events` (a coalesced cohort tick charges its member
-        count), so budgets keep their meaning across tick modes.  The
+        count), so budgets keep their meaning at any cohort size.  The
         budget check runs after each event: a batched tick may overshoot
         the bound by its batch size, never split mid-batch.
 

@@ -1101,36 +1101,47 @@ class ReferenceCohortScheduler:
         self._arm(member, k + 1, gen)
 
 
-def assert_tick_modes_equivalent(config, *, abort_after: float | None = None):
-    """Run ``config`` once per tick mode and assert the runs are
-    metric- and series-identical.
+def _run_with_oracle(config, module, name, oracle, abort_after):
+    """Run ``config`` stock, then with ``module.<name>`` swapped for its
+    ``oracle`` class, and assert the runs are metric- and series-
+    identical.  Returns the ``(reference, stock)`` result pair."""
+    from repro.experiments.runner import SOCSimulation
 
-    ``config`` must carry quantized phases (``phase_buckets >= 1``) so
-    the per-node grid chains and the cohort timers share fire instants;
-    this helper flips only ``pidcan.tick_mode``.  Equality is exact —
-    not approx — because cohort coalescing is a pure event-batching
-    transform: same RNG streams, same instants, same delivery order.
+    def run():
+        sim = SOCSimulation(config)
+        if abort_after is not None:
+            sim.sim.schedule(abort_after, sim.sim.stop)
+        return sim.run()
+
+    stock = run()
+    original = getattr(module, name)
+    setattr(module, name, oracle)
+    try:
+        reference = run()
+    finally:
+        setattr(module, name, original)
+    assert_results_identical(reference, stock)
+    return reference, stock
+
+
+def assert_tick_modes_equivalent(config, *, abort_after: float | None = None):
+    """Run ``config`` (quantized phases, ``phase_buckets >= 1``) with the
+    stock cohort timers and with every ``Simulator.periodic_cohort``
+    building a :class:`ReferenceCohortScheduler` (one grid chain per
+    member, one-member rounds) instead.  Equality is exact — not approx —
+    because cohort coalescing is a pure event-batching transform: same
+    RNG streams, same instants, same delivery order.
 
     Returns the ``(per_node, cohort)`` result pair so callers can make
     further assertions (e.g. ``generated > 0``).
     """
-    from dataclasses import replace
-
-    from repro.experiments.runner import SOCSimulation
+    from repro.sim import engine
 
     if config.pidcan.phase_buckets < 1:
         raise ValueError("assert_tick_modes_equivalent needs phase_buckets >= 1")
-
-    results = []
-    for mode in ("per-node", "cohort"):
-        cfg = replace(config, pidcan=replace(config.pidcan, tick_mode=mode))
-        sim = SOCSimulation(cfg)
-        if abort_after is not None:
-            sim.sim.schedule(abort_after, sim.sim.stop)
-        results.append(sim.run())
-    per_node, cohort = results
-    assert_results_identical(per_node, cohort)
-    return per_node, cohort
+    return _run_with_oracle(
+        config, engine, "CohortTimer", ReferenceCohortScheduler, abort_after
+    )
 
 
 def assert_results_identical(a, b) -> None:
@@ -1238,20 +1249,12 @@ def assert_cache_off_equivalent(config):
     Returns the ``(stock, reference)`` result pair.
     """
     from repro.core import protocol as protocol_mod
-    from repro.experiments.runner import SOCSimulation
 
     if config.cache_policy is not None:
         raise ValueError("assert_cache_off_equivalent needs cache_policy=None")
-
-    stock = SOCSimulation(config).run()
-    original = protocol_mod.PIList
-    protocol_mod.PIList = ReferencePIList
-    try:
-        reference = SOCSimulation(config).run()
-    finally:
-        protocol_mod.PIList = original
-    assert_results_identical(stock, reference)
-    return stock, reference
+    return _run_with_oracle(
+        config, protocol_mod, "PIList", ReferencePIList, None
+    )[::-1]
 
 
 class ReferenceDeliveryCalendar:
@@ -1283,27 +1286,17 @@ class ReferenceDeliveryCalendar:
 
 
 def assert_delivery_modes_equivalent(config, *, abort_after: float | None = None):
-    """Run ``config`` once per delivery mode (per-message vs coalesced,
-    quantum 0) and assert the runs are metric- and series-identical.
-
-    Coalescing at quantum 0 batches only genuinely same-instant
-    deliveries and replays each batch in enqueue order, so the runs must
-    match exactly.  Returns the ``(per_message, coalesced)`` result pair
-    so callers can make further assertions (e.g. ``generated > 0``).
-    """
+    """Run ``config`` at delivery quantum 0 with the stock calendar and
+    with the runner building a :class:`ReferenceDeliveryCalendar` (one
+    heap event per message) instead.  The calendar batches only genuinely
+    same-instant deliveries and replays each batch in enqueue order, so
+    the runs must match exactly.  Returns the ``(per_message, coalesced)``
+    result pair so callers can make further assertions."""
     from dataclasses import replace
 
-    from repro.experiments.runner import SOCSimulation
+    from repro.experiments import runner
 
-    results = []
-    for coalesce in (False, True):
-        cfg = replace(
-            config, coalesce_deliveries=coalesce, delivery_quantum=0.0
-        )
-        sim = SOCSimulation(cfg)
-        if abort_after is not None:
-            sim.sim.schedule(abort_after, sim.sim.stop)
-        results.append(sim.run())
-    per_message, coalesced = results
-    assert_results_identical(per_message, coalesced)
-    return per_message, coalesced
+    return _run_with_oracle(
+        replace(config, delivery_quantum=0.0), runner, "DeliveryCalendar",
+        ReferenceDeliveryCalendar, abort_after,
+    )

@@ -153,3 +153,45 @@ def test_protocol_names_all_constructible():
     for name in PROTOCOL_NAMES:
         ctx, _, _ = make_ctx()
         make_protocol(name, ctx)
+
+
+@pytest.mark.parametrize("vd", [False, True])
+def test_scalar_actions_match_batched_rounds(vd):
+    """``phase_buckets`` picks between the scalar per-node actions and the
+    batched cohort rounds; both must send the same messages, make the
+    same RNG draws and leave the same protocol state."""
+
+    def run(batched):
+        ctx, alive, avail = make_ctx(n=24)
+        for i in alive:
+            avail[i] = np.random.default_rng(100 + i).uniform(1.0, 9.0, size=5)
+        proto = PIDCANProtocol(ctx, PIDCANParams(vd=vd, phase_buckets=16))
+        proto.bootstrap(sorted(alive))
+        members = sorted(alive)
+        for round_fn, action in (
+            (proto._state_round, proto._state_update),
+            (proto._diffusion_round, proto._diffusion_tick),
+            (proto._table_round, proto._table_tick),
+        ):
+            if batched:
+                round_fn(members)
+            else:
+                for node_id in members:
+                    action(node_id)
+            ctx.sim.run(until=ctx.sim.now + 50.0)  # land the deliveries
+        caches = {
+            duty: sorted(
+                (r.owner, r.timestamp, r.availability.tolist())
+                for r in cache.records(ctx.sim.now)
+            )
+            for duty, cache in proto.caches.items()
+        }
+        pilists = {n: p.entries(ctx.sim.now) for n, p in proto.pilists.items()}
+        return (
+            ctx.traffic.kind_snapshot(), dict(ctx.traffic.by_node), caches,
+            pilists, ctx.sim.events_processed, ctx.rng.uniform(),
+        )
+
+    scalar, batched = run(False), run(True)
+    assert scalar[0]["state-update"] > 0 and scalar[0]["index-diffusion"] > 0
+    assert scalar == batched

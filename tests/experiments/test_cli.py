@@ -71,10 +71,9 @@ def test_main_renders_scenario(monkeypatch, capsys):
         )
         return {"hid-can": SOCSimulation(cfg).run()}
 
-    monkeypatch.setitem(cli.SCENARIOS, "fig5", stub_scenario)
     monkeypatch.setattr(
         "repro.experiments.cli.run_scenario",
-        lambda name, scale, seed: cli.SCENARIOS[name](scale=scale, seed=seed),
+        lambda name, scale, seed: stub_scenario(scale=scale, seed=seed),
     )
     rc = cli.main(["fig5", "--scale", "tiny", "--seed", "1"])
     captured = capsys.readouterr()

@@ -1,24 +1,26 @@
-"""End-to-end identity tests for cohort event coalescing.
+"""End-to-end identity tests for event coalescing.
 
 The contract (docs/coalescing.md): with quantized phases
-(``phase_buckets >= 1``), flipping ``PIDCANParams.tick_mode`` between
-``per-node`` and ``cohort`` is a pure event-batching transform — every
-metric and every series sample is *exactly* equal, at paper scale and
-under churn.  Arrival coalescing makes the same promise for
-``coalesce_arrivals``.  These tests pin the promise; the throughput win
-is asserted separately in ``benchmarks/test_bench_coalescing.py``.
+(``phase_buckets >= 1``) cohort timers are a pure event-batching
+transform of one grid chain per member
+(``repro.testing.ReferenceCohortScheduler``), and the delivery calendar
+at quantum 0 of one heap event per message
+(``repro.testing.ReferenceDeliveryCalendar``) — every metric and every
+series sample is *exactly* equal, at paper scale and under churn.
+Batched arrivals make the same promise against one-by-one submission.
+These tests pin the promise; the throughput win is asserted separately in
+``benchmarks/test_bench_coalescing.py``.
 """
 
 from dataclasses import replace
 
-import numpy as np
-
-from repro.core.protocol import PIDCANParams
+from repro.core.protocol import DiscoveryProtocol, PIDCANParams, PIDCANProtocol
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import SOCSimulation
-from repro.experiments.scenarios import mega2_configs, mega_configs
+from repro.experiments.scenarios import hotrange_configs, mega2_configs, mega_configs
 from repro.testing import (
     assert_delivery_modes_equivalent,
+    assert_results_identical,
     assert_tick_modes_equivalent,
 )
 
@@ -83,36 +85,19 @@ def _run(config: ExperimentConfig):
     return SOCSimulation(config).run()
 
 
-def _assert_results_identical(a, b) -> None:
-    assert a.generated == b.generated
-    assert a.finished == b.finished
-    assert a.failed == b.failed
-    assert a.placed == b.placed
-    assert a.evicted == b.evicted
-    assert a.query_timeouts == b.query_timeouts
-    assert a.traffic_by_kind == b.traffic_by_kind
-    assert a.balance == b.balance
-    assert a.query_latency == b.query_latency
-    assert a.efficiencies == b.efficiencies
-    assert set(a.series) == set(b.series)
-    for name, series in a.series.items():
-        assert series.times == b.series[name].times
-        # Exact, but NaN == NaN (fairness is NaN before the first finish).
-        assert np.array_equal(
-            np.asarray(series.values),
-            np.asarray(b.series[name].values),
-            equal_nan=True,
-        ), f"{name} sample values diverge"
-
-
-def test_arrival_coalescing_is_identical():
-    """Buffering same-instant arrivals into one submit_bulk batch changes
-    nothing observable — with or without a quantum making real batches."""
+def test_arrival_coalescing_is_identical(monkeypatch):
+    """Handing each quantized instant's arrivals to PID-CAN's natively
+    batched ``submit_bulk`` changes nothing observable against the
+    one-by-one ``DiscoveryProtocol.submit_bulk`` fan-out."""
     base = _quantized(n_nodes=80, duration=4000.0, sample_period=1000.0,
                       seed=9, arrival_quantum=5.0)
-    plain = _run(replace(base, coalesce_arrivals=False))
-    coalesced = _run(replace(base, coalesce_arrivals=True))
-    _assert_results_identical(plain, coalesced)
+    batched = _run(base)
+    monkeypatch.setattr(
+        PIDCANProtocol, "submit_bulk", DiscoveryProtocol.submit_bulk
+    )
+    sequential = _run(base)
+    assert batched.generated > 0
+    assert_results_identical(sequential, batched)
 
 
 def test_memory_budget_sweep_is_identical():
@@ -122,7 +107,7 @@ def test_memory_budget_sweep_is_identical():
     plain = _run(base)
     trimmed = _run(replace(base, memory_budget_mb=0.001,
                            memory_sweep_period=500.0))
-    _assert_results_identical(plain, trimmed)
+    assert_results_identical(plain, trimmed)
 
 
 def test_mega_runs_are_deterministic():
@@ -130,7 +115,7 @@ def test_mega_runs_are_deterministic():
     bit-identical."""
     grid = mega_configs(scale="tiny", seed=5, n_nodes=300, duration=900.0)
     config = grid["hid-can"]
-    _assert_results_identical(_run(config), _run(config))
+    assert_results_identical(_run(config), _run(config))
 
 
 def test_delivery_coalescing_is_identical():
@@ -165,15 +150,6 @@ def test_delivery_coalescing_identical_at_paper_scale():
     assert per_message.finished > 0
 
 
-def test_compact_dtypes_off_is_identical_to_legacy():
-    """``compact_dtypes=False`` (the default) is byte-for-byte today's
-    float64 path: flipping the flag off explicitly changes nothing."""
-    base = _quantized(n_nodes=80, duration=4000.0, sample_period=1000.0, seed=21)
-    _assert_results_identical(
-        _run(base), _run(replace(base, compact_dtypes=False))
-    )
-
-
 def test_compact_dtypes_run_is_sane_and_deterministic():
     """The float32/int32 arrays are approximate by design, so no identity
     claim — but the run must complete work and be self-deterministic."""
@@ -182,7 +158,7 @@ def test_compact_dtypes_run_is_sane_and_deterministic():
         compact_dtypes=True,
     )
     a, b = _run(cfg), _run(cfg)
-    _assert_results_identical(a, b)
+    assert_results_identical(a, b)
     assert a.generated > 0
     assert a.finished > 0
 
@@ -192,5 +168,28 @@ def test_mega2_runs_are_deterministic():
     top of every mega lever) are bit-identical."""
     grid = mega2_configs(scale="tiny", seed=5, n_nodes=300, duration=900.0)
     config = grid["hid-can"]
-    assert config.compact_dtypes and config.coalesce_deliveries
-    _assert_results_identical(_run(config), _run(config))
+    assert config.compact_dtypes and config.delivery_quantum > 0
+    assert_results_identical(_run(config), _run(config))
+
+
+def test_stacked_levers_are_deterministic_and_conserve():
+    """Every lever at once — cohort ticking, 0.1 s delivery quantum,
+    quantized (batched) arrivals, lru path cache + replication, 25 %
+    churn: two runs agree exactly and the run's books balance."""
+    config = replace(
+        hotrange_configs("tiny", seed=4, n_nodes=150, duration=3000.0)["lru+repl"],
+        pidcan=PIDCANParams(phase_buckets=16),
+        delivery_quantum=0.1,
+        arrival_quantum=1.0,
+        churn_degree=0.25,
+        churn_lifetime=1500.0,
+        sample_period=1000.0,
+    )
+    first, second = SOCSimulation(config), SOCSimulation(config)
+    a, b = first.run(), second.run()
+    assert_results_identical(a, b)
+    assert a.generated > 0 and a.cache_hits > 0 and a.replications > 0
+    assert len(first.hosts) > 150  # churn replaced nodes
+    assert a.traffic_total == sum(a.traffic_by_kind.values())
+    in_flight = first.protocol.lifecycle.active_queries()
+    assert a.generated == a.query_latency.queries + in_flight

@@ -124,3 +124,25 @@ def test_config_from_dict_rejects_unknown_fields():
     doc["warp_speed"] = 11
     with pytest.raises(ValueError, match="unknown config fields"):
         config_from_dict(doc)
+
+
+def test_config_from_dict_reads_documents_from_before_the_paths_collapsed():
+    """Stored documents that still carry the retired lever flags load:
+    the flags selected between result-identical paths, so dropping them
+    keeps the cell's meaning."""
+    cfg = ExperimentConfig(
+        arrival_quantum=1.0, delivery_quantum=0.1,
+        pidcan=PIDCANParams(phase_buckets=16),
+    )
+    doc = config_to_dict(cfg)
+    doc.update(coalesce_arrivals=True, coalesce_deliveries=True)
+    doc["pidcan"]["tick_mode"] = "cohort"
+    assert config_from_dict(doc) == cfg
+
+    # Per-message scheduling never applied the quantum it was stored with.
+    doc["coalesce_deliveries"] = False
+    assert config_from_dict(doc) == dataclasses.replace(cfg, delivery_quantum=0.0)
+
+    doc["pidcan"]["tick_style"] = "cohort"
+    with pytest.raises(TypeError, match="tick_style"):
+        config_from_dict(doc)

@@ -185,7 +185,7 @@ def test_cache_metrics_survive_multiseed_aggregation():
 def test_compact_dtypes_compose_with_cache():
     config = _hot("lru", n_nodes=80, duration=900.0, sample_period=300.0,
                   compact_dtypes=True,
-                  pidcan=PIDCANParams(tick_mode="cohort", phase_buckets=16))
+                  pidcan=PIDCANParams(phase_buckets=16))
     res = _run(config)
     assert res.cache_lookups > 0
 

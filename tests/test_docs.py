@@ -188,3 +188,83 @@ def test_store_docstring_points_at_real_doc():
 
     assert "docs/experiments.md" in (store.__doc__ or "")
     assert (REPO_ROOT / "docs" / "experiments.md").exists()
+
+
+# ----------------------------------------------------------------------
+# config knobs named in prose must exist
+# ----------------------------------------------------------------------
+#: ``name=`` where ``name`` is snake_case ending in a word-like segment
+#: (``a_i = ...`` is math, not a knob).
+_ASSIGNED_RE = re.compile(
+    r"\b([a-z][a-z0-9]*(?:_[a-z0-9]+)*_[a-z0-9]{2,})\s*=(?!=)"
+)
+_CONFIG_CALL_RE = re.compile(
+    r"^(?:ExperimentConfig(?:\.at_scale)?|PIDCANParams|NetworkParams)\("
+)
+_KNOB_HEADER_RE = re.compile(r"knob|ExperimentConfig|PIDCANParams|NetworkParams")
+
+
+def config_field_names() -> set[str]:
+    from dataclasses import fields
+
+    from repro.core.protocol import PIDCANParams
+    from repro.experiments.config import ExperimentConfig
+    from repro.sim.network import NetworkParams
+
+    return {
+        f.name
+        for cls in (ExperimentConfig, PIDCANParams, NetworkParams)
+        for f in fields(cls)
+    }
+
+
+def quoted_config_fields(text: str) -> list[str]:
+    """Back-ticked identifiers of ``text`` that present themselves as
+    config fields: ``name=value`` spans, keyword arguments of a quoted
+    config-class constructor, and the first column of a knob table (one
+    whose header cell says ``knob`` or names a config class)."""
+    prose = "\n".join(
+        line for line in text.splitlines() if not line.startswith("|")
+    )
+    prose = re.sub(r"```.*?```", "", prose, flags=re.S)
+    names: list[str] = []
+    for span in re.findall(r"`([^`\n]+)`", prose):
+        found = _ASSIGNED_RE.findall(span)
+        if found and (span.startswith(found[0]) or _CONFIG_CALL_RE.match(span)):
+            names.extend(found)
+    in_knob_table = False
+    previous = ""
+    for line in text.splitlines():
+        if not line.startswith("|"):
+            in_knob_table = False
+        elif set(line) <= set("|-: "):  # the rule under a header row
+            in_knob_table = bool(_KNOB_HEADER_RE.search(previous.split("|")[1]))
+        elif in_knob_table:
+            names.extend(re.findall(r"`([a-z][a-z0-9_]*)`", line.split("|")[1]))
+        previous = line
+    return names
+
+
+def test_quoted_config_fields_exist():
+    """A knob the docs tell the reader to set must be a real field of
+    ``ExperimentConfig``, ``PIDCANParams`` or ``NetworkParams`` — retired
+    flags must not linger in prose."""
+    known = config_field_names()
+    checked = 0
+    for doc in DOC_FILES:
+        for name in quoted_config_fields(doc.read_text()):
+            assert name in known, f"{doc.name}: `{name}` is not a config field"
+            checked += 1
+    assert checked >= 10  # the knob tables alone carry more than this
+
+
+def test_config_field_gate_catches_retired_flags():
+    stale = (
+        'set `tick_mode="cohort"` or `ExperimentConfig(n_nodes=5, '
+        'coalesce_arrivals=True)`; `run(max_events=3)` and `a_i = 0` are '
+        "not knobs\n\n"
+        "| knob | effect |\n|------|--------|\n| `coalesce_deliveries` | x |\n"
+    )
+    assert quoted_config_fields(stale) == [
+        "tick_mode", "n_nodes", "coalesce_arrivals", "coalesce_deliveries",
+    ]

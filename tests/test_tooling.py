@@ -74,8 +74,8 @@ def test_zone_store_equivalence_smoke():
 def test_cohort_equivalence_smoke():
     """Fast-gate smoke of cohort event coalescing: a small HID-CAN cell
     under cohort ticking must stay metric- and series-identical to the
-    per-node tick path (the full cells — paper scale, churn, baselines —
-    live in tests/experiments/test_coalescing.py)."""
+    per-member reference scheduler (the full cells — paper scale, churn,
+    baselines — live in tests/experiments/test_coalescing.py)."""
     from repro.core.protocol import PIDCANParams
     from repro.experiments.config import ExperimentConfig
     from repro.testing import assert_tick_modes_equivalent
@@ -96,9 +96,9 @@ def test_cohort_equivalence_smoke():
 
 def test_delivery_coalescing_equivalence_smoke():
     """Fast-gate smoke of delivery-event coalescing: a small HID-CAN cell
-    with the delivery calendar on must stay metric- and series-identical
-    to per-message scheduling (the full cells — paper scale, churn — live
-    in tests/experiments/test_coalescing.py)."""
+    through the delivery calendar must stay metric- and series-identical
+    to the per-message reference calendar (the full cells — paper scale,
+    churn — live in tests/experiments/test_coalescing.py)."""
     from repro.core.protocol import PIDCANParams
     from repro.experiments.config import ExperimentConfig
     from repro.testing import assert_delivery_modes_equivalent
@@ -119,16 +119,16 @@ def test_delivery_coalescing_equivalence_smoke():
 
 def test_mega_scenario_smoke():
     """The mega tier runs end-to-end at toy size with every coalescing
-    lever on (cohort ticking, arrival quantum+coalescing, delivery
-    calendar, memory budget)."""
+    lever on (cohort ticking, arrival quantum, delivery quantum, memory
+    budget)."""
     from repro.experiments.scenarios import run_scenario
 
     results = run_scenario("mega", scale="tiny", seed=1,
                            n_nodes=64, duration=600.0)
     result = results["hid-can"]
-    assert result.config.pidcan.tick_mode == "cohort"
-    assert result.config.coalesce_arrivals
-    assert result.config.coalesce_deliveries
+    assert result.config.pidcan.phase_buckets >= 1
+    assert result.config.arrival_quantum > 0
+    assert result.config.delivery_quantum > 0
     assert result.generated > 0
 
 
@@ -141,7 +141,7 @@ def test_mega2_scenario_smoke():
                            n_nodes=96, duration=600.0)
     result = results["hid-can"]
     assert result.config.compact_dtypes
-    assert result.config.coalesce_deliveries
+    assert result.config.delivery_quantum > 0
     assert result.generated > 0
 
 
@@ -167,3 +167,19 @@ def test_cache_off_equivalence_smoke():
     )
     assert stock.generated > 0
     assert stock.cache_lookups == 0
+
+
+def test_committed_campaign_artifact_matches_its_spec():
+    """Cell ids are content hashes of the full config, so any config
+    schema change orphans a committed campaign: ``campaign status`` sees
+    nothing done and ``campaign run`` leaves the old files behind.  Every
+    committed cell must be one the spec computes today — regenerate
+    ``artifacts/BENCH_campaign_tiny`` when this fails."""
+    from repro.experiments.campaign import campaign_status
+
+    directory = REPO_ROOT / "artifacts" / "BENCH_campaign_tiny"
+    status = campaign_status(directory)
+    expected = {cell.filename for cell in status.spec.cells()}
+    committed = {path.name for path in (directory / "cells").glob("*.json")}
+    assert committed - expected == set(), "stale cells; regenerate the artifact"
+    assert status.complete, "cells missing; regenerate the artifact"
