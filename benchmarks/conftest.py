@@ -13,6 +13,7 @@ the reproduction record.
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -44,3 +45,11 @@ def attach_results(benchmark, results) -> None:
 def run_once(benchmark, fn, *args, **kwargs):
     """One-round pedantic run (a simulated day is one unit of work)."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def cpu_timed(fn):
+    """``(fn(), CPU seconds it took)`` — ``time.process_time``, so a busy
+    neighbour on a shared sandbox does not count against the bench."""
+    t0 = time.process_time()
+    result = fn()
+    return result, time.process_time() - t0

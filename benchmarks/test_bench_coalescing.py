@@ -33,7 +33,7 @@ from repro.sim import engine
 from repro.sim.engine import Simulator
 from repro.testing import ReferenceCohortScheduler
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import cpu_timed, run_once
 
 #: Members / cohorts for the raw machinery bench.
 TICK_MEMBERS = 10_000
@@ -114,8 +114,9 @@ def test_cohort_ticking_machinery_5x(benchmark):
 @pytest.mark.benchmark(group="coalescing-rounds")
 def test_cohort_round_throughput(benchmark, scale, monkeypatch):
     """End-to-end state+diffusion rounds: cohort timers must beat the
-    per-member reference scheduler (noise-safe 1.3x floor; measured ratio
-    in ``extra_info``) and produce the identical run."""
+    per-member reference scheduler (noise-safe 1.3x floor on best-of-3
+    CPU seconds; measured ratio in ``extra_info``) and produce the
+    identical run."""
     cfg = ExperimentConfig(
         n_nodes=ROUNDS_POPULATION[scale],
         duration=2_000.0,
@@ -127,22 +128,32 @@ def test_cohort_round_throughput(benchmark, scale, monkeypatch):
         pidcan=PIDCANParams(phase_buckets=16),
     )
 
-    with monkeypatch.context() as patch:
-        patch.setattr(engine, "CohortTimer", ReferenceCohortScheduler)
-        t0 = time.perf_counter()
-        per_node = SOCSimulation(cfg).run()
-        per_node_s = time.perf_counter() - t0
+    def run():
+        return SOCSimulation(cfg).run()
 
-    cohort = run_once(benchmark, lambda: SOCSimulation(cfg).run())
-    cohort_s = benchmark.stats.stats.mean
+    # CPU seconds, the two sides alternating, best of three each: a busy
+    # neighbour or a slow stretch of the sandbox hits both sides alike
+    # instead of deciding the ratio.
+    per_node_times, cohort_times = [], []
+    for attempt in range(3):
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "CohortTimer", ReferenceCohortScheduler)
+            per_node, seconds = cpu_timed(run)
+        per_node_times.append(seconds)
+        cohort, seconds = cpu_timed(
+            (lambda: run_once(benchmark, run)) if attempt == 0 else run
+        )
+        cohort_times.append(seconds)
 
-    # Free identity check: same rounds, same records, same traffic.
-    assert cohort.traffic_by_kind == per_node.traffic_by_kind
-    assert cohort.traffic_total == per_node.traffic_total
-    assert cohort.generated == per_node.generated
+        # Free identity check: same rounds, same records, same traffic.
+        assert cohort.traffic_by_kind == per_node.traffic_by_kind
+        assert cohort.traffic_total == per_node.traffic_total
+        assert cohort.generated == per_node.generated
 
+    per_node_s, cohort_s = min(per_node_times), min(cohort_times)
     ratio = per_node_s / cohort_s
-    benchmark.extra_info["per_node_s"] = round(per_node_s, 3)
+    benchmark.extra_info["per_node_cpu_s"] = round(per_node_s, 3)
+    benchmark.extra_info["cohort_cpu_s"] = round(cohort_s, 3)
     benchmark.extra_info["speedup"] = round(ratio, 2)
     benchmark.extra_info["traffic_total"] = cohort.traffic_total
     assert ratio >= 1.3, f"cohort rounds only {ratio:.2f}x per-node"

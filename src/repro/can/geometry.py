@@ -347,6 +347,26 @@ class ZoneStore:
         ok_hi = ((p < hi) | ((p == hi) & (hi == 1.0))).all(axis=1)
         return ok_lo & ok_hi
 
+    def adjacency_rows(
+        self, a_rows: int | np.ndarray, b_rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CAN neighborship per (store row, store row) pair — the
+        row-paired kernel behind :meth:`adjacency`.  ``a_rows`` is one
+        row tested against every ``b_rows`` entry, or an array pairing
+        ``b_rows[i]`` with its own ``a_rows[i]``, which is how the
+        overlay classifies both halves of a split zone in one call.
+        Returns ``(adjacent, dims, signs)`` as :meth:`adjacency` does."""
+        a_lo, a_hi = self._lo[a_rows], self._hi[a_rows]
+        b_lo, b_hi = self._lo[b_rows], self._hi[b_rows]
+        abut_pos = a_hi == b_lo
+        abut_neg = b_hi == a_lo
+        abut = abut_pos | abut_neg
+        overlap = (a_lo < b_hi) & (b_lo < a_hi)
+        adjacent = (abut | overlap).all(axis=1) & (abut.sum(axis=1) == 1)
+        face = abut.argmax(axis=1)
+        signs = np.where(abut_pos[np.arange(face.shape[0]), face], 1, -1)
+        return adjacent, face, signs
+
     def adjacency(
         self, node_id: int, ids: Sequence[int] | np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -364,23 +384,10 @@ class ZoneStore:
         adjacent = np.zeros(n, dtype=bool)
         dims = np.zeros(n, dtype=np.int64)
         signs = np.ones(n, dtype=np.int64)
-        if not present.any():
-            return adjacent, dims, signs
-        me = self._row_of[node_id]
-        a_lo, a_hi = self._lo[me], self._hi[me]
-        b_lo = self._lo[rows[present]]
-        b_hi = self._hi[rows[present]]
-        abut_pos = a_hi == b_lo
-        abut_neg = b_hi == a_lo
-        abut = abut_pos | abut_neg
-        overlap = (a_lo < b_hi) & (b_lo < a_hi)
-        ok = (abut | overlap).all(axis=1) & (abut.sum(axis=1) == 1)
-        face = abut.argmax(axis=1)
-        adjacent[present] = ok
-        dims[present] = face
-        signs[present] = np.where(
-            abut_pos[np.arange(face.shape[0]), face], 1, -1
-        )
+        if present.any():
+            adjacent[present], dims[present], signs[present] = (
+                self.adjacency_rows(self._row_of[node_id], rows[present])
+            )
         return adjacent, dims, signs
 
     def negative_direction_mask(

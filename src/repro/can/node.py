@@ -20,19 +20,28 @@ class OverlayNode:
 
     ``directions`` caches each edge's shared-face ``(dim, sign)`` — the
     direction from *this* node's perspective — maintained by the overlay
-    at rebind time so that directional lookups (the hot inner step of the
-    INSCAN table walks) are dict filters, not geometry recomputations.
-    It mirrors ``neighbors`` exactly on the vectorized overlay;
-    ``check_invariants`` cross-checks both against brute force.
+    at rebind time, so directional lookups (the hot inner step of the
+    INSCAN table walks) need no geometry recomputation.  The values are
+    the overlay's 2·d interned tuples, not one allocation per edge.  It
+    mirrors ``neighbors`` exactly on the vectorized overlay.
+
+    ``face_buckets`` is the same information grouped for reading: entry
+    ``2 * dim + (sign < 0)`` is the ascending tuple of neighbors across
+    the ``(dim, sign)`` face.  The overlay sets it to ``None`` wherever
+    it changes an edge of this node and
+    :meth:`~repro.can.overlay.CANOverlay.directional_neighbors` rebuilds
+    it on the next read.  ``check_invariants`` cross-checks all three
+    against brute force.
     """
 
-    __slots__ = ("node_id", "leaf", "neighbors", "directions")
+    __slots__ = ("node_id", "leaf", "neighbors", "directions", "face_buckets")
 
     def __init__(self, node_id: int, leaf: "TreeLeaf"):
         self.node_id = node_id
         self.leaf = leaf
         self.neighbors: set[int] = set()
         self.directions: dict[int, tuple[int, int]] = {}
+        self.face_buckets: Optional[tuple[tuple[int, ...], ...]] = None
 
     @property
     def zone(self) -> Zone:

@@ -20,10 +20,13 @@ authoritative :class:`~repro.can.zone.Zone` objects (split history,
 takeover), while :class:`~repro.can.geometry.ZoneStore` mirrors every
 live zone's bounds in SoA matrices so routing and rebinding evaluate
 whole candidate sets as array ops.  Every leaf-binding change syncs the
-store row; rebinding classifies the candidate neighborhood with one
-batched adjacency call and caches each edge's ``(dim, sign)`` on both
-endpoints, so ``directional_neighbors`` — the hot inner step of the
-INSCAN directional walks — is a dict filter.
+store row; rebinding classifies every candidate neighborhood a zone
+change touches with one row-paired adjacency call (both halves of a
+split, absorber and mover of a takeover) and caches each edge's
+``(dim, sign)`` on both endpoints.  ``directional_neighbors`` — the hot
+inner step of the INSCAN directional walks — reads the node's neighbors
+bucketed by face, rebuilt lazily after the node's edges changed (see
+``docs/can_geometry.md``, "Face buckets").
 """
 
 from __future__ import annotations
@@ -62,6 +65,15 @@ class CANOverlay:
         self.geometry = ZoneStore(dims, compact=compact)
         #: Routing candidate pools (managed by :mod:`repro.can.routing`).
         self._route_pools: dict = {}
+        #: The 2·d distinct edge directions, interned: entry
+        #: ``2 * dim + (sign < 0)`` is ``((dim, sign), (dim, -sign))`` —
+        #: the direction an edge has from either endpoint.  Every
+        #: ``directions`` value is one of these shared tuples.
+        directions = [(dim, sign) for dim in range(dims) for sign in (+1, -1)]
+        self._faces = tuple(
+            (face, directions[code ^ 1])
+            for code, face in enumerate(directions)
+        )
 
     # ------------------------------------------------------------------
     # membership queries
@@ -83,13 +95,26 @@ class CANOverlay:
 
     def directional_neighbors(
         self, node_id: int, dim: int, sign: int
-    ) -> list[int]:
-        """Adjacent neighbors across the ``(dim, sign)`` face, sorted for
-        determinism — a filter over the cached edge directions."""
-        key = (dim, sign)
-        return sorted(
-            m for m, d in self.nodes[node_id].directions.items() if d == key
-        )
+    ) -> tuple[int, ...]:
+        """Adjacent neighbors across the ``(dim, sign)`` face in ascending
+        id order — a lookup in the node's face buckets, which are rebuilt
+        first if an edge of the node changed since they were last read."""
+        node = self.nodes[node_id]
+        buckets = node.face_buckets
+        if buckets is None:
+            buckets = node.face_buckets = self._bucket_by_face(node.directions)
+        return buckets[2 * dim + (sign < 0)]
+
+    def _bucket_by_face(
+        self, directions: dict[int, tuple[int, int]]
+    ) -> tuple[tuple[int, ...], ...]:
+        """Group a node's edges by face: entry ``2 * dim + (sign < 0)`` is
+        the ascending tuple of neighbors across ``(dim, sign)``."""
+        by_face: list[list[int]] = [[] for _ in self._faces]
+        for m in sorted(directions):
+            dim, sign = directions[m]
+            by_face[2 * dim + (sign < 0)].append(m)
+        return tuple(map(tuple, by_face))
 
     # ------------------------------------------------------------------
     # construction
@@ -129,8 +154,10 @@ class CANOverlay:
         self.geometry.add(node_id, new_leaf.zone)
 
         # Rebind adjacency among {owner, joiner} ∪ previous neighborhood.
-        self._rebind_neighbors(owner_id, old_neighbors | {node_id})
-        self._rebind_neighbors(node_id, old_neighbors | {owner_id})
+        self._rebind_neighbors(
+            (owner_id, old_neighbors | {node_id}),
+            (node_id, old_neighbors | {owner_id}),
+        )
         return new_node
 
     # ------------------------------------------------------------------
@@ -145,6 +172,7 @@ class CANOverlay:
             peer = self.nodes[m]
             peer.neighbors.discard(node_id)
             peer.directions.pop(node_id, None)
+            peer.face_buckets = None
         self.geometry.remove(node_id)
 
         assert self.tree is not None
@@ -162,7 +190,7 @@ class CANOverlay:
             # Sibling merge: absorber's zone grew to cover the departed
             # zone; candidates are both old neighborhoods.
             self._rebind_neighbors(
-                plan.absorber, absorber_old | departed_neighbors
+                (plan.absorber, absorber_old | departed_neighbors)
             )
         else:
             mover = self.nodes[plan.mover]
@@ -170,45 +198,70 @@ class CANOverlay:
             assert plan.mover_leaf is not None
             mover.leaf = plan.mover_leaf
             self.geometry.update(plan.mover, plan.mover_leaf.zone)
-            # The absorber swallowed the mover's old zone: candidates are
-            # its own old neighbors plus the mover's.
-            self._rebind_neighbors(plan.absorber, absorber_old | mover_old)
-            # The mover relocated into the departed zone: candidates are
-            # the departed node's neighbors (plus the absorber, which now
-            # owns the zone the mover vacated, and its old neighbors for
-            # the removal side of rebinding).
             self._rebind_neighbors(
-                plan.mover, departed_neighbors | mover_old | {plan.absorber}
+                # The absorber swallowed the mover's old zone: candidates
+                # are its own old neighbors plus the mover's.
+                (plan.absorber, absorber_old | mover_old),
+                # The mover relocated into the departed zone: candidates
+                # are the departed node's neighbors (plus the absorber,
+                # which now owns the zone the mover vacated, and its old
+                # neighbors for the removal side of rebinding).
+                (plan.mover,
+                 departed_neighbors | mover_old | {plan.absorber}),
             )
         return plan
 
     # ------------------------------------------------------------------
     # adjacency maintenance
     # ------------------------------------------------------------------
-    def _rebind_neighbors(self, node_id: int, candidates: set[int]) -> None:
-        """Recompute ``node_id``'s adjacency against ``candidates`` in one
-        batched geometry call and make the affected edges (and their
-        cached directions) symmetric.  Candidates not actually adjacent
-        are removed if previously linked."""
-        node = self.nodes[node_id]
-        cands = [c for c in candidates if c != node_id and c in self.nodes]
-        if not cands:
+    def _rebind_neighbors(self, *rebinds: tuple[int, set[int]]) -> None:
+        """Recompute each ``(node_id, candidates)`` adjacency and make the
+        affected edges (and their cached directions) symmetric;
+        candidates not actually adjacent are unlinked.
+
+        All the zones a join or leave changed are already in the store,
+        so the rebinds of one operation are classified together: one
+        row-paired geometry call over the concatenated (node, candidate)
+        rows, then the edge updates rebind by rebind in argument order.
+        An edge whose direction did not change is left untouched, which
+        also keeps the face buckets of that candidate valid."""
+        nodes = self.nodes
+        pairs = [
+            (nodes[node_id], cand_id)
+            for node_id, candidates in rebinds
+            for cand_id in candidates
+            if cand_id != node_id and cand_id in nodes
+        ]
+        if not pairs:
             return
-        adjacent, dims, signs = self.geometry.adjacency(node_id, cands)
-        for cand_id, ok, dim, sign in zip(
-            cands, adjacent.tolist(), dims.tolist(), signs.tolist()
+        rows = self.geometry.rows_of(
+            [node.node_id for node, _ in pairs] + [cand_id for _, cand_id in pairs]
+        )
+        adjacent, dims, signs = self.geometry.adjacency_rows(
+            rows[: len(pairs)], rows[len(pairs) :]
+        )
+        faces = self._faces
+        for (node, cand_id), ok, dim, sign in zip(
+            pairs, adjacent.tolist(), dims.tolist(), signs.tolist()
         ):
-            cand = self.nodes[cand_id]
             if ok:
+                face, back = faces[2 * dim + (sign < 0)]
+                if node.directions.get(cand_id) == face:
+                    continue
+                cand = nodes[cand_id]
                 node.neighbors.add(cand_id)
-                node.directions[cand_id] = (dim, sign)
-                cand.neighbors.add(node_id)
-                cand.directions[node_id] = (dim, -sign)
-            else:
+                node.directions[cand_id] = face
+                cand.neighbors.add(node.node_id)
+                cand.directions[node.node_id] = back
+            elif cand_id in node.neighbors:
+                cand = nodes[cand_id]
                 node.neighbors.discard(cand_id)
-                node.directions.pop(cand_id, None)
-                cand.neighbors.discard(node_id)
-                cand.directions.pop(node_id, None)
+                del node.directions[cand_id]
+                cand.neighbors.discard(node.node_id)
+                del cand.directions[node.node_id]
+            else:
+                continue
+            node.face_buckets = cand.face_buckets = None
 
     # ------------------------------------------------------------------
     # invariants (test support; O(n^2))
@@ -216,7 +269,8 @@ class CANOverlay:
     def check_invariants(self) -> None:
         """Full structural validation: tree consistency, leaf binding,
         zone-store mirroring, and brute-force adjacency equality
-        (including the cached edge directions)."""
+        (including the cached edge directions and the face buckets
+        ``directional_neighbors`` serves)."""
         if not self.nodes:
             assert self.tree is None or len(self.tree) == 0
             assert len(self.geometry) == 0
@@ -264,3 +318,9 @@ class CANOverlay:
                 assert set(node.directions) == node.neighbors, (
                     f"direction cache of {node_id} out of sync"
                 )
+                for face, _ in self._faces:
+                    assert self.directional_neighbors(node_id, *face) == tuple(
+                        sorted(
+                            m for m, d in node.directions.items() if d == face
+                        )
+                    ), f"face bucket {face} of {node_id} stale"

@@ -73,14 +73,19 @@ def sample_machine(rng: np.random.Generator, net_bandwidth_mbps: float) -> Machi
 
     ``net_bandwidth_mbps`` comes from the network model (the host's LAN),
     keeping the capacity dimension consistent with the transfer-delay model.
+
+    Each field is one bounded integer draw indexing its pool — the same
+    draw ``Generator.choice`` makes on the pool, without its array
+    conversion (``tests/sim/test_rng.py`` pins the stream identity).
     """
+    draw = rng.integers
     return MachineConfig(
-        processors=int(rng.choice(_PROCESSORS)),
-        rate_per_processor=float(rng.choice(_RATES)),
-        io_speed=float(rng.choice(_IO_SPEEDS)),
+        processors=_PROCESSORS[int(draw(len(_PROCESSORS)))],
+        rate_per_processor=_RATES[int(draw(len(_RATES)))],
+        io_speed=_IO_SPEEDS[int(draw(len(_IO_SPEEDS)))],
         net_bandwidth_mbps=float(net_bandwidth_mbps),
-        disk_size=float(rng.choice(_DISK_SIZES)),
-        memory_size=float(rng.choice(_MEM_SIZES)),
+        disk_size=_DISK_SIZES[int(draw(len(_DISK_SIZES)))],
+        memory_size=_MEM_SIZES[int(draw(len(_MEM_SIZES)))],
     )
 
 

@@ -313,7 +313,10 @@ class DiffusionEngine:
         (the common case) filter exclusion/liveness over the cached tuple
         mirror; large pools use one vectorized mask.  Both branches keep
         chain order and draw-for-draw RNG compatibility with the scalar
-        reference (:class:`repro.testing.ReferenceDiffusionEngine`)."""
+        reference (:class:`repro.testing.ReferenceDiffusionEngine`): a
+        single pick (``k == 1``, every HID hop) is one bounded integer
+        draw, the draw ``choice(n, size=1, replace=False)`` makes
+        (``tests/sim/test_rng.py`` pins the stream identity)."""
         table = self.tables.get(node)
         if table is None:
             return []
@@ -330,6 +333,8 @@ class DiffusionEngine:
                 return []
             if len(pool) <= k:
                 return pool
+            if k == 1:
+                return [pool[int(self.ctx.rng.integers(len(pool)))]]
             idx = self.ctx.rng.choice(len(pool), size=k, replace=False)
             return [pool[i] for i in idx]
         arr = table.negative_pool(dim)
@@ -341,5 +346,7 @@ class DiffusionEngine:
             return []
         if arr.size <= k:
             return arr.tolist()
+        if k == 1:
+            return [int(arr[int(self.ctx.rng.integers(arr.size))])]
         idx = self.ctx.rng.choice(arr.size, size=k, replace=False)
         return arr[idx].tolist()

@@ -13,6 +13,7 @@ hop costs "about 200 milliseconds on the WAN".
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,12 @@ class NetworkModel:
         self._rng = rng
         self._lan_of: dict[int, int] = {}
         self._lan_members: dict[int, int] = {}
+        #: ``(member count, lan)`` min-heap behind :meth:`_pick_lan`.
+        #: Every count change pushes the LAN's new entry, so each LAN's
+        #: current entry is always present; an entry whose count no
+        #: longer matches ``_lan_members`` is stale and is dropped when
+        #: it surfaces, or by the rebuild that bounds the heap.
+        self._lan_heap: list[tuple[int, int]] = []
         self._lan_bw: dict[int, float] = {}
         self._wan_bw: dict[int, float] = {}
         # Dense mirrors of the dicts, indexed by node id / LAN id, so
@@ -91,7 +98,7 @@ class NetworkModel:
             return
         lan = self._pick_lan()
         self._lan_of[node_id] = lan
-        self._lan_members[lan] = self._lan_members.get(lan, 0) + 1
+        self._set_lan_count(lan, self._lan_members.get(lan, 0) + 1)
         if lan not in self._lan_bw:
             bw = float(
                 self._rng.uniform(self.params.lan_bw_mbps_lo, self.params.lan_bw_mbps_hi)
@@ -111,20 +118,36 @@ class NetworkModel:
     def remove_node(self, node_id: int) -> None:
         lan = self._lan_of.pop(node_id, None)
         if lan is not None:
-            self._lan_members[lan] -= 1
+            self._set_lan_count(lan, self._lan_members[lan] - 1)
         self._wan_bw.pop(node_id, None)
         if 0 <= node_id < self._lan_arr.shape[0]:
             self._lan_arr[node_id] = -1
             self._wan_arr[node_id] = self.params.wan_bw_mbps_lo
 
+    def _set_lan_count(self, lan: int, count: int) -> None:
+        self._lan_members[lan] = count
+        heap = self._lan_heap
+        if len(heap) > 2 * len(self._lan_members) + 16:
+            # Churn leaves one stale entry per count change; stale entries
+            # of full LANs never surface, so drop them all at once.
+            heap[:] = [(c, lan_id) for lan_id, c in self._lan_members.items()]
+            heapq.heapify(heap)
+        else:
+            heapq.heappush(heap, (count, lan))
+
     def _pick_lan(self) -> int:
-        n_lans = len(self._lan_members)
-        if n_lans == 0:
+        """The least-populated LAN, lowest id on ties; a new LAN when
+        every existing one is full."""
+        heap = self._lan_heap
+        members = self._lan_members
+        if not heap:
             return 0
+        while members[heap[0][1]] != heap[0][0]:
+            heapq.heappop(heap)
+        count, lan = heap[0]
         # Fill partially-empty LANs first; open a new LAN when all are full.
-        lan, count = min(self._lan_members.items(), key=lambda kv: (kv[1], kv[0]))
         if count >= self.params.lan_size:
-            return n_lans
+            return len(members)
         return lan
 
     def lan_of(self, node_id: int) -> int:

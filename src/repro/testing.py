@@ -33,12 +33,21 @@ vectorized hot paths, verbatim, as equivalence oracles:
   against the SoA :class:`repro.core.cache.RangeCache` TTL policy that
   now backs :class:`repro.core.pilist.PIList`
   (:func:`assert_cache_off_equivalent` swaps it into whole cache-off
-  experiments).
+  experiments);
+- :class:`ReferenceNetworkModel` — the scan over every LAN for the
+  least-populated one, against the heap behind
+  :meth:`repro.sim.network.NetworkModel.add_node`.
+
+:func:`construction_digest` fingerprints everything a cell's set-up
+builds (zones, adjacency, pointer tables, LANs, machines), so a change
+that reorders one set-up RNG draw fails a test in seconds.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -68,6 +77,7 @@ __all__ = [
     "ReferenceCANOverlay",
     "ReferenceDiffusionEngine",
     "ReferenceCohortScheduler",
+    "ReferenceNetworkModel",
     "RunningTask",
     "assert_engines_equivalent",
     "assert_overlays_equivalent",
@@ -82,6 +92,7 @@ __all__ = [
     "assert_results_identical",
     "assert_delivery_modes_equivalent",
     "assert_cache_off_equivalent",
+    "construction_digest",
 ]
 
 #: Work below this is treated as done (guards float round-off at completion).
@@ -661,30 +672,30 @@ class ReferenceCANOverlay(CANOverlay):
 
     def directional_neighbors(
         self, node_id: int, dim: int, sign: int
-    ) -> list[int]:
+    ) -> tuple[int, ...]:
         node = self.nodes[node_id]
         out = []
         for m in node.neighbors:
             d = reference_adjacency_direction(node.zone, self.nodes[m].zone)
             if d is not None and d == (dim, sign):
                 out.append(m)
-        out.sort()
-        return out
+        return tuple(sorted(out))
 
-    def _rebind_neighbors(self, node_id: int, candidates: set[int]) -> None:
-        node = self.nodes[node_id]
-        for cand_id in candidates:
-            if cand_id == node_id:
-                continue
-            cand = self.nodes.get(cand_id)
-            if cand is None:
-                continue
-            if reference_adjacency_direction(node.zone, cand.zone) is not None:
-                node.neighbors.add(cand_id)
-                cand.neighbors.add(node_id)
-            else:
-                node.neighbors.discard(cand_id)
-                cand.neighbors.discard(node_id)
+    def _rebind_neighbors(self, *rebinds: tuple[int, set[int]]) -> None:
+        for node_id, candidates in rebinds:
+            node = self.nodes[node_id]
+            for cand_id in candidates:
+                if cand_id == node_id:
+                    continue
+                cand = self.nodes.get(cand_id)
+                if cand is None:
+                    continue
+                if reference_adjacency_direction(node.zone, cand.zone) is not None:
+                    node.neighbors.add(cand_id)
+                    cand.neighbors.add(node_id)
+                else:
+                    node.neighbors.discard(cand_id)
+                    cand.neighbors.discard(node_id)
 
 
 def reference_greedy_path(
@@ -953,6 +964,68 @@ def assert_overlays_equivalent(
     check_routes()
     check_diffusion()
     return stats
+
+
+class ReferenceNetworkModel(NetworkModel):
+    """The seed's LAN assignment, verbatim: scan every LAN for the
+    ``(member count, id)`` minimum on each added node — O(#LANs) per
+    add, quadratic over a bootstrap.  Same RNG draws as the stock
+    model, so identically-seeded twins must agree on every LAN and
+    bandwidth under any add/remove interleaving."""
+
+    def _pick_lan(self) -> int:
+        n_lans = len(self._lan_members)
+        if n_lans == 0:
+            return 0
+        lan, count = min(self._lan_members.items(), key=lambda kv: (kv[1], kv[0]))
+        if count >= self.params.lan_size:
+            return n_lans
+        return lan
+
+
+def construction_digest(sim) -> dict[str, str]:
+    """Fingerprint what ``sim`` (a :class:`~repro.experiments.runner.
+    SOCSimulation` on a CAN protocol) has constructed, one short hash per
+    section: zone bounds, sorted neighbor sets, per-face directional
+    neighbors (the content of ``directions``, read through the overlay's
+    public lookup so the scalar reference overlay digests alike), every
+    pointer table's links, each live host's LAN, the LAN bandwidths and
+    every machine configuration.  Floats are hashed by ``repr``, so
+    equal digests mean bit-equal construction."""
+    overlay = sim.protocol.overlay
+    ids = sorted(overlay.nodes)
+    faces = [(dim, sign) for dim in range(overlay.dims) for sign in (+1, -1)]
+    lans = {
+        node_id: sim.network.lan_of(node_id)
+        for node_id, host in sorted(sim.hosts.items()) if host.alive
+    }
+    sections = {
+        "zones": [
+            (n, overlay.nodes[n].zone.lo.tolist(), overlay.nodes[n].zone.hi.tolist())
+            for n in ids
+        ],
+        "neighbors": [(n, sorted(overlay.nodes[n].neighbors)) for n in ids],
+        "directions": [
+            (n, [list(overlay.directional_neighbors(n, d, s)) for d, s in faces])
+            for n in ids
+        ],
+        "tables": [
+            (n, sorted((list(k), v) for k, v in table.links.items()))
+            for n, table in sorted(sim.protocol.tables.items())
+        ],
+        "lans": sorted(lans.items()),
+        "lan_bandwidths": sorted(
+            {lan: sim.network.node_bandwidth_mbps(n) for n, lan in lans.items()}.items()
+        ),
+        "machines": [
+            (n, [getattr(host.machine, f) for f in host.machine.__slots__])
+            for n, host in sorted(sim.hosts.items())
+        ],
+    }
+    return {
+        name: hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
+        for name, value in sections.items()
+    }
 
 
 class ProtocolSandbox:

@@ -141,6 +141,30 @@ def test_adjacency_matches_scalar_on_real_overlay(dims):
                 assert ok and (dim, sign) == want
 
 
+def test_adjacency_rows_pairs_each_candidate_with_its_own_node():
+    """The row-paired kernel (the fused join rebind's one call) gives, per
+    pair, what the one-node call and the scalar predicate give."""
+    overlay = make_overlay(48, 3, seed=4)
+    store = overlay.geometry
+    ids = overlay.node_ids()
+    rng = np.random.default_rng(5)
+    lhs = [ids[int(i)] for i in rng.integers(len(ids), size=200)]
+    rhs = [ids[int(i)] for i in rng.integers(len(ids), size=200)]
+    mask, dims_arr, signs = store.adjacency_rows(
+        store.rows_of(lhs), store.rows_of(rhs)
+    )
+    for a, b, ok, dim, sign in zip(
+        lhs, rhs, mask.tolist(), dims_arr.tolist(), signs.tolist()
+    ):
+        want = adjacency_direction(overlay.nodes[a].zone, overlay.nodes[b].zone)
+        assert ok == (want is not None)
+        if ok:
+            assert (dim, sign) == want
+            one_mask, one_dim, one_sign = store.adjacency(a, [b])
+            assert (bool(one_mask[0]), one_dim[0], one_sign[0]) == (True, dim, sign)
+    assert mask.any() and not mask.all()
+
+
 def test_adjacency_handles_absent_and_corner_contact():
     # two unit-quarter zones touching only at a corner are NOT neighbors
     z00 = Zone(np.array([0.0, 0.0]), np.array([0.5, 0.5]))

@@ -53,6 +53,47 @@ def test_directional_neighbors_partition_neighbor_set(overlay_2d):
         assert directional == node.neighbors
 
 
+def test_directional_neighbors_are_immutable_sorted_and_track_churn():
+    """Face buckets: a tuple per face in ascending id order, equal to the
+    filter over ``directions`` they replaced, and never served stale —
+    every face is read (buckets built) before each mutation."""
+    overlay = make_overlay(30, 3, seed=21)
+    rng = np.random.default_rng(22)
+
+    def read_all_faces():
+        for node_id, node in overlay.nodes.items():
+            for dim in range(3):
+                for sign in (+1, -1):
+                    got = overlay.directional_neighbors(node_id, dim, sign)
+                    assert isinstance(got, tuple)
+                    assert got == tuple(sorted(
+                        m for m, d in node.directions.items()
+                        if d == (dim, sign)
+                    ))
+
+    read_all_faces()
+    for step in range(25):
+        ids = sorted(overlay.nodes)
+        overlay.leave(ids[int(rng.integers(len(ids)))])
+        read_all_faces()
+        overlay.join(1000 + step)
+        read_all_faces()
+    overlay.check_invariants()
+
+
+def test_edge_directions_are_interned():
+    """Every ``directions`` value is one of the overlay's 2·d shared
+    tuples, so the face buckets do not cost an allocation per edge."""
+    overlay = make_overlay(64, 5, seed=2)
+    for victim in overlay.node_ids()[:10]:
+        overlay.leave(victim)
+    distinct = {
+        id(d) for node in overlay.nodes.values()
+        for d in node.directions.values()
+    }
+    assert len(distinct) <= 2 * overlay.dims
+
+
 def test_leave_until_one_node():
     overlay = make_overlay(12, 2, seed=3)
     ids = overlay.node_ids()

@@ -155,12 +155,18 @@ class OverlayLockstepMachine(RuleBasedStateMachine):
     def directional_views_match(self):
         if not hasattr(self, "vec"):
             return
-        for node_id in self.vec.nodes:
+        for node_id, node in self.vec.nodes.items():
             for dim in range(DIMS):
                 for sign in (+1, -1):
-                    assert self.vec.directional_neighbors(
+                    got = self.vec.directional_neighbors(node_id, dim, sign)
+                    assert got == self.ref.directional_neighbors(
                         node_id, dim, sign
-                    ) == self.ref.directional_neighbors(node_id, dim, sign)
+                    )
+                    # The face bucket against the filter it replaced.
+                    assert got == tuple(sorted(
+                        m for m, d in node.directions.items()
+                        if d == (dim, sign)
+                    ))
 
     @precondition(lambda self: hasattr(self, "vec") and len(self.vec) <= 24)
     @invariant()

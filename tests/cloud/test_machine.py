@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.cloud import machine as pools
 from repro.cloud.machine import CMAX, CMAX_VECTOR, sample_machine
 from repro.cloud.resources import RESOURCE_DIMS
 from repro.cloud.tasks import demand_fits_cmax
@@ -49,3 +50,20 @@ def test_all_configurations_reachable():
     rng = np.random.default_rng(2)
     procs = {sample_machine(rng, 5.0).processors for _ in range(500)}
     assert procs == {1, 2, 4, 8}
+
+
+def test_sample_machine_draws_what_choice_drew():
+    """Field by field, the integer-indexed draw equals the seed's
+    ``rng.choice(pool)`` on the same stream."""
+    a = np.random.default_rng(3)
+    b = np.random.default_rng(3)
+    for _ in range(300):
+        got = sample_machine(a, net_bandwidth_mbps=6.0)
+        want = (
+            int(b.choice(pools._PROCESSORS)), float(b.choice(pools._RATES)),
+            float(b.choice(pools._IO_SPEEDS)), 6.0,
+            float(b.choice(pools._DISK_SIZES)), float(b.choice(pools._MEM_SIZES)),
+        )
+        assert tuple(getattr(got, f) for f in got.__slots__) == want
+        assert type(got.processors) is int
+    assert a.bit_generator.state == b.bit_generator.state

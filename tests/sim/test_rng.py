@@ -50,3 +50,22 @@ def test_spawn_gives_independent_child_registry():
     # spawn is deterministic too
     again = RngRegistry(7).spawn("worker").stream("x").random(8)
     assert np.array_equal(b, again)
+
+
+def test_integer_draws_are_stream_identical_to_single_choice():
+    """The set-up and NINode fast paths replace ``Generator.choice`` with
+    the bounded integer draw it makes internally (``repro.cloud.machine``,
+    ``DiffusionEngine._pick_ninodes``).  Pin that identity — same value,
+    same generator state afterwards — so a numpy release that changes
+    either algorithm fails here instead of silently shifting every
+    seeded result."""
+    a = np.random.default_rng(5)
+    b = np.random.default_rng(5)
+    sizes = [*range(2, 200), 499, 500, 501, 9_999, 10_000, 10_001, 65_537, 100_000]
+    pool = (1.0, 2.0, 2.4, 3.2)
+    for _ in range(5):
+        for n in sizes:
+            assert int(a.choice(n, size=1, replace=False)[0]) == int(b.integers(n))
+            assert a.uniform() == b.uniform()  # interleaved, as in a run
+            assert a.choice(pool) == pool[int(b.integers(len(pool)))]
+    assert a.bit_generator.state == b.bit_generator.state

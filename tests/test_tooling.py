@@ -169,6 +169,21 @@ def test_cache_off_equivalence_smoke():
     assert stock.cache_lookups == 0
 
 
+def test_construction_digest_smoke():
+    """Fast-gate pin of cell construction: a 300-node HID-CAN cell must
+    build the zones, adjacency, edge directions, pointer tables, LANs and
+    machines recorded in tests/experiments/construction_digests.json, so
+    an edit that reorders one set-up RNG draw fails here in a second
+    (the 500-node, churned and reference-overlay cells live in
+    tests/experiments/test_construction.py)."""
+    from repro.experiments.runner import SOCSimulation
+    from repro.testing import construction_digest
+    from tests.experiments.construction import construction_cell, recorded_digests
+
+    digest = construction_digest(SOCSimulation(construction_cell(300, 1)))
+    assert digest == recorded_digests()["n300-seed1"]
+
+
 def test_committed_campaign_artifact_matches_its_spec():
     """Cell ids are content hashes of the full config, so any config
     schema change orphans a committed campaign: ``campaign status`` sees
