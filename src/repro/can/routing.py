@@ -42,6 +42,7 @@ Peersim-style hop accounting without paying one event per hop.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Callable, Optional, Sequence
 
@@ -151,10 +152,18 @@ class _RouteBlockPool:
     epoch moves (any membership/zone change) or the node's pointer table
     is replaced by a refresh; superseded blocks are counted as waste and
     the pool rebuilds itself lazily once waste dominates.
+
+    The pool also keeps the **last-route memo**: each start's most recent
+    successful route, replayed by :meth:`recall` for as long as every
+    block that route read is still the node's current one.  It lives in
+    the pool because those blocks are all a route's hop decisions read
+    (``docs/can_geometry.md``, "Last-route memo"), and dies with them on
+    every :meth:`reset`.
     """
 
     __slots__ = ("store", "tables", "epoch", "index", "ids", "lo", "hi",
-                 "n", "waste", "generation")
+                 "n", "waste", "generation", "routes",
+                 "route_hits", "route_misses")
 
     def __init__(self, store, tables):
         self.store = store
@@ -163,12 +172,19 @@ class _RouteBlockPool:
         self.lo = np.empty((256, store.dims), dtype=np.float64)
         self.hi = np.empty((256, store.dims), dtype=np.float64)
         self.generation = 0
+        #: Routes answered from the memo / routed hop by hop (read-only
+        #: tallies for tests; one count per route that reached the pool).
+        self.route_hits = 0
+        self.route_misses = 0
         self.reset()
 
     def reset(self) -> None:
         self.epoch = self.store.epoch
         #: node_id -> (start, count, table object the block was built from)
         self.index: dict[int, tuple[int, int, object]] = {}
+        #: start_id -> (point, whole path, greedy length, rows filled when
+        #: recorded): one entry per start, overwritten by its next route.
+        self.routes: dict[int, tuple[array, array, int, int]] = {}
         self.n = 0
         self.waste = 0
         #: Bumped on every reset: previously-issued block offsets become
@@ -223,6 +239,45 @@ class _RouteBlockPool:
         self.index[node_id] = (start, m, table)
         return start, m
 
+    def recall(self, start_id: int, pt: tuple, max_hops: int) -> Optional[list[int]]:
+        """The start's memoised route if it was to ``pt`` (by value; NaN
+        never matches), fits ``max_hops``, and every block it read is
+        still the pool's entry for that node: built from the node's
+        current pointer table, and filled before the route was recorded.
+        Blocks are appended, so "filled before" is "starts below the fill
+        level ``n`` of that moment" — a block rebuilt since (its table
+        was refreshed and the node routed through again) starts at or
+        above it.  Those blocks plus the epoch the pool is pinned to are
+        everything the hop decisions and the perimeter walk read, so the
+        replay is the route a fresh computation would return."""
+        memo = self.routes.get(start_id)
+        if memo is not None and tuple(memo[0]) == pt and memo[2] <= max_hops:
+            path, filled = memo[1], memo[3]
+            index, tables = self.index, self.tables
+            for k in range(memo[2] - 1):
+                node_id = path[k]
+                entry = index.get(node_id)
+                if (
+                    entry is None
+                    or entry[0] >= filled
+                    or entry[2] is not (None if tables is None else tables.get(node_id))
+                ):
+                    break
+            else:
+                self.route_hits += 1
+                return path.tolist()
+        self.route_misses += 1
+        return None
+
+    def remember(self, pt: tuple, path: list[int], greedy_len: int) -> None:
+        """Record a successful route: ``path[:greedy_len]`` came out of
+        greedy hops, the rest out of the perimeter walk.  Point and path
+        are kept as packed arrays — a third less memory per start than
+        tuples of boxed numbers, with the same value semantics."""
+        self.routes[path[0]] = (
+            array("d", pt), array("q", path), greedy_len, self.n
+        )
+
 
 def _pool_for(overlay: CANOverlay, tables) -> _RouteBlockPool:
     key = "plain" if tables is None else id(tables)
@@ -268,21 +323,22 @@ def greedy_path(
     hop's candidate ids are resolved against the store on the fly).
     """
     p = np.asarray(point, dtype=np.float64)
-    pt = tuple(float(x) for x in p)
+    pt = tuple(p.tolist())
     if max_hops is None:
         max_hops = 4 * (len(overlay) + 1)
 
-    current_id = start_id
-    path = [start_id]
-    dist = _squared_distance(overlay.nodes[start_id].zone, pt) ** 0.5
-
     if extra_links is not None:
         return _greedy_generic(
-            overlay, current_id, p, pt, dist, path, max_hops, extra_links,
-            link_tables,
+            overlay, start_id, p, pt, max_hops, extra_links, link_tables
         )
 
     pool = _pool_for(overlay, link_tables)
+    path = pool.recall(start_id, pt, max_hops)
+    if path is not None:
+        return path
+    current_id = start_id
+    path = [start_id]
+    dist = _squared_distance(overlay.nodes[start_id].zone, pt) ** 0.5
     while dist != 0.0:
         start, m = pool.lookup(overlay, current_id)
         if m == 0:
@@ -307,7 +363,10 @@ def greedy_path(
         path.append(current_id)
         if len(path) > max_hops:
             raise RoutingError(f"exceeded {max_hops} hops toward {pt}")
-    return _finish_on_boundary(overlay, current_id, p, pt, path)
+    greedy_len = len(path)
+    path = _finish_on_boundary(overlay, current_id, p, pt, path)
+    pool.remember(pt, path, greedy_len)
+    return path
 
 
 def _greedy_generic(
@@ -315,16 +374,17 @@ def _greedy_generic(
     current_id: int,
     p: np.ndarray,
     pt: tuple,
-    dist: float,
-    path: list[int],
     max_hops: int,
     extra_links: Callable[[int], list[int]],
     link_tables: Optional[dict],
 ) -> list[int]:
     """Per-hop candidate assembly for callback-supplied extra links
     (stale ids are dropped by the store lookup, like the scalar path
-    skipped dead candidates)."""
+    skipped dead candidates).  What the callback returns is invisible to
+    the block pool, so these routes are never memoised."""
     store = overlay.geometry
+    path = [current_id]
+    dist = _squared_distance(overlay.nodes[current_id].zone, pt) ** 0.5
     while dist != 0.0:
         cand_ids = list(overlay.nodes[current_id].neighbors)
         if link_tables is not None:
@@ -379,7 +439,8 @@ def greedy_paths(
     """Route a batch of queries in lockstep, one vectorized round per hop
     front: every active route's candidate block is concatenated and the
     per-route winners come out of two segmented reductions.  Paths are
-    bit-identical to calling :func:`greedy_path` per query.
+    bit-identical to calling :func:`greedy_path` per query, and the two
+    share the pool's last-route memo (both consult it, both record).
 
     ``on_error="none"`` records ``None`` for routes that fail (unknown
     start node, no greedy progress, hop budget exceeded) instead of
@@ -403,8 +464,14 @@ def greedy_paths(
     boundary: list[int] = []
     initially_active = []
     known: list[int] = []
+    pool = _pool_for(overlay, link_tables)
+    pts = list(map(tuple, P.tolist()))
     for r in range(n_routes):
         sid = int(starts[r])
+        # Memoised routes leave the front before the first round.
+        paths[r] = pool.recall(sid, pts[r], max_hops)
+        if paths[r] is not None:
+            continue
         if sid not in overlay.nodes:
             errors[r] = KeyError(sid)
             continue
@@ -424,7 +491,6 @@ def greedy_paths(
             else:
                 initially_active.append(r)
 
-    pool = _pool_for(overlay, link_tables)
     active = np.asarray(initially_active, dtype=np.intp)
     hop_log: list[tuple[np.ndarray, np.ndarray]] = []
     pool_index = pool.index
@@ -550,6 +616,10 @@ def greedy_paths(
                     hops = _perimeter_hops(overlay, paths[r][-1], P[r])
                     memo[key] = hops
                 paths[r].extend(hops)
+    greedy_hops = nhops.tolist()
+    for r in known:
+        if errors[r] is None:
+            pool.remember(pts[r], paths[r], greedy_hops[r] + 1)
 
     if on_error == "raise":
         for err in errors:

@@ -4,6 +4,11 @@ Single-threaded binary-heap scheduler with deterministic total event
 ordering, O(1) lazy cancellation and periodic timers.  The API mirrors the
 handful of Peersim facilities the paper's evaluation relies on: an event
 clock, per-protocol periodic cycles, and message delivery callbacks.
+
+Heap entries are ``(time, priority, seq, event)`` tuples: the order is
+the tuples' own lexicographic order, compared in C by ``heapq``.  ``seq``
+is unique per push, so a comparison never reaches the fourth element and
+callbacks or arguments need not be orderable.
 """
 
 from __future__ import annotations
@@ -52,8 +57,8 @@ def next_grid_index(epoch: float, interval: float, now: float) -> int:
 class EventHandle:
     """Opaque handle returned by :meth:`Simulator.schedule`.
 
-    Keeps a reference to the underlying heap entry so the caller can cancel
-    it without the engine scanning the heap.
+    Keeps a reference to the heap entry's :class:`Event` record so the
+    caller can cancel it without the engine scanning the heap.
     """
 
     __slots__ = ("_event", "_sim")
@@ -226,7 +231,8 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._heap: list[Event] = []
+        #: ``(time, priority, seq, event)`` entries; see the module docstring.
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._pending = 0
         self._running = False
@@ -288,9 +294,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {when} < now {self._now}"
             )
-        event = Event(when, priority, self._seq, fn, args)
+        event = Event(when, fn, args)
+        heapq.heappush(self._heap, (when, priority, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._heap, event)
         self._pending += 1
         return EventHandle(event, self)
 
@@ -368,6 +374,7 @@ class Simulator:
         if extra < 0:
             raise SimulationError(f"negative event charge {extra!r}")
         self._extra_units += extra
+
     def stop(self) -> None:
         """Stop the run loop after the current event completes."""
         self._stopped = True
@@ -392,16 +399,17 @@ class Simulator:
         self._stopped = False
         processed_here = 0
         try:
-            while self._heap and not self._stopped:
-                event = self._heap[0]
-                if until is not None and event.time > until:
+            heap = self._heap
+            while heap and not self._stopped:
+                when, _, _, event = heap[0]
+                if until is not None and when > until:
                     break
-                heapq.heappop(self._heap)
+                heapq.heappop(heap)
                 if event.cancelled:
                     continue
                 event.done = True
                 self._pending -= 1
-                self._now = event.time
+                self._now = when
                 self._event_serial += 1
                 self._extra_units = 0
                 event.fn(*event.args)

@@ -1,15 +1,21 @@
 """Event records for the discrete-event engine.
 
-Events are ordered by ``(time, priority, seq)``.  The monotonically
+Events fire in ``(time, priority, seq)`` order.  The monotonically
 increasing sequence number makes ordering total and deterministic even when
 many events share a timestamp — crucial for reproducibility of the
 simulation, since protocol behaviour (e.g. which of two simultaneous task
 placements lands first) must not depend on heap tie-breaking accidents.
+
+The ordering itself lives in the heap entry, not here:
+:class:`~repro.sim.engine.Simulator` pushes ``(time, priority, seq,
+event)`` tuples, so every comparison a push or pop makes is a C-level
+tuple comparison that is decided by ``seq`` at the latest and never
+reaches the :class:`Event`.  The record only carries what the engine
+needs once the entry surfaces: the callback and the two lazy flags.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 __all__ = ["Event", "PRIORITY_HIGH", "PRIORITY_DEFAULT", "PRIORITY_LOW"]
@@ -21,30 +27,20 @@ PRIORITY_DEFAULT = 5
 PRIORITY_LOW = 9
 
 
-@dataclass(slots=True)
 class Event:
     """A scheduled callback.
 
     ``cancelled`` is checked at pop time; cancellation is O(1) and lazy
-    (the entry stays in the heap until its timestamp).
+    (the entry stays in the heap until its timestamp).  ``done`` is set
+    once the event has been popped for execution — a late ``cancel()`` on
+    an already-fired event must not touch the live-event counter.
     """
 
-    time: float
-    priority: int
-    seq: int
-    fn: Callable[..., Any]
-    args: tuple = ()
-    cancelled: bool = field(default=False, compare=False)
-    #: Set once the event has been popped for execution — a late ``cancel()``
-    #: on an already-fired event must not touch the live-event counter.
-    done: bool = field(default=False, compare=False)
+    __slots__ = ("time", "fn", "args", "cancelled", "done")
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
-    def sort_key(self) -> tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
+    def __init__(self, time: float, fn: Callable[..., Any], args: tuple = ()):
+        self.time = time
+        self.fn = fn
+        self.args = args
+        self.cancelled = False
+        self.done = False

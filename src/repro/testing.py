@@ -40,7 +40,9 @@ vectorized hot paths, verbatim, as equivalence oracles:
 
 :func:`construction_digest` fingerprints everything a cell's set-up
 builds (zones, adjacency, pointer tables, LANs, machines), so a change
-that reorders one set-up RNG draw fails a test in seconds.
+that reorders one set-up RNG draw fails a test in seconds;
+:func:`run_digest` does the same for what a finished run *produced*, so
+a host-only change that moves one message or one event fails one too.
 """
 
 from __future__ import annotations
@@ -93,6 +95,7 @@ __all__ = [
     "assert_delivery_modes_equivalent",
     "assert_cache_off_equivalent",
     "construction_digest",
+    "run_digest",
 ]
 
 #: Work below this is treated as done (guards float round-off at completion).
@@ -1025,6 +1028,37 @@ def construction_digest(sim) -> dict[str, str]:
     return {
         name: hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
         for name, value in sections.items()
+    }
+
+
+def run_digest(result, sim) -> dict:
+    """What a finished run produced, as a JSON-ready document: task
+    counts, per-kind traffic, failsafe timeouts, the engine's event
+    units, the whole query-latency report and the path-cache counters of
+    ``result`` (a :class:`~repro.experiments.runner.SimulationResult`)
+    and ``sim`` (the :class:`~repro.experiments.runner.SOCSimulation`
+    that produced it).  Floats are written by ``repr``, so equal digests
+    mean a bit-equal model — which is what a change that only touches
+    host-side cost (a cache, a faster heap entry) has to leave behind."""
+    return {
+        "generated": result.generated,
+        "placed": result.placed,
+        "finished": result.finished,
+        "failed": result.failed,
+        "query_timeouts": result.query_timeouts,
+        "events_processed": sim.sim.events_processed,
+        "traffic_by_kind": dict(sorted(result.traffic_by_kind.items())),
+        "query_latency": {
+            name: repr(value)
+            for name, value in result.query_latency.as_dict().items()
+        },
+        "cache": {
+            name: getattr(result, name)
+            for name in (
+                "cache_lookups", "cache_hits", "cache_misses",
+                "cache_stale_hits", "cache_relay_hits", "replications",
+            )
+        },
     }
 
 

@@ -1,0 +1,342 @@
+"""Lockstep and edge tests for the last-route memo of the routing pool.
+
+``_RouteBlockPool`` replays a start's previous route when the query
+point is value-equal and every candidate block that route read is still
+the node's current one (``docs/can_geometry.md``, "Last-route memo").
+A replay must be indistinguishable from routing afresh, so the machine
+below changes everything a route depends on — membership (joins,
+leaves, a departed id joining again somewhere else), pointer tables,
+the zone store's layout, the pool's own waste-driven reset — and after
+every step re-routes remembered ``(start, point)`` pairs through all
+four public entry points against the scalar references.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine, initialize, invariant, precondition, rule,
+)
+
+from repro.can.inscan import build_index_table, inscan_path, inscan_paths
+from repro.can.overlay import CANOverlay
+from repro.can.routing import (
+    RoutingError, _pool_for, greedy_path, greedy_paths,
+)
+from repro.testing import reference_greedy_path, reference_inscan_path
+
+DIMS = 3
+START_N = 12
+UNKNOWN_ID = 10**6
+#: Pairs re-routed after every step.
+REPLAYED = 5
+
+#: Table-I style coordinates: exact dyadic boundaries first, so zone
+#: faces (and the space's closed top face, 1.0) are hit on purpose.
+coordinate = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+point_lists = st.lists(coordinate, min_size=DIMS, max_size=DIMS)
+picks = st.integers(min_value=0, max_value=10_000)
+
+
+def _reference(fn, *args):
+    """The reference's path, or None where it fails the way batched
+    ``on_error="none"`` routing reports a failure."""
+    try:
+        return fn(*args)
+    except (KeyError, RoutingError):
+        return None
+
+
+class RouteMemoLockstepMachine(RuleBasedStateMachine):
+    @initialize()
+    def setup(self) -> None:
+        self.rng = np.random.default_rng(11)
+        self.overlay = CANOverlay(DIMS, np.random.default_rng(7))
+        self.overlay.bootstrap(range(START_N))
+        self.tables = {
+            n: build_index_table(self.overlay, n, self.rng) for n in range(START_N)
+        }
+        self.next_id = START_N
+        self.departed: list[int] = []
+        self.history: list[tuple[int, tuple[float, ...]]] = []
+
+    def _alive(self, pick: int) -> int:
+        ids = sorted(self.overlay.nodes)
+        return ids[pick % len(ids)]
+
+    def _admit(self, node_id: int, coords) -> None:
+        self.overlay.join(node_id, np.asarray(coords))
+        self.tables[node_id] = build_index_table(self.overlay, node_id, self.rng)
+
+    # ------------------------------------------------------------------
+    # everything a memoised route depends on, changed under its feet
+    # ------------------------------------------------------------------
+    @rule(coords=point_lists)
+    def join(self, coords):
+        self._admit(self.next_id, coords)
+        self.next_id += 1
+
+    @rule(pick=picks)
+    def leave(self, pick):
+        if len(self.overlay) <= 3:
+            return
+        node_id = self._alive(pick)
+        self.overlay.leave(node_id)
+        # Other nodes keep their (now stale) long links to the leaver.
+        del self.tables[node_id]
+        self.departed.append(node_id)
+
+    @rule(pick=picks, coords=point_lists)
+    def rejoin_departed_id(self, pick, coords):
+        if not self.departed:
+            return
+        self._admit(self.departed.pop(pick % len(self.departed)), coords)
+
+    @rule(pick=picks, rebuild=st.booleans(), point=point_lists)
+    def replace_pointer_table(self, pick, rebuild, point):
+        """A refresh alone leaves the node's block stale; routing from the
+        node rebuilds it, newer than any route memoised across it."""
+        node_id = self._alive(pick)
+        self.tables[node_id] = build_index_table(self.overlay, node_id, self.rng)
+        if rebuild:
+            inscan_path(self.overlay, self.tables, node_id, point)
+
+    @rule()
+    def trim_zone_store(self):
+        self.overlay.geometry.trim()
+
+    @precondition(lambda self: len(self.overlay) >= 6)
+    @rule(point=point_lists)
+    def force_waste_driven_reset(self, point):
+        """Refresh-and-route until superseded blocks outweigh the pool:
+        the reset must take the memo with it."""
+        pool = _pool_for(self.overlay, self.tables)
+        generation = pool.generation
+        # A start that owns one target reads no block for it; it cannot
+        # own the mirrored one as well.
+        targets = (tuple(point), tuple(1.0 - x for x in point))
+        for node_id in sorted(self.overlay.nodes) * 60:
+            self.tables[node_id] = build_index_table(self.overlay, node_id, self.rng)
+            for target in targets:
+                self.history.append((node_id, target))
+                inscan_path(self.overlay, self.tables, node_id, target)
+            if pool.generation != generation:
+                break
+        assert pool.generation > generation
+        assert len(pool.routes) <= 1  # only routes that finished after it
+
+    # ------------------------------------------------------------------
+    # routes, fresh and deliberately repeated
+    # ------------------------------------------------------------------
+    @rule(pick=picks, point=point_lists)
+    def route(self, pick, point):
+        self.history.append((self._alive(pick), tuple(point)))
+
+    @rule(pick=picks)
+    def repeat_earlier_pair(self, pick):
+        if self.history:
+            self.history.append(self.history[pick % len(self.history)])
+
+    @rule(pick=picks, point=point_lists)
+    def same_start_new_point(self, pick, point):
+        """One entry per start: the newer route overwrites the older."""
+        if self.history:
+            start, _ = self.history[pick % len(self.history)]
+            self.history.append((start, tuple(point)))
+
+    @invariant()
+    def every_entry_point_matches_its_reference(self):
+        if not hasattr(self, "overlay"):
+            return
+        overlay, tables = self.overlay, self.tables
+        recent = self.history[-REPLAYED:]
+        if not recent:
+            return
+        plain_want = [
+            _reference(reference_greedy_path, overlay, s, p) for s, p in recent
+        ]
+        inscan_want = [
+            _reference(reference_inscan_path, overlay, tables, s, p) for s, p in recent
+        ]
+        for (s, p), plain, inscan in zip(recent, plain_want, inscan_want):
+            if s not in overlay.nodes:
+                with pytest.raises(KeyError):
+                    greedy_path(overlay, s, p)
+                continue
+            assert greedy_path(overlay, s, p) == plain
+            assert inscan_path(overlay, tables, s, p) == inscan
+            # Nothing changed since the line above: this one is a replay,
+            # and a replay is a fresh list.
+            pool = _pool_for(overlay, tables)
+            hits = pool.route_hits
+            replay = inscan_path(overlay, tables, s, p)
+            assert replay == inscan and pool.route_hits == hits + 1
+            replay.append(-1)
+            assert inscan_path(overlay, tables, s, p) == inscan
+
+        # Batched: the same start twice in one batch, an unknown start,
+        # failures reported as None.
+        starts = [s for s, _ in recent] + [recent[0][0], UNKNOWN_ID]
+        points = np.asarray([p for _, p in recent] + [recent[-1][1], recent[0][1]])
+        twice = _reference(reference_greedy_path, overlay, recent[0][0], recent[-1][1])
+        assert greedy_paths(overlay, starts, points, on_error="none") == (
+            plain_want + [twice, None]
+        )
+        twice = _reference(
+            reference_inscan_path, overlay, tables, recent[0][0], recent[-1][1]
+        )
+        assert inscan_paths(overlay, tables, starts, points, on_error="none") == (
+            inscan_want + [twice, None]
+        )
+
+    @invariant()
+    def memo_holds_at_most_one_route_per_live_start(self):
+        if not hasattr(self, "overlay"):
+            return
+        # Through ``_pool_for``, as routing sees the pools: it applies the
+        # lazy reset a join or leave since the last route has made due.
+        for tables in (None, self.tables):
+            pool = _pool_for(self.overlay, tables)
+            assert len(pool.routes) <= len(self.overlay)
+            assert set(pool.routes) <= set(self.overlay.nodes)
+
+
+TestRouteMemoLockstep = RouteMemoLockstepMachine.TestCase
+TestRouteMemoLockstep.settings = settings(
+    max_examples=20, stateful_step_count=30, deadline=None
+)
+
+
+# ----------------------------------------------------------------------
+# error parity and edges on a memoised route
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def rig():
+    overlay = CANOverlay(DIMS, np.random.default_rng(3))
+    overlay.bootstrap(range(60))
+    rng = np.random.default_rng(5)
+    tables = {n: build_index_table(overlay, n, rng) for n in range(60)}
+    return overlay, tables
+
+
+def _longest_route(overlay, tables):
+    """(start, point, path) of a multi-hop route with no perimeter tail,
+    left behind as its start's memoised route."""
+    rng = np.random.default_rng(9)
+    best = None
+    for _ in range(200):
+        start, point = int(rng.integers(60)), rng.uniform(0.01, 0.99, size=DIMS)
+        path = inscan_path(overlay, tables, start, point)
+        if best is None or len(path) > len(best[2]):
+            best = (start, point, path)
+    assert len(best[2]) >= 3
+    assert inscan_path(overlay, tables, best[0], best[1]) == best[2]
+    return best
+
+
+def _error_of(fn):
+    with pytest.raises(Exception) as caught:
+        fn()
+    return type(caught.value), str(caught.value)
+
+
+def test_max_hops_below_a_memoised_route_raises_like_a_fresh_computation(rig):
+    overlay, tables = rig
+    start, point, path = _longest_route(overlay, tables)
+    pool = _pool_for(overlay, tables)
+    assert pool.routes[start][1].tolist() == path
+    tight = len(path) - 1
+
+    memoised = _error_of(
+        lambda: inscan_path(overlay, tables, start, point, max_hops=tight))
+    batched = _error_of(
+        lambda: inscan_paths(overlay, tables, [start], [point], max_hops=tight))
+    overlay._route_pools.clear()  # no memo, no blocks
+    fresh = _error_of(
+        lambda: inscan_path(overlay, tables, start, point, max_hops=tight))
+    assert memoised == fresh == (RoutingError, fresh[1])
+    assert batched[0] is RoutingError
+    # A budget the route fits is served (from the memo) again.
+    assert inscan_path(overlay, tables, start, point, max_hops=len(path)) == path
+
+
+def test_unknown_start_raises_keyerror_with_and_without_a_memo(rig):
+    overlay, tables = rig
+    point = np.full(DIMS, 0.3)
+    fresh = _error_of(lambda: inscan_path(overlay, tables, UNKNOWN_ID, point))
+    inscan_path(overlay, tables, 0, point)
+    assert _error_of(lambda: inscan_path(overlay, tables, UNKNOWN_ID, point)) == fresh
+    assert fresh[0] is KeyError
+    assert inscan_paths(
+        overlay, tables, [UNKNOWN_ID, 0], [point, point], on_error="none"
+    )[0] is None
+
+
+def test_a_start_that_left_is_not_answered_from_the_memo(rig):
+    overlay, tables = rig
+    start, point, path = _longest_route(overlay, tables)
+    overlay.leave(start)
+    with pytest.raises(KeyError):
+        inscan_path(overlay, tables, start, point)
+
+
+def test_nan_coordinate_never_hits(rig):
+    overlay, tables = rig
+    zone = overlay.nodes[0].zone
+    point = 0.5 * (zone.lo + zone.hi)
+    point[1] = np.nan  # the other coordinates sit inside the start zone
+    first = inscan_path(overlay, tables, 0, point)
+    pool = _pool_for(overlay, tables)
+    assert 0 in pool.routes  # the route succeeded and was recorded ...
+    for _ in range(3):
+        assert inscan_path(overlay, tables, 0, point) == first
+        inscan_paths(overlay, tables, [0], [point], on_error="none")
+    assert pool.route_hits == 0  # ... but NaN equals nothing, itself included
+    assert pool.route_misses == 7
+
+
+def test_callback_links_bypass_the_memo(rig):
+    overlay, tables = rig
+    start, point, path = _longest_route(overlay, tables)
+    pools_before = {k: (p.route_hits, p.route_misses, dict(p.routes))
+                    for k, p in overlay._route_pools.items()}
+
+    def links(node_id):
+        return tables[node_id].all_links()
+
+    for _ in range(2):
+        assert greedy_path(overlay, start, point, extra_links=links) == path
+    assert {k: (p.route_hits, p.route_misses, dict(p.routes))
+            for k, p in overlay._route_pools.items()} == pools_before
+
+
+def test_refreshed_table_on_the_route_forces_a_fresh_computation(rig):
+    overlay, tables = rig
+    start, point, path = _longest_route(overlay, tables)
+    pool = _pool_for(overlay, tables)
+    hits = pool.route_hits
+    assert inscan_path(overlay, tables, start, point) == path
+    assert pool.route_hits == hits + 1
+    # Same links, new object: the block of path[1] is no longer current.
+    tables[path[1]] = build_index_table(overlay, path[1], np.random.default_rng(1))
+    want = reference_inscan_path(overlay, tables, start, point)
+    assert inscan_path(overlay, tables, start, point) == want
+    assert pool.route_hits == hits + 1
+    # Refresh it again and let another route rebuild the block first: the
+    # entry is built from the current table once more, but it is newer
+    # than the memoised route, which must not be replayed over it.
+    tables[path[1]] = build_index_table(overlay, path[1], np.random.default_rng(3))
+    inscan_path(overlay, tables, path[1], np.full(DIMS, 0.123))
+    assert pool.index[path[1]][2] is tables[path[1]]
+    want = reference_inscan_path(overlay, tables, start, point)
+    assert inscan_path(overlay, tables, start, point) == want
+    assert pool.route_hits == hits + 1
+    # The last node's block was never read: replacing its table is no miss.
+    assert inscan_path(overlay, tables, start, point) == want
+    tables[want[-1]] = build_index_table(overlay, want[-1], np.random.default_rng(2))
+    assert inscan_path(overlay, tables, start, point) == want
+    assert pool.route_hits == hits + 3

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import heapq
+
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
@@ -228,7 +230,7 @@ def test_pending_is_constant_time_counter_not_heap_scan():
             handles.append(sim.schedule(rng.uniform(0.1, 50.0), lambda: None))
         elif handles:
             handles.pop(rng.randrange(len(handles))).cancel()
-        brute = sum(1 for e in sim._heap if not e.cancelled)
+        brute = sum(1 for *_, event in sim._heap if not event.cancelled)
         assert sim.pending() == brute
     sim.run()
     assert sim.pending() == 0
@@ -439,3 +441,114 @@ def test_cohort_matches_per_member_reference_under_churn():
     ref_log = drive(lambda sim, fn: ReferenceCohortScheduler(sim, 10.0, fn))
     assert cohort_log == ref_log
     assert cohort_log  # non-trivial
+
+
+# ----------------------------------------------------------------------
+# heap entries are (time, priority, seq, event) tuples compared in C
+# ----------------------------------------------------------------------
+def test_same_instant_events_fire_by_priority_then_seq():
+    sim = Simulator()
+    out = []
+    sim.schedule_at(4.0, out.append, "default-first")
+    sim.schedule_at(4.0, out.append, "low", priority=PRIORITY_LOW)
+    sim.schedule_at(4.0, out.append, "high-first", priority=PRIORITY_HIGH)
+    sim.schedule(4.0, out.append, "default-second")
+    sim.schedule_at(4.0, out.append, "high-second", priority=PRIORITY_HIGH)
+    sim.schedule_at(3.0, out.append, "earlier", priority=PRIORITY_LOW)
+    sim.run()
+    assert out == [
+        "earlier", "high-first", "high-second",
+        "default-first", "default-second", "low",
+    ]
+
+
+def test_unorderable_callbacks_and_arguments_never_compared():
+    """Ties on (time, priority) are settled by the unique seq: neither
+    the event nor its fn/args ever take part in a comparison."""
+
+    class Opaque:
+        __slots__ = ("out",)
+
+        def __init__(self, out):
+            self.out = out
+
+        def __call__(self, payload):
+            self.out.append(payload)
+
+        def __lt__(self, other):  # pragma: no cover - must stay unreached
+            raise AssertionError("heap compared a callback")
+
+    sim = Simulator()
+    out = []
+    payloads = [{"k": i} for i in range(40)]  # dicts do not order either
+    for payload in payloads:
+        sim.schedule(1.0, Opaque(out), payload)
+    sim.run()
+    assert out == payloads
+
+
+def test_seq_strictly_increases_across_every_push_site(monkeypatch):
+    """schedule / schedule_at / periodic re-arms / cohort ticks and
+    stragglers / calendar flushes all draw from the one sequence."""
+    from repro.sim.delivery import DeliveryCalendar
+
+    sim = Simulator()
+    seqs = []
+    push = heapq.heappush
+
+    def spy(heap, entry):
+        if heap is sim._heap:
+            seqs.append(entry[2])
+        push(heap, entry)
+
+    calendar = DeliveryCalendar(sim)
+    timer_box = []
+
+    def setup():
+        sim.schedule(1.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
+        sim.periodic(3.0, lambda: None)
+        timer_box.append(sim.periodic_cohort(4.0, lambda batch: None))
+        timer_box[0].add("founder")
+        sim.schedule(5.0, lambda: timer_box[0].add("straggler"))
+        calendar.deliver(6.0, lambda: None)
+        calendar.deliver(6.0, lambda: None)  # same instant: no second push
+        calendar.deliver_at(7.0, lambda: None)
+
+    monkeypatch.setattr(heapq, "heappush", spy)  # the engine calls heapq.heappush
+    setup()
+    n_setup = len(seqs)
+    sim.run(until=20.0)
+    assert n_setup == 7  # 1 + 1 + 1 + cohort tick + straggler arm + 2 flushes
+    assert len(seqs) > n_setup  # periodic and cohort re-arms, the straggler
+    assert seqs == list(range(len(seqs)))
+
+
+def test_run_until_leaves_the_next_entry_on_the_heap():
+    sim = Simulator()
+    out = []
+    sim.schedule_at(1.0, out.append, "a")
+    late = sim.schedule_at(5.0, out.append, "b")
+    sim.run(until=4.0)
+    assert out == ["a"]
+    assert sim.now == 4.0
+    assert sim.pending() == 1
+    (entry,) = sim._heap
+    assert entry[0] == late.time == 5.0 and not entry[3].done
+    sim.run(until=5.0)  # the boundary instant itself is processed
+    assert out == ["a", "b"] and sim.pending() == 0 and not sim._heap
+
+
+def test_cancelled_entries_stay_queued_until_their_time():
+    sim = Simulator()
+    out = []
+    doomed = sim.schedule(2.0, out.append, "doomed")
+    sim.schedule(3.0, out.append, "kept")
+    doomed.cancel()
+    assert doomed.cancelled
+    assert sim.pending() == 1 and len(sim._heap) == 2  # lazy: still queued
+    sim.run(until=2.5)
+    assert len(sim._heap) == 1 and out == []  # dropped at pop, not fired
+    assert sim.events_processed == 0
+    sim.run()
+    assert out == ["kept"] and sim.events_processed == 1

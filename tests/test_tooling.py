@@ -198,3 +198,54 @@ def test_committed_campaign_artifact_matches_its_spec():
     committed = {path.name for path in (directory / "cells").glob("*.json")}
     assert committed - expected == set(), "stale cells; regenerate the artifact"
     assert status.complete, "cells missing; regenerate the artifact"
+
+
+def test_run_digest_smoke():
+    """Fast-gate pin of a whole run: 300 nodes, 1000 simulated seconds
+    of HID-CAN under 50 % churn must produce the task counts, per-kind
+    traffic, timeouts, event units and latency report recorded in
+    tests/experiments/run_digests.json before the route memo and the
+    tuple heap entries landed — so a host-only change that moves the
+    model fails here in a second (the other protocols, the batched path
+    and the cached cell live in tests/experiments/test_run_digests.py)."""
+    from tests.experiments.run_cells import digest_of, recorded_digests, run_cells
+
+    digest = digest_of(run_cells(1)["hid-can-churn50"])
+    assert digest == recorded_digests()["hid-can-churn50-seed1"]
+
+
+def test_route_memo_smoke(monkeypatch):
+    """The last-route memo must be live in a real cell: over three state
+    cycles of a 300-node HID-CAN run idle nodes re-report the same point,
+    so some routes are replays — and every route that reached the pool
+    is tallied exactly once, as a hit or as a miss.  A refactor that
+    silently bypasses the memo fails here, not in a benchmark."""
+    from repro.can import inscan, routing
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.runner import SOCSimulation
+
+    routed = 0
+    greedy_path, greedy_paths = routing.greedy_path, routing.greedy_paths
+
+    def counted_path(*args, **kwargs):
+        nonlocal routed
+        routed += 1
+        return greedy_path(*args, **kwargs)
+
+    def counted_paths(overlay, starts, *args, **kwargs):
+        nonlocal routed
+        routed += len(starts)
+        return greedy_paths(overlay, starts, *args, **kwargs)
+
+    monkeypatch.setattr(inscan, "greedy_path", counted_path)
+    monkeypatch.setattr(inscan, "greedy_paths", counted_paths)
+    cycle = ExperimentConfig().pidcan.state_period
+    sim = SOCSimulation(ExperimentConfig(
+        n_nodes=300, duration=3 * cycle, seed=1, protocol="hid-can", demand_ratio=0.5,
+    ))
+    sim.run()
+    (pool,) = sim.protocol.overlay._route_pools.values()
+    assert pool.tables is sim.protocol.tables
+    assert pool.route_hits > 0
+    assert pool.route_hits + pool.route_misses == routed > 300
+    assert len(pool.routes) <= len(sim.protocol.overlay)
