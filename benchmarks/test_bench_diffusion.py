@@ -93,4 +93,6 @@ def test_diffuse_throughput(benchmark):
     interior = next(
         n.node_id for n in h.overlay.nodes.values() if np.all(n.zone.lo > 0.2)
     )
-    benchmark(engine.diffuse, interior, "hid")
+    result = benchmark(engine.diffuse, interior, "hid")
+    # Median / messages = host cost of one relayed index message.
+    benchmark.extra_info["messages_per_trigger"] = result.messages

@@ -14,6 +14,7 @@ k ≥ 1, in the negative direction of a dimension.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,7 +48,7 @@ class IndexPointerTable:
     """
 
     __slots__ = ("node_id", "links", "build_messages", "_neg_pools",
-                 "_neg_tuples")
+                 "_neg_tuples", "_all_links")
 
     def __init__(self, node_id: int):
         self.node_id = node_id
@@ -55,18 +56,23 @@ class IndexPointerTable:
         #: directional-walk steps spent building the table (traffic charge)
         self.build_messages = 0
         #: lazily-built ``dim -> int64 array`` / tuple mirrors of the
-        #: negative pointer chains (the diffusion engine's NINode pools);
-        #: a table is immutable once built, so neither goes stale.
+        #: negative pointer chains (the diffusion engine's NINode pools)
+        #: and the concatenation of every chain (routing's extra hop
+        #: candidates); a table is immutable once built, so none goes stale.
         self._neg_pools: dict[int, np.ndarray] = {}
         self._neg_tuples: dict[int, tuple[int, ...]] = {}
+        self._all_links: Optional[tuple[int, ...]] = None
 
     def pointers(self, dim: int, sign: int) -> list[int]:
         return self.links.get((dim, sign), [])
 
-    def all_links(self) -> list[int]:
-        out: list[int] = []
-        for ids in self.links.values():
-            out.extend(ids)
+    def all_links(self) -> tuple[int, ...]:
+        """Every pointer of every chain, in ``links`` order (cached)."""
+        out = self._all_links
+        if out is None:
+            out = self._all_links = tuple(
+                itertools.chain.from_iterable(self.links.values())
+            )
         return out
 
     def negative_index_nodes(self, dim: int, min_exponent: int = 0) -> list[int]:

@@ -13,7 +13,11 @@ distance computation** against the overlay's
 candidate.  Per-node candidate blocks (sorted ids plus gathered bounds)
 are cached in a CSR-style pool invalidated by the store's mutation epoch
 and the per-node pointer-table identity, so steady-state hops touch no
-Python-level geometry at all.  Candidates are screened on *squared*
+Python-level geometry at all.  A block holds ~16 candidates, too few for
+vectorisation to pay — what a hop costs is its number of numpy calls —
+so the bounds are stored dimension-major and one fused kernel
+(:func:`_box_accs`, five calls) serves the single and the batched
+router.  Candidates are screened on *squared*
 distances; the decisive comparisons happen in the seed's ``acc ** 0.5``
 space (near-tied accumulators are re-compared with the identical Python
 pow, which merges values a couple of ulps apart into exact ties, lowest
@@ -48,7 +52,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.can.geometry import _sequential_row_sums
 from repro.can.overlay import CANOverlay
 from repro.can.zone import Zone
 
@@ -108,10 +111,10 @@ def _pow_space_best(accs: np.ndarray, ids) -> tuple[float, int]:
     screen on the squared accumulators, resolve near-ties by evaluating
     the scalar path's ``acc ** 0.5`` per tied candidate.  ``ids`` is any
     indexable of candidate ids aligned with ``accs``."""
-    i = int(np.argmin(accs))
-    best_acc = float(accs[i])
+    i = int(accs.argmin())
+    best_acc = accs.item(i)
     near = accs <= best_acc * _NEAR_TIE
-    if int(near.sum()) > 1:
+    if np.count_nonzero(near) > 1:
         return min(
             (float(accs[j]) ** 0.5, int(ids[j]))
             for j in np.flatnonzero(near).tolist()
@@ -121,6 +124,23 @@ def _pow_space_best(accs: np.ndarray, ids) -> tuple[float, int]:
 
 class RoutingError(RuntimeError):
     """Routing failed to make progress (overlay inconsistency)."""
+
+
+def _box_accs(lo: np.ndarray, hi: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The hop kernel: squared box distance from ``p`` — one ``(d, 1)``
+    point, or ``(d, m)`` with a point per column — to every column of the
+    dimension-major ``(d, m)`` bounds.  ``add.reduce`` over the *outer*
+    axis adds row after row, the scalar loop's left-to-right sum
+    (:func:`_squared_distance`) bit for bit; along the contiguous axis it
+    would be ``a0 + pairwise(a1…)``.  A lone column is coalesced into
+    exactly that, so it takes the running sum instead."""
+    gaps = np.maximum(lo, p)
+    np.minimum(gaps, hi, out=gaps)
+    gaps -= p
+    gaps *= gaps
+    if gaps.shape[1] == 1:
+        return np.add.accumulate(gaps, axis=0)[-1]
+    return np.add.reduce(gaps, axis=0)
 
 
 def _squared_distance(zone: Zone, point: Sequence[float]) -> float:
@@ -169,8 +189,10 @@ class _RouteBlockPool:
         self.store = store
         self.tables = tables
         self.ids = np.empty(256, dtype=np.int64)
-        self.lo = np.empty((256, store.dims), dtype=np.float64)
-        self.hi = np.empty((256, store.dims), dtype=np.float64)
+        #: Block bounds, dimension-major ``(d, capacity)``: a block is the
+        #: column slice ``[:, start:stop]`` that :func:`_box_accs` reduces.
+        self.lo = np.empty((store.dims, 256), dtype=np.float64)
+        self.hi = np.empty((store.dims, 256), dtype=np.float64)
         self.generation = 0
         #: Routes answered from the memo / routed hop by hop (read-only
         #: tallies for tests; one count per route that reached the pool).
@@ -198,21 +220,13 @@ class _RouteBlockPool:
             capacity *= 2
         for name in ("ids", "lo", "hi"):
             old = getattr(self, name)
-            shape = (capacity,) + old.shape[1:]
-            arr = np.empty(shape, dtype=old.dtype)
-            arr[: self.n] = old[: self.n]
+            arr = np.empty(old.shape[:-1] + (capacity,), dtype=old.dtype)
+            arr[..., : self.n] = old[..., : self.n]
             setattr(self, name, arr)
 
-    def lookup(self, overlay: CANOverlay, node_id: int) -> tuple[int, int]:
-        """``(start, count)`` of the node's current candidate block."""
-        table = None if self.tables is None else self.tables.get(node_id)
-        entry = self.index.get(node_id)
-        if entry is not None and entry[2] is table:
-            return entry[0], entry[1]
-        return self.fill(overlay, node_id, table)
-
-    def fill(self, overlay: CANOverlay, node_id: int, table) -> tuple[int, int]:
-        """Build (or rebuild) the node's candidate block."""
+    def fill(self, overlay: CANOverlay, node_id: int, table) -> None:
+        """Build (or rebuild) the node's candidate block; callers re-read
+        ``index`` afterwards, since a waste-driven reset replaces it."""
         entry = self.index.get(node_id)
         if entry is not None:
             self.waste += entry[1]
@@ -233,11 +247,10 @@ class _RouteBlockPool:
         if m:
             self.ids[start : start + m] = np.asarray(cids, dtype=np.int64)[present]
             lo, hi = self.store.gather_bounds(rows)
-            self.lo[start : start + m] = lo
-            self.hi[start : start + m] = hi
+            self.lo[:, start : start + m] = lo.T
+            self.hi[:, start : start + m] = hi.T
         self.n += m
         self.index[node_id] = (start, m, table)
-        return start, m
 
     def recall(self, start_id: int, pt: tuple, max_hops: int) -> Optional[list[int]]:
         """The start's memoised route if it was to ``pt`` (by value; NaN
@@ -339,20 +352,24 @@ def greedy_path(
     current_id = start_id
     path = [start_id]
     dist = _squared_distance(overlay.nodes[start_id].zone, pt) ** 0.5
+    pcol = p.reshape(-1, 1)
+    index = pool.index
     while dist != 0.0:
-        start, m = pool.lookup(overlay, current_id)
-        if m == 0:
+        table = None if link_tables is None else link_tables.get(current_id)
+        entry = index.get(current_id)
+        if entry is None or entry[2] is not table:
+            pool.fill(overlay, current_id, table)
+            index = pool.index  # fill may reset the pool
+            entry = index[current_id]
+        start = entry[0]
+        stop = start + entry[1]
+        if stop == start:
             raise RoutingError(
                 f"no progress at node {current_id} toward {pt} "
                 f"(dist {dist}, no candidates)"
             )
-        lo = pool.lo[start : start + m]
-        hi = pool.hi[start : start + m]
-        clipped = np.clip(p, lo, hi)
-        np.subtract(clipped, p, out=clipped)
-        np.multiply(clipped, clipped, out=clipped)
-        accs = _sequential_row_sums(clipped)
-        best_dist, best_id = _pow_space_best(accs, pool.ids[start : start + m])
+        accs = _box_accs(pool.lo[:, start:stop], pool.hi[:, start:stop], pcol)
+        best_dist, best_id = _pow_space_best(accs, pool.ids[start:stop])
         if best_dist >= dist:
             raise RoutingError(
                 f"no progress at node {current_id} toward {pt} "
@@ -453,6 +470,7 @@ def greedy_paths(
     if n_routes == 0:
         return []
     P = np.asarray(points, dtype=np.float64).reshape(n_routes, -1)
+    PT = np.ascontiguousarray(P.T)  # dimension-major, like the pool blocks
     if max_hops is None:
         max_hops = 4 * (len(overlay) + 1)
 
@@ -542,15 +560,12 @@ def greedy_paths(
         np.cumsum(cnt[:-1], out=offs[1:])
         seg = np.repeat(np.arange(n_active, dtype=np.intp), cnt)
         idx = block_start[seg] + (np.arange(total, dtype=np.intp) - offs[seg])
-        lo = pool.lo[idx]
-        hi = pool.hi[idx]
-        # One fancy-index (route row per candidate) instead of gathering
-        # the active rows and re-gathering per segment.
-        p_seg = P[active[seg]]
-        clipped = np.clip(p_seg, lo, hi)
-        np.subtract(clipped, p_seg, out=clipped)
-        np.multiply(clipped, clipped, out=clipped)
-        accs = _sequential_row_sums(clipped)
+        # One gather (route column per candidate) instead of gathering
+        # the active routes and re-gathering per segment.
+        accs = _box_accs(
+            pool.lo.take(idx, axis=1), pool.hi.take(idx, axis=1),
+            PT.take(active[seg], axis=1),
+        )
         ids_at = pool.ids[idx]
         best_acc = np.minimum.reduceat(accs, offs)
         near = accs <= best_acc[seg] * _NEAR_TIE

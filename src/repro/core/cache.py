@@ -11,8 +11,9 @@ Two classes implement the mechanism:
 
 :class:`RangeCache`
     One node's expiring, capped entry store.  The TTL policy is *exactly*
-    the PIList of §III-B (extracted here as the reference policy — PIList
-    is now a ``dims=0`` subclass); LRU, LFU and an adaptive
+    the PIList of §III-B (the reference policy, pinned to the same
+    :class:`repro.testing.ReferencePIList` oracle as
+    :class:`repro.core.pilist.PIList`); LRU, LFU and an adaptive
     recency+frequency policy (utility-based eviction in the spirit of
     learning-based cache management, arXiv:1902.00795) generalize it.
     Storage is structure-of-arrays per the StateCache/ZoneStore

@@ -27,7 +27,9 @@ The tree expansion runs in-process: relays complete within a few network
 delays (≪ the diffusion period), so recipients' PILists are updated
 immediately while every relay message is charged to its sender.  The
 returned :class:`DiffusionResult` records the relay depth for the delay
-analysis of Theorem 1.
+analysis of Theorem 1.  An HID tree is ~23 messages over pools of 3-5
+ids — nothing to vectorise — so it runs as one call-lean loop (explicit
+stack, one bulk charge).
 """
 
 from __future__ import annotations
@@ -122,18 +124,7 @@ class DiffusionEngine:
         """Run one Algorithm-1 trigger for ``origin``; returns statistics."""
         result = DiffusionResult(origin)
         if method == "hid":
-            # Algorithm 1: one message {ID, dim 1, L} to a random NINode.
-            # Nodes at the negative edge of dimension 1 have no NINode
-            # there (the space is not a torus); the chain starts at the
-            # first dimension that has one, otherwise dims 2..d would
-            # never be reached and low-corner record holders — exactly
-            # where availability records concentrate — could not diffuse.
-            for dim in range(self.dims):
-                target = self._pick_ninode(origin, dim, exclude=origin)
-                if target is not None:
-                    self._send(origin, target, result)
-                    self._hid_receive(target, origin, dim, self.L, result, depth=1)
-                    break
+            self._hid(origin, result)
         elif method == "sid":
             self._sid_chain(origin, origin, 0, result, depth=1)
         else:
@@ -143,8 +134,8 @@ class DiffusionEngine:
     def diffuse_round(self, origins: Sequence[int], method: str) -> list[DiffusionResult]:
         """Run one trigger per origin, in order, as one cohort round.
 
-        Deliberately a sequential loop: each trigger is a recursive relay
-        chain whose NINode picks depend on the RNG state left by the
+        Deliberately a sequential loop: each trigger is a relay tree
+        whose NINode picks depend on the RNG state left by the
         previous chain, so the triggers cannot be fused without changing
         draws.  The round's win is upstream — one heap pop wakes the whole
         cohort instead of one event per origin — while the per-origin
@@ -218,44 +209,68 @@ class DiffusionEngine:
         return sent
 
     # ------------------------------------------------------------------
-    # HID: Algorithm 2 — every relay re-selects from its own table
+    # HID: Algorithms 1-2 — every relay re-selects from its own table
     # ------------------------------------------------------------------
-    def _hid_receive(
-        self,
-        node: int,
-        origin: int,
-        dim: int,
-        q: int,
-        result: DiffusionResult,
-        depth: int,
-    ) -> None:
-        self._store(node, origin, result, depth)
-        # Line 1-4: continue the chain along the same dimension; a relay
-        # sitting at the space edge of that dimension reassigns the
-        # residual TTL to the next dimension that has an NINode, so the
-        # message budget ω is spent instead of silently discarded.
-        if q - 1 > 0:
-            nxt_dim, nxt = self._first_available(node, dim, exclude=origin)
-            if nxt is not None:
-                self._send(node, nxt, result)
-                self._hid_receive(nxt, origin, nxt_dim, q - 1, result, depth + 1)
-        # Line 5-9: open the next dimension with a fresh TTL (again
-        # skipping over edge dimensions).
-        nxt_dim, nxt = self._first_available(node, dim + 1, exclude=origin)
-        if nxt is not None:
-            self._send(node, nxt, result)
-            self._hid_receive(nxt, origin, nxt_dim, self.L, result, depth + 1)
+    def _hid(self, origin: int, result: DiffusionResult) -> None:
+        """The relay tree of one trigger as a depth-first loop over a stack
+        of pending sends ``(sender, first dim, TTL, depth)``.
 
-    def _first_available(
-        self, node: int, start_dim: int, exclude: int
-    ) -> tuple[int, int | None]:
-        """First dimension ≥ ``start_dim`` with a live NINode, plus one
-        random pick from it."""
-        for dim in range(start_dim, self.dims):
-            pick = self._pick_ninode(node, dim, exclude)
-            if pick is not None:
-                return dim, pick
-        return self.dims, None
+        A sender picks one random live NINode along the first dimension at
+        or after ``first dim`` that has one: at the negative edge of a
+        dimension there is none (the space is not a torus), and moving on
+        keeps low-corner origins — where availability records concentrate
+        — diffusing.  The receiver stores the index, relays along the same
+        dimension while the TTL lasts and opens the next one with a fresh
+        TTL; the opening is pushed first, so its NINode is drawn after the
+        whole same-dimension subtree, as in the recursion
+        (:class:`repro.testing.ReferenceDiffusionEngine`).  Senders are
+        charged as they send, the message kind once per trigger.
+        """
+        dims, L, vector_min = self.dims, self.L, self._VECTOR_POOL_MIN
+        tables, pilists = self.tables, self.pilists
+        is_alive = self.ctx.is_alive
+        integers = self.ctx.rng.integers
+        now = self.ctx.sim.now
+        recipients = result.recipients
+        by_node = self.ctx.traffic.by_node
+        messages = max_depth = 0
+        stack = [(origin, 0, L, 1)]
+        while stack:
+            node, first_dim, q, depth = stack.pop()
+            table = tables.get(node)
+            if table is None:
+                continue
+            for dim in range(first_dim, dims):
+                members = table.negative_pool_tuple(dim)
+                if len(members) >= vector_min:
+                    # (already drawn: at most one member comes back)
+                    pool = self._pick_ninodes(node, dim, 1, origin)
+                else:
+                    pool = [
+                        t for t in members
+                        if t != origin and t != node and is_alive(t)
+                    ]
+                if pool:
+                    break
+            else:
+                continue
+            target = pool[0] if len(pool) == 1 else pool[int(integers(len(pool)))]
+            by_node[node] += 1
+            messages += 1
+            pilist = pilists.get(target)
+            if pilist is not None:
+                pilist.add(origin, now)
+            recipients.add(target)
+            if depth > max_depth:
+                max_depth = depth
+            if dim + 1 < dims:
+                stack.append((target, dim + 1, L, depth + 1))
+            if q > 1:
+                stack.append((target, dim, q - 1, depth + 1))
+        if messages:  # (a trigger that found no NINode creates no kind)
+            self.ctx.traffic.by_kind[self.kind] += messages
+        result.messages = messages
+        result.max_depth = max_depth
 
     # ------------------------------------------------------------------
     # SID: the chain initiator picks every recipient from its own table
@@ -276,30 +291,18 @@ class DiffusionEngine:
             if targets:
                 break
             dim += 1
+        if not targets:
+            return
+        self.ctx.charge_local(self.kind, initiator, len(targets))
+        result.messages += len(targets)
+        result.max_depth = max(result.max_depth, depth)
         for target in targets:
-            self._send(initiator, target, result)
-            self._store(target, origin, result, depth)
+            pilist = self.pilists.get(target)
+            if pilist is not None:
+                pilist.add(origin, self.ctx.sim.now)
+            result.recipients.add(target)
             if dim + 1 < self.dims:
                 self._sid_chain(target, origin, dim + 1, result, depth + 1)
-
-    # ------------------------------------------------------------------
-    # shared plumbing
-    # ------------------------------------------------------------------
-    def _store(self, node: int, origin: int, result: DiffusionResult, depth: int) -> None:
-        pilist = self.pilists.get(node)
-        if pilist is not None and node != origin:
-            pilist.add(origin, self.ctx.sim.now)
-        result.recipients.add(node)
-        result.max_depth = max(result.max_depth, depth)
-
-    def _send(self, src: int, dst: int, result: DiffusionResult) -> None:
-        self.ctx.charge_local(self.kind, src)
-        result.messages += 1
-
-    def _pick_ninode(self, node: int, dim: int, exclude: int) -> int | None:
-        """One random negative-index node of ``node`` along ``dim``."""
-        picks = self._pick_ninodes(node, dim, 1, exclude)
-        return picks[0] if picks else None
 
     #: Below this pool size the scalar filter wins: numpy dispatch costs
     #: more than looping a handful of ints (NINode chains hold at most

@@ -801,10 +801,35 @@ def reference_inscan_path(
 
 
 class ReferenceDiffusionEngine(DiffusionEngine):
-    """Scalar oracle for the diffusion engine's NINode selection: the
-    seed's list-comprehension pool filter, verbatim (same RNG draw
+    """Scalar oracle for the diffusion engine: HID as the seed's recursion
+    (Algorithms 1-2, one ``charge_local`` per message) and its
+    list-comprehension NINode pool filter, verbatim (same RNG draw
     discipline, so identically-seeded engines stay stream-compatible
-    with the array-backed production path)."""
+    with the loop-form, array-backed production path)."""
+
+    def _hid(self, origin: int, result) -> None:
+        self._relay(origin, origin, 0, self.L, result, depth=1)
+
+    def _relay(self, node, origin, dim, q, result, depth) -> None:
+        """``node`` sends to one NINode along the first dimension >=
+        ``dim`` that has one; the receiver stores the index, continues
+        the chain while the TTL lasts, then opens the next dimension."""
+        for dim in range(dim, self.dims):
+            picks = self._pick_ninodes(node, dim, 1, origin)
+            if picks:
+                break
+        else:
+            return
+        self.ctx.charge_local(self.kind, node)
+        result.messages += 1
+        pilist = self.pilists.get(picks[0])
+        if pilist is not None:
+            pilist.add(origin, self.ctx.sim.now)
+        result.recipients.add(picks[0])
+        result.max_depth = max(result.max_depth, depth)
+        if q - 1 > 0:
+            self._relay(picks[0], origin, dim, q - 1, result, depth + 1)
+        self._relay(picks[0], origin, dim + 1, self.L, result, depth + 1)
 
     def _pick_ninodes(self, node: int, dim: int, k: int, exclude: int) -> list[int]:
         table = self.tables.get(node)
@@ -1284,8 +1309,8 @@ def assert_results_identical(a, b) -> None:
 class ReferencePIList:
     """The seed's scalar PIList (§III-B), verbatim — dict of insertion
     stamps, ``min()``-scan eviction — kept as the behavioural oracle for
-    the :class:`repro.core.cache.RangeCache` TTL policy that now backs
-    :class:`repro.core.pilist.PIList`."""
+    the stamp-ordered :class:`repro.core.pilist.PIList` and for the
+    :class:`repro.core.cache.RangeCache` TTL policy."""
 
     def __init__(self, ttl: float, max_size: int = 64):
         if ttl <= 0:
@@ -1351,7 +1376,7 @@ def assert_cache_off_equivalent(config):
     series-identical.
 
     This pins the cache-off contract of docs/caching.md from both ends:
-    the RangeCache-backed PIList is draw-for-draw the seed implementation,
+    the stamp-ordered PIList is draw-for-draw the seed implementation,
     and with ``cache_policy=None`` no other cache code runs at all.
     Returns the ``(stock, reference)`` result pair.
     """

@@ -9,6 +9,10 @@ from repro.core.diffusion import (
     diffusion_message_count,
     line_diffusion_rounds,
 )
+from repro.testing import (
+    ReferenceDiffusionEngine, ReferencePIList, _diffusion_rig,
+)
+from tests.conftest import make_overlay
 from tests.core.helpers import Harness
 
 
@@ -170,3 +174,80 @@ def test_traffic_charged_per_message():
     )
     result = engine.diffuse(origin, "hid")
     assert h.traffic.by_kind["index-diffusion"] == result.messages
+
+
+# ----------------------------------------------------------------------
+# loop-form HID + bulk charging == the recursive per-message oracle
+# ----------------------------------------------------------------------
+def _twin_rigs(n, dims, seed, dead):
+    """The production engine and the recursive oracle (over scalar
+    ``ReferencePIList``s) on one overlay, identically seeded."""
+    overlay = make_overlay(n, dims, seed=seed)
+    new, _ = _diffusion_rig(overlay, DiffusionEngine, seed, dead)
+    ref, _ = _diffusion_rig(overlay, ReferenceDiffusionEngine, seed, dead)
+    ref.pilists = {i: ReferencePIList(1200.0) for i in ref.pilists}
+    return overlay, new, ref
+
+
+def _assert_trigger_identical(new, ref, origin, method):
+    got = new.diffuse(origin, method)
+    want = ref.diffuse(origin, method)
+    assert (got.messages, got.max_depth, got.recipients) == (
+        want.messages, want.max_depth, want.recipients
+    )
+    # Byte-identical meter: same keys (none invented), same counts, one
+    # by_node increment per sending relay.
+    assert dict(new.ctx.traffic.by_kind) == dict(ref.ctx.traffic.by_kind)
+    assert dict(new.ctx.traffic.by_node) == dict(ref.ctx.traffic.by_node)
+    assert list(new.ctx.traffic.by_node) == list(ref.ctx.traffic.by_node)
+    now = new.ctx.sim.now
+    for node in new.pilists:
+        assert new.pilists[node].entries(now) == ref.pilists[node].entries(now)
+    assert (
+        new.ctx.rng.bit_generator.state == ref.ctx.rng.bit_generator.state
+    )
+    return got
+
+
+@pytest.mark.parametrize("method", ["hid", "sid"])
+@pytest.mark.parametrize("vector_pool_min", [16, 1])
+def test_trigger_matches_recursive_oracle_live_and_half_dead(
+    method, vector_pool_min, monkeypatch
+):
+    # 1 forces every pool through the vectorised >= 16-member branch.
+    monkeypatch.setattr(DiffusionEngine, "_VECTOR_POOL_MIN", vector_pool_min)
+    for dead_share in (0.0, 0.5):
+        dead: set[int] = set()
+        overlay, new, ref = _twin_rigs(96, 3, seed=21, dead=dead)
+        ids = sorted(overlay.nodes)
+        dead.update(ids[:: 2] if dead_share else ())
+        sent = 0
+        for origin in ids:
+            if origin not in dead:
+                sent += _assert_trigger_identical(new, ref, origin, method).messages
+        assert sent > 0
+        assert new.ctx.traffic.by_kind["index-diffusion"] == sent
+
+
+@pytest.mark.parametrize("method", ["hid", "sid"])
+def test_trigger_without_any_ninode_creates_no_traffic_key(method):
+    # Edge: the low-corner node has no negative pointer in any dimension.
+    overlay, new, ref = _twin_rigs(32, 2, seed=5, dead=set())
+    corner = next(
+        n.node_id for n in overlay.nodes.values() if not n.zone.lo.any()
+    )
+    result = _assert_trigger_identical(new, ref, corner, method)
+    assert result.messages == 0 and result.max_depth == 0
+    assert "index-diffusion" not in new.ctx.traffic.by_kind
+    assert not new.ctx.traffic.by_node
+
+    # Every pool dead: same, from a node that does have pointers.
+    dead: set[int] = set()
+    overlay, new, ref = _twin_rigs(32, 2, seed=5, dead=dead)
+    origin = next(
+        n.node_id for n in overlay.nodes.values() if np.all(n.zone.lo > 0.4)
+    )
+    dead.update(set(overlay.nodes) - {origin})
+    result = _assert_trigger_identical(new, ref, origin, method)
+    assert result.messages == 0 and not result.recipients
+    assert "index-diffusion" not in new.ctx.traffic.by_kind
