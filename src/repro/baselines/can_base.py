@@ -58,6 +58,4 @@ class CANStateBaseline(DutyStateProtocol):
         self._disarm(node_id)
 
     def _init_cache(self, node_id: int) -> None:
-        self.caches[node_id] = StateCache(
-            self.params.state_ttl, compact=self.params.compact_dtypes
-        )
+        self.caches[node_id] = StateCache(self.params.state_ttl)

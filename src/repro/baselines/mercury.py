@@ -168,9 +168,7 @@ class MercuryProtocol(DiscoveryProtocol):
         hub = min(self.hubs, key=len)
         hub.add(node_id, float(self.ctx.rng.uniform()))
         self.hub_of[node_id] = hub.attribute
-        self.caches[node_id] = StateCache(
-            self.params.state_ttl, compact=self.params.compact_dtypes
-        )
+        self.caches[node_id] = StateCache(self.params.state_ttl)
 
     # ------------------------------------------------------------------
     # state updates: one insertion per hub (Mercury's replication)

@@ -70,33 +70,23 @@ class ZoneStore:
     """All live zones' bounds in ``(N, d)`` matrices, keyed by node id."""
 
     __slots__ = (
-        "dims", "epoch", "compact", "_float", "_int", "_lo", "_hi", "_ids",
+        "dims", "epoch", "_lo", "_hi", "_ids",
         "_live", "_row_of", "_row_by_id", "_n", "_dead",
     )
 
-    def __init__(self, dims: int, compact: bool = False):
+    def __init__(self, dims: int):
         if dims < 1:
             raise ValueError("dims must be >= 1")
         self.dims = dims
-        #: ``compact`` halves the SoA footprint (float32 bounds, int32
-        #: ids).  Zone bounds are dyadic rationals with a handful of
-        #: significant bits per dimension (splits cycle through the
-        #: dimensions), so float32 represents them exactly and every
-        #: predicate — served against float64 points, which upcast the
-        #: bounds bit-exactly — stays identical to the float64 store.
-        #: ``add``/``update`` verify exactness and raise otherwise.
-        self.compact = compact
-        self._float = np.float32 if compact else np.float64
-        self._int = np.int32 if compact else np.int64
         #: Mutation counter; bumped by add/update/remove (and compaction).
         self.epoch = 0
-        self._lo = np.empty((_MIN_CAPACITY, dims), dtype=self._float)
-        self._hi = np.empty((_MIN_CAPACITY, dims), dtype=self._float)
-        self._ids = np.empty(_MIN_CAPACITY, dtype=self._int)
+        self._lo = np.empty((_MIN_CAPACITY, dims), dtype=np.float64)
+        self._hi = np.empty((_MIN_CAPACITY, dims), dtype=np.float64)
+        self._ids = np.empty(_MIN_CAPACITY, dtype=np.int64)
         self._live = np.zeros(_MIN_CAPACITY, dtype=bool)
         self._row_of: dict[int, int] = {}
         #: Dense id -> row lookup (-1 = absent) for vectorized gathers.
-        self._row_by_id = np.full(_MIN_CAPACITY, -1, dtype=self._int)
+        self._row_by_id = np.full(_MIN_CAPACITY, -1, dtype=np.int64)
         self._n = 0  # rows in use (live + dead holes)
         self._dead = 0  # dead holes among the first _n rows
 
@@ -118,10 +108,10 @@ class ZoneStore:
     def _grow_rows(self) -> None:
         capacity = max(_MIN_CAPACITY, 2 * self._n)
         for name in ("_lo", "_hi"):
-            arr = np.empty((capacity, self.dims), dtype=self._float)
+            arr = np.empty((capacity, self.dims), dtype=np.float64)
             arr[: self._n] = getattr(self, name)[: self._n]
             setattr(self, name, arr)
-        ids = np.empty(capacity, dtype=self._int)
+        ids = np.empty(capacity, dtype=np.int64)
         ids[: self._n] = self._ids[: self._n]
         self._ids = ids
         live = np.zeros(capacity, dtype=bool)
@@ -132,7 +122,7 @@ class ZoneStore:
         size = len(self._row_by_id)
         while node_id >= size:
             size *= 2
-        grown = np.full(size, -1, dtype=self._int)
+        grown = np.full(size, -1, dtype=np.int64)
         grown[: len(self._row_by_id)] = self._row_by_id
         self._row_by_id = grown
 
@@ -202,7 +192,8 @@ class ZoneStore:
         if node_id >= len(self._row_by_id):
             self._grow_id_map(node_id)
         row = self._n
-        self._store_bounds(row, zone)
+        self._lo[row] = zone.lo
+        self._hi[row] = zone.hi
         self._ids[row] = node_id
         self._live[row] = True
         self._row_of[node_id] = row
@@ -213,21 +204,9 @@ class ZoneStore:
     def update(self, node_id: int, zone: Zone) -> None:
         """Rewrite ``node_id``'s bounds in place (zone grew/shrank/moved)."""
         row = self._row_of[node_id]
-        self._store_bounds(row, zone)
-        self.epoch += 1
-
-    def _store_bounds(self, row: int, zone: Zone) -> None:
         self._lo[row] = zone.lo
         self._hi[row] = zone.hi
-        if self.compact and not (
-            np.array_equal(self._lo[row], zone.lo)
-            and np.array_equal(self._hi[row], zone.hi)
-        ):
-            raise ValueError(
-                "zone bounds are not exactly representable in float32 "
-                "(partition deeper than 24 splits per dimension); use a "
-                "non-compact ZoneStore"
-            )
+        self.epoch += 1
 
     def remove(self, node_id: int) -> None:
         row = self._row_of.pop(node_id)

@@ -50,9 +50,7 @@ class CANOverlay:
     #: oracle) set this False so invariants skip the direction cache.
     _caches_directions = True
 
-    def __init__(
-        self, dims: int, rng: np.random.Generator, compact: bool = False
-    ):
+    def __init__(self, dims: int, rng: np.random.Generator):
         if dims < 1:
             raise ValueError("dims must be >= 1")
         self.dims = dims
@@ -60,9 +58,7 @@ class CANOverlay:
         self.nodes: dict[int, OverlayNode] = {}
         self.tree: Optional[PartitionTree] = None
         #: SoA mirror of all live zones, kept in sync by join/leave.
-        #: ``compact`` stores bounds as float32 / ids as int32 — zone
-        #: bounds are dyadic so the routing kernels stay bit-identical.
-        self.geometry = ZoneStore(dims, compact=compact)
+        self.geometry = ZoneStore(dims)
         #: Routing candidate pools (managed by :mod:`repro.can.routing`).
         self._route_pools: dict = {}
         #: The 2·d distinct edge directions, interned: entry

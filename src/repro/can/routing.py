@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -323,27 +323,18 @@ def greedy_path(
     start_id: int,
     point: np.ndarray,
     max_hops: Optional[int] = None,
-    extra_links: Optional[Callable[[int], list[int]]] = None,
     link_tables: Optional[dict] = None,
 ) -> list[int]:
     """Route from ``start_id`` to the owner of ``point``.
 
     Returns the node-id path including both endpoints (length 1 when the
     start node already owns the point).  ``link_tables`` supplies the
-    INSCAN pointer tables whose long links augment each hop's candidates
-    (the cached fast path); ``extra_links`` is the generic per-node
-    callback form for arbitrary additional links (uncacheable — each
-    hop's candidate ids are resolved against the store on the fly).
+    INSCAN pointer tables whose long links augment each hop's candidates.
     """
     p = np.asarray(point, dtype=np.float64)
     pt = tuple(p.tolist())
     if max_hops is None:
         max_hops = 4 * (len(overlay) + 1)
-
-    if extra_links is not None:
-        return _greedy_generic(
-            overlay, start_id, p, pt, max_hops, extra_links, link_tables
-        )
 
     pool = _pool_for(overlay, link_tables)
     path = pool.recall(start_id, pt, max_hops)
@@ -384,50 +375,6 @@ def greedy_path(
     path = _finish_on_boundary(overlay, current_id, p, pt, path)
     pool.remember(pt, path, greedy_len)
     return path
-
-
-def _greedy_generic(
-    overlay: CANOverlay,
-    current_id: int,
-    p: np.ndarray,
-    pt: tuple,
-    max_hops: int,
-    extra_links: Callable[[int], list[int]],
-    link_tables: Optional[dict],
-) -> list[int]:
-    """Per-hop candidate assembly for callback-supplied extra links
-    (stale ids are dropped by the store lookup, like the scalar path
-    skipped dead candidates).  What the callback returns is invisible to
-    the block pool, so these routes are never memoised."""
-    store = overlay.geometry
-    path = [current_id]
-    dist = _squared_distance(overlay.nodes[current_id].zone, pt) ** 0.5
-    while dist != 0.0:
-        cand_ids = list(overlay.nodes[current_id].neighbors)
-        if link_tables is not None:
-            table = link_tables.get(current_id)
-            if table is not None:
-                cand_ids.extend(table.all_links())
-        cand_ids.extend(extra_links(current_id))
-        accs, _present = store.squared_distances(p, cand_ids)
-        best_acc = float(accs.min()) if cand_ids else np.inf
-        if not np.isfinite(best_acc):
-            raise RoutingError(
-                f"no progress at node {current_id} toward {pt} "
-                f"(dist {dist}, no live candidates)"
-            )
-        best_dist, best_id = _pow_space_best(accs, cand_ids)
-        if best_dist >= dist:
-            raise RoutingError(
-                f"no progress at node {current_id} toward {pt} "
-                f"(dist {dist}, best candidate {best_dist})"
-            )
-        current_id = best_id
-        dist = best_dist
-        path.append(current_id)
-        if len(path) > max_hops:
-            raise RoutingError(f"exceeded {max_hops} hops toward {pt}")
-    return _finish_on_boundary(overlay, current_id, p, pt, path)
 
 
 def _finish_on_boundary(

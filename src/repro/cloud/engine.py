@@ -72,39 +72,20 @@ class HostEngine:
         done = eng.complete(host_id, task_id, when)
     """
 
-    def __init__(
-        self, overhead: VMOverhead = DEFAULT_OVERHEAD, compact: bool = False
-    ):
+    def __init__(self, overhead: VMOverhead = DEFAULT_OVERHEAD):
         self.overhead = overhead
         self._frac, self._flat = overhead.arrays()
         #: Resource dimensionality, fixed by the overhead model's vectors.
         dims = self.dims = int(self._frac.shape[0])
-        #: ``compact`` stores the per-host capacity/load/availability
-        #: matrices in float32 and the id-like arrays in int32, halving
-        #: the storage that actually scales with population.  Availability
-        #: screens then run in float32 precision (opt-in; Table-I/II
-        #: magnitudes fit comfortably).  The per-task work arrays stay
-        #: float64 even in compact mode: they are bounded by concurrent
-        #: tasks, not population, and completion-time prediction needs
-        #: residuals to integrate to ~0 exactly at the predicted instant.
-        #: Absolute timestamps (``_last``, ``_next_when``) and the
-        #: calendar generation stamps stay 64-bit regardless — event
-        #: ordering must not lose sub-second resolution late in a long
-        #: horizon.
-        self.compact = compact
-        fdt = np.float32 if compact else np.float64
-        idt = np.int32 if compact else np.int64
-        self._float = fdt
-        self._int = idt
 
         # --- host SoA -------------------------------------------------
         self._host_row: dict[int, int] = {}
         self._host_ids: list[int] = []
-        self._cap = np.empty((0, dims), dtype=fdt)
-        self._eff = np.empty((0, dims), dtype=fdt)
-        self._load = np.empty((0, dims), dtype=fdt)
-        self._avail = np.empty((0, dims), dtype=fdt)
-        self._nrun = np.empty(0, dtype=idt)
+        self._cap = np.empty((0, dims), dtype=np.float64)
+        self._eff = np.empty((0, dims), dtype=np.float64)
+        self._load = np.empty((0, dims), dtype=np.float64)
+        self._avail = np.empty((0, dims), dtype=np.float64)
+        self._nrun = np.empty(0, dtype=np.int64)
         self._last = np.empty(0, dtype=np.float64)  # last progress integration
         self._host_tasks: list[list[int]] = []  # host row -> task rows, in order
         self._h_n = 0
@@ -115,7 +96,7 @@ class HostEngine:
         self._t_rem = np.empty((0, N_WORK_DIMS), dtype=np.float64)
         self._t_rates = np.empty((0, N_WORK_DIMS), dtype=np.float64)
         self._t_exp = np.empty((0, dims), dtype=np.float64)
-        self._t_host = np.empty(0, dtype=idt)
+        self._t_host = np.empty(0, dtype=np.int64)
         self._t_live = np.empty(0, dtype=bool)
         self._t_n = 0
         self._t_dead = 0
@@ -137,11 +118,11 @@ class HostEngine:
         n = self._h_n
         for name in ("_cap", "_eff", "_load", "_avail"):
             old = getattr(self, name)
-            fresh = np.zeros((capacity, self.dims), dtype=self._float)
+            fresh = np.zeros((capacity, self.dims), dtype=np.float64)
             fresh[:n] = old[:n]
             setattr(self, name, fresh)
         for name, dtype, fill in (
-            ("_nrun", self._int, 0),
+            ("_nrun", np.int64, 0),
             ("_last", np.float64, 0.0),
             ("_gen", np.int64, 0),
             ("_next_when", np.float64, np.inf),
@@ -164,7 +145,7 @@ class HostEngine:
             fresh = np.zeros(shape, dtype=np.float64)
             fresh[:n] = old[:n]
             setattr(self, name, fresh)
-        host = np.full(capacity, -1, dtype=self._int)
+        host = np.full(capacity, -1, dtype=np.int64)
         host[:n] = self._t_host[:n]
         self._t_host = host
         live = np.zeros(capacity, dtype=bool)
@@ -315,7 +296,7 @@ class HostEngine:
         return float(util.mean())
 
     # ------------------------------------------------------------------
-    # memory budget
+    # memory footprint
     # ------------------------------------------------------------------
     def footprint_bytes(self) -> int:
         """Bytes held by the SoA arrays (the dominant storage; the Python

@@ -18,7 +18,7 @@ Two classes implement the mechanism:
     learning-based cache management, arXiv:1902.00795) generalize it.
     Storage is structure-of-arrays per the StateCache/ZoneStore
     discipline: keys, stamps and hit counters live in parallel arrays
-    with an optional ``(capacity, d)`` lo/hi bounds pair, eviction and
+    beside a ``(capacity, d)`` lo/hi bounds pair, eviction and
     expiry flip a liveness bit, compaction is lazy, and the
     box-containment lookup is a single vectorized comparison.
 
@@ -60,11 +60,10 @@ _COMPACT_FLOOR = 32
 class RangeCache:
     """Expiring, capped SoA store of duty-node index entries.
 
-    With ``dims == 0`` the cache is a pure keyed set — behaviourally the
-    original PIList for ``policy="ttl"`` (same eviction order, same purge
-    boundary, same ``sample`` RNG consumption).  With ``dims > 0`` every
-    entry carries a ``[lo, hi)`` resource-range box and :meth:`lookup`
-    answers vectorized box-containment queries.
+    Every entry carries a ``[lo, hi)`` resource-range box over ``dims``
+    dimensions and :meth:`lookup` answers vectorized box-containment
+    queries.  ``policy="ttl"`` evicts and purges exactly like the PIList
+    of §III-B.
     """
 
     __slots__ = (
@@ -74,7 +73,7 @@ class RangeCache:
     )
 
     def __init__(
-        self, ttl: float, max_size: int = 64, policy: str = "ttl", dims: int = 0
+        self, ttl: float, max_size: int = 64, policy: str = "ttl", *, dims: int
     ):
         if ttl <= 0:
             raise ValueError("ttl must be positive")
@@ -84,6 +83,8 @@ class RangeCache:
             )
         if max_size < 1:
             raise ValueError("max_size must be >= 1")
+        if dims < 1:
+            raise ValueError("dims must be >= 1")
         self.ttl = float(ttl)
         self.max_size = int(max_size)
         self.policy = policy
@@ -96,13 +97,13 @@ class RangeCache:
         self._last = np.empty(0, dtype=np.float64)
         self._hits = np.empty(0, dtype=np.int64)
         self._live = np.empty(0, dtype=bool)
-        self._lo: Optional[np.ndarray] = None
-        self._hi: Optional[np.ndarray] = None
+        self._lo = np.empty((0, self.dims), dtype=np.float64)
+        self._hi = np.empty((0, self.dims), dtype=np.float64)
         self._n = 0  # rows in use (live + dead holes)
         self._dead = 0  # dead holes among the first _n rows
         #: Latest simulation time observed; ``__len__`` and
         #: ``__contains__`` expire against it so they agree with the most
-        #: recent ``entries()``/``sample()`` view (sim time is monotonic).
+        #: recent ``entries()`` view (sim time is monotonic).
         self._clock = 0.0
 
     # ------------------------------------------------------------------
@@ -119,21 +120,19 @@ class RangeCache:
         last = np.empty(capacity, dtype=np.float64)
         hits = np.zeros(capacity, dtype=np.int64)
         live = np.zeros(capacity, dtype=bool)
+        lo = np.empty((capacity, self.dims), dtype=np.float64)
+        hi = np.empty((capacity, self.dims), dtype=np.float64)
         if self._n:
             keys[: self._n] = self._keys[: self._n]
             added[: self._n] = self._added[: self._n]
             last[: self._n] = self._last[: self._n]
             hits[: self._n] = self._hits[: self._n]
             live[: self._n] = self._live[: self._n]
+            lo[: self._n] = self._lo[: self._n]
+            hi[: self._n] = self._hi[: self._n]
         self._keys, self._added, self._last = keys, added, last
         self._hits, self._live = hits, live
-        if self.dims:
-            lo = np.empty((capacity, self.dims), dtype=np.float64)
-            hi = np.empty((capacity, self.dims), dtype=np.float64)
-            if self._n:
-                lo[: self._n] = self._lo[: self._n]
-                hi[: self._n] = self._hi[: self._n]
-            self._lo, self._hi = lo, hi
+        self._lo, self._hi = lo, hi
 
     def _compact(self) -> None:
         """Squeeze out dead rows, preserving insertion order."""
@@ -144,9 +143,8 @@ class RangeCache:
             self._added[:m] = self._added[keep]
             self._last[:m] = self._last[keep]
             self._hits[:m] = self._hits[keep]
-            if self.dims:
-                self._lo[:m] = self._lo[keep]
-                self._hi[:m] = self._hi[keep]
+            self._lo[:m] = self._lo[keep]
+            self._hi[:m] = self._hi[keep]
         self._live[:m] = True
         self._live[m : self._n] = False
         self._row = {int(self._keys[row]): row for row in range(m)}
@@ -164,18 +162,12 @@ class RangeCache:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def add(
-        self,
-        key: int,
-        now: float,
-        lo: Optional[np.ndarray] = None,
-        hi: Optional[np.ndarray] = None,
-    ) -> None:
+    def add(self, key: int, now: float, lo: np.ndarray, hi: np.ndarray) -> None:
         """Insert or refresh an entry; evict per policy when over capacity.
 
-        A refresh renews the insertion stamp and (when given) the bounds
-        but keeps the hit history — re-learning a route confirms the
-        entry, it does not make it a stranger.
+        A refresh renews the insertion stamp and the bounds but keeps the
+        hit history — re-learning a route confirms the entry, it does not
+        make it a stranger.
         """
         self._observe(now)
         row = self._row.get(key)
@@ -190,9 +182,8 @@ class RangeCache:
             self._n += 1
         self._added[row] = now
         self._last[row] = now
-        if self.dims and lo is not None:
-            self._lo[row] = lo
-            self._hi[row] = hi
+        self._lo[row] = lo
+        self._hi[row] = hi
         if len(self._row) > self.max_size:
             self._evict(now)
 
@@ -255,15 +246,6 @@ class RangeCache:
         self.purge(now)
         return sorted(self._row)
 
-    def sample(self, k: int, now: float, rng: np.random.Generator) -> list[int]:
-        """Up to ``k`` distinct keys, uniformly at random (Algorithm 4
-        line 1) — draw-for-draw identical to the seed PIList."""
-        pool = self.entries(now)
-        if len(pool) <= k:
-            return pool
-        picked = rng.choice(len(pool), size=k, replace=False)
-        return [pool[i] for i in picked]
-
     def lookup(self, point: np.ndarray, now: float) -> Optional[int]:
         """The cached duty whose range box contains ``point``, or None.
 
@@ -273,8 +255,6 @@ class RangeCache:
         breaks exact-stamp ties).  A hit bumps the entry's frequency and
         recency — the signal LRU/LFU/adaptive eviction ranks by.
         """
-        if not self.dims:
-            raise ValueError("lookup requires a dims > 0 cache")
         self.purge(now)
         if not self._row:
             return None
@@ -296,7 +276,7 @@ class RangeCache:
 
     def __len__(self) -> int:
         """Live entry count as of the latest observed time (stale entries
-        are not reported, matching ``entries()``/``sample()``)."""
+        are not reported, matching ``entries()``)."""
         self.purge(self._clock)
         return len(self._row)
 
@@ -346,20 +326,15 @@ class PathCacheIndex:
         policy: str,
         size: int = 128,
         ttl: float = 1200.0,
-        dims: int = 5,
+        replication: bool = False,
         replication_threshold: int = 8,
         replication_window: float = 400.0,
     ):
-        if dims < 1:
-            raise ValueError("dims must be >= 1")
-        if replication_threshold < 1:
-            raise ValueError("replication_threshold must be >= 1")
-        if replication_window <= 0:
-            raise ValueError("replication_window must be positive")
         self.policy = policy
         self.size = int(size)
         self.ttl = float(ttl)
-        self.dims = int(dims)
+        #: Whether the protocol diffuses replicas from hot duty nodes.
+        self.replication = bool(replication)
         self.replication_threshold = int(replication_threshold)
         self.replication_window = float(replication_window)
         self.stats = CacheStats()
@@ -370,9 +345,11 @@ class PathCacheIndex:
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
-    def add_node(self, node_id: int) -> None:
+    def add_node(self, node_id: int, dims: int) -> None:
+        """Register ``node_id`` with an empty cache of ``dims``-dimensional
+        boxes (the protocol's overlay dimensionality)."""
         self._caches[node_id] = RangeCache(
-            self.ttl, self.size, policy=self.policy, dims=self.dims
+            self.ttl, self.size, policy=self.policy, dims=dims
         )
 
     def drop_node(self, node_id: int) -> None:

@@ -41,7 +41,6 @@ class ProtocolContext:
         cmax: np.ndarray,
         availability_of: Callable[[int], np.ndarray],
         is_alive: Callable[[int], bool],
-        alive_mask: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         availability_matrix_of: Optional[
             Callable[[Sequence[int]], np.ndarray]
         ] = None,
@@ -54,7 +53,6 @@ class ProtocolContext:
         self.cmax = np.asarray(cmax, dtype=np.float64)
         self.availability_of = availability_of
         self.is_alive = is_alive
-        self._alive_mask = alive_mask
         self._availability_matrix_of = availability_matrix_of
         #: Every message delivery goes through this calendar (one heap
         #: event per delivery instant); harnesses that share a calendar
@@ -64,11 +62,8 @@ class ProtocolContext:
 
     def alive_mask(self, ids: np.ndarray) -> np.ndarray:
         """Vectorized membership test over an id array (the diffusion
-        engine filters its array-backed NINode pools with it).  Harnesses
-        may wire a natively-vectorized ``alive_mask``; the default maps
+        engine filters its array-backed NINode pools with it): maps
         :attr:`is_alive` over the ids."""
-        if self._alive_mask is not None:
-            return np.asarray(self._alive_mask(ids), dtype=bool)
         return np.fromiter(
             (self.is_alive(int(i)) for i in ids), dtype=bool, count=len(ids)
         )

@@ -36,7 +36,7 @@ from repro.can.inscan import (
 )
 from repro.can.overlay import CANOverlay
 from repro.can.routing import RoutingError
-from repro.core.cache import CACHE_POLICIES, PathCacheIndex
+from repro.core.cache import PathCacheIndex
 from repro.core.context import ProtocolContext
 from repro.core.diffusion import DiffusionEngine
 from repro.core.lifecycle import LifecycleStats, QueryLifecycle, submit_batch
@@ -83,7 +83,7 @@ class DiscoveryProtocol(abc.ABC):
     name: str = "abstract"
     #: The shared requester-side query machinery; concrete protocols
     #: assign it in their constructor.
-    lifecycle: Optional[QueryLifecycle] = None
+    lifecycle: QueryLifecycle
 
     @abc.abstractmethod
     def bootstrap(self, node_ids: list[int]) -> None:
@@ -144,14 +144,15 @@ class DiscoveryProtocol(abc.ABC):
         live timeout-failure accounting hangs off
         ``lifecycle.on_expire`` instead (one ratio-tracker tick per
         expired query)."""
-        if self.lifecycle is None:
-            return LifecycleStats(0, 0, 0)
         return self.lifecycle.stats()
 
 
 @dataclass(frozen=True, slots=True)
 class PIDCANParams:
-    """All PID-CAN knobs; defaults follow §IV-A and DESIGN.md §5."""
+    """The protocol-level PID-CAN knobs; defaults follow §IV-A and
+    DESIGN.md §5.  Experiment-level knobs (path caching, quanta, churn,
+    workload) live on ``ExperimentConfig`` only — no name is declared on
+    both (``tests/experiments/test_config.py`` checks)."""
 
     diffusion_method: str = "hid"  # "hid" | "sid"
     sos: bool = False
@@ -175,44 +176,10 @@ class PIDCANParams:
     #: period, and one CohortTimer per (activity, phase) delivers each
     #: instant's members to a batched round (docs/coalescing.md).
     phase_buckets: int = 0
-    #: Store the overlay's ZoneStore and the duty-node StateCaches in
-    #: compact dtypes (float32 + int32) — see ``ExperimentConfig``; the
-    #: runner threads its flag through here.
-    compact_dtypes: bool = False
-    #: Hot-range path caching (docs/caching.md): None = off (bit-identical
-    #: to the pre-cache protocol); else one of
-    #: :data:`repro.core.cache.CACHE_POLICIES`.
-    cache_policy: Optional[str] = None
-    cache_size: int = 128
-    cache_ttl: float = 1200.0
-    #: Diffuse a hot duty node's γ to adjacent zones once its windowed
-    #: service count crosses the threshold.
-    cache_replication: bool = False
-    replication_threshold: int = 8
-    replication_window: float = 400.0
 
     def __post_init__(self) -> None:
         if self.phase_buckets < 0:
             raise ValueError(f"phase_buckets must be >= 0, got {self.phase_buckets!r}")
-        if self.cache_policy is not None and self.cache_policy not in CACHE_POLICIES:
-            raise ValueError(
-                f"cache_policy must be None or one of {CACHE_POLICIES}, "
-                f"got {self.cache_policy!r}"
-            )
-        if self.cache_ttl <= 0:
-            raise ValueError(f"cache_ttl must be positive, got {self.cache_ttl!r}")
-        if self.cache_size < 1:
-            raise ValueError(f"cache_size must be >= 1, got {self.cache_size!r}")
-        if self.replication_threshold < 1:
-            raise ValueError(
-                f"replication_threshold must be >= 1, "
-                f"got {self.replication_threshold!r}"
-            )
-        if self.replication_window <= 0:
-            raise ValueError(
-                f"replication_window must be positive, "
-                f"got {self.replication_window!r}"
-            )
 
     @property
     def overlay_dims(self) -> int:
@@ -258,12 +225,7 @@ class DutyStateProtocol(DiscoveryProtocol):
     ):
         self.ctx = ctx
         self.params = params
-        if overlay_cls is not None:
-            self.overlay = overlay_cls(overlay_dims, ctx.rng)
-        else:
-            self.overlay = CANOverlay(
-                overlay_dims, ctx.rng, compact=params.compact_dtypes
-            )
+        self.overlay = (overlay_cls or CANOverlay)(overlay_dims, ctx.rng)
         self.caches: dict[int, StateCache] = {}
         self.tables: dict[int, IndexPointerTable] = {}
         #: (activity kind, phase) -> shared CohortTimer (phase_buckets >= 1).
@@ -424,6 +386,7 @@ class PIDCANProtocol(DutyStateProtocol):
         ctx: ProtocolContext,
         params: PIDCANParams,
         overlay_cls: Optional[type] = None,
+        path_cache: Optional[PathCacheIndex] = None,
     ):
         super().__init__(ctx, params, params.overlay_dims, overlay_cls)
         self.name = _variant_name(params)
@@ -431,19 +394,10 @@ class PIDCANProtocol(DutyStateProtocol):
         self.diffusion = DiffusionEngine(
             ctx, self.tables, self.pilists, params.overlay_dims, params.L
         )
-        #: Hot-range path cache (docs/caching.md); stays None — and every
-        #: code path below a ``path_cache is None`` guard stays dead —
-        #: unless a cache policy is selected.
-        self.path_cache: Optional[PathCacheIndex] = None
-        if params.cache_policy is not None:
-            self.path_cache = PathCacheIndex(
-                params.cache_policy,
-                size=params.cache_size,
-                ttl=params.cache_ttl,
-                dims=params.overlay_dims,
-                replication_threshold=params.replication_threshold,
-                replication_window=params.replication_window,
-            )
+        #: Hot-range path cache (docs/caching.md), built by the caller;
+        #: None — and every code path below a ``path_cache is None`` guard
+        #: stays dead — when caching is off.
+        self.path_cache = path_cache
         self.queries = QueryEngine(
             ctx, self.overlay, self.tables, self.caches, self.pilists,
             params.query_params(), cache=self.path_cache,
@@ -480,12 +434,10 @@ class PIDCANProtocol(DutyStateProtocol):
         self._disarm(node_id)
 
     def _init_node_state(self, node_id: int) -> None:
-        self.caches[node_id] = StateCache(
-            self.params.state_ttl, compact=self.params.compact_dtypes
-        )
+        self.caches[node_id] = StateCache(self.params.state_ttl)
         self.pilists[node_id] = PIList(self.params.pilist_ttl, self.params.pilist_max)
         if self.path_cache is not None:
-            self.path_cache.add_node(node_id)
+            self.path_cache.add_node(node_id, self.params.overlay_dims)
 
     # ------------------------------------------------------------------
     # periodic activities: state update (inherited), diffusion, tables
@@ -528,7 +480,7 @@ class PIDCANProtocol(DutyStateProtocol):
         its PIList pool and pushes the merged partition to its adjacent
         zones."""
         path_cache = self.path_cache
-        if path_cache is None or not self.params.cache_replication:
+        if path_cache is None or not path_cache.replication:
             return
         if path_cache.take_hot(node_id, self.ctx.sim.now):
             node = self.overlay.nodes.get(node_id)
@@ -598,6 +550,7 @@ def make_protocol(
     ctx: ProtocolContext,
     params: PIDCANParams | None = None,
     overlay_cls: Optional[type] = None,
+    path_cache: Optional[PathCacheIndex] = None,
     **baseline_kwargs,
 ) -> DiscoveryProtocol:
     """Build any evaluated protocol by its paper name.
@@ -608,7 +561,9 @@ def make_protocol(
     ``overlay_cls`` swaps the CAN substrate on every CAN-routing protocol
     (ignored by the overlay-less newscast/mercury) — tests inject the
     scalar :class:`repro.testing.ReferenceCANOverlay` to cross-check the
-    vectorized geometry end to end.
+    vectorized geometry end to end.  ``path_cache`` is the hot-range
+    :class:`PathCacheIndex` (docs/caching.md) the PID-CAN variants route
+    through; the baselines have no path cache and ignore it.
     """
     base = params or PIDCANParams()
     key = name.lower()
@@ -620,6 +575,7 @@ def make_protocol(
             replace(base, diffusion_method=method,
                     sos="+sos" in key, vd="+vd" in key),
             overlay_cls=overlay_cls,
+            path_cache=path_cache,
         )
     if key == "newscast":
         from repro.baselines.newscast import NewscastProtocol

@@ -55,28 +55,19 @@ class StateCache:
     """
 
     __slots__ = (
-        "ttl", "compact", "_float", "_int", "_pos", "_recs", "_owners",
-        "_ts", "_matrix", "_live", "_n", "_dead", "_oldest",
+        "ttl", "_pos", "_recs", "_owners", "_ts", "_matrix", "_live",
+        "_n", "_dead", "_oldest",
     )
 
-    def __init__(self, ttl: float, compact: bool = False):
+    def __init__(self, ttl: float):
         if ttl <= 0:
             raise ValueError("ttl must be positive")
         self.ttl = float(ttl)
-        #: ``compact`` stores the availability matrix in float32 and
-        #: owners in int32, halving the dominant storage.  The dominance
-        #: screen then runs in float32 precision (availabilities span a
-        #: few hundred units — well within float32's 24-bit mantissa, and
-        #: the records themselves keep their exact float64 vectors); the
-        #: default float64 path is byte-for-byte the legacy one.
-        self.compact = compact
-        self._float = np.float32 if compact else np.float64
-        self._int = np.int32 if compact else np.int64
         self._pos: dict[int, int] = {}  # owner -> row index
         self._recs: list[Optional[StateRecord]] = []  # row -> record (None = dead)
-        self._owners = np.empty(0, dtype=self._int)
+        self._owners = np.empty(0, dtype=np.int64)
         self._ts = np.empty(0, dtype=np.float64)
-        self._matrix: Optional[np.ndarray] = None  # (capacity, d) values
+        self._matrix: Optional[np.ndarray] = None  # (capacity, d) float64
         self._live = np.empty(0, dtype=bool)
         self._n = 0  # rows in use (live + dead holes)
         self._dead = 0  # dead holes among the first _n rows
@@ -90,8 +81,8 @@ class StateCache:
     # ------------------------------------------------------------------
     def _grow(self, dims: int, extra: int = 1) -> None:
         capacity = max(_MIN_CAPACITY, 2 * self._n, self._n + extra)
-        matrix = np.empty((capacity, dims), dtype=self._float)
-        owners = np.empty(capacity, dtype=self._int)
+        matrix = np.empty((capacity, dims), dtype=np.float64)
+        owners = np.empty(capacity, dtype=np.int64)
         ts = np.empty(capacity, dtype=np.float64)
         live = np.zeros(capacity, dtype=bool)
         if self._n:

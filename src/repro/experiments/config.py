@@ -46,7 +46,11 @@ def env_scale(default: str = "small") -> str:
 
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
-    """Everything one SOC simulation run needs."""
+    """The experiment-level knobs of one SOC simulation run: population,
+    workload, scheduling policy, churn, coalescing quanta, path caching
+    and environment.  Protocol-level knobs live on ``pidcan``
+    (:class:`~repro.core.protocol.PIDCANParams`) and network ones on
+    ``network`` — every knob is declared on exactly one of the three."""
 
     # population / horizon ---------------------------------------------
     n_nodes: int = 400
@@ -72,8 +76,6 @@ class ExperimentConfig:
     admission: str = "none"  # "none" | "strict"
     local_first: bool = False
     selection_policy: str = "best-fit"
-    placement_retries: int = 2
-    query_failsafe_timeout: float = 180.0
 
     # churn (Fig. 8) -----------------------------------------------------
     churn_degree: float = 0.0  # fraction of nodes churning per lifetime
@@ -105,24 +107,13 @@ class ExperimentConfig:
     #: stays deterministic but adds bounded latency per message — the
     #: delivery-side twin of ``arrival_quantum``.
     delivery_quantum: float = 0.0
-    #: Soft ceiling on the SoA storage of the host engine + overlay
-    #: geometry; a periodic sweep trims slack capacity when exceeded
-    #: (None = never trim).  Semantics-preserving at any value.
-    memory_budget_mb: float | None = None
-    #: How often the memory sweep checks the footprint.
-    memory_sweep_period: float = 600.0
-    #: Store overlay geometry, duty caches and host-engine state in
-    #: compact dtypes (float32 values, int32 ids) to halve the SoA memory
-    #: ceiling.  Zone bounds are dyadic rationals so the overlay stays
-    #: bit-identical; cache/engine float32 state is approximate — default
-    #: off keeps today's float64 path byte-for-byte.
-    compact_dtypes: bool = False
 
     # hot-range path caching + replication (docs/caching.md) -------------
     #: None = cache off (bit-identical to the pre-cache protocol, pinned
     #: by equivalence tests); else one of
     #: :data:`repro.core.cache.CACHE_POLICIES` ("ttl", "lru", "lfu",
-    #: "adaptive").  The runner threads these knobs into ``pidcan``.
+    #: "adaptive").  The runner builds the protocol's
+    #: :class:`~repro.core.cache.PathCacheIndex` from these six fields.
     cache_policy: str | None = None
     cache_size: int = 128
     cache_ttl: float = 1200.0
@@ -138,7 +129,6 @@ class ExperimentConfig:
     #: Zipf(s)-distributed popularity and bounded-Pareto range widths.
     zipf_s: float = 0.0
     hot_ranges: int = 64
-    range_width_alpha: float = 1.5
 
     # environment ---------------------------------------------------------
     network: NetworkParams = field(default_factory=NetworkParams)
@@ -164,10 +154,6 @@ class ExperimentConfig:
             raise ValueError("arrival_quantum must be >= 0")
         if self.delivery_quantum < 0.0:
             raise ValueError("delivery_quantum must be >= 0")
-        if self.memory_budget_mb is not None and self.memory_budget_mb <= 0:
-            raise ValueError("memory_budget_mb must be positive (or None)")
-        if self.memory_sweep_period <= 0:
-            raise ValueError("memory_sweep_period must be positive")
         if self.cache_policy is not None:
             from repro.core.cache import CACHE_POLICIES
 
@@ -188,8 +174,6 @@ class ExperimentConfig:
             raise ValueError("zipf_s must be >= 0")
         if self.hot_ranges < 1:
             raise ValueError("hot_ranges must be >= 1")
-        if self.range_width_alpha <= 0:
-            raise ValueError("range_width_alpha must be positive")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -238,20 +222,53 @@ def config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
 
 
 def _migrate_retired_fields(data: dict[str, Any]) -> None:
-    """Read documents written before the dual event paths were collapsed.
+    """Read documents written before fields left the config surface.
 
     ``coalesce_arrivals`` and ``pidcan.tick_mode`` selected between
     result-identical paths and are dropped.  ``coalesce_deliveries=False``
     meant per-message scheduling, which the calendar reproduces exactly
     only at quantum 0 — so a stored quantum that was never in effect is
     zeroed rather than switched on.
+
+    The knobs retired by measurement (docs/coalescing.md) each became one
+    fixed value: a document storing exactly that value still describes the
+    same run and the key is dropped; any other value names a run this code
+    can no longer reproduce and raises.  The memory sweep never changed a
+    result at any setting, so its two keys are dropped whatever they hold.
     """
     data.pop("coalesce_arrivals", None)
     if not data.pop("coalesce_deliveries", True):
         data["delivery_quantum"] = 0.0
+    data.pop("memory_budget_mb", None)
+    data.pop("memory_sweep_period", None)
+    became = {
+        "compact_dtypes": False,
+        "query_failsafe_timeout": 180.0,
+        "placement_retries": 2,
+        "range_width_alpha": 1.5,
+    }
+    pidcan_became = {
+        "compact_dtypes": False,
+        "cache_policy": None,
+        "cache_size": 128,
+        "cache_ttl": 1200.0,
+        "cache_replication": False,
+        "replication_threshold": 8,
+        "replication_window": 400.0,
+    }
+    sections = [("", data, became)]
     pidcan = data.get("pidcan")
     if isinstance(pidcan, Mapping):
-        data["pidcan"] = {k: v for k, v in pidcan.items() if k != "tick_mode"}
+        pidcan = data["pidcan"] = dict(pidcan)
+        pidcan.pop("tick_mode", None)
+        sections.append(("pidcan.", pidcan, pidcan_became))
+    for prefix, section, retired in sections:
+        for name, value in retired.items():
+            if name in section and section.pop(name) != value:
+                raise ValueError(
+                    f"config field {prefix}{name} was retired as the fixed "
+                    f"value {value!r}; the stored value cannot be honoured"
+                )
 
 
 def config_from_dict(doc: Mapping[str, Any]) -> ExperimentConfig:

@@ -24,7 +24,7 @@ placement) is the ablation alternative.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -42,6 +42,7 @@ from repro.cloud.resources import dominates
 from repro.cloud.tasks import N_WORK_DIMS, Task, TaskFactory
 from repro.cloud.workload import PoissonWorkload, SkewedTaskFactory
 from repro.core.aggregation import gossip_aggregate
+from repro.core.cache import PathCacheIndex
 from repro.core.context import ProtocolContext
 from repro.core.protocol import make_protocol
 from repro.core.selection import select_record
@@ -64,6 +65,10 @@ __all__ = ["SOCSimulation", "SimulationResult", "HostNode", "run_config"]
 
 #: Task dispatch ships input data, not just control traffic (64 KB).
 PLACEMENT_MSG_BITS = 8 * 64 * 1024
+
+#: How many further candidates a task tries after its chosen host turns
+#: the placement down (dead, or full under ``admission="strict"``).
+PLACEMENT_RETRIES = 2
 
 
 @dataclass(slots=True)
@@ -197,10 +202,7 @@ class SOCSimulation:
         self.balance = PlacementBalance()
         self.latency = QueryLatency()
         self.tracer = Tracer(enabled=config.trace_tasks)
-        self.engine = (
-            HostEngine(compact=config.compact_dtypes) if engine is None
-            else engine
-        )
+        self.engine = HostEngine() if engine is None else engine
         #: Every message (protocol traffic and task placements) reaches
         #: its handler through this calendar: one heap event per delivery
         #: instant, exact at quantum 0 (docs/coalescing.md).
@@ -249,27 +251,30 @@ class SOCSimulation:
             availability_matrix_of=self._availability_matrix_of,
             delivery=self.delivery,
         )
-        pidcan = config.pidcan
-        if config.compact_dtypes:
-            pidcan = replace(pidcan, compact_dtypes=True)
+        path_cache = None
         if config.cache_policy is not None:
-            pidcan = replace(
-                pidcan,
-                cache_policy=config.cache_policy,
-                cache_size=config.cache_size,
-                cache_ttl=config.cache_ttl,
-                cache_replication=config.cache_replication,
+            path_cache = PathCacheIndex(
+                config.cache_policy,
+                size=config.cache_size,
+                ttl=config.cache_ttl,
+                replication=config.cache_replication,
                 replication_threshold=config.replication_threshold,
                 replication_window=config.replication_window,
             )
         self.protocol = make_protocol(
-            config.protocol, self.ctx, pidcan,
-            overlay_cls=overlay_cls, **config.protocol_kwargs
+            config.protocol, self.ctx, config.pidcan, overlay_cls=overlay_cls,
+            path_cache=path_cache, **config.protocol_kwargs
         )
-        if self.protocol.lifecycle is not None:
-            # Timeout-failure accounting: each query resolved by the
-            # protocol's failsafe (chain lost to churn) counts exactly once.
-            self.protocol.lifecycle.on_expire = lambda rt: self.ratios.on_query_timeout()
+        lifecycle = getattr(self.protocol, "lifecycle", None)
+        if lifecycle is None:
+            # The lifecycle's timeout is the only thing that resolves a
+            # query whose chain churn swallowed; without one tasks leak.
+            raise TypeError(
+                f"protocol {config.protocol!r} owns no QueryLifecycle"
+            )
+        # Timeout-failure accounting: each query resolved by the
+        # lifecycle's timeout (chain lost to churn) counts exactly once.
+        lifecycle.on_expire = lambda rt: self.ratios.on_query_timeout()
         self.protocol.bootstrap(sorted(self._alive))
 
         # --- workload ---------------------------------------------------
@@ -283,7 +288,6 @@ class SOCSimulation:
                 config.mean_nominal_time,
                 zipf_s=config.zipf_s,
                 hot_ranges=config.hot_ranges,
-                width_alpha=config.range_width_alpha,
             )
         else:
             self.factory = TaskFactory(
@@ -319,10 +323,6 @@ class SOCSimulation:
         if config.checkpoint_enabled:
             self.checkpoints = CheckpointStore()
             self.sim.periodic(config.checkpoint_period, self._checkpoint_tick)
-
-        # --- memory budget (docs/coalescing.md) ---------------------------
-        if config.memory_budget_mb is not None:
-            self.sim.periodic(config.memory_sweep_period, self._memory_sweep)
 
         # --- metrics ---------------------------------------------------------
         self.collector = MetricsCollector(
@@ -390,44 +390,25 @@ class SOCSimulation:
     # task lifecycle
     # ------------------------------------------------------------------
     def _dispatch_query(self, task: Task, on_records) -> None:
-        """Run ``task``'s range query with the requester-side failsafe.
+        """Run ``task``'s range query (first submission and checkpoint
+        recovery alike).
 
-        The single home of the timeout convention shared by first
-        submission and checkpoint recovery: a protocol chain lost to churn
-        must not leak the task, so a failsafe fires with an empty result
-        after ``query_failsafe_timeout`` unless the protocol answered
-        first; whichever fires second is a no-op.
+        There is one requester-side timeout and it lives in the
+        protocol's :class:`~repro.core.lifecycle.QueryLifecycle`: a chain
+        lost to churn resolves there with an empty result, exactly once,
+        so ``on_records`` needs no second timer here.
 
         With quantized arrivals (``arrival_quantum > 0``) many queries
         share an instant, so the query is buffered instead and every query
         of the instant goes to the protocol as one ``submit_bulk`` batch —
-        same submission instant, same failsafes, same per-query callbacks,
-        so results are event-identical to direct dispatch.  Un-quantized
-        Poisson arrivals never share an instant and dispatch directly.
+        same submission instant, same per-query callbacks, so results are
+        event-identical to direct dispatch.  Un-quantized Poisson arrivals
+        never share an instant and dispatch directly.
         """
         if self.config.arrival_quantum > 0:
             self._enqueue_query(task, on_records)
             return
-        self.protocol.submit_query(
-            task.expectation, task.origin, self._failsafe_wrap(on_records)
-        )
-
-    def _failsafe_wrap(self, on_records):
-        """Arm the runner-side failsafe and return the exactly-once
-        callback that races it against the protocol's own resolution."""
-        done = {"fired": False}
-
-        def on_result(records: list[StateRecord], messages: int) -> None:
-            if done["fired"]:
-                return
-            done["fired"] = True
-            failsafe.cancel()
-            on_records(records, messages)
-
-        failsafe = self.sim.schedule(
-            self.config.query_failsafe_timeout, on_result, [], 0
-        )
-        return on_result
+        self.protocol.submit_query(task.expectation, task.origin, on_records)
 
     def _enqueue_query(self, task: Task, on_records) -> None:
         if not self._arrival_buffer:
@@ -439,11 +420,10 @@ class SOCSimulation:
 
     def _flush_arrivals(self) -> None:
         batch, self._arrival_buffer = self._arrival_buffer, []
-        items = [
-            (task.expectation, task.origin, self._failsafe_wrap(on_records))
+        self.protocol.submit_bulk([
+            (task.expectation, task.origin, on_records)
             for task, on_records in batch
-        ]
-        self.protocol.submit_bulk(items)
+        ])
 
     def _submit_task(self, task: Task) -> None:
         self.ratios.on_generated()
@@ -477,7 +457,7 @@ class SOCSimulation:
             candidates=len({r.owner for r in records}),
             messages=task.query_messages,
         )
-        self._try_place(task, list(records), self.config.placement_retries)
+        self._try_place(task, list(records), PLACEMENT_RETRIES)
 
     def _try_place(
         self, task: Task, records: list[StateRecord], retries_left: int
@@ -613,37 +593,6 @@ class SOCSimulation:
             self._on_query_result(task, records)
 
         self._dispatch_query(task, on_records)
-
-    # ------------------------------------------------------------------
-    # memory budget
-    # ------------------------------------------------------------------
-    def _memory_stores(self) -> list:
-        """The trimmable SoA substrates: the host engine plus the CAN
-        overlay's zone geometry when the protocol has one (overlay-less
-        protocols and the scalar reference substrates are skipped)."""
-        stores = []
-        if hasattr(self.engine, "footprint_bytes"):
-            stores.append(self.engine)
-        geometry = getattr(
-            getattr(self.protocol, "overlay", None), "geometry", None
-        )
-        if geometry is not None and hasattr(geometry, "footprint_bytes"):
-            stores.append(geometry)
-        return stores
-
-    def _memory_sweep(self) -> None:
-        """Trim slack SoA capacity when the footprint exceeds the budget.
-
-        Trimming compacts dead rows and releases spare array capacity —
-        strictly semantics-preserving, so the sweep may fire (or not) at
-        any cadence without changing a single metric.
-        """
-        stores = self._memory_stores()
-        budget = self.config.memory_budget_mb * 1024 * 1024
-        if sum(store.footprint_bytes() for store in stores) <= budget:
-            return
-        for store in stores:
-            store.trim()
 
     # ------------------------------------------------------------------
     # churn (Fig. 8)

@@ -35,7 +35,6 @@ __all__ = [
     "MEGA_POPULATIONS",
     "MEGA_DURATIONS",
     "MEGA2_POPULATIONS",
-    "MEGA2_DURATIONS",
     "scalability_populations",
 ]
 
@@ -94,8 +93,9 @@ MEGA_POPULATIONS: dict[str, int] = {
     "tiny": 4_000,
 }
 
-#: Horizon per scale of the ``mega`` tier: short (tens of state rounds),
-#: because the point is round throughput at scale, not day-long series.
+#: Horizon per scale of the ``mega`` and ``mega2`` tiers: short (tens of
+#: state rounds), because the point is round throughput at scale, not
+#: day-long series.
 MEGA_DURATIONS: dict[str, float] = {
     "paper": 1800.0,
     "small": 1500.0,
@@ -103,19 +103,11 @@ MEGA_DURATIONS: dict[str, float] = {
 }
 
 #: Population per scale of the ``mega2`` tier: the next rung toward 10^6
-#: nodes, reachable only with compact dtypes on top of mega's levers —
-#: 3x10^5 nodes at ``paper``.
+#: nodes under mega's levers and horizons — 3x10^5 nodes at ``paper``.
 MEGA2_POPULATIONS: dict[str, int] = {
     "paper": 300_000,
     "small": 40_000,
     "tiny": 8_000,
-}
-
-#: Horizon per scale of the ``mega2`` tier (same rationale as mega).
-MEGA2_DURATIONS: dict[str, float] = {
-    "paper": 1800.0,
-    "small": 1500.0,
-    "tiny": 1200.0,
 }
 
 
@@ -321,9 +313,8 @@ def mega_configs(
     scale: str = "small", seed: int = 42, **overrides: Any
 ) -> dict[str, ExperimentConfig]:
     """The coalesced 10^5-node tier (docs/coalescing.md): HID-CAN at
-    λ=0.5 with cohort ticking, quantized (hence batched) arrivals, a
-    0.1 s delivery quantum and a memory budget — every batching lever on
-    at once.
+    λ=0.5 with cohort ticking, quantized (hence batched) arrivals and a
+    0.1 s delivery quantum — every batching lever on at once.
 
     Populations/horizons come from :data:`MEGA_POPULATIONS` /
     :data:`MEGA_DURATIONS` rather than the figure scales: ``paper`` is
@@ -342,8 +333,6 @@ def mega_configs(
         "pidcan": PIDCANParams(phase_buckets=16),
         "arrival_quantum": 1.0,
         "delivery_quantum": 0.1,
-        "memory_budget_mb": 768.0,
-        "memory_sweep_period": 300.0,
         "sample_period": 300.0,
         **overrides,
     }
@@ -354,22 +343,18 @@ def mega_configs(
 def mega2_configs(
     scale: str = "small", seed: int = 42, **overrides: Any
 ) -> dict[str, ExperimentConfig]:
-    """The 3x10^5-node tier: every mega lever plus compact (float32/int32)
-    state arrays, pushing the same short-horizon HID-CAN cell toward 10^6
-    nodes.  Populations come from :data:`MEGA2_POPULATIONS`; overrides
-    apply verbatim, so smokes can shrink a cell.
+    """The 3x10^5-node tier: the :func:`mega_configs` cell — same levers,
+    same short horizons — over :data:`MEGA2_POPULATIONS`, three times the
+    population on the way to 10^6 nodes.  Overrides apply verbatim, so
+    smokes can shrink a cell.
     """
     if scale not in MEGA2_POPULATIONS:
         raise ValueError(
             f"unknown scale {scale!r}; expected {sorted(MEGA2_POPULATIONS)}"
         )
-    params: dict[str, Any] = {
-        "n_nodes": MEGA2_POPULATIONS[scale],
-        "duration": MEGA2_DURATIONS[scale],
-        "compact_dtypes": True,
-        **overrides,
-    }
-    return mega_configs(scale, seed=seed, **params)
+    return mega_configs(
+        scale, seed=seed, **{"n_nodes": MEGA2_POPULATIONS[scale], **overrides}
+    )
 
 
 #: Scenario name → config-grid builder (labels follow the paper's curves).

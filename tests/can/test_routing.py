@@ -93,31 +93,3 @@ def test_max_hops_enforced():
     overlay = make_overlay(64, 2, seed=1)
     with pytest.raises(RoutingError):
         greedy_path(overlay, 0, np.array([0.99, 0.99]), max_hops=1)
-
-
-def test_extra_links_keep_routing_correct():
-    # Arbitrary extra links (even a single global hub) may detour greedy
-    # routing but must never break termination or correctness.
-    overlay = make_overlay(128, 2, seed=3)
-    hub = overlay.node_ids()[0]
-
-    def extra(node_id):
-        return [hub]
-
-    rng = np.random.default_rng(8)
-    for _ in range(30):
-        start = int(rng.integers(128))
-        p = rng.uniform(0, 1, 2)
-        linked = greedy_path(overlay, start, p, extra_links=extra)
-        assert overlay.nodes[linked[-1]].zone.contains(p)
-
-
-def test_stale_extra_links_skipped():
-    overlay = make_overlay(32, 2, seed=3)
-
-    def extra(node_id):
-        return [99999]  # dead id — must be ignored, not crash
-
-    p = np.array([0.9, 0.9])
-    path = greedy_path(overlay, 0, p, extra_links=extra)
-    assert overlay.nodes[path[-1]].zone.contains(p)

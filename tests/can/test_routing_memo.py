@@ -299,21 +299,6 @@ def test_nan_coordinate_never_hits(rig):
     assert pool.route_misses == 7
 
 
-def test_callback_links_bypass_the_memo(rig):
-    overlay, tables = rig
-    start, point, path = _longest_route(overlay, tables)
-    pools_before = {k: (p.route_hits, p.route_misses, dict(p.routes))
-                    for k, p in overlay._route_pools.items()}
-
-    def links(node_id):
-        return tables[node_id].all_links()
-
-    for _ in range(2):
-        assert greedy_path(overlay, start, point, extra_links=links) == path
-    assert {k: (p.route_hits, p.route_misses, dict(p.routes))
-            for k, p in overlay._route_pools.items()} == pools_before
-
-
 def test_refreshed_table_on_the_route_forces_a_fresh_computation(rig):
     overlay, tables = rig
     start, point, path = _longest_route(overlay, tables)

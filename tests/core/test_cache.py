@@ -17,33 +17,33 @@ def box(lo, hi, dims=2):
     return np.full(dims, lo, dtype=float), np.full(dims, hi, dtype=float)
 
 
+#: The PIList pins only care about keys and stamps; every entry gets the
+#: same one-dimensional dummy box.
+DUMMY = box(0.0, 1.0, dims=1)
+
+
 # ----------------------------------------------------------------------
 # randomized lockstep: RangeCache TTL policy == seed PIList
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_ttl_policy_lockstep_with_reference_pilist(seed):
     rng = np.random.default_rng(seed)
-    soa = RangeCache(ttl=50.0, max_size=8, policy="ttl")
+    soa = RangeCache(ttl=50.0, max_size=8, policy="ttl", dims=1)
     ref = ReferencePIList(ttl=50.0, max_size=8)
     now = 0.0
     for _ in range(600):
         now += float(rng.exponential(3.0))
-        op = rng.integers(6)
+        op = rng.integers(5)
         key = int(rng.integers(24))
         if op <= 2:  # adds dominate, forcing evictions
-            soa.add(key, now)
+            soa.add(key, now, *DUMMY)
             ref.add(key, now)
         elif op == 3:
             soa.discard(key)
             ref.discard(key)
-        elif op == 4:
+        else:
             soa.purge(now)
             ref.purge(now)
-        else:
-            r1 = np.random.default_rng(int(rng.integers(1 << 30)))
-            r2 = np.random.default_rng(r1.bit_generator.state["state"]["state"])
-            r2.bit_generator.state = r1.bit_generator.state
-            assert soa.sample(3, now, r1) == ref.sample(3, now, r2)
         assert soa.entries(now) == ref.entries(now)
         assert len(soa) == len(ref)
         assert (key in soa) == (key in ref)
@@ -52,22 +52,21 @@ def test_ttl_policy_lockstep_with_reference_pilist(seed):
 def test_ttl_eviction_ignores_purgeable_entries_like_seed():
     # The seed evicts by raw insertion stamp without purging first; a
     # stale entry is therefore the preferred victim.
-    soa = RangeCache(ttl=10.0, max_size=2, policy="ttl")
+    soa = RangeCache(ttl=10.0, max_size=2, policy="ttl", dims=1)
     ref = ReferencePIList(ttl=10.0, max_size=2)
-    for cache in (soa, ref):
-        cache.add(1, now=0.0)
-        cache.add(2, now=100.0)
-        cache.add(3, now=101.0)  # over capacity: stale 1 evicted, not 2
+    for key, now in ((1, 0.0), (2, 100.0), (3, 101.0)):
+        soa.add(key, now, *DUMMY)
+        ref.add(key, now)  # 3 goes over capacity: stale 1 evicted, not 2
     assert soa.entries(now=101.0) == ref.entries(now=101.0) == [2, 3]
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        RangeCache(ttl=0.0)
+        RangeCache(ttl=0.0, dims=2)
     with pytest.raises(ValueError):
-        RangeCache(ttl=1.0, policy="mru")
+        RangeCache(ttl=1.0, policy="mru", dims=2)
     with pytest.raises(ValueError):
-        RangeCache(ttl=1.0, max_size=0)
+        RangeCache(ttl=1.0, max_size=0, dims=2)
     assert set(CACHE_POLICIES) == {"ttl", "lru", "lfu", "adaptive"}
 
 
@@ -159,8 +158,11 @@ def test_refresh_keeps_hit_history():
 # box-containment lookup
 # ----------------------------------------------------------------------
 def test_lookup_requires_dims():
-    with pytest.raises(ValueError):
-        RangeCache(ttl=10.0).lookup(np.zeros(2), now=0.0)
+    # A box-less cache cannot be built, so every lookup has boxes to test.
+    with pytest.raises(ValueError, match="dims"):
+        RangeCache(ttl=10.0, dims=0)
+    with pytest.raises(TypeError, match="dims"):
+        RangeCache(ttl=10.0)
 
 
 def test_lookup_containment_half_open():
@@ -218,9 +220,9 @@ def test_compaction_preserves_entries_and_boxes():
 # PathCacheIndex: registry, invalidation, heat window
 # ----------------------------------------------------------------------
 def test_index_registry_and_store():
-    index = PathCacheIndex("lru", size=8, ttl=100.0, dims=2)
-    index.add_node(1)
-    index.add_node(2)
+    index = PathCacheIndex("lru", size=8, ttl=100.0)
+    index.add_node(1, dims=2)
+    index.add_node(2, dims=2)
     assert len(index) == 2
     lo, hi = np.zeros(2), np.ones(2)
     index.store(1, 9, lo, hi, now=0.0)
@@ -237,7 +239,7 @@ def test_index_registry_and_store():
 
 def test_heat_threshold_triggers_once():
     index = PathCacheIndex(
-        "lru", dims=2, replication_threshold=3, replication_window=100.0
+        "lru", replication_threshold=3, replication_window=100.0
     )
     for t in (0.0, 1.0):
         index.record_service(5, t)
@@ -251,7 +253,7 @@ def test_heat_threshold_triggers_once():
 
 def test_heat_window_spans_two_buckets():
     index = PathCacheIndex(
-        "lru", dims=2, replication_threshold=4, replication_window=100.0
+        "lru", replication_threshold=4, replication_window=100.0
     )
     for t in (10.0, 20.0):
         index.record_service(5, t)
@@ -264,7 +266,7 @@ def test_heat_window_spans_two_buckets():
 
 def test_heat_ages_out_after_two_windows():
     index = PathCacheIndex(
-        "lru", dims=2, replication_threshold=3, replication_window=100.0
+        "lru", replication_threshold=3, replication_window=100.0
     )
     for t in (0.0, 1.0, 2.0):
         index.record_service(5, t)

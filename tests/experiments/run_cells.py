@@ -7,8 +7,10 @@ cached hot-range cell.
 
 The digests were recorded from the commit before the last-route memo
 and the tuple heap entries (PR 15), so they state what "a host-only
-change leaves the model bit-identical" means.  To re-record after an
-*intended* model change::
+change leaves the model bit-identical" means (PR 17 lowered
+``events_processed`` of the two ``hid-can-batched`` cells by 3, by hand:
+the retired memory sweep's no-op ticks at t = 300, 600, 900).  To
+re-record after an *intended* model change::
 
     PYTHONPATH=src python -c "from tests.experiments.run_cells import record; record()"
 """

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -145,4 +146,78 @@ def test_config_from_dict_reads_documents_from_before_the_paths_collapsed():
 
     doc["pidcan"]["tick_style"] = "cohort"
     with pytest.raises(TypeError, match="tick_style"):
+        config_from_dict(doc)
+
+
+# ----------------------------------------------------------------------
+# the config surface: one home per knob, and it cannot regrow unnoticed
+# ----------------------------------------------------------------------
+def test_no_knob_is_declared_twice():
+    names = [
+        f.name
+        for cls in (ExperimentConfig, PIDCANParams, NetworkParams)
+        for f in dataclasses.fields(cls)
+    ]
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []
+
+
+def test_field_counts_only_grow_by_editing_this_test():
+    assert len(dataclasses.fields(ExperimentConfig)) <= 32
+    assert len(dataclasses.fields(PIDCANParams)) <= 17
+
+
+#: ``run.config`` of the committed cell
+#: ``mega-tiny-seed1-hid-can-3abd3e47301e.json`` as of commit bf13c2e, the
+#: last one before the measured-away knobs were retired.
+PARENT_CELL_CONFIG = json.loads(
+    '{"admission": "none", "arrival_quantum": 1.0, "burst_factor": 1.0, '
+    '"cache_policy": null, "cache_replication": false, "cache_size": 128, '
+    '"cache_ttl": 1200.0, "checkpoint_enabled": false, "checkpoint_period": '
+    '600.0, "churn_degree": 0.0, "churn_kills_tasks": false, "churn_lifetime": '
+    '3000.0, "cmax_mode": "exact", "compact_dtypes": false, "delivery_quantum": '
+    '0.1, "demand_ratio": 0.5, "duration": 1200.0, "hot_ranges": 64, '
+    '"local_first": false, "mean_interarrival": 3000.0, "mean_nominal_time": '
+    '3000.0, "memory_budget_mb": 768.0, "memory_sweep_period": 300.0, '
+    '"n_nodes": 4000, "network": {"lan_bw_mbps_hi": 10.0, "lan_bw_mbps_lo": '
+    '5.0, "lan_latency_s": 0.005, "lan_size": 20, "wan_bw_mbps_hi": 2.0, '
+    '"wan_bw_mbps_lo": 0.2, "wan_latency_s": 0.2}, "pidcan": {"L": 2, '
+    '"cache_policy": null, "cache_replication": false, "cache_size": 128, '
+    '"cache_ttl": 1200.0, "check_duty_cache": true, "compact_dtypes": false, '
+    '"delta": 3, "diffusion_method": "hid", "diffusion_period": 400.0, '
+    '"jump_list_size": 5, "phase_buckets": 16, "pilist_max": 64, "pilist_ttl": '
+    '1200.0, "query_timeout": 60.0, "replication_threshold": 8, '
+    '"replication_window": 400.0, "resource_dims": 5, "sos": false, "sos_bias": '
+    '1.0, "state_period": 400.0, "state_ttl": 600.0, "table_refresh_period": '
+    '3600.0, "vd": false}, "placement_retries": 2, "protocol": "hid-can", '
+    '"protocol_kwargs": {}, "query_failsafe_timeout": 180.0, '
+    '"range_width_alpha": 1.5, "replication_threshold": 8, '
+    '"replication_window": 400.0, "sample_period": 300.0, "seed": 1, '
+    '"selection_policy": "best-fit", "trace_tasks": false, "zipf_s": 0.0}'
+)
+
+
+def test_config_from_dict_reads_a_cell_from_before_the_knobs_were_retired():
+    cells = Path(__file__).parents[2] / "artifacts" / "BENCH_campaign_tiny" / "cells"
+    (regenerated,) = cells.glob("mega-tiny-seed1-hid-can-*.json")
+    today = json.loads(regenerated.read_text())["run"]["config"]
+    assert config_to_dict(config_from_dict(PARENT_CELL_CONFIG)) == today
+    # The memory sweep changed no result at any setting: always droppable.
+    swept = dict(PARENT_CELL_CONFIG, memory_budget_mb=0.001, memory_sweep_period=1.0)
+    assert config_to_dict(config_from_dict(swept)) == today
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        (None, "compact_dtypes", True),
+        (None, "query_failsafe_timeout", 30),
+        ("pidcan", "cache_policy", "lru"),
+    ],
+)
+def test_config_from_dict_refuses_a_retired_knob_it_cannot_honour(
+    section, field, value
+):
+    doc = json.loads(json.dumps(PARENT_CELL_CONFIG))
+    (doc[section] if section else doc)[field] = value
+    with pytest.raises(ValueError, match=field):
         config_from_dict(doc)

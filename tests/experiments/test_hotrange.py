@@ -11,7 +11,6 @@ survive the multi-seed / persistence aggregation seams.
 
 from dataclasses import replace
 
-from repro.core.protocol import PIDCANParams
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.multiseed import run_seeds, stats_from_metric_docs
 from repro.experiments.reporting import summary_table
@@ -180,14 +179,6 @@ def test_cache_metrics_survive_multiseed_aggregation():
     legacy = [{k: v for k, v in doc.items() if not k.startswith("cache")}
               for doc in docs]
     assert "cache_hit_ratio" not in stats_from_metric_docs(legacy)
-
-
-def test_compact_dtypes_compose_with_cache():
-    config = _hot("lru", n_nodes=80, duration=900.0, sample_period=300.0,
-                  compact_dtypes=True,
-                  pidcan=PIDCANParams(phase_buckets=16))
-    res = _run(config)
-    assert res.cache_lookups > 0
 
 
 def test_hotrange_overrides_win():

@@ -58,24 +58,24 @@ def test_mega_configs_enable_every_coalescing_lever():
     assert cfg.protocol == "hid-can"
     assert cfg.pidcan.phase_buckets == 16
     assert cfg.arrival_quantum == 1.0
-    assert cfg.memory_budget_mb == 768.0
     shrunk = mega_configs(scale="tiny", seed=7, n_nodes=64, duration=600.0)
     assert shrunk["hid-can"].n_nodes == 64
     assert shrunk["hid-can"].duration == 600.0
     assert cfg.delivery_quantum == 0.1
-    assert not cfg.compact_dtypes
     with pytest.raises(ValueError, match="unknown scale"):
         mega_configs(scale="huge")
 
 
-def test_mega2_configs_add_compact_dtypes():
-    from repro.experiments.scenarios import MEGA2_POPULATIONS, mega2_configs
+def test_mega2_configs_are_mega_over_larger_populations():
+    from repro.experiments.scenarios import (
+        MEGA2_POPULATIONS, mega2_configs, mega_configs,
+    )
 
     cfg = mega2_configs(scale="tiny", seed=7)["hid-can"]
     assert cfg.n_nodes == MEGA2_POPULATIONS["tiny"]
-    assert cfg.compact_dtypes
-    assert cfg.delivery_quantum > 0 and cfg.arrival_quantum > 0
-    assert cfg.pidcan.phase_buckets >= 1
+    assert cfg == mega_configs(
+        scale="tiny", seed=7, n_nodes=MEGA2_POPULATIONS["tiny"]
+    )["hid-can"]
     shrunk = mega2_configs(scale="tiny", seed=7, n_nodes=96, duration=600.0)
     assert shrunk["hid-can"].n_nodes == 96
     with pytest.raises(ValueError, match="unknown scale"):

@@ -9,8 +9,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
@@ -46,7 +44,6 @@ def test_range_query_cost():
     assert len(lines) == 4
 
 
-@pytest.mark.slow
 def test_fault_tolerance():
     out = run_example("fault_tolerance.py")
     assert "tasks recovered" in out

@@ -133,14 +133,14 @@ def test_mega_scenario_smoke():
 
 
 def test_mega2_scenario_smoke():
-    """The mega2 tier (compact dtypes on top of every mega lever) runs
-    end-to-end at toy size."""
+    """The mega2 tier (every mega lever, three times the population)
+    runs end-to-end at toy size."""
     from repro.experiments.scenarios import run_scenario
 
     results = run_scenario("mega2", scale="tiny", seed=1,
                            n_nodes=96, duration=600.0)
     result = results["hid-can"]
-    assert result.config.compact_dtypes
+    assert result.config.pidcan.phase_buckets >= 1
     assert result.config.delivery_quantum > 0
     assert result.generated > 0
 
