@@ -14,8 +14,10 @@ keep it linear (``docs/architecture.md``, "Cell construction"):
 
 CPU seconds (``time.process_time``), best of three per size.  The
 per-phase split of the larger cell is recorded in ``extra_info``: each
-phase timed on its own with the cell's parameters, "timers and the rest"
-(state caches, cohort timers, workload arming) as the remainder.
+phase timed on its own with the cell's parameters and the collector
+paused, as the cell builds it; "timers and the rest" (state caches,
+cohort timers, workload arming, the closing collection) as the
+remainder.
 """
 
 import gc
@@ -50,7 +52,8 @@ def _best_of_3(benchmark, fn) -> float:
 
 def _phase_split(cfg, setup_s: float) -> dict[str, float]:
     """CPU seconds per construction phase at ``cfg``'s size, each phase
-    run on its own."""
+    run on its own with the collector paused, as ``SOCSimulation`` runs
+    it (the closing collection lands in the remainder)."""
     n = cfg.n_nodes
     network = NetworkModel(cfg.network, np.random.default_rng(1))
     overlay = CANOverlay(cfg.pidcan.overlay_dims, np.random.default_rng(2))
@@ -64,13 +67,17 @@ def _phase_split(cfg, setup_s: float) -> dict[str, float]:
         for node_id in range(n):
             build_index_table(overlay, node_id, table_rng)
 
-    phases = {"network_s": _cpu(add_nodes)}
-    bandwidths = [network.node_bandwidth_mbps(i) for i in range(n)]
-    phases["machines_s"] = _cpu(
-        lambda: sample_machines(np.random.default_rng(4), bandwidths)
-    )
-    phases["overlay_bootstrap_s"] = _cpu(lambda: overlay.bootstrap(range(n)))
-    phases["table_build_s"] = _cpu(build_tables)
+    gc.disable()
+    try:
+        phases = {"network_s": _cpu(add_nodes)}
+        bandwidths = [network.node_bandwidth_mbps(i) for i in range(n)]
+        phases["machines_s"] = _cpu(
+            lambda: sample_machines(np.random.default_rng(4), bandwidths)
+        )
+        phases["overlay_bootstrap_s"] = _cpu(lambda: overlay.bootstrap(range(n)))
+        phases["table_build_s"] = _cpu(build_tables)
+    finally:
+        gc.enable()
     phases["timers_and_rest_s"] = max(0.0, setup_s - sum(phases.values()))
     return {name: round(seconds, 3) for name, seconds in phases.items()}
 

@@ -35,8 +35,9 @@ def max_pointer_exponent(n_nodes: int, dims: int) -> int:
     """``⌊log2 n^(1/d)⌋`` — the paper's bound on the pointer exponent k."""
     if n_nodes < 2:
         return 0
-    per_dim = n_nodes ** (1.0 / dims)
-    return max(0, int(np.floor(np.log2(per_dim))))
+    # 2^k <= n^(1/d)  <=>  2^(k*d) <= n: integers, so exact where the float
+    # root falls short (64 ** (1/3) = 3.9999999999999996).
+    return (n_nodes.bit_length() - 1) // dims
 
 
 class IndexPointerTable:
@@ -111,46 +112,17 @@ def build_index_table(
     rng: np.random.Generator,
     max_exponent: Optional[int] = None,
 ) -> IndexPointerTable:
-    """Build the pointer table for ``node_id`` by randomized directional
-    walks; the walk length is charged as ``build_messages``."""
+    """Build the pointer table for ``node_id``: one randomized walk of
+    ``2^max_exponent`` hops per direction, all of them inside one call of
+    :meth:`~repro.can.overlay.CANOverlay.pointer_walks` (no call per
+    hop); the hops walked are charged as ``build_messages``."""
     if max_exponent is None:
         max_exponent = max_pointer_exponent(len(overlay), overlay.dims)
     table = IndexPointerTable(node_id)
-    for dim in range(overlay.dims):
-        for sign in (+1, -1):
-            chain: list[int] = []
-            current = node_id
-            target_hops = 1 << max_exponent
-            hop = 0
-            while hop < target_hops:
-                nxt = _step_directional(overlay, current, dim, sign, rng)
-                if nxt is None:
-                    break  # reached the edge of the CAN space
-                hop += 1
-                table.build_messages += 1
-                current = nxt
-                if hop == (1 << len(chain)):
-                    chain.append(current)
-            if chain:
-                table.links[(dim, sign)] = chain
+    table.links, table.build_messages = overlay.pointer_walks(
+        node_id, 1 << max_exponent, rng
+    )
     return table
-
-
-def _step_directional(
-    overlay: CANOverlay,
-    node_id: int,
-    dim: int,
-    sign: int,
-    rng: np.random.Generator,
-) -> Optional[int]:
-    """One randomized hop across the ``(dim, sign)`` face, or None at the
-    space edge."""
-    candidates = overlay.directional_neighbors(node_id, dim, sign)
-    if not candidates:
-        return None
-    if len(candidates) == 1:
-        return candidates[0]
-    return int(candidates[int(rng.integers(len(candidates)))])
 
 
 def inscan_path(

@@ -20,13 +20,14 @@ authoritative :class:`~repro.can.zone.Zone` objects (split history,
 takeover), while :class:`~repro.can.geometry.ZoneStore` mirrors every
 live zone's bounds in SoA matrices so routing and rebinding evaluate
 whole candidate sets as array ops.  Every leaf-binding change syncs the
-store row; rebinding classifies every candidate neighborhood a zone
-change touches with one row-paired adjacency call (both halves of a
-split, absorber and mover of a takeover) and caches each edge's
-``(dim, sign)`` on both endpoints.  ``directional_neighbors`` — the hot
-inner step of the INSCAN directional walks — reads the node's neighbors
-bucketed by face, rebuilt lazily after the node's edges changed (see
-``docs/can_geometry.md``, "Face buckets").
+store row and every edge caches its ``(dim, sign)`` on both endpoints.
+A join hands the owner's edges out to the two halves from those cached
+directions alone (``docs/can_geometry.md``, "Structural split"); a
+leave's takeover classifies the candidate neighborhoods of absorber and
+mover with one row-paired adjacency call.  ``directional_neighbors`` and
+``pointer_walks`` — the INSCAN table build — read the node's
+neighbors bucketed by face, rebuilt lazily after the node's edges
+changed ("Face buckets", same document).
 """
 
 from __future__ import annotations
@@ -44,7 +45,13 @@ __all__ = ["CANOverlay"]
 
 
 class CANOverlay:
-    """A complete, consistent CAN overlay over ``[0,1]^dims``."""
+    """A complete, consistent CAN overlay over ``[0,1]^dims``.
+
+    ``join`` rewires by structure (:meth:`_split_neighbors`: the cached
+    edge directions and two tuple reads per neighbor, no ``ZoneStore``
+    query), ``leave`` by geometry (:meth:`_rebind_neighbors`); both leave
+    ``neighbors``, ``directions`` and ``face_buckets`` of every node
+    they touch consistent."""
 
     #: Subclasses that recompute adjacency per call (the scalar reference
     #: oracle) set this False so invariants skip the direction cache.
@@ -112,6 +119,39 @@ class CANOverlay:
             by_face[2 * dim + (sign < 0)].append(m)
         return tuple(map(tuple, by_face))
 
+    def pointer_walks(
+        self, node_id: int, max_hops: int, rng: np.random.Generator
+    ) -> tuple[dict[tuple[int, int], list[int]], int]:
+        """One randomized walk from ``node_id`` per direction — a random
+        neighbor across the ``(dim, sign)`` face each hop, ``max_hops``
+        hops or to the edge of the space: ``({(dim, sign): the nodes
+        reached after 1, 2, 4, ... hops}, hops made in all)``.
+
+        Each walk is one loop over the face buckets (a stale one rebuilt
+        as ``directional_neighbors`` would), and a hop draws from ``rng``
+        only when it has more than one candidate."""
+        nodes, links, total = self.nodes, {}, 0
+        for code, (face, _) in enumerate(self._faces):
+            chain, hops, mark, current = [], 0, 1, node_id
+            while hops < max_hops:
+                node = nodes[current]
+                buckets = node.face_buckets
+                if buckets is None:
+                    buckets = node.face_buckets = self._bucket_by_face(node.directions)
+                candidates = buckets[code]
+                if not candidates:
+                    break
+                n = len(candidates)
+                current = candidates[int(rng.integers(n))] if n > 1 else candidates[0]
+                hops += 1
+                if hops == mark:
+                    chain.append(current)
+                    mark <<= 1
+            if chain:
+                links[face] = chain
+                total += hops
+        return links, total
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
@@ -140,7 +180,6 @@ class CANOverlay:
         owner_leaf = self.tree.find_leaf(p)
         owner_id = owner_leaf.owner
         owner = self.nodes[owner_id]
-        old_neighbors = set(owner.neighbors)
 
         kept_leaf, new_leaf = self.tree.split(owner_id, node_id, p)
         owner.leaf = kept_leaf
@@ -148,13 +187,49 @@ class CANOverlay:
         self.nodes[node_id] = new_node
         self.geometry.update(owner_id, kept_leaf.zone)
         self.geometry.add(node_id, new_leaf.zone)
-
-        # Rebind adjacency among {owner, joiner} ∪ previous neighborhood.
-        self._rebind_neighbors(
-            (owner_id, old_neighbors | {node_id}),
-            (node_id, old_neighbors | {owner_id}),
-        )
+        self._split_neighbors(owner, new_node)
         return new_node
+
+    def _split_neighbors(self, owner: OverlayNode, joiner: OverlayNode) -> None:
+        """Hand the owner's edges out to the two halves of its zone, just
+        split along ``k`` at ``mid`` — by structure, no geometry call: a
+        neighbor across face ``k`` touches only the half on its side,
+        one across any other face each half its ``k``-interval overlaps
+        (exact on dyadic bounds), and its direction does not change.  An
+        edge the owner keeps is not touched, so that neighbor's face
+        buckets stay valid unless it gains the joiner as well."""
+        branch = joiner.leaf.parent
+        k, joiner_high = branch.dim, branch.high is joiner.leaf
+        mid = branch.high.zone._lo[k]
+        nodes, owner_id, joiner_id = self.nodes, owner.node_id, joiner.node_id
+        for cand_id, face in list(owner.directions.items()):
+            cand = nodes[cand_id]
+            if face[0] == k:
+                low = face[1] < 0
+                high = not low
+            else:
+                zone = cand.leaf.zone
+                low, high = zone._lo[k] < mid, zone._hi[k] > mid
+            to_joiner, to_owner = (high, low) if joiner_high else (low, high)
+            if to_joiner and to_owner:
+                cand.directions[joiner_id] = cand.directions[owner_id]
+            elif to_joiner:
+                cand.directions[joiner_id] = cand.directions.pop(owner_id)
+                cand.neighbors.discard(owner_id)
+                owner.neighbors.discard(cand_id)
+                del owner.directions[cand_id]
+            else:
+                continue
+            cand.neighbors.add(joiner_id)
+            cand.face_buckets = None
+            joiner.neighbors.add(cand_id)
+            joiner.directions[cand_id] = face
+        face, back = self._faces[2 * k + (not joiner_high)]
+        owner.neighbors.add(joiner_id)
+        owner.directions[joiner_id] = face
+        owner.face_buckets = None
+        joiner.neighbors.add(owner_id)
+        joiner.directions[owner_id] = back
 
     # ------------------------------------------------------------------
     # departure

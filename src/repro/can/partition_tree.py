@@ -93,11 +93,12 @@ class PartitionTree:
     def find_leaf(self, point: np.ndarray) -> TreeLeaf:
         """Descend to the leaf whose zone contains ``point``."""
         node = self.root
+        coords = point.tolist()  # plain floats: same comparisons, no boxing
         while isinstance(node, TreeBranch):
             # The high child starts at the split midpoint on node.dim.
-            mid = node.high.zone.lo[node.dim]
-            node = node.high if point[node.dim] >= mid else node.low
-        if not node.zone.contains(point):
+            dim, high = node.dim, node.high
+            node = high if coords[dim] >= high.zone._lo[dim] else node.low
+        if not node.zone.contains(coords):
             raise AssertionError(f"tree descent missed point {point}")
         return node
 
@@ -132,7 +133,7 @@ class PartitionTree:
         branch = TreeBranch(
             zone=leaf.zone, dim=split_dim, depth=leaf.depth, parent=leaf.parent
         )
-        new_in_high = point[split_dim] >= high_zone.lo[split_dim]
+        new_in_high = point[split_dim] >= high_zone._lo[split_dim]
         low_owner = owner if new_in_high else new_owner
         high_owner = new_owner if new_in_high else owner
         low_leaf = TreeLeaf(low_zone, low_owner, leaf.depth + 1, branch)

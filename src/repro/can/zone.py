@@ -119,13 +119,23 @@ class Zone:
     # splitting
     # ------------------------------------------------------------------
     def split(self, dim: int) -> tuple["Zone", "Zone"]:
-        """Halve along ``dim``; returns (low half, high half)."""
-        mid = (self.lo[dim] + self.hi[dim]) / 2.0
-        lo_hi = self.hi.copy()
-        lo_hi[dim] = mid
-        hi_lo = self.lo.copy()
-        hi_lo[dim] = mid
-        return Zone(self.lo, lo_hi), Zone(hi_lo, self.hi)
+        """Halve along ``dim``; returns (low half, high half).
+
+        The halves skip the validating constructor: this zone passed it
+        and only coordinate ``dim`` of one bound per half is new, so the
+        one check left is that the midpoint lies strictly inside.  The
+        unchanged bound shares this zone's read-only array and tuple."""
+        lo, hi = self._lo, self._hi
+        mid = (lo[dim] + hi[dim]) / 2.0
+        if not lo[dim] < mid < hi[dim]:
+            raise ValueError(
+                f"degenerate zone lo={self.lo} hi={self.hi}: no midpoint on {dim}"
+            )
+        low, high = Zone.__new__(Zone), Zone.__new__(Zone)
+        low.lo, low._lo, high.hi, high._hi = self.lo, lo, self.hi, hi
+        low.hi, low._hi = _moved(self.hi, hi, dim, mid)
+        high.lo, high._lo = _moved(self.lo, lo, dim, mid)
+        return low, high
 
     def merged_with(self, other: "Zone") -> "Zone":
         """The union box; only valid for sibling halves of a split."""
@@ -158,6 +168,15 @@ class Zone:
             f"[{l:g},{h:g})" for l, h in zip(self.lo, self.hi)
         )
         return f"Zone({parts})"
+
+
+def _moved(bound: np.ndarray, mirror: tuple, dim: int, mid: float):
+    """Read-only copy of ``bound``, and its tuple mirror, with coordinate
+    ``dim`` at ``mid``."""
+    moved = bound.copy()
+    moved[dim] = mid
+    moved.flags.writeable = False
+    return moved, mirror[:dim] + (mid,) + mirror[dim + 1:]
 
 
 def adjacency_direction(a: Zone, b: Zone) -> Optional[tuple[int, int]]:

@@ -23,6 +23,7 @@ placement) is the ablation alternative.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -193,6 +194,23 @@ class SOCSimulation:
     """
 
     def __init__(self, config: ExperimentConfig, engine=None, overlay_cls=None):
+        """Construct the whole cell with the cyclic collector paused:
+        building allocates hundreds of thousands of objects and frees
+        none, so every automatic pass would walk a heap that holds no
+        garbage.  The collector's state is restored as found, also when
+        construction raises; one explicit young-generation collection
+        then promotes the new objects here, in set-up, instead of
+        leaving that to the first passes of the run."""
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self._build(config, engine, overlay_cls)
+        finally:
+            if collecting:
+                gc.enable()
+        gc.collect(1)
+
+    def _build(self, config: ExperimentConfig, engine, overlay_cls) -> None:
         self.config = config
         self.rngs = RngRegistry(config.seed)
         self.sim = Simulator()

@@ -21,8 +21,9 @@ vectorized hot paths, verbatim, as equivalence oracles:
   fleet of them), against :class:`repro.cloud.engine.HostEngine`;
 - :class:`ReferenceZone` / :func:`reference_adjacency_direction` /
   :class:`ReferenceCANOverlay` / :func:`reference_greedy_path` — the
-  per-object scalar CAN geometry, per-call adjacency recomputation and
-  per-candidate greedy routing loop, against
+  per-object scalar CAN geometry, per-call adjacency recomputation
+  (joins rebound geometrically, pointer tables walked one call per
+  hop) and per-candidate greedy routing loop, against
   :class:`repro.can.geometry.ZoneStore`-backed batched routing (see
   ``docs/can_geometry.md``; :func:`assert_overlays_equivalent` drives
   randomized join/leave/route/diffuse schedules against both);
@@ -666,7 +667,8 @@ def reference_is_negative_direction_of(b, a) -> bool:
 class ReferenceCANOverlay(CANOverlay):
     """Scalar oracle overlay: identical membership/tree mechanics, but
     adjacency is recomputed per call and per candidate with the verbatim
-    scalar predicate — no batched geometry, no cached edge directions.
+    scalar predicate — no batched geometry, no cached edge directions,
+    hence no structural split and no bucket-reading table walk either.
     Routed with :func:`reference_greedy_path` it reproduces the seed's
     behaviour end to end; the lockstep equivalence suites drive it next
     to the vectorized :class:`~repro.can.overlay.CANOverlay`."""
@@ -684,6 +686,38 @@ class ReferenceCANOverlay(CANOverlay):
                 out.append(m)
         return tuple(sorted(out))
 
+    def pointer_walks(self, node_id, max_hops, rng):
+        """The seed's table walk, verbatim: one :func:`_step_directional`
+        call (and one ``directional_neighbors`` under it) per hop."""
+        links: dict[tuple[int, int], list[int]] = {}
+        build_messages = 0
+        for dim in range(self.dims):
+            for sign in (+1, -1):
+                chain: list[int] = []
+                current = node_id
+                hop = 0
+                while hop < max_hops:
+                    nxt = _step_directional(self, current, dim, sign, rng)
+                    if nxt is None:
+                        break  # reached the edge of the CAN space
+                    hop += 1
+                    build_messages += 1
+                    current = nxt
+                    if hop == (1 << len(chain)):
+                        chain.append(current)
+                if chain:
+                    links[(dim, sign)] = chain
+        return links, build_messages
+
+    def _split_neighbors(self, owner, joiner) -> None:
+        """No cached directions to classify a split by: rebind both halves
+        over {owner, joiner} ∪ the previous neighborhood geometrically."""
+        old = set(owner.neighbors)
+        self._rebind_neighbors(
+            (owner.node_id, old | {joiner.node_id}),
+            (joiner.node_id, old | {owner.node_id}),
+        )
+
     def _rebind_neighbors(self, *rebinds: tuple[int, set[int]]) -> None:
         for node_id, candidates in rebinds:
             node = self.nodes[node_id]
@@ -699,6 +733,24 @@ class ReferenceCANOverlay(CANOverlay):
                 else:
                     node.neighbors.discard(cand_id)
                     cand.neighbors.discard(node_id)
+
+
+def _step_directional(
+    overlay: CANOverlay,
+    node_id: int,
+    dim: int,
+    sign: int,
+    rng: np.random.Generator,
+) -> Optional[int]:
+    """One randomized hop across the ``(dim, sign)`` face, or None at the
+    space edge (the seed's per-step form of the pointer-table walk,
+    verbatim)."""
+    candidates = overlay.directional_neighbors(node_id, dim, sign)
+    if not candidates:
+        return None
+    if len(candidates) == 1:
+        return candidates[0]
+    return int(candidates[int(rng.integers(len(candidates)))])
 
 
 def reference_greedy_path(

@@ -10,6 +10,7 @@ from repro.can.inscan import (
 )
 from repro.can.routing import greedy_path
 from repro.can.zone import adjacency_direction
+from repro.testing import ReferenceCANOverlay
 from tests.conftest import make_overlay
 
 
@@ -148,3 +149,46 @@ def test_build_messages_charged():
     table = build_index_table(overlay, overlay.node_ids()[5], np.random.default_rng(0))
     walked = sum(len(c) for c in table.links.values())
     assert table.build_messages >= walked  # walks at least as far as chains
+
+
+@pytest.mark.parametrize("dims", range(1, 9))
+def test_max_pointer_exponent_is_exact_on_perfect_powers(dims):
+    """k = ⌊log2 n^(1/d)⌋ is the largest k with (2^k)^d <= n; the float
+    root fell one short at 64 ** (1/3) = 3.9999999999999996."""
+    for k in range(1, 8):
+        n = (2 ** k) ** dims
+        assert max_pointer_exponent(n, dims) == k
+        assert max_pointer_exponent(n - 1, dims) == k - 1
+
+
+def test_loop_local_walk_equals_the_per_step_walk_draw_for_draw():
+    """Tables built by ``CANOverlay.pointer_walks`` against the seed's
+    one-call-per-hop walk on the scalar reference overlay: same links,
+    same charge, and the generator left at the same stream position —
+    on a fresh overlay and after churn has left face buckets stale."""
+    vec = make_overlay(500, 5, seed=21)
+    ref = ReferenceCANOverlay(5, np.random.default_rng(21))
+    ref.bootstrap(range(500))
+    churn = np.random.default_rng(22)
+
+    def compare_tables(seed):
+        vec_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for node_id in sorted(vec.nodes):
+            got = build_index_table(vec, node_id, vec_rng)
+            want = build_index_table(ref, node_id, ref_rng)
+            assert list(got.links.items()) == list(want.links.items())
+            assert got.build_messages == want.build_messages
+        assert vec_rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+
+    compare_tables(23)
+    for step in range(60):
+        ids = sorted(vec.nodes)
+        victim = ids[int(churn.integers(len(ids)))]
+        point = churn.uniform(0, 1, 5)
+        for overlay in (vec, ref):
+            overlay.leave(victim)
+            overlay.join(500 + step, point)
+    stale = sum(node.face_buckets is None for node in vec.nodes.values())
+    assert stale > 60  # rebuilt mid-walk below
+    compare_tables(24)
+    assert all(node.face_buckets is not None for node in vec.nodes.values())

@@ -151,3 +151,43 @@ def test_zone_equality_and_hash():
     c = zone([0.0, 0.0], [0.25, 1.0])
     assert a == b and hash(a) == hash(b)
     assert a != c
+
+
+# ----------------------------------------------------------------------
+# split builds its halves without the validating constructor
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("dims", [1, 2, 3, 5, 6])
+def test_split_halves_equal_validated_construction_field_by_field(dims):
+    rng = np.random.default_rng(dims)
+    parent = Zone.unit(dims)
+    for _ in range(40):  # a random dyadic zone per step, 40 levels deep
+        dim = int(rng.integers(dims))
+        mid = (parent.lo[dim] + parent.hi[dim]) / 2.0
+        low_hi, high_lo = parent.hi.copy(), parent.lo.copy()
+        low_hi[dim] = high_lo[dim] = mid
+        halves = parent.split(dim)
+        for got, want in zip(
+            halves, (Zone(parent.lo, low_hi), Zone(high_lo, parent.hi))
+        ):
+            for name in ("lo", "hi"):
+                field = getattr(got, name)
+                assert field.dtype == np.float64 and not field.flags.writeable
+                assert field.tolist() == getattr(want, name).tolist()
+                with pytest.raises(ValueError):
+                    field[0] = 0.5
+            assert got._lo == want._lo and got._hi == want._hi
+            assert all(type(v) is float for v in got._lo + got._hi)
+            assert got == want and hash(got) == hash(want)
+        # the bound a half did not move is the parent's own
+        assert halves[0].lo is parent.lo and halves[0]._lo is parent._lo
+        assert halves[1].hi is parent.hi and halves[1]._hi is parent._hi
+        parent = halves[int(rng.integers(2))]
+
+
+def test_split_of_a_zone_one_ulp_wide_is_refused():
+    lo = np.array([0.25, 0.5])
+    hi = np.array([0.5, np.nextafter(0.5, 1.0)])
+    thin = Zone(lo, hi)
+    assert thin.split(0)[0].hi[0] == 0.375  # the wide dimension still halves
+    with pytest.raises(ValueError, match="degenerate zone"):
+        thin.split(1)

@@ -5,6 +5,8 @@ placement, PSM execution, completion — for every protocol, plus churn,
 admission policies and determinism.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -289,3 +291,55 @@ def test_overlay_matches_reference_under_churn():
         **{**MICRO, "protocol": "sid-can", "churn_degree": 0.5}
     )
     _cross_check_overlay(cfg)
+
+
+# ----------------------------------------------------------------------
+# the collector sits construction out
+# ----------------------------------------------------------------------
+@pytest.fixture
+def gc_passes():
+    """Generations of the collector passes that start while the fixture
+    is live; the collector's enabled state is restored afterwards."""
+    passes: list[int] = []
+
+    def on_pass(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.callbacks.append(on_pass)
+    try:
+        yield passes
+    finally:
+        gc.callbacks.remove(on_pass)
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_construction_pauses_the_collector_and_restores_it(gc_passes, enabled):
+    (gc.enable if enabled else gc.disable)()
+    # 400 nodes allocate far past the young-generation threshold.
+    SOCSimulation(ExperimentConfig(**{**MICRO, "n_nodes": 400}))
+    assert gc.isenabled() is enabled
+    # No automatic pass while building, one explicit one to close.
+    assert gc_passes == [1]
+
+
+def test_collector_state_is_restored_when_construction_raises(
+    gc_passes, monkeypatch
+):
+    from repro.core.protocol import PIDCANProtocol
+
+    original = PIDCANProtocol.__init__
+
+    def forgetful(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        self.lifecycle = None
+
+    monkeypatch.setattr(PIDCANProtocol, "__init__", forgetful)
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(TypeError, match="QueryLifecycle"):
+            SOCSimulation(ExperimentConfig(**MICRO))
+        assert gc.isenabled() is enabled
+    assert gc_passes == []
