@@ -1,8 +1,8 @@
 """Old-vs-new benchmark of the CAN routing substrate.
 
-Compares the vectorized :mod:`repro.can.routing` over the SoA
-:class:`~repro.can.geometry.ZoneStore` against the seed's scalar
-per-candidate forwarding loop (kept verbatim behind
+Compares the vectorized :mod:`repro.can.routing` over the overlay's
+id-indexed bounds rows against the seed's scalar per-candidate
+forwarding loop (kept verbatim behind
 :func:`repro.testing.reference_greedy_path` /
 ``reference_inscan_path``) at the paper's d=5, on the two operations
 that dominate CAN wall clock at 10⁴ nodes (ROADMAP: greedy routing +

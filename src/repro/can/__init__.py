@@ -10,14 +10,14 @@ The key space is *not* toroidal: the paper's backward index diffusion
 propagates "until reaching the edge of the CAN space", so directions are
 meaningful and absolute.
 
-Zone geometry is served twice: authoritative :class:`Zone` objects hang
-off the partition tree, while the overlay's :class:`ZoneStore` mirrors
-every live zone in SoA matrices so routing and neighbor rebinding run as
-batched array operations (see ``docs/can_geometry.md``).
+Authoritative :class:`Zone` objects hang off the partition tree; the
+overlay also keeps every zone's bounds in two arrays indexed by node id,
+which is what routing gathers its candidate blocks from, and rewires
+joins and leaves from cached edge directions alone (see
+``docs/can_geometry.md``).
 """
 
 from repro.can.zone import Zone, adjacency_direction, is_negative_direction_of
-from repro.can.geometry import ZoneStore
 from repro.can.partition_tree import PartitionTree, TreeLeaf
 from repro.can.node import OverlayNode
 from repro.can.overlay import CANOverlay
@@ -31,7 +31,6 @@ from repro.can.inscan import (
 
 __all__ = [
     "Zone",
-    "ZoneStore",
     "adjacency_direction",
     "is_negative_direction_of",
     "PartitionTree",

@@ -48,19 +48,18 @@ class IndexPointerTable:
     churn; routing skips dead ids and the table is refreshed periodically.
     """
 
-    __slots__ = ("node_id", "links", "build_messages", "_neg_pools",
-                 "_neg_tuples", "_all_links")
+    __slots__ = ("node_id", "links", "build_messages", "_neg_tuples",
+                 "_all_links")
 
     def __init__(self, node_id: int):
         self.node_id = node_id
         self.links: dict[tuple[int, int], list[int]] = {}
         #: directional-walk steps spent building the table (traffic charge)
         self.build_messages = 0
-        #: lazily-built ``dim -> int64 array`` / tuple mirrors of the
-        #: negative pointer chains (the diffusion engine's NINode pools)
-        #: and the concatenation of every chain (routing's extra hop
-        #: candidates); a table is immutable once built, so none goes stale.
-        self._neg_pools: dict[int, np.ndarray] = {}
+        #: lazily-built ``dim -> tuple`` mirrors of the negative pointer
+        #: chains (the diffusion engine's NINode pools) and the
+        #: concatenation of every chain (routing's extra hop candidates);
+        #: a table is immutable once built, so neither goes stale.
         self._neg_tuples: dict[int, tuple[int, ...]] = {}
         self._all_links: Optional[tuple[int, ...]] = None
 
@@ -85,20 +84,10 @@ class IndexPointerTable:
         2^0 link, otherwise odd distances would be unreachable."""
         return self.pointers(dim, -1)[min_exponent:]
 
-    def negative_pool(self, dim: int) -> np.ndarray:
-        """The NINode chain along ``dim`` as an int64 array (chain order
-        preserved) — the array-backed pool the diffusion engine filters
-        with vectorized liveness/exclusion masks."""
-        pool = self._neg_pools.get(dim)
-        if pool is None:
-            pool = np.asarray(self.pointers(dim, -1), dtype=np.int64)
-            self._neg_pools[dim] = pool
-        return pool
-
     def negative_pool_tuple(self, dim: int) -> tuple[int, ...]:
-        """The same chain as a cached tuple of ints — the scalar-filter
-        view the diffusion engine uses below its vectorization cutover
-        (avoids the per-call list slice of ``negative_index_nodes``)."""
+        """The NINode chain along ``dim`` as a cached tuple of ints, chain
+        order preserved — what the diffusion engine filters (avoids the
+        per-call list slice of ``negative_index_nodes``)."""
         pool = self._neg_tuples.get(dim)
         if pool is None:
             pool = tuple(self.pointers(dim, -1))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.can.zone import Zone, adjacency_direction
+from repro.can.zone import Zone
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.can.partition_tree import TreeLeaf
@@ -46,10 +46,6 @@ class OverlayNode:
     @property
     def zone(self) -> Zone:
         return self.leaf.zone
-
-    def neighbor_direction(self, other: "OverlayNode") -> Optional[tuple[int, int]]:
-        """``(dim, sign)`` of the shared face, or None if not adjacent."""
-        return adjacency_direction(self.zone, other.zone)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OverlayNode({self.node_id}, {self.zone}, deg={len(self.neighbors)})"

@@ -5,29 +5,30 @@ zone halves its zone along the canonical (depth-cycling) dimension and hands
 the half containing P to the joiner.  Departures run the partition-tree
 takeover (see :mod:`repro.can.partition_tree`).
 
-Neighbor maintenance is *local*: when a zone changes, only nodes that were
-adjacent to the affected zones can gain or lose adjacency, because
+Neighbor maintenance is *local* and needs no zone compared with another,
+because
 - a split half is contained in the split zone,
 - a merged zone is exactly the union of its two halves, and
-- a relocated owner takes over an existing zone verbatim.
+- a relocated owner takes over an existing zone verbatim,
 
-So recomputing adjacency over the union of the old neighborhoods is
-complete.  ``check_invariants`` cross-checks this against a brute-force
-recomputation in the tests.
+so who touches whom after a join or a leave follows from the tree and
+the ``(dim, sign)`` every edge caches on both endpoints: a join hands
+the owner's edges out to the two halves (``docs/can_geometry.md``,
+"Structural split"), a leave lets the absorber — and the mover, in the
+handoff case — inherit the edges of the zone it took over ("Structural
+takeover").  ``check_invariants`` cross-checks both against a
+brute-force recomputation in the tests.
 
-Geometry lives twice, on purpose: the partition tree keeps the
-authoritative :class:`~repro.can.zone.Zone` objects (split history,
-takeover), while :class:`~repro.can.geometry.ZoneStore` mirrors every
-live zone's bounds in SoA matrices so routing and rebinding evaluate
-whole candidate sets as array ops.  Every leaf-binding change syncs the
-store row and every edge caches its ``(dim, sign)`` on both endpoints.
-A join hands the owner's edges out to the two halves from those cached
-directions alone (``docs/can_geometry.md``, "Structural split"); a
-leave's takeover classifies the candidate neighborhoods of absorber and
-mover with one row-paired adjacency call.  ``directional_neighbors`` and
-``pointer_walks`` — the INSCAN table build — read the node's
-neighbors bucketed by face, rebuilt lazily after the node's edges
-changed ("Face buckets", same document).
+Zone bounds are kept once per way they are read: the partition tree has
+the authoritative :class:`~repro.can.zone.Zone` objects (split history,
+takeover), and the overlay two ``(capacity, d)`` arrays ``lo``/``hi``
+whose row ``i`` is node ``i``'s zone, so routing gathers the bounds of a
+whole candidate set in one index ("Bounds rows").
+:meth:`CANOverlay._bind` is the only writer of a node's leaf and of its
+row; a departed id's row goes stale and is never read.
+``directional_neighbors`` and ``pointer_walks`` — the INSCAN table
+build — read the node's neighbors bucketed by face, rebuilt lazily
+after the node's edges changed ("Face buckets", same document).
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.can.geometry import ZoneStore
 from repro.can.node import OverlayNode
-from repro.can.partition_tree import PartitionTree, TakeoverPlan
+from repro.can.partition_tree import PartitionTree, TakeoverPlan, TreeLeaf
 from repro.can.zone import adjacency_direction
 
 __all__ = ["CANOverlay"]
@@ -47,11 +47,10 @@ __all__ = ["CANOverlay"]
 class CANOverlay:
     """A complete, consistent CAN overlay over ``[0,1]^dims``.
 
-    ``join`` rewires by structure (:meth:`_split_neighbors`: the cached
-    edge directions and two tuple reads per neighbor, no ``ZoneStore``
-    query), ``leave`` by geometry (:meth:`_rebind_neighbors`); both leave
-    ``neighbors``, ``directions`` and ``face_buckets`` of every node
-    they touch consistent."""
+    ``join`` and ``leave`` rewire by structure (:meth:`_split_neighbors`,
+    :meth:`_takeover`: the cached edge directions, no geometry call);
+    both leave ``neighbors``, ``directions`` and ``face_buckets`` of
+    every node they touch consistent."""
 
     #: Subclasses that recompute adjacency per call (the scalar reference
     #: oracle) set this False so invariants skip the direction cache.
@@ -64,8 +63,13 @@ class CANOverlay:
         self._rng = rng
         self.nodes: dict[int, OverlayNode] = {}
         self.tree: Optional[PartitionTree] = None
-        #: SoA mirror of all live zones, kept in sync by join/leave.
-        self.geometry = ZoneStore(dims)
+        #: Zone bounds by node id: row ``i`` is node ``i``'s zone, written
+        #: by :meth:`_bind` only; rows of departed ids are stale.
+        self.lo = np.empty((8, dims), dtype=np.float64)
+        self.hi = np.empty((8, dims), dtype=np.float64)
+        #: Bumped whenever a zone or the membership changes; the routing
+        #: pools treat any change as invalidation.
+        self.epoch = 0
         #: Routing candidate pools (managed by :mod:`repro.can.routing`).
         self._route_pools: dict = {}
         #: The 2·d distinct edge directions, interned: entry
@@ -167,28 +171,43 @@ class CANOverlay:
 
     def join(self, node_id: int, point: Optional[np.ndarray] = None) -> OverlayNode:
         """Add ``node_id``, splitting the zone containing ``point``."""
+        if node_id < 0:
+            raise ValueError(f"node id must be >= 0, got {node_id}")
         if node_id in self.nodes:
             raise ValueError(f"node {node_id} already joined")
         if self.tree is None or not self.nodes:
             self.tree = PartitionTree(self.dims, node_id)
-            node = OverlayNode(node_id, self.tree.leaf_of(node_id))
-            self.nodes[node_id] = node
-            self.geometry.add(node_id, node.zone)
+            leaf = self.tree.leaf_of(node_id)
+            node = self.nodes[node_id] = OverlayNode(node_id, leaf)
+            self._bind(node, leaf)
             return node
 
         p = self.random_point() if point is None else np.asarray(point, np.float64)
-        owner_leaf = self.tree.find_leaf(p)
-        owner_id = owner_leaf.owner
-        owner = self.nodes[owner_id]
-
-        kept_leaf, new_leaf = self.tree.split(owner_id, node_id, p)
-        owner.leaf = kept_leaf
-        new_node = OverlayNode(node_id, new_leaf)
-        self.nodes[node_id] = new_node
-        self.geometry.update(owner_id, kept_leaf.zone)
-        self.geometry.add(node_id, new_leaf.zone)
+        owner = self.nodes[self.tree.find_leaf(p).owner]
+        kept_leaf, new_leaf = self.tree.split(owner.node_id, node_id, p)
+        new_node = self.nodes[node_id] = OverlayNode(node_id, new_leaf)
+        self._bind(owner, kept_leaf)
+        self._bind(new_node, new_leaf)
         self._split_neighbors(owner, new_node)
         return new_node
+
+    def _bind(self, node: OverlayNode, leaf: TreeLeaf) -> None:
+        """Make ``leaf`` the node's zone — the one place ``node.leaf`` and
+        the node's bounds row are written."""
+        node.leaf = leaf
+        row = node.node_id
+        if row >= len(self.lo):
+            capacity = len(self.lo)
+            while capacity <= row:
+                capacity *= 2
+            for name in ("lo", "hi"):
+                old = getattr(self, name)
+                grown = np.empty((capacity, self.dims), dtype=np.float64)
+                grown[: len(old)] = old
+                setattr(self, name, grown)
+        self.lo[row] = leaf.zone.lo
+        self.hi[row] = leaf.zone.hi
+        self.epoch += 1
 
     def _split_neighbors(self, owner: OverlayNode, joiner: OverlayNode) -> None:
         """Hand the owner's edges out to the two halves of its zone, just
@@ -237,14 +256,9 @@ class CANOverlay:
     def leave(self, node_id: int) -> Optional[TakeoverPlan]:
         """Remove ``node_id`` (graceful or crash — topology repair is the
         same; message loss for crashes is the transport's concern)."""
-        node = self.nodes.pop(node_id)
-        departed_neighbors = set(node.neighbors)
-        for m in departed_neighbors:
-            peer = self.nodes[m]
-            peer.neighbors.discard(node_id)
-            peer.directions.pop(node_id, None)
-            peer.face_buckets = None
-        self.geometry.remove(node_id)
+        departed = self.nodes.pop(node_id)
+        self._unlink(departed)
+        self.epoch += 1
 
         assert self.tree is not None
         plan = self.tree.remove(node_id)
@@ -253,98 +267,81 @@ class CANOverlay:
             return None
 
         absorber = self.nodes[plan.absorber]
-        absorber_old = set(absorber.neighbors)
-        absorber.leaf = plan.absorber_leaf
-        self.geometry.update(plan.absorber, plan.absorber_leaf.zone)
-
-        if plan.mover is None:
-            # Sibling merge: absorber's zone grew to cover the departed
-            # zone; candidates are both old neighborhoods.
-            self._rebind_neighbors(
-                (plan.absorber, absorber_old | departed_neighbors)
-            )
-        else:
-            mover = self.nodes[plan.mover]
-            mover_old = set(mover.neighbors)
+        self._bind(absorber, plan.absorber_leaf)
+        mover = None
+        if plan.mover is not None:
             assert plan.mover_leaf is not None
-            mover.leaf = plan.mover_leaf
-            self.geometry.update(plan.mover, plan.mover_leaf.zone)
-            self._rebind_neighbors(
-                # The absorber swallowed the mover's old zone: candidates
-                # are its own old neighbors plus the mover's.
-                (plan.absorber, absorber_old | mover_old),
-                # The mover relocated into the departed zone: candidates
-                # are the departed node's neighbors (plus the absorber,
-                # which now owns the zone the mover vacated, and its old
-                # neighbors for the removal side of rebinding).
-                (plan.mover,
-                 departed_neighbors | mover_old | {plan.absorber}),
-            )
+            mover = self.nodes[plan.mover]
+            self._bind(mover, plan.mover_leaf)
+        self._takeover(departed, absorber, mover)
         return plan
 
-    # ------------------------------------------------------------------
-    # adjacency maintenance
-    # ------------------------------------------------------------------
-    def _rebind_neighbors(self, *rebinds: tuple[int, set[int]]) -> None:
-        """Recompute each ``(node_id, candidates)`` adjacency and make the
-        affected edges (and their cached directions) symmetric;
-        candidates not actually adjacent are unlinked.
+    def _unlink(self, node: OverlayNode) -> None:
+        """Every peer forgets ``node``; the node keeps its own edge record
+        for whoever takes its zone over."""
+        node_id, nodes = node.node_id, self.nodes
+        for m in node.neighbors:
+            peer = nodes[m]
+            peer.neighbors.discard(node_id)
+            peer.directions.pop(node_id, None)
+            peer.face_buckets = None
 
-        All the zones a join or leave changed are already in the store,
-        so the rebinds of one operation are classified together: one
-        row-paired geometry call over the concatenated (node, candidate)
-        rows, then the edge updates rebind by rebind in argument order.
-        An edge whose direction did not change is left untouched, which
-        also keeps the face buckets of that candidate valid."""
-        nodes = self.nodes
-        pairs = [
-            (nodes[node_id], cand_id)
-            for node_id, candidates in rebinds
-            for cand_id in candidates
-            if cand_id != node_id and cand_id in nodes
-        ]
-        if not pairs:
+    def _takeover(
+        self, departed: OverlayNode, absorber: OverlayNode,
+        mover: Optional[OverlayNode],
+    ) -> None:
+        """Rewire after a departure — by structure, no geometry call.  A
+        zone that grew to the union of two sibling halves touches what
+        either half touched, across the same face; a node relocated into
+        a zone verbatim touches what its previous owner touched.  Called
+        with the leaves already rebound and absorber and mover still
+        carrying the edges of their old zones."""
+        if mover is None:
+            # Sibling merge: the absorber's zone now covers the departed one.
+            self._inherit(absorber, departed.directions)
             return
-        rows = self.geometry.rows_of(
-            [node.node_id for node, _ in pairs] + [cand_id for _, cand_id in pairs]
-        )
-        adjacent, dims, signs = self.geometry.adjacency_rows(
-            rows[: len(pairs)], rows[len(pairs) :]
-        )
-        faces = self._faces
-        for (node, cand_id), ok, dim, sign in zip(
-            pairs, adjacent.tolist(), dims.tolist(), signs.tolist()
-        ):
-            if ok:
-                face, back = faces[2 * dim + (sign < 0)]
-                if node.directions.get(cand_id) == face:
-                    continue
-                cand = nodes[cand_id]
-                node.neighbors.add(cand_id)
-                node.directions[cand_id] = face
-                cand.neighbors.add(node.node_id)
-                cand.directions[node.node_id] = back
-            elif cand_id in node.neighbors:
-                cand = nodes[cand_id]
-                node.neighbors.discard(cand_id)
-                del node.directions[cand_id]
-                cand.neighbors.discard(node.node_id)
-                del cand.directions[node.node_id]
-            else:
+        # Handoff: the absorber's zone covers the one the mover vacated,
+        # the mover owns the departed zone — whose neighbor `mover` was,
+        # if at all, through the zone that is the absorber's now.
+        self._unlink(mover)
+        self._inherit(absorber, mover.directions)
+        mover.neighbors.clear()
+        mover.directions.clear()
+        mover.face_buckets = None
+        self._inherit(mover, {
+            absorber.node_id if m == mover.node_id else m: face
+            for m, face in departed.directions.items()
+        })
+
+    def _inherit(
+        self, heir: OverlayNode, edges: dict[int, tuple[int, int]]
+    ) -> None:
+        """Give ``heir`` every edge of ``edges`` it does not have yet, in
+        the same direction, linking both endpoints.  An edge it already
+        has is not touched, so that neighbor's face buckets stay valid;
+        the heir's own were reset when its sibling was unlinked."""
+        heir_id, nodes, faces = heir.node_id, self.nodes, self._faces
+        for cand_id, (dim, sign) in edges.items():
+            if cand_id == heir_id or cand_id in heir.directions:
                 continue
-            node.face_buckets = cand.face_buckets = None
+            face, back = faces[2 * dim + (sign < 0)]
+            cand = nodes[cand_id]
+            heir.neighbors.add(cand_id)
+            heir.directions[cand_id] = face
+            cand.neighbors.add(heir_id)
+            cand.directions[heir_id] = back
+            cand.face_buckets = None
 
     # ------------------------------------------------------------------
     # invariants (test support; O(n^2))
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Full structural validation: tree consistency, leaf binding,
-        zone-store mirroring, and brute-force adjacency equality
-        (including the cached edge directions and the face buckets
-        ``directional_neighbors`` serves)."""
+        bounds rows equal to the zones, and brute-force adjacency
+        equality (including the cached edge directions and the face
+        buckets ``directional_neighbors`` serves)."""
         if not self.nodes:
             assert self.tree is None or len(self.tree) == 0
-            assert len(self.geometry) == 0
             return
         assert self.tree is not None
         self.tree.check_invariants()
@@ -353,9 +350,9 @@ class CANOverlay:
             assert self.tree.leaf_of(node_id) is node.leaf, (
                 f"node {node_id} leaf binding stale"
             )
-        self.geometry.check_invariants(
-            {node_id: node.zone for node_id, node in self.nodes.items()}
-        )
+            assert np.array_equal(self.lo[node_id], node.zone.lo) and (
+                np.array_equal(self.hi[node_id], node.zone.hi)
+            ), f"bounds row of node {node_id} stale"
         ids = sorted(self.nodes)
         for i, a in enumerate(ids):
             za = self.nodes[a].zone

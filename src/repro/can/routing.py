@@ -1,4 +1,4 @@
-"""Greedy CAN routing over the SoA zone store.
+"""Greedy CAN routing over the overlay's bounds rows.
 
 Standard CAN forwarding: each hop moves to the neighbor whose zone is
 closest (box distance) to the target point.  Because zones tile the space,
@@ -8,12 +8,12 @@ O(d·n^(1/d)) hops.
 
 A hop's whole candidate set — adjacent neighbors plus, for INSCAN
 routing, the node's 2^k long links — is evaluated in **one vectorized
-distance computation** against the overlay's
-:class:`~repro.can.geometry.ZoneStore` instead of a Python loop per
-candidate.  Per-node candidate blocks (sorted ids plus gathered bounds)
-are cached in a CSR-style pool invalidated by the store's mutation epoch
-and the per-node pointer-table identity, so steady-state hops touch no
-Python-level geometry at all.  A block holds ~16 candidates, too few for
+distance computation** instead of a Python loop per candidate.  Per-node
+candidate blocks (sorted ids plus their bounds, gathered from the
+overlay's id-indexed ``lo``/``hi`` rows) are cached in a CSR-style pool
+invalidated by the overlay's mutation epoch and the per-node
+pointer-table identity, so steady-state hops touch no Python-level
+geometry at all.  A block holds ~16 candidates, too few for
 vectorisation to pay — what a hop costs is its number of numpy calls —
 so the bounds are stored dimension-major and one fused kernel
 (:func:`_box_accs`, five calls) serves the single and the batched
@@ -167,8 +167,8 @@ def _squared_distance(zone: Zone, point: Sequence[float]) -> float:
 class _RouteBlockPool:
     """CSR pool of per-node candidate blocks (sorted ids + bounds).
 
-    One pool per (overlay geometry, pointer-table dict) pair.  Blocks are
-    filled lazily on first visit and stay valid until the zone store's
+    One pool per (overlay, pointer-table dict) pair.  Blocks are
+    filled lazily on first visit and stay valid until the overlay's
     epoch moves (any membership/zone change) or the node's pointer table
     is replaced by a refresh; superseded blocks are counted as waste and
     the pool rebuilds itself lazily once waste dominates.
@@ -181,18 +181,18 @@ class _RouteBlockPool:
     every :meth:`reset`.
     """
 
-    __slots__ = ("store", "tables", "epoch", "index", "ids", "lo", "hi",
+    __slots__ = ("overlay", "tables", "epoch", "index", "ids", "lo", "hi",
                  "n", "waste", "generation", "routes",
                  "route_hits", "route_misses")
 
-    def __init__(self, store, tables):
-        self.store = store
+    def __init__(self, overlay: CANOverlay, tables):
+        self.overlay = overlay
         self.tables = tables
         self.ids = np.empty(256, dtype=np.int64)
         #: Block bounds, dimension-major ``(d, capacity)``: a block is the
         #: column slice ``[:, start:stop]`` that :func:`_box_accs` reduces.
-        self.lo = np.empty((store.dims, 256), dtype=np.float64)
-        self.hi = np.empty((store.dims, 256), dtype=np.float64)
+        self.lo = np.empty((overlay.dims, 256), dtype=np.float64)
+        self.hi = np.empty((overlay.dims, 256), dtype=np.float64)
         self.generation = 0
         #: Routes answered from the memo / routed hop by hop (read-only
         #: tallies for tests; one count per route that reached the pool).
@@ -201,7 +201,7 @@ class _RouteBlockPool:
         self.reset()
 
     def reset(self) -> None:
-        self.epoch = self.store.epoch
+        self.epoch = self.overlay.epoch
         #: node_id -> (start, count, table object the block was built from)
         self.index: dict[int, tuple[int, int, object]] = {}
         #: start_id -> (point, whole path, greedy length, rows filled when
@@ -224,32 +224,31 @@ class _RouteBlockPool:
             arr[..., : self.n] = old[..., : self.n]
             setattr(self, name, arr)
 
-    def fill(self, overlay: CANOverlay, node_id: int, table) -> None:
-        """Build (or rebuild) the node's candidate block; callers re-read
-        ``index`` afterwards, since a waste-driven reset replaces it."""
+    def fill(self, node_id: int, table) -> None:
+        """Build (or rebuild) the node's candidate block — its neighbors
+        and the live ones among its long links, ascending; callers
+        re-read ``index`` afterwards, since a waste-driven reset replaces
+        it."""
         entry = self.index.get(node_id)
         if entry is not None:
             self.waste += entry[1]
             if self.waste > max(256, self.n // 2):
                 self.reset()
-        node = overlay.nodes[node_id]
-        cand = set(node.neighbors)
+        overlay = self.overlay
+        nodes = overlay.nodes
+        cand = set(nodes[node_id].neighbors)
         if table is not None:
             cand.update(table.all_links())
-        cids = sorted(cand)
-        rows = self.store.rows_of(cids)
-        present = rows >= 0
-        rows = rows[present]
-        m = int(rows.shape[0])
+        cids = [c for c in sorted(cand) if c in nodes]
+        m = len(cids)
         if self.n + m > len(self.ids):
             self._grow(self.n + m)
         start = self.n
-        if m:
-            self.ids[start : start + m] = np.asarray(cids, dtype=np.int64)[present]
-            lo, hi = self.store.gather_bounds(rows)
-            self.lo[:, start : start + m] = lo.T
-            self.hi[:, start : start + m] = hi.T
-        self.n += m
+        stop = self.n = start + m
+        ids = self.ids[start:stop]
+        ids[:] = cids
+        self.lo[:, start:stop] = overlay.lo[ids].T
+        self.hi[:, start:stop] = overlay.hi[ids].T
         self.index[node_id] = (start, m, table)
 
     def recall(self, start_id: int, pt: tuple, max_hops: int) -> Optional[list[int]]:
@@ -295,11 +294,7 @@ class _RouteBlockPool:
 def _pool_for(overlay: CANOverlay, tables) -> _RouteBlockPool:
     key = "plain" if tables is None else id(tables)
     pool = overlay._route_pools.get(key)
-    if (
-        pool is None
-        or pool.store is not overlay.geometry
-        or (tables is not None and pool.tables is not tables)
-    ):
+    if pool is None or (tables is not None and pool.tables is not tables):
         if tables is not None:
             # A production overlay routes over one long-lived tables dict;
             # fresh dicts per pass (tests, benches) must not accumulate
@@ -308,9 +303,9 @@ def _pool_for(overlay: CANOverlay, tables) -> _RouteBlockPool:
             for k in [k for k in overlay._route_pools if k != "plain"]:
                 if k != key:
                     del overlay._route_pools[k]
-        pool = _RouteBlockPool(overlay.geometry, tables)
+        pool = _RouteBlockPool(overlay, tables)
         overlay._route_pools[key] = pool
-    if pool.epoch != overlay.geometry.epoch:
+    if pool.epoch != overlay.epoch:
         pool.reset()
     return pool
 
@@ -349,7 +344,7 @@ def greedy_path(
         table = None if link_tables is None else link_tables.get(current_id)
         entry = index.get(current_id)
         if entry is None or entry[2] is not table:
-            pool.fill(overlay, current_id, table)
+            pool.fill(current_id, table)
             index = pool.index  # fill may reset the pool
             entry = index[current_id]
         start = entry[0]
@@ -444,10 +439,15 @@ def greedy_paths(
         cur[r] = sid
         known.append(r)
     if known:
-        # One batched start-distance pass (store rows mirror the node
-        # zones; the row kernel is bit-identical to the scalar gap loop).
-        accs = overlay.geometry.squared_distances_rows(
-            P[known], overlay.geometry.rows_of(cur[known])
+        # One start-distance pass through the hop kernel.  The gathered
+        # rows must be copied into C-ordered ``(d, m)`` — as a transposed
+        # *view* they would be reduced along their contiguous axis (see
+        # _box_accs).
+        at = cur[known]
+        accs = _box_accs(
+            np.ascontiguousarray(overlay.lo[at].T),
+            np.ascontiguousarray(overlay.hi[at].T),
+            PT.take(known, axis=1),
         )
         for r, d in zip(known, _pow_half(accs).tolist()):
             dist[r] = d
@@ -477,7 +477,7 @@ def greedy_paths(
                 table = None if tables is None else tables.get(nid)
                 entry = pool_index.get(nid)
                 if entry is None or entry[2] is not table:
-                    pool.fill(overlay, nid, table)
+                    pool.fill(nid, table)
                     pool_index = pool.index  # fill may reset the pool
                     entry = pool_index[nid]
                 starts_l.append(entry[0])
@@ -556,28 +556,21 @@ def greedy_paths(
         for r, b in zip(adv.tolist(), adv_ids.tolist()):
             if errors[r] is None:
                 paths[r].append(b)
-    landed = [r for r in boundary if errors[r] is None]
-    if landed:
-        # Batched half-open ownership test; only the (rare) routes that
-        # stalled on a zone face walk the perimeter.
-        owned = overlay.geometry.contains_rows(
-            P[landed],
-            overlay.geometry.rows_of([paths[r][-1] for r in landed]),
-        )
-        # Memoize the perimeter walks within this batch: Table-I
-        # capacities are discrete, so stalled routes repeat the exact
-        # same (landing zone, boundary point) pairs — and the overlay is
-        # immutable for the duration of the call, so a cached walk is
-        # exact, not approximate.
-        memo: dict[tuple[int, tuple[float, ...]], list[int]] = {}
-        for r, ok in zip(landed, owned.tolist()):
-            if not ok:
-                key = (paths[r][-1], tuple(P[r].tolist()))
-                hops = memo.get(key)
-                if hops is None:
-                    hops = _perimeter_hops(overlay, paths[r][-1], P[r])
-                    memo[key] = hops
-                paths[r].extend(hops)
+    # Only the (rare) routes that stalled on a zone face walk the
+    # perimeter.  Memoize the walks within this batch: Table-I capacities
+    # are discrete, so stalled routes repeat the exact same (landing
+    # zone, boundary point) pairs — and the overlay is immutable for the
+    # duration of the call, so a cached walk is exact, not approximate.
+    memo: dict[tuple[int, tuple[float, ...]], list[int]] = {}
+    nodes = overlay.nodes
+    for r in boundary:
+        if errors[r] is None and not nodes[paths[r][-1]].zone.contains(pts[r]):
+            key = (paths[r][-1], pts[r])
+            hops = memo.get(key)
+            if hops is None:
+                hops = _perimeter_hops(overlay, paths[r][-1], P[r])
+                memo[key] = hops
+            paths[r].extend(hops)
     greedy_hops = nhops.tolist()
     for r in known:
         if errors[r] is None:
@@ -605,9 +598,8 @@ def _perimeter_hops(
     set of zones incident to the point — at most 2^d for regular corners —
     so this stays local; a global owner lookup backstops pathological
     irregular tilings (one extra charged hop, mirroring CAN's perimeter
-    forwarding).  Each BFS node's whole sorted neighborhood is classified
-    by one batched incidence test, visiting in the identical order to the
-    scalar reference."""
+    forwarding).  Each BFS node's sorted neighborhood is visited in the
+    identical order to the scalar reference."""
     owner_id = overlay.owner_of(point)
     if owner_id == start_id:
         return []
@@ -618,18 +610,14 @@ def _perimeter_hops(
         # the overwhelmingly common case (state-update points land on a
         # face of the duty zone next door) — skip the scan.
         return [owner_id]
-    store = overlay.geometry
+    nodes, pt = overlay.nodes, point.tolist()
     seen = {start_id}
     queue: deque[tuple[int, list[int]]] = deque([(start_id, [])])
     budget = 4 ** overlay.dims  # generous cap on the incident cluster size
     while queue and budget > 0:
         node_id, hops = queue.popleft()
-        nbrs = sorted(overlay.nodes[node_id].neighbors)
-        touching = store.touching_mask(point, nbrs)
-        for m, touch in zip(nbrs, touching.tolist()):
-            if m in seen:
-                continue
-            if not touch:
+        for m in sorted(nodes[node_id].neighbors):
+            if m in seen or _squared_distance(nodes[m].zone, pt) != 0.0:
                 continue
             seen.add(m)
             budget -= 1

@@ -94,10 +94,6 @@ class ResourceVector:
     def zeros(cls) -> "ResourceVector":
         return cls(np.zeros(N_DIMS))
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "ResourceVector":
-        return cls(arr)
-
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------

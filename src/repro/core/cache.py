@@ -16,7 +16,7 @@ Two classes implement the mechanism:
     :class:`repro.core.pilist.PIList`); LRU, LFU and an adaptive
     recency+frequency policy (utility-based eviction in the spirit of
     learning-based cache management, arXiv:1902.00795) generalize it.
-    Storage is structure-of-arrays per the StateCache/ZoneStore
+    Storage is structure-of-arrays per the StateCache/HostEngine
     discipline: keys, stamps and hit counters live in parallel arrays
     beside a ``(capacity, d)`` lo/hi bounds pair, eviction and
     expiry flip a liveness bit, compaction is lazy, and the

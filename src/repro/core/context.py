@@ -60,14 +60,6 @@ class ProtocolContext:
         #: (quantum 0) one.
         self.delivery = delivery if delivery is not None else DeliveryCalendar(sim)
 
-    def alive_mask(self, ids: np.ndarray) -> np.ndarray:
-        """Vectorized membership test over an id array (the diffusion
-        engine filters its array-backed NINode pools with it): maps
-        :attr:`is_alive` over the ids."""
-        return np.fromiter(
-            (self.is_alive(int(i)) for i in ids), dtype=bool, count=len(ids)
-        )
-
     def availability_matrix(self, node_ids: Sequence[int]) -> np.ndarray:
         """``(k, d)`` availability rows for many nodes in one gather —
         row ``i`` is bitwise-equal to ``availability_of(node_ids[i])``.

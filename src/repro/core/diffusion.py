@@ -226,7 +226,7 @@ class DiffusionEngine:
         (:class:`repro.testing.ReferenceDiffusionEngine`).  Senders are
         charged as they send, the message kind once per trigger.
         """
-        dims, L, vector_min = self.dims, self.L, self._VECTOR_POOL_MIN
+        dims, L = self.dims, self.L
         tables, pilists = self.tables, self.pilists
         is_alive = self.ctx.is_alive
         integers = self.ctx.rng.integers
@@ -241,15 +241,10 @@ class DiffusionEngine:
             if table is None:
                 continue
             for dim in range(first_dim, dims):
-                members = table.negative_pool_tuple(dim)
-                if len(members) >= vector_min:
-                    # (already drawn: at most one member comes back)
-                    pool = self._pick_ninodes(node, dim, 1, origin)
-                else:
-                    pool = [
-                        t for t in members
-                        if t != origin and t != node and is_alive(t)
-                    ]
+                pool = [
+                    t for t in table.negative_pool_tuple(dim)
+                    if t != origin and t != node and is_alive(t)
+                ]
                 if pool:
                     break
             else:
@@ -304,52 +299,26 @@ class DiffusionEngine:
             if dim + 1 < self.dims:
                 self._sid_chain(target, origin, dim + 1, result, depth + 1)
 
-    #: Below this pool size the scalar filter wins: numpy dispatch costs
-    #: more than looping a handful of ints (NINode chains hold at most
-    #: ``max_pointer_exponent + 1`` ≈ 3-5 entries at realistic n; the
-    #: vectorized branch exists for deep tables at extreme scale).
-    _VECTOR_POOL_MIN = 16
-
     def _pick_ninodes(self, node: int, dim: int, k: int, exclude: int) -> list[int]:
-        """Up to ``k`` distinct random NINodes of ``node`` along ``dim``,
-        drawn from the table's array-backed pointer pool.  Small pools
-        (the common case) filter exclusion/liveness over the cached tuple
-        mirror; large pools use one vectorized mask.  Both branches keep
-        chain order and draw-for-draw RNG compatibility with the scalar
-        reference (:class:`repro.testing.ReferenceDiffusionEngine`): a
-        single pick (``k == 1``, every HID hop) is one bounded integer
-        draw, the draw ``choice(n, size=1, replace=False)`` makes
-        (``tests/sim/test_rng.py`` pins the stream identity)."""
+        """Up to ``k`` distinct random NINodes of ``node`` along ``dim``:
+        the table's negative pointer chain (3-5 entries at realistic n)
+        filtered for exclusion and liveness in chain order, draw for draw
+        RNG-compatible with the scalar reference
+        (:class:`repro.testing.ReferenceDiffusionEngine`) — a single pick
+        is one bounded integer draw, the draw ``choice(n, size=1,
+        replace=False)`` makes (``tests/sim/test_rng.py`` pins the stream
+        identity)."""
         table = self.tables.get(node)
         if table is None:
             return []
-        members = table.negative_pool_tuple(dim)
-        if not members:
-            return []
-        if len(members) < self._VECTOR_POOL_MIN:
-            is_alive = self.ctx.is_alive
-            pool = [
-                t for t in members
-                if t != exclude and t != node and is_alive(t)
-            ]
-            if not pool:
-                return []
-            if len(pool) <= k:
-                return pool
-            if k == 1:
-                return [pool[int(self.ctx.rng.integers(len(pool)))]]
-            idx = self.ctx.rng.choice(len(pool), size=k, replace=False)
-            return [pool[i] for i in idx]
-        arr = table.negative_pool(dim)
-        mask = (arr != exclude) & (arr != node)
-        if mask.any():
-            mask &= self.ctx.alive_mask(arr)
-        arr = arr[mask]
-        if arr.size == 0:
-            return []
-        if arr.size <= k:
-            return arr.tolist()
+        is_alive = self.ctx.is_alive
+        pool = [
+            t for t in table.negative_pool_tuple(dim)
+            if t != exclude and t != node and is_alive(t)
+        ]
+        if len(pool) <= k:
+            return pool
         if k == 1:
-            return [int(arr[int(self.ctx.rng.integers(arr.size))])]
-        idx = self.ctx.rng.choice(arr.size, size=k, replace=False)
-        return arr[idx].tolist()
+            return [pool[int(self.ctx.rng.integers(len(pool)))]]
+        idx = self.ctx.rng.choice(len(pool), size=k, replace=False)
+        return [pool[i] for i in idx]

@@ -315,10 +315,10 @@ class QueryEngine:
         requester and every relay hop — the query response travelling the
         return path carries exactly this binding."""
         duty = path[-1]
-        try:
-            lo, hi = self.overlay.geometry.bounds_of(duty)
-        except KeyError:
+        node = self.overlay.nodes.get(duty)
+        if node is None:
             return
+        lo, hi = node.zone.lo, node.zone.hi
         now = self.ctx.sim.now
         for node in path[:-1]:
             self.cache.store(node, duty, lo, hi, now)

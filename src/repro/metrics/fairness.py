@@ -70,8 +70,5 @@ class EfficiencyAccumulator:
         """Live view of all samples so far (do not mutate)."""
         return self._buf[: self._n]
 
-    def jain(self) -> float:
-        return jain_index(self.values())
-
     def __len__(self) -> int:
         return self._n

@@ -22,14 +22,14 @@ vectorized hot paths, verbatim, as equivalence oracles:
 - :class:`ReferenceZone` / :func:`reference_adjacency_direction` /
   :class:`ReferenceCANOverlay` / :func:`reference_greedy_path` — the
   per-object scalar CAN geometry, per-call adjacency recomputation
-  (joins rebound geometrically, pointer tables walked one call per
-  hop) and per-candidate greedy routing loop, against
-  :class:`repro.can.geometry.ZoneStore`-backed batched routing (see
+  (joins and leaves rebound geometrically, pointer tables walked one
+  call per hop) and per-candidate greedy routing loop, against the structural
+  rewiring and the batched routing over the overlay's bounds rows (see
   ``docs/can_geometry.md``; :func:`assert_overlays_equivalent` drives
   randomized join/leave/route/diffuse schedules against both);
-- :class:`ReferenceDiffusionEngine` — the list-comprehension NINode pool
-  filter, against the array-backed
-  :class:`repro.core.diffusion.DiffusionEngine` pools;
+- :class:`ReferenceDiffusionEngine` — HID as the recursion of
+  Algorithms 1-2 and the seed's NINode pool filter, against the loop-form
+  :class:`repro.core.diffusion.DiffusionEngine`;
 - :class:`ReferencePIList` — the dict-of-stamps positive index list,
   against the SoA :class:`repro.core.cache.RangeCache` TTL policy that
   now backs :class:`repro.core.pilist.PIList`
@@ -585,7 +585,7 @@ def assert_engines_equivalent(
 # ----------------------------------------------------------------------
 class ReferenceZone:
     """The seed's per-object scalar zone predicates, kept verbatim as the
-    behavioural oracle for :class:`repro.can.geometry.ZoneStore`: plain
+    behavioural oracle for the vectorized routing kernels: plain
     tuple arithmetic, dimension-ordered gap accumulation, ``acc ** 0.5``."""
 
     __slots__ = ("lo", "hi", "_lo", "_hi")
@@ -668,7 +668,8 @@ class ReferenceCANOverlay(CANOverlay):
     """Scalar oracle overlay: identical membership/tree mechanics, but
     adjacency is recomputed per call and per candidate with the verbatim
     scalar predicate — no batched geometry, no cached edge directions,
-    hence no structural split and no bucket-reading table walk either.
+    hence no structural split or takeover and no bucket-reading table
+    walk either.
     Routed with :func:`reference_greedy_path` it reproduces the seed's
     behaviour end to end; the lockstep equivalence suites drive it next
     to the vectorized :class:`~repro.can.overlay.CANOverlay`."""
@@ -717,6 +718,20 @@ class ReferenceCANOverlay(CANOverlay):
             (owner.node_id, old | {joiner.node_id}),
             (joiner.node_id, old | {owner.node_id}),
         )
+
+    def _takeover(self, departed, absorber, mover) -> None:
+        """Likewise for a leave: rebind the absorber — and the mover —
+        over the old neighborhoods of every zone that changed hands."""
+        if mover is None:
+            self._rebind_neighbors(
+                (absorber.node_id, absorber.neighbors | departed.neighbors)
+            )
+        else:
+            self._rebind_neighbors(
+                (absorber.node_id, absorber.neighbors | mover.neighbors),
+                (mover.node_id,
+                 departed.neighbors | mover.neighbors | {absorber.node_id}),
+            )
 
     def _rebind_neighbors(self, *rebinds: tuple[int, set[int]]) -> None:
         for node_id, candidates in rebinds:
@@ -857,7 +872,7 @@ class ReferenceDiffusionEngine(DiffusionEngine):
     (Algorithms 1-2, one ``charge_local`` per message) and its
     list-comprehension NINode pool filter, verbatim (same RNG draw
     discipline, so identically-seeded engines stay stream-compatible
-    with the loop-form, array-backed production path)."""
+    with the loop-form production path)."""
 
     def _hid(self, origin: int, result) -> None:
         self._relay(origin, origin, 0, self.L, result, depth=1)

@@ -7,6 +7,9 @@ left-to-right sum, bit for bit; a reduce along the contiguous axis is
 ``a0 + pairwise(a1…)`` and differs from it in the last digits once
 ``d >= 8`` — so d = 8, 9, 16 here are what pins "the outer-axis reduce is
 strictly sequential", and ``m == 1`` what pins the lone-column guard.
+``greedy_paths`` takes its start distances from the same kernel over
+bounds gathered from the overlay's row-major ``lo``/``hi``; the batched
+route tests at the end pin that those gathers are C-ordered.
 """
 
 import math
@@ -14,9 +17,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.can.geometry import _sequential_row_sums
-from repro.can.routing import _box_accs, _pow_space_best, _squared_distance
+from repro.can.inscan import build_index_table, inscan_path, inscan_paths
+from repro.can.overlay import CANOverlay
+from repro.can.routing import (
+    _box_accs, _pow_space_best, _squared_distance, greedy_path, greedy_paths,
+)
 from repro.can.zone import Zone
+from repro.testing import reference_greedy_path, reference_inscan_path
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 #: Candidates per block: one, two, below/at/above the pairwise unroll
@@ -58,6 +65,15 @@ def _points(rng, d, lo, hi):
         np.full(d, np.nan),
         partly_nan,
     ]
+
+
+def _sequential_row_sums(sq):
+    """``sq`` summed over its last axis strictly left to right, one
+    column add at a time — the scalar loop's order, spelled in numpy."""
+    acc = sq[:, 0].copy()
+    for k in range(1, sq.shape[1]):
+        np.add(acc, sq[:, k], out=acc)
+    return acc
 
 
 def _old_kernel(p, lo, hi):
@@ -134,3 +150,49 @@ def test_contiguous_axis_reduce_would_not_be_exact():
         sequential.tobytes()
     )
     assert np.add.reduce(sq, axis=1).tobytes() != sequential.tobytes()
+
+
+@pytest.mark.parametrize("d", [8, 9, 16])
+def test_batched_routes_equal_the_scalar_routes_in_high_dimensions(d, monkeypatch):
+    """Start distances and whole paths of ``greedy_paths`` against
+    ``greedy_path`` and the scalar reference, where a start-bounds gather
+    left as a transposed view (reduced along its contiguous axis) rounds
+    differently from the scalar loop."""
+    overlay = CANOverlay(d, np.random.default_rng(d))
+    overlay.bootstrap(range(96))
+    rng = np.random.default_rng(50 + d)
+    tables = {
+        i: build_index_table(overlay, i, rng) for i in sorted(overlay.nodes)
+    }
+    starts = rng.integers(0, 96, size=300).tolist()
+    points = rng.random((300, d))
+    want = np.array([
+        _squared_distance(overlay.nodes[s].zone, tuple(p))
+        for s, p in zip(starts, points.tolist())
+    ])
+    at = np.asarray(starts)
+    assert _box_accs(overlay.lo[at].T, overlay.hi[at].T, points.T).tobytes() != (
+        want.tobytes()
+    ), "a transposed view rounds like the scalar loop here: trap not pinned"
+
+    kernel_results = []
+
+    def recording_kernel(lo, hi, p):
+        kernel_results.append(_box_accs(lo, hi, p))
+        return kernel_results[-1]
+
+    monkeypatch.setattr("repro.can.routing._box_accs", recording_kernel)
+    for batch in (slice(None), slice(0, 1)):  # a single known start: m == 1
+        for batched, single, reference, args in (
+            (greedy_paths, greedy_path, reference_greedy_path, (overlay,)),
+            (inscan_paths, inscan_path, reference_inscan_path, (overlay, tables)),
+        ):
+            overlay._route_pools.clear()  # nothing replayed from the memo
+            del kernel_results[:]
+            got = batched(*args, starts[batch], points[batch])
+            # The batch's first kernel call is its start-distance pass.
+            assert kernel_results[0].tobytes() == want[batch].tobytes()
+            overlay._route_pools.clear()
+            pairs = list(zip(starts[batch], points[batch]))
+            assert got == [single(*args, s, p) for s, p in pairs]
+            assert got == [reference(*args, s, p) for s, p in pairs]

@@ -37,6 +37,18 @@ def test_join_duplicate_id_rejected(overlay_2d):
         overlay_2d.join(0)
 
 
+def test_join_negative_id_rejected_before_touching_state(overlay_2d):
+    """Bounds rows are indexed by node id: a negative id would alias a
+    row from the end of the arrays (another node's, sooner or later)."""
+    epoch, members = overlay_2d.epoch, set(overlay_2d.nodes)
+    with pytest.raises(ValueError, match=">= 0"):
+        overlay_2d.join(-1)
+    assert (overlay_2d.epoch, set(overlay_2d.nodes)) == (epoch, members)
+    overlay_2d.check_invariants()
+    with pytest.raises(ValueError, match=">= 0"):
+        CANOverlay(2, np.random.default_rng(0)).join(-1)  # as first node too
+
+
 def test_neighbors_nonempty_for_multinodes(overlay_2d):
     for node in overlay_2d.nodes.values():
         assert node.neighbors, f"node {node.node_id} is isolated"

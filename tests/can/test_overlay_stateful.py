@@ -48,7 +48,7 @@ class OverlayLockstepMachine(RuleBasedStateMachine):
     # ------------------------------------------------------------------
     def _fresh_tables(self) -> None:
         """Rebuild twin pointer tables when the membership changed."""
-        if self.tables_epoch == self.vec.geometry.epoch:
+        if self.tables_epoch == self.vec.epoch:
             return
         self.vec_tables = {
             i: build_index_table(self.vec, i, np.random.default_rng(50 + i))
@@ -58,7 +58,7 @@ class OverlayLockstepMachine(RuleBasedStateMachine):
             i: build_index_table(self.ref, i, np.random.default_rng(50 + i))
             for i in sorted(self.ref.nodes)
         }
-        self.tables_epoch = self.vec.geometry.epoch
+        self.tables_epoch = self.vec.epoch
 
     # ------------------------------------------------------------------
     @rule(coords=st.lists(

@@ -6,7 +6,7 @@ the node's current one (``docs/can_geometry.md``, "Last-route memo").
 A replay must be indistinguishable from routing afresh, so the machine
 below changes everything a route depends on — membership (joins,
 leaves, a departed id joining again somewhere else), pointer tables,
-the zone store's layout, the pool's own waste-driven reset — and after
+the pool's own waste-driven reset — and after
 every step re-routes remembered ``(start, point)`` pairs through all
 four public entry points against the scalar references.
 """
@@ -104,10 +104,6 @@ class RouteMemoLockstepMachine(RuleBasedStateMachine):
         self.tables[node_id] = build_index_table(self.overlay, node_id, self.rng)
         if rebuild:
             inscan_path(self.overlay, self.tables, node_id, point)
-
-    @rule()
-    def trim_zone_store(self):
-        self.overlay.geometry.trim()
 
     @precondition(lambda self: len(self.overlay) >= 6)
     @rule(point=point_lists)

@@ -210,12 +210,7 @@ def _assert_trigger_identical(new, ref, origin, method):
 
 
 @pytest.mark.parametrize("method", ["hid", "sid"])
-@pytest.mark.parametrize("vector_pool_min", [16, 1])
-def test_trigger_matches_recursive_oracle_live_and_half_dead(
-    method, vector_pool_min, monkeypatch
-):
-    # 1 forces every pool through the vectorised >= 16-member branch.
-    monkeypatch.setattr(DiffusionEngine, "_VECTOR_POOL_MIN", vector_pool_min)
+def test_trigger_matches_recursive_oracle_live_and_half_dead(method):
     for dead_share in (0.0, 0.5):
         dead: set[int] = set()
         overlay, new, ref = _twin_rigs(96, 3, seed=21, dead=dead)

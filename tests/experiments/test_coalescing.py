@@ -102,15 +102,14 @@ def test_arrival_coalescing_is_identical(monkeypatch):
 
 def test_memory_budget_sweep_is_identical():
     """Footprint trims are semantics-preserving: compacting and shrinking
-    the host engine's and the zone store's arrays every 500 s changes no
-    metric."""
+    the host engine's arrays every 500 s changes no metric."""
     base = _quantized(n_nodes=80, duration=4000.0, sample_period=1000.0, seed=13)
     plain = _run(base)
     soc = SOCSimulation(base)
     released = []
 
     def trim():
-        released.append(soc.engine.trim() + soc.protocol.overlay.geometry.trim())
+        released.append(soc.engine.trim())
 
     soc.sim.periodic(500.0, trim)
     trimmed = soc.run()

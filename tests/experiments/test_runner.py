@@ -275,7 +275,7 @@ def _cross_check_overlay(cfg):
 
 @pytest.mark.parametrize("protocol", ["hid-can", "inscan-rq"])
 def test_overlay_matches_reference_on_micro_run(protocol):
-    """Tier-1 cross-check of the ZoneStore tentpole: a micro run is
+    """Tier-1 cross-check of the vectorized overlay: a micro run is
     bit-for-bit identical on the vectorized overlay and the verbatim
     scalar reference overlay, for both the PID-CAN query chain and a
     routing-heavy flooding baseline."""

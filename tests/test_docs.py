@@ -268,3 +268,95 @@ def test_config_field_gate_catches_retired_flags():
     assert quoted_config_fields(stale) == [
         "tick_mode", "n_nodes", "coalesce_arrivals", "coalesce_deliveries",
     ]
+
+
+# ----------------------------------------------------------------------
+# modules and files named in prose must exist
+# ----------------------------------------------------------------------
+_DOTTED_NAME_RE = re.compile(r"^repro(?:\.\w+)+$")
+_PY_PATH_RE = re.compile(r"^([\w./-]+\.py)(?:::(\w+))?$")
+#: Where a quoted ``x/y.py`` may live, as the docs abbreviate paths.
+_PY_ROOTS = ("", "src/repro", "tests", "bench")
+
+
+def quoted_names(text: str) -> tuple[list[str], list[tuple[str, str | None]]]:
+    """Back-ticked spans of ``text`` that are a ``repro.a.b[.C[.d]]`` dotted
+    name, and those that are a ``….py[::test]`` path (``*`` globs are not
+    paths)."""
+    dotted, paths = [], []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        if _DOTTED_NAME_RE.match(span):
+            dotted.append(span)
+        else:
+            match = _PY_PATH_RE.match(span)
+            if match:
+                paths.append((match.group(1), match.group(2)))
+    return dotted, paths
+
+
+def resolve_dotted(name: str) -> None:
+    """Import the longest module prefix of ``name`` and getattr the rest
+    (``AttributeError`` where the name is gone)."""
+    import importlib
+
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            target = getattr(target, attr)
+        return
+
+
+def resolve_py_path(path: str, test: str | None) -> None:
+    """``path`` must exist under one of the roots — a bare file name
+    anywhere below them — and define ``test`` if one is named."""
+    for root in _PY_ROOTS:
+        base = REPO_ROOT / root
+        hits = base.rglob(path) if root and "/" not in path else [base / path]
+        for hit in hits:
+            if hit.is_file() and (test is None or f"def {test}(" in hit.read_text()):
+                return
+    raise FileNotFoundError(path if test is None else f"{path}::{test}")
+
+
+def test_quoted_modules_and_files_exist():
+    """A module, class, function or file the docs name must still be
+    there — a deleted module must not linger in prose."""
+    checked = 0
+    for doc in DOC_FILES:
+        dotted, paths = quoted_names(doc.read_text())
+        for name in dotted:
+            try:
+                resolve_dotted(name)
+            except AttributeError as exc:
+                pytest.fail(f"{doc.name}: `{name}` does not resolve: {exc}")
+        for path, test in paths:
+            try:
+                resolve_py_path(path, test)
+            except FileNotFoundError as exc:
+                pytest.fail(f"{doc.name}: `{exc}` does not exist")
+        checked += len(dotted) + len(paths)
+    assert checked >= 100  # the docs name their code densely
+
+
+def test_quoted_name_gate_catches_deleted_modules():
+    dotted, paths = quoted_names(
+        "`repro.can.geometry` backed `can/geometry.py`, see "
+        "`tests/can/test_geometry.py::test_x`; `repro.can.zone.Zone.split`, "
+        "`tests/*.py` and `a.py b` are left alone or fine"
+    )
+    assert dotted == ["repro.can.geometry", "repro.can.zone.Zone.split"]
+    assert paths == [
+        ("can/geometry.py", None), ("tests/can/test_geometry.py", "test_x"),
+    ]
+    resolve_dotted(dotted[1])
+    resolve_py_path("can/zone.py", None)
+    resolve_py_path("tests/can/test_zone.py", "test_split_halves_tile_parent")
+    with pytest.raises(AttributeError):
+        resolve_dotted(dotted[0])
+    for path, test in paths:
+        with pytest.raises(FileNotFoundError):
+            resolve_py_path(path, test)

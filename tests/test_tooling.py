@@ -58,10 +58,10 @@ def test_host_engine_equivalence_smoke():
     assert stats["placed"] > 0 and stats["completed"] > 0
 
 
-def test_zone_store_equivalence_smoke():
+def test_overlay_equivalence_smoke():
     """Fast-gate smoke of the overlay substrate: one short randomized
     join/leave/route/diffuse schedule through both the vectorized
-    ZoneStore-backed overlay and the verbatim scalar reference must stay
+    overlay and the verbatim scalar reference must stay
     indistinguishable — identical adjacency, routing paths (hop for hop)
     and diffusion recipients (the heavy suites live in
     tests/can/test_overlay_equivalence.py and test_overlay_stateful.py)."""
