@@ -1,8 +1,9 @@
 """Old-vs-new benchmark of the CAN routing substrate.
 
-Compares the vectorized :mod:`repro.can.routing` over the overlay's
-id-indexed bounds rows against the seed's scalar per-candidate
-forwarding loop (kept verbatim behind
+Compares the vectorized :mod:`repro.can.routing` — id-only candidate
+blocks, bounds gathered per hop from the overlay's dimension-major
+array — against the seed's scalar per-candidate forwarding loop (kept
+verbatim behind
 :func:`repro.testing.reference_greedy_path` /
 ``reference_inscan_path``) at the paper's d=5, on the two operations
 that dominate CAN wall clock at 10⁴ nodes (ROADMAP: greedy routing +
@@ -33,9 +34,10 @@ start's previous route when it is asked for the same point again
 (``docs/can_geometry.md``, "Last-route memo"), and these rows re-route
 identical ``(start, point)`` pairs round after round — left alone they
 would time dictionary lookups.  So each timed call starts from an empty
-memo (:func:`forget_routes`) over candidate blocks that stay warm:
-the hop kernels run on the same workload, with the same working set, as
-before the memo existed, which keeps the ≥ 5× floor comparable.
+memo (:func:`forget_routes`) over candidate blocks that stay warm
+(``pool.fills`` does not move in a timed round): the hop kernels run on
+the same workload, with the same working set, as before the memo
+existed, which keeps the ≥ 5× floor comparable.
 ``test_repeat_route`` is the one row that measures the replay, and
 says how many routes it replayed.
 """
@@ -102,18 +104,23 @@ def forget_routes(overlay) -> None:
         pool.routes.clear()
 
 
-def _memo_hits(overlay) -> int:
-    return sum(pool.route_hits for pool in overlay._route_pools.values())
+def _tallies(overlay) -> tuple[int, int]:
+    """(memo hits, blocks built) over the overlay's routing pools."""
+    pools = overlay._route_pools.values()
+    return sum(p.route_hits for p in pools), sum(p.fills for p in pools)
 
 
 def _bench(benchmark, fn, overlay, *args, rounds=3):
-    """Time ``fn(overlay, *args)``, every round from an empty memo."""
-    hits = _memo_hits(overlay)
+    """Time ``fn(overlay, *args)``, every round from an empty memo over
+    the blocks the caller's warm-up pass built."""
+    before = _tallies(overlay)
     benchmark.pedantic(
         fn, args=(overlay, *args), setup=lambda: forget_routes(overlay),
         rounds=rounds, iterations=1,
     )
-    assert _memo_hits(overlay) == hits, "a timed round replayed memoised routes"
+    assert _tallies(overlay) == before, (
+        "a timed round replayed memoised routes or built candidate blocks"
+    )
 
 
 @pytest.mark.benchmark(group="routing-greedy")

@@ -32,9 +32,15 @@ class OverlayNode:
     :meth:`~repro.can.overlay.CANOverlay.directional_neighbors` rebuilds
     it on the next read.  ``check_invariants`` cross-checks all three
     against brute force.
+
+    ``edge_stamp`` counts the changes of ``neighbors``: the overlay bumps
+    it wherever it resets ``face_buckets``, and a routing candidate block
+    built from this node's neighbors is current while the count it
+    recorded still stands.
     """
 
-    __slots__ = ("node_id", "leaf", "neighbors", "directions", "face_buckets")
+    __slots__ = ("node_id", "leaf", "neighbors", "directions", "face_buckets",
+                 "edge_stamp")
 
     def __init__(self, node_id: int, leaf: "TreeLeaf"):
         self.node_id = node_id
@@ -42,6 +48,7 @@ class OverlayNode:
         self.neighbors: set[int] = set()
         self.directions: dict[int, tuple[int, int]] = {}
         self.face_buckets: Optional[tuple[tuple[int, ...], ...]] = None
+        self.edge_stamp = 0
 
     @property
     def zone(self) -> Zone:

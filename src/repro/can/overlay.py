@@ -21,11 +21,13 @@ brute-force recomputation in the tests.
 
 Zone bounds are kept once per way they are read: the partition tree has
 the authoritative :class:`~repro.can.zone.Zone` objects (split history,
-takeover), and the overlay two ``(capacity, d)`` arrays ``lo``/``hi``
-whose row ``i`` is node ``i``'s zone, so routing gathers the bounds of a
-whole candidate set in one index ("Bounds rows").
-:meth:`CANOverlay._bind` is the only writer of a node's leaf and of its
-row; a departed id's row goes stale and is never read.
+takeover), and the overlay one dimension-major ``(2·d, capacity)`` array
+``bounds`` whose column ``i`` is node ``i``'s zone — ``lo`` rows over
+``hi`` rows — so routing gathers the bounds of a whole candidate set
+with one ``take`` ("Bounds rows").  :meth:`CANOverlay._bind` is the only
+writer of a node's leaf and of its column; :meth:`CANOverlay.leave`
+overwrites a departed id's column with ``+inf``, so a stale long link to
+it loses every distance comparison.
 ``directional_neighbors`` and ``pointer_walks`` — the INSCAN table
 build — read the node's neighbors bucketed by face, rebuilt lazily
 after the node's edges changed ("Face buckets", same document).
@@ -50,7 +52,8 @@ class CANOverlay:
     ``join`` and ``leave`` rewire by structure (:meth:`_split_neighbors`,
     :meth:`_takeover`: the cached edge directions, no geometry call);
     both leave ``neighbors``, ``directions`` and ``face_buckets`` of
-    every node they touch consistent."""
+    every node they touch consistent, and bump the ``edge_stamp`` of
+    every node whose neighbor set they change."""
 
     #: Subclasses that recompute adjacency per call (the scalar reference
     #: oracle) set this False so invariants skip the direction cache.
@@ -63,12 +66,13 @@ class CANOverlay:
         self._rng = rng
         self.nodes: dict[int, OverlayNode] = {}
         self.tree: Optional[PartitionTree] = None
-        #: Zone bounds by node id: row ``i`` is node ``i``'s zone, written
-        #: by :meth:`_bind` only; rows of departed ids are stale.
-        self.lo = np.empty((8, dims), dtype=np.float64)
-        self.hi = np.empty((8, dims), dtype=np.float64)
+        #: Zone bounds by node id, dimension-major: column ``i`` is node
+        #: ``i``'s zone (rows ``[:dims]`` its ``lo``, rows ``[dims:]`` its
+        #: ``hi``), written by :meth:`_bind` only; the column of an id
+        #: that is not a member is ``+inf``.
+        self.bounds = np.full((2 * dims, 8), np.inf)
         #: Bumped whenever a zone or the membership changes; the routing
-        #: pools treat any change as invalidation.
+        #: pools drop their route memo on any change.
         self.epoch = 0
         #: Routing candidate pools (managed by :mod:`repro.can.routing`).
         self._route_pools: dict = {}
@@ -193,20 +197,18 @@ class CANOverlay:
 
     def _bind(self, node: OverlayNode, leaf: TreeLeaf) -> None:
         """Make ``leaf`` the node's zone — the one place ``node.leaf`` and
-        the node's bounds row are written."""
+        the node's bounds column are written."""
         node.leaf = leaf
-        row = node.node_id
-        if row >= len(self.lo):
-            capacity = len(self.lo)
-            while capacity <= row:
+        col, dims = node.node_id, self.dims
+        capacity = self.bounds.shape[1]
+        if col >= capacity:
+            old = self.bounds
+            while capacity <= col:
                 capacity *= 2
-            for name in ("lo", "hi"):
-                old = getattr(self, name)
-                grown = np.empty((capacity, self.dims), dtype=np.float64)
-                grown[: len(old)] = old
-                setattr(self, name, grown)
-        self.lo[row] = leaf.zone.lo
-        self.hi[row] = leaf.zone.hi
+            self.bounds = np.full((2 * dims, capacity), np.inf)
+            self.bounds[:, : old.shape[1]] = old
+        self.bounds[:dims, col] = leaf.zone.lo
+        self.bounds[dims:, col] = leaf.zone.hi
         self.epoch += 1
 
     def _split_neighbors(self, owner: OverlayNode, joiner: OverlayNode) -> None:
@@ -241,12 +243,14 @@ class CANOverlay:
                 continue
             cand.neighbors.add(joiner_id)
             cand.face_buckets = None
+            cand.edge_stamp += 1
             joiner.neighbors.add(cand_id)
             joiner.directions[cand_id] = face
         face, back = self._faces[2 * k + (not joiner_high)]
         owner.neighbors.add(joiner_id)
         owner.directions[joiner_id] = face
         owner.face_buckets = None
+        owner.edge_stamp += 1
         joiner.neighbors.add(owner_id)
         joiner.directions[owner_id] = back
 
@@ -259,6 +263,9 @@ class CANOverlay:
         departed = self.nodes.pop(node_id)
         self._unlink(departed)
         self.epoch += 1
+        self.bounds[:, node_id] = np.inf
+        for pool in self._route_pools.values():
+            pool.forget(node_id)
 
         assert self.tree is not None
         plan = self.tree.remove(node_id)
@@ -285,6 +292,7 @@ class CANOverlay:
             peer.neighbors.discard(node_id)
             peer.directions.pop(node_id, None)
             peer.face_buckets = None
+            peer.edge_stamp += 1
 
     def _takeover(
         self, departed: OverlayNode, absorber: OverlayNode,
@@ -308,6 +316,7 @@ class CANOverlay:
         mover.neighbors.clear()
         mover.directions.clear()
         mover.face_buckets = None
+        mover.edge_stamp += 1
         self._inherit(mover, {
             absorber.node_id if m == mover.node_id else m: face
             for m, face in departed.directions.items()
@@ -319,7 +328,8 @@ class CANOverlay:
         """Give ``heir`` every edge of ``edges`` it does not have yet, in
         the same direction, linking both endpoints.  An edge it already
         has is not touched, so that neighbor's face buckets stay valid;
-        the heir's own were reset when its sibling was unlinked."""
+        the heir's own were reset, and its edge stamp bumped, when its
+        sibling was unlinked."""
         heir_id, nodes, faces = heir.node_id, self.nodes, self._faces
         for cand_id, (dim, sign) in edges.items():
             if cand_id == heir_id or cand_id in heir.directions:
@@ -331,15 +341,30 @@ class CANOverlay:
             cand.neighbors.add(heir_id)
             cand.directions[heir_id] = back
             cand.face_buckets = None
+            cand.edge_stamp += 1
 
     # ------------------------------------------------------------------
     # invariants (test support; O(n^2))
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Full structural validation: tree consistency, leaf binding,
-        bounds rows equal to the zones, and brute-force adjacency
-        equality (including the cached edge directions and the face
-        buckets ``directional_neighbors`` serves)."""
+        """Full structural validation: what routing trusts (a bounds
+        column equal to the zone for every member and ``+inf`` for every
+        other id, every current candidate block of every routing pool
+        equal to a fresh one), tree consistency, leaf binding, and
+        brute-force adjacency equality (including the cached edge
+        directions and the face buckets ``directional_neighbors``
+        serves)."""
+        dims, live = self.dims, np.zeros(self.bounds.shape[1], dtype=bool)
+        for node_id, node in self.nodes.items():
+            live[node_id] = True
+            assert np.array_equal(self.bounds[:dims, node_id], node.zone.lo) and (
+                np.array_equal(self.bounds[dims:, node_id], node.zone.hi)
+            ), f"bounds column of node {node_id} stale"
+        assert (self.bounds[:, ~live] == np.inf).all(), (
+            "bounds column of a departed id is not +inf"
+        )
+        for pool in self._route_pools.values():
+            pool.check_invariants()
         if not self.nodes:
             assert self.tree is None or len(self.tree) == 0
             return
@@ -350,9 +375,6 @@ class CANOverlay:
             assert self.tree.leaf_of(node_id) is node.leaf, (
                 f"node {node_id} leaf binding stale"
             )
-            assert np.array_equal(self.lo[node_id], node.zone.lo) and (
-                np.array_equal(self.hi[node_id], node.zone.hi)
-            ), f"bounds row of node {node_id} stale"
         ids = sorted(self.nodes)
         for i, a in enumerate(ids):
             za = self.nodes[a].zone

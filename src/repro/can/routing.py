@@ -1,4 +1,4 @@
-"""Greedy CAN routing over the overlay's bounds rows.
+"""Greedy CAN routing over the overlay's bounds array.
 
 Standard CAN forwarding: each hop moves to the neighbor whose zone is
 closest (box distance) to the target point.  Because zones tile the space,
@@ -9,13 +9,12 @@ O(d·n^(1/d)) hops.
 A hop's whole candidate set — adjacent neighbors plus, for INSCAN
 routing, the node's 2^k long links — is evaluated in **one vectorized
 distance computation** instead of a Python loop per candidate.  Per-node
-candidate blocks (sorted ids plus their bounds, gathered from the
-overlay's id-indexed ``lo``/``hi`` rows) are cached in a CSR-style pool
-invalidated by the overlay's mutation epoch and the per-node
-pointer-table identity, so steady-state hops touch no Python-level
-geometry at all.  A block holds ~16 candidates, too few for
-vectorisation to pay — what a hop costs is its number of numpy calls —
-so the bounds are stored dimension-major and one fused kernel
+candidate blocks — sorted ids, nothing else — are cached in a CSR-style
+pool and stay valid while the candidate *set* does (same pointer-table
+object, neighbor set unchanged); a hop gathers their bounds with one
+``take`` from the overlay's dimension-major ``bounds`` array.  A block
+holds ~16 candidates, too few for vectorisation to pay — what a hop
+costs is its number of numpy calls — so one fused kernel
 (:func:`_box_accs`, five calls) serves the single and the batched
 router.  Candidates are screened on *squared*
 distances; the decisive comparisons happen in the seed's ``acc ** 0.5``
@@ -165,103 +164,108 @@ def _squared_distance(zone: Zone, point: Sequence[float]) -> float:
 # candidate block pool
 # ----------------------------------------------------------------------
 class _RouteBlockPool:
-    """CSR pool of per-node candidate blocks (sorted ids + bounds).
+    """CSR pool of per-node candidate blocks (sorted ids).
 
-    One pool per (overlay, pointer-table dict) pair.  Blocks are
-    filled lazily on first visit and stay valid until the overlay's
-    epoch moves (any membership/zone change) or the node's pointer table
-    is replaced by a refresh; superseded blocks are counted as waste and
-    the pool rebuilds itself lazily once waste dominates.
+    One pool per (overlay, pointer-table dict) pair.  Blocks are filled
+    lazily on first visit and stay valid until the node's pointer table
+    is replaced by a refresh or a join or leave changes its neighbor set
+    (``OverlayNode.edge_stamp``); zones may change under a block, their
+    bounds are read at every hop.  Superseded blocks are counted as
+    waste and the pool rebuilds itself lazily once waste dominates.
 
     The pool also keeps the **last-route memo**: each start's most recent
     successful route, replayed by :meth:`recall` for as long as every
-    block that route read is still the node's current one.  It lives in
-    the pool because those blocks are all a route's hop decisions read
-    (``docs/can_geometry.md``, "Last-route memo"), and dies with them on
-    every :meth:`reset`.
+    block that route read is still the node's current one and no zone
+    has changed (``docs/can_geometry.md``, "Last-route memo") —
+    :func:`_pool_for` empties it when the overlay's epoch moves,
+    :meth:`reset` with the blocks.
     """
 
-    __slots__ = ("overlay", "tables", "epoch", "index", "ids", "lo", "hi",
-                 "n", "waste", "generation", "routes",
-                 "route_hits", "route_misses")
+    __slots__ = ("overlay", "tables", "epoch", "index", "ids", "n", "waste",
+                 "generation", "routes", "route_hits", "route_misses", "fills")
 
     def __init__(self, overlay: CANOverlay, tables):
         self.overlay = overlay
         self.tables = tables
         self.ids = np.empty(256, dtype=np.int64)
-        #: Block bounds, dimension-major ``(d, capacity)``: a block is the
-        #: column slice ``[:, start:stop]`` that :func:`_box_accs` reduces.
-        self.lo = np.empty((overlay.dims, 256), dtype=np.float64)
-        self.hi = np.empty((overlay.dims, 256), dtype=np.float64)
         self.generation = 0
-        #: Routes answered from the memo / routed hop by hop (read-only
-        #: tallies for tests; one count per route that reached the pool).
-        self.route_hits = 0
-        self.route_misses = 0
+        #: Routes answered from the memo / routed hop by hop (one count
+        #: per route that reached the pool) and blocks built: read-only
+        #: tallies for tests.
+        self.route_hits = self.route_misses = self.fills = 0
         self.reset()
 
     def reset(self) -> None:
         self.epoch = self.overlay.epoch
-        #: node_id -> (start, count, table object the block was built from)
-        self.index: dict[int, tuple[int, int, object]] = {}
+        #: node_id -> (start, count, table object and edge stamp the block
+        #: was built from); live nodes only.
+        self.index: dict[int, tuple[int, int, object, int]] = {}
         #: start_id -> (point, whole path, greedy length, rows filled when
         #: recorded): one entry per start, overwritten by its next route.
         self.routes: dict[int, tuple[array, array, int, int]] = {}
-        self.n = 0
-        self.waste = 0
+        self.n = self.waste = 0
         #: Bumped on every reset: previously-issued block offsets become
         #: invalid (rows are reused from 0), so batched lookups that span
         #: a reset must re-resolve their blocks.
         self.generation += 1
 
-    def _grow(self, needed: int) -> None:
-        capacity = len(self.ids)
-        while capacity < needed:
-            capacity *= 2
-        for name in ("ids", "lo", "hi"):
-            old = getattr(self, name)
-            arr = np.empty(old.shape[:-1] + (capacity,), dtype=old.dtype)
-            arr[..., : self.n] = old[..., : self.n]
-            setattr(self, name, arr)
+    def candidates(self, node_id: int, table) -> list[int]:
+        """The node's hop candidates, ascending: its neighbors and long
+        links, departed ones included — their ``+inf`` bounds lose every
+        comparison, and an id that joins again is a candidate again."""
+        links = () if table is None else table.all_links()
+        return sorted(self.overlay.nodes[node_id].neighbors.union(links))
 
     def fill(self, node_id: int, table) -> None:
-        """Build (or rebuild) the node's candidate block — its neighbors
-        and the live ones among its long links, ascending; callers
-        re-read ``index`` afterwards, since a waste-driven reset replaces
-        it."""
-        entry = self.index.get(node_id)
+        """Build (or rebuild) the node's candidate block; callers re-read
+        ``index`` afterwards, since a waste-driven reset replaces it."""
+        self.forget(node_id)
+        if self.waste > max(256, self.n // 2):
+            self.reset()
+        cids = self.candidates(node_id, table)
+        start = self.n
+        stop = self.n = start + len(cids)
+        if stop > len(self.ids):
+            self.ids = np.resize(self.ids, max(stop, 2 * len(self.ids)))
+        self.ids[start:stop] = cids
+        self.index[node_id] = (
+            start, len(cids), table, self.overlay.nodes[node_id].edge_stamp
+        )
+        self.fills += 1
+
+    def forget(self, node_id: int) -> None:
+        """Drop the node's block, if any, and count its ids as waste —
+        :meth:`CANOverlay.leave` calls this for a departed node, whose
+        entry would otherwise pin its pointer table for good."""
+        entry = self.index.pop(node_id, None)
         if entry is not None:
             self.waste += entry[1]
-            if self.waste > max(256, self.n // 2):
-                self.reset()
-        overlay = self.overlay
-        nodes = overlay.nodes
-        cand = set(nodes[node_id].neighbors)
-        if table is not None:
-            cand.update(table.all_links())
-        cids = [c for c in sorted(cand) if c in nodes]
-        m = len(cids)
-        if self.n + m > len(self.ids):
-            self._grow(self.n + m)
-        start = self.n
-        stop = self.n = start + m
-        ids = self.ids[start:stop]
-        ids[:] = cids
-        self.lo[:, start:stop] = overlay.lo[ids].T
-        self.hi[:, start:stop] = overlay.hi[ids].T
-        self.index[node_id] = (start, m, table)
+
+    def check_invariants(self) -> None:
+        """Every block routing would accept as it stands equals a fresh
+        candidate list, and only members have one (test support)."""
+        nodes, tables = self.overlay.nodes, self.tables
+        for node_id, (start, count, table, stamp) in self.index.items():
+            assert node_id in nodes, f"block of departed node {node_id} kept"
+            if (
+                table is (None if tables is None else tables.get(node_id))
+                and stamp == nodes[node_id].edge_stamp
+            ):
+                assert self.ids[start : start + count].tolist() == (
+                    self.candidates(node_id, table)
+                ), f"candidate block of node {node_id} stale"
 
     def recall(self, start_id: int, pt: tuple, max_hops: int) -> Optional[list[int]]:
         """The start's memoised route if it was to ``pt`` (by value; NaN
         never matches), fits ``max_hops``, and every block it read is
         still the pool's entry for that node: built from the node's
-        current pointer table, and filled before the route was recorded.
-        Blocks are appended, so "filled before" is "starts below the fill
-        level ``n`` of that moment" — a block rebuilt since (its table
-        was refreshed and the node routed through again) starts at or
-        above it.  Those blocks plus the epoch the pool is pinned to are
-        everything the hop decisions and the perimeter walk read, so the
-        replay is the route a fresh computation would return."""
+        current pointer table, and filled before the route was recorded
+        — blocks are appended, so one rebuilt since (table refreshed and
+        the node routed through again) starts at or above the fill level
+        ``n`` of that moment.  Those blocks plus the zones and neighbor
+        sets of the epoch the memo is pinned to are all the hop decisions
+        and the perimeter walk read, so the replay is the route a fresh
+        computation would return."""
         memo = self.routes.get(start_id)
         if memo is not None and tuple(memo[0]) == pt and memo[2] <= max_hops:
             path, filled = memo[1], memo[3]
@@ -300,13 +304,15 @@ def _pool_for(overlay: CANOverlay, tables) -> _RouteBlockPool:
             # fresh dicts per pass (tests, benches) must not accumulate
             # dead pools — and each pool pins its tables dict alive, so
             # an id() key can never be reused while its pool exists.
-            for k in [k for k in overlay._route_pools if k != "plain"]:
-                if k != key:
-                    del overlay._route_pools[k]
+            for k in [k for k in overlay._route_pools if k not in ("plain", key)]:
+                del overlay._route_pools[k]
         pool = _RouteBlockPool(overlay, tables)
         overlay._route_pools[key] = pool
     if pool.epoch != overlay.epoch:
-        pool.reset()
+        # Zones changed, which a memoised route's start distance, landing
+        # test and perimeter walk read; the blocks hold ids and live on.
+        pool.epoch = overlay.epoch
+        pool.routes.clear()
     return pool
 
 
@@ -339,11 +345,15 @@ def greedy_path(
     path = [start_id]
     dist = _squared_distance(overlay.nodes[start_id].zone, pt) ** 0.5
     pcol = p.reshape(-1, 1)
-    index = pool.index
+    index, nodes = pool.index, overlay.nodes
+    bounds, dims = overlay.bounds, overlay.dims
     while dist != 0.0:
         table = None if link_tables is None else link_tables.get(current_id)
         entry = index.get(current_id)
-        if entry is None or entry[2] is not table:
+        if (
+            entry is None or entry[2] is not table
+            or entry[3] != nodes[current_id].edge_stamp
+        ):
             pool.fill(current_id, table)
             index = pool.index  # fill may reset the pool
             entry = index[current_id]
@@ -354,8 +364,11 @@ def greedy_path(
                 f"no progress at node {current_id} toward {pt} "
                 f"(dist {dist}, no candidates)"
             )
-        accs = _box_accs(pool.lo[:, start:stop], pool.hi[:, start:stop], pcol)
-        best_dist, best_id = _pow_space_best(accs, pool.ids[start:stop])
+        ids = pool.ids[start:stop]
+        block = bounds.take(ids, axis=1)
+        best_dist, best_id = _pow_space_best(
+            _box_accs(block[:dims], block[dims:], pcol), ids
+        )
         if best_dist >= dist:
             raise RoutingError(
                 f"no progress at node {current_id} toward {pt} "
@@ -367,20 +380,11 @@ def greedy_path(
         if len(path) > max_hops:
             raise RoutingError(f"exceeded {max_hops} hops toward {pt}")
     greedy_len = len(path)
-    path = _finish_on_boundary(overlay, current_id, p, pt, path)
+    # Distance hit zero: done if the half-open box owns the point, else
+    # walk the zero-distance cluster.
+    if not nodes[current_id].zone.contains(pt):
+        path.extend(_perimeter_hops(overlay, current_id, p))
     pool.remember(pt, path, greedy_len)
-    return path
-
-
-def _finish_on_boundary(
-    overlay: CANOverlay, current_id: int, p: np.ndarray, pt: tuple,
-    path: list[int],
-) -> list[int]:
-    """Distance hit zero: done if the half-open box owns the point, else
-    walk the zero-distance cluster."""
-    if overlay.nodes[current_id].zone.contains(pt):
-        return path
-    path.extend(_perimeter_hops(overlay, current_id, p))
     return path
 
 
@@ -412,7 +416,7 @@ def greedy_paths(
     if n_routes == 0:
         return []
     P = np.asarray(points, dtype=np.float64).reshape(n_routes, -1)
-    PT = np.ascontiguousarray(P.T)  # dimension-major, like the pool blocks
+    PT = np.ascontiguousarray(P.T)  # dimension-major, like the bounds
     if max_hops is None:
         max_hops = 4 * (len(overlay) + 1)
 
@@ -438,17 +442,11 @@ def greedy_paths(
         paths[r] = [sid]
         cur[r] = sid
         known.append(r)
+    dims = overlay.dims
     if known:
-        # One start-distance pass through the hop kernel.  The gathered
-        # rows must be copied into C-ordered ``(d, m)`` — as a transposed
-        # *view* they would be reduced along their contiguous axis (see
-        # _box_accs).
-        at = cur[known]
-        accs = _box_accs(
-            np.ascontiguousarray(overlay.lo[at].T),
-            np.ascontiguousarray(overlay.hi[at].T),
-            PT.take(known, axis=1),
-        )
+        # One start-distance pass through the hop kernel.
+        block = overlay.bounds.take(cur[known], axis=1)
+        accs = _box_accs(block[:dims], block[dims:], PT.take(known, axis=1))
         for r, d in zip(known, _pow_half(accs).tolist()):
             dist[r] = d
             if d == 0.0:
@@ -458,12 +456,11 @@ def greedy_paths(
 
     active = np.asarray(initially_active, dtype=np.intp)
     hop_log: list[tuple[np.ndarray, np.ndarray]] = []
-    pool_index = pool.index
-    tables = link_tables
+    pool_index, nodes, tables = pool.index, overlay.nodes, link_tables
     while active.size:
         n_active = active.size
         # Hot per-route loop: plain-python lists beat per-element numpy
-        # stores; entries are (start, count, table-identity) tuples.  A
+        # stores; entries are (start, count, table, edge stamp) tuples.  A
         # waste-driven pool reset mid-pass invalidates offsets resolved
         # earlier in the same pass (rows restart from 0), so re-resolve
         # the whole front when the generation moved — a fresh pool fills
@@ -476,7 +473,10 @@ def greedy_paths(
             for nid in cur_front:
                 table = None if tables is None else tables.get(nid)
                 entry = pool_index.get(nid)
-                if entry is None or entry[2] is not table:
+                if (
+                    entry is None or entry[2] is not table
+                    or entry[3] != nodes[nid].edge_stamp
+                ):
                     pool.fill(nid, table)
                     pool_index = pool.index  # fill may reset the pool
                     entry = pool_index[nid]
@@ -509,11 +509,11 @@ def greedy_paths(
         idx = block_start[seg] + (np.arange(total, dtype=np.intp) - offs[seg])
         # One gather (route column per candidate) instead of gathering
         # the active routes and re-gathering per segment.
-        accs = _box_accs(
-            pool.lo.take(idx, axis=1), pool.hi.take(idx, axis=1),
-            PT.take(active[seg], axis=1),
-        )
         ids_at = pool.ids[idx]
+        block = overlay.bounds.take(ids_at, axis=1)
+        accs = _box_accs(
+            block[:dims], block[dims:], PT.take(active[seg], axis=1)
+        )
         best_acc = np.minimum.reduceat(accs, offs)
         near = accs <= best_acc[seg] * _NEAR_TIE
         masked_ids = np.where(near, ids_at, _INT64_MAX)
@@ -562,7 +562,6 @@ def greedy_paths(
     # zone, boundary point) pairs — and the overlay is immutable for the
     # duration of the call, so a cached walk is exact, not approximate.
     memo: dict[tuple[int, tuple[float, ...]], list[int]] = {}
-    nodes = overlay.nodes
     for r in boundary:
         if errors[r] is None and not nodes[paths[r][-1]].zone.contains(pts[r]):
             key = (paths[r][-1], pts[r])

@@ -19,12 +19,12 @@ vectorized hot paths, verbatim, as equivalence oracles:
 - :class:`ReferenceNodeExecutor` / :class:`ReferenceHostEngine` — the
   per-host dict-of-tasks PSM executor (and a thin engine-API shim over a
   fleet of them), against :class:`repro.cloud.engine.HostEngine`;
-- :class:`ReferenceZone` / :func:`reference_adjacency_direction` /
-  :class:`ReferenceCANOverlay` / :func:`reference_greedy_path` — the
-  per-object scalar CAN geometry, per-call adjacency recomputation
+- :func:`reference_adjacency_direction` / :class:`ReferenceCANOverlay` /
+  :func:`reference_greedy_path` — the scalar CAN predicates over a
+  zone's tuple mirrors, per-call adjacency recomputation
   (joins and leaves rebound geometrically, pointer tables walked one
   call per hop) and per-candidate greedy routing loop, against the structural
-  rewiring and the batched routing over the overlay's bounds rows (see
+  rewiring and the batched routing over the overlay's bounds array (see
   ``docs/can_geometry.md``; :func:`assert_overlays_equivalent` drives
   randomized join/leave/route/diffuse schedules against both);
 - :class:`ReferenceDiffusionEngine` — HID as the recursion of
@@ -76,7 +76,6 @@ __all__ = [
     "ReferenceStateCache",
     "ReferenceNodeExecutor",
     "ReferenceHostEngine",
-    "ReferenceZone",
     "ReferenceCANOverlay",
     "ReferenceDiffusionEngine",
     "ReferenceCohortScheduler",
@@ -85,7 +84,6 @@ __all__ = [
     "assert_engines_equivalent",
     "assert_overlays_equivalent",
     "reference_adjacency_direction",
-    "reference_is_negative_direction_of",
     "reference_distance_to_point",
     "reference_greedy_path",
     "reference_inscan_path",
@@ -583,43 +581,9 @@ def assert_engines_equivalent(
 # scalar CAN geometry / routing oracles (the seed implementations,
 # preserved verbatim)
 # ----------------------------------------------------------------------
-class ReferenceZone:
-    """The seed's per-object scalar zone predicates, kept verbatim as the
-    behavioural oracle for the vectorized routing kernels: plain
-    tuple arithmetic, dimension-ordered gap accumulation, ``acc ** 0.5``."""
-
-    __slots__ = ("lo", "hi", "_lo", "_hi")
-
-    def __init__(self, lo, hi):
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("lo/hi must be 1-D arrays of equal length")
-        if bool(np.any(hi <= lo)):
-            raise ValueError(f"degenerate zone lo={lo} hi={hi}")
-        self.lo = lo
-        self.hi = hi
-        self._lo = tuple(lo.tolist())
-        self._hi = tuple(hi.tolist())
-
-    def contains(self, point) -> bool:
-        """Half-open containment; the unit cube's top faces are closed."""
-        lo, hi = self._lo, self._hi
-        for k in range(len(lo)):
-            v = point[k]
-            if v < lo[k]:
-                return False
-            if v >= hi[k] and not (v == hi[k] == 1.0):
-                return False
-        return True
-
-    def distance_to_point(self, point) -> float:
-        return reference_distance_to_point(self, point)
-
-
 def reference_distance_to_point(zone, point) -> float:
-    """The seed's scalar box distance (any object exposing ``_lo``/``_hi``
-    tuples — :class:`repro.can.zone.Zone` or :class:`ReferenceZone`)."""
+    """The seed's scalar box distance over the zone's ``_lo``/``_hi``
+    tuple mirrors."""
     lo, hi = zone._lo, zone._hi
     acc = 0.0
     for k in range(len(lo)):
@@ -653,15 +617,6 @@ def reference_adjacency_direction(a, b) -> Optional[tuple[int, int]]:
             return None  # abuts on two dimensions: corner contact only
         abut_dim = (k, sign)
     return abut_dim
-
-
-def reference_is_negative_direction_of(b, a) -> bool:
-    """The seed's scalar negative-direction test (§III-A), verbatim."""
-    b_lo, a_hi = b._lo, a._hi
-    for k in range(len(b_lo)):
-        if b_lo[k] >= a_hi[k]:
-            return False
-    return True
 
 
 class ReferenceCANOverlay(CANOverlay):
@@ -734,14 +689,19 @@ class ReferenceCANOverlay(CANOverlay):
             )
 
     def _rebind_neighbors(self, *rebinds: tuple[int, set[int]]) -> None:
+        """Every node examined gets its edge stamp bumped, changed or not
+        — the oracle may refill a routing block too often, never too
+        rarely."""
         for node_id, candidates in rebinds:
             node = self.nodes[node_id]
+            node.edge_stamp += 1
             for cand_id in candidates:
                 if cand_id == node_id:
                     continue
                 cand = self.nodes.get(cand_id)
                 if cand is None:
                     continue
+                cand.edge_stamp += 1
                 if reference_adjacency_direction(node.zone, cand.zone) is not None:
                     node.neighbors.add(cand_id)
                     cand.neighbors.add(node_id)

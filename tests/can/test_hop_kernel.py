@@ -7,9 +7,10 @@ left-to-right sum, bit for bit; a reduce along the contiguous axis is
 ``a0 + pairwise(a1…)`` and differs from it in the last digits once
 ``d >= 8`` — so d = 8, 9, 16 here are what pins "the outer-axis reduce is
 strictly sequential", and ``m == 1`` what pins the lone-column guard.
-``greedy_paths`` takes its start distances from the same kernel over
-bounds gathered from the overlay's row-major ``lo``/``hi``; the batched
-route tests at the end pin that those gathers are C-ordered.
+Both routers hand the kernel the halves of one ``bounds.take(ids,
+axis=1)`` off the overlay's dimension-major array — C-ordered ``(d, m)``
+by construction; the batched route tests at the end pin start distances
+and whole paths at d = 8, 9, 16 against the scalar loop.
 """
 
 import math
@@ -99,18 +100,14 @@ def test_fused_accumulators_are_the_scalar_loop_bit_for_bit(d):
             lo, hi = _random_block(rng, d, m)
             zones = [Zone(lo[j], hi[j]) for j in range(m)]
             ids = rng.permutation(10 * m)[:m]
-            # A block is a column slice of the pool's (d, capacity) arrays.
-            start = int(rng.integers(0, 50))
-            pool_lo = rng.random((d, start + m + 7))
-            pool_hi = rng.random((d, start + m + 7))
-            pool_lo[:, start : start + m] = lo.T
-            pool_hi[:, start : start + m] = hi.T
+            # A hop gathers its block's columns out of the overlay's
+            # (2·d, capacity) bounds array and splits the gather in two.
+            bounds = rng.random((2 * d, 10 * m))
+            bounds[:d, ids] = lo.T
+            bounds[d:, ids] = hi.T
             for p in _points(rng, d, lo, hi):
-                accs = _box_accs(
-                    pool_lo[:, start : start + m],
-                    pool_hi[:, start : start + m],
-                    p.reshape(-1, 1),
-                )
+                block = bounds.take(ids, axis=1)
+                accs = _box_accs(block[:d], block[d:], p.reshape(-1, 1))
                 assert accs.shape == (m,)
                 old = _old_kernel(p, lo, hi)
                 assert accs.tobytes() == old.tobytes()
@@ -155,9 +152,8 @@ def test_contiguous_axis_reduce_would_not_be_exact():
 @pytest.mark.parametrize("d", [8, 9, 16])
 def test_batched_routes_equal_the_scalar_routes_in_high_dimensions(d, monkeypatch):
     """Start distances and whole paths of ``greedy_paths`` against
-    ``greedy_path`` and the scalar reference, where a start-bounds gather
-    left as a transposed view (reduced along its contiguous axis) rounds
-    differently from the scalar loop."""
+    ``greedy_path`` and the scalar reference, where a reduce along the
+    contiguous axis rounds differently from the scalar loop."""
     overlay = CANOverlay(d, np.random.default_rng(d))
     overlay.bootstrap(range(96))
     rng = np.random.default_rng(50 + d)
@@ -170,10 +166,14 @@ def test_batched_routes_equal_the_scalar_routes_in_high_dimensions(d, monkeypatc
         _squared_distance(overlay.nodes[s].zone, tuple(p))
         for s, p in zip(starts, points.tolist())
     ])
-    at = np.asarray(starts)
-    assert _box_accs(overlay.lo[at].T, overlay.hi[at].T, points.T).tobytes() != (
-        want.tobytes()
-    ), "a transposed view rounds like the scalar loop here: trap not pinned"
+    gaps = np.stack([
+        np.clip(p, overlay.nodes[s].zone.lo, overlay.nodes[s].zone.hi) - p
+        for s, p in zip(starts, points)
+    ])
+    assert np.add.reduce(gaps * gaps, axis=1).tobytes() != want.tobytes(), (
+        "a contiguous-axis reduce rounds like the scalar loop here: "
+        "these dimensions pin nothing"
+    )
 
     kernel_results = []
 

@@ -1,6 +1,6 @@
 """Scalar-vs-vectorized overlay equivalence under randomized schedules.
 
-The vectorized :class:`CANOverlay` (id-indexed bounds rows, cached edge
+The vectorized :class:`CANOverlay` (one id-indexed bounds array, cached edge
 directions, batched routing) and the verbatim seed oracle
 (:class:`repro.testing.ReferenceCANOverlay` + ``reference_greedy_path``)
 must stay indistinguishable: identical adjacency, identical routing

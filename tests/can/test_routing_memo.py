@@ -8,8 +8,13 @@ below changes everything a route depends on — membership (joins,
 leaves, a departed id joining again somewhere else), pointer tables,
 the pool's own waste-driven reset — and after
 every step re-routes remembered ``(start, point)`` pairs through all
-four public entry points against the scalar references.
+four public entry points against the scalar references.  The candidate
+blocks under the memo outlive joins and leaves; the edge tests at the
+end pin what that rests on (``docs/can_geometry.md``, "Routing:
+candidate pools").
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -190,15 +195,21 @@ class RouteMemoLockstepMachine(RuleBasedStateMachine):
         )
 
     @invariant()
-    def memo_holds_at_most_one_route_per_live_start(self):
+    def pools_hold_live_nodes_only(self):
         if not hasattr(self, "overlay"):
             return
-        # Through ``_pool_for``, as routing sees the pools: it applies the
-        # lazy reset a join or leave since the last route has made due.
+        # Through ``_pool_for``, as routing sees the pools: it empties the
+        # memo a join or leave since the last route has made stale.  The
+        # blocks outlive joins and leaves, so a departed node's must go
+        # when it leaves (it would pin the node's pointer table).
         for tables in (None, self.tables):
             pool = _pool_for(self.overlay, tables)
             assert len(pool.routes) <= len(self.overlay)
             assert set(pool.routes) <= set(self.overlay.nodes)
+            assert len(pool.index) <= len(self.overlay)
+            assert set(pool.index) <= set(self.overlay.nodes)
+        # Bounds columns, and every surviving block against a fresh one.
+        self.overlay.check_invariants()
 
 
 TestRouteMemoLockstep = RouteMemoLockstepMachine.TestCase
@@ -321,3 +332,172 @@ def test_refreshed_table_on_the_route_forces_a_fresh_computation(rig):
     tables[want[-1]] = build_index_table(overlay, want[-1], np.random.default_rng(2))
     assert inscan_path(overlay, tables, start, point) == want
     assert pool.route_hits == hits + 3
+
+
+# ----------------------------------------------------------------------
+# blocks that outlive joins and leaves
+# ----------------------------------------------------------------------
+def _both_routers(overlay, tables, start, point):
+    """The route through ``greedy_path`` and through ``greedy_paths``,
+    each computed hop by hop (no replay), which must agree."""
+    pool = _pool_for(overlay, tables)
+    pool.routes.clear()
+    single = greedy_path(overlay, start, point, link_tables=tables)
+    pool.routes.clear()
+    assert greedy_paths(overlay, [start], [point], link_tables=tables) == [single]
+    return single
+
+
+def _trials(rig, n=300):
+    """Deep copies of the rig — overlay, tables and a warmed pool — each
+    with one random route ``(start, point, path)`` recorded on it."""
+    overlay, tables = rig
+    rng = np.random.default_rng(21)
+    for _ in range(n):
+        start, point = int(rng.integers(60)), rng.uniform(0.01, 0.99, size=DIMS)
+        trial, trial_tables = copy.deepcopy((overlay, tables))
+        yield trial, trial_tables, start, point, _both_routers(
+            trial, trial_tables, start, point
+        )
+
+
+def test_departed_long_link_is_skipped_and_is_a_candidate_again_after_rejoining(rig):
+    """The holder's block keeps the departed id — its ``+inf`` column loses
+    every comparison, as the liveness filter dropped it — and is not
+    rebuilt when the link leaves, nor when the same id joins again."""
+    for overlay, tables, start, point, path in _trials(rig):
+        if len(path) < 2 or path[-1] in overlay.nodes[path[-2]].neighbors:
+            continue  # want a route whose last hop is a long link
+        holder, link = path[-2:]
+        pool = _pool_for(overlay, tables)
+        block, stamp = pool.index[holder], overlay.nodes[holder].edge_stamp
+
+        overlay.leave(link)
+        del tables[link]
+        if overlay.nodes[holder].edge_stamp != stamp:
+            continue  # the takeover rewired the holder itself
+        fills = pool.fills
+        detour = _both_routers(overlay, tables, start, point)
+        assert detour == reference_inscan_path(overlay, tables, start, point)
+        assert link not in detour and holder in detour
+        assert pool.index[holder] is block
+        assert pool.fills - fills < len(detour) - 1  # the holder's hop was free
+        overlay.check_invariants()
+
+        overlay.join(link, point)  # the joiner gets the half holding `point`
+        tables[link] = build_index_table(overlay, link, np.random.default_rng(2))
+        if overlay.nodes[holder].edge_stamp != stamp:
+            continue
+        assert _both_routers(overlay, tables, holder, point) == [holder, link]
+        assert reference_inscan_path(overlay, tables, holder, point) == [holder, link]
+        assert pool.index[holder] is block
+        overlay.check_invariants()
+        return
+    pytest.fail("no route ended on a long link whose holder the churn spared")
+
+
+@pytest.mark.parametrize("change", ["join", "leave"])
+def test_churn_far_from_a_route_refills_no_block_on_it(rig, change):
+    for overlay, tables, start, point, path in _trials(rig):
+        if len(path) < 4:
+            continue
+        stamps = [overlay.nodes[n].edge_stamp for n in path]
+        far = 1.0 - point  # the mirrored corner of the space
+        if change == "join":
+            overlay.join(1000, far)
+            tables[1000] = build_index_table(overlay, 1000, np.random.default_rng(2))
+        else:
+            victim = overlay.owner_of(far)
+            if victim in path:
+                continue
+            overlay.leave(victim)
+            del tables[victim]
+        if stamps != [overlay.nodes[n].edge_stamp for n in path]:
+            continue  # not far enough: an edge of the route's nodes changed
+        pool = _pool_for(overlay, tables)
+        fills, misses = pool.fills, pool.route_misses
+        assert _both_routers(overlay, tables, start, point) == path
+        assert reference_inscan_path(overlay, tables, start, point) == path
+        # Routed twice hop by hop — the epoch took the memo — on old blocks.
+        assert (pool.fills, pool.route_misses) == (fills, misses + 2)
+        overlay.check_invariants()
+        return
+    pytest.fail("every join/leave tried touched the route")
+
+
+@pytest.mark.parametrize("with_tables", [False, True])
+def test_block_without_a_live_candidate_fails_like_the_empty_block(rig, with_tables):
+    """Only an inconsistent overlay strands a node; with its neighbors
+    cut, a block of departed long links alone (all ``+inf``) must raise
+    what the empty block raises, in both routers."""
+    overlay, tables = rig
+    start, point = 0, 1.0 - overlay.nodes[0].zone.center
+    links = set(tables[0].all_links())
+    assert links and 0 not in links
+    inscan_path(overlay, tables, 0, point)  # block filled while all is well
+    for link in links:
+        overlay.leave(link)
+        del tables[link]
+    node = overlay.nodes[0]
+    node.neighbors.clear()  # the forged inconsistency
+    node.edge_stamp += 1
+    args = (overlay, tables) if with_tables else (overlay,)
+    single, batched, reference = (
+        (inscan_path, inscan_paths, reference_inscan_path) if with_tables
+        else (greedy_path, greedy_paths, reference_greedy_path)
+    )
+    for route in (
+        lambda: single(*args, start, point),
+        lambda: batched(*args, [start], [point]),
+        lambda: reference(*args, start, point),
+    ):
+        with pytest.raises(RoutingError, match="no progress at node 0"):
+            route()
+    other = max(overlay.nodes)  # one stranded route does not poison a batch
+    assert batched(*args, [start, other], [point, point], on_error="none") == [
+        None, reference(*args, other, point)
+    ]
+    pool = _pool_for(overlay, tables if with_tables else None)
+    assert pool.index[0][1] == (len(links) if with_tables else 0)
+
+
+def _takeover_kind(overlay, node_id):
+    """What ``overlay.leave(node_id)`` would be, tried on a copy of the tree."""
+    plan = copy.deepcopy(overlay.tree).remove(node_id)
+    if plan.mover is None:
+        return "merge"
+    if plan.mover in overlay.nodes[node_id].neighbors:
+        return "handoff"
+    return "handoff of a stranger"
+
+
+def test_warm_pools_pass_the_audit_through_every_kind_of_takeover():
+    """With a block on file for (nearly) every node — a waste-driven
+    reset may drop some — each kind of takeover must leave only blocks
+    that are still right looking current.  The rare kind is the one that
+    matters: the mover of a handoff swaps its whole neighborhood, and
+    unless it was the leaver's neighbor nobody unlinks it."""
+    overlay = CANOverlay(DIMS, np.random.default_rng(3))
+    overlay.bootstrap(range(100))
+    rng = np.random.default_rng(5)
+    tables = {n: build_index_table(overlay, n, rng) for n in range(100)}
+
+    def route_from_every_node():
+        for node_id, node in overlay.nodes.items():
+            far = np.where(node.zone.center < 0.5, 1.0, 0.0)  # outside its zone
+            assert greedy_path(overlay, node_id, far) == (
+                reference_greedy_path(overlay, node_id, far))
+            assert inscan_path(overlay, tables, node_id, far) == (
+                reference_inscan_path(overlay, tables, node_id, far))
+
+    for kind in ("handoff of a stranger", "handoff", "merge"):
+        route_from_every_node()
+        victim = next(
+            (n for n in sorted(overlay.nodes) if _takeover_kind(overlay, n) == kind),
+            None,
+        )
+        assert victim is not None, f"this overlay offers no {kind}"
+        overlay.leave(victim)
+        del tables[victim]
+        overlay.check_invariants()
+    route_from_every_node()

@@ -6,7 +6,8 @@ to the geometric classification they replaced — ``ReferenceCANOverlay``
 rebinding the old neighborhoods with the scalar predicate — on schedules
 whose join points land on split planes and on faces of the cube, pin
 what the rules must not do (compare zones, touch an edge that stays),
-and pin the id-indexed bounds rows ``_bind`` writes."""
+and pin the id-indexed bounds columns ``_bind`` writes and ``leave``
+erases."""
 
 import numpy as np
 import pytest
@@ -134,30 +135,44 @@ def test_edge_the_absorber_had_keeps_the_neighbor_buckets_inherited_one_resets()
 
 
 def test_bounds_rows_follow_the_node_ids():
+    """One (2·d, capacity) array, column i = node i's zone: lo rows over
+    hi rows, ``+inf`` wherever no member lives."""
     overlay = CANOverlay(3, np.random.default_rng(4))
-    capacity = len(overlay.lo)
+    rows, capacity = overlay.bounds.shape
+    assert rows == 6 and np.isposinf(overlay.bounds).all()
     overlay.bootstrap(range(3 * capacity))   # growth past the first capacity
-    assert len(overlay.lo) == len(overlay.hi) >= 3 * capacity
+    assert overlay.bounds.shape[0] == 6 and overlay.bounds.shape[1] >= 3 * capacity
+    assert overlay.bounds.flags.c_contiguous  # a take(ids, axis=1) copies m columns
+    assert np.isposinf(overlay.bounds[:, 3 * capacity:]).all()
     overlay.check_invariants()
 
-    before = overlay.lo[5].copy(), overlay.hi[5].copy()
+    def column(node_id):
+        return overlay.bounds[:3, node_id], overlay.bounds[3:, node_id]
+
+    before = [half.copy() for half in column(5)]
+    assert np.array_equal(before[0], overlay.nodes[5].zone.lo)
     overlay.leave(5)
-    assert 5 not in overlay.nodes            # the row is stale, not erased
+    assert 5 not in overlay.nodes            # erased, and never NaN:
+    assert np.isposinf(overlay.bounds[:, 5]).all()  # NaN would win an argmin
+    overlay.check_invariants()
     overlay.join(5, np.array([0.9, 0.1, 0.9]))
     zone = overlay.nodes[5].zone
-    assert np.array_equal(overlay.lo[5], zone.lo)
-    assert np.array_equal(overlay.hi[5], zone.hi)
+    assert np.array_equal(column(5)[0], zone.lo)
+    assert np.array_equal(column(5)[1], zone.hi)
     assert not (np.array_equal(before[0], zone.lo) and np.array_equal(before[1], zone.hi))
     overlay.check_invariants()
 
-    overlay.join(1000)                       # a sparse id grows the rows too
-    assert np.array_equal(overlay.hi[1000], overlay.nodes[1000].zone.hi)
+    overlay.join(1000)                       # a sparse id grows the columns too
+    assert np.array_equal(column(1000)[1], overlay.nodes[1000].zone.hi)
+    assert np.isposinf(overlay.bounds[:, 3 * capacity:1000]).all()
 
     for node_id in overlay.node_ids():       # down to nobody, then a fresh start
         overlay.leave(node_id)
+    assert np.isposinf(overlay.bounds).all()
+    overlay.check_invariants()
     epoch = overlay.epoch
     overlay.join(7)
     assert overlay.epoch > epoch
-    assert np.array_equal(overlay.lo[7], np.zeros(3))
-    assert np.array_equal(overlay.hi[7], np.ones(3))
+    assert np.array_equal(column(7)[0], np.zeros(3))
+    assert np.array_equal(column(7)[1], np.ones(3))
     overlay.check_invariants()

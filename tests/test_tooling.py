@@ -214,31 +214,41 @@ def test_run_digest_smoke():
     assert digest == recorded_digests()["hid-can-churn50-seed1"]
 
 
+def _count_routing(monkeypatch) -> dict[str, int]:
+    """Wrap the two routers ``repro.can.inscan`` calls: the returned dict
+    tallies the routes asked for and the hops of the paths returned."""
+    from repro.can import inscan, routing
+
+    tally = {"routes": 0, "hops": 0}
+    greedy_path, greedy_paths = routing.greedy_path, routing.greedy_paths
+
+    def counted_path(*args, **kwargs):
+        tally["routes"] += 1
+        path = greedy_path(*args, **kwargs)
+        tally["hops"] += len(path) - 1
+        return path
+
+    def counted_paths(overlay, starts, *args, **kwargs):
+        tally["routes"] += len(starts)
+        paths = greedy_paths(overlay, starts, *args, **kwargs)
+        tally["hops"] += sum(len(path) - 1 for path in paths if path is not None)
+        return paths
+
+    monkeypatch.setattr(inscan, "greedy_path", counted_path)
+    monkeypatch.setattr(inscan, "greedy_paths", counted_paths)
+    return tally
+
+
 def test_route_memo_smoke(monkeypatch):
     """The last-route memo must be live in a real cell: over three state
     cycles of a 300-node HID-CAN run idle nodes re-report the same point,
     so some routes are replays — and every route that reached the pool
     is tallied exactly once, as a hit or as a miss.  A refactor that
     silently bypasses the memo fails here, not in a benchmark."""
-    from repro.can import inscan, routing
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import SOCSimulation
 
-    routed = 0
-    greedy_path, greedy_paths = routing.greedy_path, routing.greedy_paths
-
-    def counted_path(*args, **kwargs):
-        nonlocal routed
-        routed += 1
-        return greedy_path(*args, **kwargs)
-
-    def counted_paths(overlay, starts, *args, **kwargs):
-        nonlocal routed
-        routed += len(starts)
-        return greedy_paths(overlay, starts, *args, **kwargs)
-
-    monkeypatch.setattr(inscan, "greedy_path", counted_path)
-    monkeypatch.setattr(inscan, "greedy_paths", counted_paths)
+    tally = _count_routing(monkeypatch)
     cycle = ExperimentConfig().pidcan.state_period
     sim = SOCSimulation(ExperimentConfig(
         n_nodes=300, duration=3 * cycle, seed=1, protocol="hid-can", demand_ratio=0.5,
@@ -247,5 +257,29 @@ def test_route_memo_smoke(monkeypatch):
     (pool,) = sim.protocol.overlay._route_pools.values()
     assert pool.tables is sim.protocol.tables
     assert pool.route_hits > 0
-    assert pool.route_hits + pool.route_misses == routed > 300
+    assert pool.route_hits + pool.route_misses == tally["routes"] > 300
     assert len(pool.routes) <= len(sim.protocol.overlay)
+
+
+def test_route_pool_survives_churn_smoke(monkeypatch):
+    """Candidate blocks must outlive joins and leaves that do not touch
+    their node: a 300-node HID-CAN cell under 50 % churn builds a block
+    for fewer than half of its routed hops (a third, measured; two
+    thirds when every overlay epoch empties the pool).  A refactor that
+    brings the epoch reset back fails here, not only in the bench — and
+    the surviving pool must pass the overlay's own audit at the end."""
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.runner import SOCSimulation
+
+    tally = _count_routing(monkeypatch)
+    sim = SOCSimulation(ExperimentConfig(
+        n_nodes=300, duration=1000.0, seed=1, protocol="hid-can",
+        demand_ratio=0.5, churn_degree=0.5,
+    ))
+    sim.run()
+    overlay = sim.protocol.overlay
+    (pool,) = overlay._route_pools.values()
+    assert pool.tables is sim.protocol.tables
+    assert tally["hops"] > 2000 and 0 < pool.fills < tally["hops"] / 2
+    assert set(pool.index) <= set(overlay.nodes)
+    overlay.check_invariants()
