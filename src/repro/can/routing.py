@@ -174,15 +174,16 @@ class _RouteBlockPool:
     waste and the pool rebuilds itself lazily once waste dominates.
 
     The pool also keeps the **last-route memo**: each start's most recent
-    successful route, replayed by :meth:`recall` for as long as every
-    block that route read is still the node's current one and no zone
-    has changed (``docs/can_geometry.md``, "Last-route memo") —
+    successful route, replayed by :meth:`recall` for as long as no zone
+    has changed and every hop out of a block rebuilt since still picks
+    the recorded node (``docs/can_geometry.md``, "Last-route memo") —
     :func:`_pool_for` empties it when the overlay's epoch moves,
     :meth:`reset` with the blocks.
     """
 
     __slots__ = ("overlay", "tables", "epoch", "index", "ids", "n", "waste",
-                 "generation", "routes", "route_hits", "route_misses", "fills")
+                 "generation", "routes", "route_hits", "route_misses",
+                 "route_repairs", "fills")
 
     def __init__(self, overlay: CANOverlay, tables):
         self.overlay = overlay
@@ -190,9 +191,9 @@ class _RouteBlockPool:
         self.ids = np.empty(256, dtype=np.int64)
         self.generation = 0
         #: Routes answered from the memo / routed hop by hop (one count
-        #: per route that reached the pool) and blocks built: read-only
-        #: tallies for tests.
-        self.route_hits = self.route_misses = self.fills = 0
+        #: per route that reached the pool), hits that recomputed a hop,
+        #: and blocks built: read-only tallies for tests.
+        self.route_hits = self.route_misses = self.route_repairs = self.fills = 0
         self.reset()
 
     def reset(self) -> None:
@@ -255,35 +256,81 @@ class _RouteBlockPool:
                     self.candidates(node_id, table)
                 ), f"candidate block of node {node_id} stale"
 
-    def recall(self, start_id: int, pt: tuple, max_hops: int) -> Optional[list[int]]:
-        """The start's memoised route if it was to ``pt`` (by value; NaN
-        never matches), fits ``max_hops``, and every block it read is
-        still the pool's entry for that node: built from the node's
-        current pointer table, and filled before the route was recorded
-        — blocks are appended, so one rebuilt since (table refreshed and
-        the node routed through again) starts at or above the fill level
-        ``n`` of that moment.  Those blocks plus the zones and neighbor
-        sets of the epoch the memo is pinned to are all the hop decisions
-        and the perimeter walk read, so the replay is the route a fresh
-        computation would return."""
+    def hop(self, node_id: int, pcol: np.ndarray) -> Optional[tuple[float, int]]:
+        """One greedy hop out of ``node_id`` toward the ``(d, 1)`` point:
+        ``(distance, id)`` of the winning candidate, or ``None`` when the
+        node has none.  The node's block is (re)built first unless it is
+        current; callers holding ``index`` or a block offset check
+        ``generation`` afterwards, since a fill may reset the pool."""
+        tables, overlay = self.tables, self.overlay
+        table = None if tables is None else tables.get(node_id)
+        entry = self.index.get(node_id)
+        if (
+            entry is None or entry[2] is not table
+            or entry[3] != overlay.nodes[node_id].edge_stamp
+        ):
+            self.fill(node_id, table)
+            entry = self.index[node_id]
+        start = entry[0]
+        stop = start + entry[1]
+        if stop == start:
+            return None
+        ids = self.ids[start:stop]
+        dims = overlay.dims
+        block = overlay.bounds.take(ids, axis=1)
+        return _pow_space_best(_box_accs(block[:dims], block[dims:], pcol), ids)
+
+    def recall(self, start_id: int, pt: tuple, max_hops: int) -> tuple[list[int], bool]:
+        """``(path, True)`` when the start's memoised route answers the
+        query, else ``(verified prefix, False)`` for the hop loop to go on
+        from its last node — ``[start_id]`` when nothing could be reused.
+
+        The memo must be to ``pt`` (by value; NaN never matches) and fit
+        ``max_hops``; then the recorded route is walked hop by hop.  A
+        node whose block is the one the route read — still built from its
+        current pointer table, and filled before the route was recorded:
+        blocks are appended, so one rebuilt since starts at or above the
+        fill level ``n`` of that moment — is left as recorded.  Any other
+        node's hop is computed again, and stands while its winner is the
+        recorded next node: a hop reads its own node's block and nothing
+        of the way there, so the rest of the route is still what a fresh
+        computation would return.  At the first other winner the walk
+        hands back the prefix up to that node; a fill that reset the pool
+        took the memo and its fill level with it and abandons the walk.
+        The zones and neighbor sets the start distance, the landing test
+        and the perimeter tail read belong to the epoch the memo is
+        pinned to.  A repaired route is stamped with the current fill
+        level, so that its next replay recomputes nothing."""
         memo = self.routes.get(start_id)
+        prefix = [start_id]
         if memo is not None and tuple(memo[0]) == pt and memo[2] <= max_hops:
             path, filled = memo[1], memo[3]
-            index, tables = self.index, self.tables
+            index, tables, generation = self.index, self.tables, self.generation
+            pcol = None
             for k in range(memo[2] - 1):
                 node_id = path[k]
                 entry = index.get(node_id)
                 if (
-                    entry is None
-                    or entry[0] >= filled
-                    or entry[2] is not (None if tables is None else tables.get(node_id))
+                    entry is not None and entry[0] < filled
+                    and entry[2] is (None if tables is None else tables.get(node_id))
                 ):
+                    continue
+                if pcol is None:
+                    pcol = np.array(pt).reshape(-1, 1)
+                best = self.hop(node_id, pcol)
+                if self.generation != generation:
+                    break
+                if best is None or best[1] != path[k + 1]:
+                    prefix = path[: k + 1].tolist()
                     break
             else:
+                if pcol is not None:  # served after a repair
+                    self.routes[start_id] = memo[:3] + (self.n,)
+                    self.route_repairs += 1
                 self.route_hits += 1
-                return path.tolist()
+                return path.tolist(), True
         self.route_misses += 1
-        return None
+        return prefix, False
 
     def remember(self, pt: tuple, path: list[int], greedy_len: int) -> None:
         """Record a successful route: ``path[:greedy_len]`` came out of
@@ -338,37 +385,21 @@ def greedy_path(
         max_hops = 4 * (len(overlay) + 1)
 
     pool = _pool_for(overlay, link_tables)
-    path = pool.recall(start_id, pt, max_hops)
-    if path is not None:
+    path, complete = pool.recall(start_id, pt, max_hops)
+    if complete:
         return path
-    current_id = start_id
-    path = [start_id]
-    dist = _squared_distance(overlay.nodes[start_id].zone, pt) ** 0.5
+    current_id = path[-1]
+    nodes = overlay.nodes
+    dist = _squared_distance(nodes[current_id].zone, pt) ** 0.5
     pcol = p.reshape(-1, 1)
-    index, nodes = pool.index, overlay.nodes
-    bounds, dims = overlay.bounds, overlay.dims
     while dist != 0.0:
-        table = None if link_tables is None else link_tables.get(current_id)
-        entry = index.get(current_id)
-        if (
-            entry is None or entry[2] is not table
-            or entry[3] != nodes[current_id].edge_stamp
-        ):
-            pool.fill(current_id, table)
-            index = pool.index  # fill may reset the pool
-            entry = index[current_id]
-        start = entry[0]
-        stop = start + entry[1]
-        if stop == start:
+        best = pool.hop(current_id, pcol)
+        if best is None:
             raise RoutingError(
                 f"no progress at node {current_id} toward {pt} "
                 f"(dist {dist}, no candidates)"
             )
-        ids = pool.ids[start:stop]
-        block = bounds.take(ids, axis=1)
-        best_dist, best_id = _pow_space_best(
-            _box_accs(block[:dims], block[dims:], pcol), ids
-        )
+        best_dist, best_id = best
         if best_dist >= dist:
             raise RoutingError(
                 f"no progress at node {current_id} toward {pt} "
@@ -432,16 +463,17 @@ def greedy_paths(
     pts = list(map(tuple, P.tolist()))
     for r in range(n_routes):
         sid = int(starts[r])
-        # Memoised routes leave the front before the first round.
-        paths[r] = pool.recall(sid, pts[r], max_hops)
-        if paths[r] is not None:
-            continue
-        if sid not in overlay.nodes:
+        # Memoised routes leave the front before the first round; one
+        # verified in part joins it at the last node of its prefix.
+        path, complete = pool.recall(sid, pts[r], max_hops)
+        if not complete and sid not in overlay.nodes:
             errors[r] = KeyError(sid)
             continue
-        paths[r] = [sid]
-        cur[r] = sid
-        known.append(r)
+        paths[r] = path
+        if not complete:
+            cur[r] = path[-1]
+            nhops[r] = len(path) - 1
+            known.append(r)
     dims = overlay.dims
     if known:
         # One start-distance pass through the hop kernel.

@@ -69,7 +69,7 @@ class RangeCache:
     __slots__ = (
         "ttl", "max_size", "policy", "dims", "_tau", "_row", "_keys",
         "_added", "_last", "_hits", "_live", "_lo", "_hi", "_n", "_dead",
-        "_clock",
+        "_clock", "_oldest",
     )
 
     def __init__(
@@ -105,6 +105,9 @@ class RangeCache:
         #: ``__contains__`` expire against it so they agree with the most
         #: recent ``entries()`` view (sim time is monotonic).
         self._clock = 0.0
+        #: Lower bound on the insertion stamps of live rows: ``purge``
+        #: runs on every lookup and scans only once this can be stale.
+        self._oldest = np.inf
 
     # ------------------------------------------------------------------
     # storage management
@@ -157,6 +160,7 @@ class RangeCache:
 
     def _kill_row(self, row: int) -> None:
         self._live[row] = False
+        self._lo[row] = np.inf  # contains no point: lookups need no mask
         self._dead += 1
 
     # ------------------------------------------------------------------
@@ -182,8 +186,11 @@ class RangeCache:
             self._n += 1
         self._added[row] = now
         self._last[row] = now
+        if now < self._oldest:
+            self._oldest = now
         self._lo[row] = lo
-        self._hi[row] = hi
+        # A box on the top face of the unit cube is closed there.
+        self._hi[row] = np.where(hi >= 1.0, np.inf, hi)
         if len(self._row) > self.max_size:
             self._evict(now)
 
@@ -231,13 +238,18 @@ class RangeCache:
         if not self._row:
             return
         cutoff = now - self.ttl
+        if cutoff <= self._oldest:
+            return  # every live row is at least as fresh as the bound
         n = self._n
         stale = self._live[:n] & (self._added[:n] < cutoff)
         if stale.any():
             for row in np.flatnonzero(stale).tolist():
                 del self._row[int(self._keys[row])]
                 self._kill_row(row)
-            self._maybe_compact()
+        self._oldest = (
+            float(self._added[:n][self._live[:n]].min()) if self._row else np.inf
+        )
+        self._maybe_compact()
 
     # ------------------------------------------------------------------
     # queries
@@ -249,8 +261,9 @@ class RangeCache:
     def lookup(self, point: np.ndarray, now: float) -> Optional[int]:
         """The cached duty whose range box contains ``point``, or None.
 
-        One vectorized containment pass over the live boxes (half-open
-        per zone convention, closed at the top face of the unit cube).
+        One vectorized containment pass over the stored boxes (half-open
+        per zone convention; :meth:`add` opened the top face of the unit
+        cube to ``+inf`` and a dead row's ``lo`` is ``+inf``).
         Among multiple matches the freshest insertion wins (largest key
         breaks exact-stamp ties).  A hit bumps the entry's frequency and
         recency — the signal LRU/LFU/adaptive eviction ranks by.
@@ -260,11 +273,9 @@ class RangeCache:
             return None
         n = self._n
         point = np.asarray(point, dtype=np.float64)
-        inside = (
-            (self._lo[:n] <= point)
-            & ((point < self._hi[:n]) | (self._hi[:n] >= 1.0))
-        ).all(axis=1)
-        rows = np.flatnonzero(inside & self._live[:n])
+        rows = np.flatnonzero(
+            ((self._lo[:n] <= point) & (point < self._hi[:n])).all(axis=1)
+        )
         if rows.size == 0:
             return None
         stamps = self._added[rows]

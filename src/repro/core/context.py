@@ -198,8 +198,11 @@ class ProtocolContext:
     # coordinate mapping
     # ------------------------------------------------------------------
     def normalize(self, vector: np.ndarray) -> np.ndarray:
-        """Map a resource vector into the CAN key space ``[0,1]^d``."""
-        return np.clip(np.asarray(vector, dtype=np.float64) / self.cmax, 0.0, 1.0)
+        """Map a resource vector into the CAN key space ``[0,1]^d``
+        (``np.clip``'s values, NaN included, without its wrapper)."""
+        key = np.asarray(vector, dtype=np.float64) / self.cmax
+        np.maximum(key, 0.0, out=key)
+        return np.minimum(key, 1.0, out=key)
 
     # ------------------------------------------------------------------
     def choice(self, items: Sequence, exclude: Optional[set] = None):

@@ -80,7 +80,6 @@ class HostNode:
 
     node_id: int
     machine: MachineConfig
-    alive: bool = True
 
 
 @dataclass
@@ -226,6 +225,8 @@ class SOCSimulation:
         #: instant, exact at quantum 0 (docs/coalescing.md).
         self.delivery = DeliveryCalendar(self.sim, quantum=config.delivery_quantum)
         self.hosts: dict[int, HostNode] = {}
+        #: The live membership, and the one record of it: the protocol
+        #: and the workload test ids against this set directly.
         self._alive: set[int] = set()
         self._next_node_id = 0
         self._peak_population = 0
@@ -265,7 +266,7 @@ class SOCSimulation:
             rng=self.rngs.stream("protocol"),
             cmax=self.cmax,
             availability_of=self._availability_of,
-            is_alive=self.is_alive,
+            is_alive=self._alive.__contains__,
             availability_matrix_of=self._availability_matrix_of,
             delivery=self.delivery,
         )
@@ -318,7 +319,7 @@ class SOCSimulation:
         )
         for node_id in sorted(self._alive):
             self.workload.start_node(
-                node_id, self.sim, self._submit_task, self.is_alive,
+                node_id, self.sim, self._submit_task, self._alive.__contains__,
                 quantum=config.arrival_quantum,
             )
         #: Same-instant arrival buffer (``arrival_quantum > 0``): the first
@@ -364,8 +365,7 @@ class SOCSimulation:
         return node_id
 
     def is_alive(self, node_id: int) -> bool:
-        host = self.hosts.get(node_id)
-        return host is not None and host.alive
+        return node_id in self._alive
 
     def _availability_of(self, node_id: int) -> np.ndarray:
         # An array-row view of the engine's cached availability matrix:
@@ -624,7 +624,7 @@ class SOCSimulation:
             newcomer = self._create_host(self._machine_rng)
             self.protocol.on_join(newcomer)
             self.workload.start_node(
-                newcomer, self.sim, self._submit_task, self.is_alive,
+                newcomer, self.sim, self._submit_task, self._alive.__contains__,
                 quantum=self.config.arrival_quantum,
             )
         self.sim.schedule(
@@ -638,9 +638,7 @@ class SOCSimulation:
         return alive[int(self._churn_rng.integers(len(alive)))]
 
     def _depart(self, node_id: int) -> None:
-        host = self.hosts[node_id]
-        host.alive = False
-        self._alive.discard(node_id)
+        self._alive.remove(node_id)
         if self.config.churn_kills_tasks:
             evicted = self.engine.evict_all(node_id, self.sim.now)
             self.balance.on_remove_many(node_id, len(evicted))

@@ -176,10 +176,24 @@ class NetworkModel:
         return p.wan_latency_s + size_bits / (bw * 1e6)
 
     def path_delay(self, path: list[int], size_bits: float = CONTROL_MSG_BITS) -> float:
-        """Total delay of forwarding a message hop-by-hop along ``path``."""
-        return sum(
-            self.delay(a, b, size_bits) for a, b in zip(path[:-1], path[1:])
-        )
+        """Total delay of forwarding a message hop-by-hop along ``path``:
+        :meth:`delay` per hop, written out, summed left to right."""
+        p, lan_of, wan_bw = self.params, self._lan_of, self._wan_bw
+        total = 0
+        for src, dst in zip(path, path[1:]):
+            if src == dst:
+                hop = 0.0
+            else:
+                lan_src = lan_of.get(src)
+                if lan_src is not None and lan_src == lan_of.get(dst):
+                    hop = p.lan_latency_s + size_bits / (self._lan_bw[lan_src] * 1e6)
+                else:
+                    bw = min(
+                        wan_bw.get(src, p.wan_bw_mbps_lo), wan_bw.get(dst, p.wan_bw_mbps_lo)
+                    )
+                    hop = p.wan_latency_s + size_bits / (bw * 1e6)
+            total += hop
+        return total
 
     def path_delays(
         self, paths: list[list[int]], size_bits: float = CONTROL_MSG_BITS

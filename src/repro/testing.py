@@ -1050,10 +1050,7 @@ def construction_digest(sim) -> dict[str, str]:
     overlay = sim.protocol.overlay
     ids = sorted(overlay.nodes)
     faces = [(dim, sign) for dim in range(overlay.dims) for sign in (+1, -1)]
-    lans = {
-        node_id: sim.network.lan_of(node_id)
-        for node_id, host in sorted(sim.hosts.items()) if host.alive
-    }
+    lans = {node_id: sim.network.lan_of(node_id) for node_id in sorted(sim._alive)}
     sections = {
         "zones": [
             (n, overlay.nodes[n].zone.lo.tolist(), overlay.nodes[n].zone.hi.tolist())

@@ -1,20 +1,25 @@
 """Lockstep and edge tests for the last-route memo of the routing pool.
 
 ``_RouteBlockPool`` replays a start's previous route when the query
-point is value-equal and every candidate block that route read is still
-the node's current one (``docs/can_geometry.md``, "Last-route memo").
+point is value-equal, walking it hop by hop: a hop out of the block the
+route read is taken as recorded, a hop out of a block rebuilt since is
+computed again and must pick the recorded node
+(``docs/can_geometry.md``, "Last-route memo").
 A replay must be indistinguishable from routing afresh, so the machine
 below changes everything a route depends on — membership (joins,
-leaves, a departed id joining again somewhere else), pointer tables,
-the pool's own waste-driven reset — and after
+leaves, a departed id joining again somewhere else), pointer tables
+(of nodes on memoised routes by preference), the pool's own
+waste-driven reset — and after
 every step re-routes remembered ``(start, point)`` pairs through all
-four public entry points against the scalar references.  The candidate
-blocks under the memo outlive joins and leaves; the edge tests at the
-end pin what that rests on (``docs/can_geometry.md``, "Routing:
+four public entry points against the scalar references.  The repair
+tests after it count hop-kernel calls; the candidate
+blocks under the memo outlive joins and leaves, and the edge tests at
+the end pin what that rests on (``docs/can_geometry.md``, "Routing:
 candidate pools").
 """
 
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from hypothesis.stateful import (
     RuleBasedStateMachine, initialize, invariant, precondition, rule,
 )
 
+from repro.can import routing
 from repro.can.inscan import build_index_table, inscan_path, inscan_paths
 from repro.can.overlay import CANOverlay
 from repro.can.routing import (
@@ -101,11 +107,17 @@ class RouteMemoLockstepMachine(RuleBasedStateMachine):
             return
         self._admit(self.departed.pop(pick % len(self.departed)), coords)
 
-    @rule(pick=picks, rebuild=st.booleans(), point=point_lists)
-    def replace_pointer_table(self, pick, rebuild, point):
+    @rule(pick=picks, on_route=st.booleans(), rebuild=st.booleans(), point=point_lists)
+    def replace_pointer_table(self, pick, on_route, rebuild, point):
         """A refresh alone leaves the node's block stale; routing from the
-        node rebuilds it, newer than any route memoised across it."""
+        node rebuilds it, newer than any route memoised across it.  Either
+        way the next replay across the node recomputes its hop — aimed at
+        a node some memoised route left, when there is one."""
         node_id = self._alive(pick)
+        routes = _pool_for(self.overlay, self.tables).routes
+        left = sorted({n for memo in routes.values() for n in memo[1][: memo[2] - 1]})
+        if on_route and left:
+            node_id = left[pick % len(left)]
         self.tables[node_id] = build_index_table(self.overlay, node_id, self.rng)
         if rebuild:
             inscan_path(self.overlay, self.tables, node_id, point)
@@ -157,6 +169,8 @@ class RouteMemoLockstepMachine(RuleBasedStateMachine):
         recent = self.history[-REPLAYED:]
         if not recent:
             return
+        pools = [_pool_for(overlay, None), _pool_for(overlay, tables)]
+        tallied = [p.route_hits + p.route_misses for p in pools]
         plain_want = [
             _reference(reference_greedy_path, overlay, s, p) for s, p in recent
         ]
@@ -193,6 +207,13 @@ class RouteMemoLockstepMachine(RuleBasedStateMachine):
         assert inscan_paths(overlay, tables, starts, points, on_error="none") == (
             inscan_want + [twice, None]
         )
+        # Every route that reached a pool is a hit or a miss, exactly
+        # once; a repair is a kind of hit.
+        known = sum(s in overlay.nodes for s, _ in recent)
+        routed = [len(recent) + len(starts), 3 * known + len(starts)]
+        for pool, before, routes in zip(pools, tallied, routed):
+            assert pool.route_hits + pool.route_misses == before + routes
+            assert pool.route_repairs <= pool.route_hits
 
     @invariant()
     def pools_hold_live_nodes_only(self):
@@ -306,32 +327,216 @@ def test_nan_coordinate_never_hits(rig):
     assert pool.route_misses == 7
 
 
-def test_refreshed_table_on_the_route_forces_a_fresh_computation(rig):
+# ----------------------------------------------------------------------
+# the hop-by-hop replay: rebuilt blocks are recomputed, nothing else is
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def spy(monkeypatch):
+    """``kernel``: hop-kernel calls so far; ``hops``: the nodes whose hop
+    went through the pool's scalar ``hop`` (the single router's loop and
+    every repair; the batched rounds do not)."""
+    log = SimpleNamespace(kernel=0, hops=[])
+    kernel, hop = routing._box_accs, routing._RouteBlockPool.hop
+
+    def counted_kernel(lo, hi, p):
+        log.kernel += 1
+        return kernel(lo, hi, p)
+
+    def logged_hop(pool, node_id, pcol):
+        log.hops.append(node_id)
+        return hop(pool, node_id, pcol)
+
+    monkeypatch.setattr(routing, "_box_accs", counted_kernel)
+    monkeypatch.setattr(routing._RouteBlockPool, "hop", logged_hop)
+    return log
+
+
+both_routers = pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+
+
+def _route(batched, overlay, tables, start, point, **kwargs):
+    if not batched:
+        return inscan_path(overlay, tables, start, point, **kwargs)
+    (path,) = inscan_paths(overlay, tables, [start], [point], **kwargs)
+    return path
+
+
+def _tallies(pool):
+    return pool.route_hits, pool.route_repairs, pool.route_misses
+
+
+def _refresh(tables, node_id):
+    """Same links, new object: the node's block is no longer current."""
+    tables[node_id] = copy.deepcopy(tables[node_id])
+
+
+def _assert_plain_hit(spy, pool, route, want):
+    """``route()`` is served from the memo without computing anything."""
+    kernel, (hits, repairs, misses) = spy.kernel, _tallies(pool)
+    assert route() == want
+    assert spy.kernel == kernel
+    assert _tallies(pool) == (hits + 1, repairs, misses)
+
+
+@both_routers
+def test_refreshed_table_on_the_route_costs_one_hop_and_is_a_hit(rig, spy, batched):
     overlay, tables = rig
     start, point, path = _longest_route(overlay, tables)
     pool = _pool_for(overlay, tables)
-    hits = pool.route_hits
-    assert inscan_path(overlay, tables, start, point) == path
-    assert pool.route_hits == hits + 1
-    # Same links, new object: the block of path[1] is no longer current.
-    tables[path[1]] = build_index_table(overlay, path[1], np.random.default_rng(1))
-    want = reference_inscan_path(overlay, tables, start, point)
-    assert inscan_path(overlay, tables, start, point) == want
-    assert pool.route_hits == hits + 1
+    route = lambda: _route(batched, overlay, tables, start, point)
+    _assert_plain_hit(spy, pool, route, path)
+
+    _refresh(tables, path[1])
+    assert reference_inscan_path(overlay, tables, start, point) == path
+    spy.kernel, spy.hops[:] = 0, []
+    fills, (hits, repairs, misses) = pool.fills, _tallies(pool)
+    assert route() == path
+    assert (spy.kernel, spy.hops, pool.fills) == (1, [path[1]], fills + 1)
+    assert _tallies(pool) == (hits + 1, repairs + 1, misses)
+    # The repaired route was stamped with the new fill level.
+    _assert_plain_hit(spy, pool, route, path)
+
     # Refresh it again and let another route rebuild the block first: the
     # entry is built from the current table once more, but it is newer
-    # than the memoised route, which must not be replayed over it.
-    tables[path[1]] = build_index_table(overlay, path[1], np.random.default_rng(3))
+    # than the memoised route — recomputed all the same, without a fill.
+    _refresh(tables, path[1])
     inscan_path(overlay, tables, path[1], np.full(DIMS, 0.123))
     assert pool.index[path[1]][2] is tables[path[1]]
+    spy.kernel, spy.hops[:] = 0, []
+    fills, (hits, repairs, misses) = pool.fills, _tallies(pool)
+    assert route() == path
+    assert (spy.kernel, spy.hops, pool.fills) == (1, [path[1]], fills)
+    assert _tallies(pool) == (hits + 1, repairs + 1, misses)
+    _assert_plain_hit(spy, pool, route, path)
+
+    # The last node's block was never read: replacing its table is nothing.
+    _refresh(tables, path[-1])
+    _assert_plain_hit(spy, pool, route, path)
+
+
+@both_routers
+@pytest.mark.parametrize("rebuilt", [2, 3])
+def test_several_rebuilt_blocks_on_one_route_cost_one_hop_each(rig, spy, batched, rebuilt):
+    overlay, tables = rig
+    start, point, path = _longest_route(overlay, tables)
+    assert len(path) >= rebuilt + 2
+    pool = _pool_for(overlay, tables)
+    stale = path[:4:2] if rebuilt == 2 else path[1:4]  # apart, and in a row
+    for node_id in stale:
+        _refresh(tables, node_id)
+    inscan_path(overlay, tables, stale[-1], np.full(DIMS, 0.123))  # one rebuilt already
+    spy.kernel, spy.hops[:] = 0, []
+    fills, (hits, repairs, misses) = pool.fills, _tallies(pool)
+    assert _route(batched, overlay, tables, start, point) == path
+    assert path == reference_inscan_path(overlay, tables, start, point)
+    assert (spy.kernel, spy.hops, pool.fills) == (rebuilt, stale, fills + rebuilt - 1)
+    assert _tallies(pool) == (hits + 1, repairs + 1, misses)  # one route, one repair
+    _assert_plain_hit(
+        spy, pool, lambda: _route(batched, overlay, tables, start, point), path)
+
+
+def _refresh_that_changes_the_winner(overlay, tables, min_prefix=3):
+    """``(start, point, path, k, table, want)``: a route with no perimeter
+    tail, and a fresh pointer table for ``path[k]`` under which the
+    reference leaves ``path`` at that node for the route ``want`` —
+    with at least ``min_prefix`` nodes before the disagreement."""
+    rng = np.random.default_rng(13)
+    for _ in range(400):
+        start, point = int(rng.integers(60)), rng.uniform(0.01, 0.99, size=DIMS)
+        path = reference_inscan_path(overlay, tables, start, point)
+        for k in range(min_prefix - 1, len(path) - 2):
+            for seed in range(8):
+                table = build_index_table(overlay, path[k], np.random.default_rng(seed))
+                want = reference_inscan_path(
+                    overlay, {**tables, path[k]: table}, start, point)
+                if want != path:
+                    return start, point, path, k, table, want
+    pytest.fail("no refreshed table moved any route")
+
+
+@both_routers
+def test_refresh_that_changes_the_winner_keeps_the_prefix_and_records_the_new_route(
+    rig, spy, batched
+):
+    overlay, tables = rig
+    start, point, path, k, table, want = _refresh_that_changes_the_winner(overlay, tables)
+    assert want[: k + 1] == path[: k + 1] and want[k + 1] != path[k + 1]
+    assert inscan_path(overlay, tables, start, point) == path  # memoised
+    tables[path[k]] = table
+    _refresh(tables, path[0])  # same winner: verified, then the prefix ends at k
+    pool = _pool_for(overlay, tables)
+    spy.kernel, spy.hops[:] = 0, []
+    hits, repairs, misses = _tallies(pool)
+    assert _route(batched, overlay, tables, start, point) == want
+    assert _tallies(pool) == (hits, repairs, misses + 1)
+    recorded = pool.routes[start]
+    assert recorded[1].tolist() == want
+    hops_after_k = recorded[2] - 1 - k
+    if batched:
+        # Two repair hops, the start distance at path[k], a round per hop.
+        assert (spy.kernel, spy.hops) == (2 + 1 + hops_after_k, [path[0], path[k]])
+    else:
+        assert spy.kernel == 2 + hops_after_k
+        assert spy.hops == [path[0], path[k]] + want[k : recorded[2] - 1]
+    _assert_plain_hit(
+        spy, pool, lambda: _route(batched, overlay, tables, start, point), want)
+
+
+@both_routers
+def test_waste_driven_reset_inside_a_repair_falls_back_to_a_fresh_route(rig, spy, batched):
+    overlay, tables = rig
+    start, point, path = _longest_route(overlay, tables)
+    pool = _pool_for(overlay, tables)
+    _refresh(tables, path[1])
+    pool.waste = 10 ** 6  # the repair's fill tips the pool over
+    generation, fills, (hits, repairs, misses) = pool.generation, pool.fills, _tallies(pool)
+    assert _route(batched, overlay, tables, start, point) == path
+    assert path == reference_inscan_path(overlay, tables, start, point)
+    assert pool.generation == generation + 1 and pool.waste == 0
+    assert _tallies(pool) == (hits, repairs, misses + 1)
+    # Routed from the start again, on blocks of the new pool only.
+    assert pool.fills - fills == len(path) - 1 == len(pool.index)
+    assert set(pool.routes) == {start}
+    _assert_plain_hit(
+        spy, pool, lambda: _route(batched, overlay, tables, start, point), path)
+    overlay.check_invariants()
+
+
+@both_routers
+def test_max_hops_below_a_memoised_route_is_not_repaired(rig, spy, batched):
+    overlay, tables = rig
+    start, point, path = _longest_route(overlay, tables)
+    _refresh(tables, path[1])
+    tight = len(path) - 1
+    pool = _pool_for(overlay, tables)
+    tallies = _tallies(pool)
+    memoised = _error_of(
+        lambda: _route(batched, overlay, tables, start, point, max_hops=tight))
+    assert _tallies(pool) == tallies[:2] + (tallies[2] + 1,)
+    overlay._route_pools.clear()  # no memo, no blocks
+    fresh = _error_of(
+        lambda: _route(batched, overlay, tables, start, point, max_hops=tight))
+    assert memoised == fresh and fresh[0] is RoutingError
+    assert fresh[1].startswith(f"exceeded {tight} hops toward")
+
+
+@both_routers
+def test_no_repair_across_an_epoch_change(rig, spy, batched):
+    """A join moves zones under unchanged candidate sets: the memo goes
+    with the epoch, a refreshed table on the old route or not."""
+    overlay, tables = rig
+    start, point, path = _longest_route(overlay, tables)
+    pool = _pool_for(overlay, tables)
+    _refresh(tables, path[1])
+    overlay.join(1000, point)  # the joiner gets the half holding `point`
+    tables[1000] = build_index_table(overlay, 1000, np.random.default_rng(2))
     want = reference_inscan_path(overlay, tables, start, point)
-    assert inscan_path(overlay, tables, start, point) == want
-    assert pool.route_hits == hits + 1
-    # The last node's block was never read: replacing its table is no miss.
-    assert inscan_path(overlay, tables, start, point) == want
-    tables[want[-1]] = build_index_table(overlay, want[-1], np.random.default_rng(2))
-    assert inscan_path(overlay, tables, start, point) == want
-    assert pool.route_hits == hits + 3
+    assert want[-1] == 1000 and want != path
+    hits, repairs, misses = _tallies(pool)
+    assert _route(batched, overlay, tables, start, point) == want
+    assert _tallies(pool) == (hits, repairs, misses + 1)
+    _assert_plain_hit(
+        spy, pool, lambda: _route(batched, overlay, tables, start, point), want)
 
 
 # ----------------------------------------------------------------------

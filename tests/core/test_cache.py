@@ -49,6 +49,83 @@ def test_ttl_policy_lockstep_with_reference_pilist(seed):
         assert (key in soa) == (key in ref)
 
 
+def _assert_expiry_bound_holds(cache: RangeCache) -> None:
+    """``_oldest`` gates the staleness scan: it must never exceed a live
+    entry's insertion stamp, or that entry could outlive its TTL."""
+    stamps = [float(cache._added[row]) for row in cache._row.values()]
+    assert all(cache._oldest <= stamp for stamp in stamps)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ttl_lockstep_with_time_running_backwards_too(seed):
+    """Callers pass ``now``; nothing makes it monotone.  A stamp below
+    the bound must lower it, and a purge at an earlier ``now`` must not
+    let the gate skip a later one.  Lookups ride along: a key is found
+    exactly while the reference still lists it."""
+    rng = np.random.default_rng(seed)
+    soa = RangeCache(ttl=50.0, max_size=8, policy="ttl", dims=1)
+    ref = ReferencePIList(ttl=50.0, max_size=8)
+    now = 100.0
+    for _ in range(800):
+        now = max(0.0, now + float(rng.normal(2.0, 25.0)))
+        op = rng.integers(6)
+        key = int(rng.integers(24))
+        if op <= 2:
+            soa.add(key, now, *DUMMY)
+            ref.add(key, now)
+        elif op == 3:
+            soa.discard(key)
+            ref.discard(key)
+        elif op == 4:
+            soa.purge(now)
+            ref.purge(now)
+        else:
+            want = ref.entries(now)
+            got = soa.lookup(np.array([0.5]), now)  # every box holds it
+            assert (got is None) == (not want) and (got is None or got in want)
+        _assert_expiry_bound_holds(soa)
+        assert soa.entries(now) == ref.entries(now)
+        _assert_expiry_bound_holds(soa)
+
+
+def test_purge_after_compaction_keeps_the_expiry_bound_a_lower_bound():
+    """Compaction moves rows; the bound is about stamps, not rows.  After
+    the oldest entries are discarded (bound now too low, which is safe)
+    and the store compacts, a purge must still expire exactly the stale
+    survivors and leave a bound below every remaining stamp."""
+    soa = RangeCache(ttl=100.0, max_size=500, policy="ttl", dims=1)
+    ref = ReferencePIList(ttl=100.0, max_size=500)
+    for key in range(200):
+        soa.add(key, float(key), *DUMMY)
+        ref.add(key, float(key))
+    for key in range(120):  # dead rows outnumber live ones: compaction
+        soa.discard(key)
+        ref.discard(key)
+    assert soa._n < 200  # it ran
+    _assert_expiry_bound_holds(soa)
+    for now in (219.0, 250.0, 250.0, 240.0, 299.0, 300.0):
+        soa.purge(now)
+        ref.purge(now)
+        assert sorted(soa._row) == ref.entries(now)
+        _assert_expiry_bound_holds(soa)
+        assert soa.lookup(np.array([0.5]), now) == (max(soa._row) if soa._row else None)
+    assert soa._oldest == np.inf and len(soa) == 0
+
+
+def test_dead_rows_match_no_point_without_a_liveness_mask():
+    cache = RangeCache(ttl=100.0, max_size=2, policy="ttl", dims=2)
+    lo, hi = box(0.0, 1.0)
+    cache.add(1, now=0.0, lo=lo, hi=hi)
+    cache.add(2, now=1.0, lo=lo, hi=hi)
+    cache.add(3, now=2.0, lo=lo, hi=hi)  # evicts 1, whose row stays in place
+    cache.discard(3)
+    assert cache._n == 3 and cache._dead == 2
+    for point in ([0.5, 0.5], [0.0, 0.0], [1.0, 1.0]):
+        assert cache.lookup(np.array(point), now=3.0) == 2
+    cache.discard(2)
+    assert cache.lookup(np.array([0.5, 0.5]), now=3.0) is None
+
+
 def test_ttl_eviction_ignores_purgeable_entries_like_seed():
     # The seed evicts by raw insertion stamp without purging first; a
     # stale entry is therefore the preferred victim.

@@ -34,6 +34,25 @@ def make_ctx(n=24, dims=5, seed=0):
     return ctx, alive, avail
 
 
+def test_normalize_is_np_clip_of_the_quotient():
+    """NaN, infinities, subnormals and out-of-range values come out as
+    ``np.clip`` returns them (a negative zero may lose its sign: it
+    compares and hashes equal, and no resource vector carries one)."""
+    ctx, _, _ = make_ctx()
+    rng = np.random.default_rng(4)
+    specials = [np.nan, -np.inf, np.inf, -0.0, 0.0, -1.0, 1e-320, 10.0, 10.000000000000002, 300.0]
+    vectors = [rng.choice(specials, size=5) for _ in range(200)]
+    vectors += list(rng.uniform(-5.0, 15.0, size=(200, 5)))
+    vectors.append([1, 2, 3, 4, 50])  # a plain sequence of ints
+    for vector in vectors:
+        want = np.clip(np.asarray(vector, dtype=np.float64) / ctx.cmax, 0.0, 1.0)
+        before = np.array(vector)
+        got = ctx.normalize(vector)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(vector, before)  # clamped in the quotient
+        assert got.dtype == np.float64
+
+
 def test_bootstrap_creates_per_node_state():
     ctx, alive, _ = make_ctx()
     proto = PIDCANProtocol(ctx, PIDCANParams())

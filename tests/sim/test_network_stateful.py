@@ -2,14 +2,17 @@
 add/remove interleavings drive the heap-backed
 :class:`~repro.sim.network.NetworkModel` next to the scan-based
 :class:`~repro.testing.ReferenceNetworkModel` — every node must land in
-the same LAN with the same bandwidths, and the heap must stay bounded."""
+the same LAN with the same bandwidths, and the heap must stay bounded.
+Paths over live, departed and unknown ids are priced three ways —
+``path_delay``'s one loop, the reference's ``delay`` per hop, and the
+batched ``path_delays`` — which must agree to the bit."""
 
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.sim.network import NetworkModel, NetworkParams
+from repro.sim.network import CONTROL_MSG_BITS, STATE_MSG_BITS, NetworkModel, NetworkParams
 from repro.testing import ReferenceNetworkModel
 
 
@@ -51,6 +54,26 @@ class LanPickLockstepMachine(RuleBasedStateMachine):
         if self.live:
             self.net.add_node(self.live[0])  # already registered: no-op
             self.ref.add_node(self.live[0])
+
+    @rule(
+        picks=st.lists(st.integers(min_value=0, max_value=10_000), max_size=7),
+        size_bits=st.sampled_from([CONTROL_MSG_BITS, STATE_MSG_BITS, 1.5e6]),
+    )
+    def price_a_path(self, picks, size_bits):
+        """Hops between two departed nodes (WAN fallback), self-loops and
+        the empty path included; the sum starts from ``0`` and runs left
+        to right, so the three agree in type as well as in value."""
+        if self.next_id == 0:
+            return
+        path = [pick % (self.next_id + 1) for pick in picks]  # next_id: never added
+        want = sum(
+            self.ref.delay(a, b, size_bits) for a, b in zip(path[:-1], path[1:])
+        )
+        got = self.net.path_delay(path, size_bits)
+        assert (type(got), got) == (type(want), want)
+        assert self.net.path_delays([path, path[:2]], size_bits) == [
+            got, self.net.path_delay(path[:2], size_bits)
+        ]
 
     @invariant()
     def same_membership_and_bounded_heap(self):

@@ -216,21 +216,30 @@ def test_run_digest_smoke():
 
 def _count_routing(monkeypatch) -> dict[str, int]:
     """Wrap the two routers ``repro.can.inscan`` calls: the returned dict
-    tallies the routes asked for and the hops of the paths returned."""
+    tallies the routes asked for, how many of them repeat their start's
+    previous point, and the hops of the paths returned."""
     from repro.can import inscan, routing
 
-    tally = {"routes": 0, "hops": 0}
+    tally = {"routes": 0, "repeats": 0, "hops": 0}
+    last_point: dict[int, tuple] = {}
     greedy_path, greedy_paths = routing.greedy_path, routing.greedy_paths
 
-    def counted_path(*args, **kwargs):
+    def count_route(start, point) -> None:
+        point = tuple(map(float, point))
         tally["routes"] += 1
-        path = greedy_path(*args, **kwargs)
+        tally["repeats"] += last_point.get(start) == point
+        last_point[start] = point
+
+    def counted_path(overlay, start, point, **kwargs):
+        count_route(start, point)
+        path = greedy_path(overlay, start, point, **kwargs)
         tally["hops"] += len(path) - 1
         return path
 
-    def counted_paths(overlay, starts, *args, **kwargs):
-        tally["routes"] += len(starts)
-        paths = greedy_paths(overlay, starts, *args, **kwargs)
+    def counted_paths(overlay, starts, points, **kwargs):
+        for start, point in zip(starts, points):
+            count_route(int(start), point)
+        paths = greedy_paths(overlay, starts, points, **kwargs)
         tally["hops"] += sum(len(path) - 1 for path in paths if path is not None)
         return paths
 
@@ -240,24 +249,31 @@ def _count_routing(monkeypatch) -> dict[str, int]:
 
 
 def test_route_memo_smoke(monkeypatch):
-    """The last-route memo must be live in a real cell: over three state
-    cycles of a 300-node HID-CAN run idle nodes re-report the same point,
-    so some routes are replays — and every route that reached the pool
-    is tallied exactly once, as a hit or as a miss.  A refactor that
-    silently bypasses the memo fails here, not in a benchmark."""
+    """The last-route memo must be live in a real cell, and must survive
+    the pointer-table refreshes that land on recorded routes.  Over six
+    state cycles of a static 300-node HID-CAN run idle nodes re-report
+    the same point, while the staggered hourly refresh rebuilds the block
+    of every other node: replaying hop by hop serves 97 % of the routes
+    that repeat their start's previous point (seeds 1-4), dropping a
+    route for one rebuilt block serves 70 %.  Every route that reached
+    the pool is tallied exactly once, as a hit or as a miss.  A refactor
+    that bypasses the memo, or brings all-or-nothing back, fails here,
+    not in a benchmark."""
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import SOCSimulation
 
     tally = _count_routing(monkeypatch)
     cycle = ExperimentConfig().pidcan.state_period
     sim = SOCSimulation(ExperimentConfig(
-        n_nodes=300, duration=3 * cycle, seed=1, protocol="hid-can", demand_ratio=0.5,
+        n_nodes=300, duration=6 * cycle, seed=1, protocol="hid-can", demand_ratio=0.5,
     ))
     sim.run()
     (pool,) = sim.protocol.overlay._route_pools.values()
     assert pool.tables is sim.protocol.tables
-    assert pool.route_hits > 0
-    assert pool.route_hits + pool.route_misses == tally["routes"] > 300
+    assert pool.route_hits + pool.route_misses == tally["routes"] > 6 * 300
+    assert tally["repeats"] > 1000
+    assert pool.route_hits >= 0.85 * tally["repeats"]
+    assert 0 < pool.route_repairs <= pool.route_hits
     assert len(pool.routes) <= len(sim.protocol.overlay)
 
 
