@@ -9,12 +9,12 @@ O(d·n^(1/d)) hops.
 A hop's whole candidate set — adjacent neighbors plus, for INSCAN
 routing, the node's 2^k long links — is evaluated in **one vectorized
 distance computation** instead of a Python loop per candidate.  Per-node
-candidate blocks — sorted ids, nothing else — are cached in a CSR-style
-pool and stay valid while the candidate *set* does (same pointer-table
-object, neighbor set unchanged); a hop gathers their bounds with one
-``take`` from the overlay's dimension-major ``bounds`` array.  A block
-holds ~16 candidates, too few for vectorisation to pay — what a hop
-costs is its number of numpy calls — so one fused kernel
+candidate blocks — one small sorted id array each, nothing else — are
+cached in a pool and stay valid while the candidate *set* does (same
+pointer-table object, neighbor set unchanged); a hop gathers their
+bounds with one ``take`` from the overlay's dimension-major ``bounds``
+array.  A block holds ~16 candidates, too few for vectorisation to pay
+— what a hop costs is its number of numpy calls — so one fused kernel
 (:func:`_box_accs`, five calls) serves the single and the batched
 router.  Candidates are screened on *squared*
 distances; the decisive comparisons happen in the seed's ``acc ** 0.5``
@@ -27,9 +27,9 @@ contract against the scalar reference
 :func:`greedy_paths` routes a whole batch of queries in lockstep rounds
 — all active routes' candidate blocks are concatenated and resolved by
 segmented reductions, amortizing the numpy dispatch overhead that bounds
-the single-route path.  Batched submission (``submit_many`` bursts) and
-the routing benchmarks use it; results are bit-identical to routing each
-query alone.
+the single-route path.  Batched submission (``submit_bulk`` →
+``QueryEngine.submit_burst``) and the routing benchmarks use it; results
+are bit-identical to routing each query alone.
 
 Boundary targets need care: Table-I capacities are discrete, so normalized
 coordinates like 12.8/25.6 = 0.5 land *exactly* on zone boundaries, where
@@ -164,51 +164,42 @@ def _squared_distance(zone: Zone, point: Sequence[float]) -> float:
 # candidate block pool
 # ----------------------------------------------------------------------
 class _RouteBlockPool:
-    """CSR pool of per-node candidate blocks (sorted ids).
+    """Per-node candidate blocks (sorted ids) and the last-route memo.
 
-    One pool per (overlay, pointer-table dict) pair.  Blocks are filled
-    lazily on first visit and stay valid until the node's pointer table
-    is replaced by a refresh or a join or leave changes its neighbor set
-    (``OverlayNode.edge_stamp``); zones may change under a block, their
-    bounds are read at every hop.  Superseded blocks are counted as
-    waste and the pool rebuilds itself lazily once waste dominates.
+    One pool per (overlay, pointer-table dict) pair.  A block is the
+    node's own small id array, built lazily on first visit and current
+    until the node's pointer table is replaced by a refresh or a join or
+    leave changes its neighbor set (``OverlayNode.edge_stamp``); zones
+    may change under a block, their bounds are read at every hop.  A
+    rebuilt block replaces its predecessor and a departed node's is
+    dropped, so the pool never holds more than one block per member.
 
     The pool also keeps the **last-route memo**: each start's most recent
     successful route, replayed by :meth:`recall` for as long as no zone
     has changed and every hop out of a block rebuilt since still picks
     the recorded node (``docs/can_geometry.md``, "Last-route memo") —
-    :func:`_pool_for` empties it when the overlay's epoch moves,
-    :meth:`reset` with the blocks.
+    :func:`_pool_for` empties it when the overlay's epoch moves.
     """
 
-    __slots__ = ("overlay", "tables", "epoch", "index", "ids", "n", "waste",
-                 "generation", "routes", "route_hits", "route_misses",
-                 "route_repairs", "fills")
+    __slots__ = ("overlay", "tables", "epoch", "index", "routes",
+                 "route_hits", "route_misses", "route_repairs", "fills")
 
     def __init__(self, overlay: CANOverlay, tables):
         self.overlay = overlay
         self.tables = tables
-        self.ids = np.empty(256, dtype=np.int64)
-        self.generation = 0
-        #: Routes answered from the memo / routed hop by hop (one count
-        #: per route that reached the pool), hits that recomputed a hop,
-        #: and blocks built: read-only tallies for tests.
-        self.route_hits = self.route_misses = self.route_repairs = self.fills = 0
-        self.reset()
-
-    def reset(self) -> None:
-        self.epoch = self.overlay.epoch
-        #: node_id -> (start, count, table object and edge stamp the block
-        #: was built from); live nodes only.
-        self.index: dict[int, tuple[int, int, object, int]] = {}
-        #: start_id -> (point, whole path, greedy length, rows filled when
+        self.epoch = overlay.epoch
+        #: node_id -> (sorted candidate ids, the table object and edge
+        #: stamp they were built from, ``fills`` at build time); live
+        #: nodes only.
+        self.index: dict[int, tuple[np.ndarray, object, int, int]] = {}
+        #: start_id -> (point, whole path, greedy length, ``fills`` when
         #: recorded): one entry per start, overwritten by its next route.
         self.routes: dict[int, tuple[array, array, int, int]] = {}
-        self.n = self.waste = 0
-        #: Bumped on every reset: previously-issued block offsets become
-        #: invalid (rows are reused from 0), so batched lookups that span
-        #: a reset must re-resolve their blocks.
-        self.generation += 1
+        #: Routes answered from the memo / routed hop by hop (one count
+        #: per route that reached the pool), hits that recomputed a hop,
+        #: and blocks built: read-only tallies for tests — ``fills`` is
+        #: also the serial that orders blocks and recorded routes.
+        self.route_hits = self.route_misses = self.route_repairs = self.fills = 0
 
     def candidates(self, node_id: int, table) -> list[int]:
         """The node's hop candidates, ascending: its neighbors and long
@@ -217,65 +208,48 @@ class _RouteBlockPool:
         links = () if table is None else table.all_links()
         return sorted(self.overlay.nodes[node_id].neighbors.union(links))
 
-    def fill(self, node_id: int, table) -> None:
-        """Build (or rebuild) the node's candidate block; callers re-read
-        ``index`` afterwards, since a waste-driven reset replaces it."""
-        self.forget(node_id)
-        if self.waste > max(256, self.n // 2):
-            self.reset()
-        cids = self.candidates(node_id, table)
-        start = self.n
-        stop = self.n = start + len(cids)
-        if stop > len(self.ids):
-            self.ids = np.resize(self.ids, max(stop, 2 * len(self.ids)))
-        self.ids[start:stop] = cids
-        self.index[node_id] = (
-            start, len(cids), table, self.overlay.nodes[node_id].edge_stamp
-        )
-        self.fills += 1
+    def block(self, node_id: int) -> np.ndarray:
+        """The node's candidate ids, (re)built first unless its index
+        entry is current: built from the node's present table object and
+        edge stamp."""
+        tables = self.tables
+        table = None if tables is None else tables.get(node_id)
+        stamp = self.overlay.nodes[node_id].edge_stamp
+        entry = self.index.get(node_id)
+        if entry is None or entry[1] is not table or entry[2] != stamp:
+            ids = np.array(self.candidates(node_id, table), dtype=np.int64)
+            entry = self.index[node_id] = (ids, table, stamp, self.fills)
+            self.fills += 1
+        return entry[0]
 
     def forget(self, node_id: int) -> None:
-        """Drop the node's block, if any, and count its ids as waste —
-        :meth:`CANOverlay.leave` calls this for a departed node, whose
-        entry would otherwise pin its pointer table for good."""
-        entry = self.index.pop(node_id, None)
-        if entry is not None:
-            self.waste += entry[1]
+        """Drop the node's block, if any — :meth:`CANOverlay.leave` calls
+        this for a departed node, whose entry would otherwise pin its
+        pointer table for good."""
+        self.index.pop(node_id, None)
 
     def check_invariants(self) -> None:
         """Every block routing would accept as it stands equals a fresh
         candidate list, and only members have one (test support)."""
         nodes, tables = self.overlay.nodes, self.tables
-        for node_id, (start, count, table, stamp) in self.index.items():
+        for node_id, (ids, table, stamp, _) in self.index.items():
             assert node_id in nodes, f"block of departed node {node_id} kept"
             if (
                 table is (None if tables is None else tables.get(node_id))
                 and stamp == nodes[node_id].edge_stamp
             ):
-                assert self.ids[start : start + count].tolist() == (
-                    self.candidates(node_id, table)
-                ), f"candidate block of node {node_id} stale"
+                assert ids.tolist() == self.candidates(node_id, table), (
+                    f"candidate block of node {node_id} stale"
+                )
 
     def hop(self, node_id: int, pcol: np.ndarray) -> Optional[tuple[float, int]]:
         """One greedy hop out of ``node_id`` toward the ``(d, 1)`` point:
         ``(distance, id)`` of the winning candidate, or ``None`` when the
-        node has none.  The node's block is (re)built first unless it is
-        current; callers holding ``index`` or a block offset check
-        ``generation`` afterwards, since a fill may reset the pool."""
-        tables, overlay = self.tables, self.overlay
-        table = None if tables is None else tables.get(node_id)
-        entry = self.index.get(node_id)
-        if (
-            entry is None or entry[2] is not table
-            or entry[3] != overlay.nodes[node_id].edge_stamp
-        ):
-            self.fill(node_id, table)
-            entry = self.index[node_id]
-        start = entry[0]
-        stop = start + entry[1]
-        if stop == start:
+        node has none."""
+        ids = self.block(node_id)
+        if not ids.size:
             return None
-        ids = self.ids[start:stop]
+        overlay = self.overlay
         dims = overlay.dims
         block = overlay.bounds.take(ids, axis=1)
         return _pow_space_best(_box_accs(block[:dims], block[dims:], pcol), ids)
@@ -288,44 +262,40 @@ class _RouteBlockPool:
         The memo must be to ``pt`` (by value; NaN never matches) and fit
         ``max_hops``; then the recorded route is walked hop by hop.  A
         node whose block is the one the route read — still built from its
-        current pointer table, and filled before the route was recorded:
-        blocks are appended, so one rebuilt since starts at or above the
-        fill level ``n`` of that moment — is left as recorded.  Any other
-        node's hop is computed again, and stands while its winner is the
-        recorded next node: a hop reads its own node's block and nothing
-        of the way there, so the rest of the route is still what a fresh
-        computation would return.  At the first other winner the walk
-        hands back the prefix up to that node; a fill that reset the pool
-        took the memo and its fill level with it and abandons the walk.
-        The zones and neighbor sets the start distance, the landing test
-        and the perimeter tail read belong to the epoch the memo is
-        pinned to.  A repaired route is stamped with the current fill
-        level, so that its next replay recomputes nothing."""
+        current pointer table, and with a fill serial below the one the
+        route recorded — is left as recorded.  Any other node's hop is
+        computed again, and stands while its winner is the recorded next
+        node: a hop reads its own node's block and nothing of the way
+        there, so the rest of the route is still what a fresh computation
+        would return.  At the first other winner the walk hands back the
+        prefix up to that node.  The zones and neighbor sets the start
+        distance, the landing test and the perimeter tail read belong to
+        the epoch the memo is pinned to.  A repaired route is stamped
+        with the current fill serial, so that its next replay recomputes
+        nothing."""
         memo = self.routes.get(start_id)
         prefix = [start_id]
         if memo is not None and tuple(memo[0]) == pt and memo[2] <= max_hops:
-            path, filled = memo[1], memo[3]
-            index, tables, generation = self.index, self.tables, self.generation
+            path, recorded = memo[1], memo[3]
+            index, tables = self.index, self.tables
             pcol = None
             for k in range(memo[2] - 1):
                 node_id = path[k]
                 entry = index.get(node_id)
                 if (
-                    entry is not None and entry[0] < filled
-                    and entry[2] is (None if tables is None else tables.get(node_id))
+                    entry is not None and entry[3] < recorded
+                    and entry[1] is (None if tables is None else tables.get(node_id))
                 ):
                     continue
                 if pcol is None:
                     pcol = np.array(pt).reshape(-1, 1)
                 best = self.hop(node_id, pcol)
-                if self.generation != generation:
-                    break
                 if best is None or best[1] != path[k + 1]:
                     prefix = path[: k + 1].tolist()
                     break
             else:
                 if pcol is not None:  # served after a repair
-                    self.routes[start_id] = memo[:3] + (self.n,)
+                    self.routes[start_id] = memo[:3] + (self.fills,)
                     self.route_repairs += 1
                 self.route_hits += 1
                 return path.tolist(), True
@@ -338,7 +308,7 @@ class _RouteBlockPool:
         are kept as packed arrays — a third less memory per start than
         tuples of boxed numbers, with the same value semantics."""
         self.routes[path[0]] = (
-            array("d", pt), array("q", path), greedy_len, self.n
+            array("d", pt), array("q", path), greedy_len, self.fills
         )
 
 
@@ -488,60 +458,32 @@ def greedy_paths(
 
     active = np.asarray(initially_active, dtype=np.intp)
     hop_log: list[tuple[np.ndarray, np.ndarray]] = []
-    pool_index, nodes, tables = pool.index, overlay.nodes, link_tables
+    nodes, pool_block = overlay.nodes, pool.block
     while active.size:
-        n_active = active.size
-        # Hot per-route loop: plain-python lists beat per-element numpy
-        # stores; entries are (start, count, table, edge stamp) tuples.  A
-        # waste-driven pool reset mid-pass invalidates offsets resolved
-        # earlier in the same pass (rows restart from 0), so re-resolve
-        # the whole front when the generation moved — a fresh pool fills
-        # without waste, so the second pass cannot reset again.
-        cur_front = cur[active].tolist()
-        while True:
-            generation = pool.generation
-            starts_l: list[int] = []
-            counts_l: list[int] = []
-            for nid in cur_front:
-                table = None if tables is None else tables.get(nid)
-                entry = pool_index.get(nid)
-                if (
-                    entry is None or entry[2] is not table
-                    or entry[3] != nodes[nid].edge_stamp
-                ):
-                    pool.fill(nid, table)
-                    pool_index = pool.index  # fill may reset the pool
-                    entry = pool_index[nid]
-                starts_l.append(entry[0])
-                counts_l.append(entry[1])
-            if pool.generation == generation:
-                break
-            pool_index = pool.index
-        block_start = np.asarray(starts_l, dtype=np.intp)
-        cnt = np.asarray(counts_l, dtype=np.intp)
-        if (cnt == 0).any():
+        # Hot per-route loop; empty blocks contribute nothing to the
+        # concatenation, so a starved route only has to leave the front.
+        blocks = [pool_block(nid) for nid in cur[active].tolist()]
+        cnt = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+        if not cnt.all():
             # Candidate-less routes cannot progress (and would corrupt the
             # segmented reductions): fail them, keep the rest going.
             starved = cnt == 0
             for r in active[starved].tolist():
                 errors[r] = RoutingError(
-                    f"no progress at node {int(cur[r])} toward "
-                    f"{tuple(P[r])} (dist {dist[r]}, no candidates)"
+                    f"no progress at node {int(cur[r])} toward {pts[r]} "
+                    f"(dist {float(dist[r])}, no candidates)"
                 )
             active = active[~starved]
-            block_start = block_start[~starved]
             cnt = cnt[~starved]
             if not active.size:
                 break
-            n_active = active.size
-        total = int(cnt.sum())
+        n_active = active.size
         offs = np.zeros(n_active, dtype=np.intp)
         np.cumsum(cnt[:-1], out=offs[1:])
         seg = np.repeat(np.arange(n_active, dtype=np.intp), cnt)
-        idx = block_start[seg] + (np.arange(total, dtype=np.intp) - offs[seg])
+        ids_at = np.concatenate(blocks)
         # One gather (route column per candidate) instead of gathering
         # the active routes and re-gathering per segment.
-        ids_at = pool.ids[idx]
         block = overlay.bounds.take(ids_at, axis=1)
         accs = _box_accs(
             block[:dims], block[dims:], PT.take(active[seg], axis=1)
@@ -558,17 +500,14 @@ def greedy_paths(
         for j in np.flatnonzero(n_near > 1).tolist():
             s0 = int(offs[j])
             s1 = s0 + int(cnt[j])
-            d, b = min(
-                (float(accs[t]) ** 0.5, int(ids_at[t]))
-                for t in (np.flatnonzero(near[s0:s1]) + s0).tolist()
-            )
-            best_dist[j] = d
-            best_id[j] = b
+            best_dist[j], best_id[j] = _pow_space_best(accs[s0:s1], ids_at[s0:s1])
 
         progressed = best_dist < dist[active]
-        for r in active[~progressed].tolist():
+        for j in np.flatnonzero(~progressed).tolist():
+            r = int(active[j])
             errors[r] = RoutingError(
-                f"no progress at node {int(cur[r])} toward {tuple(P[r])}"
+                f"no progress at node {int(cur[r])} toward {pts[r]} "
+                f"(dist {float(dist[r])}, best candidate {float(best_dist[j])})"
             )
         adv = active[progressed]
         adv_ids = best_id[progressed]
@@ -579,7 +518,7 @@ def greedy_paths(
         hop_log.append((adv, adv_ids))
         overflow = nhops[adv] + 1 > max_hops
         for r in adv[overflow].tolist():
-            errors[r] = RoutingError(f"exceeded {max_hops} hops toward {tuple(P[r])}")
+            errors[r] = RoutingError(f"exceeded {max_hops} hops toward {pts[r]}")
         finished = adv_dist == 0.0
         boundary.extend(adv[finished & ~overflow].tolist())
         active = adv[~finished & ~overflow]

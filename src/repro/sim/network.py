@@ -179,7 +179,7 @@ class NetworkModel:
         """Total delay of forwarding a message hop-by-hop along ``path``:
         :meth:`delay` per hop, written out, summed left to right."""
         p, lan_of, wan_bw = self.params, self._lan_of, self._wan_bw
-        total = 0
+        total = 0.0
         for src, dst in zip(path, path[1:]):
             if src == dst:
                 hop = 0.0

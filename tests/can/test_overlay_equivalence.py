@@ -129,34 +129,6 @@ def test_batched_routing_error_modes():
     assert greedy_paths(overlay, [], np.empty((0, 2))) == []
 
 
-def test_batched_routing_survives_mid_pass_pool_reset():
-    """Replacing every pointer table forces the candidate pool to refill
-    per node; the accumulated waste trips a pool reset in the middle of a
-    batched lookup pass, which must re-resolve (not corrupt) the blocks
-    already gathered for that hop front."""
-    overlay = make_overlay(60, 2, seed=17)
-    tables = {
-        i: build_index_table(overlay, i, np.random.default_rng(400 + i))
-        for i in overlay.node_ids()
-    }
-    rng = np.random.default_rng(18)
-    points = rng.uniform(0, 1, (60, 2))
-    starts = [int(s) for s in rng.integers(0, 60, 60)]
-    first = inscan_paths(overlay, tables, starts, points)  # fill the pool
-    # identical links, fresh objects: every block is now stale by identity
-    for i in overlay.node_ids():
-        tables[i] = build_index_table(overlay, i, np.random.default_rng(400 + i))
-    pool = overlay._route_pools[id(tables)]
-    generation = pool.generation
-    again = inscan_paths(overlay, tables, starts, points)
-    assert pool.generation > generation, "expected a waste-driven reset"
-    assert again == first
-    assert again == [
-        reference_inscan_path(overlay, tables, s, p)
-        for s, p in zip(starts, points)
-    ]
-
-
 def test_pow_space_near_tie_matches_seed_selection():
     """The square root merges accumulators one ulp apart into exact ties
     (lowest id must then win, as in the seed's ``(dist, id)`` scan);

@@ -8,10 +8,10 @@ computed again and must pick the recorded node
 A replay must be indistinguishable from routing afresh, so the machine
 below changes everything a route depends on — membership (joins,
 leaves, a departed id joining again somewhere else), pointer tables
-(of nodes on memoised routes by preference), the pool's own
-waste-driven reset — and after
-every step re-routes remembered ``(start, point)`` pairs through all
-four public entry points against the scalar references.  The repair
+(of nodes on memoised routes by preference, and of one node over and
+over) — and after every step re-routes remembered ``(start, point)``
+pairs through all four public entry points against the scalar
+references.  The repair
 tests after it count hop-kernel calls; the candidate
 blocks under the memo outlive joins and leaves, and the edge tests at
 the end pin what that rests on (``docs/can_geometry.md``, "Routing:
@@ -26,16 +26,17 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
-    RuleBasedStateMachine, initialize, invariant, precondition, rule,
+    RuleBasedStateMachine, initialize, invariant, rule,
 )
 
 from repro.can import routing
 from repro.can.inscan import build_index_table, inscan_path, inscan_paths
 from repro.can.overlay import CANOverlay
 from repro.can.routing import (
-    RoutingError, _pool_for, greedy_path, greedy_paths,
+    RoutingError, _pool_for, _squared_distance, greedy_path, greedy_paths,
 )
 from repro.testing import reference_greedy_path, reference_inscan_path
+from tests.conftest import assert_no_dead_storage
 
 DIMS = 3
 START_N = 12
@@ -122,25 +123,21 @@ class RouteMemoLockstepMachine(RuleBasedStateMachine):
         if rebuild:
             inscan_path(self.overlay, self.tables, node_id, point)
 
-    @precondition(lambda self: len(self.overlay) >= 6)
-    @rule(point=point_lists)
-    def force_waste_driven_reset(self, point):
-        """Refresh-and-route until superseded blocks outweigh the pool:
-        the reset must take the memo with it."""
-        pool = _pool_for(self.overlay, self.tables)
-        generation = pool.generation
+    @rule(pick=picks, times=st.integers(min_value=1, max_value=8), point=point_lists)
+    def refill_one_block(self, pick, times, point):
+        """Refresh one node's table and route out of it, over and over: a
+        rebuilt block replaces its predecessor, so the pool stays at one
+        block per member however often a block is rebuilt."""
+        node_id = self._alive(pick)
         # A start that owns one target reads no block for it; it cannot
-        # own the mirrored one as well.
+        # own the mirrored one as well (the centre point apart).
         targets = (tuple(point), tuple(1.0 - x for x in point))
-        for node_id in sorted(self.overlay.nodes) * 60:
+        for _ in range(times):
             self.tables[node_id] = build_index_table(self.overlay, node_id, self.rng)
             for target in targets:
                 self.history.append((node_id, target))
                 inscan_path(self.overlay, self.tables, node_id, target)
-            if pool.generation != generation:
-                break
-        assert pool.generation > generation
-        assert len(pool.routes) <= 1  # only routes that finished after it
+        assert_no_dead_storage(_pool_for(self.overlay, self.tables), self.overlay)
 
     # ------------------------------------------------------------------
     # routes, fresh and deliberately repeated
@@ -361,6 +358,13 @@ def _route(batched, overlay, tables, start, point, **kwargs):
     return path
 
 
+def _entry_points(overlay, tables, with_tables):
+    """``(args, single, batched, reference)`` of INSCAN or plain routing."""
+    if with_tables:
+        return (overlay, tables), inscan_path, inscan_paths, reference_inscan_path
+    return (overlay,), greedy_path, greedy_paths, reference_greedy_path
+
+
 def _tallies(pool):
     return pool.route_hits, pool.route_repairs, pool.route_misses
 
@@ -393,7 +397,7 @@ def test_refreshed_table_on_the_route_costs_one_hop_and_is_a_hit(rig, spy, batch
     assert route() == path
     assert (spy.kernel, spy.hops, pool.fills) == (1, [path[1]], fills + 1)
     assert _tallies(pool) == (hits + 1, repairs + 1, misses)
-    # The repaired route was stamped with the new fill level.
+    # The repaired route was stamped with the new fill serial.
     _assert_plain_hit(spy, pool, route, path)
 
     # Refresh it again and let another route rebuild the block first: the
@@ -401,7 +405,7 @@ def test_refreshed_table_on_the_route_costs_one_hop_and_is_a_hit(rig, spy, batch
     # than the memoised route — recomputed all the same, without a fill.
     _refresh(tables, path[1])
     inscan_path(overlay, tables, path[1], np.full(DIMS, 0.123))
-    assert pool.index[path[1]][2] is tables[path[1]]
+    assert pool.index[path[1]][1] is tables[path[1]]
     spy.kernel, spy.hops[:] = 0, []
     fills, (hits, repairs, misses) = pool.fills, _tallies(pool)
     assert route() == path
@@ -482,23 +486,34 @@ def test_refresh_that_changes_the_winner_keeps_the_prefix_and_records_the_new_ro
         spy, pool, lambda: _route(batched, overlay, tables, start, point), want)
 
 
-@both_routers
-def test_waste_driven_reset_inside_a_repair_falls_back_to_a_fresh_route(rig, spy, batched):
+@pytest.mark.parametrize("with_tables", [False, True], ids=["plain", "inscan"])
+def test_memoised_route_outlives_any_number_of_refills_elsewhere(rig, spy, with_tables):
+    """Nothing but its own blocks and the epoch can cost a route its
+    replay: 300 rebuilt blocks of nodes the route never left are 300
+    superseded arrays, freed one by one — the pool has no reset for
+    them to trip."""
     overlay, tables = rig
-    start, point, path = _longest_route(overlay, tables)
-    pool = _pool_for(overlay, tables)
-    _refresh(tables, path[1])
-    pool.waste = 10 ** 6  # the repair's fill tips the pool over
-    generation, fills, (hits, repairs, misses) = pool.generation, pool.fills, _tallies(pool)
-    assert _route(batched, overlay, tables, start, point) == path
-    assert path == reference_inscan_path(overlay, tables, start, point)
-    assert pool.generation == generation + 1 and pool.waste == 0
-    assert _tallies(pool) == (hits, repairs, misses + 1)
-    # Routed from the start again, on blocks of the new pool only.
-    assert pool.fills - fills == len(path) - 1 == len(pool.index)
-    assert set(pool.routes) == {start}
-    _assert_plain_hit(
-        spy, pool, lambda: _route(batched, overlay, tables, start, point), path)
+    start, point, _ = _longest_route(overlay, tables)
+    args, single, batched, reference = _entry_points(overlay, tables, with_tables)
+    path = single(*args, start, point)
+    assert len(path) >= 3 and path == reference(*args, start, point)
+    pool = _pool_for(overlay, tables if with_tables else None)
+    others = sorted(set(overlay.nodes) - set(path[:-1]))
+    fills = pool.fills
+    for step in range(300):
+        node_id = others[step % len(others)]
+        if with_tables:
+            _refresh(tables, node_id)
+        else:
+            overlay.nodes[node_id].edge_stamp += 1  # same edges, as a rebind leaves it
+        # Outside its zone, and a new point every lap: no replay, a hop.
+        far = np.where(overlay.nodes[node_id].zone.center < 0.5, 0.9, 0.1)
+        single(*args, node_id, far + step * 1e-4)
+    assert pool.fills - fills >= 300
+    assert_no_dead_storage(pool, overlay)
+    _assert_plain_hit(spy, pool, lambda: single(*args, start, point), path)
+    _assert_plain_hit(spy, pool, lambda: batched(*args, [start], [point])[0], path)
+    assert path == reference(*args, start, point)
     overlay.check_invariants()
 
 
@@ -646,11 +661,7 @@ def test_block_without_a_live_candidate_fails_like_the_empty_block(rig, with_tab
     node = overlay.nodes[0]
     node.neighbors.clear()  # the forged inconsistency
     node.edge_stamp += 1
-    args = (overlay, tables) if with_tables else (overlay,)
-    single, batched, reference = (
-        (inscan_path, inscan_paths, reference_inscan_path) if with_tables
-        else (greedy_path, greedy_paths, reference_greedy_path)
-    )
+    args, single, batched, reference = _entry_points(overlay, tables, with_tables)
     for route in (
         lambda: single(*args, start, point),
         lambda: batched(*args, [start], [point]),
@@ -663,7 +674,47 @@ def test_block_without_a_live_candidate_fails_like_the_empty_block(rig, with_tab
         None, reference(*args, other, point)
     ]
     pool = _pool_for(overlay, tables if with_tables else None)
-    assert pool.index[0][1] == (len(links) if with_tables else 0)
+    assert len(pool.index[0][0]) == (len(links) if with_tables else 0)
+
+
+@both_routers
+@pytest.mark.parametrize("with_tables", [False, True], ids=["plain", "inscan"])
+def test_both_routers_word_a_failure_alike(rig, batched, with_tables):
+    """Hop budget, no progress, no candidates: the batched router raises
+    the scalar router's text, numbers printed as plain Python floats."""
+    overlay, tables = rig
+    args, single_fn, batched_fn, _ = _entry_points(overlay, tables, with_tables)
+
+    def failure(**kwargs):
+        with pytest.raises(RoutingError) as caught:
+            if batched:
+                batched_fn(*args, [0], [point], **kwargs)
+            else:
+                single_fn(*args, 0, point, **kwargs)
+        return str(caught.value)
+
+    node = overlay.nodes[0]
+    point = 0.5 + 0.2 * (node.zone.center - 0.5)  # outside, on its side of the middle
+    pt = tuple(point.tolist())
+    dist = {n: _squared_distance(other.zone, pt) ** 0.5 for n, other in overlay.nodes.items()}
+    assert failure(max_hops=1) == f"exceeded 1 hops toward {pt}"
+
+    # The forged inconsistency: node 0 knows one node, the farthest one.
+    worst = max(dist, key=dist.get)
+    assert dist[worst] > dist[0] > 0.0
+    tables.pop(0)
+    node.neighbors.clear()
+    node.neighbors.add(worst)
+    node.edge_stamp += 1
+    assert failure() == (
+        f"no progress at node 0 toward {pt} "
+        f"(dist {dist[0]}, best candidate {dist[worst]})"
+    )
+    node.neighbors.clear()
+    node.edge_stamp += 1
+    assert failure() == (
+        f"no progress at node 0 toward {pt} (dist {dist[0]}, no candidates)"
+    )
 
 
 def _takeover_kind(overlay, node_id):

@@ -26,6 +26,17 @@ def make_overlay(n: int, dims: int, seed: int = 0) -> CANOverlay:
     return overlay
 
 
+def assert_no_dead_storage(pool, overlay: CANOverlay) -> None:
+    """A routing pool holds one block per member at most, and no id
+    outside those blocks: every block is its own array, not a window
+    onto storage that superseded blocks would go on occupying."""
+    assert len(pool.index) <= len(overlay)
+    assert set(pool.index) <= set(overlay.nodes)
+    blocks = [entry[0] for entry in pool.index.values()]
+    held = sum((ids if ids.base is None else ids.base).size for ids in blocks)
+    assert held == sum(map(len, blocks))
+
+
 @pytest.fixture
 def overlay_2d() -> CANOverlay:
     return make_overlay(32, 2, seed=7)

@@ -65,6 +65,17 @@ def test_path_delay_single_node_is_zero(net):
     assert net.path_delay([4]) == 0.0
 
 
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_path_delay_is_the_float_path_delays_returns(net, length):
+    """A requester that is its own duty prices a one-node path: ``0.0``,
+    a float like every longer path's sum, in both forms."""
+    path = [4, 5, 9, 0][:length]  # a LAN hop, then two WAN hops
+    one = net.path_delay(path)
+    (many,) = net.path_delays([path])
+    assert (type(one), one) == (type(many), many) == (float, many)
+    assert (one == 0.0) == (length == 1)
+
+
 def test_node_bandwidth_in_lan_range(net):
     for n in range(10):
         bw = net.node_bandwidth_mbps(n)

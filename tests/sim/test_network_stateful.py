@@ -61,13 +61,13 @@ class LanPickLockstepMachine(RuleBasedStateMachine):
     )
     def price_a_path(self, picks, size_bits):
         """Hops between two departed nodes (WAN fallback), self-loops and
-        the empty path included; the sum starts from ``0`` and runs left
+        the empty path included; the sum starts from ``0.0`` and runs left
         to right, so the three agree in type as well as in value."""
         if self.next_id == 0:
             return
         path = [pick % (self.next_id + 1) for pick in picks]  # next_id: never added
         want = sum(
-            self.ref.delay(a, b, size_bits) for a, b in zip(path[:-1], path[1:])
+            (self.ref.delay(a, b, size_bits) for a, b in zip(path[:-1], path[1:])), 0.0
         )
         got = self.net.path_delay(path, size_bits)
         assert (type(got), got) == (type(want), want)

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.conftest import assert_no_dead_storage
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -297,5 +299,20 @@ def test_route_pool_survives_churn_smoke(monkeypatch):
     (pool,) = overlay._route_pools.values()
     assert pool.tables is sim.protocol.tables
     assert tally["hops"] > 2000 and 0 < pool.fills < tally["hops"] / 2
-    assert set(pool.index) <= set(overlay.nodes)
+    # One block per member however many were rebuilt, none a departed node's.
+    assert pool.fills > len(pool.index)
+    assert_no_dead_storage(pool, overlay)
     overlay.check_invariants()
+
+
+def test_oracle_budget_and_allocator_gate():
+    """ROADMAP item 5: ``repro/testing.py`` is capped at its line count,
+    so a PR that leaves the path it replaced behind as an oracle has to
+    retire another.  And the routing pool stays an index of arrays — the
+    fields of the offset-recycling arena it used to be may not return."""
+    from repro.can.routing import _RouteBlockPool
+
+    lines = len((REPO_ROOT / "src/repro/testing.py").read_text().splitlines())
+    assert lines <= 1458, "a new oracle displaces an old one"
+    assert not {"ids", "n", "waste", "generation"} & set(_RouteBlockPool.__slots__)
+    assert len(_RouteBlockPool.__slots__) == 9
