@@ -27,9 +27,13 @@ contract against the scalar reference
 :func:`greedy_paths` routes a whole batch of queries in lockstep rounds
 — all active routes' candidate blocks are concatenated and resolved by
 segmented reductions, amortizing the numpy dispatch overhead that bounds
-the single-route path.  Batched submission (``submit_bulk`` →
-``QueryEngine.submit_burst``) and the routing benchmarks use it; results
-are bit-identical to routing each query alone.
+the single-route path.  A round costs the same ~45 numpy calls however
+few routes it carries, so once the front is no wider than
+``_NARROW_FRONT`` — a small arrival burst from the start, the thin tail
+of a wide state round — its routes finish by the scalar hop loop the
+single router runs (:func:`_greedy_hops`).  Batched submission
+(``submit_bulk`` → ``QueryEngine.submit_burst``) and the routing
+benchmarks use it; results are bit-identical to routing each query alone.
 
 Boundary targets need care: Table-I capacities are discrete, so normalized
 coordinates like 12.8/25.6 = 0.5 land *exactly* on zone boundaries, where
@@ -66,6 +70,12 @@ _INT64_MAX = np.iinfo(np.int64).max
 #: wider than the ~2-ulp merge radius yet never catches genuinely
 #: distinct distances, so the slow exact resolve stays rare.
 _NEAR_TIE = 1.0 + 2.0 ** -40
+
+#: A lockstep round of :func:`greedy_paths` costs ~45 numpy calls however
+#: few routes it carries; at or below this front width the routes finish
+#: faster one scalar hop at a time.  The measured break-even — see
+#: ``docs/can_geometry.md``, "The width rule" — not a tuning knob.
+_NARROW_FRONT = 8
 
 
 def _probe_pow_half() -> bool:
@@ -116,7 +126,7 @@ def _pow_space_best(accs: np.ndarray, ids) -> tuple[float, int]:
     if np.count_nonzero(near) > 1:
         return min(
             (float(accs[j]) ** 0.5, int(ids[j]))
-            for j in np.flatnonzero(near).tolist()
+            for j in near.nonzero()[0].tolist()
         )
     return best_acc ** 0.5, int(ids[i])
 
@@ -334,6 +344,40 @@ def _pool_for(overlay: CANOverlay, tables) -> _RouteBlockPool:
 
 
 # ----------------------------------------------------------------------
+# the scalar hop loop
+# ----------------------------------------------------------------------
+def _greedy_hops(
+    pool: _RouteBlockPool, path: list[int], dist: float,
+    pcol: np.ndarray, pt: tuple, max_hops: int,
+) -> None:
+    """Extend ``path`` by greedy hops toward the ``(d, 1)`` point ``pcol``
+    (``pt`` by value, for the error texts) until the distance — ``dist``
+    at ``path[-1]`` — reaches zero.  The one scalar hop loop: the single
+    router runs it from the start, the batched one on a narrow front."""
+    current_id = path[-1]
+    while dist != 0.0:
+        best = pool.hop(current_id, pcol)
+        if best is None:
+            raise RoutingError(
+                f"no progress at node {current_id} toward {pt} "
+                f"(dist {dist}, no candidates)"
+            )
+        best_dist, best_id = best
+        # Not ``>=``: a NaN distance (a NaN coordinate) fails here, as it
+        # does in a lockstep round, instead of wandering to the hop budget.
+        if not best_dist < dist:
+            raise RoutingError(
+                f"no progress at node {current_id} toward {pt} "
+                f"(dist {dist}, best candidate {best_dist})"
+            )
+        current_id = best_id
+        dist = best_dist
+        path.append(current_id)
+        if len(path) > max_hops:
+            raise RoutingError(f"exceeded {max_hops} hops toward {pt}")
+
+
+# ----------------------------------------------------------------------
 # single-route greedy forwarding
 # ----------------------------------------------------------------------
 def greedy_path(
@@ -358,33 +402,14 @@ def greedy_path(
     path, complete = pool.recall(start_id, pt, max_hops)
     if complete:
         return path
-    current_id = path[-1]
     nodes = overlay.nodes
-    dist = _squared_distance(nodes[current_id].zone, pt) ** 0.5
-    pcol = p.reshape(-1, 1)
-    while dist != 0.0:
-        best = pool.hop(current_id, pcol)
-        if best is None:
-            raise RoutingError(
-                f"no progress at node {current_id} toward {pt} "
-                f"(dist {dist}, no candidates)"
-            )
-        best_dist, best_id = best
-        if best_dist >= dist:
-            raise RoutingError(
-                f"no progress at node {current_id} toward {pt} "
-                f"(dist {dist}, best candidate {best_dist})"
-            )
-        current_id = best_id
-        dist = best_dist
-        path.append(current_id)
-        if len(path) > max_hops:
-            raise RoutingError(f"exceeded {max_hops} hops toward {pt}")
+    dist = _squared_distance(nodes[path[-1]].zone, pt) ** 0.5
+    _greedy_hops(pool, path, dist, p.reshape(-1, 1), pt, max_hops)
     greedy_len = len(path)
     # Distance hit zero: done if the half-open box owns the point, else
     # walk the zero-distance cluster.
-    if not nodes[current_id].zone.contains(pt):
-        path.extend(_perimeter_hops(overlay, current_id, p))
+    if not nodes[path[-1]].zone.contains(pt):
+        path.extend(_perimeter_hops(overlay, path[-1], p))
     pool.remember(pt, path, greedy_len)
     return path
 
@@ -402,9 +427,12 @@ def greedy_paths(
 ) -> list[Optional[list[int]]]:
     """Route a batch of queries in lockstep, one vectorized round per hop
     front: every active route's candidate block is concatenated and the
-    per-route winners come out of two segmented reductions.  Paths are
-    bit-identical to calling :func:`greedy_path` per query, and the two
-    share the pool's last-route memo (both consult it, both record).
+    per-route winners come out of two segmented reductions.  A front of
+    at most ``_NARROW_FRONT`` routes is finished route by route with
+    :func:`_greedy_hops` instead — whether the batch was that small or
+    has thinned out to it.  Paths are bit-identical to calling
+    :func:`greedy_path` per query, and the two share the pool's
+    last-route memo (both consult it, both record).
 
     ``on_error="none"`` records ``None`` for routes that fail (unknown
     start node, no greedy progress, hop budget exceeded) instead of
@@ -459,7 +487,7 @@ def greedy_paths(
     active = np.asarray(initially_active, dtype=np.intp)
     hop_log: list[tuple[np.ndarray, np.ndarray]] = []
     nodes, pool_block = overlay.nodes, pool.block
-    while active.size:
+    while active.size > _NARROW_FRONT:
         # Hot per-route loop; empty blocks contribute nothing to the
         # concatenation, so a starved route only has to leave the front.
         blocks = [pool_block(nid) for nid in cur[active].tolist()]
@@ -497,13 +525,13 @@ def greedy_paths(
         # scalar (dist, id)-lexicographic selection exactly.
         best_dist = _pow_half(best_acc)
         n_near = np.add.reduceat(near.astype(np.int64), offs)
-        for j in np.flatnonzero(n_near > 1).tolist():
+        for j in (n_near > 1).nonzero()[0].tolist():
             s0 = int(offs[j])
             s1 = s0 + int(cnt[j])
             best_dist[j], best_id[j] = _pow_space_best(accs[s0:s1], ids_at[s0:s1])
 
         progressed = best_dist < dist[active]
-        for j in np.flatnonzero(~progressed).tolist():
+        for j in (~progressed).nonzero()[0].tolist():
             r = int(active[j])
             errors[r] = RoutingError(
                 f"no progress at node {int(cur[r])} toward {pts[r]} "
@@ -527,6 +555,18 @@ def greedy_paths(
         for r, b in zip(adv.tolist(), adv_ids.tolist()):
             if errors[r] is None:
                 paths[r].append(b)
+    # A narrow front — a small burst, or the thin tail of a wide batch —
+    # finishes route by route; its lockstep hops are on the paths by now.
+    for r in active.tolist():
+        try:
+            _greedy_hops(
+                pool, paths[r], dist.item(r), P[r].reshape(-1, 1), pts[r], max_hops
+            )
+        except RoutingError as err:
+            errors[r] = err
+        else:
+            nhops[r] = len(paths[r]) - 1
+            boundary.append(r)
     # Only the (rare) routes that stalled on a zone face walk the
     # perimeter.  Memoize the walks within this batch: Table-I capacities
     # are discrete, so stalled routes repeat the exact same (landing

@@ -243,7 +243,7 @@ class RangeCache:
         n = self._n
         stale = self._live[:n] & (self._added[:n] < cutoff)
         if stale.any():
-            for row in np.flatnonzero(stale).tolist():
+            for row in stale.nonzero()[0].tolist():
                 del self._row[int(self._keys[row])]
                 self._kill_row(row)
         self._oldest = (
@@ -273,9 +273,7 @@ class RangeCache:
             return None
         n = self._n
         point = np.asarray(point, dtype=np.float64)
-        rows = np.flatnonzero(
-            ((self._lo[:n] <= point) & (point < self._hi[:n])).all(axis=1)
-        )
+        rows = ((self._lo[:n] <= point) & (point < self._hi[:n])).all(axis=1).nonzero()[0]
         if rows.size == 0:
             return None
         stamps = self._added[rows]

@@ -215,7 +215,7 @@ class StateCache:
         live = self._live[: self._n]
         stale = live & (self._ts[: self._n] < cutoff)
         if stale.any():
-            for row in np.flatnonzero(stale).tolist():
+            for row in stale.nonzero()[0].tolist():
                 del self._pos[int(self._owners[row])]
                 self._kill_row(row)
             live = self._live[: self._n]
@@ -252,7 +252,7 @@ class StateCache:
         mask = (self._matrix[: self._n] >= demand - _EPS).all(axis=1)
         if self._dead:
             mask &= self._live[: self._n]
-        rows = np.flatnonzero(mask)
+        rows = mask.nonzero()[0]
         skip = set(exclude) if exclude is not None else ()
         out: list[StateRecord] = []
         for row in rows.tolist():

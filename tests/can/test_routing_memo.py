@@ -9,7 +9,8 @@ A replay must be indistinguishable from routing afresh, so the machine
 below changes everything a route depends on — membership (joins,
 leaves, a departed id joining again somewhere else), pointer tables
 (of nodes on memoised routes by preference, and of one node over and
-over) — and after every step re-routes remembered ``(start, point)``
+over), routes batches on both sides of the width rule — and after every
+step re-routes remembered ``(start, point)``
 pairs through all four public entry points against the scalar
 references.  The repair
 tests after it count hop-kernel calls; the candidate
@@ -19,7 +20,6 @@ candidate pools").
 """
 
 import copy
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,7 +33,7 @@ from repro.can import routing
 from repro.can.inscan import build_index_table, inscan_path, inscan_paths
 from repro.can.overlay import CANOverlay
 from repro.can.routing import (
-    RoutingError, _pool_for, _squared_distance, greedy_path, greedy_paths,
+    _NARROW_FRONT, RoutingError, _pool_for, _squared_distance, greedy_path, greedy_paths,
 )
 from repro.testing import reference_greedy_path, reference_inscan_path
 from tests.conftest import assert_no_dead_storage
@@ -157,6 +157,24 @@ class RouteMemoLockstepMachine(RuleBasedStateMachine):
         if self.history:
             start, _ = self.history[pick % len(self.history)]
             self.history.append((start, tuple(point)))
+
+    @rule(batch=st.lists(
+        st.tuples(picks, point_lists), min_size=1, max_size=2 * _NARROW_FRONT + 2
+    ))
+    def route_batch(self, batch):
+        """One batch on either side of the width rule: up to
+        ``_NARROW_FRONT`` routes go hop by hop, more go in rounds until
+        the front narrows — over whatever memo the steps before left."""
+        overlay, tables = self.overlay, self.tables
+        pairs = [(self._alive(pick), tuple(point)) for pick, point in batch]
+        starts, points = [s for s, _ in pairs], np.asarray([p for _, p in pairs])
+        assert greedy_paths(overlay, starts, points, on_error="none") == [
+            _reference(reference_greedy_path, overlay, s, p) for s, p in pairs
+        ]
+        assert inscan_paths(overlay, tables, starts, points, on_error="none") == [
+            _reference(reference_inscan_path, overlay, tables, s, p) for s, p in pairs
+        ]
+        self.history.extend(pairs[-REPLAYED:])
 
     @invariant()
     def every_entry_point_matches_its_reference(self):
@@ -328,24 +346,8 @@ def test_nan_coordinate_never_hits(rig):
 # the hop-by-hop replay: rebuilt blocks are recomputed, nothing else is
 # ----------------------------------------------------------------------
 @pytest.fixture()
-def spy(monkeypatch):
-    """``kernel``: hop-kernel calls so far; ``hops``: the nodes whose hop
-    went through the pool's scalar ``hop`` (the single router's loop and
-    every repair; the batched rounds do not)."""
-    log = SimpleNamespace(kernel=0, hops=[])
-    kernel, hop = routing._box_accs, routing._RouteBlockPool.hop
-
-    def counted_kernel(lo, hi, p):
-        log.kernel += 1
-        return kernel(lo, hi, p)
-
-    def logged_hop(pool, node_id, pcol):
-        log.hops.append(node_id)
-        return hop(pool, node_id, pcol)
-
-    monkeypatch.setattr(routing, "_box_accs", counted_kernel)
-    monkeypatch.setattr(routing._RouteBlockPool, "hop", logged_hop)
-    return log
+def spy(routing_spy):
+    return routing_spy
 
 
 both_routers = pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
@@ -458,9 +460,11 @@ def _refresh_that_changes_the_winner(overlay, tables, min_prefix=3):
     pytest.fail("no refreshed table moved any route")
 
 
-@both_routers
+@pytest.mark.parametrize(
+    "width", [None, 1, _NARROW_FRONT + 1], ids=["single", "batched", "wide batch"]
+)
 def test_refresh_that_changes_the_winner_keeps_the_prefix_and_records_the_new_route(
-    rig, spy, batched
+    rig, spy, width
 ):
     overlay, tables = rig
     start, point, path, k, table, want = _refresh_that_changes_the_winner(overlay, tables)
@@ -471,19 +475,28 @@ def test_refresh_that_changes_the_winner_keeps_the_prefix_and_records_the_new_ro
     pool = _pool_for(overlay, tables)
     spy.kernel, spy.hops[:] = 0, []
     hits, repairs, misses = _tallies(pool)
-    assert _route(batched, overlay, tables, start, point) == want
-    assert _tallies(pool) == (hits, repairs, misses + 1)
+    if width is None:
+        assert inscan_path(overlay, tables, start, point) == want
+    else:  # the one route `width` times over: the front stays that wide
+        assert inscan_paths(overlay, tables, [start] * width, [point] * width) == (
+            [want] * width
+        )
+    assert _tallies(pool) == (hits, repairs, misses + (width or 1))
     recorded = pool.routes[start]
     assert recorded[1].tolist() == want
     hops_after_k = recorded[2] - 1 - k
-    if batched:
-        # Two repair hops, the start distance at path[k], a round per hop.
-        assert (spy.kernel, spy.hops) == (2 + 1 + hops_after_k, [path[0], path[k]])
+    if width == _NARROW_FRONT + 1:
+        # Two repair hops a route, the start distances at path[k] in one
+        # pass, then a kernel call per lockstep round and no scalar hop.
+        assert spy.kernel == 2 * width + 1 + hops_after_k
+        assert spy.hops == [path[0], path[k]] * width
     else:
-        assert spy.kernel == 2 + hops_after_k
+        # A one-route batch reads like the single router, which takes its
+        # start distance without the kernel.
+        assert spy.kernel == 2 + (width or 0) + hops_after_k
         assert spy.hops == [path[0], path[k]] + want[k : recorded[2] - 1]
     _assert_plain_hit(
-        spy, pool, lambda: _route(batched, overlay, tables, start, point), want)
+        spy, pool, lambda: _route(width is not None, overlay, tables, start, point), want)
 
 
 @pytest.mark.parametrize("with_tables", [False, True], ids=["plain", "inscan"])
@@ -677,42 +690,81 @@ def test_block_without_a_live_candidate_fails_like_the_empty_block(rig, with_tab
     assert len(pool.index[0][0]) == (len(links) if with_tables else 0)
 
 
-@both_routers
+def _one_hop_routes(overlay, count, avoid):
+    """``count`` routes ``(start, point, [start, neighbor])`` of one hop
+    each, none from or to a node in ``avoid``."""
+    routes = []
+    for start in sorted(set(overlay.nodes) - avoid):
+        nb = min(overlay.nodes[start].neighbors - avoid)
+        routes.append((start, overlay.nodes[nb].zone.center, [start, nb]))
+    return routes[:count]
+
+
+@pytest.mark.parametrize(
+    "width", [None, 1, _NARROW_FRONT + 1], ids=["single", "batched", "wide batch"]
+)
 @pytest.mark.parametrize("with_tables", [False, True], ids=["plain", "inscan"])
-def test_both_routers_word_a_failure_alike(rig, batched, with_tables):
+def test_both_routers_word_a_failure_alike(rig, width, with_tables):
     """Hop budget, no progress, no candidates: the batched router raises
-    the scalar router's text, numbers printed as plain Python floats."""
+    the scalar router's text, numbers printed as plain Python floats —
+    out of a narrow front (its scalar hops) as out of a lockstep round —
+    and under ``on_error="none"`` the failed route alone comes back
+    ``None``: its batch-mates' paths and memos stand."""
     overlay, tables = rig
-    args, single_fn, batched_fn, _ = _entry_points(overlay, tables, with_tables)
-
-    def failure(**kwargs):
-        with pytest.raises(RoutingError) as caught:
-            if batched:
-                batched_fn(*args, [0], [point], **kwargs)
-            else:
-                single_fn(*args, 0, point, **kwargs)
-        return str(caught.value)
-
+    args, single_fn, batched_fn, reference = _entry_points(overlay, tables, with_tables)
+    pool = _pool_for(overlay, tables if with_tables else None)
     node = overlay.nodes[0]
     point = 0.5 + 0.2 * (node.zone.center - 0.5)  # outside, on its side of the middle
     pt = tuple(point.tolist())
     dist = {n: _squared_distance(other.zone, pt) ** 0.5 for n, other in overlay.nodes.items()}
-    assert failure(max_hops=1) == f"exceeded 1 hops toward {pt}"
-
-    # The forged inconsistency: node 0 knows one node, the farthest one.
     worst = max(dist, key=dist.get)
     assert dist[worst] > dist[0] > 0.0
+    far = np.where(node.zone.center < 0.5, 0.99, 0.01)
+    assert len(reference(*args, 0, far)) > 3
+    mates = _one_hop_routes(overlay, (width or 1) - 1, avoid={0, worst})
+    assert len(mates) == (width or 1) - 1
+    for mate_start, mate_point, mate_path in mates:
+        assert reference(*args, mate_start, mate_point) == mate_path
+    starts = [0] + [m[0] for m in mates]
+
+    def failure(target, mates_fail=False, **kwargs):
+        """The text route 0 fails with; batched, its mates ride along."""
+        if width is None:
+            with pytest.raises(RoutingError) as caught:
+                single_fn(*args, 0, target, **kwargs)
+            return str(caught.value)
+        points = [target] + [m[1] for m in mates]
+        pool.routes.clear()
+        with pytest.raises(RoutingError) as caught:
+            batched_fn(*args, starts, points, **kwargs)
+        pool.routes.clear()
+        stand = [] if mates_fail else mates
+        assert batched_fn(*args, starts, points, on_error="none", **kwargs) == (
+            [None] * (width - len(stand)) + [m[2] for m in stand]
+        )
+        assert {s: memo[1].tolist() for s, memo in pool.routes.items()} == (
+            {m[0]: m[2] for m in stand}
+        )
+        return str(caught.value)
+
+    # Budget 1 runs out in the first round, for the one-hop mates too (the
+    # first failure of the batch is raised); 3 after they are done, with
+    # the failing route alone on the front.
+    assert failure(point, mates_fail=True, max_hops=1) == f"exceeded 1 hops toward {pt}"
+    assert failure(far, max_hops=3) == f"exceeded 3 hops toward {tuple(far.tolist())}"
+
+    # The forged inconsistency: node 0 knows one node, the farthest one.
     tables.pop(0)
     node.neighbors.clear()
     node.neighbors.add(worst)
     node.edge_stamp += 1
-    assert failure() == (
+    assert failure(point) == (
         f"no progress at node 0 toward {pt} "
         f"(dist {dist[0]}, best candidate {dist[worst]})"
     )
     node.neighbors.clear()
     node.edge_stamp += 1
-    assert failure() == (
+    assert failure(point) == (
         f"no progress at node 0 toward {pt} (dist {dist[0]}, no candidates)"
     )
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.can import routing
 from repro.can.overlay import CANOverlay
 from repro.sim.rng import RngRegistry
 
@@ -35,6 +38,28 @@ def assert_no_dead_storage(pool, overlay: CANOverlay) -> None:
     blocks = [entry[0] for entry in pool.index.values()]
     held = sum((ids if ids.base is None else ids.base).size for ids in blocks)
     assert held == sum(map(len, blocks))
+
+
+@pytest.fixture
+def routing_spy(monkeypatch):
+    """``kernel``: hop-kernel calls so far; ``hops``: the nodes whose hop
+    went through the pool's scalar ``hop`` (the single router's loop,
+    every repair and the batched router's narrow front; its lockstep
+    rounds do not)."""
+    log = SimpleNamespace(kernel=0, hops=[])
+    kernel, hop = routing._box_accs, routing._RouteBlockPool.hop
+
+    def counted_kernel(lo, hi, p):
+        log.kernel += 1
+        return kernel(lo, hi, p)
+
+    def logged_hop(pool, node_id, pcol):
+        log.hops.append(node_id)
+        return hop(pool, node_id, pcol)
+
+    monkeypatch.setattr(routing, "_box_accs", counted_kernel)
+    monkeypatch.setattr(routing._RouteBlockPool, "hop", logged_hop)
+    return log
 
 
 @pytest.fixture

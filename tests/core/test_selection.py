@@ -63,6 +63,20 @@ def test_normalized_slack_zero_for_exact_fit():
     assert normalized_slack(rec(1, DEMAND.copy()), DEMAND, CMAX) == 0.0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 8, 9, 16, 33])
+def test_normalized_slack_is_numpy_mean_bit_for_bit(d):
+    """The slack is ``add.reduce / size`` — what ``np.mean`` computes,
+    without its wrappers — so a best-fit tie cannot move: above 8
+    addends numpy sums pairwise, which a Python loop would not."""
+    gen = np.random.default_rng(900 + d)
+    cmax = gen.uniform(1.0, 30.0, size=d)
+    for _ in range(2000):
+        demand = gen.uniform(0.0, 1.0, size=d) * cmax
+        avail = demand + gen.uniform(0.0, 1.0, size=d) * (cmax - demand)
+        want = float(np.mean((avail - demand) / cmax))
+        assert normalized_slack(rec(1, avail), demand, cmax) == want
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(

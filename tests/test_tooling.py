@@ -279,6 +279,40 @@ def test_route_memo_smoke(monkeypatch):
     assert len(pool.routes) <= len(sim.protocol.overlay)
 
 
+def test_narrow_front_smoke(routing_spy):
+    """The width rule of ``greedy_paths`` must hold in both directions:
+    a batch of at most ``_NARROW_FRONT`` routes pays one start-distance
+    pass and then one ``pool.hop`` per greedy hop — no lockstep round,
+    which costs ~45 numpy calls whatever it carries — while a wide batch
+    makes most of its hops in rounds.  A refactor that sends the arrival
+    bursts of ``mega_coalesced`` (three queries on average) through
+    rounds again, or state rounds through the scalar hop, fails here,
+    not in a benchmark."""
+    import numpy as np
+
+    from repro.can import routing
+    from repro.can.inscan import build_index_table, inscan_paths
+    from tests.conftest import make_overlay
+
+    spy = routing_spy
+    overlay = make_overlay(300, 5, seed=1)
+    rng = np.random.default_rng(2)
+    tables = {n: build_index_table(overlay, n, rng) for n in range(300)}
+    pool = routing._pool_for(overlay, tables)
+    for width in (1, routing._NARROW_FRONT, 4 * routing._NARROW_FRONT):
+        starts = rng.choice(300, size=width, replace=False).tolist()
+        pool.routes.clear()
+        spy.kernel, spy.hops[:] = 0, []
+        inscan_paths(overlay, tables, starts, rng.random((width, 5)))
+        greedy_hops = sum(pool.routes[s][2] - 1 for s in starts)
+        assert greedy_hops > width
+        if width <= routing._NARROW_FRONT:
+            assert (spy.kernel, len(spy.hops)) == (1 + greedy_hops, greedy_hops)
+        else:
+            assert len(spy.hops) < greedy_hops / 2
+            assert spy.kernel - 1 - len(spy.hops) < greedy_hops / 2  # rounds
+
+
 def test_route_pool_survives_churn_smoke(monkeypatch):
     """Candidate blocks must outlive joins and leaves that do not touch
     their node: a 300-node HID-CAN cell under 50 % churn builds a block
