@@ -3,21 +3,23 @@
 Every bench honours the ``REPRO_SCALE`` environment variable
 (``tiny`` default — the whole suite in minutes; ``small`` for a
 closer-to-paper regime; ``paper`` for the full §IV-A configuration).
-
-The SOC benches run each scenario once (``benchmark.pedantic`` with a
-single round — a simulated day is the unit of work) and attach the
-paper-facing metrics as ``extra_info`` so the benchmark JSON doubles as
-the reproduction record.
+A bench that runs a whole simulated cell does so once
+(``benchmark.pedantic`` with a single round).  The figure and table
+benches simulate nothing: they judge their scenario's paper claims
+(``repro.experiments.claims``, ``docs/fidelity.md``) on the committed
+tiny campaign, seeds 1-3.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from pathlib import Path
 
 import pytest
 
 DEFAULT_SCALE = "tiny"
+TINY_CAMPAIGN = Path(__file__).parents[1] / "artifacts" / "BENCH_campaign_tiny"
 
 
 @pytest.fixture(scope="session")
@@ -30,16 +32,31 @@ def scale() -> str:
     return value
 
 
-def attach_results(benchmark, results) -> None:
-    """Record each curve's end-of-run metrics in the benchmark report."""
-    for label, res in results.items():
-        benchmark.extra_info[label] = {
-            "t_ratio": round(res.t_ratio, 4),
-            "f_ratio": round(res.f_ratio, 4),
-            "fairness": round(res.fairness, 4) if res.fairness == res.fairness else None,
-            "msg_per_node": round(res.per_node_msg_cost, 1),
-            "generated": res.generated,
-        }
+@pytest.fixture(scope="session")
+def tiny_claims():
+    """``scenario -> its verdicts at tiny`` over the committed tiny campaign."""
+    from repro.experiments.campaign import CampaignSpec, load_campaign_cells
+    from repro.experiments.claims import evaluate_claims
+
+    spec = CampaignSpec.from_json(TINY_CAMPAIGN / "campaign.json")
+    docs = load_campaign_cells(TINY_CAMPAIGN, spec)
+    verdicts = [v for v in evaluate_claims(docs) if v.scale == "tiny"]
+
+    def judge(scenario: str):
+        judged = [v for v in verdicts if v.claim.scenario == scenario]
+        assert judged, f"no {scenario} claim judged at tiny"
+        return judged
+
+    return judge
+
+
+def assert_claims_pass(verdicts) -> None:
+    """Print the claims section, then fail on any row that does not pass."""
+    from repro.experiments.claims import render_claims
+
+    print()
+    print(render_claims(verdicts))
+    assert [v.claim.id for v in verdicts if v.status != "pass"] == []
 
 
 def run_once(benchmark, fn, *args, **kwargs):

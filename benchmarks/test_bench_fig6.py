@@ -2,30 +2,11 @@
 
 The intermediate regime: all metrics improve over λ=1 (easier matching),
 with the PID-CAN variants keeping a clear failed-task-ratio advantage.
+Judged as the ``fig6-*`` claims on the committed tiny cells.
 """
 
-import pytest
-
-from benchmarks.conftest import attach_results, run_once
-from repro.experiments.reporting import render_scenario
-from repro.experiments.scenarios import run_scenario
+from benchmarks.conftest import assert_claims_pass
 
 
-@pytest.mark.benchmark(group="fig6")
-def test_fig6_lambda_05(benchmark, scale):
-    results = run_once(benchmark, run_scenario, "fig6", scale=scale)
-    attach_results(benchmark, results)
-    print()
-    print(render_scenario("fig6", results))
-
-    hid = results["hid-can"]
-    sid = results["sid-can"]
-    newscast = results["newscast"]
-
-    # Matching rate: diffusion below gossip on failures.
-    assert hid.f_ratio < newscast.f_ratio
-    assert sid.f_ratio < newscast.f_ratio
-    # Everyone finishes a sane share of tasks in this easier regime.
-    for res in results.values():
-        assert res.t_ratio > 0.1
-        assert res.fairness > 0.3
+def test_fig6_lambda_05(tiny_claims):
+    assert_claims_pass(tiny_claims("fig6"))

@@ -40,7 +40,7 @@ from repro.experiments.config import (
     config_from_dict,
     config_to_dict,
 )
-from repro.experiments.multiseed import MetricStats, stats_from_metric_docs
+from repro.experiments.multiseed import SUMMARY_METRICS, MetricStats, stats_from_metric_docs
 from repro.experiments.runner import run_config
 from repro.experiments.scenarios import SCENARIO_CONFIGS, scenario_configs
 from repro.experiments.store import load_cell_doc, result_to_dict, save_cell_doc
@@ -60,18 +60,6 @@ __all__ = [
 #: The spec written alongside the cells, so ``status`` can compare the
 #: declared grid against what's on disk without re-passing the spec.
 SPEC_FILENAME = "campaign.json"
-
-#: Metrics aggregated in campaign summaries (keys of the stored
-#: ``metrics`` section; see ``docs/experiments.md`` for the schema).
-#: ``query_timeouts`` surfaces each protocol's churn-induced timeout
-#: failures next to its success ratios; ``messages_per_query`` and
-#: ``cache_hit_ratio`` carry the hot-range caching evaluation
-#: (docs/caching.md).  Documents persisted before a metric existed simply
-#: omit its column.
-SUMMARY_METRICS = (
-    "t_ratio", "f_ratio", "fairness", "per_node_msg_cost",
-    "query_timeouts", "messages_per_query", "cache_hit_ratio",
-)
 
 
 def _slug(text: str) -> str:
@@ -415,8 +403,8 @@ def campaign_summary(
 
     Returns ``{(scenario, scale): {label: {metric: MetricStats}}}`` —
     each leaf carries the per-seed values, mean and 95% CI for one curve
-    of one figure.  Pure document processing: re-rendering a report never
-    re-runs a simulation.
+    of one figure (a metric some document predates is left out).  Pure
+    document processing: re-rendering a report never re-runs a simulation.
     """
     groups: dict[tuple[str, str], dict[str, list[dict[str, Any]]]] = {}
     for doc in docs:

@@ -30,6 +30,7 @@ from repro.experiments.campaign import (
     load_campaign_cells,
     run_campaign,
 )
+from repro.experiments.claims import evaluate_claims, render_claims
 from repro.experiments.config import SCALES
 from repro.experiments.reporting import render_campaign, render_scenario
 from repro.experiments.scenarios import SCENARIOS, run_scenario
@@ -119,7 +120,7 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     )
 
     report = sub.add_parser(
-        "report", help="aggregate persisted cells into mean ± CI tables"
+        "report", help="aggregate persisted cells into mean ± CI tables and paper claims"
     )
     report.add_argument("--dir", required=True, help="campaign directory")
     report.add_argument(
@@ -237,19 +238,20 @@ def _campaign_report(args: argparse.Namespace) -> int:
     except FileNotFoundError as exc:
         print(exc, file=sys.stderr)
         return 2
-    docs = all_docs
     spec_path = Path(args.dir) / SPEC_FILENAME
-    if spec_path.exists():
-        spec = CampaignSpec.from_json(spec_path)
-        valid = {cell.cell_id for cell in spec.cells()}
-        docs = [doc for doc in all_docs if doc["cell"]["id"] in valid]
-        stale = len(all_docs) - len(docs)
-        if stale:
-            print(
-                f"(excluding {stale} stale cell(s) not in the current "
-                f"{SPEC_FILENAME} grid)\n"
-            )
+    spec = CampaignSpec.from_json(spec_path) if spec_path.exists() else None
+    docs = load_campaign_cells(args.dir, spec)
+    stale = len(all_docs) - len(docs)
+    if stale:
+        print(
+            f"(excluding {stale} stale cell(s) not in the current "
+            f"{SPEC_FILENAME} grid)\n"
+        )
     print(render_campaign(campaign_summary(docs)))
+    verdicts = evaluate_claims(docs)
+    if verdicts:
+        print()
+        print(render_claims(verdicts))
     if args.chart:
         from repro.experiments.plots import mean_series_chart
 

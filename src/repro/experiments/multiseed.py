@@ -11,7 +11,7 @@ replicas rather than by luck of one seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -21,10 +21,19 @@ from repro.experiments.runner import SimulationResult, SOCSimulation
 __all__ = [
     "MetricStats",
     "MultiSeedResult",
+    "SUMMARY_METRICS",
     "run_seeds",
     "ordering_confidence",
     "stats_from_metric_docs",
 ]
+
+#: The metrics aggregated across seeds and shown by the campaign report,
+#: named as in :meth:`SimulationResult.summary` and the stored ``metrics``
+#: section (``docs/experiments.md``; caching columns: docs/caching.md).
+SUMMARY_METRICS = (
+    "t_ratio", "f_ratio", "fairness", "per_node_msg_cost",
+    "query_timeouts", "messages_per_query", "cache_hit_ratio",
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,31 +69,14 @@ class MultiSeedResult:
     results: tuple[SimulationResult, ...]
 
     def metric(self, name: str) -> MetricStats:
-        getter: Callable[[SimulationResult], float] = {
-            "t_ratio": lambda r: r.t_ratio,
-            "f_ratio": lambda r: r.f_ratio,
-            "fairness": lambda r: r.fairness,
-            "msg_per_node": lambda r: r.per_node_msg_cost,
-            "placement_fairness": lambda r: r.balance.placement_fairness,
-            "hotspot_share": lambda r: r.balance.hotspot_share,
-            "query_timeouts": lambda r: float(r.query_timeouts),
-            "messages_per_query": lambda r: r.messages_per_query,
-            "cache_hit_ratio": lambda r: r.cache_hit_ratio,
-            "cache_regret": lambda r: r.cache_regret,
-            "cache_hits": lambda r: float(r.cache_hits),
-        }.get(name)
-        if getter is None:
+        """One metric of :meth:`SimulationResult.summary` across seeds."""
+        stats = stats_from_metric_docs([r.summary() for r in self.results], (name,))
+        if name not in stats:
             raise ValueError(f"unknown metric {name!r}")
-        return MetricStats(name, tuple(getter(r) for r in self.results))
+        return stats[name]
 
     def summary(self) -> dict[str, MetricStats]:
-        return {
-            name: self.metric(name)
-            for name in (
-                "t_ratio", "f_ratio", "fairness", "msg_per_node",
-                "query_timeouts", "messages_per_query", "cache_hit_ratio",
-            )
-        }
+        return stats_from_metric_docs([r.summary() for r in self.results])
 
 
 def run_seeds(
@@ -101,16 +93,12 @@ def run_seeds(
 
 def stats_from_metric_docs(
     metric_docs: Sequence[Mapping[str, float]],
-    names: Sequence[str] = (
-        "t_ratio", "f_ratio", "fairness", "per_node_msg_cost",
-        "query_timeouts", "messages_per_query", "cache_hit_ratio",
-    ),
+    names: Sequence[str] = SUMMARY_METRICS,
 ) -> dict[str, MetricStats]:
-    """Aggregate stored ``metrics`` sections (one per replica, e.g. the
-    seeds of one campaign cell group) into :class:`MetricStats` — the
-    persisted-document twin of :meth:`MultiSeedResult.summary`.  A name
-    missing from any document (e.g. ``query_timeouts`` in pre-PR-3
-    documents) is skipped rather than erroring."""
+    """Aggregate ``metrics`` mappings (one per replica: the stored section
+    of a campaign cell, or :meth:`SimulationResult.summary`) into
+    :class:`MetricStats`.  A name missing from any document (one that
+    predates the metric) is skipped rather than erroring."""
     if not metric_docs:
         raise ValueError("need at least one metrics document")
     return {
@@ -121,23 +109,13 @@ def stats_from_metric_docs(
 
 
 def ordering_confidence(
-    a: MultiSeedResult,
-    b: MultiSeedResult,
-    metric: str,
-    direction: str = "less",
+    a: MetricStats, b: MetricStats, direction: str = "less"
 ) -> float:
-    """Fraction of seed pairs in which ``a``'s metric is less/greater than
+    """Fraction of seed pairs in which ``a``'s value is less/greater than
     ``b``'s — a distribution-free check that a claimed ordering is not a
     single-seed accident (1.0 = holds for every pairing)."""
     if direction not in ("less", "greater"):
         raise ValueError("direction must be 'less' or 'greater'")
-    va = a.metric(metric).values
-    vb = b.metric(metric).values
-    wins = 0
-    total = 0
-    for x in va:
-        for y in vb:
-            total += 1
-            if (x < y) if direction == "less" else (x > y):
-                wins += 1
-    return wins / total if total else float("nan")
+    pairs = [(x, y) for x in a.values for y in b.values]
+    wins = sum((x < y) if direction == "less" else (x > y) for x, y in pairs)
+    return wins / len(pairs) if pairs else float("nan")

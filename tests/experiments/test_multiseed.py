@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.multiseed import (
+    SUMMARY_METRICS,
     MetricStats,
     ordering_confidence,
     run_seeds,
@@ -46,10 +47,14 @@ def test_unknown_metric_rejected(replicas):
 
 def test_summary_covers_headline_metrics(replicas):
     summary = replicas.summary()
-    assert set(summary) == {
-        "t_ratio", "f_ratio", "fairness", "msg_per_node", "query_timeouts",
-        "messages_per_query", "cache_hit_ratio",
-    }
+    assert tuple(summary) == SUMMARY_METRICS
+    assert "per_node_msg_cost" in summary
+    assert summary["per_node_msg_cost"].values == tuple(
+        r.per_node_msg_cost for r in replicas.results
+    )
+    assert replicas.metric("generated").values == tuple(
+        float(r.generated) for r in replicas.results
+    )
 
 
 def test_metric_stats_single_value():
@@ -61,15 +66,8 @@ def test_metric_stats_single_value():
 def test_ordering_confidence_bounds():
     a = MetricStats("x", (1.0, 2.0))
     b = MetricStats("x", (3.0, 4.0))
-
-    class Fake:
-        def __init__(self, stats):
-            self._stats = stats
-
-        def metric(self, name):
-            return self._stats
-
-    assert ordering_confidence(Fake(a), Fake(b), "x", "less") == 1.0
-    assert ordering_confidence(Fake(a), Fake(b), "x", "greater") == 0.0
+    assert ordering_confidence(a, b, "less") == 1.0
+    assert ordering_confidence(a, b, "greater") == 0.0
+    assert ordering_confidence(MetricStats("x", (2.0, 5.0)), b, "less") == 0.5
     with pytest.raises(ValueError):
-        ordering_confidence(Fake(a), Fake(b), "x", "equal")
+        ordering_confidence(a, b, "equal")
