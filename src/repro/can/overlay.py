@@ -42,6 +42,7 @@ import numpy as np
 from repro.can.node import OverlayNode
 from repro.can.partition_tree import PartitionTree, TakeoverPlan, TreeLeaf
 from repro.can.zone import adjacency_direction
+from repro.sim.rng import index_draw
 
 __all__ = ["CANOverlay"]
 
@@ -139,6 +140,7 @@ class CANOverlay:
         as ``directional_neighbors`` would), and a hop draws from ``rng``
         only when it has more than one candidate."""
         nodes, links, total = self.nodes, {}, 0
+        below = index_draw(rng)
         for code, (face, _) in enumerate(self._faces):
             chain, hops, mark, current = [], 0, 1, node_id
             while hops < max_hops:
@@ -150,7 +152,7 @@ class CANOverlay:
                 if not candidates:
                     break
                 n = len(candidates)
-                current = candidates[int(rng.integers(n))] if n > 1 else candidates[0]
+                current = candidates[below(n)] if n > 1 else candidates[0]
                 hops += 1
                 if hops == mark:
                     chain.append(current)

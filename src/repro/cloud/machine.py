@@ -19,10 +19,12 @@ system-wide maximum capacity vector ``CMAX`` is known in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro.cloud.resources import ResourceVector
+from repro.sim.rng import index_draw
 
 __all__ = [
     "MachineConfig",
@@ -75,17 +77,21 @@ def sample_machine(rng: np.random.Generator, net_bandwidth_mbps: float) -> Machi
     keeping the capacity dimension consistent with the transfer-delay model.
 
     Each field is one bounded integer draw indexing its pool — the same
-    draw ``Generator.choice`` makes on the pool, without its array
-    conversion (``tests/sim/test_rng.py`` pins the stream identity).
+    draw ``Generator.choice`` makes on the pool, made by
+    :func:`repro.sim.rng.index_draw` without numpy's call overhead
+    (``tests/sim/test_rng.py`` pins the stream identity).
     """
-    draw = rng.integers
+    return _sample(index_draw(rng), net_bandwidth_mbps)
+
+
+def _sample(draw: Callable[[int], int], net_bandwidth_mbps: float) -> MachineConfig:
     return MachineConfig(
-        processors=_PROCESSORS[int(draw(len(_PROCESSORS)))],
-        rate_per_processor=_RATES[int(draw(len(_RATES)))],
-        io_speed=_IO_SPEEDS[int(draw(len(_IO_SPEEDS)))],
+        processors=_PROCESSORS[draw(len(_PROCESSORS))],
+        rate_per_processor=_RATES[draw(len(_RATES))],
+        io_speed=_IO_SPEEDS[draw(len(_IO_SPEEDS))],
         net_bandwidth_mbps=float(net_bandwidth_mbps),
-        disk_size=_DISK_SIZES[int(draw(len(_DISK_SIZES)))],
-        memory_size=_MEM_SIZES[int(draw(len(_MEM_SIZES)))],
+        disk_size=_DISK_SIZES[draw(len(_DISK_SIZES))],
+        memory_size=_MEM_SIZES[draw(len(_MEM_SIZES))],
     )
 
 
@@ -99,7 +105,8 @@ def sample_machines(
     population is identical whether it was sampled one host at a time
     (the seed runner) or in one batch (the host-engine runner).
     """
-    return [sample_machine(rng, bw) for bw in net_bandwidths_mbps]
+    draw = index_draw(rng)
+    return [_sample(draw, bw) for bw in net_bandwidths_mbps]
 
 
 def capacity_matrix(machines: list[MachineConfig]) -> np.ndarray:

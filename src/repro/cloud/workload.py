@@ -167,7 +167,7 @@ class PoissonWorkload:
             target = sim.now + self._rng.exponential(self.mean_interarrival)
             if quantum > 0.0:
                 target = math.ceil(target / quantum) * quantum
-            sim.schedule_at(target, fire)
+            sim.post_at(target, fire)
 
         def fire() -> None:
             if not is_alive(node_id):

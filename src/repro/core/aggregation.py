@@ -18,6 +18,8 @@ from typing import Literal
 
 import numpy as np
 
+from repro.sim.rng import index_draw
+
 __all__ = ["gossip_aggregate", "AggregationResult"]
 
 
@@ -67,11 +69,12 @@ def gossip_aggregate(
     est = {i: np.asarray(values[i], dtype=np.float64).copy() for i in ids}
 
     messages = 0
+    below = index_draw(rng)
     for _ in range(rounds):
         order = rng.permutation(n)
         for idx in order:
             a = ids[int(idx)]
-            b = ids[int(rng.integers(n))]
+            b = ids[below(n)]
             if a == b:
                 continue
             messages += 2  # push + pull

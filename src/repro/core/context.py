@@ -16,6 +16,7 @@ from repro.metrics.traffic import TrafficMeter
 from repro.sim.delivery import DeliveryCalendar
 from repro.sim.engine import Simulator
 from repro.sim.network import CONTROL_MSG_BITS, NetworkModel
+from repro.sim.rng import index_draw
 
 __all__ = ["ProtocolContext"]
 
@@ -50,6 +51,9 @@ class ProtocolContext:
         self.network = network
         self.traffic = traffic
         self.rng = rng
+        #: ``below(n) == int(rng.integers(n))``, draw for draw, on the
+        #: same stream (:func:`repro.sim.rng.index_draw`).
+        self.below = index_draw(rng)
         self.cmax = np.asarray(cmax, dtype=np.float64)
         self.availability_of = availability_of
         self.is_alive = is_alive
@@ -90,9 +94,12 @@ class ProtocolContext:
         out by delivery time the message is silently dropped (the paper's
         crash model; requesters recover via query timeouts).
         """
-        self.traffic.charge(kind, src)
-        delay = self.network.delay(src, dst, size_bits)
-        self.delivery.deliver(delay, self._deliver, dst, handler, args)
+        traffic = self.traffic
+        traffic.by_kind[kind] += 1
+        traffic.by_node[src] += 1
+        self.delivery.deliver(
+            self.network.delay(src, dst, size_bits), self._deliver, dst, handler, args
+        )
 
     def send_path(
         self,
@@ -108,12 +115,19 @@ class ProtocolContext:
         This is the in-process multi-hop shortcut: identical traffic and
         latency accounting to per-hop events, at one event per route.
         """
-        if len(path) < 1:
+        hops = len(path) - 1
+        if hops < 0:
             raise ValueError("empty path")
-        for sender in path[:-1]:
-            self.traffic.charge(kind, sender)
-        delay = self.network.path_delay(list(path), size_bits)
-        self.delivery.deliver(delay, self._deliver, path[-1], handler, args)
+        if hops:  # (a zero-hop path creates no kind entry)
+            traffic = self.traffic
+            traffic.by_kind[kind] += hops
+            by_node = traffic.by_node
+            for sender in path[:-1]:
+                by_node[sender] += 1
+        self.delivery.deliver(
+            self.network.path_delay(path, size_bits), self._deliver, path[-1],
+            handler, args,
+        )
 
     def send_path_batch(
         self,
@@ -190,9 +204,9 @@ class ProtocolContext:
             if alive is not None and not alive():
                 return
             tick()
-            self.sim.schedule(period, chain)
+            self.sim.post(period, chain)
 
-        self.sim.schedule(self.rng.uniform(0, period), chain)
+        self.sim.post(self.rng.uniform(0, period), chain)
 
     # ------------------------------------------------------------------
     # coordinate mapping
@@ -211,4 +225,4 @@ class ProtocolContext:
         pool = [x for x in items if not exclude or x not in exclude]
         if not pool:
             return None
-        return pool[int(self.rng.integers(len(pool)))]
+        return pool[self.below(len(pool))]

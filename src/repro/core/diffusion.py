@@ -229,7 +229,7 @@ class DiffusionEngine:
         dims, L = self.dims, self.L
         tables, pilists = self.tables, self.pilists
         is_alive = self.ctx.is_alive
-        integers = self.ctx.rng.integers
+        below = self.ctx.below
         now = self.ctx.sim.now
         recipients = result.recipients
         by_node = self.ctx.traffic.by_node
@@ -249,7 +249,7 @@ class DiffusionEngine:
                     break
             else:
                 continue
-            target = pool[0] if len(pool) == 1 else pool[int(integers(len(pool)))]
+            target = pool[0] if len(pool) == 1 else pool[below(len(pool))]
             by_node[node] += 1
             messages += 1
             pilist = pilists.get(target)
@@ -319,6 +319,6 @@ class DiffusionEngine:
         if len(pool) <= k:
             return pool
         if k == 1:
-            return [pool[int(self.ctx.rng.integers(len(pool)))]]
+            return [pool[self.ctx.below(len(pool))]]
         idx = self.ctx.rng.choice(len(pool), size=k, replace=False)
         return [pool[i] for i in idx]

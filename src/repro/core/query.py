@@ -434,7 +434,7 @@ class QueryEngine:
             # backward diffusion).
             self._on_agent(qid, duty, delta, [], found_owners, 1)
             return
-        alpha = agents.pop(int(self.ctx.rng.integers(len(agents))))
+        alpha = agents.pop(self.ctx.below(len(agents)))
         rt.messages += 1
         self.ctx.send(
             "index-agent", duty, alpha,
@@ -467,7 +467,7 @@ class QueryEngine:
         )
         jumps = [j for j in jumps if j != me and j not in found_owners]
         if jumps:
-            beta = jumps.pop(int(self.ctx.rng.integers(len(jumps))))
+            beta = jumps.pop(self.ctx.below(len(jumps)))
             rt.messages += 1
             self.ctx.send(
                 "index-jump", me, beta,
@@ -489,7 +489,7 @@ class QueryEngine:
     ) -> None:
         """Algorithm 4 lines 5-8 / Algorithm 5 lines 10-13."""
         if agents:
-            alpha = agents.pop(int(self.ctx.rng.integers(len(agents))))
+            alpha = agents.pop(self.ctx.below(len(agents)))
             rt.messages += 1
             self.ctx.send(
                 "index-agent", me, alpha,
@@ -531,7 +531,7 @@ class QueryEngine:
             return
         jumps = [j for j in jumps if j not in found_owners]
         if jumps:
-            beta = jumps.pop(int(self.ctx.rng.integers(len(jumps))))
+            beta = jumps.pop(self.ctx.below(len(jumps)))
             rt.messages += 1
             self.ctx.send(
                 "index-jump", me, beta,

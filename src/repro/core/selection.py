@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.state import StateRecord
+from repro.sim.rng import index_draw
 
 __all__ = ["select_record", "SELECTION_POLICIES", "normalized_slack"]
 
@@ -48,7 +49,7 @@ def _first_fit(records, demand, cmax, rng):
 
 
 def _random_fit(records, demand, cmax, rng):
-    return records[int(rng.integers(len(records)))]
+    return records[index_draw(rng)(len(records))]
 
 
 SELECTION_POLICIES = {

@@ -58,7 +58,7 @@ from repro.metrics.traffic import TrafficMeter
 from repro.sim.delivery import DeliveryCalendar
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.network import NetworkModel
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import RngRegistry, index_draw
 from repro.sim.stats import TimeSeries
 from repro.sim.tracing import Tracer
 
@@ -330,7 +330,7 @@ class SOCSimulation:
             self._churn_rng = self.rngs.stream("churn")
             rate = config.churn_degree * config.n_nodes / config.churn_lifetime
             self._churn_interval = 1.0 / rate
-            self.sim.schedule(
+            self.sim.post(
                 self._churn_rng.exponential(self._churn_interval), self._churn_event
             )
 
@@ -431,7 +431,7 @@ class SOCSimulation:
             # Zero-delay => higher heap sequence than every arrival event
             # already queued for this instant, so the flush runs once all
             # of them have buffered.
-            self.sim.schedule(0.0, self._flush_arrivals)
+            self.sim.post(0.0, self._flush_arrivals)
         self._arrival_buffer.append((task, on_records))
 
     def _flush_arrivals(self) -> None:
@@ -625,7 +625,7 @@ class SOCSimulation:
                 newcomer, self.sim, self._submit_task, self._alive.__contains__,
                 quantum=self.config.arrival_quantum,
             )
-        self.sim.schedule(
+        self.sim.post(
             self._churn_rng.exponential(self._churn_interval), self._churn_event
         )
 
@@ -633,7 +633,7 @@ class SOCSimulation:
         alive = sorted(self._alive)
         if len(alive) <= 2:
             return None
-        return alive[int(self._churn_rng.integers(len(alive)))]
+        return alive[index_draw(self._churn_rng)(len(alive))]
 
     def _depart(self, node_id: int) -> None:
         self._alive.remove(node_id)

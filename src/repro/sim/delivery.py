@@ -11,12 +11,15 @@ quantized.
 
 :class:`DeliveryCalendar` batches same-instant deliveries the way
 :class:`~repro.sim.engine.CohortTimer` batches same-instant cycles: the
-first message bound for an instant schedules **one** flush event; later
-messages for the same instant append to its batch.  The flush replays
-the batch in enqueue order and charges ``len(batch) - 1`` extra event
-units (:meth:`~repro.sim.engine.Simulator.charge_events`), so
+first message bound for an instant posts **one** flush event
+(:meth:`~repro.sim.engine.Simulator.post_at`: no handle, the calendar
+never cancels one); later messages for the same instant append to its
+batch.  The flush replays the batch in enqueue order and charges
+``len(batch) - 1`` extra event units
+(:meth:`~repro.sim.engine.Simulator.charge_events`), so
 ``events_processed`` and ``run(max_events=...)`` budgets count exactly
-what per-message scheduling would have counted.
+what per-message scheduling would have counted.  Un-quantized, almost
+every batch holds one message, so the flush takes that case first.
 
 Ordering contract: within a batch, deliveries run in enqueue order —
 which is exactly the order per-message scheduling would have used,
@@ -49,11 +52,13 @@ __all__ = ["DeliveryCalendar"]
 class DeliveryCalendar:
     """Coalesces same-instant message deliveries into single heap events.
 
-    Drop-in for the ``sim.schedule(delay, fn, *args)`` delivery idiom::
+    Drop-in for the ``sim.post(delay, fn, *args)`` delivery idiom::
 
         calendar = DeliveryCalendar(sim, quantum=0.1)
-        calendar.deliver(delay, handler, payload)   # relative, like schedule
-        calendar.deliver_at(when, handler, payload) # absolute, like schedule_at
+        calendar.deliver(delay, handler, payload)   # relative, like post
+        calendar.deliver_at(when, handler, payload) # absolute, like post_at
+
+    Like a posted event, a delivery has no handle and cannot be cancelled.
     """
 
     __slots__ = ("sim", "quantum", "_batches", "deliveries", "flushes")
@@ -72,7 +77,16 @@ class DeliveryCalendar:
 
     def deliver(self, delay: float, fn: Callable, *args: Any) -> None:
         """Deliver ``fn(*args)`` after ``delay`` simulated seconds."""
-        self.deliver_at(self.sim.now + delay, fn, *args)
+        # (deliver_at written out: this is the per-message path)
+        when = self.sim.now + delay
+        if self.quantum > 0.0:
+            when = math.ceil(when / self.quantum) * self.quantum
+        batch = self._batches.get(when)
+        if batch is None:
+            self.sim.post_at(when, self._flush, when)
+            self._batches[when] = [(fn, args)]
+        else:
+            batch.append((fn, args))
 
     def deliver_at(self, when: float, fn: Callable, *args: Any) -> None:
         """Deliver ``fn(*args)`` at absolute instant ``when`` (possibly
@@ -85,8 +99,9 @@ class DeliveryCalendar:
             when = math.ceil(when / self.quantum) * self.quantum
         batch = self._batches.get(when)
         if batch is None:
+            # Post first: an instant it rejects (past, NaN) opens no batch.
+            self.sim.post_at(when, self._flush, when)
             self._batches[when] = [(fn, args)]
-            self.sim.schedule_at(when, self._flush, when)
         else:
             batch.append((fn, args))
 
@@ -96,9 +111,13 @@ class DeliveryCalendar:
         # scheduled at ``now``) — exactly like per-message scheduling,
         # where such a send lands behind every already-queued event.
         batch = self._batches.pop(when)
-        if len(batch) > 1:
-            self.sim.charge_events(len(batch) - 1)
         self.flushes += 1
+        if len(batch) == 1:
+            self.deliveries += 1
+            fn, args = batch[0]
+            fn(*args)
+            return
+        self.sim.charge_events(len(batch) - 1)
         self.deliveries += len(batch)
         for fn, args in batch:
             fn(*args)

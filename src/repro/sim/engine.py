@@ -5,10 +5,25 @@ ordering, O(1) lazy cancellation and periodic timers.  The API mirrors the
 handful of Peersim facilities the paper's evaluation relies on: an event
 clock, per-protocol periodic cycles, and message delivery callbacks.
 
-Heap entries are ``(time, priority, seq, event)`` tuples: the order is
-the tuples' own lexicographic order, compared in C by ``heapq``.  ``seq``
-is unique per push, so a comparison never reaches the fourth element and
-callbacks or arguments need not be orderable.
+Two ways to put a callback on the heap:
+
+- :meth:`Simulator.post` / :meth:`Simulator.post_at` are fire-and-forget:
+  no record and no handle is allocated.  Message flushes, self-chaining
+  periodic ticks, workload arrivals and churn use them.
+- :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return an
+  :class:`EventHandle` that can cancel the entry — for timeouts, the
+  completion calendar, cohort timers and :meth:`Simulator.periodic`.
+
+Heap entries are 5-tuples ``(time, priority, seq, fn, args)``.  A posted
+entry carries the callback and its argument tuple; a cancellable entry
+carries its :class:`~repro.sim.events.Event` in the ``fn`` slot and
+``None`` in the ``args`` slot, and a cancelled one is dropped when it
+surfaces without being counted.  The order is the tuples' own
+lexicographic order, compared in C by ``heapq``.  ``seq`` comes from one
+counter shared by both kinds and is unique per push, so a comparison
+never reaches the fourth element, callbacks or arguments need not be
+orderable, and the dispatch order does not depend on which kind an entry
+is.
 """
 
 from __future__ import annotations
@@ -231,8 +246,9 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        #: ``(time, priority, seq, event)`` entries; see the module docstring.
-        self._heap: list[tuple[float, int, int, Event]] = []
+        #: ``(time, priority, seq, fn, args)`` entries; see the module
+        #: docstring.
+        self._heap: list[tuple[float, int, int, Any, Optional[tuple]]] = []
         self._seq = 0
         self._pending = 0
         self._running = False
@@ -278,7 +294,7 @@ class Simulator:
         priority: int = PRIORITY_DEFAULT,
     ) -> EventHandle:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative delay {delay!r}")
         return self.schedule_at(self._now + delay, fn, *args, priority=priority)
 
@@ -290,15 +306,39 @@ class Simulator:
         priority: int = PRIORITY_DEFAULT,
     ) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute time ``when``."""
-        if when < self._now:
+        if not when >= self._now:  # (also rejects NaN)
             raise SimulationError(
                 f"cannot schedule at {when} < now {self._now}"
             )
         event = Event(when, fn, args)
-        heapq.heappush(self._heap, (when, priority, self._seq, event))
+        heapq.heappush(self._heap, (when, priority, self._seq, event, None))
         self._seq += 1
         self._pending += 1
         return EventHandle(event, self)
+
+    def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` ``delay`` seconds from now, at the default
+        priority, with no handle: the entry cannot be cancelled.
+
+        Orders exactly like :meth:`schedule` — the same ``now + delay``
+        instant and the next number of the one sequence counter."""
+        if not delay >= 0.0:
+            raise SimulationError(f"negative delay {delay!r}")
+        heapq.heappush(
+            self._heap, (self._now + delay, PRIORITY_DEFAULT, self._seq, fn, args)
+        )
+        self._seq += 1
+        self._pending += 1
+
+    def post_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
+        """:meth:`post` at absolute time ``when``."""
+        if not when >= self._now:
+            raise SimulationError(
+                f"cannot schedule at {when} < now {self._now}"
+            )
+        heapq.heappush(self._heap, (when, PRIORITY_DEFAULT, self._seq, fn, args))
+        self._seq += 1
+        self._pending += 1
 
     def periodic(
         self,
@@ -400,19 +440,22 @@ class Simulator:
         processed_here = 0
         try:
             heap = self._heap
+            pop = heapq.heappop
             while heap and not self._stopped:
-                when, _, _, event = heap[0]
-                if until is not None and when > until:
+                if until is not None and heap[0][0] > until:
                     break
-                heapq.heappop(heap)
-                if event.cancelled:
-                    continue
-                event.done = True
+                when, _, _, fn, args = pop(heap)
+                if args is None:  # a cancellable entry: ``fn`` is its Event
+                    if fn.cancelled:
+                        continue
+                    fn.done = True
+                    args = fn.args
+                    fn = fn.fn
                 self._pending -= 1
                 self._now = when
                 self._event_serial += 1
                 self._extra_units = 0
-                event.fn(*event.args)
+                fn(*args)
                 units = 1 + self._extra_units
                 self._extra_units = 0
                 self.events_processed += units

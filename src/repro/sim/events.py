@@ -7,11 +7,14 @@ simulation, since protocol behaviour (e.g. which of two simultaneous task
 placements lands first) must not depend on heap tie-breaking accidents.
 
 The ordering itself lives in the heap entry, not here:
-:class:`~repro.sim.engine.Simulator` pushes ``(time, priority, seq,
-event)`` tuples, so every comparison a push or pop makes is a C-level
+:class:`~repro.sim.engine.Simulator` pushes ``(time, priority, seq, fn,
+args)`` tuples, so every comparison a push or pop makes is a C-level
 tuple comparison that is decided by ``seq`` at the latest and never
-reaches the :class:`Event`.  The record only carries what the engine
-needs once the entry surfaces: the callback and the two lazy flags.
+reaches the callback.  Only a cancellable entry (``Simulator.schedule``)
+has an :class:`Event` record, in the entry's ``fn`` slot: it carries
+what the engine needs once the entry surfaces — the callback, its
+arguments and the two lazy flags.  Posted entries (``Simulator.post``)
+have none.
 """
 
 from __future__ import annotations

@@ -177,22 +177,26 @@ class NetworkModel:
 
     def path_delay(self, path: list[int], size_bits: float = CONTROL_MSG_BITS) -> float:
         """Total delay of forwarding a message hop-by-hop along ``path``:
-        :meth:`delay` per hop, written out, summed left to right."""
+        :meth:`delay` per hop, written out, summed left to right.  Each
+        node's LAN and uplink are looked up once, as the receiver of one
+        hop and carried over as the sender of the next."""
         p, lan_of, wan_bw = self.params, self._lan_of, self._wan_bw
+        wan_lo = p.wan_bw_mbps_lo
         total = 0.0
-        for src, dst in zip(path, path[1:]):
+        if not path:
+            return total
+        src = path[0]
+        lan_src, wan_src = lan_of.get(src), wan_bw.get(src, wan_lo)
+        for dst in path[1:]:
+            lan_dst, wan_dst = lan_of.get(dst), wan_bw.get(dst, wan_lo)
             if src == dst:
                 hop = 0.0
+            elif lan_src is not None and lan_src == lan_dst:
+                hop = p.lan_latency_s + size_bits / (self._lan_bw[lan_src] * 1e6)
             else:
-                lan_src = lan_of.get(src)
-                if lan_src is not None and lan_src == lan_of.get(dst):
-                    hop = p.lan_latency_s + size_bits / (self._lan_bw[lan_src] * 1e6)
-                else:
-                    bw = min(
-                        wan_bw.get(src, p.wan_bw_mbps_lo), wan_bw.get(dst, p.wan_bw_mbps_lo)
-                    )
-                    hop = p.wan_latency_s + size_bits / (bw * 1e6)
+                hop = p.wan_latency_s + size_bits / (min(wan_src, wan_dst) * 1e6)
             total += hop
+            src, lan_src, wan_src = dst, lan_dst, wan_dst
         return total
 
     def path_delays(

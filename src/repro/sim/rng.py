@@ -1,19 +1,94 @@
-"""Deterministic named random substreams.
+"""Deterministic named random substreams, and a cheap uniform index draw.
 
 Every stochastic component of the simulation draws from its own named
 substream derived from a single master seed.  This keeps runs reproducible
 and lets components be added or removed without perturbing each other's
 random sequences — a requirement for the A/B protocol comparisons in the
 paper's evaluation (same machines, same tasks, different protocol).
+
+The protocols' commonest draw is one uniform index into a short list (a
+relay's NINode, a query's next agent or jump target, a churn victim).
+``int(gen.integers(n))`` pays ~2.5 µs of argument handling per call for
+a few nanoseconds of work, so :func:`index_draw` makes the same draw in
+Python, straight off the generator's bit generator: the value and the
+generator state afterwards are those of ``gen.integers(n)``, draw for
+draw (``tests/sim/test_rng.py`` pins the identity).
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import Callable
 
 import numpy as np
 
-__all__ = ["RngRegistry", "derive_seed"]
+__all__ = ["RngRegistry", "derive_seed", "index_draw"]
+
+_U32 = 0x1_0000_0000
+
+
+def _lemire_draw(gen: np.random.Generator) -> Callable[[int], int]:
+    """``below(n)`` computed the way ``Generator.integers(n)`` computes
+    it for ``2 <= n < 2**32``: Lemire's multiply-and-reject rule on one
+    32-bit word per try (numpy's ``buffered_bounded_lemire_uint32``);
+    ``n == 1`` consumes nothing, as in numpy."""
+    interface = gen.bit_generator.ctypes
+    next_uint32 = interface.next_uint32
+    address = interface.state_address
+    # The bound method keeps ``gen`` — and the bit generator that owns
+    # the state behind ``address`` — alive as long as this closure.
+    integers = gen.integers
+
+    def below(n: int) -> int:
+        if not 1 < n < _U32:
+            # (numpy raises on n <= 0, and draws 64-bit words from 2**32)
+            return 0 if n == 1 else int(integers(n))
+        m = next_uint32(address) * n
+        if (m & 0xFFFF_FFFF) < n:
+            threshold = (_U32 - n) % n
+            while (m & 0xFFFF_FFFF) < threshold:
+                m = next_uint32(address) * n
+        return m >> 32
+
+    return below
+
+
+def _probe_index_draw() -> bool:
+    """Does :func:`_lemire_draw` reproduce ``Generator.integers`` here?
+
+    The rule copies numpy's bounded-integer algorithm, which is a numpy
+    implementation detail, so it is probed once at import — values and
+    final generator state, over small bounds, bounds near powers of two
+    and draws interleaved with other methods — and :func:`index_draw`
+    only uses it where the probe passed."""
+    try:
+        ours, theirs = np.random.default_rng(0x1D7), np.random.default_rng(0x1D7)
+        below = _lemire_draw(ours)
+        bounds = [*range(1, 64), 255, 256, 257, 65_535, 65_536, 65_537,
+                  1_000_003, 2**31 - 1, 2**31, 2**32 - 1]
+        for n in bounds * 3:
+            if below(n) != int(theirs.integers(n)):
+                return False
+            if ours.uniform() != theirs.uniform():
+                return False
+        return ours.bit_generator.state == theirs.bit_generator.state
+    except (ImportError, AttributeError):  # (no ctypes interface here)
+        return False
+
+
+_LEMIRE_MATCHES = _probe_index_draw()
+
+
+def index_draw(gen: np.random.Generator) -> Callable[[int], int]:
+    """``below`` with ``below(n) == int(gen.integers(n))`` draw for draw,
+    consuming ``gen``'s stream exactly as that call does.
+
+    Bounds of ``2**32`` and above are handed to numpy, and so is
+    everything when the import-time probe failed."""
+    if _LEMIRE_MATCHES:
+        return _lemire_draw(gen)
+    integers = gen.integers
+    return lambda n: int(integers(n))
 
 
 def derive_seed(master_seed: int, name: str) -> int:

@@ -94,6 +94,57 @@ def test_schedule_into_past_rejected():
     sim = Simulator(start_time=10.0)
     with pytest.raises(SimulationError):
         sim.schedule_at(5.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.post_at(5.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.post(-1.0, lambda: None)
+
+
+def test_nan_instants_are_rejected():
+    """``nan < now`` is False: a NaN instant must not slip past the
+    past-check, run between finite events and leave the clock at NaN
+    (after which no past-check could fail again)."""
+    from repro.sim.delivery import DeliveryCalendar
+
+    nan = float("nan")
+    sim = Simulator()
+    calendar = DeliveryCalendar(sim)
+    for push in (
+        lambda: sim.schedule(nan, lambda: None),
+        lambda: sim.schedule_at(nan, lambda: None),
+        lambda: sim.post(nan, lambda: None),
+        lambda: sim.post_at(nan, lambda: None),
+        lambda: calendar.deliver(nan, lambda: None),
+        lambda: calendar.deliver_at(nan, lambda: None),
+    ):
+        with pytest.raises(SimulationError):
+            push()
+    assert sim.pending() == 0 and not sim._heap and not calendar._batches
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    assert sim.now == 1.0
+
+
+def test_posted_and_scheduled_entries_share_one_order():
+    """``post_at`` and ``schedule_at`` entries with equal ``(time,
+    priority)`` fire in the order they were pushed, and a cancelled
+    handle among them is skipped without being counted."""
+    sim = Simulator()
+    out = []
+    sim.post_at(1.0, out.append, "p0")
+    doomed = sim.schedule_at(1.0, out.append, "s-cancelled")
+    sim.schedule_at(1.0, out.append, "s1")
+    sim.post(1.0, out.append, "p2")
+    sim.schedule(1.0, out.append, "s3")
+    sim.post_at(1.0, out.append, "p4")
+    sim.schedule_at(0.5, out.append, "early", priority=PRIORITY_LOW)
+    sim.schedule_at(1.0, out.append, "high", priority=PRIORITY_HIGH)
+    doomed.cancel()
+    assert sim.pending() == 7
+    sim.run()
+    assert out == ["early", "high", "p0", "s1", "p2", "s3", "p4"]
+    assert sim.events_processed == 7 and sim.event_serial == 7
+    assert sim.pending() == 0
 
 
 def test_events_scheduled_from_callbacks_run():
@@ -218,6 +269,15 @@ def test_events_processed_counter():
 # ----------------------------------------------------------------------
 # the O(1) pending() counter (maintained on push / pop / cancel)
 # ----------------------------------------------------------------------
+def _live_entries(sim: Simulator) -> int:
+    """Brute-force count of the heap's live entries: every posted entry
+    ``(.., fn, args)``, and every cancellable one ``(.., event, None)``
+    whose event is not cancelled."""
+    return sum(
+        1 for *_, fn, args in sim._heap if args is not None or not fn.cancelled
+    )
+
+
 def test_pending_is_constant_time_counter_not_heap_scan():
     """pending() must agree with a brute-force heap scan throughout an
     arbitrary push/pop/cancel workload — the counter is the contract."""
@@ -226,12 +286,15 @@ def test_pending_is_constant_time_counter_not_heap_scan():
     handles = []
     for step in range(200):
         roll = rng.random()
-        if roll < 0.6:
+        if roll < 0.45:
             handles.append(sim.schedule(rng.uniform(0.1, 50.0), lambda: None))
+        elif roll < 0.6:
+            sim.post(rng.uniform(0.1, 50.0), lambda: None)
         elif handles:
             handles.pop(rng.randrange(len(handles))).cancel()
-        brute = sum(1 for *_, event in sim._heap if not event.cancelled)
-        assert sim.pending() == brute
+        assert sim.pending() == _live_entries(sim)
+    sim.run(until=25.0)
+    assert sim.pending() == _live_entries(sim) > 0
     sim.run()
     assert sim.pending() == 0
 
@@ -488,8 +551,9 @@ def test_unorderable_callbacks_and_arguments_never_compared():
 
 
 def test_seq_strictly_increases_across_every_push_site(monkeypatch):
-    """schedule / schedule_at / periodic re-arms / cohort ticks and
-    stragglers / calendar flushes all draw from the one sequence."""
+    """schedule / schedule_at / post / post_at / periodic re-arms /
+    cohort ticks and stragglers / calendar flushes all draw from the one
+    sequence."""
     from repro.sim.delivery import DeliveryCalendar
 
     sim = Simulator()
@@ -507,6 +571,8 @@ def test_seq_strictly_increases_across_every_push_site(monkeypatch):
     def setup():
         sim.schedule(1.0, lambda: None)
         sim.schedule_at(2.0, lambda: None)
+        sim.post(2.0, lambda: None)
+        sim.post_at(2.5, lambda: None)
         sim.periodic(3.0, lambda: None)
         timer_box.append(sim.periodic_cohort(4.0, lambda batch: None))
         timer_box[0].add("founder")
@@ -519,7 +585,7 @@ def test_seq_strictly_increases_across_every_push_site(monkeypatch):
     setup()
     n_setup = len(seqs)
     sim.run(until=20.0)
-    assert n_setup == 7  # 1 + 1 + 1 + cohort tick + straggler arm + 2 flushes
+    assert n_setup == 9  # 1 + 1 + 2 posts + 1 + cohort tick + straggler arm + 2 flushes
     assert len(seqs) > n_setup  # periodic and cohort re-arms, the straggler
     assert seqs == list(range(len(seqs)))
 

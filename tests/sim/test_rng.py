@@ -1,8 +1,9 @@
 """Unit tests for the named RNG substreams."""
 
 import numpy as np
+import pytest
 
-from repro.sim.rng import RngRegistry, derive_seed
+from repro.sim.rng import RngRegistry, derive_seed, index_draw
 
 
 def test_same_name_returns_cached_stream():
@@ -69,3 +70,42 @@ def test_integer_draws_are_stream_identical_to_single_choice():
             assert a.uniform() == b.uniform()  # interleaved, as in a run
             assert a.choice(pool) == pool[int(b.integers(len(pool)))]
     assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_index_draw_is_stream_identical_to_integers():
+    """``index_draw(gen)`` replaces every scalar ``int(gen.integers(n))``
+    of the simulation: same value, draw for draw, interleaved with the
+    other draws a run makes, and the same generator state at the end."""
+    a = np.random.default_rng(11)
+    b = np.random.default_rng(11)
+    below = index_draw(b)
+    sizes = [
+        *range(1, 201),
+        *range(2**16 - 3, 2**16 + 4),
+        *(2**k + d for k in range(17, 32) for d in (-1, 0, 1)),
+        2**31 - 1, 2**32 - 1, 2**32, 2**40,
+    ]
+    pool = (1.0, 2.0, 2.4, 3.2)
+    for _ in range(3):
+        for n in sizes:
+            assert below(n) == int(a.integers(n)), n
+            assert b.uniform() == a.uniform()
+            assert b.choice(pool) == a.choice(pool)
+            assert list(b.choice(9, size=3, replace=False)) == list(
+                a.choice(9, size=3, replace=False)
+            )
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_index_draw_of_one_consumes_nothing_and_non_positive_raises():
+    gen = np.random.default_rng(3)
+    below = index_draw(gen)
+    before = gen.bit_generator.state
+    assert [below(1) for _ in range(5)] == [0] * 5
+    assert gen.bit_generator.state == before
+    for n in (0, -1, -(2**40)):
+        with pytest.raises(ValueError):
+            np.random.default_rng(3).integers(n)
+        with pytest.raises(ValueError):
+            below(n)
+    assert gen.bit_generator.state == before

@@ -372,3 +372,33 @@ def test_oracle_budget_and_allocator_gate():
         assert not [p for p in params if p.endswith("_cls")], built
     assert not {"ids", "n", "waste", "generation"} & set(_RouteBlockPool.__slots__)
     assert len(_RouteBlockPool.__slots__) == 9
+
+
+def test_scalar_index_draws_go_through_index_draw():
+    """Every scalar index draw in ``src/repro`` is
+    :func:`repro.sim.rng.index_draw` (same values, a third of the cost):
+    no ``.integers`` call or alias outside ``repro/sim/rng.py``, which
+    defines the draw, and ``repro/testing.py``, whose oracles keep
+    numpy's own call — that is what makes the lockstep suites a
+    cross-check of the primitive.  Array draws (``size=``) may stay."""
+    import ast
+
+    exempt = {"repro/sim/rng.py", "repro/testing.py"}
+    src = REPO_ROOT / "src"
+    offenders = []
+    for path in sorted((src / "repro").rglob("*.py")):
+        name = path.relative_to(src).as_posix()
+        if name in exempt:
+            continue
+        tree = ast.parse(path.read_text(), filename=name)
+        array_draws = {
+            id(node.func) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and any(k.arg == "size" for k in node.keywords)
+        }
+        offenders += [
+            f"{name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "integers"
+            and id(node) not in array_draws
+        ]
+    assert not offenders, f"scalar .integers draws left: {offenders}"
