@@ -22,14 +22,19 @@ DEFAULT_SCALE = "tiny"
 TINY_CAMPAIGN = Path(__file__).parents[1] / "artifacts" / "BENCH_campaign_tiny"
 
 
-@pytest.fixture(scope="session")
-def scale() -> str:
+def read_scale(default: str = DEFAULT_SCALE) -> str:
+    """The scale preset ``REPRO_SCALE`` names (``default`` when unset)."""
     from repro.experiments.config import SCALES
 
-    value = os.environ.get("REPRO_SCALE", DEFAULT_SCALE)
+    value = os.environ.get("REPRO_SCALE", default)
     if value not in SCALES:
         raise ValueError(f"REPRO_SCALE={value!r}; expected one of {sorted(SCALES)}")
     return value
+
+
+@pytest.fixture(scope="session")
+def scale() -> str:
+    return read_scale()
 
 
 @pytest.fixture(scope="session")

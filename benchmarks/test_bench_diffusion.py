@@ -5,12 +5,8 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.core.diffusion import (
-    DiffusionEngine,
-    diffusion_message_count,
-    line_diffusion_rounds,
-)
-from tests.core.helpers import Harness
+from repro.core.diffusion import DiffusionEngine, diffusion_message_count
+from tests.core.helpers import Harness, line_diffusion_rounds
 
 
 @pytest.mark.benchmark(group="diffusion-analysis")

@@ -40,6 +40,7 @@ from repro.experiments import runner
 from repro.experiments.config import SCALES
 from repro.experiments.runner import SOCSimulation
 from repro.experiments.scenarios import scenario_configs
+from repro.experiments.store import result_to_dict
 from repro.testing import ReferenceHostEngine
 
 #: Resident tasks per host in the substrate benches (a mid-run backlog).
@@ -195,7 +196,9 @@ def test_table3_cell_scalar_vs_vectorized(benchmark, scale):
             ref = SOCSimulation(cfg).run()
             t_ref = min(t_ref, time.perf_counter() - t0)
 
-    assert vec.summary() == pytest.approx(ref.summary(), abs=1e-9, nan_ok=True)
+    assert result_to_dict(vec)["metrics"] == pytest.approx(
+        result_to_dict(ref)["metrics"], abs=1e-9, nan_ok=True
+    )
     benchmark.extra_info["cell"] = cfg.describe()
     benchmark.extra_info["wall_vectorized_s"] = round(t_vec, 3)
     benchmark.extra_info["wall_scalar_s"] = round(t_ref, 3)

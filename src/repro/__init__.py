@@ -31,7 +31,6 @@ from repro.experiments.campaign import CampaignSpec, run_campaign
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import SOCSimulation, SimulationResult
 from repro.experiments.scenarios import run_protocol, run_scenario, SCENARIOS
-from repro.experiments.multiseed import run_seeds
 from repro.testing import ProtocolSandbox
 
 __version__ = "0.1.0"
@@ -49,7 +48,6 @@ __all__ = [
     "run_protocol",
     "run_scenario",
     "SCENARIOS",
-    "run_seeds",
     "CampaignSpec",
     "run_campaign",
     "ProtocolSandbox",

@@ -59,9 +59,6 @@ class HubRing:
     def __len__(self) -> int:
         return len(self._members)
 
-    def members(self) -> list[int]:
-        return list(self._members)
-
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._members
 
@@ -93,14 +90,6 @@ class HubRing:
 
     def owner_of(self, value: float) -> int:
         return self._members[self.owner_index(value)]
-
-    def successor(self, node_id: int) -> Optional[int]:
-        """The next member in ascending value order (wrapping), or None
-        when alone."""
-        if len(self._members) <= 1:
-            return None
-        idx = self._members.index(node_id)
-        return self._members[(idx + 1) % len(self._members)]
 
     def successor_no_wrap(self, node_id: int) -> Optional[int]:
         """Ascending successor, or None at the top of the value range —

@@ -17,7 +17,7 @@ joins and leaves from cached edge directions alone (see
 ``docs/can_geometry.md``).
 """
 
-from repro.can.zone import Zone, adjacency_direction, is_negative_direction_of
+from repro.can.zone import Zone, adjacency_direction
 from repro.can.partition_tree import PartitionTree, TreeLeaf
 from repro.can.node import OverlayNode
 from repro.can.overlay import CANOverlay
@@ -32,7 +32,6 @@ from repro.can.inscan import (
 __all__ = [
     "Zone",
     "adjacency_direction",
-    "is_negative_direction_of",
     "PartitionTree",
     "TreeLeaf",
     "OverlayNode",

@@ -53,6 +53,3 @@ class OverlayNode:
     @property
     def zone(self) -> Zone:
         return self.leaf.zone
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"OverlayNode({self.node_id}, {self.zone}, deg={len(self.neighbors)})"

@@ -21,7 +21,7 @@ generated by the split history.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -101,16 +101,6 @@ class PartitionTree:
         if not node.zone.contains(coords):
             raise AssertionError(f"tree descent missed point {point}")
         return node
-
-    def leaves(self) -> Iterator[TreeLeaf]:
-        stack: list[Union[TreeBranch, TreeLeaf]] = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, TreeLeaf):
-                yield node
-            else:
-                stack.append(node.low)
-                stack.append(node.high)
 
     # ------------------------------------------------------------------
     # split (join)

@@ -153,7 +153,8 @@ def _box_accs(lo: np.ndarray, hi: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _squared_distance(zone: Zone, point: Sequence[float]) -> float:
-    """The scalar gap loop of the seed's ``Zone.distance_to_point``,
+    """The scalar gap loop of the seed's distance-to-zone
+    (:func:`repro.testing.reference_distance_to_point`),
     without the final square root — the exactness yardstick for the
     vectorized kernel."""
     lo, hi = zone._lo, zone._hi

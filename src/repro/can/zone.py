@@ -26,11 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = [
-    "Zone",
-    "adjacency_direction",
-    "is_negative_direction_of",
-]
+__all__ = ["Zone", "adjacency_direction"]
 
 
 class Zone:
@@ -39,8 +35,7 @@ class Zone:
     ``lo``/``hi`` are exposed as read-only numpy arrays; the private tuple
     mirrors (``_lo``/``_hi``) serve the hot geometric predicates, where
     plain float arithmetic beats numpy dispatch on 2-5 element vectors by
-    an order of magnitude (profiled: routing spends ~30% of a simulation
-    in ``distance_to_point`` alone).
+    an order of magnitude (the scalar routing hop reads them too).
     """
 
     __slots__ = ("lo", "hi", "_lo", "_hi")
@@ -65,19 +60,8 @@ class Zone:
         return cls(np.zeros(dims), np.ones(dims))
 
     @property
-    def dims(self) -> int:
-        return self.lo.shape[0]
-
-    @property
-    def center(self) -> np.ndarray:
-        return (self.lo + self.hi) / 2.0
-
-    @property
     def volume(self) -> float:
         return float(np.prod(self.hi - self.lo))
-
-    def side(self, dim: int) -> float:
-        return float(self.hi[dim] - self.lo[dim])
 
     # ------------------------------------------------------------------
     # point / box relations
@@ -92,22 +76,6 @@ class Zone:
             if v >= hi[k] and not (v == hi[k] == 1.0):
                 return False
         return True
-
-    def distance_to_point(self, point: np.ndarray) -> float:
-        """Euclidean distance from ``point`` to the closest point of the box
-        (zero when contained) — the greedy-routing progress measure."""
-        lo, hi = self._lo, self._hi
-        acc = 0.0
-        for k in range(len(lo)):
-            v = point[k]
-            if v < lo[k]:
-                gap = lo[k] - v
-            elif v > hi[k]:
-                gap = v - hi[k]
-            else:
-                continue
-            acc += gap * gap
-        return acc ** 0.5
 
     def overlaps_box(self, lo: np.ndarray, hi: np.ndarray) -> bool:
         """Open-overlap with the box ``[lo, hi)`` on every dimension."""
@@ -146,28 +114,12 @@ class Zone:
             raise ValueError("zones are not complementary halves")
         return merged
 
-    # ------------------------------------------------------------------
-    # adjacency
-    # ------------------------------------------------------------------
-    def is_adjacent(self, other: "Zone") -> bool:
-        """CAN neighborship: abut on exactly one dim, overlap on the rest."""
-        return adjacency_direction(self, other) is not None
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Zone):
             return NotImplemented
         return bool(
             np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
         )
-
-    def __hash__(self) -> int:
-        return hash((self.lo.tobytes(), self.hi.tobytes()))
-
-    def __repr__(self) -> str:
-        parts = ", ".join(
-            f"[{l:g},{h:g})" for l, h in zip(self.lo, self.hi)
-        )
-        return f"Zone({parts})"
 
 
 def _moved(bound: np.ndarray, mirror: tuple, dim: int, mid: float):
@@ -204,13 +156,3 @@ def adjacency_direction(a: Zone, b: Zone) -> Optional[tuple[int, int]]:
             return None  # abuts on two dimensions: corner contact only
         abut_dim = (k, sign)
     return abut_dim
-
-
-def is_negative_direction_of(b: Zone, a: Zone) -> bool:
-    """§III-A: ``b`` is a negative-direction node of ``a`` iff on every
-    dimension b's range overlaps a's or lies entirely below it."""
-    b_lo, a_hi = b._lo, a._hi
-    for k in range(len(b_lo)):
-        if b_lo[k] >= a_hi[k]:
-            return False
-    return True

@@ -21,7 +21,6 @@ from repro.cloud.workload import PoissonWorkload
 from repro.cloud.psm import (
     effective_capacity,
     effective_capacity_batch,
-    allocate_shares,
     VMOverhead,
 )
 from repro.cloud.engine import HostEngine
@@ -41,7 +40,6 @@ __all__ = [
     "PoissonWorkload",
     "effective_capacity",
     "effective_capacity_batch",
-    "allocate_shares",
     "VMOverhead",
     "HostEngine",
     "CheckpointStore",

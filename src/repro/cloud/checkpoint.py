@@ -56,12 +56,6 @@ class CheckpointStore:
         self.taken += 1
         return snap
 
-    def has(self, task_id: int) -> bool:
-        return task_id in self._snapshots
-
-    def peek(self, task_id: int) -> CheckpointSnapshot | None:
-        return self._snapshots.get(task_id)
-
     # ------------------------------------------------------------------
     def restore(self, task: Task) -> bool:
         """Roll ``task`` back to its last snapshot (or to a fresh start if
@@ -85,6 +79,3 @@ class CheckpointStore:
     def forget(self, task_id: int) -> None:
         """Drop the snapshot (task finished; archive space reclaimed)."""
         self._snapshots.pop(task_id, None)
-
-    def __len__(self) -> int:
-        return len(self._snapshots)

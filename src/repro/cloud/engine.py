@@ -224,10 +224,6 @@ class HostEngine:
         self._next_row[rows] = -1
         self._h_n += k
 
-    @property
-    def n_hosts(self) -> int:
-        return self._h_n
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
@@ -248,13 +244,6 @@ class HostEngine:
             task.remaining_work[:] = self._t_rem[row]
             out.append(task)
         return out
-
-    def load(self, host_id: int) -> np.ndarray:
-        """``l_i`` — aggregated expectation of resident tasks (§II)."""
-        return self._load[self._row(host_id)].copy()
-
-    def effective_capacity(self, host_id: int) -> np.ndarray:
-        return self._eff[self._row(host_id)].copy()
 
     def availability(self, host_id: int) -> np.ndarray:
         """``a_i = c_i − l_i`` clipped at zero, with capacity first reduced
@@ -429,14 +418,6 @@ class HostEngine:
         self._next_when[h] = when
         self._next_row[h] = lst[i]
         heapq.heappush(self._heap, (when, self._gen_counter, h))
-
-    def next_completion(self, host_id: int) -> Optional[tuple[float, Task]]:
-        """``(time, task)`` of the host's earliest finishing resident task
-        under the current shares, or ``None``."""
-        h = self._row(host_id)
-        if not np.isfinite(self._next_when[h]):
-            return None
-        return float(self._next_when[h]), self._tasks[int(self._next_row[h])]
 
     def peek(self) -> Optional[tuple[float, int, int]]:
         """``(when, host_id, task_id)`` of the globally-earliest predicted

@@ -1,4 +1,4 @@
-"""Proportional Share Model allocation (Eq. 1) and VM maintenance overhead.
+"""Proportional Share Model (Eq. 1) and VM maintenance overhead.
 
 Under PSM, a node running tasks with expectation vectors ``e_1..e_s`` grants
 task ``j`` the share
@@ -9,7 +9,9 @@ so shares scale the full capacity proportionally to expectations: when the
 node is under-subscribed (``l ⪯ c``) every task receives *more* than it
 asked for (the paper's worked example: 13.5 GFlops split 2:3:4 across tasks
 expecting 9 total); when over-subscribed, everyone is squeezed below its
-expectation — this is exactly the contention failure mode of §I.
+expectation — this is exactly the contention failure mode of §I.  The
+host engine (:meth:`repro.cloud.engine.HostEngine._reshare_host`) grants
+these shares; this module holds the overhead model it applies first.
 
 Capacity is first reduced by the per-VM maintenance cost measured in [5] and
 quoted in §IV-A: 5 % CPU, 10 % I/O, 5 % network per VM instance, plus a flat
@@ -26,8 +28,6 @@ __all__ = [
     "VMOverhead",
     "effective_capacity",
     "effective_capacity_batch",
-    "allocate_shares",
-    "aggregate_load",
 ]
 
 
@@ -76,27 +76,3 @@ def effective_capacity_batch(
     n = np.asarray(n_vms, dtype=np.float64)[:, None]
     eff = np.asarray(capacities, dtype=np.float64) * (1.0 - frac * n) - flat * n
     return np.maximum(eff, 0.0, out=eff)
-
-
-def aggregate_load(expectations: list[np.ndarray]) -> np.ndarray:
-    """``l = Σ e(t_ij)`` — the minimal aggregated load vector of §II."""
-    if not expectations:
-        return np.zeros(5)
-    return np.sum(expectations, axis=0)
-
-
-def allocate_shares(
-    capacity_eff: np.ndarray, expectations: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Componentwise PSM shares ``r_j = e_j / l · c`` (Eq. 1).
-
-    Dimensions with zero aggregate load are allocated zero (no task wants
-    them); dimensions where a task expects work but aggregate load is zero
-    cannot occur because every expectation contributes to the aggregate.
-    """
-    if not expectations:
-        return []
-    load = aggregate_load(expectations)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(load > 0, capacity_eff / load, 0.0)
-    return [e * scale for e in expectations]

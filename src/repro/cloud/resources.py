@@ -58,13 +58,10 @@ def dominates(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class ResourceVector:
-    """Immutable named resource vector.
+    """Immutable resource vector in the canonical dimension order.
 
-    >>> c = ResourceVector.of(cpu=4, io=40, net=8, disk=120, mem=2048)
-    >>> c["cpu"]
-    4.0
-    >>> (c - c.scaled(0.5)).values.tolist()
-    [2.0, 20.0, 4.0, 60.0, 1024.0]
+    >>> ResourceVector.of(cpu=4, io=40, net=8, disk=120, mem=2048).values.tolist()
+    [4.0, 40.0, 8.0, 120.0, 2048.0]
     """
 
     __slots__ = ("_values",)
@@ -90,10 +87,6 @@ class ResourceVector:
             raise ValueError(f"missing={sorted(missing)} unknown={sorted(extra)}")
         return cls(kwargs[d] for d in RESOURCE_DIMS)
 
-    @classmethod
-    def zeros(cls) -> "ResourceVector":
-        return cls(np.zeros(N_DIMS))
-
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
@@ -101,50 +94,3 @@ class ResourceVector:
     def values(self) -> np.ndarray:
         """The underlying read-only float64 array (no copy)."""
         return self._values
-
-    def __getitem__(self, dim: str | int) -> float:
-        if isinstance(dim, str):
-            dim = RESOURCE_DIMS.index(dim)
-        return float(self._values[dim])
-
-    def as_dict(self) -> dict[str, float]:
-        return {d: float(v) for d, v in zip(RESOURCE_DIMS, self._values)}
-
-    # ------------------------------------------------------------------
-    # algebra
-    # ------------------------------------------------------------------
-    def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(self._values + as_array(other))
-
-    def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(self._values - as_array(other))
-
-    def scaled(self, factor: float) -> "ResourceVector":
-        return ResourceVector(self._values * factor)
-
-    def clipped(self, lo: float = 0.0) -> "ResourceVector":
-        return ResourceVector(np.maximum(self._values, lo))
-
-    def normalized(self, cmax: "ResourceVector | np.ndarray") -> np.ndarray:
-        """Coordinates in ``[0, 1]^d`` relative to the system-wide maximum
-        capacity vector — the CAN key space mapping of §III."""
-        return np.clip(self._values / as_array(cmax), 0.0, 1.0)
-
-    # ------------------------------------------------------------------
-    # comparisons
-    # ------------------------------------------------------------------
-    def dominates(self, other: "ResourceVector | np.ndarray") -> bool:
-        """Componentwise ``self ⪰ other`` (Inequality 2)."""
-        return dominates(self._values, as_array(other))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ResourceVector):
-            return NotImplemented
-        return bool(np.array_equal(self._values, other._values))
-
-    def __hash__(self) -> int:
-        return hash(self._values.tobytes())
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{d}={v:g}" for d, v in self.as_dict().items())
-        return f"ResourceVector({inner})"

@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.cloud.machine import CMAX
 from repro.cloud.resources import ResourceVector
 
 __all__ = ["Task", "TaskFactory", "DEMAND_RANGES", "demand_bounds"]
@@ -80,28 +79,6 @@ class Task:
         """Total work on the three work dimensions."""
         return self.demand.values[:N_WORK_DIMS] * self.nominal_time
 
-    @property
-    def finished(self) -> bool:
-        return self.finish_time is not None
-
-    def expected_time(self, mean_capacity: np.ndarray) -> float:
-        """Expected execution time for the fairness index (Eq. 4):
-        estimated from the task's load amount and the system-wide average
-        node capacity, as described in §IV-A."""
-        rates = np.asarray(mean_capacity, dtype=np.float64)[:N_WORK_DIMS]
-        with np.errstate(divide="ignore"):
-            per_dim = np.where(rates > 0, self.work / rates, np.inf)
-        return float(per_dim.max())
-
-    def efficiency(self, mean_capacity: np.ndarray) -> float:
-        """Execution efficiency ``e_ij`` = expected / actual completion span."""
-        if self.finish_time is None or self.start_time is None:
-            raise ValueError("task has not finished")
-        actual = self.finish_time - self.submit_time
-        if actual <= 0:
-            return 1.0
-        return self.expected_time(mean_capacity) / actual
-
 
 class TaskFactory:
     """Samples Table-II tasks for a fixed demand ratio λ."""
@@ -143,11 +120,6 @@ class TaskFactory:
         self._next_id += 1
         return task
 
-    @staticmethod
-    def demand_upper_bound(demand_ratio: float) -> np.ndarray:
-        """The corner λ·cmax of the demand box (used by SoS and tests)."""
-        return _HIGHS * demand_ratio
-
 
 def demand_bounds(demand_ratio: float) -> tuple[np.ndarray, np.ndarray]:
     """The Table-II demand box ``(lo, hi)`` at ratio λ (fresh copies).
@@ -157,8 +129,3 @@ def demand_bounds(demand_ratio: float) -> tuple[np.ndarray, np.ndarray]:
     prototypes to it so skewed demands stay dominated by λ·CMAX too.
     """
     return _LOWS * demand_ratio, _HIGHS * demand_ratio
-
-
-def demand_fits_cmax() -> bool:
-    """Sanity helper: Table II demand upper bounds equal CMAX at λ=1."""
-    return bool(np.allclose(_HIGHS, CMAX))

@@ -20,7 +20,6 @@ from repro.core.selection import select_record, SELECTION_POLICIES
 from repro.core.sos import slack_expectation
 from repro.core.diffusion import (
     diffusion_message_count,
-    binary_hop_decomposition,
     DiffusionEngine,
 )
 from repro.core.protocol import (
@@ -39,7 +38,6 @@ __all__ = [
     "SELECTION_POLICIES",
     "slack_expectation",
     "diffusion_message_count",
-    "binary_hop_decomposition",
     "DiffusionEngine",
     "DiscoveryProtocol",
     "PIDCANProtocol",

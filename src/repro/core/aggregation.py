@@ -38,14 +38,6 @@ class AggregationResult:
         stacked = np.stack(list(self.estimates.values()))
         return np.median(stacked, axis=0)
 
-    def max_relative_error(self, truth: np.ndarray) -> float:
-        truth = np.asarray(truth, dtype=np.float64)
-        worst = 0.0
-        for est in self.estimates.values():
-            err = float(np.max(np.abs(est - truth) / np.maximum(truth, 1e-12)))
-            worst = max(worst, err)
-        return worst
-
 
 def gossip_aggregate(
     values: dict[int, np.ndarray],

@@ -365,12 +365,6 @@ class PathCacheIndex:
         self._caches.pop(node_id, None)
         self._heat.pop(node_id, None)
 
-    def cache_of(self, node_id: int) -> Optional[RangeCache]:
-        return self._caches.get(node_id)
-
-    def __len__(self) -> int:
-        return len(self._caches)
-
     # ------------------------------------------------------------------
     # query-path interface
     # ------------------------------------------------------------------

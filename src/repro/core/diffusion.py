@@ -45,8 +45,6 @@ __all__ = [
     "DiffusionEngine",
     "DiffusionResult",
     "diffusion_message_count",
-    "binary_hop_decomposition",
-    "line_diffusion_rounds",
 ]
 
 
@@ -60,32 +58,6 @@ def diffusion_message_count(L: int, d: int) -> int:
     if L == 1:
         return d
     return L * (L**d - 1) // (L - 1)
-
-
-def binary_hop_decomposition(distance: int) -> list[int]:
-    """Decompose a hop distance into powers of two (Theorem 1's proof
-    device): the relay chain covers distance λ in h = popcount(λ) hops,
-    with h ≤ ⌊log2 λ⌋ + 1.
-
-    >>> binary_hop_decomposition(13)
-    [8, 4, 1]
-    """
-    if distance < 1:
-        raise ValueError("distance must be >= 1")
-    return [1 << k for k in range(distance.bit_length() - 1, -1, -1) if distance >> k & 1]
-
-
-def line_diffusion_rounds(r: int) -> list[int]:
-    """Relay rounds at which each node of a line of ``r`` nodes receives the
-    topmost node's index when every node links 2^k backwards (Fig. 2).
-
-    Node ``i`` (0-based from the top) is reached after ``popcount(i)``
-    relay hops; the maximum over the line is ≤ ⌈log2 r⌉, which is the
-    claim of Theorem 1 restricted to one dimension.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return [int(i).bit_count() for i in range(r)]
 
 
 @dataclass

@@ -6,8 +6,8 @@ messages hopping node to node.  Under churn any hop can land on a node
 that has already departed; the message is dropped (the crash model of
 :meth:`repro.core.context.ProtocolContext.send`) and, without a failsafe,
 the requester's callback never fires.  Batched submission then hangs
-forever: the fan-in of :func:`submit_batch` waits on a query that can no
-longer complete.
+forever: the fan-in of :meth:`repro.core.query.QueryEngine.submit_many`
+waits on a query that can no longer complete.
 
 :class:`QueryLifecycle` centralizes the requester-side machinery that
 used to be private to ``QueryEngine`` so every protocol shares identical
@@ -20,7 +20,6 @@ failure semantics:
   chain lost to churn resolves as an explicit *timeout failure* (empty or
   partial results) instead of a silent hang, and the expiry is counted so
   it can feed the success-ratio metrics;
-- **callback fan-in** for batched submission (:func:`submit_batch`);
 - **message accounting hooks** — chains increment ``rt.messages`` as they
   send, and the count reaches the requester callback even on timeout.
 
@@ -33,7 +32,7 @@ by timeout, never both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,42 +40,7 @@ from repro.core.context import ProtocolContext
 from repro.core.state import StateRecord
 from repro.sim.engine import EventHandle
 
-__all__ = ["QueryLifecycle", "QueryRuntime", "LifecycleStats", "submit_batch"]
-
-
-def submit_batch(
-    submit: Callable[[np.ndarray, Callable[[list[StateRecord], int], None]], object],
-    demands: Sequence[np.ndarray],
-    callback: Callable[[list[tuple[list[StateRecord], int]]], None],
-) -> list:
-    """Shared fan-out/fan-in for batched query submission.
-
-    Calls ``submit(demand, one_query_callback)`` once per demand;
-    ``callback(results)`` fires exactly once after every query finalizes,
-    with ``results[i] = (records, messages)`` in submission order.  Returns
-    whatever each ``submit`` returned (qids for the engine, ``None`` for
-    protocols).  Used by :meth:`repro.core.query.QueryEngine.submit_many`
-    and the ``DiscoveryProtocol.submit_many`` default — keep the
-    aggregation in one place.  The fan-in completes under churn because
-    every lifecycle-backed query resolves (at the latest by its failsafe
-    timeout)."""
-    batch = [np.asarray(d, dtype=np.float64) for d in demands]
-    if not batch:
-        callback([])
-        return []
-    results: list[Optional[tuple[list[StateRecord], int]]] = [None] * len(batch)
-    pending = {"n": len(batch)}
-
-    def one_done(i: int, records: list[StateRecord], messages: int) -> None:
-        results[i] = (records, messages)
-        pending["n"] -= 1
-        if pending["n"] == 0:
-            callback(results)  # type: ignore[arg-type]
-
-    return [
-        submit(d, lambda r, m, _i=i: one_done(_i, r, m))
-        for i, d in enumerate(batch)
-    ]
+__all__ = ["QueryLifecycle", "QueryRuntime"]
 
 
 @dataclass
@@ -94,19 +58,6 @@ class QueryRuntime:
     timed_out: bool = False  # resolved by the failsafe, not the chain
     sos_attempted: bool = False
     timeout_handle: Optional[EventHandle] = None
-
-
-@dataclass(frozen=True, slots=True)
-class LifecycleStats:
-    """Counters of one protocol's query lifecycle (all monotone)."""
-
-    started: int
-    completed: int  # resolved by their own chain
-    timed_out: int  # resolved by the failsafe timeout
-
-    @property
-    def resolved(self) -> int:
-        return self.completed + self.timed_out
 
 
 class QueryLifecycle:
@@ -227,7 +178,3 @@ class QueryLifecycle:
             self._on_timeout(rt)
         else:
             self.expire(rt)
-
-    # ------------------------------------------------------------------
-    def stats(self) -> LifecycleStats:
-        return LifecycleStats(self.started, self.completed, self.timeouts)

@@ -39,7 +39,7 @@ from repro.can.routing import RoutingError
 from repro.core.cache import PathCacheIndex
 from repro.core.context import ProtocolContext
 from repro.core.diffusion import DiffusionEngine
-from repro.core.lifecycle import LifecycleStats, QueryLifecycle, submit_batch
+from repro.core.lifecycle import QueryLifecycle
 from repro.core.pilist import PIList
 from repro.core.query import QueryEngine, QueryParams
 from repro.core.state import StateCache, StateRecord
@@ -75,7 +75,7 @@ class DiscoveryProtocol(abc.ABC):
 
     Every concrete protocol owns a :class:`~repro.core.lifecycle.
     QueryLifecycle` (assigned to ``self.lifecycle`` in its constructor)
-    and routes all ``submit_query`` / ``submit_many`` work through it, so
+    and routes all ``submit_query`` / ``submit_bulk`` work through it, so
     queries resolve exactly once even when churn swallows a chain — the
     invariant batched submission and the churn campaigns rely on.
     """
@@ -107,21 +107,6 @@ class DiscoveryProtocol(abc.ABC):
         """Find up to δ nodes whose availability dominates ``demand``; call
         ``callback(records, n_messages)`` exactly once."""
 
-    def submit_many(
-        self,
-        demands: Sequence[np.ndarray],
-        requester: int,
-        callback: Callable[[list[tuple[list[StateRecord], int]]], None],
-    ) -> None:
-        """Submit a burst of queries; ``callback(results)`` fires exactly
-        once after all of them finalize, ``results[i] = (records,
-        messages)`` in submission order.  Protocols may override with a
-        natively batched path; this default fans out to
-        :meth:`submit_query`."""
-        submit_batch(
-            lambda d, cb: self.submit_query(d, requester, cb), demands, callback
-        )
-
     def submit_bulk(
         self,
         items: Sequence[
@@ -136,15 +121,6 @@ class DiscoveryProtocol(abc.ABC):
         with a natively batched routing pass."""
         for demand, requester, callback in items:
             self.submit_query(demand, requester, callback)
-
-    def query_stats(self) -> LifecycleStats:
-        """Lifetime query counters (started / completed / timed out).
-
-        An introspection snapshot for tests and tooling; the runner's
-        live timeout-failure accounting hangs off
-        ``lifecycle.on_expire`` instead (one ratio-tracker tick per
-        expired query)."""
-        return self.lifecycle.stats()
 
 
 @dataclass(frozen=True, slots=True)

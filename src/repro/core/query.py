@@ -57,12 +57,12 @@ from repro.can.overlay import CANOverlay
 from repro.can.routing import RoutingError
 from repro.core.cache import PathCacheIndex
 from repro.core.context import ProtocolContext
-from repro.core.lifecycle import QueryLifecycle, QueryRuntime, submit_batch
+from repro.core.lifecycle import QueryLifecycle, QueryRuntime
 from repro.core.pilist import PIList
 from repro.core.sos import slack_expectation
 from repro.core.state import StateCache, StateRecord
 
-__all__ = ["QueryEngine", "QueryRuntime", "QueryParams", "submit_batch"]
+__all__ = ["QueryEngine", "QueryRuntime", "QueryParams"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,12 +158,23 @@ class QueryEngine:
         RNG draw, message charge and delivery event is identical to
         submitting the queries one by one.
         """
-        items: list = []
-        submit_batch(
-            lambda demand, cb: items.append((demand, requester, cb)),
-            demands, callback,
-        )
-        return self.submit_burst(items)
+        if not demands:
+            callback([])
+            return []
+        results: list = [None] * len(demands)
+        pending = [len(demands)]
+
+        def one_done(i: int, records: list[StateRecord], messages: int) -> None:
+            results[i] = (records, messages)
+            pending[0] -= 1
+            if not pending[0]:
+                callback(results)
+
+        return self.submit_burst([
+            (np.asarray(d, dtype=np.float64), requester,
+             lambda r, m, _i=i: one_done(_i, r, m))
+            for i, d in enumerate(demands)
+        ])
 
     def submit_burst(
         self,
@@ -212,9 +223,6 @@ class QueryEngine:
                     "duty-query", path, self._on_duty, rt.qid, path[-1]
                 )
         return [rt.qid for rt in rts]
-
-    def active_queries(self) -> int:
-        return self.lifecycle.active_queries()
 
     # ------------------------------------------------------------------
     # phase 1: duty-query routing (Algorithm 3)

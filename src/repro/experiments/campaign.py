@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
+from repro.core.protocol import PIDCANParams
 from repro.experiments.config import (
     SCALES,
     ExperimentConfig,
@@ -44,6 +45,7 @@ from repro.experiments.multiseed import SUMMARY_METRICS, MetricStats, stats_from
 from repro.experiments.runner import run_config
 from repro.experiments.scenarios import SCENARIO_CONFIGS, scenario_configs
 from repro.experiments.store import load_cell_doc, result_to_dict, save_cell_doc
+from repro.sim.network import NetworkParams
 
 __all__ = [
     "CampaignSpec",
@@ -60,6 +62,10 @@ __all__ = [
 #: The spec written alongside the cells, so ``status`` can compare the
 #: declared grid against what's on disk without re-passing the spec.
 SPEC_FILENAME = "campaign.json"
+
+#: Config fields that hold a params dataclass: a mapping override merges
+#: into the cell's own instance instead of replacing it.
+_NESTED = {"pidcan": PIDCANParams, "network": NetworkParams}
 
 
 def _slug(text: str) -> str:
@@ -119,7 +125,10 @@ class CampaignSpec:
     single protocol are unaffected unless that protocol is excluded).
     ``overrides`` are extra :class:`ExperimentConfig` fields applied to
     every cell — e.g. ``{"n_nodes": 60, "duration": 3600}`` to shrink a
-    smoke campaign below the named scales.
+    smoke campaign below the named scales.  A mapping under ``pidcan`` or
+    ``network`` is merged into each cell's own params, so
+    ``{"pidcan": {"delta": 1}}`` keeps what the scenario set there (mega's
+    cohort ticks) and changes δ alone.
     """
 
     name: str = "campaign"
@@ -156,6 +165,16 @@ class CampaignSpec:
         unknown = set(self.overrides) - fields
         if unknown:
             raise ValueError(f"unknown override fields: {sorted(unknown)}")
+        for name, params_cls in _NESTED.items():
+            value = self.overrides.get(name)
+            if isinstance(value, Mapping):
+                unknown = set(value) - {f.name for f in dataclasses.fields(params_cls)}
+                if unknown:
+                    raise ValueError(f"unknown override fields: {name}.{sorted(unknown)}")
+            elif value is not None and not isinstance(value, params_cls):
+                raise ValueError(
+                    f"override {name!r} must be a mapping of {params_cls.__name__} fields"
+                )
         reserved = {"seed": "seeds", "protocol": "protocols"}
         for key, grid_field in reserved.items():
             if key in self.overrides:
@@ -196,19 +215,27 @@ class CampaignSpec:
     # ------------------------------------------------------------------
     def cells(self) -> list[CampaignCell]:
         """Expand the grid into per-run cells (protocol filter applied)."""
+        merged = {
+            name: value for name, value in self.overrides.items()
+            if name in _NESTED and isinstance(value, Mapping)
+        }
+        flat = {k: v for k, v in self.overrides.items() if k not in merged}
         out: list[CampaignCell] = []
         for scenario in self.scenarios:
             for scale in self.scales:
                 for seed in self.seeds:
-                    grid = scenario_configs(
-                        scenario, scale=scale, seed=seed, **self.overrides
-                    )
+                    grid = scenario_configs(scenario, scale=scale, seed=seed, **flat)
                     for label, config in grid.items():
                         if (
                             self.protocols is not None
                             and config.protocol not in self.protocols
                         ):
                             continue
+                        if merged:
+                            config = dataclasses.replace(config, **{
+                                name: dataclasses.replace(getattr(config, name), **value)
+                                for name, value in merged.items()
+                            })
                         out.append(
                             CampaignCell(scenario, scale, seed, label, config)
                         )
@@ -238,10 +265,6 @@ class CampaignReport:
     skipped: tuple[str, ...]  # cell ids already complete on disk
     worker_pids: tuple[int, ...]  # distinct pids that produced new cells
     failed: tuple[tuple[str, str], ...] = ()  # (cell id, error) pairs
-
-    @property
-    def total(self) -> int:
-        return len(self.ran) + len(self.skipped)
 
 
 def run_campaign(

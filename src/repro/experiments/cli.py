@@ -134,8 +134,9 @@ def build_campaign_parser() -> argparse.ArgumentParser:
 def parse_cli(argv: list[str]) -> argparse.Namespace:
     """Parse any supported command line (raises SystemExit on bad input).
 
-    The single entry point the docs-consistency tests use to check that
-    every command quoted in README/docs actually parses.
+    The one parser :func:`main` dispatches through, so the docs-consistency
+    tests that check every command quoted in README/docs parse what the
+    CLI runs.
     """
     if argv and argv[0] == "campaign":
         return build_campaign_parser().parse_args(argv[1:])
@@ -273,14 +274,11 @@ def _campaign_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def campaign_main(argv: list[str]) -> int:
-    args = build_campaign_parser().parse_args(argv)
-    handler = {
-        "run": _campaign_run,
-        "status": _campaign_status,
-        "report": _campaign_report,
-    }[args.command]
-    return handler(args)
+_CAMPAIGN_COMMANDS = {
+    "run": _campaign_run,
+    "status": _campaign_status,
+    "report": _campaign_report,
+}
 
 
 # ----------------------------------------------------------------------
@@ -289,9 +287,9 @@ def campaign_main(argv: list[str]) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    args = parse_cli(argv)
     if argv and argv[0] == "campaign":
-        return campaign_main(argv[1:])
-    args = build_parser().parse_args(argv)
+        return _CAMPAIGN_COMMANDS[args.command](args)
     if args.burst_factor is not None and args.scenario != "burst":
         print("--burst-factor only applies to the burst scenario", file=sys.stderr)
         return 2

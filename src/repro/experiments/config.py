@@ -4,15 +4,14 @@
 ``tiny`` shrink the population and horizon while keeping the *per-node*
 load regime identical (same arrival process, same demand distributions),
 which preserves protocol orderings and crossovers — the properties the
-benchmarks assert.  Select with ``ExperimentConfig.at_scale`` or the
-``REPRO_SCALE`` environment variable in the benches.
+benchmarks assert.  Select with ``ExperimentConfig.at_scale``; the
+benchmarks read theirs from ``REPRO_SCALE`` (``benchmarks/conftest.py``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -22,7 +21,6 @@ from repro.sim.network import NetworkParams
 __all__ = [
     "ExperimentConfig",
     "SCALES",
-    "env_scale",
     "config_to_dict",
     "config_from_dict",
 ]
@@ -34,14 +32,6 @@ SCALES: dict[str, tuple[int, float]] = {
     "small": (400, 21600.0),
     "tiny": (120, 7200.0),
 }
-
-
-def env_scale(default: str = "small") -> str:
-    """The scale requested via ``REPRO_SCALE`` (benches honour this)."""
-    scale = os.environ.get("REPRO_SCALE", default)
-    if scale not in SCALES:
-        raise ValueError(f"REPRO_SCALE={scale!r}; expected one of {sorted(SCALES)}")
-    return scale
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,6 +128,10 @@ class ExperimentConfig:
     trace_tasks: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.pidcan, PIDCANParams):
+            raise TypeError(f"pidcan must be PIDCANParams, got {type(self.pidcan).__name__}")
+        if not isinstance(self.network, NetworkParams):
+            raise TypeError(f"network must be NetworkParams, got {type(self.network).__name__}")
         if self.n_nodes < 2:
             raise ValueError("need at least 2 nodes")
         if self.admission not in ("none", "strict"):
@@ -190,10 +184,6 @@ class ExperimentConfig:
     def effective_interarrival(self) -> float:
         """Per-node mean inter-arrival after the burst multiplier."""
         return self.mean_interarrival / self.burst_factor
-
-    def with_protocol(self, protocol: str, **kwargs: Any) -> "ExperimentConfig":
-        return replace(self, protocol=protocol,
-                       protocol_kwargs={**self.protocol_kwargs, **kwargs})
 
     def describe(self) -> str:
         return (

@@ -1,8 +1,8 @@
 """Multi-seed replication support.
 
 The paper reports single simulation runs; for a reproduction it is worth
-knowing how stable each claim is across random seeds.  This module runs a
-configuration across seeds and aggregates the end-of-run metrics into
+knowing how stable each claim is across random seeds.  This module
+aggregates the end-of-run metrics a campaign stored for each seed into
 mean / standard deviation / a normal-approximation confidence interval,
 plus a pairwise comparison helper that asserts an ordering holds in most
 replicas rather than by luck of one seed.
@@ -10,26 +10,21 @@ replicas rather than by luck of one seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import SimulationResult, SOCSimulation
-
 __all__ = [
     "MetricStats",
-    "MultiSeedResult",
     "SUMMARY_METRICS",
-    "run_seeds",
     "ordering_confidence",
     "stats_from_metric_docs",
 ]
 
 #: The metrics aggregated across seeds and shown by the campaign report,
-#: named as in :meth:`SimulationResult.summary` and the stored ``metrics``
-#: section (``docs/experiments.md``; caching columns: docs/caching.md).
+#: named as in the stored ``metrics`` section (``docs/experiments.md``;
+#: caching columns: docs/caching.md).
 SUMMARY_METRICS = (
     "t_ratio", "f_ratio", "fairness", "per_node_msg_cost",
     "query_timeouts", "messages_per_query", "cache_hit_ratio",
@@ -56,47 +51,13 @@ class MetricStats:
         half = 1.96 * self.std / np.sqrt(len(self.values))
         return (self.mean - half, self.mean + half)
 
-    def __repr__(self) -> str:
-        lo, hi = self.ci95()
-        return f"{self.name}: {self.mean:.4f} ± {self.std:.4f} [{lo:.4f}, {hi:.4f}]"
-
-
-@dataclass(frozen=True)
-class MultiSeedResult:
-    """All replicas of one configuration plus aggregated metrics."""
-
-    config: ExperimentConfig
-    results: tuple[SimulationResult, ...]
-
-    def metric(self, name: str) -> MetricStats:
-        """One metric of :meth:`SimulationResult.summary` across seeds."""
-        stats = stats_from_metric_docs([r.summary() for r in self.results], (name,))
-        if name not in stats:
-            raise ValueError(f"unknown metric {name!r}")
-        return stats[name]
-
-    def summary(self) -> dict[str, MetricStats]:
-        return stats_from_metric_docs([r.summary() for r in self.results])
-
-
-def run_seeds(
-    config: ExperimentConfig, seeds: Sequence[int]
-) -> MultiSeedResult:
-    """Run ``config`` once per seed (everything else held fixed)."""
-    if not seeds:
-        raise ValueError("need at least one seed")
-    results = tuple(
-        SOCSimulation(replace(config, seed=seed)).run() for seed in seeds
-    )
-    return MultiSeedResult(config=config, results=results)
-
 
 def stats_from_metric_docs(
     metric_docs: Sequence[Mapping[str, float]],
     names: Sequence[str] = SUMMARY_METRICS,
 ) -> dict[str, MetricStats]:
     """Aggregate ``metrics`` mappings (one per replica: the stored section
-    of a campaign cell, or :meth:`SimulationResult.summary`) into
+    of a campaign cell) into
     :class:`MetricStats`.  A name missing from any document (one that
     predates the metric) is skipped rather than erroring."""
     if not metric_docs:

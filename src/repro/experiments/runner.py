@@ -153,22 +153,6 @@ class SimulationResult:
             return float("nan")
         return self.cache_stale_hits / served
 
-    def summary(self) -> dict[str, float]:
-        return {
-            "t_ratio": self.t_ratio,
-            "f_ratio": self.f_ratio,
-            "fairness": self.fairness,
-            "per_node_msg_cost": self.per_node_msg_cost,
-            "generated": float(self.generated),
-            "finished": float(self.finished),
-            "failed": float(self.failed),
-            "query_timeouts": float(self.query_timeouts),
-            "messages_per_query": self.messages_per_query,
-            "cache_hit_ratio": self.cache_hit_ratio,
-            "cache_regret": self.cache_regret,
-            "cache_hits": float(self.cache_hits),
-        }
-
 
 def run_config(config: ExperimentConfig) -> SimulationResult:
     """Build and run one simulation for ``config``.

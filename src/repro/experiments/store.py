@@ -2,11 +2,11 @@
 
 Serializes :class:`SimulationResult` to a stable JSON document (config,
 end-of-run metrics, hourly series, traffic breakdown) so runs can be
-archived, diffed across code versions, and re-rendered without re-running
-the simulations — the workflow behind ``docs/experiments.md``.  Campaign
-cells (:mod:`repro.experiments.campaign`) persist through the same
-document layout, one file per cell, written atomically so a killed
-campaign never leaves a half-written cell behind.
+archived and re-rendered without re-running the simulations — the
+workflow behind ``docs/experiments.md``.  Campaign cells
+(:mod:`repro.experiments.campaign`) persist one document per cell,
+written atomically so a killed campaign never leaves a half-written cell
+behind.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from repro.experiments.runner import SimulationResult
 
 __all__ = [
     "result_to_dict",
-    "save_results",
-    "load_results",
-    "diff_results",
     "save_cell_doc",
     "load_cell_doc",
 ]
@@ -67,31 +64,6 @@ def result_to_dict(result: SimulationResult) -> dict[str, Any]:
     }
 
 
-def save_results(
-    results: Mapping[str, SimulationResult], path: str | Path
-) -> Path:
-    """Write ``{label: result}`` to ``path`` as one JSON document."""
-    path = Path(path)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "runs": {label: result_to_dict(res) for label, res in results.items()},
-    }
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True, allow_nan=True))
-    return path
-
-
-def load_results(path: str | Path) -> dict[str, dict[str, Any]]:
-    """Load the raw run documents keyed by label (no object rehydration —
-    the document is the analysis interface)."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported results schema {doc.get('schema')!r}; "
-            f"expected {SCHEMA_VERSION}"
-        )
-    return doc["runs"]
-
-
 def save_cell_doc(
     path: str | Path, cell: Mapping[str, Any], run: Mapping[str, Any]
 ) -> Path:
@@ -121,34 +93,3 @@ def load_cell_doc(path: str | Path) -> dict[str, Any]:
     if "cell" not in doc or "run" not in doc:
         raise ValueError(f"malformed cell document {path}")
     return doc
-
-
-def diff_results(
-    old: Mapping[str, Mapping[str, Any]],
-    new: Mapping[str, Mapping[str, Any]],
-    metrics: tuple[str, ...] = ("t_ratio", "f_ratio", "fairness"),
-    tolerance: float = 0.0,
-) -> list[str]:
-    """Metric-level differences between two saved documents.
-
-    Returns human-readable difference lines (empty = identical within
-    ``tolerance``); labels present on only one side are reported too.
-    """
-    lines: list[str] = []
-    for label in sorted(set(old) | set(new)):
-        if label not in old:
-            lines.append(f"{label}: only in new")
-            continue
-        if label not in new:
-            lines.append(f"{label}: only in old")
-            continue
-        for metric in metrics:
-            a = old[label]["metrics"].get(metric)
-            b = new[label]["metrics"].get(metric)
-            if a is None or b is None:
-                continue
-            if a != a and b != b:  # both NaN
-                continue
-            if abs(a - b) > tolerance:
-                lines.append(f"{label}.{metric}: {a:.4f} -> {b:.4f}")
-    return lines

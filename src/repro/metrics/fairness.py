@@ -33,12 +33,13 @@ def jain_index(efficiencies: Sequence[float]) -> float:
 class EfficiencyAccumulator:
     """Execution efficiencies of finished tasks, accumulated in bulk.
 
-    The seed runner called ``task.efficiency(mean_capacity)`` per
-    completion — half a dozen small numpy allocations each — and appended
-    to a Python list.  Here the mean-capacity work rates are folded in
-    once at construction, each observation is pure scalar arithmetic, and
-    samples land in an amortized-doubling float64 buffer whose live view
-    feeds :func:`jain_index` directly (Eq. 4) with no list round-trip.
+    A task's efficiency ``e_ij`` is its expected execution time — its work
+    over the system-wide mean capacity, the slowest work dimension
+    deciding (§IV-A) — over its actual submit→finish span.  The
+    mean-capacity work rates are folded in once at construction, each
+    observation is pure scalar arithmetic, and samples land in an
+    amortized-doubling float64 buffer whose live view feeds
+    :func:`jain_index` directly (Eq. 4) with no list round-trip.
     """
 
     def __init__(self, mean_work_rates: Sequence[float]):
@@ -69,6 +70,3 @@ class EfficiencyAccumulator:
     def values(self) -> np.ndarray:
         """Live view of all samples so far (do not mutate)."""
         return self._buf[: self._n]
-
-    def __len__(self) -> int:
-        return self._n

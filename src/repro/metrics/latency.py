@@ -54,9 +54,6 @@ class QueryLatency:
         self._delays.append(float(delay_s))
         self._messages.append(int(messages))
 
-    def __len__(self) -> int:
-        return len(self._delays)
-
     def report(self) -> LatencyReport:
         if not self._delays:
             nan = float("nan")

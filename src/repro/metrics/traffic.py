@@ -42,6 +42,3 @@ class TrafficMeter:
 
     def kind_snapshot(self) -> dict[str, int]:
         return dict(sorted(self.by_kind.items()))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TrafficMeter(total={self.total()}, kinds={self.kind_snapshot()})"

@@ -12,7 +12,7 @@ from repro.sim.engine import CohortTimer, EventHandle, Simulator, next_grid_inde
 from repro.sim.events import Event, PRIORITY_DEFAULT, PRIORITY_HIGH, PRIORITY_LOW
 from repro.sim.network import NetworkModel, NetworkParams
 from repro.sim.rng import RngRegistry
-from repro.sim.stats import Counter, TimeSeries
+from repro.sim.stats import TimeSeries
 
 __all__ = [
     "Simulator",
@@ -26,6 +26,5 @@ __all__ = [
     "NetworkModel",
     "NetworkParams",
     "RngRegistry",
-    "Counter",
     "TimeSeries",
 ]

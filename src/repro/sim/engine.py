@@ -76,27 +76,14 @@ class EventHandle:
     caller can cancel it without the engine scanning the heap.
     """
 
-    __slots__ = ("_event", "_sim")
+    __slots__ = ("_event",)
 
-    def __init__(self, event: Event, sim: "Simulator"):
+    def __init__(self, event: Event):
         self._event = event
-        self._sim = sim
-
-    @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
 
     def cancel(self) -> None:
         """Mark the event as cancelled; it is skipped when popped."""
-        event = self._event
-        if not event.cancelled:
-            event.cancelled = True
-            if not event.done:
-                self._sim._pending -= 1
+        self._event.cancelled = True
 
 
 class CohortTimer:
@@ -125,12 +112,12 @@ class CohortTimer:
     ``Simulator.run(max_events=...)`` budgets via
     :meth:`Simulator.charge_events` (an empty fire counts as one unit —
     the tick itself); stragglers are ordinary single-unit events.  The
-    timer keeps firing while empty until :meth:`cancel` is called.
+    timer keeps firing while empty, for the rest of the run.
     """
 
     __slots__ = (
         "_sim", "interval", "epoch", "_fn", "_priority", "_members",
-        "_pending", "_handle", "_cancelled", "_k", "_fire_count",
+        "_pending", "_k", "_fire_count",
         "_created_serial",
     )
 
@@ -151,11 +138,10 @@ class CohortTimer:
         self._priority = priority
         self._members: dict[Hashable, None] = {}
         self._pending: dict[Hashable, EventHandle] = {}
-        self._cancelled = False
         self._k = next_grid_index(self.epoch, self.interval, sim.now)
         self._fire_count = 0
         self._created_serial = sim.event_serial
-        self._handle = sim.schedule_at(
+        sim.schedule_at(
             self.next_fire_time, self._tick, priority=priority
         )
 
@@ -165,26 +151,12 @@ class CohortTimer:
         """Absolute time of the pending batched fire."""
         return self.epoch + self._k * self.interval
 
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def __len__(self) -> int:
-        return len(self._members) + len(self._pending)
-
     def __contains__(self, member: Hashable) -> bool:
         return member in self._members or member in self._pending
-
-    def members(self) -> tuple:
-        """Current batch members in insertion order (pending stragglers
-        are excluded until their solo delivery merges them)."""
-        return tuple(self._members)
 
     # ------------------------------------------------------------------
     def add(self, member: Hashable) -> None:
         """Register ``member`` for periodic delivery (O(1))."""
-        if self._cancelled:
-            raise SimulationError("cohort timer is cancelled")
         if member in self._members or member in self._pending:
             return
         if self._fire_count == 0 and self._created_serial == self._sim.event_serial:
@@ -203,14 +175,6 @@ class CohortTimer:
         if handle is not None:
             handle.cancel()
 
-    def cancel(self) -> None:
-        """Stop the timer permanently (pending stragglers included)."""
-        self._cancelled = True
-        self._handle.cancel()
-        for handle in self._pending.values():
-            handle.cancel()
-        self._pending.clear()
-
     # ------------------------------------------------------------------
     def _straggle(self, member: Hashable) -> None:
         self._pending.pop(member, None)
@@ -224,10 +188,8 @@ class CohortTimer:
         if len(batch) > 1:
             self._sim.charge_events(len(batch) - 1)
         self._fn(batch)
-        if self._cancelled:
-            return
         self._k += 1
-        self._handle = self._sim.schedule_at(
+        self._sim.schedule_at(
             self.next_fire_time, self._tick, priority=self._priority
         )
 
@@ -250,9 +212,7 @@ class Simulator:
         #: docstring.
         self._heap: list[tuple[float, int, int, Any, Optional[tuple]]] = []
         self._seq = 0
-        self._pending = 0
         self._running = False
-        self._stopped = False
         self.events_processed = 0
         self._extra_units = 0
         self._event_serial = 0
@@ -273,15 +233,6 @@ class Simulator:
         share a serial — the cohort timer uses it to detect same-event
         founder adds."""
         return self._event_serial
-
-    def pending(self) -> int:
-        """Number of not-yet-cancelled events still queued.
-
-        O(1): a live-event counter maintained on push, pop and cancel —
-        monitoring code polls this at paper scale, where scanning the whole
-        heap per poll would be quadratic.
-        """
-        return self._pending
 
     # ------------------------------------------------------------------
     # scheduling
@@ -313,8 +264,7 @@ class Simulator:
         event = Event(when, fn, args)
         heapq.heappush(self._heap, (when, priority, self._seq, event, None))
         self._seq += 1
-        self._pending += 1
-        return EventHandle(event, self)
+        return EventHandle(event)
 
     def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` ``delay`` seconds from now, at the default
@@ -328,7 +278,6 @@ class Simulator:
             self._heap, (self._now + delay, PRIORITY_DEFAULT, self._seq, fn, args)
         )
         self._seq += 1
-        self._pending += 1
 
     def post_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
         """:meth:`post` at absolute time ``when``."""
@@ -338,7 +287,6 @@ class Simulator:
             )
         heapq.heappush(self._heap, (when, PRIORITY_DEFAULT, self._seq, fn, args))
         self._seq += 1
-        self._pending += 1
 
     def periodic(
         self,
@@ -415,10 +363,6 @@ class Simulator:
             raise SimulationError(f"negative event charge {extra!r}")
         self._extra_units += extra
 
-    def stop(self) -> None:
-        """Stop the run loop after the current event completes."""
-        self._stopped = True
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Process events until the queue is empty, ``until`` is reached, or
         at least ``max_events`` event units have been processed.
@@ -436,22 +380,19 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        self._stopped = False
         processed_here = 0
         try:
             heap = self._heap
             pop = heapq.heappop
-            while heap and not self._stopped:
+            while heap:
                 if until is not None and heap[0][0] > until:
                     break
                 when, _, _, fn, args = pop(heap)
                 if args is None:  # a cancellable entry: ``fn`` is its Event
                     if fn.cancelled:
                         continue
-                    fn.done = True
                     args = fn.args
                     fn = fn.fn
-                self._pending -= 1
                 self._now = when
                 self._event_serial += 1
                 self._extra_units = 0
@@ -462,7 +403,7 @@ class Simulator:
                 processed_here += units
                 if max_events is not None and processed_here >= max_events:
                     break
-            if until is not None and self._now < until and not self._stopped:
+            if until is not None and self._now < until:
                 self._now = until
         finally:
             self._running = False

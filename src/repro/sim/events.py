@@ -34,16 +34,13 @@ class Event:
     """A scheduled callback.
 
     ``cancelled`` is checked at pop time; cancellation is O(1) and lazy
-    (the entry stays in the heap until its timestamp).  ``done`` is set
-    once the event has been popped for execution — a late ``cancel()`` on
-    an already-fired event must not touch the live-event counter.
+    (the entry stays in the heap until its timestamp).
     """
 
-    __slots__ = ("time", "fn", "args", "cancelled", "done")
+    __slots__ = ("time", "fn", "args", "cancelled")
 
     def __init__(self, time: float, fn: Callable[..., Any], args: tuple = ()):
         self.time = time
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self.done = False

@@ -124,10 +124,3 @@ class RngRegistry:
             gen = np.random.default_rng(derive_seed(self.master_seed, name))
             self._streams[name] = gen
         return gen
-
-    def spawn(self, name: str) -> "RngRegistry":
-        """Return a child registry whose streams are independent of ours."""
-        return RngRegistry(derive_seed(self.master_seed, f"spawn:{name}"))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RngRegistry(master_seed={self.master_seed}, streams={sorted(self._streams)})"

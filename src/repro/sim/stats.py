@@ -1,37 +1,14 @@
-"""Lightweight counters and time-series recorders for simulation metrics."""
+"""Time-series recorder for simulation metrics."""
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterable
 
-__all__ = ["Counter", "TimeSeries"]
-
-
-class Counter:
-    """String-keyed accumulator with a stable snapshot view."""
-
-    def __init__(self) -> None:
-        self._counts: defaultdict[str, float] = defaultdict(float)
-
-    def add(self, key: str, amount: float = 1.0) -> None:
-        self._counts[key] += amount
-
-    def get(self, key: str) -> float:
-        return self._counts.get(key, 0.0)
-
-    def total(self) -> float:
-        return sum(self._counts.values())
-
-    def snapshot(self) -> dict[str, float]:
-        return dict(sorted(self._counts.items()))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.snapshot()})"
+__all__ = ["TimeSeries"]
 
 
 class TimeSeries:
-    """Append-only ``(time, value)`` series with convenience accessors."""
+    """Append-only ``(time, value)`` series."""
 
     def __init__(self, name: str = ""):
         self.name = name
@@ -43,14 +20,6 @@ class TimeSeries:
             raise ValueError("time series must be appended in time order")
         self.times.append(time)
         self.values.append(value)
-
-    def last(self) -> float:
-        if not self.values:
-            raise IndexError("empty time series")
-        return self.values[-1]
-
-    def __len__(self) -> int:
-        return len(self.times)
 
     def __iter__(self) -> Iterable[tuple[float, float]]:
         return iter(zip(self.times, self.values))

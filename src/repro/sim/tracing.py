@@ -45,7 +45,7 @@ class TraceEvent:
 
 
 class Tracer:
-    """Append-only event log with per-task and per-kind views."""
+    """Append-only event log, indexed by task for :meth:`validate`."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
@@ -70,37 +70,8 @@ class Tracer:
         self._by_task[task_id].append(event)
 
     # ------------------------------------------------------------------
-    # views
-    # ------------------------------------------------------------------
-    def for_task(self, task_id: int) -> list[TraceEvent]:
-        return list(self._by_task.get(task_id, []))
-
-    def by_kind(self, kind: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
-
-    def task_ids(self) -> list[int]:
-        return sorted(self._by_task)
-
-    def timeline(self, task_id: int) -> list[str]:
-        """Human-readable one-liner per event for a task."""
-        return [
-            f"t={e.time:9.1f}  {e.kind:12s}"
-            + (f" @node {e.node}" if e.node is not None else "")
-            + (f"  {e.detail}" if e.detail else "")
-            for e in self.for_task(task_id)
-        ]
-
-    # ------------------------------------------------------------------
     # invariants
     # ------------------------------------------------------------------
-    def terminal_kind(self, task_id: int) -> Optional[str]:
-        """The task's latest terminal state, if any."""
-        terminal = {"completed", "query-failed", "rejected", "evicted"}
-        for event in reversed(self._by_task.get(task_id, [])):
-            if event.kind in terminal:
-                return event.kind
-        return None
-
     def validate(self, task_ids: Optional[Iterable[int]] = None) -> None:
         """Assert per-task causal ordering.
 
@@ -109,7 +80,7 @@ class Tracer:
         - ``completed`` is preceded by ``admitted``;
         - timestamps are non-decreasing.
         """
-        ids = self.task_ids() if task_ids is None else task_ids
+        ids = sorted(self._by_task) if task_ids is None else task_ids
         for task_id in ids:
             events = self._by_task.get(task_id, [])
             assert events, f"task {task_id} has no events"
@@ -129,6 +100,3 @@ class Tracer:
                         f"task {task_id} completed without admission"
                     )
                 seen.add(event.kind)
-
-    def __len__(self) -> int:
-        return len(self.events)

@@ -290,10 +290,6 @@ class ReferenceHostEngine:
         for host_id, cap in zip(host_ids, np.asarray(capacities, dtype=np.float64)):
             self.add_host(host_id, cap)
 
-    @property
-    def n_hosts(self) -> int:
-        return len(self._exec)
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
@@ -302,12 +298,6 @@ class ReferenceHostEngine:
 
     def running_tasks(self, host_id: int) -> list[Task]:
         return self._exec[host_id].running_tasks()
-
-    def load(self, host_id: int) -> np.ndarray:
-        return self._exec[host_id].load()
-
-    def effective_capacity(self, host_id: int) -> np.ndarray:
-        return self._exec[host_id].effective_capacity()
 
     def availability(self, host_id: int) -> np.ndarray:
         # Availability never depends on task progress (load is a sum of
@@ -360,9 +350,6 @@ class ReferenceHostEngine:
         self._next[host_id] = nxt
         if nxt is not None:
             heapq.heappush(self._heap, (nxt[0], self._gen_counter, host_id))
-
-    def next_completion(self, host_id: int) -> Optional[tuple[float, Task]]:
-        return self._next[host_id]
 
     def peek(self) -> Optional[tuple[float, int, int]]:
         while self._heap:
@@ -1223,9 +1210,6 @@ class ReferenceCohortScheduler:
         self._gen: dict[int, int] = {}
         self._next_gen = 0
 
-    def __len__(self) -> int:
-        return len(self._gen)
-
     def __contains__(self, member: int) -> bool:
         return member in self._gen
 
@@ -1241,9 +1225,6 @@ class ReferenceCohortScheduler:
 
     def discard(self, member: int) -> None:
         self._gen.pop(member, None)
-
-    def cancel(self) -> None:
-        self._gen.clear()
 
     def _arm(self, member: int, k: int, gen: int) -> None:
         self.sim.schedule_at(

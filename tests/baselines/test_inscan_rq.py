@@ -61,6 +61,16 @@ def test_wider_ranges_touch_more_nodes():
     wide = rq.query(0, np.array([0.1, 0.1]), np.array([0.1, 0.1]), now=0.0)
     assert wide.responsible_nodes > narrow.responsible_nodes
     assert wide.messages > narrow.messages
+    # Fig.-1-style motivation: flood traffic grows with every widening,
+    # and the widest query floods the better part of the network
+    sweep = [
+        rq.query(0, np.array([c, c]), np.array([c, c]), now=0.0)
+        for c in (0.9, 0.7, 0.5, 0.3, 0.1)
+    ]
+    messages = [result.messages for result in sweep]
+    assert messages == sorted(messages)
+    assert sweep[-1].responsible_nodes > len(h.overlay.node_ids()) / 2
+    assert all(r.messages >= r.responsible_nodes - 1 for r in sweep)
 
 
 def test_flood_depth_bounded_by_network_diameter():
@@ -69,6 +79,15 @@ def test_flood_depth_bounded_by_network_diameter():
     result = rq.query(0, demand, demand, now=0.0)
     # depth ≤ O(√N) for 2-D CAN; wildly smaller than N
     assert result.flood_depth <= 4 * int(np.sqrt(result.responsible_nodes)) + 4
+    # §III-A query delay (route + flood depth) within a soft 2·log2(n)
+    # bound (constants differ off the torus), at any range width
+    rng = np.random.default_rng(9)
+    delays = [result.route_hops + result.flood_depth]
+    for corner in rng.uniform(0.2, 0.9, 25):
+        demand = np.array([corner, corner])
+        r = rq.query(0, demand, demand, now=0.0)
+        delays.append(r.route_hops + r.flood_depth)
+    assert max(delays) <= 4 * np.log2(128)
 
 
 def test_empty_caches_return_no_records():

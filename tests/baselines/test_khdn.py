@@ -26,7 +26,7 @@ def test_bootstrap_builds_overlay_and_caches():
 
 
 def test_state_replication_reaches_negative_nodes():
-    from repro.can.zone import is_negative_direction_of
+    from tests.conftest import is_negative_direction_of
 
     h, proto = make_khdn(seed=1)
     # pick a duty node in the interior and deliver a record there

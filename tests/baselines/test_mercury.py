@@ -20,7 +20,9 @@ def make_ring(positions):
 
 def test_ring_orders_members_by_position():
     ring = make_ring([0.7, 0.2, 0.5])
-    assert ring.members() == [1, 2, 0]  # ascending by position
+    # ascending by position: 1 (0.2), 2 (0.5), 0 (0.7)
+    assert [ring.owner_of(v) for v in (0.2, 0.5, 0.7)] == [1, 2, 0]
+    assert ring.successor_no_wrap(1) == 2 and ring.successor_no_wrap(2) == 0
 
 
 def test_owner_lookup_by_arc():
@@ -55,16 +57,14 @@ def test_empty_ring_lookup_raises():
 
 def test_successor_orders():
     ring = make_ring([0.0, 0.5, 0.8])
-    assert ring.successor(0) == 1
-    assert ring.successor(2) == 0  # wraps
-    assert ring.successor_no_wrap(2) is None
+    assert ring.successor_no_wrap(2) is None  # no wrap at the top
     assert ring.successor_no_wrap(0) == 1
 
 
 def test_routing_hops_popcount():
     ring = make_ring([i / 16 for i in range(16)])
     # distance 5 = 0b101 → 2 finger hops
-    src = ring.members()[0]
+    src = 0  # the arc starting at 0
     value = 5 / 16 + 0.01
     assert ring.routing_hops(src, value) == 2
     # self arc → 0 hops

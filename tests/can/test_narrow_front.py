@@ -14,7 +14,7 @@ from repro.can import routing
 from repro.can.inscan import build_index_table
 from repro.can.routing import _NARROW_FRONT, _pool_for, greedy_path, greedy_paths
 from repro.testing import reference_greedy_path, reference_inscan_path
-from tests.conftest import make_overlay
+from tests.conftest import make_overlay, zone_center
 
 N_NODES = 96
 
@@ -99,7 +99,7 @@ def test_a_nan_distance_fails_at_once_on_either_side_of_the_rule(width):
     rng = np.random.default_rng(4)
     starts = rng.choice(N_NODES, size=width, replace=False).tolist()
     points = rng.random((width, 5))
-    points[0] = 1.0 - overlay.nodes[starts[0]].zone.center  # outside its zone
+    points[0] = 1.0 - zone_center(overlay.nodes[starts[0]].zone)  # outside its zone
     points[0, 2] = np.nan
     with pytest.raises(routing.RoutingError) as caught:
         greedy_paths(overlay, starts, points, link_tables=tables)

@@ -30,7 +30,7 @@ def test_split_cycles_dimensions_by_depth():
     tree = PartitionTree(2, first_owner=0)
     tree.split(0, 1, np.array([0.9, 0.9]))  # depth 0 → dim 0
     leaf1 = tree.leaf_of(1)
-    assert leaf1.zone.lo[0] == 0.5 and leaf1.zone.side(1) == 1.0
+    assert leaf1.zone.lo[0] == 0.5 and leaf1.zone.hi[1] - leaf1.zone.lo[1] == 1.0
     tree.split(1, 2, np.array([0.9, 0.9]))  # depth 1 → dim 1
     leaf2 = tree.leaf_of(2)
     assert leaf2.zone.lo[1] == 0.5

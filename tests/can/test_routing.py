@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.can.routing import RoutingError, greedy_path
-from tests.conftest import make_overlay
+from tests.conftest import make_overlay, zone_center
 
 
 def test_routes_reach_owner_from_every_start():
@@ -20,7 +20,7 @@ def test_routes_reach_owner_from_every_start():
 def test_route_to_own_zone_is_trivial():
     overlay = make_overlay(16, 2, seed=1)
     node = overlay.nodes[3]
-    path = greedy_path(overlay, 3, node.zone.center)
+    path = greedy_path(overlay, 3, zone_center(node.zone))
     assert path == [3]
 
 

@@ -36,7 +36,7 @@ from repro.can.routing import (
     _NARROW_FRONT, RoutingError, _pool_for, _squared_distance, greedy_path, greedy_paths,
 )
 from repro.testing import reference_greedy_path, reference_inscan_path
-from tests.conftest import assert_no_dead_storage
+from tests.conftest import assert_no_dead_storage, zone_center
 
 DIMS = 3
 START_N = 12
@@ -520,7 +520,7 @@ def test_memoised_route_outlives_any_number_of_refills_elsewhere(rig, spy, with_
         else:
             overlay.nodes[node_id].edge_stamp += 1  # same edges, as a rebind leaves it
         # Outside its zone, and a new point every lap: no replay, a hop.
-        far = np.where(overlay.nodes[node_id].zone.center < 0.5, 0.9, 0.1)
+        far = np.where(zone_center(overlay.nodes[node_id].zone) < 0.5, 0.9, 0.1)
         single(*args, node_id, far + step * 1e-4)
     assert pool.fills - fills >= 300
     assert_no_dead_storage(pool, overlay)
@@ -664,7 +664,7 @@ def test_block_without_a_live_candidate_fails_like_the_empty_block(rig, with_tab
     cut, a block of departed long links alone (all ``+inf``) must raise
     what the empty block raises, in both routers."""
     overlay, tables = rig
-    start, point = 0, 1.0 - overlay.nodes[0].zone.center
+    start, point = 0, 1.0 - zone_center(overlay.nodes[0].zone)
     links = set(tables[0].all_links())
     assert links and 0 not in links
     inscan_path(overlay, tables, 0, point)  # block filled while all is well
@@ -696,7 +696,7 @@ def _one_hop_routes(overlay, count, avoid):
     routes = []
     for start in sorted(set(overlay.nodes) - avoid):
         nb = min(overlay.nodes[start].neighbors - avoid)
-        routes.append((start, overlay.nodes[nb].zone.center, [start, nb]))
+        routes.append((start, zone_center(overlay.nodes[nb].zone), [start, nb]))
     return routes[:count]
 
 
@@ -714,12 +714,12 @@ def test_both_routers_word_a_failure_alike(rig, width, with_tables):
     args, single_fn, batched_fn, reference = _entry_points(overlay, tables, with_tables)
     pool = _pool_for(overlay, tables if with_tables else None)
     node = overlay.nodes[0]
-    point = 0.5 + 0.2 * (node.zone.center - 0.5)  # outside, on its side of the middle
+    point = 0.5 + 0.2 * (zone_center(node.zone) - 0.5)  # outside, on its side of the middle
     pt = tuple(point.tolist())
     dist = {n: _squared_distance(other.zone, pt) ** 0.5 for n, other in overlay.nodes.items()}
     worst = max(dist, key=dist.get)
     assert dist[worst] > dist[0] > 0.0
-    far = np.where(node.zone.center < 0.5, 0.99, 0.01)
+    far = np.where(zone_center(node.zone) < 0.5, 0.99, 0.01)
     assert len(reference(*args, 0, far)) > 3
     mates = _one_hop_routes(overlay, (width or 1) - 1, avoid={0, worst})
     assert len(mates) == (width or 1) - 1
@@ -792,7 +792,7 @@ def test_warm_pools_pass_the_audit_through_every_kind_of_takeover():
 
     def route_from_every_node():
         for node_id, node in overlay.nodes.items():
-            far = np.where(node.zone.center < 0.5, 1.0, 0.0)  # outside its zone
+            far = np.where(zone_center(node.zone) < 0.5, 1.0, 0.0)  # outside its zone
             assert greedy_path(overlay, node_id, far) == (
                 reference_greedy_path(overlay, node_id, far))
             assert inscan_path(overlay, tables, node_id, far) == (

@@ -28,19 +28,21 @@ def test_take_and_peek():
     task = make_task()
     task.remaining_work = np.array([100.0, 500.0, 50.0])
     snap = store.take(task, now=10.0)
-    assert store.has(0)
-    assert store.peek(0) is snap
     assert snap.taken_at == 10.0
     assert np.allclose(snap.remaining_work, [100.0, 500.0, 50.0])
+    task.remaining_work = np.zeros(3)
+    assert store.restore(task)  # the snapshot is on file
+    assert np.allclose(task.remaining_work, [100.0, 500.0, 50.0])
 
 
 def test_snapshot_is_isolated_from_task_progress():
     store = CheckpointStore()
     task = make_task()
     store.take(task, now=0.0)
-    before = store.peek(0).remaining_work.copy()
+    before = task.remaining_work.copy()
     task.remaining_work -= 50.0  # progress after the snapshot
-    assert np.allclose(store.peek(0).remaining_work, before)
+    store.restore(task)
+    assert np.allclose(task.remaining_work, before)
 
 
 def test_restore_rolls_back_to_snapshot():
@@ -80,11 +82,13 @@ def test_newer_snapshot_replaces_older():
 
 def test_forget_reclaims_archive():
     store = CheckpointStore()
-    store.take(make_task(1), now=0.0)
-    store.take(make_task(2), now=0.0)
+    one, two = make_task(1), make_task(2)
+    store.take(one, now=0.0)
+    store.take(two, now=0.0)
     store.forget(1)
     store.forget(99)  # no-op
-    assert len(store) == 1
+    assert not store.restore(one)
+    assert store.restore(two)
 
 
 # ----------------------------------------------------------------------

@@ -55,7 +55,6 @@ def test_empty_engines_agree():
     assert vec.peek() is None and ref.peek() is None
     for h in range(4):
         assert np.array_equal(vec.availability(h), ref.availability(h))
-        assert vec.next_completion(h) is None and ref.next_completion(h) is None
 
 
 def test_calendar_head_tracks_rescheduling():
@@ -120,12 +119,11 @@ def test_add_hosts_batch_matches_incremental():
     batch.add_hosts(list(range(40)), caps)
     for h in range(40):
         single.add_host(h, caps[h])
-    assert batch.n_hosts == single.n_hosts == 40
     for h in range(40):
         assert np.array_equal(batch.availability(h), single.availability(h))
-        assert np.array_equal(
-            batch.effective_capacity(h), single.effective_capacity(h)
-        )
+    for engine in (batch, single):
+        with pytest.raises(KeyError):
+            engine.availability(40)
 
 
 def test_add_hosts_rejects_shape_mismatch_and_duplicates():
@@ -138,4 +136,5 @@ def test_add_hosts_rejects_shape_mismatch_and_duplicates():
     with pytest.raises(ValueError, match="already registered"):
         eng.add_hosts([2, 1], np.ones((2, 5)))
     # the failed batches must not have partially registered any host
-    assert eng.n_hosts == 2
+    with pytest.raises(KeyError):
+        eng.availability(2)

@@ -34,12 +34,6 @@ class SingleHostEngine:
     def running_tasks(self):
         return self._engine.running_tasks(0)
 
-    def load(self):
-        return self._engine.load(0)
-
-    def effective_capacity(self):
-        return self._engine.effective_capacity(0)
-
     def availability(self, now):
         return self._engine.availability(0)
 
@@ -59,7 +53,13 @@ class SingleHostEngine:
         return self._engine.complete(0, task_id, now)
 
     def next_completion(self):
-        return self._engine.next_completion(0)
+        """``(time, task)`` of the calendar head: with one host, the
+        host's earliest predicted completion."""
+        head = self._engine.peek()
+        if head is None:
+            return None
+        when, _, task_id = head
+        return when, self._engine._tasks[self._engine._task_row[task_id]]
 
 
 IMPLEMENTATIONS = {
@@ -210,4 +210,5 @@ def test_empty_executor(impl):
     assert ex.next_completion() is None
     assert ex.n_running == 0
     assert not ex.is_overloaded()
-    assert np.allclose(ex.load(), 0.0)
+    # nothing resident: no load, the whole capacity is available
+    assert np.allclose(ex.availability(0.0), [10.0, 100.0, 10.0, 100.0, 1000.0])

@@ -88,10 +88,10 @@ class ExecutorMachine(RuleBasedStateMachine):
         if nxt is None:
             return
         when, task = nxt
-        eng_when, eng_task = self.engine.next_completion(HOST)
+        eng_when, _, eng_task_id = self.engine.peek()  # one host: its head
         if when > self.now:
             # Prediction ahead of the clock: both paths must agree exactly.
-            assert eng_task.task_id == task.task_id
+            assert eng_task_id == task.task_id
             assert abs(eng_when - when) <= 1e-9
         else:
             # The advance rule overshot the completion (the runner's event

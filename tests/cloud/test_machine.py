@@ -5,22 +5,18 @@ import numpy as np
 from repro.cloud import machine as pools
 from repro.cloud.machine import CMAX, CMAX_VECTOR, sample_machine
 from repro.cloud.resources import RESOURCE_DIMS
-from repro.cloud.tasks import demand_fits_cmax
+from repro.cloud.tasks import demand_bounds
 
 
 def test_cmax_matches_table_one_maxima():
-    assert CMAX_VECTOR.as_dict() == {
-        "cpu": 25.6,
-        "io": 80.0,
-        "net": 10.0,
-        "disk": 240.0,
-        "mem": 4096.0,
-    }
+    # (cpu, io, net, disk, mem)
+    assert CMAX_VECTOR.values.tolist() == [25.6, 80.0, 10.0, 240.0, 4096.0]
+    assert np.array_equal(CMAX, CMAX_VECTOR.values)
 
 
 def test_demand_upper_bounds_equal_cmax():
     # Table II's demand ranges top out exactly at Table I's capacities.
-    assert demand_fits_cmax()
+    assert np.allclose(demand_bounds(1.0)[1], CMAX)
 
 
 def test_sampled_machines_within_table_one():
@@ -40,10 +36,9 @@ def test_sampled_machines_within_table_one():
 def test_capacity_vector_layout():
     rng = np.random.default_rng(1)
     m = sample_machine(rng, net_bandwidth_mbps=6.0)
-    cap = m.capacity
-    assert cap["cpu"] == m.processors * m.rate_per_processor
-    assert cap["net"] == 6.0
-    assert list(cap.as_dict()) == list(RESOURCE_DIMS)
+    cap = m.capacity.values
+    assert cap[RESOURCE_DIMS.index("cpu")] == m.processors * m.rate_per_processor
+    assert cap[RESOURCE_DIMS.index("net")] == 6.0
 
 
 def test_all_configurations_reachable():

@@ -1,4 +1,5 @@
-"""Unit tests for the proportional share model (Eq. 1).
+"""Unit tests for the proportional share model (Eq. 1) as the host engine
+grants it, and for the VM maintenance overhead.
 
 The anchor test reproduces the paper's worked example verbatim (§II): three
 tasks expecting {2 GFlops, 100 M}, {3, 200}, {4, 300} on a node with
@@ -10,18 +11,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud.psm import (
-    VMOverhead,
-    aggregate_load,
-    allocate_shares,
-    effective_capacity,
-)
+from repro.cloud.engine import HostEngine
+from repro.cloud.psm import VMOverhead, effective_capacity
+from repro.cloud.resources import ResourceVector
+from repro.cloud.tasks import Task
+
+#: Zero overhead isolates Eq. 1 from the VM maintenance cost.
+NO_OVERHEAD = VMOverhead(fractions=(0, 0, 0, 0, 0), flat=(0, 0, 0, 0, 0))
 
 
-def _pad(cpu, mem):
+def _engine(capacity, expectations) -> HostEngine:
+    """One host of ``capacity`` running one task per expectation vector."""
+    engine = HostEngine(NO_OVERHEAD)
+    engine.add_host(0, np.asarray(capacity, dtype=np.float64))
+    for task_id, expectation in enumerate(expectations):
+        task = Task(task_id, 0, ResourceVector(expectation), 100.0, 0.0)
+        engine.place(0, task, 0.0)
+    return engine
+
+
+def allocate_shares(capacity, expectations) -> list[np.ndarray]:
+    """Each task's share ``r_j = e_j / l · c`` on the three work
+    dimensions (cpu, io, net), in placement order."""
+    engine = _engine(capacity, expectations)
+    return list(engine._t_rates[engine._host_tasks[0]])
+
+
+def _pad(cpu, io):
     """The paper's example is 2-D; embed it in the canonical 5-dim layout
-    (cpu, io, net, disk, mem) with inert middle dimensions."""
-    return np.array([cpu, 1.0, 1.0, 1.0, mem])
+    (cpu, io, net, disk, mem) with inert remaining dimensions."""
+    return np.array([cpu, io, 1.0, 1.0, 1.0])
 
 
 def test_paper_worked_example():
@@ -29,11 +48,11 @@ def test_paper_worked_example():
     tasks = [_pad(2.0, 100.0), _pad(3.0, 200.0), _pad(4.0, 300.0)]
     shares = allocate_shares(capacity, tasks)
     assert shares[0][0] == pytest.approx(3.0)
-    assert shares[0][4] == pytest.approx(200.0)
+    assert shares[0][1] == pytest.approx(200.0)
     assert shares[1][0] == pytest.approx(4.5)
-    assert shares[1][4] == pytest.approx(400.0)
+    assert shares[1][1] == pytest.approx(400.0)
     assert shares[2][0] == pytest.approx(6.0)
-    assert shares[2][4] == pytest.approx(600.0)
+    assert shares[2][1] == pytest.approx(600.0)
 
 
 def test_shares_sum_to_capacity_on_loaded_dims():
@@ -41,7 +60,7 @@ def test_shares_sum_to_capacity_on_loaded_dims():
     tasks = [np.array([1.0, 2.0, 3.0, 4.0, 5.0]) * k for k in (1, 2, 3)]
     shares = allocate_shares(capacity, tasks)
     total = np.sum(shares, axis=0)
-    assert np.allclose(total, capacity)
+    assert np.allclose(total, capacity[:3])
 
 
 def test_no_tasks_no_shares():
@@ -61,7 +80,7 @@ def test_undersubscribed_tasks_get_at_least_expectation():
     tasks = [np.ones(5) * 10, np.ones(5) * 20]
     shares = allocate_shares(capacity, tasks)
     for share, task in zip(shares, tasks):
-        assert np.all(share >= task)
+        assert np.all(share >= task[:3])
 
 
 def test_oversubscribed_tasks_get_less_than_expectation():
@@ -69,7 +88,7 @@ def test_oversubscribed_tasks_get_less_than_expectation():
     tasks = [np.ones(5) * 10, np.ones(5) * 20]
     shares = allocate_shares(capacity, tasks)
     for share, task in zip(shares, tasks):
-        assert np.all(share < task)
+        assert np.all(share < task[:3])
 
 
 @settings(max_examples=40, deadline=None)
@@ -88,16 +107,18 @@ def test_share_conservation_property(task_vectors):
     capacity = np.ones(5) * 50.0
     tasks = [np.asarray(t) for t in task_vectors]
     shares = allocate_shares(capacity, tasks)
-    assert np.allclose(np.sum(shares, axis=0), capacity)
+    assert np.allclose(np.sum(shares, axis=0), capacity[:3])
     # shares are proportional: r_j / e_j identical across tasks per dim
-    ratios = np.stack([s / t for s, t in zip(shares, tasks)])
+    ratios = np.stack([s / t[:3] for s, t in zip(shares, tasks)])
     assert np.allclose(ratios, ratios[0])
 
 
 def test_aggregate_load_sums_expectations():
+    """``l = Σ e(t_ij)``, the minimal aggregated load vector of §II."""
     tasks = [np.ones(5), np.ones(5) * 2]
-    assert np.allclose(aggregate_load(tasks), np.ones(5) * 3)
-    assert np.allclose(aggregate_load([]), np.zeros(5))
+    # availability a = c - l with zero VM overhead
+    assert np.allclose(_engine(np.ones(5) * 10, tasks).availability(0), np.ones(5) * 7)
+    assert np.allclose(_engine(np.ones(5) * 10, []).availability(0), np.ones(5) * 10)
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.machine import CMAX
-from repro.cloud.tasks import DEMAND_RANGES, Task, TaskFactory
 from repro.cloud.resources import ResourceVector
+from repro.cloud.tasks import DEMAND_RANGES, Task, TaskFactory, demand_bounds
+from repro.metrics.fairness import EfficiencyAccumulator
 
 
 def make_factory(lam=0.5, seed=0):
@@ -26,9 +27,9 @@ def test_demand_ratio_validation():
 def test_demands_within_table_two_ranges(lam):
     fac = TaskFactory(lam, np.random.default_rng(1))
     for _ in range(20):
-        d = fac.sample_demand().as_dict()
-        for dim, (lo, hi) in DEMAND_RANGES.items():
-            assert lo * lam - 1e-9 <= d[dim] <= hi * lam + 1e-9
+        d = fac.sample_demand().values
+        for k, (lo, hi) in enumerate(DEMAND_RANGES.values()):  # canonical order
+            assert lo * lam - 1e-9 <= d[k] <= hi * lam + 1e-9
 
 
 def test_demand_never_exceeds_scaled_cmax():
@@ -69,16 +70,22 @@ def test_expected_time_at_mean_capacity():
         nominal_time=1000.0,
         submit_time=0.0,
     )
-    mean_cap = np.array([4.0, 40.0, 4.0, 100.0, 1000.0])
-    # work = (2000, 10000, 1000); rates (4, 40, 4) → times (500, 250, 250)
-    assert t.expected_time(mean_cap) == pytest.approx(500.0)
+    mean_rates = np.array([4.0, 40.0, 4.0])  # mean capacity, work dims
+    # work = (2000, 10000, 1000); rates (4, 40, 4) → times (500, 250, 250):
+    # finishing in exactly the expected 500 s is efficiency 1
+    acc = EfficiencyAccumulator(mean_rates)
+    assert acc.observe(t.work, 0.0, 500.0) == pytest.approx(1.0)
 
 
 def test_efficiency_requires_finished_task():
-    fac = make_factory()
-    t = fac.create(0, 0.0)
+    """Efficiency is observed at completion, from the submit→finish span:
+    a zero span counts as fully efficient, not as a division error, and
+    the mean-capacity rates it divides by must be positive."""
+    t = make_factory().create(0, 0.0)
+    acc = EfficiencyAccumulator([4.0, 40.0, 4.0])
+    assert acc.observe(t.work, 10.0, 10.0) == 1.0
     with pytest.raises(ValueError):
-        t.efficiency(np.ones(5))
+        EfficiencyAccumulator([4.0, 0.0, 4.0])
 
 
 def test_efficiency_is_expected_over_actual():
@@ -89,12 +96,11 @@ def test_efficiency_is_expected_over_actual():
         nominal_time=1000.0,
         submit_time=0.0,
     )
-    t.start_time = 10.0
-    t.finish_time = 1000.0
-    mean_cap = np.array([4.0, 40.0, 4.0, 100.0, 1000.0])
-    assert t.efficiency(mean_cap) == pytest.approx(500.0 / 1000.0)
+    acc = EfficiencyAccumulator([4.0, 40.0, 4.0])  # mean capacity, work dims
+    assert acc.observe(t.work, 0.0, 1000.0) == pytest.approx(500.0 / 1000.0)
+    assert acc.values().tolist() == [pytest.approx(0.5)]
 
 
 def test_demand_upper_bound_helper():
-    ub = TaskFactory.demand_upper_bound(0.5)
+    _, ub = demand_bounds(0.5)
     assert np.allclose(ub, 0.5 * CMAX)

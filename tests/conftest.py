@@ -29,6 +29,24 @@ def make_overlay(n: int, dims: int, seed: int = 0) -> CANOverlay:
     return overlay
 
 
+def live_events(sim) -> int:
+    """The simulator heap's live entries: every posted entry
+    ``(.., fn, args)``, and every cancellable one ``(.., event, None)``
+    whose event is not cancelled."""
+    return sum(1 for *_, fn, args in sim._heap if args is not None or not fn.cancelled)
+
+
+def zone_center(zone) -> np.ndarray:
+    return (zone.lo + zone.hi) / 2.0
+
+
+def is_negative_direction_of(b, a) -> bool:
+    """§III-A: zone ``b`` is a negative-direction node of zone ``a`` iff on
+    every dimension b's range overlaps a's or lies entirely below it —
+    the scalar definition the vectorized overlay is checked against."""
+    return bool((b.lo < a.hi).all())
+
+
 def assert_no_dead_storage(pool, overlay: CANOverlay) -> None:
     """A routing pool holds one block per member at most, and no id
     outside those blocks: every block is its own array, not a window

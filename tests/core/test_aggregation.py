@@ -11,11 +11,19 @@ def make_values(n=50, dims=3, seed=0):
     return {i: rng.uniform(1, 100, dims) for i in range(n)}
 
 
+def max_relative_error(result, truth) -> float:
+    """The worst node's estimate error relative to ``truth``."""
+    return max(
+        float(np.max(np.abs(est - truth) / np.maximum(truth, 1e-12)))
+        for est in result.estimates.values()
+    )
+
+
 def test_max_converges_exactly():
     values = make_values()
     truth = np.max(np.stack(list(values.values())), axis=0)
     result = gossip_aggregate(values, "max", np.random.default_rng(1))
-    assert result.max_relative_error(truth) == 0.0
+    assert max_relative_error(result, truth) == 0.0
     assert np.allclose(result.consensus(), truth)
 
 
@@ -23,7 +31,7 @@ def test_mean_converges_approximately():
     values = make_values(n=64)
     truth = np.mean(np.stack(list(values.values())), axis=0)
     result = gossip_aggregate(values, "mean", np.random.default_rng(2))
-    assert result.max_relative_error(truth) < 0.15
+    assert max_relative_error(result, truth) < 0.15
     assert np.allclose(result.consensus(), truth, rtol=0.1)
 
 

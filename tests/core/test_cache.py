@@ -300,18 +300,19 @@ def test_index_registry_and_store():
     index = PathCacheIndex("lru", size=8, ttl=100.0)
     index.add_node(1, dims=2)
     index.add_node(2, dims=2)
-    assert len(index) == 2
     lo, hi = np.zeros(2), np.ones(2)
     index.store(1, 9, lo, hi, now=0.0)
     index.store(1, 1, lo, hi, now=0.0)  # self-binding is ignored
     assert index.lookup(1, np.array([0.5, 0.5]), now=1.0) == 9
-    assert 1 not in index.cache_of(1)
     assert index.lookup(2, np.array([0.5, 0.5]), now=1.0) is None
     assert index.lookup(99, np.array([0.5, 0.5]), now=1.0) is None  # unknown node
-    index.invalidate(1, 9)
+    index.invalidate(1, 9)  # with 9 gone, the self-binding never served
     assert index.lookup(1, np.array([0.5, 0.5]), now=1.0) is None
+    index.store(1, 9, lo, hi, now=2.0)
     index.drop_node(1)
-    assert index.cache_of(1) is None and len(index) == 1
+    assert index.lookup(1, np.array([0.5, 0.5]), now=3.0) is None
+    index.store(1, 9, lo, hi, now=3.0)  # a dropped node caches nothing
+    assert index.lookup(1, np.array([0.5, 0.5]), now=3.0) is None
 
 
 def test_heat_threshold_triggers_once():

@@ -3,17 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.diffusion import (
-    DiffusionEngine,
-    binary_hop_decomposition,
-    diffusion_message_count,
-    line_diffusion_rounds,
-)
+from repro.core.diffusion import DiffusionEngine, diffusion_message_count
 from repro.testing import (
     ReferenceDiffusionEngine, ReferencePIList, _diffusion_rig,
 )
 from tests.conftest import make_overlay
-from tests.core.helpers import Harness
+from tests.core.helpers import Harness, binary_hop_decomposition, line_diffusion_rounds
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +96,7 @@ def test_recipients_get_pilist_entries(method):
 
 @pytest.mark.parametrize("method", ["hid", "sid"])
 def test_recipients_are_negative_direction_nodes(method):
-    from repro.can.zone import is_negative_direction_of
+    from tests.conftest import is_negative_direction_of
 
     h = Harness(n=64, dims=2, seed=3)
     engine = make_engine(h)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.lifecycle import QueryLifecycle, submit_batch
+from repro.core.lifecycle import QueryLifecycle
 from tests.core.helpers import Harness
 
 
@@ -32,8 +32,8 @@ def test_finalize_fires_callback_exactly_once():
     assert calls == [([], 7)]
     assert lc.get(rt.qid) is None
     assert lc.active_queries() == 0
-    assert lc.stats().completed == 1
-    assert lc.stats().timed_out == 0
+    assert lc.completed == 1
+    assert lc.timeouts == 0
 
 
 def test_timeout_expires_live_query_with_partial_results():
@@ -46,8 +46,7 @@ def test_timeout_expires_live_query_with_partial_results():
     h.sim.run(until=100.0)
     assert calls == [([rec], 2)]
     assert rt.timed_out
-    stats = lc.stats()
-    assert (stats.started, stats.completed, stats.timed_out) == (1, 0, 1)
+    assert (lc.started, lc.completed, lc.timeouts) == (1, 0, 1)
 
 
 def test_timeout_counted_exactly_once_even_with_long_run():
@@ -59,7 +58,7 @@ def test_timeout_counted_exactly_once_even_with_long_run():
     h.sim.run(until=1000.0)
     assert len(calls) == 1
     assert len(expired) == 1
-    assert lc.stats().timed_out == 1
+    assert lc.timeouts == 1
 
 
 def test_finalized_query_never_times_out():
@@ -69,7 +68,7 @@ def test_finalized_query_never_times_out():
     lc.finalize(rt)
     h.sim.run(until=100.0)
     assert len(calls) == 1
-    assert lc.stats().timed_out == 0
+    assert lc.timeouts == 0
 
 
 def test_restart_timeout_postpones_expiry():
@@ -101,7 +100,7 @@ def test_on_timeout_hook_overrides_default_expiry():
     h.sim.run(until=1000.0)
     assert retried  # the hook intervened once
     assert len(calls) == 1
-    assert lc.stats().timed_out == 1
+    assert lc.timeouts == 1
 
 
 def test_rejects_non_positive_timeout():
@@ -111,28 +110,37 @@ def test_rejects_non_positive_timeout():
 
 
 # ----------------------------------------------------------------------
-# batched fan-in
+# batched fan-in (QueryEngine.submit_many)
 # ----------------------------------------------------------------------
-def test_submit_batch_orders_results_by_submission():
-    done = {}
+def _stub_burst(monkeypatch):
+    """A query engine whose burst records each query's callback instead of
+    routing, so a test resolves the queries in any order it likes."""
+    from tests.core.test_query_accounting import make_engine
 
-    def submit(demand, cb):
-        # resolve out of order: the fan-in must still order by index
-        done[float(demand[0])] = cb
-        return float(demand[0])
+    engine = make_engine(Harness(n=16, dims=2, seed=5))
+    callbacks = []
 
+    def submit_burst(items):
+        callbacks.extend(callback for _, _, callback in items)
+        return list(range(len(items)))
+
+    monkeypatch.setattr(engine, "submit_burst", submit_burst)
+    return engine, callbacks
+
+
+def test_submit_batch_orders_results_by_submission(monkeypatch):
+    engine, done = _stub_burst(monkeypatch)
     results = []
-    ids = submit_batch(
-        submit, [np.array([1.0]), np.array([2.0])], results.append
-    )
-    assert ids == [1.0, 2.0]
-    done[2.0]([], 5)
+    ids = engine.submit_many([np.array([1.0, 1.0]), np.array([2.0, 2.0])], 0, results.append)
+    assert ids == [0, 1]
+    done[1]([], 5)  # resolve out of order: the fan-in still orders by index
     assert results == []  # not complete yet
-    done[1.0]([], 3)
+    done[0]([], 3)
     assert results == [[([], 3), ([], 5)]]
 
 
-def test_submit_batch_empty_fires_immediately():
+def test_submit_batch_empty_fires_immediately(monkeypatch):
+    engine, done = _stub_burst(monkeypatch)
     results = []
-    assert submit_batch(lambda d, cb: None, [], results.append) == []
-    assert results == [[]]
+    assert engine.submit_many([], 0, results.append) == []
+    assert results == [[]] and done == []  # no burst for an empty batch

@@ -13,6 +13,7 @@ from repro.core.protocol import (
 from repro.metrics.traffic import TrafficMeter
 from repro.sim.engine import Simulator
 from repro.sim.network import NetworkModel, NetworkParams
+from tests.conftest import live_events
 
 
 def make_ctx(n=24, dims=5, seed=0):
@@ -116,10 +117,10 @@ def test_periodic_chains_stop_for_dead_nodes():
         if node != 0:
             proto.on_leave(node)
             alive.discard(node)
-    before = ctx.sim.pending()
+    before = live_events(ctx.sim)
     ctx.sim.run(until=5000.0)
     # chains for dead nodes must have unwound, not kept re-arming
-    assert ctx.sim.pending() < before
+    assert live_events(ctx.sim) < before
 
 
 def test_vd_adds_overlay_dimension():

@@ -1,10 +1,10 @@
 """Churn-hardening regression: the ROADMAP hang repro.
 
 Before the shared query lifecycle, the timeout-less baselines
-(randomwalk/khdn/mercury) could hang ``submit_many`` forever when a chain
-message landed on a churned node: the per-query callback never fired and
-the batch fan-in never completed.  These tests drive every registered
-protocol through exactly that situation and assert the batch resolves —
+(randomwalk/khdn/mercury) could hang a batch of queries forever when a
+chain message landed on a churned node: the per-query callback never
+fired.  These tests drive every registered protocol through exactly that
+situation and assert every query of a ``submit_bulk`` batch resolves —
 by chain completion or by explicit timeout failure, never a silent hang —
 and that a timed-out query is counted exactly once.
 """
@@ -45,24 +45,25 @@ def test_submit_many_resolves_under_aggressive_churn(name):
         np.array([0.95, 0.95]),
         np.array([0.2, 0.8]),
     ]
-    batches = []
-    proto.submit_many(demands, 0, batches.append)
+    results = {}
+    proto.submit_bulk([
+        (demand, 0, lambda r, m, _i=i: results.setdefault(_i, []).append((r, m)))
+        for i, demand in enumerate(demands)
+    ])
     # Churn out most of the population while the chains are in flight, so
     # in-flight messages land on dead nodes and are dropped.
     for k, victim in enumerate(range(2, n - 2)):
         h.sim.schedule(0.002 * (k + 1), churn_out, h, proto, victim)
     h.sim.run(until=900.0 + 20 * TIMEOUT)
-    assert len(batches) == 1, f"{name}: batch fan-in never completed"
-    results = batches[0]
-    assert len(results) == len(demands)
-    for records, messages in results:
+    assert sorted(results) == list(range(len(demands))), f"{name}: a query never resolved"
+    for calls in results.values():
+        ((records, messages),) = calls  # exactly once
         assert messages >= 0
         assert isinstance(records, list)
-    stats = proto.query_stats()
-    assert stats.started == len(demands)
-    assert stats.resolved == len(demands)
-    assert proto.lifecycle is not None
-    assert proto.lifecycle.active_queries() == 0
+    lc = proto.lifecycle
+    assert lc.started == len(demands)
+    assert lc.completed + lc.timeouts == len(demands)
+    assert lc.active_queries() == 0
 
 
 def test_timed_out_query_counts_exactly_once():
@@ -83,8 +84,8 @@ def test_timed_out_query_counts_exactly_once():
     h.sim.run(until=900.0 + 10 * TIMEOUT)
     assert len(calls) == 1
     assert len(expired) == 1
-    stats = proto.query_stats()
-    assert (stats.started, stats.completed, stats.timed_out) == (1, 0, 1)
+    lc = proto.lifecycle
+    assert (lc.started, lc.completed, lc.timeouts) == (1, 0, 1)
     # the route hops were charged before the drop and still reach the
     # callback exactly once
     _, messages = calls[0]
@@ -103,14 +104,12 @@ def test_sos_retry_failing_after_timeout_counts_as_timeout():
     h.kill(0)  # requester churns out with the chain in flight
     h.sim.run(until=900.0 + 10 * TIMEOUT)
     assert len(calls) == 1
-    stats = proto.query_stats()
-    assert stats.timed_out == 1
-    assert stats.completed == 0
+    assert proto.lifecycle.timeouts == 1
+    assert proto.lifecycle.completed == 0
 
 
 def test_every_protocol_reports_query_stats():
     for name in PROTOCOL_NAMES:
         h, proto = build(name, n=16, seed=3)
-        assert proto.lifecycle is not None
-        stats = proto.query_stats()
-        assert (stats.started, stats.completed, stats.timed_out) == (0, 0, 0)
+        lc = proto.lifecycle
+        assert (lc.started, lc.completed, lc.timeouts) == (0, 0, 0)

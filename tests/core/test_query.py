@@ -93,7 +93,7 @@ def test_callback_fires_exactly_once():
     engine.submit(np.array([0.4, 0.4]), 0, lambda r, m: calls.append(r))
     h.sim.run(until=600.0)
     assert len(calls) == 1
-    assert engine.active_queries() == 0
+    assert engine.lifecycle.active_queries() == 0
 
 
 def test_timeout_finalizes_query_when_chain_dies():
@@ -111,7 +111,7 @@ def test_timeout_finalizes_query_when_chain_dies():
     assert "records" not in out  # still waiting
     h.sim.run(until=120.0)
     assert out["records"] == []
-    assert engine.active_queries() == 0
+    assert engine.lifecycle.active_queries() == 0
 
 
 def test_sos_retries_with_original_on_failure():

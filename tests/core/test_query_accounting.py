@@ -214,8 +214,9 @@ def test_submit_many_dead_requester_draws_what_submit_draws():
 
 
 def test_protocol_submit_many_default_fans_out():
-    """Baselines inherit the DiscoveryProtocol default, which batches over
-    plain submit_query (RandomWalkProtocol does not override it)."""
+    """Baselines inherit the DiscoveryProtocol ``submit_bulk`` default,
+    which fans a same-instant batch out to plain submit_query
+    (RandomWalkProtocol does not override it): every query resolves once."""
     from repro.baselines.randomwalk import RandomWalkProtocol
     from repro.core.protocol import PIDCANParams
 
@@ -224,8 +225,10 @@ def test_protocol_submit_many_default_fans_out():
     protocol.bootstrap(sorted(h.overlay.node_ids()))
     calls = []
     demands = [np.array([0.4, 0.4]), np.array([0.5, 0.5]), np.array([0.3, 0.3])]
-    protocol.submit_many(demands, 0, calls.append)
+    protocol.submit_bulk([
+        (demand, 0, lambda r, m, _i=i: calls.append((_i, m)))
+        for i, demand in enumerate(demands)
+    ])
     h.sim.run(until=600.0)
-    assert len(calls) == 1
-    assert len(calls[0]) == 3
-    assert all(isinstance(m, int) and m >= 0 for _, m in calls[0])
+    assert sorted(i for i, _ in calls) == [0, 1, 2]
+    assert all(isinstance(m, int) and m >= 0 for _, m in calls)

@@ -82,7 +82,7 @@ def test_requester_dies_mid_query_without_leak():
     sb.sim.run(until=120.0)
     # the timeout still finalizes the runtime exactly once
     assert len(fired) == 1
-    assert engine.active_queries() == 0
+    assert engine.lifecycle.active_queries() == 0
 
 
 def test_delta_one_returns_single_owner():

@@ -13,7 +13,7 @@ from repro.experiments.campaign import (
     load_campaign_cells,
     run_campaign,
 )
-from repro.experiments.config import config_from_dict
+from repro.experiments.config import config_from_dict, config_to_dict
 from repro.experiments.scenarios import FIG4_PROTOCOLS
 from repro.experiments.store import SCHEMA_VERSION, load_cell_doc, save_cell_doc
 
@@ -274,6 +274,35 @@ def test_bad_override_values_fail_at_spec_construction():
         small_spec(overrides={**FAST, "n_nodes": 1})
 
 
+def test_nested_override_merges_into_the_cells_own_params():
+    """``--override 'pidcan={"delta": 1}'`` changes δ and keeps the rest of
+    the scenario's params: mega's cell still ticks in cohorts, and the
+    cell runs in this process as it does in a worker."""
+    from dataclasses import replace
+
+    from repro.core.protocol import PIDCANParams
+    from repro.experiments.cli import _resolve_spec, build_campaign_parser
+    from repro.experiments.runner import SOCSimulation
+
+    args = build_campaign_parser().parse_args([
+        "run", "--scenarios", "mega", "--scales", "tiny", "--seeds", "1",
+        "--override", 'pidcan={"delta": 1}', 'network={"lan_size": 10}',
+        "n_nodes=40", "duration=600",
+    ])
+    (cell,) = _resolve_spec(args).cells()
+    assert cell.config.pidcan == replace(PIDCANParams(phase_buckets=16), delta=1)
+    assert cell.config.network.lan_size == 10
+    assert config_from_dict(config_to_dict(cell.config)) == cell.config
+    assert SOCSimulation(cell.config).run().generated > 0
+
+
+def test_unknown_nested_override_fails_at_spec_construction():
+    with pytest.raises(ValueError, match="pidcan"):
+        small_spec(overrides={**FAST, "pidcan": {"deltaa": 1}})
+    with pytest.raises(ValueError, match="network"):
+        small_spec(overrides={**FAST, "network": 3})
+
+
 # ----------------------------------------------------------------------
 # failure isolation
 # ----------------------------------------------------------------------
@@ -283,7 +312,7 @@ def _run_cell_explode_newscast(config_doc):
         raise RuntimeError("injected failure")
     import os
 
-    from repro.experiments.config import config_from_dict
+    from repro.experiments.config import config_from_dict, config_to_dict
     from repro.experiments.runner import run_config
     from repro.experiments.store import result_to_dict
 

@@ -12,7 +12,6 @@ from repro.experiments.config import (
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
-    env_scale,
 )
 from repro.sim.network import NetworkParams
 
@@ -48,25 +47,39 @@ def test_validation():
 
 
 def test_with_protocol_merges_kwargs():
-    cfg = ExperimentConfig().with_protocol("khdn-can", k_hops=3)
-    assert cfg.protocol == "khdn-can"
-    assert cfg.protocol_kwargs == {"k_hops": 3}
+    """``protocol_kwargs`` reach the protocol the run builds."""
+    from repro.experiments.runner import SOCSimulation
+
+    cfg = ExperimentConfig(n_nodes=16, duration=600.0, protocol="khdn-can",
+                           protocol_kwargs={"k_hops": 3})
+    assert SOCSimulation(cfg).protocol.k_hops == 3
+    assert config_from_dict(config_to_dict(cfg)).protocol_kwargs == {"k_hops": 3}
+
+
+def test_env_scale(monkeypatch):
+    """The one ``REPRO_SCALE`` reader, the benchmarks' ``scale`` fixture."""
+    from benchmarks.conftest import read_scale
+
+    monkeypatch.delenv("REPRO_SCALE", raising=False)
+    assert read_scale("tiny") == "tiny"
+    monkeypatch.setenv("REPRO_SCALE", "paper")
+    assert read_scale() == "paper"
+    monkeypatch.setenv("REPRO_SCALE", "galactic")
+    with pytest.raises(ValueError):
+        read_scale()
+
+
+def test_params_fields_must_be_their_dataclasses():
+    with pytest.raises(TypeError, match="PIDCANParams"):
+        ExperimentConfig(pidcan={"delta": 1})
+    with pytest.raises(TypeError, match="NetworkParams"):
+        ExperimentConfig(network={"lan_size": 10})
 
 
 def test_describe_mentions_key_facts():
     cfg = ExperimentConfig.at_scale("tiny", demand_ratio=0.5, churn_degree=0.25)
     text = cfg.describe()
     assert "0.5" in text and "churn" in text
-
-
-def test_env_scale(monkeypatch):
-    monkeypatch.delenv("REPRO_SCALE", raising=False)
-    assert env_scale("tiny") == "tiny"
-    monkeypatch.setenv("REPRO_SCALE", "paper")
-    assert env_scale() == "paper"
-    monkeypatch.setenv("REPRO_SCALE", "galactic")
-    with pytest.raises(ValueError):
-        env_scale()
 
 
 def test_burst_factor_scales_effective_interarrival():

@@ -68,8 +68,8 @@ def test_different_seeds_differ():
 def test_series_sampled_on_period():
     res = run(protocol="hid-can", sample_period=1000.0)
     assert res.series["t_ratio"].times == [1000.0, 2000.0, 3000.0, 4000.0]
-    assert len(res.series["f_ratio"]) == 4
-    assert len(res.series["fairness"]) == 4
+    assert len(res.series["f_ratio"].times) == 4
+    assert len(res.series["fairness"].times) == 4
 
 
 def test_t_plus_f_ratio_bounded():
@@ -150,11 +150,14 @@ def test_gossip_cmax_mode_runs():
 
 
 def test_summary_shape():
+    from repro.experiments.store import result_to_dict
+
     res = run(protocol="hid-can")
-    summary = res.summary()
+    summary = result_to_dict(res)["metrics"]
     assert set(summary) >= {
         "t_ratio", "f_ratio", "fairness", "per_node_msg_cost", "query_timeouts"
     }
+    assert summary["t_ratio"] == res.t_ratio
 
 
 @pytest.mark.parametrize("protocol", ["randomwalk-can", "khdn-can", "mercury"])
@@ -216,13 +219,16 @@ def _cross_check(cfg):
     may differ in the last bit: the oracle sums it host by host, the
     engine takes one mean."""
     from repro.experiments import runner
+    from repro.experiments.store import result_to_dict
     from repro.testing import ReferenceHostEngine
 
     vec = SOCSimulation(cfg).run()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(runner, "HostEngine", ReferenceHostEngine)
         ref = SOCSimulation(cfg).run()
-    assert vec.summary() == pytest.approx(ref.summary(), abs=1e-9, nan_ok=True)
+    assert result_to_dict(vec)["metrics"] == pytest.approx(
+        result_to_dict(ref)["metrics"], abs=1e-9, nan_ok=True
+    )
     assert vec.generated == ref.generated
     assert vec.placed == ref.placed
     assert vec.evicted == ref.evicted

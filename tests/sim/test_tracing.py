@@ -7,15 +7,19 @@ from repro.experiments.runner import SOCSimulation
 from repro.sim.tracing import Tracer
 
 
+def _count(tracer: Tracer, kind: str) -> int:
+    return sum(e.kind == kind for e in tracer.events)
+
+
 def test_emit_and_views():
     tr = Tracer()
     tr.emit(1.0, "generated", 7, node=3)
     tr.emit(2.0, "query-ok", 7, candidates=2)
     tr.emit(1.5, "generated", 8)
-    assert len(tr) == 3
-    assert [e.kind for e in tr.for_task(7)] == ["generated", "query-ok"]
-    assert len(tr.by_kind("generated")) == 2
-    assert tr.task_ids() == [7, 8]
+    assert [(e.kind, e.task_id) for e in tr.events] == [
+        ("generated", 7), ("query-ok", 7), ("generated", 8),
+    ]
+    assert _count(tr, "generated") == 2
 
 
 def test_unknown_kind_rejected():
@@ -27,26 +31,36 @@ def test_unknown_kind_rejected():
 def test_disabled_tracer_records_nothing():
     tr = Tracer(enabled=False)
     tr.emit(0.0, "generated", 1)
-    assert len(tr) == 0
+    assert tr.events == []
 
 
 def test_timeline_readable():
+    """An event keeps what was emitted: time, kind, node and detail."""
     tr = Tracer()
     tr.emit(10.0, "generated", 1, node=2)
     tr.emit(20.0, "query-ok", 1, candidates=3)
-    lines = tr.timeline(1)
-    assert "generated" in lines[0] and "@node 2" in lines[0]
-    assert "candidates" in lines[1]
+    first, second = tr.events
+    assert (first.time, first.kind, first.node, first.detail) == (10.0, "generated", 2, {})
+    assert (second.node, second.detail) == (None, {"candidates": 3})
 
 
 def test_terminal_kind():
+    """Every terminal path is a causally valid trace: completion, query
+    failure, rejection, and eviction then recovery then completion."""
     tr = Tracer()
-    tr.emit(0.0, "generated", 1)
-    assert tr.terminal_kind(1) is None
-    tr.emit(1.0, "query-ok", 1)
-    tr.emit(2.0, "admitted", 1)
-    tr.emit(3.0, "completed", 1)
-    assert tr.terminal_kind(1) == "completed"
+    for task_id, kinds in enumerate([
+        ("generated", "query-ok", "admitted", "completed"),
+        ("generated", "query-failed"),
+        ("generated", "query-ok", "rejected"),
+        ("generated", "query-ok", "admitted", "evicted", "recovered",
+         "admitted", "completed"),
+    ]):
+        for step, kind in enumerate(kinds):
+            tr.emit(float(step), kind, task_id)
+    tr.validate()
+    tr.emit(9.0, "completed", 1)  # completed without ever being admitted
+    with pytest.raises(AssertionError, match="without admission"):
+        tr.validate([1])
 
 
 def test_validate_catches_admission_without_query():
@@ -76,11 +90,9 @@ def test_full_run_traces_are_consistent(protocol):
     sim = SOCSimulation(cfg)
     res = sim.run()
     sim.tracer.validate()
-    assert len(sim.tracer.by_kind("generated")) == res.generated
-    assert len(sim.tracer.by_kind("completed")) == res.finished
-    failures = len(sim.tracer.by_kind("query-failed")) + len(
-        sim.tracer.by_kind("rejected")
-    )
+    assert _count(sim.tracer, "generated") == res.generated
+    assert _count(sim.tracer, "completed") == res.finished
+    failures = _count(sim.tracer, "query-failed") + _count(sim.tracer, "rejected")
     assert failures == res.failed
 
 
@@ -93,11 +105,11 @@ def test_full_run_traces_with_checkpointed_churn():
     sim = SOCSimulation(cfg)
     res = sim.run()
     sim.tracer.validate()
-    assert len(sim.tracer.by_kind("recovered")) == res.recovered
+    assert _count(sim.tracer, "recovered") == res.recovered
 
 
 def test_tracing_disabled_by_default():
     cfg = ExperimentConfig(n_nodes=25, duration=1500.0, seed=3)
     sim = SOCSimulation(cfg)
     sim.run()
-    assert len(sim.tracer) == 0
+    assert sim.tracer.events == []
