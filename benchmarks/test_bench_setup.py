@@ -13,7 +13,7 @@ keep it linear (``docs/architecture.md``, "Cell construction"):
    3 CPU seconds (the scan took 33 s; the heap takes ~0.4 s).
 
 CPU seconds (``time.process_time``), best of three per size, the sizes
-interleaved.  The per-phase split of the larger cell is recorded in
+interleaved; a small-cell sample is the mean of four consecutive cells.  The per-phase split of the larger cell is recorded in
 ``extra_info``: each phase timed on its own with the cell's parameters
 and the collector paused, as the cell builds it; "timers and the rest"
 (state caches, cohort timers, workload arming, the closing collection)
@@ -89,11 +89,14 @@ def test_setup_scales_linearly(benchmark, scale):
     large = mega_configs("small", seed=1, n_nodes=4 * n, duration=600.0)["hid-can"]
 
     # Small and large set-ups alternate, so a shift of the machine's CPU
-    # speed between two blocks of runs cannot skew the ratio; the first
-    # large one goes through ``benchmark`` so the report carries a timing.
+    # speed between two blocks of runs cannot skew the ratio.  A small
+    # sample is four consecutive cells, so it spans as much CPU time as a
+    # large one: a short quiet spell on a shared host then cannot favour
+    # the small minimum alone.  The first large one goes through
+    # ``benchmark`` so the report carries a timing.
     small_runs, large_runs = [], []
     for i in range(3):
-        small_runs.append(_cpu(lambda: SOCSimulation(small)))
+        small_runs.append(sum(_cpu(lambda: SOCSimulation(small)) for _ in range(4)) / 4)
         large_runs.append(_cpu(
             lambda: run_once(benchmark, SOCSimulation, large) if i == 0
             else SOCSimulation(large)
