@@ -20,7 +20,9 @@ Two classes implement the mechanism:
     discipline: keys, stamps and hit counters live in parallel arrays
     beside a ``(capacity, d)`` lo/hi bounds pair, eviction and
     expiry flip a liveness bit, compaction is lazy, and the
-    box-containment lookup is a single vectorized comparison.
+    box-containment lookup is a single vectorized comparison.  The
+    store keeps no clock of its own: every read (``entries``,
+    ``lookup``) takes ``now`` and purges against it first.
 
 :class:`PathCacheIndex`
     The per-node cache registry plus the shared hit/miss/staleness
@@ -69,7 +71,7 @@ class RangeCache:
     __slots__ = (
         "ttl", "max_size", "policy", "dims", "_tau", "_row", "_keys",
         "_added", "_last", "_hits", "_live", "_lo", "_hi", "_n", "_dead",
-        "_clock", "_oldest",
+        "_oldest",
     )
 
     def __init__(
@@ -101,10 +103,6 @@ class RangeCache:
         self._hi = np.empty((0, self.dims), dtype=np.float64)
         self._n = 0  # rows in use (live + dead holes)
         self._dead = 0  # dead holes among the first _n rows
-        #: Latest simulation time observed; ``__len__`` and
-        #: ``__contains__`` expire against it so they agree with the most
-        #: recent ``entries()`` view (sim time is monotonic).
-        self._clock = 0.0
         #: Lower bound on the insertion stamps of live rows: ``purge``
         #: runs on every lookup and scans only once this can be stale.
         self._oldest = np.inf
@@ -112,10 +110,6 @@ class RangeCache:
     # ------------------------------------------------------------------
     # storage management
     # ------------------------------------------------------------------
-    def _observe(self, now: float) -> None:
-        if now > self._clock:
-            self._clock = now
-
     def _grow(self) -> None:
         capacity = max(_MIN_CAPACITY, 2 * self._n)
         keys = np.empty(capacity, dtype=np.int64)
@@ -173,7 +167,6 @@ class RangeCache:
         hit history — re-learning a route confirms the entry, it does not
         make it a stranger.
         """
-        self._observe(now)
         row = self._row.get(key)
         if row is None:
             if self._n >= self._keys.shape[0]:
@@ -234,7 +227,6 @@ class RangeCache:
 
     def purge(self, now: float) -> None:
         """Drop entries stored strictly longer than ``ttl`` ago."""
-        self._observe(now)
         if not self._row:
             return
         cutoff = now - self.ttl
@@ -282,16 +274,6 @@ class RangeCache:
         self._hits[row] += 1
         self._last[row] = now
         return int(self._keys[row])
-
-    def __len__(self) -> int:
-        """Live entry count as of the latest observed time (stale entries
-        are not reported, matching ``entries()``)."""
-        self.purge(self._clock)
-        return len(self._row)
-
-    def __contains__(self, key: int) -> bool:
-        row = self._row.get(key)
-        return row is not None and self._added[row] >= self._clock - self.ttl
 
 
 @dataclass

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.context import ProtocolContext
 from repro.core.state import StateRecord
-from repro.sim.engine import EventHandle
+from repro.sim.events import Event
 
 __all__ = ["QueryLifecycle", "QueryRuntime"]
 
@@ -57,7 +57,7 @@ class QueryRuntime:
     finalized: bool = False
     timed_out: bool = False  # resolved by the failsafe, not the chain
     sos_attempted: bool = False
-    timeout_handle: Optional[EventHandle] = None
+    timeout_handle: Optional[Event] = None
 
 
 class QueryLifecycle:

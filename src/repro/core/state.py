@@ -199,12 +199,6 @@ class StateCache:
                 self._oldest = oldest
         return len(upd_rows) + len(new)
 
-    def evict_owner(self, owner: int) -> None:
-        row = self._pos.pop(owner, None)
-        if row is not None:
-            self._kill_row(row)
-            self._maybe_compact()
-
     def purge(self, now: float) -> None:
         """Drop expired records."""
         if not self._pos:

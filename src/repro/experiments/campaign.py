@@ -150,6 +150,11 @@ class CampaignSpec:
             raise ValueError("campaign name must be non-empty")
         if not self.scenarios or not self.scales or not self.seeds:
             raise ValueError("scenarios, scales and seeds must be non-empty")
+        for axis in ("scenarios", "scales", "seeds", "protocols"):
+            values = getattr(self, axis) or ()
+            repeated = sorted({v for v in values if values.count(v) > 1}, key=str)
+            if repeated:
+                raise ValueError(f"repeated {axis} {repeated}: each grid value once")
         unknown = set(self.scenarios) - set(SCENARIO_CONFIGS)
         if unknown:
             raise ValueError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -134,6 +135,11 @@ class ExperimentConfig:
             raise TypeError(f"network must be NetworkParams, got {type(self.network).__name__}")
         if self.n_nodes < 2:
             raise ValueError("need at least 2 nodes")
+        if not 0.0 < self.duration < math.inf:  # (also rejects NaN)
+            raise ValueError(f"duration must be finite and positive, got {self.duration!r}")
+        for name in ("sample_period", "churn_lifetime", "mean_nominal_time", "checkpoint_period"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.admission not in ("none", "strict"):
             raise ValueError(f"admission must be none|strict, got {self.admission}")
         if self.cmax_mode not in ("exact", "gossip"):

@@ -56,7 +56,8 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.ratios import RatioTracker
 from repro.metrics.traffic import TrafficMeter
 from repro.sim.delivery import DeliveryCalendar
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
+from repro.sim.events import Event
 from repro.sim.network import NetworkModel
 from repro.sim.rng import RngRegistry, index_draw
 from repro.sim.stats import TimeSeries
@@ -215,7 +216,7 @@ class SOCSimulation:
         self._tasks: list[Task] = []
         #: The single simulator event backing the engine's completion
         #: calendar, plus the head it was scheduled for.
-        self._completion_handle: Optional[EventHandle] = None
+        self._completion_handle: Optional[Event] = None
         self._completion_key: Optional[tuple[float, int, int]] = None
 
         # --- hosts (batch-sampled, batch-registered) -------------------

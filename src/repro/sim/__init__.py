@@ -8,21 +8,17 @@ the event volume stays proportional to protocol-level messages rather than
 physical hops.
 """
 
-from repro.sim.engine import CohortTimer, EventHandle, Simulator, next_grid_index
-from repro.sim.events import Event, PRIORITY_DEFAULT, PRIORITY_HIGH, PRIORITY_LOW
+from repro.sim.engine import CohortTimer, Simulator, next_grid_index
+from repro.sim.events import Event
 from repro.sim.network import NetworkModel, NetworkParams
 from repro.sim.rng import RngRegistry
 from repro.sim.stats import TimeSeries
 
 __all__ = [
     "Simulator",
-    "EventHandle",
     "CohortTimer",
     "next_grid_index",
     "Event",
-    "PRIORITY_DEFAULT",
-    "PRIORITY_HIGH",
-    "PRIORITY_LOW",
     "NetworkModel",
     "NetworkParams",
     "RngRegistry",

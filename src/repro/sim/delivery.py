@@ -17,8 +17,8 @@ never cancels one); later messages for the same instant append to its
 batch.  The flush replays the batch in enqueue order and charges
 ``len(batch) - 1`` extra event units
 (:meth:`~repro.sim.engine.Simulator.charge_events`), so
-``events_processed`` and ``run(max_events=...)`` budgets count exactly
-what per-message scheduling would have counted.  Un-quantized, almost
+``events_processed`` counts exactly what per-message scheduling would
+have counted.  Un-quantized, almost
 every batch holds one message, so the flush takes that case first.
 
 Ordering contract: within a batch, deliveries run in enqueue order —

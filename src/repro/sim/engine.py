@@ -8,22 +8,22 @@ clock, per-protocol periodic cycles, and message delivery callbacks.
 Two ways to put a callback on the heap:
 
 - :meth:`Simulator.post` / :meth:`Simulator.post_at` are fire-and-forget:
-  no record and no handle is allocated.  Message flushes, self-chaining
-  periodic ticks, workload arrivals and churn use them.
-- :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return an
-  :class:`EventHandle` that can cancel the entry — for timeouts, the
-  completion calendar, cohort timers and :meth:`Simulator.periodic`.
+  no record is allocated.  Message flushes, periodic ticks (self-chaining
+  ones, :meth:`Simulator.periodic` and cohort timers), workload arrivals
+  and churn use them.
+- :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return the
+  entry's :class:`~repro.sim.events.Event`, whose ``cancel()`` drops it —
+  for timeouts, the completion calendar and cohort stragglers.
 
-Heap entries are 5-tuples ``(time, priority, seq, fn, args)``.  A posted
-entry carries the callback and its argument tuple; a cancellable entry
-carries its :class:`~repro.sim.events.Event` in the ``fn`` slot and
-``None`` in the ``args`` slot, and a cancelled one is dropped when it
-surfaces without being counted.  The order is the tuples' own
-lexicographic order, compared in C by ``heapq``.  ``seq`` comes from one
-counter shared by both kinds and is unique per push, so a comparison
-never reaches the fourth element, callbacks or arguments need not be
-orderable, and the dispatch order does not depend on which kind an entry
-is.
+Heap entries are 4-tuples ``(time, seq, fn, args)``.  A posted entry
+carries the callback and its argument tuple; a cancellable entry carries
+its :class:`~repro.sim.events.Event` in the ``fn`` slot and ``None`` in
+the ``args`` slot, and a cancelled one is dropped when it surfaces
+without being counted.  The order is the tuples' own lexicographic order,
+compared in C by ``heapq``.  ``seq`` comes from one counter shared by
+both kinds and is unique per push, so a comparison never reaches the
+third element, callbacks or arguments need not be orderable, and the
+dispatch order does not depend on which kind an entry is.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ import heapq
 import math
 from typing import Any, Callable, Hashable, Optional
 
-from repro.sim.events import Event, PRIORITY_DEFAULT
+from repro.sim.events import Event
 
 __all__ = [
     "Simulator",
-    "EventHandle",
     "CohortTimer",
     "SimulationError",
     "next_grid_index",
@@ -69,23 +68,6 @@ def next_grid_index(epoch: float, interval: float, now: float) -> int:
     return k
 
 
-class EventHandle:
-    """Opaque handle returned by :meth:`Simulator.schedule`.
-
-    Keeps a reference to the heap entry's :class:`Event` record so the
-    caller can cancel it without the engine scanning the heap.
-    """
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: Event):
-        self._event = event
-
-    def cancel(self) -> None:
-        """Mark the event as cancelled; it is skipped when popped."""
-        self._event.cancelled = True
-
-
 class CohortTimer:
     """One heap entry shared by a whole cohort of periodic members.
 
@@ -108,17 +90,16 @@ class CohortTimer:
     - :meth:`discard` removes a member (and cancels its pending
       straggler, if any) without touching the heap.
 
-    Each batched fire charges ``len(members)`` event units against
-    ``Simulator.run(max_events=...)`` budgets via
-    :meth:`Simulator.charge_events` (an empty fire counts as one unit —
-    the tick itself); stragglers are ordinary single-unit events.  The
-    timer keeps firing while empty, for the rest of the run.
+    Each batched fire counts ``len(members)`` event units in
+    ``Simulator.events_processed`` via :meth:`Simulator.charge_events`
+    (an empty fire counts as one unit — the tick itself); stragglers are
+    ordinary single-unit events.  The timer keeps firing while empty, for
+    the rest of the run.
     """
 
     __slots__ = (
-        "_sim", "interval", "epoch", "_fn", "_priority", "_members",
-        "_pending", "_k", "_fire_count",
-        "_created_serial",
+        "_sim", "interval", "epoch", "_fn", "_members", "_pending", "_k",
+        "_fire_count", "_created_serial",
     )
 
     def __init__(
@@ -127,7 +108,6 @@ class CohortTimer:
         interval: float,
         fn: Callable[[tuple], Any],
         epoch: float = 0.0,
-        priority: int = PRIORITY_DEFAULT,
     ):
         if interval <= 0:
             raise SimulationError(f"non-positive interval {interval!r}")
@@ -135,24 +115,18 @@ class CohortTimer:
         self.interval = float(interval)
         self.epoch = float(epoch)
         self._fn = fn
-        self._priority = priority
         self._members: dict[Hashable, None] = {}
-        self._pending: dict[Hashable, EventHandle] = {}
+        self._pending: dict[Hashable, Event] = {}
         self._k = next_grid_index(self.epoch, self.interval, sim.now)
         self._fire_count = 0
         self._created_serial = sim.event_serial
-        sim.schedule_at(
-            self.next_fire_time, self._tick, priority=priority
-        )
+        sim.post_at(self.next_fire_time, self._tick)
 
     # ------------------------------------------------------------------
     @property
     def next_fire_time(self) -> float:
         """Absolute time of the pending batched fire."""
         return self.epoch + self._k * self.interval
-
-    def __contains__(self, member: Hashable) -> bool:
-        return member in self._members or member in self._pending
 
     # ------------------------------------------------------------------
     def add(self, member: Hashable) -> None:
@@ -165,15 +139,15 @@ class CohortTimer:
             self._members[member] = None
             return
         self._pending[member] = self._sim.schedule_at(
-            self.next_fire_time, self._straggle, member, priority=self._priority
+            self.next_fire_time, self._straggle, member
         )
 
     def discard(self, member: Hashable) -> None:
         """Remove ``member`` if present (O(1); no heap traffic)."""
         self._members.pop(member, None)
-        handle = self._pending.pop(member, None)
-        if handle is not None:
-            handle.cancel()
+        event = self._pending.pop(member, None)
+        if event is not None:
+            event.cancel()
 
     # ------------------------------------------------------------------
     def _straggle(self, member: Hashable) -> None:
@@ -189,9 +163,7 @@ class CohortTimer:
             self._sim.charge_events(len(batch) - 1)
         self._fn(batch)
         self._k += 1
-        self._sim.schedule_at(
-            self.next_fire_time, self._tick, priority=self._priority
-        )
+        self._sim.post_at(self.next_fire_time, self._tick)
 
 
 class Simulator:
@@ -206,11 +178,10 @@ class Simulator:
     ['b', 'a']
     """
 
-    def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
-        #: ``(time, priority, seq, fn, args)`` entries; see the module
-        #: docstring.
-        self._heap: list[tuple[float, int, int, Any, Optional[tuple]]] = []
+    def __init__(self):
+        self._now = 0.0
+        #: ``(time, seq, fn, args)`` entries; see the module docstring.
+        self._heap: list[tuple[float, int, Any, Optional[tuple]]] = []
         self._seq = 0
         self._running = False
         self.events_processed = 0
@@ -237,46 +208,33 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def schedule(
-        self,
-        delay: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = PRIORITY_DEFAULT,
-    ) -> EventHandle:
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if not delay >= 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.schedule_at(self._now + delay, fn, *args, priority=priority)
+        return self.schedule_at(self._now + delay, fn, *args)
 
-    def schedule_at(
-        self,
-        when: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = PRIORITY_DEFAULT,
-    ) -> EventHandle:
-        """Schedule ``fn(*args)`` at absolute time ``when``."""
+    def schedule_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Event:
+        """Schedule ``fn(*args)`` at absolute time ``when``; the returned
+        event's ``cancel()`` drops it."""
         if not when >= self._now:  # (also rejects NaN)
             raise SimulationError(
                 f"cannot schedule at {when} < now {self._now}"
             )
-        event = Event(when, fn, args)
-        heapq.heappush(self._heap, (when, priority, self._seq, event, None))
+        event = Event(fn, args)
+        heapq.heappush(self._heap, (when, self._seq, event, None))
         self._seq += 1
-        return EventHandle(event)
+        return event
 
     def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Run ``fn(*args)`` ``delay`` seconds from now, at the default
-        priority, with no handle: the entry cannot be cancelled.
+        """Run ``fn(*args)`` ``delay`` seconds from now, with no record:
+        the entry cannot be cancelled.
 
         Orders exactly like :meth:`schedule` — the same ``now + delay``
         instant and the next number of the one sequence counter."""
         if not delay >= 0.0:
             raise SimulationError(f"negative delay {delay!r}")
-        heapq.heappush(
-            self._heap, (self._now + delay, PRIORITY_DEFAULT, self._seq, fn, args)
-        )
+        heapq.heappush(self._heap, (self._now + delay, self._seq, fn, args))
         self._seq += 1
 
     def post_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -285,54 +243,24 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {when} < now {self._now}"
             )
-        heapq.heappush(self._heap, (when, PRIORITY_DEFAULT, self._seq, fn, args))
+        heapq.heappush(self._heap, (when, self._seq, fn, args))
         self._seq += 1
 
-    def periodic(
-        self,
-        interval: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        first_at: Optional[float] = None,
-        priority: int = PRIORITY_DEFAULT,
-    ) -> EventHandle:
-        """Run ``fn(*args)`` every ``interval`` seconds, starting at
-        ``first_at`` (defaults to ``now + interval``).
-
-        The returned handle is rebound internally on every re-arm, so
-        cancelling it stops the periodic task permanently — including when
-        ``cancel()`` is called from inside ``fn`` itself (the cancellation
-        is checked before the timer re-arms).
-        """
+    def periodic(self, interval: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` every ``interval`` seconds from ``now +
+        interval`` to the end of the run — a post chain, like
+        :meth:`~repro.core.context.ProtocolContext.start_periodic`."""
         if interval <= 0:
             raise SimulationError(f"non-positive interval {interval!r}")
-        start = self._now + interval if first_at is None else first_at
-
-        # A small indirection: the handle's underlying event is swapped on
-        # every re-arm so handle.cancel() always hits the live entry.
-        handle_box: list[EventHandle] = []
 
         def tick() -> None:
             fn(*args)
-            # ``fn`` may have cancelled the handle (whose event is the one
-            # firing right now); re-arming would silently resurrect the
-            # timer by rebinding the handle to a fresh, uncancelled event.
-            if handle_box and handle_box[0]._event.cancelled:
-                return
-            nxt = self.schedule(interval, tick, priority=priority)
-            if handle_box:
-                handle_box[0]._event = nxt._event
+            self.post(interval, tick)
 
-        first = self.schedule_at(start, tick, priority=priority)
-        handle_box.append(first)
-        return first
+        self.post(interval, tick)
 
     def periodic_cohort(
-        self,
-        interval: float,
-        fn: Callable[[tuple], Any],
-        epoch: float = 0.0,
-        priority: int = PRIORITY_DEFAULT,
+        self, interval: float, fn: Callable[[tuple], Any], epoch: float = 0.0
     ) -> CohortTimer:
         """One shared periodic timer for a whole cohort of members.
 
@@ -343,7 +271,7 @@ class Simulator:
         for late joiners, and the ordering/accounting contract
         (``docs/coalescing.md``).
         """
-        return CohortTimer(self, interval, fn, epoch=epoch, priority=priority)
+        return CohortTimer(self, interval, fn, epoch=epoch)
 
     # ------------------------------------------------------------------
     # execution
@@ -354,40 +282,37 @@ class Simulator:
 
         A coalesced cohort tick performs the work of many per-member
         events in one callback; charging its member count keeps
-        ``events_processed`` and ``run(max_events=...)`` budgets
-        comparable across cohort sizes instead of silently deflating by the
-        batch size.  Outside of event execution the charge is a no-op
-        (the unit bookkeeping resets when the next event starts).
+        ``events_processed`` comparable across cohort sizes instead of
+        silently deflating by the batch size.  Outside of event execution
+        the charge is a no-op (the unit bookkeeping resets when the next
+        event starts).
         """
         if extra < 0:
             raise SimulationError(f"negative event charge {extra!r}")
         self._extra_units += extra
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Process events until the queue is empty, ``until`` is reached, or
-        at least ``max_events`` event units have been processed.
-
-        Event units are 1 per event plus whatever the event charged via
-        :meth:`charge_events` (a coalesced cohort tick charges its member
-        count), so budgets keep their meaning at any cohort size.  The
-        budget check runs after each event: a batched tick may overshoot
-        the bound by its batch size, never split mid-batch.
+    def run(self, until: Optional[float] = None) -> None:
+        """Process events until the queue is empty or ``until`` is reached.
 
         When ``until`` is given the clock is advanced to exactly ``until``
         on return even if the queue drained earlier, so periodic metric
-        samplers observe a consistent end-of-run timestamp.
+        samplers observe a consistent end-of-run timestamp.  ``until``
+        may equal ``now``; a NaN or an earlier one is refused (the heap
+        check ``time > nan`` never holds, so a NaN horizon would never
+        stop a run whose sampler keeps the heap non-empty).
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until is not None and not until >= self._now:
+            raise SimulationError(f"cannot run until {until} < now {self._now}")
         self._running = True
-        processed_here = 0
         try:
             heap = self._heap
             pop = heapq.heappop
             while heap:
                 if until is not None and heap[0][0] > until:
                     break
-                when, _, _, fn, args = pop(heap)
+                when, _, fn, args = pop(heap)
                 if args is None:  # a cancellable entry: ``fn`` is its Event
                     if fn.cancelled:
                         continue
@@ -397,12 +322,8 @@ class Simulator:
                 self._event_serial += 1
                 self._extra_units = 0
                 fn(*args)
-                units = 1 + self._extra_units
+                self.events_processed += 1 + self._extra_units
                 self._extra_units = 0
-                self.events_processed += units
-                processed_here += units
-                if max_events is not None and processed_here >= max_events:
-                    break
             if until is not None and self._now < until:
                 self._now = until
         finally:

@@ -31,8 +31,8 @@ vectorized hot paths, verbatim, as equivalence oracles:
   Algorithms 1-2 and the seed's NINode pool filter, against the loop-form
   :class:`repro.core.diffusion.DiffusionEngine`;
 - :class:`ReferencePIList` — the dict-of-stamps positive index list,
-  against the SoA :class:`repro.core.cache.RangeCache` TTL policy that
-  now backs :class:`repro.core.pilist.PIList`;
+  against the stamp-ordered :class:`repro.core.pilist.PIList` and the
+  SoA :class:`repro.core.cache.RangeCache` TTL policy;
 - :class:`ReferenceNetworkModel` — the scan over every LAN for the
   least-populated one, against the heap behind
   :meth:`repro.sim.network.NetworkModel.add_node`.
@@ -402,9 +402,6 @@ class ReferenceStateCache:
         existing = self._records.get(record.owner)
         if existing is None or existing.timestamp <= record.timestamp:
             self._records[record.owner] = record
-
-    def evict_owner(self, owner: int) -> None:
-        self._records.pop(owner, None)
 
     def purge(self, now: float) -> None:
         cutoff = now - self.ttl
@@ -1067,10 +1064,13 @@ def construction_digest(sim) -> dict[str, str]:
             for n, host in sorted(sim.hosts.items())
         ],
     }
-    return {
-        name: hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
-        for name, value in sections.items()
-    }
+    return {name: _short_hash(value) for name, value in sections.items()}
+
+
+def _short_hash(value) -> str:
+    """First 16 hex digits of the sha256 of ``value``'s JSON (floats by
+    ``repr``, NaN as ``NaN``)."""
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
 
 
 def run_digest(result, sim) -> dict:
@@ -1079,7 +1079,10 @@ def run_digest(result, sim) -> dict:
     units, the whole query-latency report and the path-cache counters of
     ``result`` (a :class:`~repro.experiments.runner.SimulationResult`)
     and ``sim`` (the :class:`~repro.experiments.runner.SOCSimulation`
-    that produced it).  Floats are written by ``repr``, so equal digests
+    that produced it), plus everything else :func:`assert_results_identical`
+    compares: evictions, recoveries, peak population, the balance report,
+    and short hashes of the efficiencies and of every series' sample
+    times and values.  Floats are written by ``repr``, so equal digests
     mean a bit-equal model — which is what a change that only touches
     host-side cost (a cache, a faster heap entry) has to leave behind."""
     return {
@@ -1100,6 +1103,17 @@ def run_digest(result, sim) -> dict:
                 "cache_lookups", "cache_hits", "cache_misses",
                 "cache_stale_hits", "cache_relay_hits", "replications",
             )
+        },
+        "evicted": result.evicted,
+        "recovered": result.recovered,
+        "peak_population": result.peak_population,
+        "balance": {
+            name: repr(value) for name, value in result.balance.as_dict().items()
+        },
+        "efficiencies": _short_hash(result.efficiencies),
+        "series": {
+            name: {"times": _short_hash(s.times), "values": _short_hash(s.values)}
+            for name, s in sorted(result.series.items())
         },
     }
 
@@ -1193,7 +1207,6 @@ class ReferenceCohortScheduler:
         interval: float,
         fn,
         epoch: float | None = None,
-        priority: int = 0,
     ):
         if interval <= 0:
             raise ValueError("interval must be positive")
@@ -1201,7 +1214,6 @@ class ReferenceCohortScheduler:
         self.interval = float(interval)
         self.fn = fn
         self.epoch = sim.now if epoch is None else float(epoch)
-        self.priority = priority
         # member -> chain generation.  A discard orphans the member's
         # pending chain event; a later re-add starts a *new* chain with a
         # fresh generation, and the orphan self-terminates on its
@@ -1209,9 +1221,6 @@ class ReferenceCohortScheduler:
         # live chains delivering the member twice per round.
         self._gen: dict[int, int] = {}
         self._next_gen = 0
-
-    def __contains__(self, member: int) -> bool:
-        return member in self._gen
 
     def add(self, member: int) -> None:
         if member in self._gen:
@@ -1227,14 +1236,7 @@ class ReferenceCohortScheduler:
         self._gen.pop(member, None)
 
     def _arm(self, member: int, k: int, gen: int) -> None:
-        self.sim.schedule_at(
-            self.epoch + k * self.interval,
-            self._tick,
-            member,
-            k,
-            gen,
-            priority=self.priority,
-        )
+        self.sim.schedule_at(self.epoch + k * self.interval, self._tick, member, k, gen)
 
     def _tick(self, member: int, k: int, gen: int) -> None:
         if self._gen.get(member) != gen:
@@ -1317,18 +1319,9 @@ class ReferencePIList:
         self.ttl = float(ttl)
         self.max_size = int(max_size)
         self._added_at: dict[int, float] = {}
-        #: Latest simulation time this list has observed; ``__len__`` and
-        #: ``__contains__`` expire against it so they agree with the most
-        #: recent ``entries()``/``sample()`` view (sim time is monotonic).
-        self._clock = 0.0
-
-    def _observe(self, now: float) -> None:
-        if now > self._clock:
-            self._clock = now
 
     def add(self, node_id: int, now: float) -> None:
         """Insert or refresh an index; evict the stalest when full."""
-        self._observe(now)
         self._added_at[node_id] = now
         if len(self._added_at) > self.max_size:
             oldest = min(self._added_at, key=lambda k: (self._added_at[k], k))
@@ -1338,7 +1331,6 @@ class ReferencePIList:
         self._added_at.pop(node_id, None)
 
     def purge(self, now: float) -> None:
-        self._observe(now)
         cutoff = now - self.ttl
         stale = [k for k, t in self._added_at.items() if t < cutoff]
         for k in stale:
@@ -1356,16 +1348,6 @@ class ReferencePIList:
             return pool
         picked = rng.choice(len(pool), size=k, replace=False)
         return [pool[i] for i in picked]
-
-    def __len__(self) -> int:
-        """Live entry count as of the latest observed time (stale entries
-        are not reported, matching ``entries()``/``sample()``)."""
-        self.purge(self._clock)
-        return len(self._added_at)
-
-    def __contains__(self, node_id: int) -> bool:
-        added = self._added_at.get(node_id)
-        return added is not None and added >= self._clock - self.ttl
 
 
 def assert_cache_off_equivalent(config):

@@ -31,9 +31,9 @@ def make_overlay(n: int, dims: int, seed: int = 0) -> CANOverlay:
 
 def live_events(sim) -> int:
     """The simulator heap's live entries: every posted entry
-    ``(.., fn, args)``, and every cancellable one ``(.., event, None)``
-    whose event is not cancelled."""
-    return sum(1 for *_, fn, args in sim._heap if args is not None or not fn.cancelled)
+    ``(time, seq, fn, args)``, and every cancellable one ``(time, seq,
+    event, None)`` whose event is not cancelled."""
+    return sum(1 for _, _, fn, args in sim._heap if args is not None or not fn.cancelled)
 
 
 def zone_center(zone) -> np.ndarray:

@@ -89,7 +89,7 @@ def test_recipients_get_pilist_entries(method):
     )
     result = engine.diffuse(origin, method)
     assert result.messages > 0
-    landed = [i for i, p in h.pilists.items() if origin in p]
+    landed = [i for i, p in h.pilists.items() if origin in p.entries(h.ctx.sim.now)]
     assert landed
     assert set(landed) <= result.recipients
 

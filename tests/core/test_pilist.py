@@ -14,8 +14,7 @@ def test_ttl_validation():
 def test_add_and_contains():
     pl = PIList(ttl=100)
     pl.add(5, now=0.0)
-    assert 5 in pl
-    assert len(pl) == 1
+    assert pl.entries(now=0.0) == [5]
     assert pl.entries(now=50.0) == [5]
 
 
@@ -37,45 +36,15 @@ def test_capacity_evicts_stalest():
     pl = PIList(ttl=1000, max_size=3)
     for i, t in enumerate([0.0, 1.0, 2.0, 3.0]):
         pl.add(i, now=t)
-    assert 0 not in pl
-    assert len(pl) == 3
-
-
-def test_len_and_contains_honour_ttl():
-    """Regression: ``len`` / ``in`` used to report expired entries as live,
-    disagreeing with ``entries()``/``sample()``."""
-    pl = PIList(ttl=100)
-    pl.add(1, now=0.0)
-    pl.add(2, now=60.0)
-    assert len(pl) == 2 and 1 in pl and 2 in pl
-    assert pl.entries(now=120.0) == [2]  # 1 expired at t=120
-    assert len(pl) == 1
-    assert 1 not in pl
-    assert 2 in pl
-
-
-def test_len_consistent_without_explicit_purge():
-    """The watermark advances through any time-bearing call, so the
-    dunders never report more than the latest entries() view."""
-    pl = PIList(ttl=50)
-    pl.add(1, now=0.0)
-    pl.add(2, now=200.0)  # observing t=200 implicitly expires entry 1
-    assert len(pl) == 1
-    assert 1 not in pl
-    assert 2 in pl
-    rng = np.random.default_rng(0)
-    assert pl.sample(5, now=200.0, rng=rng) == [2]
+    assert pl.entries(now=3.0) == [1, 2, 3]
 
 
 def test_contains_boundary_is_inclusive_like_purge():
+    """An entry stamped exactly ``ttl`` ago is still listed."""
     pl = PIList(ttl=100)
     pl.add(7, now=0.0)
-    pl.purge(now=100.0)  # cutoff == added_at: survives (strict <)
-    assert 7 in pl
-    assert len(pl) == 1
-    pl.purge(now=100.0001)
-    assert 7 not in pl
-    assert len(pl) == 0
+    assert pl.entries(now=100.0) == [7]  # cutoff == added_at: survives (strict <)
+    assert pl.entries(now=100.0001) == []
 
 
 def test_sample_returns_distinct_subset():
@@ -94,11 +63,3 @@ def test_sample_small_pool_returns_all():
     pl.add(1, now=0.0)
     pl.add(2, now=0.0)
     assert sorted(pl.sample(10, now=0.0, rng=np.random.default_rng(0))) == [1, 2]
-
-
-def test_discard():
-    pl = PIList(ttl=1000)
-    pl.add(1, now=0.0)
-    pl.discard(1)
-    pl.discard(99)  # no-op
-    assert len(pl) == 0

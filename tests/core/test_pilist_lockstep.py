@@ -6,11 +6,11 @@ reads only the leading run of equal oldest stamps and expiry pops from
 the front; the oracle scans everything with ``min((stamp, key))``.  The
 drives below aim at the places where an ordered structure can go wrong:
 many adds at one instant (equal-stamp ties, smallest key evicted), a
-refresh of the oldest entry, a stale-but-unpurged victim, the inclusive
-purge boundary, ``len``/``in`` with no purge in between, and one stamp
-behind the clock.  After every step the two hold the same stamps and
-answer every query alike, and ``sample`` leaves cloned generators in the
-same state.
+refresh of the oldest entry, a stale-but-unpurged victim and the
+inclusive purge boundary.  Stamps never decrease, as in a run, where
+every caller passes ``sim.now``.  After every step the two hold the same
+stamps in stamp order and answer every query alike, and ``sample``
+leaves cloned generators in the same state.
 """
 
 import numpy as np
@@ -44,10 +44,6 @@ class Pair:
         if stamps:
             self.add(min(stamps, key=lambda k: (stamps[k], k)), self.now)
 
-    def discard(self, key: int) -> None:
-        self.new.discard(key)
-        self.ref.discard(key)
-
     def purge(self, now: float) -> None:
         self.new.purge(now)
         self.ref.purge(now)
@@ -70,48 +66,36 @@ class Pair:
         assert r_new.bit_generator.state == r_ref.bit_generator.state
 
     def check(self) -> None:
-        # len/in first: they must agree with no purge call in between.
-        assert len(self.new) == len(self.ref)
-        for key in range(KEYS):
-            assert (key in self.new) == (key in self.ref)
         assert self.new._stamps == self.ref._added_at
         stamps = list(self.new._stamps.values())
         assert stamps == sorted(stamps)
-        assert self.new._clock == self.ref._clock
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_seeded_lockstep_with_reference_pilist(seed):
     rng = np.random.default_rng(seed)
     pair = Pair()
-    rewound = False
     for step in range(800):
         if rng.random() < 0.4:  # otherwise: another call at the same instant
             # Mostly short steps; now and then past the ttl, which leaves
             # stale entries for the next add's eviction to find unpurged.
             pair.now += float(rng.exponential(3.0 if rng.random() < 0.9 else 80.0))
-        op = int(rng.integers(10))
+        op = int(rng.integers(8))
         key = int(rng.integers(KEYS))
         if op <= 3:
             pair.add(key, pair.now)
         elif op == 4:
             pair.refresh_oldest()
         elif op == 5:
-            pair.discard(key)
-        elif op == 6:
             pair.purge(pair.now)
-        elif op == 7:
+        elif op == 6:
             pair.purge_at_boundary()
-        elif op == 8:
+        else:
             pair.sample(int(rng.integers(1, 5)), int(rng.integers(1 << 30)))
-        elif not rewound and step > 400:
-            rewound = True  # one out-of-order stamp per drive
-            pair.add(key, pair.now - float(rng.uniform(1.0, 30.0)))
         pair.check()
         if step % 5 == 0:
             assert pair.new.entries(pair.now) == pair.ref.entries(pair.now)
             pair.check()
-    assert rewound
 
 
 def test_equal_stamp_ties_evict_the_smallest_key():
@@ -123,7 +107,7 @@ def test_equal_stamp_ties_evict_the_smallest_key():
     assert pair.new.entries(10.0) == [5, 7, 9, 12]
     pair.add(1, 10.0)  # the newcomer itself is the smallest: it goes
     pair.check()
-    assert 1 not in pair.new
+    assert 1 not in pair.new._stamps
     pair.add(20, 11.0)  # leading run is the four at 10.0, not 20
     pair.check()
     assert pair.new.entries(11.0) == [7, 9, 12, 20]
@@ -137,19 +121,8 @@ def test_stale_but_unpurged_entry_is_the_victim_and_refresh_reorders():
     pair.add(3, 500.0)  # 1 and 2 are stale but no purge has run
     pair.add(4, 500.0)  # over capacity: stale 2 evicted, stale 1 kept
     assert pair.new._stamps == pair.ref._added_at == {1: 2.0, 3: 500.0, 4: 500.0}
-    pair.check()  # len() purges against the clock: 1 goes too
-    assert pair.new.entries(500.0) == [3, 4]
-
-
-def test_out_of_order_stamp_restores_the_order_once():
-    pair = Pair(cap=3)
-    pair.add(1, 10.0)
-    pair.add(2, 20.0)
-    pair.add(3, 5.0)  # behind the clock: must sort in front
     pair.check()
-    pair.add(4, 20.0)  # evicts 3 (stamp 5.0), the true oldest
-    pair.check()
-    assert pair.new.entries(20.0) == [1, 2, 4]
+    assert pair.new.entries(500.0) == [3, 4]  # the purge takes stale 1
 
 
 class PIListLockstepMachine(RuleBasedStateMachine):
@@ -164,17 +137,9 @@ class PIListLockstepMachine(RuleBasedStateMachine):
         self.pair.now += dt
         self.pair.add(key, self.pair.now)
 
-    @rule(key=keys, back=st.floats(min_value=0.5, max_value=2 * TTL))
-    def add_behind_the_clock(self, key, back):
-        self.pair.add(key, self.pair.now - back)
-
     @rule()
     def refresh_oldest(self):
         self.pair.refresh_oldest()
-
-    @rule(key=keys)
-    def discard(self, key):
-        self.pair.discard(key)
 
     @rule(dt=st.sampled_from([0.0, 1.0, TTL]))
     def purge(self, dt):

@@ -81,7 +81,7 @@ def test_diffusion_fills_pilists_over_time():
     proto.bootstrap(sorted(alive))
     ctx.sim.run(until=1800.0)
     assert ctx.traffic.by_kind.get("index-diffusion", 0) > 0
-    assert any(len(p) > 0 for p in proto.pilists.values())
+    assert any(p.entries(ctx.sim.now) for p in proto.pilists.values())
 
 
 def test_on_leave_cleans_up():

@@ -76,11 +76,3 @@ def test_qualified_respects_limit_and_exclude():
         np.array([1.0, 1.0]), now=1.0, exclude={r.owner for r in out}
     )
     assert all(r.owner not in {o.owner for o in out} for r in out2)
-
-
-def test_evict_owner():
-    cache = StateCache(600)
-    cache.put(rec(1, [1, 1]))
-    cache.evict_owner(1)
-    cache.evict_owner(42)  # no-op
-    assert len(cache) == 0

@@ -29,9 +29,9 @@ class CachePair:
         self.vec.put(record)
         self.ref.put(record)
 
-    def evict_owner(self, owner: int) -> None:
-        self.vec.evict_owner(owner)
-        self.ref.evict_owner(owner)
+    def purge(self, now: float) -> None:
+        self.vec.purge(now)
+        self.ref.purge(now)
 
     def assert_equivalent(self, now, demand, limit=None, exclude=None):
         assert len(self.vec) == len(self.ref)
@@ -76,26 +76,27 @@ def test_ttl_expiry_matches():
 
 
 def test_eviction_and_reinsertion_moves_to_end():
-    pair = CachePair(ttl=1000.0)
+    pair = CachePair(ttl=100.0)
     for owner in range(6):
-        pair.put(rec(owner, [0.5, 0.5], ts=0.0))
-    pair.evict_owner(2)
-    pair.put(rec(2, [0.6, 0.6], ts=1.0))  # re-inserted at the end
-    pair.assert_equivalent(now=1.0, demand=np.zeros(2))
-    assert [r.owner for r in pair.vec.records(1.0)] == [0, 1, 3, 4, 5, 2]
+        pair.put(rec(owner, [0.5, 0.5], ts=0.0 if owner == 2 else 50.0))
+    pair.purge(120.0)  # expires 2 alone
+    pair.put(rec(2, [0.6, 0.6], ts=120.0))  # re-inserted at the end
+    pair.assert_equivalent(now=120.0, demand=np.zeros(2))
+    assert [r.owner for r in pair.vec.records(120.0)] == [0, 1, 3, 4, 5, 2]
 
 
 def test_compaction_preserves_order_and_objects():
-    pair = CachePair(ttl=1e9)
+    pair = CachePair(ttl=100.0)
     for owner in range(200):
-        pair.put(rec(owner, [0.5, 0.5], ts=0.0))
-    # evict enough rows to force lazy compaction of the SoA arrays
-    for owner in range(0, 200, 2):
-        pair.evict_owner(owner)
-    pair.assert_equivalent(now=1.0, demand=np.zeros(2))
+        pair.put(rec(owner, [0.5, 0.5], ts=50.0 if owner % 3 == 0 else 0.0))
+    # expire two rows in three: enough to force lazy compaction of the
+    # SoA arrays
+    pair.purge(120.0)
+    assert pair.vec._dead == 0 and pair.vec._n == 67
+    pair.assert_equivalent(now=120.0, demand=np.zeros(2))
     for owner in range(300, 340):  # append after compaction
-        pair.put(rec(owner, [0.7, 0.7], ts=2.0))
-    pair.assert_equivalent(now=2.0, demand=np.zeros(2), limit=17)
+        pair.put(rec(owner, [0.7, 0.7], ts=121.0))
+    pair.assert_equivalent(now=121.0, demand=np.zeros(2), limit=17)
 
 
 def test_growth_reallocations_keep_contents():
@@ -107,7 +108,7 @@ def test_growth_reallocations_keep_contents():
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_randomized_operation_sequences(seed):
-    """Fuzz puts / evictions / purges / queries through both caches."""
+    """Fuzz puts / purges / queries through both caches."""
     rng = np.random.default_rng(seed)
     pair = CachePair(ttl=80.0)
     now = 0.0
@@ -118,11 +119,8 @@ def test_randomized_operation_sequences(seed):
         if op < 0.55:
             ts = now - float(rng.uniform(0, 30))  # occasional stale arrivals
             pair.put(rec(owner, rng.uniform(0, 1, 3), ts=ts))
-        elif op < 0.70:
-            pair.evict_owner(owner)
         elif op < 0.80:
-            pair.vec.purge(now)
-            pair.ref.purge(now)
+            pair.purge(now)
         else:
             demand = rng.uniform(0, 1, 3) * float(rng.choice([0.3, 0.6, 0.95]))
             limit = None if rng.uniform() < 0.5 else int(rng.integers(1, 6))

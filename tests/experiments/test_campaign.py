@@ -53,6 +53,13 @@ def test_spec_validation():
         small_spec(seeds=[])
     with pytest.raises(ValueError, match="unknown campaign spec fields"):
         CampaignSpec.from_dict({"scenarioz": ["fig5"]})
+    # A repeated value expanded to duplicate cells, each run once per copy.
+    for axis, values, repeated in [
+        ("scenarios", ["fig5", "fig5"], "fig5"), ("scales", ["tiny", "tiny"], "tiny"),
+        ("seeds", [1, 2, 1], "1"), ("protocols", ["sid-can", "newscast", "sid-can"], "sid-can"),
+    ]:
+        with pytest.raises(ValueError, match=f"repeated {axis}.*{repeated}"):
+            small_spec(**{axis: values})
 
 
 def test_spec_from_json(tmp_path):
@@ -272,6 +279,18 @@ def test_grid_reserved_overrides_rejected():
 def test_bad_override_values_fail_at_spec_construction():
     with pytest.raises(ValueError, match="at least 2 nodes"):
         small_spec(overrides={**FAST, "n_nodes": 1})
+    with pytest.raises(ValueError, match="churn_lifetime"):
+        small_spec(overrides={**FAST, "churn_lifetime": 0})
+    # ``--override duration=NaN`` parses (``json.loads`` takes NaN) and
+    # used to hang the worker that ran the cell.
+    from repro.experiments.cli import _resolve_spec, build_campaign_parser
+
+    args = build_campaign_parser().parse_args([
+        "run", "--scenarios", "fig4a", "--scales", "tiny", "--seeds", "1",
+        "--override", "duration=NaN",
+    ])
+    with pytest.raises(ValueError, match="duration"):
+        _resolve_spec(args)
 
 
 def test_nested_override_merges_into_the_cells_own_params():

@@ -6,9 +6,13 @@ transform of one grid chain per member
 (``repro.testing.ReferenceCohortScheduler``), and the delivery calendar
 at quantum 0 of one heap event per message
 (``repro.testing.ReferenceDeliveryCalendar``) — every metric and every
-series sample is *exactly* equal, at paper scale and under churn.
-Batched arrivals make the same promise against one-by-one submission.
-These tests pin the promise; the throughput win is asserted separately in
+series sample is *exactly* equal, at paper scale and under churn.  The
+cells' oracle runs are recorded: each test here runs its cell stock once
+against the row that ``tests/experiments/run_cells.py`` wrote only after
+the stock and oracle runs agreed (the live cross-checks are the smokes in
+``tests/test_tooling.py``).  Batched arrivals make the same promise
+against one-by-one submission.  These tests pin the promise; the
+throughput win is asserted separately in
 ``benchmarks/test_bench_coalescing.py``.
 """
 
@@ -18,67 +22,33 @@ from repro.core.protocol import DiscoveryProtocol, PIDCANParams, PIDCANProtocol
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import SOCSimulation
 from repro.experiments.scenarios import hotrange_configs, mega2_configs, mega_configs
-from repro.testing import (
-    assert_delivery_modes_equivalent,
-    assert_results_identical,
-    assert_tick_modes_equivalent,
-)
-
-
-def _quantized(**overrides) -> ExperimentConfig:
-    params = {
-        "protocol": "hid-can",
-        "demand_ratio": 0.5,
-        "pidcan": PIDCANParams(phase_buckets=16),
-        **overrides,
-    }
-    return ExperimentConfig(**params)
+from repro.testing import assert_results_identical
+from tests.experiments.run_cells import pair_run, quantized
 
 
 def test_cohort_ticking_identical_at_paper_scale():
     """The acceptance cell: a paper-population (2000 node) HID-CAN run
     under cohort coalescing is metric- and series-identical to the
     per-node tick path."""
-    per_node, _ = assert_tick_modes_equivalent(
-        _quantized(n_nodes=2000, duration=1200.0, sample_period=400.0, seed=11)
-    )
-    assert per_node.generated > 0
-    assert per_node.finished > 0
+    cohort = pair_run("quantized-paper")
+    assert cohort.generated > 0
+    assert cohort.finished > 0
 
 
 def test_cohort_ticking_identical_on_small_cell():
-    per_node, cohort = assert_tick_modes_equivalent(
-        _quantized(n_nodes=120, duration=4000.0, sample_period=1000.0, seed=3)
-    )
-    assert per_node.generated > 0
+    assert pair_run("quantized-small").generated > 0
 
 
 def test_cohort_ticking_identical_under_churn():
     """Join/leave churn exercises the straggler rule: nodes arming
     mid-round must interleave identically in both tick modes."""
-    per_node, _ = assert_tick_modes_equivalent(
-        _quantized(
-            n_nodes=100,
-            duration=4000.0,
-            sample_period=1000.0,
-            seed=7,
-            churn_degree=0.25,
-            churn_lifetime=1500.0,
-        )
-    )
-    assert per_node.generated > 0
+    assert pair_run("quantized-churn").generated > 0
 
 
 def test_cohort_ticking_identical_for_state_baseline():
     """CANStateBaseline protocols share the cohort plumbing (sid-can
     consumes the same PIDCANParams tick knobs)."""
-    per_node, _ = assert_tick_modes_equivalent(
-        _quantized(
-            protocol="sid-can", n_nodes=80, duration=4000.0,
-            sample_period=1000.0, seed=5,
-        )
-    )
-    assert per_node.generated > 0
+    assert pair_run("quantized-sid-can").generated > 0
 
 
 def _run(config: ExperimentConfig):
@@ -89,8 +59,8 @@ def test_arrival_coalescing_is_identical(monkeypatch):
     """Handing each quantized instant's arrivals to PID-CAN's natively
     batched ``submit_bulk`` changes nothing observable against the
     one-by-one ``DiscoveryProtocol.submit_bulk`` fan-out."""
-    base = _quantized(n_nodes=80, duration=4000.0, sample_period=1000.0,
-                      seed=9, arrival_quantum=5.0)
+    base = quantized(n_nodes=80, duration=4000.0, sample_period=1000.0,
+                     seed=9, arrival_quantum=5.0)
     batched = _run(base)
     monkeypatch.setattr(
         PIDCANProtocol, "submit_bulk", DiscoveryProtocol.submit_bulk
@@ -103,7 +73,7 @@ def test_arrival_coalescing_is_identical(monkeypatch):
 def test_memory_budget_sweep_is_identical():
     """Footprint trims are semantics-preserving: compacting and shrinking
     the host engine's arrays every 500 s changes no metric."""
-    base = _quantized(n_nodes=80, duration=4000.0, sample_period=1000.0, seed=13)
+    base = quantized(n_nodes=80, duration=4000.0, sample_period=1000.0, seed=13)
     plain = _run(base)
     soc = SOCSimulation(base)
     released = []
@@ -128,33 +98,22 @@ def test_mega_runs_are_deterministic():
 def test_delivery_coalescing_is_identical():
     """Batching same-instant message deliveries into one flush event
     (quantum 0) changes nothing observable."""
-    per_message, _ = assert_delivery_modes_equivalent(
-        _quantized(n_nodes=80, duration=4000.0, sample_period=1000.0, seed=9)
-    )
-    assert per_message.generated > 0
+    assert pair_run("quantized-80").generated > 0
 
 
 def test_delivery_coalescing_identical_under_churn():
     """Dead-target drops and failsafe-resolved chains must coalesce the
     same way they schedule per-message."""
-    per_message, _ = assert_delivery_modes_equivalent(
-        _quantized(
-            n_nodes=100, duration=4000.0, sample_period=1000.0, seed=7,
-            churn_degree=0.25, churn_lifetime=1500.0,
-        )
-    )
-    assert per_message.generated > 0
+    assert pair_run("quantized-churn").generated > 0
 
 
 def test_delivery_coalescing_identical_at_paper_scale():
     """The acceptance cell: a paper-population (2000 node) HID-CAN run
     with delivery coalescing on is metric- and series-identical to the
     per-message reference path."""
-    per_message, _ = assert_delivery_modes_equivalent(
-        _quantized(n_nodes=2000, duration=1200.0, sample_period=400.0, seed=11)
-    )
-    assert per_message.generated > 0
-    assert per_message.finished > 0
+    coalesced = pair_run("quantized-paper")
+    assert coalesced.generated > 0
+    assert coalesced.finished > 0
 
 
 def test_mega2_runs_are_deterministic():

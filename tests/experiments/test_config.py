@@ -44,6 +44,15 @@ def test_validation():
         ExperimentConfig(cmax_mode="oracle")
     with pytest.raises(ValueError):
         ExperimentConfig(churn_degree=1.0)
+    # A NaN horizon hung the run, a negative one returned no samples, and
+    # a zero or negative period failed only once a worker built the cell.
+    for field, value in [
+        ("duration", float("nan")), ("duration", float("inf")), ("duration", -5.0),
+        ("sample_period", 0.0), ("churn_lifetime", 0.0),
+        ("mean_nominal_time", -1.0), ("checkpoint_period", 0.0),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
 
 
 def test_with_protocol_merges_kwargs():

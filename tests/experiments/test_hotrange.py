@@ -3,8 +3,11 @@
 Two contracts are pinned here.  First, the opt-in contract: with
 ``cache_policy=None`` (the default) a run is *bit-identical* to the
 pre-cache protocol — :func:`repro.testing.assert_cache_off_equivalent`
-checks that from both ends by also swapping the RangeCache-backed PIList
-for the verbatim seed scalar.  Second, the cache-on path: the hotrange
+checks that from both ends by also swapping the stamp-ordered PIList for
+the verbatim seed scalar.  The cells here run once against rows that
+``tests/experiments/run_cells.py`` recorded only after that check
+passed (the live cross-check is the smoke in ``tests/test_tooling.py``).
+Second, the cache-on path: the hotrange
 grid runs, produces cache metrics, stays deterministic, and the metrics
 survive the multi-seed / persistence aggregation seams.
 """
@@ -22,7 +25,7 @@ from repro.experiments.scenarios import (
     hotrange_configs,
 )
 from repro.experiments.store import result_to_dict
-from repro.testing import assert_cache_off_equivalent
+from tests.experiments.run_cells import pair_run
 
 
 def _cell(**overrides) -> ExperimentConfig:
@@ -57,38 +60,23 @@ def _run(config: ExperimentConfig):
 def test_cache_off_identical_at_paper_scale():
     """The acceptance cell: a paper-population (2000 node) HID-CAN run
     with the cache left off is metric- and series-identical whether the
-    PIList is the RangeCache TTL policy or the verbatim seed scalar."""
-    stock, _ = assert_cache_off_equivalent(
-        _cell(n_nodes=2000, duration=1200.0, sample_period=400.0, seed=11)
-    )
+    PIList is the stamp-ordered dict or the verbatim seed scalar."""
+    stock = pair_run("cache-off-paper")
     assert stock.generated > 0
     assert stock.finished > 0
     assert stock.cache_lookups == 0  # no cache code ran at all
 
 
 def test_cache_off_identical_under_churn():
-    """Churn exercises PIList discard/purge under node death — the
-    sequences most likely to betray a divergent eviction order."""
-    stock, _ = assert_cache_off_equivalent(
-        _cell(
-            n_nodes=100,
-            duration=4000.0,
-            sample_period=1000.0,
-            seed=7,
-            churn_degree=0.25,
-            churn_lifetime=1500.0,
-        )
-    )
-    assert stock.generated > 0
+    """Churn exercises PIList purges under node death — the sequences
+    most likely to betray a divergent eviction order."""
+    assert pair_run("cache-off-churn").generated > 0
 
 
 def test_cache_off_identical_with_skew_only():
     """Zipf demand skew alone (no cache) must not disturb the protocol
     either — the workload factory is the only changed draw source."""
-    stock, _ = assert_cache_off_equivalent(
-        _cell(n_nodes=80, duration=3000.0, sample_period=1000.0, seed=3)
-    )
-    assert stock.generated > 0
+    assert pair_run("cache-off-skew").generated > 0
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,6 @@ import heapq
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.events import PRIORITY_HIGH, PRIORITY_LOW
 from tests.conftest import live_events
 
 
@@ -26,15 +25,6 @@ def test_same_time_events_run_in_scheduling_order():
         sim.schedule(1.0, out.append, i)
     sim.run()
     assert out == list(range(10))
-
-
-def test_priority_breaks_same_time_ties():
-    sim = Simulator()
-    out = []
-    sim.schedule(1.0, out.append, "low", priority=PRIORITY_LOW)
-    sim.schedule(1.0, out.append, "high", priority=PRIORITY_HIGH)
-    sim.run()
-    assert out == ["high", "low"]
 
 
 def test_clock_advances_to_event_time():
@@ -71,7 +61,7 @@ def test_cancellation_skips_event():
     handle = sim.schedule(1.0, out.append, "cancelled")
     sim.schedule(2.0, out.append, "kept")
     handle.cancel()
-    assert handle._event.cancelled
+    assert handle.cancelled
     sim.run()
     assert out == ["kept"]
 
@@ -92,7 +82,11 @@ def test_negative_delay_rejected():
 
 
 def test_schedule_into_past_rejected():
-    sim = Simulator(start_time=10.0)
+    sim = Simulator()
+    sim.run(until=10.0)
+    sim.run(until=10.0)  # a horizon at ``now`` is legal, an earlier one not
+    with pytest.raises(SimulationError):
+        sim.run(until=5.0)
     with pytest.raises(SimulationError):
         sim.schedule_at(5.0, lambda: None)
     with pytest.raises(SimulationError):
@@ -104,7 +98,8 @@ def test_schedule_into_past_rejected():
 def test_nan_instants_are_rejected():
     """``nan < now`` is False: a NaN instant must not slip past the
     past-check, run between finite events and leave the clock at NaN
-    (after which no past-check could fail again)."""
+    (after which no past-check could fail again).  Nor may a NaN
+    horizon: ``time > nan`` never holds, so it would stop no run."""
     from repro.sim.delivery import DeliveryCalendar
 
     nan = float("nan")
@@ -117,6 +112,7 @@ def test_nan_instants_are_rejected():
         lambda: sim.post_at(nan, lambda: None),
         lambda: calendar.deliver(nan, lambda: None),
         lambda: calendar.deliver_at(nan, lambda: None),
+        lambda: sim.run(until=nan),
     ):
         with pytest.raises(SimulationError):
             push()
@@ -127,9 +123,9 @@ def test_nan_instants_are_rejected():
 
 
 def test_posted_and_scheduled_entries_share_one_order():
-    """``post_at`` and ``schedule_at`` entries with equal ``(time,
-    priority)`` fire in the order they were pushed, and a cancelled
-    handle among them is skipped without being counted."""
+    """``post_at`` and ``schedule_at`` entries at an equal time fire in
+    the order they were pushed, and a cancelled event among them is
+    skipped without being counted."""
     sim = Simulator()
     out = []
     sim.post_at(1.0, out.append, "p0")
@@ -138,13 +134,12 @@ def test_posted_and_scheduled_entries_share_one_order():
     sim.post(1.0, out.append, "p2")
     sim.schedule(1.0, out.append, "s3")
     sim.post_at(1.0, out.append, "p4")
-    sim.schedule_at(0.5, out.append, "early", priority=PRIORITY_LOW)
-    sim.schedule_at(1.0, out.append, "high", priority=PRIORITY_HIGH)
+    sim.schedule_at(0.5, out.append, "early")
     doomed.cancel()
-    assert live_events(sim) == 7
+    assert live_events(sim) == 6
     sim.run()
-    assert out == ["early", "high", "p0", "s1", "p2", "s3", "p4"]
-    assert sim.events_processed == 7 and sim.event_serial == 7
+    assert out == ["early", "p0", "s1", "p2", "s3", "p4"]
+    assert sim.events_processed == 6 and sim.event_serial == 6
     assert live_events(sim) == 0
 
 
@@ -170,84 +165,24 @@ def test_periodic_fires_on_schedule():
     assert times == [10.0, 20.0, 30.0]
 
 
-def test_periodic_first_at_override():
-    sim = Simulator()
-    times = []
-    sim.periodic(10.0, lambda: times.append(sim.now), first_at=3.0)
-    sim.run(until=25.0)
-    assert times == [3.0, 13.0, 23.0]
-
-
-def test_periodic_cancel_stops_rearming():
-    sim = Simulator()
-    times = []
-    handle = sim.periodic(10.0, lambda: times.append(sim.now))
-
-    sim.schedule(25.0, handle.cancel)
-    sim.run(until=100.0)
-    assert times == [10.0, 20.0]
-
-
 def test_periodic_rejects_bad_interval():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.periodic(0.0, lambda: None)
 
 
-def test_periodic_cancel_from_inside_callback_stops_timer():
-    """Regression: cancelling the handle from within its own callback used
-    to be lost — tick() re-armed and rebound the handle to a fresh,
-    uncancelled event, resurrecting the timer."""
-    sim = Simulator()
-    times = []
-    box = {}
-
-    def tick():
-        times.append(sim.now)
-        if len(times) == 3:
-            box["handle"].cancel()
-
-    box["handle"] = sim.periodic(10.0, tick)
-    sim.run(until=200.0)
-    assert times == [10.0, 20.0, 30.0]
-    assert live_events(sim) == 0
-
-
-def test_periodic_cancel_on_first_fire_from_inside_callback():
-    sim = Simulator()
-    times = []
-    box = {}
-
-    def tick():
-        times.append(sim.now)
-        box["handle"].cancel()
-
-    box["handle"] = sim.periodic(5.0, tick)
-    sim.run(until=100.0)
-    assert times == [5.0]
-
-
 def test_stop_halts_run():
-    """A run halts where its bound says — ``max_events`` here — and the
-    next ``run()`` resumes from the first unprocessed entry."""
+    """A run halts where its bound says — ``until`` — and the next
+    ``run()`` resumes from the first unprocessed entry."""
     sim = Simulator()
     out = []
     sim.schedule(1.0, out.append, "a")
     sim.schedule(2.0, out.append, "b")
     sim.schedule(3.0, out.append, "c")
-    sim.run(max_events=1)
-    assert out == ["a"] and sim.now == 1.0
+    sim.run(until=1.5)
+    assert out == ["a"] and sim.now == 1.5
     sim.run()
     assert out == ["a", "b", "c"]
-
-
-def test_max_events_bound():
-    sim = Simulator()
-    out = []
-    for i in range(5):
-        sim.schedule(float(i + 1), out.append, i)
-    sim.run(max_events=2)
-    assert out == [0, 1]
 
 
 def test_run_not_reentrant():
@@ -385,7 +320,7 @@ def test_cohort_discard_cancels_pending_straggler():
     sim.schedule(7.0, timer.discard, "b")
     sim.run(until=15.0)
     assert out == [("a",), ("a",)]
-    assert "b" not in timer
+    assert "b" not in timer._members and "b" not in timer._pending
 
 
 def test_cohort_discard_from_inside_callback_sticks():
@@ -415,7 +350,7 @@ def test_cohort_cancel_stops_everything():
     sim.schedule(6.0, timer.discard, "b")
     sim.run(until=40.0)
     assert out == [("a",), (), (), (), ()]  # the t=0 fire, then empty ticks
-    assert "a" not in timer and "b" not in timer
+    assert not timer._members and not timer._pending
 
 
 def test_cohort_add_is_idempotent():
@@ -438,15 +373,15 @@ def test_cohort_empty_timer_keeps_ticking():
 
 def test_cohort_tick_charges_one_unit_per_member():
     """A batched fire counts as len(batch) event units, so
-    ``run(max_events=...)`` budgets stay comparable across tick modes."""
+    ``events_processed`` stays comparable across tick modes."""
     sim = Simulator()
     out = []
     timer = sim.periodic_cohort(10.0, out.append)
     for member in ("a", "b", "c"):
         timer.add(member)
-    sim.run(max_events=2)
-    # One tick fires (3 units >= the 2-unit budget); the accounting
-    # records all three member callbacks, not one heap pop.
+    sim.run(until=5.0)
+    # One tick fires; the accounting records all three member
+    # callbacks, not one heap pop.
     assert out == [("a", "b", "c")]
     assert sim.events_processed == 3
 
@@ -454,7 +389,7 @@ def test_cohort_tick_charges_one_unit_per_member():
 def test_cohort_empty_fire_counts_one_unit():
     sim = Simulator()
     sim.periodic_cohort(10.0, lambda batch: None)
-    sim.run(max_events=1)
+    sim.run(until=5.0)
     assert sim.events_processed == 1
 
 
@@ -499,27 +434,11 @@ def test_cohort_matches_per_member_reference_under_churn():
 
 
 # ----------------------------------------------------------------------
-# heap entries are (time, priority, seq, event) tuples compared in C
+# heap entries are (time, seq, fn, args) tuples compared in C
 # ----------------------------------------------------------------------
-def test_same_instant_events_fire_by_priority_then_seq():
-    sim = Simulator()
-    out = []
-    sim.schedule_at(4.0, out.append, "default-first")
-    sim.schedule_at(4.0, out.append, "low", priority=PRIORITY_LOW)
-    sim.schedule_at(4.0, out.append, "high-first", priority=PRIORITY_HIGH)
-    sim.schedule(4.0, out.append, "default-second")
-    sim.schedule_at(4.0, out.append, "high-second", priority=PRIORITY_HIGH)
-    sim.schedule_at(3.0, out.append, "earlier", priority=PRIORITY_LOW)
-    sim.run()
-    assert out == [
-        "earlier", "high-first", "high-second",
-        "default-first", "default-second", "low",
-    ]
-
-
 def test_unorderable_callbacks_and_arguments_never_compared():
-    """Ties on (time, priority) are settled by the unique seq: neither
-    the event nor its fn/args ever take part in a comparison."""
+    """Ties on time are settled by the unique seq: neither the event nor
+    its fn/args ever take part in a comparison."""
 
     class Opaque:
         __slots__ = ("out",)
@@ -554,7 +473,7 @@ def test_seq_strictly_increases_across_every_push_site(monkeypatch):
 
     def spy(heap, entry):
         if heap is sim._heap:
-            seqs.append(entry[2])
+            seqs.append(entry[1])
         push(heap, entry)
 
     calendar = DeliveryCalendar(sim)
@@ -592,7 +511,7 @@ def test_run_until_leaves_the_next_entry_on_the_heap():
     assert sim.now == 4.0
     assert live_events(sim) == 1
     (entry,) = sim._heap
-    assert entry[0] == late._event.time == 5.0 and entry[3] is late._event
+    assert entry[0] == 5.0 and entry[2] is late
     sim.run(until=5.0)  # the boundary instant itself is processed
     assert out == ["a", "b"] and live_events(sim) == 0 and not sim._heap
 
@@ -603,7 +522,7 @@ def test_cancelled_entries_stay_queued_until_their_time():
     doomed = sim.schedule(2.0, out.append, "doomed")
     sim.schedule(3.0, out.append, "kept")
     doomed.cancel()
-    assert doomed._event.cancelled
+    assert doomed.cancelled
     assert live_events(sim) == 1 and len(sim._heap) == 2  # lazy: still queued
     sim.run(until=2.5)
     assert len(sim._heap) == 1 and out == []  # dropped at pop, not fired
