@@ -31,6 +31,7 @@ from repro.core.context import ProtocolContext
 from repro.core.lifecycle import QueryRuntime
 from repro.core.protocol import PIDCANParams
 from repro.core.state import StateRecord
+from repro.sim.rng import distinct_draw
 
 __all__ = ["KHDNProtocol"]
 
@@ -88,8 +89,7 @@ class KHDNProtocol(CANStateBaseline):
                 if not candidates:
                     continue
                 k = min(self.replication_fanout, len(candidates))
-                picked = self.ctx.rng.choice(len(candidates), size=k, replace=False)
-                for i in picked:
+                for i in distinct_draw(self.ctx.rng, len(candidates), k):
                     c = candidates[i]
                     seen.add(c)
                     nxt.append(c)

@@ -30,6 +30,7 @@ from repro.core.context import ProtocolContext
 from repro.core.lifecycle import QueryLifecycle
 from repro.core.protocol import DiscoveryProtocol, PIDCANParams
 from repro.core.state import StateRecord
+from repro.sim.rng import distinct_draw
 
 __all__ = ["NewscastProtocol", "ViewEntry"]
 
@@ -87,7 +88,7 @@ class NewscastProtocol(DiscoveryProtocol):
         for node_id in ids:
             peers = [p for p in ids if p != node_id]
             k = min(size, len(peers))
-            picked = self.ctx.rng.choice(len(peers), size=k, replace=False) if k else []
+            picked = distinct_draw(self.ctx.rng, len(peers), k)
             self.views[node_id] = [
                 ViewEntry(peers[i], self.ctx.availability_of(peers[i]), now)
                 for i in picked

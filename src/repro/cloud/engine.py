@@ -8,13 +8,15 @@ path of the whole simulation.  This engine replaces the per-host object
 graph with structure-of-arrays state shared by *all* hosts:
 
 - **host arrays** — capacities, effective capacities, aggregated loads and
-  availabilities in ``(H, d)`` float64 matrices, VM counts and progress
-  timestamps in flat arrays;
-- **task arrays** — remaining work, progress rates, expectation vectors,
-  owning-host rows and a liveness bit in ``(M, ·)`` arrays with lazy
-  compaction (completion/eviction only flips the bit; rows are squeezed out
-  once dead rows outnumber the live ones, preserving insertion order — the
-  same discipline as :class:`repro.core.state.StateCache`);
+  availabilities in ``(H, d)`` float64 matrices, the PSM share vector
+  ``c / l`` of Eq. 1 on the three work dimensions in an ``(H, 3)`` one
+  (a task's progress rate is its expectation times its host's share),
+  VM counts and progress timestamps in flat arrays;
+- **task arrays** — remaining work, expectation vectors, owning-host rows
+  and a liveness bit in ``(M, ·)`` arrays with lazy compaction
+  (completion/eviction only flips the bit; rows are squeezed out once dead
+  rows outnumber the live ones, preserving insertion order — the same
+  discipline as :class:`repro.core.state.StateCache`);
 - a **global completion calendar** — a lazy binary heap holding at most one
   live entry per host, rebuilt per host from the vectorized next-completion
   prediction, so the simulation schedules exactly one event for the
@@ -23,11 +25,12 @@ graph with structure-of-arrays state shared by *all* hosts:
 Shares are piecewise constant between *scheduling points* (a placement,
 eviction or completion on the node), so a host's arrays change only at its
 own scheduling points — every mutation advances, re-shares (Eq. 1) and
-re-predicts **only the dirty host**, as a handful of array ops over that
-host's task rows.  Availability (``a_i = c_i − l_i`` clipped at zero, with
-capacity first reduced by the per-VM maintenance overhead) does not depend
-on task progress at all, so between scheduling points it is served straight
-from the cached ``(H, d)`` matrix without integrating anything.
+re-predicts **only the dirty host**, in one pass that gathers that host's
+task rows once and scatters them back once (:meth:`HostEngine._reschedule`).
+Availability (``a_i = c_i − l_i`` clipped at zero, with capacity first
+reduced by the per-VM maintenance overhead) does not depend on task
+progress at all, so between scheduling points it is served straight from
+the cached ``(H, d)`` matrix without integrating anything.
 
 The arithmetic (operation order included) mirrors the scalar executor
 exactly; :class:`repro.testing.ReferenceNodeExecutor` is kept verbatim as
@@ -85,6 +88,9 @@ class HostEngine:
         self._eff = np.empty((0, dims), dtype=np.float64)
         self._load = np.empty((0, dims), dtype=np.float64)
         self._avail = np.empty((0, dims), dtype=np.float64)
+        # PSM share per work dimension (Eq. 1): a resident task progresses
+        # at ``e_j[:3] · _share[h]`` until the host's next scheduling point.
+        self._share = np.empty((0, N_WORK_DIMS), dtype=np.float64)
         self._nrun = np.empty(0, dtype=np.int64)
         self._last = np.empty(0, dtype=np.float64)  # last progress integration
         self._host_tasks: list[list[int]] = []  # host row -> task rows, in order
@@ -94,7 +100,6 @@ class HostEngine:
         self._task_row: dict[int, int] = {}
         self._tasks: list[Optional[Task]] = []  # task row -> Task (None = dead)
         self._t_rem = np.empty((0, N_WORK_DIMS), dtype=np.float64)
-        self._t_rates = np.empty((0, N_WORK_DIMS), dtype=np.float64)
         self._t_exp = np.empty((0, dims), dtype=np.float64)
         self._t_host = np.empty(0, dtype=np.int64)
         self._t_live = np.empty(0, dtype=bool)
@@ -116,9 +121,12 @@ class HostEngine:
     def _grow_hosts(self, need: int) -> None:
         capacity = max(_MIN_CAPACITY, 2 * self._h_n, need)
         n = self._h_n
-        for name in ("_cap", "_eff", "_load", "_avail"):
+        for name, width in (
+            ("_cap", self.dims), ("_eff", self.dims), ("_load", self.dims),
+            ("_avail", self.dims), ("_share", N_WORK_DIMS),
+        ):
             old = getattr(self, name)
-            fresh = np.zeros((capacity, self.dims), dtype=np.float64)
+            fresh = np.zeros((capacity, width), dtype=np.float64)
             fresh[:n] = old[:n]
             setattr(self, name, fresh)
         for name, dtype, fill in (
@@ -138,7 +146,6 @@ class HostEngine:
         n = self._t_n
         for name, shape in (
             ("_t_rem", (capacity, N_WORK_DIMS)),
-            ("_t_rates", (capacity, N_WORK_DIMS)),
             ("_t_exp", (capacity, self.dims)),
         ):
             old = getattr(self, name)
@@ -158,7 +165,6 @@ class HostEngine:
         m = int(keep.size)
         if m:
             self._t_rem[:m] = self._t_rem[keep]
-            self._t_rates[:m] = self._t_rates[keep]
             self._t_exp[:m] = self._t_exp[keep]
             self._t_host[:m] = self._t_host[keep]
         self._t_live[:m] = True
@@ -292,9 +298,9 @@ class HostEngine:
         task list and calendar heap are small by comparison)."""
         total = 0
         for name in (
-            "_cap", "_eff", "_load", "_avail", "_nrun", "_last",
+            "_cap", "_eff", "_load", "_avail", "_share", "_nrun", "_last",
             "_gen", "_next_when", "_next_row",
-            "_t_rem", "_t_rates", "_t_exp", "_t_host", "_t_live",
+            "_t_rem", "_t_exp", "_t_host", "_t_live",
         ):
             total += getattr(self, name).nbytes
         return total
@@ -309,12 +315,12 @@ class HostEngine:
             self._compact_tasks()
         t_cap = max(_MIN_CAPACITY, self._t_n)
         if self._t_rem.shape[0] > t_cap:
-            for name in ("_t_rem", "_t_rates", "_t_exp", "_t_host", "_t_live"):
+            for name in ("_t_rem", "_t_exp", "_t_host", "_t_live"):
                 setattr(self, name, getattr(self, name)[:t_cap].copy())
         h_cap = max(_MIN_CAPACITY, self._h_n)
         if self._cap.shape[0] > h_cap:
             for name in (
-                "_cap", "_eff", "_load", "_avail", "_nrun", "_last",
+                "_cap", "_eff", "_load", "_avail", "_share", "_nrun", "_last",
                 "_gen", "_next_when", "_next_row",
             ):
                 setattr(self, name, getattr(self, name)[:h_cap].copy())
@@ -327,19 +333,6 @@ class HostEngine:
     # ------------------------------------------------------------------
     # progress integration
     # ------------------------------------------------------------------
-    def _advance_host(self, h: int, now: float) -> None:
-        """Integrate one host's resident progress up to ``now``."""
-        dt = now - self._last[h]
-        if dt < 0:
-            raise ValueError(f"time went backwards: {now} < {self._last[h]}")
-        if dt > 0 and self._host_tasks[h]:
-            rows = np.asarray(self._host_tasks[h])
-            rem = self._t_rem[rows]
-            rem -= self._t_rates[rows] * dt
-            np.maximum(rem, 0.0, out=rem)
-            self._t_rem[rows] = rem
-        self._last[h] = now
-
     def advance_all(self, now: float) -> None:
         """Integrate every host's progress up to ``now`` in one pass
         (the checkpoint tick; absolute completion predictions are linear in
@@ -353,71 +346,134 @@ class HostEngine:
             raise ValueError(f"time went backwards: {now} < {worst}")
         rows = np.flatnonzero(self._t_live[: self._t_n])
         if rows.size:
-            task_dt = dt[self._t_host[rows]]
+            hosts = self._t_host[rows]
             rem = self._t_rem[rows]
-            rem -= self._t_rates[rows] * task_dt[:, None]
+            rem -= self._t_exp[rows, :N_WORK_DIMS] * self._share[hosts] * dt[hosts, None]
             np.maximum(rem, 0.0, out=rem)
             self._t_rem[rows] = rem
         self._last[:n] = now
 
-    def _reshare_host(self, h: int) -> None:
-        """Recompute the host's PSM shares, load and availability (Eq. 1)."""
-        lst = self._host_tasks[h]
-        k = len(lst)
+    # ------------------------------------------------------------------
+    # scheduling points
+    # ------------------------------------------------------------------
+    def _reschedule(
+        self,
+        h: int,
+        now: float,
+        stay: list[int],
+        leave: list[int],
+        arriving: Optional[Task] = None,
+        finishing: bool = False,
+    ) -> list[Task]:
+        """One scheduling point on host row ``h``, in one pass over its
+        task rows: integrate progress up to ``now`` under the shares in
+        force since the host's last point, re-share (Eq. 1), re-predict the
+        next completion and scatter the remaining work back once.
+
+        ``stay`` lists the rows resident after the point, in placement
+        order; ``arriving`` is appended to it as a fresh row that has made
+        no progress yet.  ``leave`` rows are integrated, then freed and
+        returned as tasks with their ``remaining_work`` synchronized — or
+        zeroed and stamped finished when ``finishing``, which first refuses
+        a task with work left.  Nothing changes when a check raises.
+        """
+        dt = now - self._last[h]
+        if dt < 0:
+            raise ValueError(f"time went backwards: {now} < {self._last[h]}")
+        if arriving is not None:
+            row = self._new_task_row(arriving)
+            self._t_host[row] = h
+            stay.append(row)
+        k = len(stay)
+        block = stay + leave if leave else stay
+        if block:
+            rows = np.array(block)
+            rem = self._t_rem[rows]
+            exp = self._t_exp[rows]
+            # The arrival (last row) has had no share yet; everyone else
+            # progressed at ``e_j · share`` since the last point.
+            moved = len(block) - (arriving is not None)
+            if dt > 0 and moved:
+                done = rem[:moved]
+                done -= exp[:moved, :N_WORK_DIMS] * self._share[h] * dt
+                np.maximum(done, 0.0, out=done)
+                self._t_rem[rows] = rem
+            if finishing and float(rem[k].max()) > 1e-3:
+                task_id = self._tasks[leave[0]].task_id
+                raise RuntimeError(
+                    f"task {task_id} completed with work left: {rem[k]}"
+                )
+        self._last[h] = now
+
+        # Eq. 1 with k VM instances resident (§IV-A overhead): every task
+        # runs at ``e_j · share`` with ``share = eff / l`` on loaded dims.
         self._nrun[h] = k
-        # effective capacity with k VM instances resident (§IV-A overhead)
         eff = self._cap[h] * (1.0 - self._frac * k) - self._flat * k
         np.maximum(eff, 0.0, out=eff)
+        self._gen_counter += 1
+        self._gen[h] = self._gen_counter
+        when = np.inf
         if k:
-            rows = np.asarray(lst)
-            exp = self._t_exp[rows]
-            load = exp.sum(axis=0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scale = np.where(load > 0, eff / load, 0.0)[:N_WORK_DIMS]
-            self._t_rates[rows] = exp[:, :N_WORK_DIMS] * scale
+            load = exp[:k].sum(axis=0)
+            share = np.divide(eff, load, out=np.zeros(self.dims), where=load > 0)
+            share = share[:N_WORK_DIMS]
+            self._share[h] = share
+            # Next completion: the latest-finishing work dimension per task;
+            # a dimension with leftover work but zero rate stalls the task.
+            left = rem[:k]
+            rates = exp[:k, :N_WORK_DIMS] * share
+            work = left > _WORK_EPS
+            stalled = None
+            if rates.min() <= 0.0:
+                blocked = rates <= 0.0
+                stalled = (work & blocked).any(axis=1)
+                work &= ~blocked
+            finish = np.divide(left, rates, out=np.zeros_like(left), where=work)
+            finish = finish.max(axis=1)
+            if stalled is not None:
+                finish[stalled] = np.inf
+            # Pick the winner in *absolute* time: the scalar reference
+            # compares ``last_update + t`` with a strict ``<`` (first-placed
+            # wins ties), and absolute sums can tie at the float level where
+            # the relative finish times still differ by an ulp.  ``stay`` is
+            # placement order, so argmin's first-occurrence rule matches the
+            # reference exactly.
+            finish += now
+            i = int(finish.argmin())
+            when = float(finish[i])
         else:
             load = np.zeros(self.dims)
+            self._share[h] = 0.0
+        if when < np.inf:
+            self._next_when[h] = when
+            self._next_row[h] = stay[i]
+            heapq.heappush(self._heap, (when, self._gen_counter, h))
+        else:
+            self._next_when[h] = np.inf
+            self._next_row[h] = -1
         self._eff[h] = eff
         self._load[h] = load
         np.maximum(eff - load, 0.0, out=self._avail[h])
 
-    # ------------------------------------------------------------------
-    # completion calendar
-    # ------------------------------------------------------------------
-    def _predict_host(self, h: int) -> None:
-        """Vectorized next-completion prediction for one host; refreshes
-        the host's calendar entry."""
-        self._gen_counter += 1
-        self._gen[h] = self._gen_counter
-        lst = self._host_tasks[h]
-        if not lst:
-            self._next_when[h] = np.inf
-            self._next_row[h] = -1
-            return
-        rows = np.asarray(lst)
-        rem = self._t_rem[rows]
-        rates = self._t_rates[rows]
-        # A dimension with leftover work but zero rate stalls the task.
-        stalled = ((rem > _WORK_EPS) & (rates <= 0)).any(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            per_dim = np.where(rem > _WORK_EPS, rem / rates, 0.0)
-        finish = per_dim.max(axis=1)
-        finish[stalled] = np.inf
-        # Pick the winner in *absolute* time: the scalar reference compares
-        # ``last_update + t`` with a strict ``<`` (first-placed wins ties),
-        # and absolute sums can tie at the float level where the relative
-        # finish times still differ by an ulp.  ``lst`` is placement order,
-        # so argmin's first-occurrence rule matches the reference exactly.
-        whens = self._last[h] + finish
-        i = int(np.argmin(whens))
-        if not np.isfinite(whens[i]):
-            self._next_when[h] = np.inf
-            self._next_row[h] = -1
-            return
-        when = float(whens[i])
-        self._next_when[h] = when
-        self._next_row[h] = lst[i]
-        heapq.heappush(self._heap, (when, self._gen_counter, h))
+        self._host_tasks[h] = stay
+        if not leave:
+            return []
+        out = []
+        for j, row in enumerate(leave, start=k):
+            task = self._tasks[row]
+            self._tasks[row] = None
+            del self._task_row[task.task_id]
+            self._t_live[row] = False
+            self._t_host[row] = -1
+            if finishing:
+                task.remaining_work[:] = 0.0
+                task.finish_time = now
+            else:
+                task.remaining_work[:] = rem[j]
+            out.append(task)
+        self._t_dead += len(leave)
+        self._maybe_compact()
+        return out
 
     def peek(self) -> Optional[tuple[float, int, int]]:
         """``(when, host_id, task_id)`` of the globally-earliest predicted
@@ -441,7 +497,6 @@ class HostEngine:
             self._grow_tasks()
         row = self._t_n
         self._t_rem[row] = task.remaining_work
-        self._t_rates[row] = 0.0
         self._t_exp[row] = task.expectation
         self._t_live[row] = True
         self._tasks.append(task)
@@ -449,15 +504,15 @@ class HostEngine:
         self._t_n += 1
         return row
 
-    def _free_task_row(self, row: int, h: int) -> Task:
-        task = self._tasks[row]
-        self._tasks[row] = None
-        del self._task_row[task.task_id]
-        self._t_live[row] = False
-        self._t_host[row] = -1
-        self._t_dead += 1
-        self._host_tasks[h].remove(row)
-        return task
+    def _resident(self, host_id: int, task_id: int) -> tuple[int, list[int], int]:
+        """Host row, host task rows and task row of a resident task."""
+        h = self._row(host_id)
+        row = self._task_row[task_id]
+        if self._t_host[row] != h:
+            raise KeyError(f"task {task_id} is not resident on host {host_id}")
+        stay = self._host_tasks[h].copy()
+        stay.remove(row)
+        return h, stay, row
 
     def place(self, host_id: int, task: Task, now: float) -> None:
         """Admit ``task`` on ``host_id``; the host's shares are re-computed
@@ -465,59 +520,22 @@ class HostEngine:
         if task.task_id in self._task_row:
             raise ValueError(f"task {task.task_id} already running here")
         h = self._row(host_id)
-        self._advance_host(h, now)
         task.start_time = now
-        row = self._new_task_row(task)
-        self._t_host[row] = h
-        self._host_tasks[h].append(row)
-        self._reshare_host(h)
-        self._predict_host(h)
+        self._reschedule(h, now, self._host_tasks[h], [], arriving=task)
 
     def remove(self, host_id: int, task_id: int, now: float) -> Task:
         """Evict a task (e.g. node churned out); returns it unfinished with
         its ``remaining_work`` synchronized."""
-        h = self._row(host_id)
-        row = self._task_row[task_id]
-        if self._t_host[row] != h:
-            raise KeyError(f"task {task_id} is not resident on host {host_id}")
-        self._advance_host(h, now)
-        task = self._free_task_row(row, h)
-        task.remaining_work[:] = self._t_rem[row]
-        self._reshare_host(h)
-        self._predict_host(h)
-        self._maybe_compact()
-        return task
+        h, stay, row = self._resident(host_id, task_id)
+        return self._reschedule(h, now, stay, [row])[0]
 
     def evict_all(self, host_id: int, now: float) -> list[Task]:
         """Evict every resident task (host crashed out), in placement
         order; one re-share instead of one per task."""
         h = self._row(host_id)
-        self._advance_host(h, now)
-        out = []
-        for row in list(self._host_tasks[h]):
-            task = self._free_task_row(row, h)
-            task.remaining_work[:] = self._t_rem[row]
-            out.append(task)
-        self._reshare_host(h)
-        self._predict_host(h)
-        self._maybe_compact()
-        return out
+        return self._reschedule(h, now, [], self._host_tasks[h])
 
     def complete(self, host_id: int, task_id: int, now: float) -> Task:
         """Finish a task whose predicted completion time has arrived."""
-        h = self._row(host_id)
-        row = self._task_row[task_id]
-        if self._t_host[row] != h:
-            raise KeyError(f"task {task_id} is not resident on host {host_id}")
-        self._advance_host(h, now)
-        if float(self._t_rem[row].max()) > 1e-3:
-            raise RuntimeError(
-                f"task {task_id} completed with work left: {self._t_rem[row]}"
-            )
-        task = self._free_task_row(row, h)
-        task.remaining_work[:] = 0.0
-        task.finish_time = now
-        self._reshare_host(h)
-        self._predict_host(h)
-        self._maybe_compact()
-        return task
+        h, stay, row = self._resident(host_id, task_id)
+        return self._reschedule(h, now, stay, [row], finishing=True)[0]

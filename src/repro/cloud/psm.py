@@ -10,8 +10,9 @@ node is under-subscribed (``l ⪯ c``) every task receives *more* than it
 asked for (the paper's worked example: 13.5 GFlops split 2:3:4 across tasks
 expecting 9 total); when over-subscribed, everyone is squeezed below its
 expectation — this is exactly the contention failure mode of §I.  The
-host engine (:meth:`repro.cloud.engine.HostEngine._reshare_host`) grants
-these shares; this module holds the overhead model it applies first.
+host engine grants these shares at every scheduling point, as one
+``share = c / l`` vector per host (:meth:`repro.cloud.engine.HostEngine.
+_reschedule`); this module holds the overhead model it applies first.
 
 Capacity is first reduced by the per-VM maintenance cost measured in [5] and
 quoted in §IV-A: 5 % CPU, 10 % I/O, 5 % network per VM instance, plus a flat

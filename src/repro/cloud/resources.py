@@ -67,7 +67,11 @@ class ResourceVector:
     __slots__ = ("_values",)
 
     def __init__(self, values: Iterable[float]):
-        arr = np.asarray(tuple(values), dtype=np.float64)
+        if isinstance(values, np.ndarray):
+            # (always a copy: freezing it below leaves the caller's array be)
+            arr = values.astype(np.float64)
+        else:
+            arr = np.asarray(tuple(values), dtype=np.float64)
         if arr.shape != (N_DIMS,):
             raise ValueError(
                 f"expected {N_DIMS} resource components, got shape {arr.shape}"

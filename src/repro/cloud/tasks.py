@@ -95,12 +95,16 @@ class TaskFactory:
         self.mean_nominal_time = float(mean_nominal_time)
         self._rng = rng
         self._next_id = 0
+        self._lo, self._hi = demand_bounds(self.demand_ratio)
+        self._span = self._hi - self._lo
 
     def sample_demand(self) -> ResourceVector:
-        """One expectation vector ``e(t)``; always dominated by λ·CMAX."""
-        lo = _LOWS * self.demand_ratio
-        hi = _HIGHS * self.demand_ratio
-        return ResourceVector(self._rng.uniform(lo, hi))
+        """One expectation vector ``e(t)``; always dominated by λ·CMAX.
+
+        ``lo + (hi − lo)·U[0, 1)`` is what ``rng.uniform(lo, hi)`` computes
+        per element from the same five doubles, so values and stream match
+        it draw for draw, without its argument handling."""
+        return ResourceVector(self._lo + self._span * self._rng.random(5))
 
     def sample_nominal_time(self) -> float:
         """Uniform on [0.2, 1.8]×mean — keeps the stated 3000 s average

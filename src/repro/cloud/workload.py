@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from repro.cloud.resources import ResourceVector
-from repro.cloud.tasks import Task, TaskFactory, demand_bounds
+from repro.cloud.tasks import Task, TaskFactory
 from repro.sim.engine import Simulator
 
 __all__ = [
@@ -114,8 +114,6 @@ class SkewedTaskFactory(TaskFactory):
         self.hot_ranges = int(hot_ranges)
         self._rank_sampler = ZipfRankSampler(zipf_s, hot_ranges)
         self._width_sampler = BoundedParetoSampler(width_alpha, width_lo, width_hi)
-        self._lo, self._hi = demand_bounds(demand_ratio)
-        self._extent = self._hi - self._lo
         self._prototypes = rng.uniform(
             self._lo, self._hi, size=(self.hot_ranges, self._lo.shape[0])
         )
@@ -124,8 +122,10 @@ class SkewedTaskFactory(TaskFactory):
         rank = self._rank_sampler.draw(self._rng)
         width = self._width_sampler.draw(self._rng)
         jitter = self._rng.uniform(-0.5, 0.5, size=self._lo.shape[0])
-        demand = self._prototypes[rank] + jitter * width * self._extent
-        return ResourceVector(np.clip(demand, self._lo, self._hi))
+        demand = self._prototypes[rank] + jitter * width * self._span
+        # ``np.clip``'s values without its wrapper
+        np.maximum(demand, self._lo, out=demand)
+        return ResourceVector(np.minimum(demand, self._hi, out=demand))
 
 
 class PoissonWorkload:

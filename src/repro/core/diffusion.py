@@ -40,6 +40,7 @@ from typing import Sequence
 from repro.can.inscan import IndexPointerTable
 from repro.core.context import ProtocolContext
 from repro.core.pilist import PIList
+from repro.sim.rng import distinct_draw
 
 __all__ = [
     "DiffusionEngine",
@@ -276,10 +277,10 @@ class DiffusionEngine:
         the table's negative pointer chain (3-5 entries at realistic n)
         filtered for exclusion and liveness in chain order, draw for draw
         RNG-compatible with the scalar reference
-        (:class:`repro.testing.ReferenceDiffusionEngine`) — a single pick
-        is one bounded integer draw, the draw ``choice(n, size=1,
-        replace=False)`` makes (``tests/sim/test_rng.py`` pins the stream
-        identity)."""
+        (:class:`repro.testing.ReferenceDiffusionEngine`) through
+        :func:`repro.sim.rng.distinct_draw`, whose picks are those of
+        ``choice(n, size=k, replace=False)`` (``tests/sim/test_rng.py``
+        pins the stream identity)."""
         table = self.tables.get(node)
         if table is None:
             return []
@@ -290,7 +291,4 @@ class DiffusionEngine:
         ]
         if len(pool) <= k:
             return pool
-        if k == 1:
-            return [pool[self.ctx.below(len(pool))]]
-        idx = self.ctx.rng.choice(len(pool), size=k, replace=False)
-        return [pool[i] for i in idx]
+        return [pool[i] for i in distinct_draw(self.ctx.rng, len(pool), k)]

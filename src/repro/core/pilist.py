@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.sim.rng import distinct_draw
+
 __all__ = ["PIList"]
 
 
@@ -80,5 +82,4 @@ class PIList:
         pool = self.entries(now)
         if len(pool) <= k:
             return pool
-        picked = rng.choice(len(pool), size=k, replace=False)
-        return [pool[i] for i in picked]
+        return [pool[i] for i in distinct_draw(rng, len(pool), k)]

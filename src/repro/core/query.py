@@ -61,6 +61,7 @@ from repro.core.lifecycle import QueryLifecycle, QueryRuntime
 from repro.core.pilist import PIList
 from repro.core.sos import slack_expectation
 from repro.core.state import StateCache, StateRecord
+from repro.sim.rng import distinct_draw
 
 __all__ = ["QueryEngine", "QueryRuntime", "QueryParams"]
 
@@ -399,8 +400,8 @@ class QueryEngine:
         pool = cache.qualified(v, now)
         if len(pool) <= delta:
             return pool
-        picked = self.ctx.rng.choice(len(pool), size=delta, replace=False)
-        return [pool[i] for i in sorted(picked.tolist())]
+        picked = distinct_draw(self.ctx.rng, len(pool), delta)
+        return [pool[i] for i in sorted(picked)]
 
     def _on_duty(self, qid: int, duty: int) -> None:
         rt = self.lifecycle.get(qid)

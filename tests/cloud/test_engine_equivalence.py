@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.cloud.engine import HostEngine
+from repro.cloud.psm import DEFAULT_OVERHEAD, VMOverhead
 from repro.cloud.tasks import TaskFactory
 from repro.testing import ReferenceHostEngine, assert_engines_equivalent
 
@@ -138,3 +139,92 @@ def test_add_hosts_rejects_shape_mismatch_and_duplicates():
     # the failed batches must not have partially registered any host
     with pytest.raises(KeyError):
         eng.availability(2)
+
+
+#: A light VM overhead, so hot hosts keep a CPU share at 40+ residents and
+#: complete tasks; the paper's 5 % per VM stalls every task past 20.
+LIGHT_OVERHEAD = VMOverhead(fractions=(0.005, 0.01, 0.005, 0.0, 0.0),
+                            flat=(0.0, 0.0, 0.0, 0.0, 5.0))
+
+
+@pytest.mark.parametrize("overhead", [LIGHT_OVERHEAD, DEFAULT_OVERHEAD],
+                         ids=["light", "paper"])
+def test_hot_hosts_agree_at_high_residency(overhead):
+    """The randomized schedules above keep a handful of tasks per host;
+    skewed demand piles dozens onto a few hot hosts (36 per placement on
+    average in the hot-range bench cell).  Drive three hot hosts past 32
+    residents and keep placing, completing, removing and evicting there,
+    in lockstep with the scalar oracle: completion order exact, times,
+    availabilities and evicted progress within 1e-9.  Under the paper's
+    overhead the same schedule drives the stalled-task branch instead."""
+    rng = np.random.default_rng(31)
+    caps = np.random.default_rng(32).uniform(20.0, 200.0, size=(8, 5))
+    vec, ref = HostEngine(overhead), ReferenceHostEngine(overhead)
+    ids = list(range(8))
+    vec.add_hosts(ids, caps)
+    ref.add_hosts(ids, caps)
+    fa = TaskFactory(0.1, np.random.default_rng(33))
+    fb = TaskFactory(0.1, np.random.default_rng(33))
+    hot = [1, 4, 6]
+    resident: dict[int, int] = {}
+    hot_ops = {"place": 0, "complete": 0, "remove": 0, "evict_all": 0}
+    now = 0.0
+
+    def is_hot(host_id):
+        return vec.n_running(host_id) >= 32
+
+    def agree(host_id):
+        assert vec.n_running(host_id) == ref.n_running(host_id)
+        assert np.allclose(vec.availability(host_id), ref.availability(host_id),
+                           atol=1e-9, rtol=0.0)
+
+    for _ in range(1500):
+        now += float(rng.exponential(5.0))
+        op = rng.random()
+        if op < 0.6:
+            host_id = hot[int(rng.integers(3))] if rng.random() < 0.9 else ids[
+                int(rng.integers(8))]
+            hot_ops["place"] += is_hot(host_id)
+            vec.place(host_id, fa.create(host_id, now), now)
+            task = fb.create(host_id, now)
+            ref.place(host_id, task, now)
+            resident[task.task_id] = host_id
+        elif op < 0.8:
+            head_vec, head_ref = vec.peek(), ref.peek()
+            assert (head_vec is None) == (head_ref is None)
+            if head_vec is None:
+                continue
+            assert head_vec[1:] == head_ref[1:]
+            assert abs(head_vec[0] - head_ref[0]) <= 1e-9
+            when, host_id, task_id = head_vec
+            now = max(now, when)
+            hot_ops["complete"] += is_hot(host_id)
+            vec.complete(host_id, task_id, now)
+            ref.complete(host_id, task_id, now)
+            del resident[task_id]
+        elif op < 0.9 and resident:
+            task_id = sorted(resident)[int(rng.integers(len(resident)))]
+            host_id = resident.pop(task_id)
+            hot_ops["remove"] += is_hot(host_id)
+            out_vec = vec.remove(host_id, task_id, now)
+            out_ref = ref.remove(host_id, task_id, now)
+            assert np.allclose(out_vec.remaining_work, out_ref.remaining_work,
+                               atol=1e-9, rtol=0.0)
+        elif op >= 0.99:
+            host_id = hot[int(rng.integers(3))]
+            hot_ops["evict_all"] += is_hot(host_id)
+            out_vec = vec.evict_all(host_id, now)
+            out_ref = ref.evict_all(host_id, now)
+            assert [t.task_id for t in out_vec] == [t.task_id for t in out_ref]
+            for a, b in zip(out_vec, out_ref):
+                assert np.allclose(a.remaining_work, b.remaining_work,
+                                   atol=1e-9, rtol=0.0)
+                del resident[a.task_id]
+        for host_id in ids:
+            agree(host_id)
+
+    # Past 20 residents the paper's overhead leaves no CPU share, so a hot
+    # host's tasks all stall and only the light overhead completes any.
+    if overhead is DEFAULT_OVERHEAD:
+        assert hot_ops.pop("complete") == 0
+    assert all(count > 0 for count in hot_ops.values()), hot_ops

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.cloud.engine import HostEngine
 from repro.cloud.psm import VMOverhead, effective_capacity
 from repro.cloud.resources import ResourceVector
-from repro.cloud.tasks import Task
+from repro.cloud.tasks import N_WORK_DIMS, Task
 
 #: Zero overhead isolates Eq. 1 from the VM maintenance cost.
 NO_OVERHEAD = VMOverhead(fractions=(0, 0, 0, 0, 0), flat=(0, 0, 0, 0, 0))
@@ -34,7 +34,8 @@ def allocate_shares(capacity, expectations) -> list[np.ndarray]:
     """Each task's share ``r_j = e_j / l · c`` on the three work
     dimensions (cpu, io, net), in placement order."""
     engine = _engine(capacity, expectations)
-    return list(engine._t_rates[engine._host_tasks[0]])
+    rows = engine._host_tasks[0]
+    return list(engine._t_exp[rows, :N_WORK_DIMS] * engine._share[0])
 
 
 def _pad(cpu, io):

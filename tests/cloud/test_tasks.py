@@ -104,3 +104,28 @@ def test_efficiency_is_expected_over_actual():
 def test_demand_upper_bound_helper():
     _, ub = demand_bounds(0.5)
     assert np.allclose(ub, 0.5 * CMAX)
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.25, 0.5, 1.0])
+def test_demand_stream_matches_generator_uniform(lam):
+    """``sample_demand`` is ``lo + span · random(5)``: the values and the
+    stream position of ``rng.uniform(lo, hi)``, draw for draw, with the
+    nominal-time draws of ``create`` interleaved as in a run."""
+    factory = TaskFactory(lam, np.random.default_rng(21))
+    rng = np.random.default_rng(21)
+    lo, hi = demand_bounds(lam)
+    for _ in range(2000):
+        task = factory.create(0, 0.0)
+        assert np.array_equal(task.demand.values, rng.uniform(lo, hi))
+        assert task.nominal_time == float(rng.uniform(600.0, 5400.0))
+    assert factory._rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_resource_vector_copies_an_array_argument():
+    source = np.array([1, 2, 3, 4, 5])
+    vec = ResourceVector(source)
+    source[0] = 99
+    assert vec.values.dtype == np.float64
+    assert vec.values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert not vec.values.flags.writeable
+    assert source.flags.writeable

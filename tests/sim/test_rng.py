@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.rng import RngRegistry, derive_seed, index_draw
+from repro.sim.rng import RngRegistry, derive_seed, distinct_draw, index_draw
 
 
 def test_same_name_returns_cached_stream():
@@ -109,3 +109,35 @@ def test_index_draw_of_one_consumes_nothing_and_non_positive_raises():
         with pytest.raises(ValueError):
             below(n)
     assert gen.bit_generator.state == before
+
+
+def test_distinct_draw_is_stream_identical_to_choice_without_replacement():
+    """``distinct_draw(gen, n, k)`` replaces every ``gen.choice(n, size=k,
+    replace=False)`` of the simulation: the same picks in the same order,
+    draw for draw, interleaved with other draws, and the same generator
+    state at the end — over the short pools and few picks a run makes,
+    pools around powers of two, the largest Floyd pool, more picks than
+    the Python path takes, and the numpy fallback above 10 000."""
+    a = np.random.default_rng(17)
+    b = np.random.default_rng(17)
+    shapes = [(n, k) for n in range(1, 72) for k in range(min(n, 6) + 1)]
+    shapes += [(n, k) for n in (127, 128, 129, 255, 256, 257, 9_999, 10_000)
+               for k in (1, 3, 6, 7, 40)]
+    shapes += [(10_001, 3), (10_001, 500), (65_537, 6)]
+    for _ in range(5):
+        for n, k in shapes:
+            assert distinct_draw(a, n, k) == b.choice(n, size=k, replace=False).tolist()
+            assert a.uniform() == b.uniform()
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_distinct_draw_edge_sizes():
+    gen = np.random.default_rng(4)
+    before = gen.bit_generator.state
+    assert distinct_draw(gen, 5, 0) == [] and distinct_draw(gen, 0, 0) == []
+    assert gen.bit_generator.state == before
+    assert sorted(distinct_draw(gen, 6, 6)) == list(range(6))
+    with pytest.raises(ValueError):
+        distinct_draw(gen, 3, 4)
+    with pytest.raises(ValueError):
+        distinct_draw(gen, 3, -1)

@@ -378,11 +378,13 @@ def test_oracle_budget_and_allocator_gate():
 
 def test_scalar_index_draws_go_through_index_draw():
     """Every scalar index draw in ``src/repro`` is
-    :func:`repro.sim.rng.index_draw` (same values, a third of the cost):
-    no ``.integers`` call or alias outside ``repro/sim/rng.py``, which
-    defines the draw, and ``repro/testing.py``, whose oracles keep
-    numpy's own call — that is what makes the lockstep suites a
-    cross-check of the primitive.  Array draws (``size=``) may stay."""
+    :func:`repro.sim.rng.index_draw` (same values, a third of the cost),
+    and every pick without replacement is
+    :func:`repro.sim.rng.distinct_draw`: no ``.integers`` call or alias
+    and no ``.choice(..., replace=False)`` outside ``repro/sim/rng.py``,
+    which defines the draws, and ``repro/testing.py``, whose oracles keep
+    numpy's own calls — that is what makes the lockstep suites a
+    cross-check of the primitives.  Array draws (``size=``) may stay."""
     import ast
 
     exempt = {"repro/sim/rng.py", "repro/testing.py"}
@@ -403,7 +405,14 @@ def test_scalar_index_draws_go_through_index_draw():
             if isinstance(node, ast.Attribute) and node.attr == "integers"
             and id(node) not in array_draws
         ]
-    assert not offenders, f"scalar .integers draws left: {offenders}"
+        offenders += [
+            f"{name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "choice"
+            and any(k.arg == "replace" and isinstance(k.value, ast.Constant)
+                    and k.value.value is False for k in node.keywords)
+        ]
+    assert not offenders, f"numpy draws left outside repro.sim.rng: {offenders}"
 
 
 # ----------------------------------------------------------------------
