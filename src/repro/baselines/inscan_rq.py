@@ -78,7 +78,7 @@ class INSCANRangeQuery:
         lo = np.asarray(demand_point, dtype=np.float64)
         hi = np.ones_like(lo)
 
-        path = inscan_path(self.overlay, self.tables, requester, lo)
+        path = inscan_path(self.overlay, self.tables, requester, lo, memo=False)
         duty = path[-1]
         route_hops = len(path) - 1
 
@@ -144,7 +144,9 @@ class InscanRQProtocol(CANStateBaseline):
         rt = self.lifecycle.begin(demand, requester, callback)
         point = self.ctx.normalize(rt.demand)
         try:
-            path = inscan_path(self.overlay, self.tables, requester, point)
+            path = inscan_path(
+                self.overlay, self.tables, requester, point, memo=False
+            )
         except (RoutingError, KeyError):
             self.lifecycle.finalize(rt)
             return

@@ -109,7 +109,9 @@ class KHDNProtocol(CANStateBaseline):
         rt = self.lifecycle.begin(demand, requester, callback)
         point = self.ctx.normalize(rt.demand)
         try:
-            path = inscan_path(self.overlay, self.tables, requester, point)
+            path = inscan_path(
+                self.overlay, self.tables, requester, point, memo=False
+            )
         except (RoutingError, KeyError):
             self.lifecycle.finalize(rt)
             return

@@ -164,9 +164,7 @@ class MercuryProtocol(DiscoveryProtocol):
     # ------------------------------------------------------------------
     def _arm_state_updates(self, node_id: int) -> None:
         self.ctx.start_periodic(
-            self.params.state_period,
-            lambda: self._state_update(node_id),
-            alive=lambda: self.ctx.is_alive(node_id),
+            self.params.state_period, self._state_update, node_id, self.ctx.is_alive
         )
 
     def _state_update(self, node_id: int) -> None:

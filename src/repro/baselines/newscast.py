@@ -113,9 +113,7 @@ class NewscastProtocol(DiscoveryProtocol):
     # ------------------------------------------------------------------
     def _arm_gossip(self, node_id: int) -> None:
         self.ctx.start_periodic(
-            self.params.state_period,
-            lambda: self._gossip_once(node_id),
-            alive=lambda: self.ctx.is_alive(node_id),
+            self.params.state_period, self._gossip_once, node_id, self.ctx.is_alive
         )
 
     def _gossip_once(self, node_id: int) -> None:

@@ -56,7 +56,8 @@ class RandomWalkProtocol(CANStateBaseline):
         rt = self.lifecycle.begin(demand, requester, callback)
         try:
             path = inscan_path(
-                self.overlay, self.tables, requester, self.ctx.normalize(rt.demand)
+                self.overlay, self.tables, requester, self.ctx.normalize(rt.demand),
+                memo=False,
             )
         except (RoutingError, KeyError):
             self.lifecycle.finalize(rt)

@@ -41,58 +41,30 @@ def max_pointer_exponent(n_nodes: int, dims: int) -> int:
 
 
 class IndexPointerTable:
-    """Per-node directional long-link table.
+    """Per-node directional long-link table, immutable once built.
 
-    ``links[(dim, sign)]`` is the list of node ids at walk distances
-    ``2^0, 2^1, ...`` (index = exponent k).  Entries may go stale under
-    churn; routing skips dead ids and the table is refreshed periodically.
+    ``chains[2 * dim + (sign < 0)]`` is the tuple of node ids the walk
+    across the ``(dim, sign)`` face reached at distances ``2^0, 2^1,
+    ...`` (index = exponent k) — empty where the node sits on that edge
+    of the space.  The ``(dim, -1)`` chain is the pool of negative-index
+    nodes along ``dim``; its k=0 (adjacent) pointer belongs to it:
+    Theorem 1's binary decomposition of relay distances (13 = 8 + 4 + 1)
+    needs the 2^0 link, otherwise odd distances would be unreachable.
+    ``all_links`` is every chain concatenated in face order, routing's
+    extra hop candidates.  Entries may go stale under churn; routing
+    skips dead ids and the table is rebuilt periodically.
     """
 
-    __slots__ = ("node_id", "links", "build_messages", "_neg_tuples",
-                 "_all_links")
+    __slots__ = ("node_id", "chains", "all_links", "build_messages")
 
-    def __init__(self, node_id: int):
+    def __init__(
+        self, node_id: int, chains: tuple[tuple[int, ...], ...], build_messages: int
+    ):
         self.node_id = node_id
-        self.links: dict[tuple[int, int], list[int]] = {}
+        self.chains = chains
+        self.all_links = tuple(itertools.chain.from_iterable(chains))
         #: directional-walk steps spent building the table (traffic charge)
-        self.build_messages = 0
-        #: lazily-built ``dim -> tuple`` mirrors of the negative pointer
-        #: chains (the diffusion engine's NINode pools) and the
-        #: concatenation of every chain (routing's extra hop candidates);
-        #: a table is immutable once built, so neither goes stale.
-        self._neg_tuples: dict[int, tuple[int, ...]] = {}
-        self._all_links: Optional[tuple[int, ...]] = None
-
-    def pointers(self, dim: int, sign: int) -> list[int]:
-        return self.links.get((dim, sign), [])
-
-    def all_links(self) -> tuple[int, ...]:
-        """Every pointer of every chain, in ``links`` order (cached)."""
-        out = self._all_links
-        if out is None:
-            out = self._all_links = tuple(
-                itertools.chain.from_iterable(self.links.values())
-            )
-        return out
-
-    def negative_index_nodes(self, dim: int, min_exponent: int = 0) -> list[int]:
-        """NINodes along ``dim``: negative-direction pointers at distances
-        2^k, k ≥ ``min_exponent``.
-
-        The k=0 (adjacent) pointer is part of the set: Theorem 1's binary
-        decomposition of relay distances (13 = 8 + 4 + 1) requires the
-        2^0 link, otherwise odd distances would be unreachable."""
-        return self.pointers(dim, -1)[min_exponent:]
-
-    def negative_pool_tuple(self, dim: int) -> tuple[int, ...]:
-        """The NINode chain along ``dim`` as a cached tuple of ints, chain
-        order preserved — what the diffusion engine filters (avoids the
-        per-call list slice of ``negative_index_nodes``)."""
-        pool = self._neg_tuples.get(dim)
-        if pool is None:
-            pool = tuple(self.pointers(dim, -1))
-            self._neg_tuples[dim] = pool
-        return pool
+        self.build_messages = build_messages
 
 
 def build_index_table(
@@ -107,11 +79,9 @@ def build_index_table(
     hop); the hops walked are charged as ``build_messages``."""
     if max_exponent is None:
         max_exponent = max_pointer_exponent(len(overlay), overlay.dims)
-    table = IndexPointerTable(node_id)
-    table.links, table.build_messages = overlay.pointer_walks(
-        node_id, 1 << max_exponent, rng
+    return IndexPointerTable(
+        node_id, *overlay.pointer_walks(node_id, 1 << max_exponent, rng)
     )
-    return table
 
 
 def inscan_path(
@@ -120,10 +90,13 @@ def inscan_path(
     start_id: int,
     point: np.ndarray,
     max_hops: Optional[int] = None,
+    memo: bool = True,
 ) -> list[int]:
-    """Greedy routing over neighbors ∪ index pointers — O(log2 n) hops."""
+    """Greedy routing over neighbors ∪ index pointers — O(log2 n) hops.
+    ``memo`` as in :func:`repro.can.routing.greedy_path`."""
     return greedy_path(
-        overlay, start_id, point, max_hops=max_hops, link_tables=tables
+        overlay, start_id, point, max_hops=max_hops, link_tables=tables,
+        memo=memo,
     )
 
 
@@ -134,10 +107,11 @@ def inscan_paths(
     points: np.ndarray,
     max_hops: Optional[int] = None,
     on_error: str = "raise",
+    memo: bool = True,
 ) -> list[Optional[list[int]]]:
     """Batched :func:`inscan_path` — one lockstep routing pass for a whole
     burst of queries (see :func:`repro.can.routing.greedy_paths`)."""
     return greedy_paths(
         overlay, starts, points,
-        max_hops=max_hops, link_tables=tables, on_error=on_error,
+        max_hops=max_hops, link_tables=tables, on_error=on_error, memo=memo,
     )

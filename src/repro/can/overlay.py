@@ -130,18 +130,19 @@ class CANOverlay:
 
     def pointer_walks(
         self, node_id: int, max_hops: int, rng: np.random.Generator
-    ) -> tuple[dict[tuple[int, int], list[int]], int]:
+    ) -> tuple[tuple[tuple[int, ...], ...], int]:
         """One randomized walk from ``node_id`` per direction — a random
         neighbor across the ``(dim, sign)`` face each hop, ``max_hops``
-        hops or to the edge of the space: ``({(dim, sign): the nodes
-        reached after 1, 2, 4, ... hops}, hops made in all)``.
+        hops or to the edge of the space: ``(chains, hops made in all)``,
+        where ``chains[2 * dim + (sign < 0)]`` holds the nodes reached
+        after 1, 2, 4, ... hops across that face.
 
         Each walk is one loop over the face buckets (a stale one rebuilt
         as ``directional_neighbors`` would), and a hop draws from ``rng``
         only when it has more than one candidate."""
-        nodes, links, total = self.nodes, {}, 0
+        nodes, chains, total = self.nodes, [], 0
         below = index_draw(rng)
-        for code, (face, _) in enumerate(self._faces):
+        for code in range(len(self._faces)):
             chain, hops, mark, current = [], 0, 1, node_id
             while hops < max_hops:
                 node = nodes[current]
@@ -157,10 +158,9 @@ class CANOverlay:
                 if hops == mark:
                     chain.append(current)
                     mark <<= 1
-            if chain:
-                links[face] = chain
-                total += hops
-        return links, total
+            chains.append(tuple(chain))
+            total += hops
+        return tuple(chains), total
 
     # ------------------------------------------------------------------
     # construction

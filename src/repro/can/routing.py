@@ -216,7 +216,7 @@ class _RouteBlockPool:
         """The node's hop candidates, ascending: its neighbors and long
         links, departed ones included — their ``+inf`` bounds lose every
         comparison, and an id that joins again is a candidate again."""
-        links = () if table is None else table.all_links()
+        links = () if table is None else table.all_links
         return sorted(self.overlay.nodes[node_id].neighbors.union(links))
 
     def block(self, node_id: int) -> np.ndarray:
@@ -387,12 +387,16 @@ def greedy_path(
     point: np.ndarray,
     max_hops: Optional[int] = None,
     link_tables: Optional[dict] = None,
+    memo: bool = True,
 ) -> list[int]:
     """Route from ``start_id`` to the owner of ``point``.
 
     Returns the node-id path including both endpoints (length 1 when the
     start node already owns the point).  ``link_tables`` supplies the
     INSCAN pointer tables whose long links augment each hop's candidates.
+    ``memo=False`` neither consults nor records the pool's last-route
+    memo — for routes whose start rarely repeats a point (queries), so
+    they do not evict the start's recurring state-update route.
     """
     p = np.asarray(point, dtype=np.float64)
     pt = tuple(p.tolist())
@@ -400,7 +404,9 @@ def greedy_path(
         max_hops = 4 * (len(overlay) + 1)
 
     pool = _pool_for(overlay, link_tables)
-    path, complete = pool.recall(start_id, pt, max_hops)
+    path, complete = (
+        pool.recall(start_id, pt, max_hops) if memo else ([start_id], False)
+    )
     if complete:
         return path
     nodes = overlay.nodes
@@ -411,7 +417,8 @@ def greedy_path(
     # walk the zero-distance cluster.
     if not nodes[path[-1]].zone.contains(pt):
         path.extend(_perimeter_hops(overlay, path[-1], p))
-    pool.remember(pt, path, greedy_len)
+    if memo:
+        pool.remember(pt, path, greedy_len)
     return path
 
 
@@ -425,6 +432,7 @@ def greedy_paths(
     max_hops: Optional[int] = None,
     link_tables: Optional[dict] = None,
     on_error: str = "raise",
+    memo: bool = True,
 ) -> list[Optional[list[int]]]:
     """Route a batch of queries in lockstep, one vectorized round per hop
     front: every active route's candidate block is concatenated and the
@@ -433,7 +441,7 @@ def greedy_paths(
     :func:`_greedy_hops` instead — whether the batch was that small or
     has thinned out to it.  Paths are bit-identical to calling
     :func:`greedy_path` per query, and the two share the pool's
-    last-route memo (both consult it, both record).
+    last-route memo (both consult it and record, unless ``memo=False``).
 
     ``on_error="none"`` records ``None`` for routes that fail (unknown
     start node, no greedy progress, hop budget exceeded) instead of
@@ -464,7 +472,9 @@ def greedy_paths(
         sid = int(starts[r])
         # Memoised routes leave the front before the first round; one
         # verified in part joins it at the last node of its prefix.
-        path, complete = pool.recall(sid, pts[r], max_hops)
+        path, complete = (
+            pool.recall(sid, pts[r], max_hops) if memo else ([sid], False)
+        )
         if not complete and sid not in overlay.nodes:
             errors[r] = KeyError(sid)
             continue
@@ -573,19 +583,20 @@ def greedy_paths(
     # are discrete, so stalled routes repeat the exact same (landing
     # zone, boundary point) pairs — and the overlay is immutable for the
     # duration of the call, so a cached walk is exact, not approximate.
-    memo: dict[tuple[int, tuple[float, ...]], list[int]] = {}
+    walks: dict[tuple[int, tuple[float, ...]], list[int]] = {}
     for r in boundary:
         if errors[r] is None and not nodes[paths[r][-1]].zone.contains(pts[r]):
             key = (paths[r][-1], pts[r])
-            hops = memo.get(key)
+            hops = walks.get(key)
             if hops is None:
                 hops = _perimeter_hops(overlay, paths[r][-1], P[r])
-                memo[key] = hops
+                walks[key] = hops
             paths[r].extend(hops)
-    greedy_hops = nhops.tolist()
-    for r in known:
-        if errors[r] is None:
-            pool.remember(pts[r], paths[r], greedy_hops[r] + 1)
+    if memo:
+        greedy_hops = nhops.tolist()
+        for r in known:
+            if errors[r] is None:
+                pool.remember(pts[r], paths[r], greedy_hops[r] + 1)
 
     if on_error == "raise":
         for err in errors:

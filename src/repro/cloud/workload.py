@@ -141,6 +141,9 @@ class PoissonWorkload:
         self.mean_interarrival = float(mean_interarrival)
         self._rng = rng
         self.generated = 0
+        #: The arrival chains' fire callback, bound once so every node's
+        #: heap entries share it.
+        self._fire = self._fire_arrival
 
     def start_node(
         self,
@@ -154,7 +157,12 @@ class PoissonWorkload:
 
         The first arrival is offset by a fresh exponential draw, so nodes
         are naturally staggered.  The chain self-terminates once the node is
-        no longer alive (churned out) — it simply stops re-arming.
+        no longer alive (churned out) — it simply stops re-arming.  It is
+        one heap entry at a time whose callback is this workload's shared
+        fire method and whose arguments carry the node id with its
+        ``sim``, ``submit``, ``is_alive`` and ``quantum`` — no closure per
+        node, so a caller that passes the same callables for every node
+        adds one entry per node and nothing else.
 
         ``quantum`` > 0 rounds every fire time *up* onto the quantum grid
         (the exponential draws themselves are untouched, so the RNG stream
@@ -162,19 +170,32 @@ class PoissonWorkload:
         delivery instants and the runner's arrival coalescing gets real
         batches instead of singletons.
         """
+        self._arm(node_id, sim, submit, is_alive, quantum)
 
-        def arm() -> None:
-            target = sim.now + self._rng.exponential(self.mean_interarrival)
-            if quantum > 0.0:
-                target = math.ceil(target / quantum) * quantum
-            sim.post_at(target, fire)
+    def _arm(
+        self,
+        node_id: int,
+        sim: Simulator,
+        submit: Callable[[Task], None],
+        is_alive: Callable[[int], bool],
+        quantum: float,
+    ) -> None:
+        target = sim.now + self._rng.exponential(self.mean_interarrival)
+        if quantum > 0.0:
+            target = math.ceil(target / quantum) * quantum
+        sim.post_at(target, self._fire, node_id, sim, submit, is_alive, quantum)
 
-        def fire() -> None:
-            if not is_alive(node_id):
-                return
-            task = self.factory.create(node_id, sim.now)
-            self.generated += 1
-            submit(task)
-            arm()
-
-        arm()
+    def _fire_arrival(
+        self,
+        node_id: int,
+        sim: Simulator,
+        submit: Callable[[Task], None],
+        is_alive: Callable[[int], bool],
+        quantum: float,
+    ) -> None:
+        if not is_alive(node_id):
+            return
+        task = self.factory.create(node_id, sim.now)
+        self.generated += 1
+        submit(task)
+        self._arm(node_id, sim, submit, is_alive, quantum)

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.metrics.traffic import TrafficMeter
 from repro.sim.delivery import DeliveryCalendar
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.network import CONTROL_MSG_BITS, NetworkModel
 from repro.sim.rng import index_draw
 
@@ -63,6 +63,9 @@ class ProtocolContext:
         #: with their own sends pass it in, the default is an exact
         #: (quantum 0) one.
         self.delivery = delivery if delivery is not None else DeliveryCalendar(sim)
+        #: :meth:`start_periodic`'s re-arm callback, bound once so every
+        #: node's chain entries share it.
+        self._chain = self._chain_tick
 
     def availability_matrix(self, node_ids: Sequence[int]) -> np.ndarray:
         """``(k, d)`` availability rows for many nodes in one gather —
@@ -187,26 +190,40 @@ class ProtocolContext:
     def start_periodic(
         self,
         period: float,
-        tick: Callable[[], None],
-        *,
-        alive: Optional[Callable[[], bool]] = None,
+        tick: Callable[[int], None],
+        node_id: int,
+        alive: Callable[[int], bool],
     ) -> None:
-        """Arm a self-chaining periodic ``tick`` with a randomized phase
-        drawn uniformly from ``[0, period)`` — the shared form of the
-        periodic-start boilerplate every baseline used to duplicate.
+        """Arm a self-chaining periodic ``tick(node_id)`` with a
+        randomized phase drawn uniformly from ``[0, period)`` — the shared
+        form of the periodic-start boilerplate every baseline used to
+        duplicate.
 
         The phase draw happens *at call time* on the ctx RNG stream
         (identical stream position to the inlined pattern it replaces).
-        The chain dies when ``alive()`` turns false, so it needs no
-        cancellation handle.
+        The chain is one heap entry at a time whose callback is this
+        context's shared re-arm method and whose arguments carry
+        ``period``, ``tick``, ``node_id`` and ``alive`` — no closure per
+        node.  The chain dies when ``alive(node_id)`` turns false, so it
+        needs no cancellation handle.
         """
-        def chain() -> None:
-            if alive is not None and not alive():
-                return
-            tick()
-            self.sim.post(period, chain)
+        if not period > 0:  # (also rejects NaN)
+            raise SimulationError(f"non-positive period {period!r}")
+        self.sim.post(
+            self.rng.uniform(0, period), self._chain, period, tick, node_id, alive
+        )
 
-        self.sim.post(self.rng.uniform(0, period), chain)
+    def _chain_tick(
+        self,
+        period: float,
+        tick: Callable[[int], None],
+        node_id: int,
+        alive: Callable[[int], bool],
+    ) -> None:
+        if not alive(node_id):
+            return
+        tick(node_id)
+        self.sim.post(period, self._chain, period, tick, node_id, alive)
 
     # ------------------------------------------------------------------
     # coordinate mapping

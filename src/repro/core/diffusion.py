@@ -214,8 +214,8 @@ class DiffusionEngine:
             if table is None:
                 continue
             for dim in range(first_dim, dims):
-                pool = [
-                    t for t in table.negative_pool_tuple(dim)
+                pool = [  # the NINodes: the (dim, -1) chain
+                    t for t in table.chains[2 * dim + 1]
                     if t != origin and t != node and is_alive(t)
                 ]
                 if pool:
@@ -286,7 +286,7 @@ class DiffusionEngine:
             return []
         is_alive = self.ctx.is_alive
         pool = [
-            t for t in table.negative_pool_tuple(dim)
+            t for t in table.chains[2 * dim + 1]
             if t != exclude and t != node and is_alive(t)
         ]
         if len(pool) <= k:

@@ -25,8 +25,8 @@ baselines (:mod:`repro.baselines.can_base`) share.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -154,6 +154,14 @@ class PIDCANParams:
     phase_buckets: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("state_ttl", "state_period", "diffusion_period", "pilist_ttl",
+                     "table_refresh_period", "query_timeout"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # (also rejects NaN)
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        for name in ("L", "delta", "jump_list_size", "pilist_max"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.phase_buckets < 0:
             raise ValueError(f"phase_buckets must be >= 0, got {self.phase_buckets!r}")
 
@@ -235,12 +243,10 @@ class DutyStateProtocol(DiscoveryProtocol):
         kinds = self._periodic_kinds()
         buckets = self.params.phase_buckets
         if buckets == 0:
+            start, ticking = self.ctx.start_periodic, self._ticking
             for node_id in node_ids:
-                alive = partial(self._ticking, node_id)
                 for _, period, _, action in kinds:
-                    self.ctx.start_periodic(
-                        period, partial(action, node_id), alive=alive
-                    )
+                    start(period, action, node_id, ticking)
             return
         rng = self.ctx.rng
         phases = [

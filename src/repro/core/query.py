@@ -328,7 +328,8 @@ class QueryEngine:
         arr = np.asarray(points)
         if self.cache is None:
             return inscan_paths(
-                self.overlay, self.tables, requesters, arr, on_error="none"
+                self.overlay, self.tables, requesters, arr, on_error="none",
+                memo=False,
             )
         paths: list[list[int] | None] = [None] * len(requesters)
         miss: list[int] = []
@@ -342,7 +343,7 @@ class QueryEngine:
             routed = inscan_paths(
                 self.overlay, self.tables,
                 [requesters[i] for i in miss], arr[miss],
-                on_error="none",
+                on_error="none", memo=False,
             )
             for i, path in zip(miss, routed):
                 paths[i] = (
@@ -372,7 +373,7 @@ class QueryEngine:
         if path is None:
             try:
                 path = inscan_path(
-                    self.overlay, self.tables, rt.requester, point
+                    self.overlay, self.tables, rt.requester, point, memo=False
                 )
             except (RoutingError, KeyError):
                 # Overlay under repair (churn); the query is lost.

@@ -146,13 +146,14 @@ class ExperimentConfig:
             raise ValueError(f"cmax_mode must be exact|gossip, got {self.cmax_mode}")
         if not 0.0 <= self.churn_degree < 1.0:
             raise ValueError("churn_degree must be in [0, 1)")
-        if self.mean_interarrival <= 0:
+        # ``not x > 0``-style comparisons, so that NaN is refused too.
+        if not self.mean_interarrival > 0:
             raise ValueError("mean_interarrival must be positive")
-        if self.burst_factor < 1.0:
+        if not self.burst_factor >= 1.0:
             raise ValueError("burst_factor must be >= 1")
-        if self.arrival_quantum < 0.0:
+        if not self.arrival_quantum >= 0.0:
             raise ValueError("arrival_quantum must be >= 0")
-        if self.delivery_quantum < 0.0:
+        if not self.delivery_quantum >= 0.0:
             raise ValueError("delivery_quantum must be >= 0")
         if self.cache_policy is not None:
             from repro.core.cache import CACHE_POLICIES
@@ -162,15 +163,15 @@ class ExperimentConfig:
                     f"cache_policy must be None or one of {CACHE_POLICIES}, "
                     f"got {self.cache_policy!r}"
                 )
-        if self.cache_ttl <= 0:
+        if not self.cache_ttl > 0:
             raise ValueError("cache_ttl must be positive")
         if self.cache_size < 1:
             raise ValueError("cache_size must be >= 1")
         if self.replication_threshold < 1:
             raise ValueError("replication_threshold must be >= 1")
-        if self.replication_window <= 0:
+        if not self.replication_window > 0:
             raise ValueError("replication_window must be positive")
-        if self.zipf_s < 0:
+        if not self.zipf_s >= 0:
             raise ValueError("zipf_s must be >= 0")
         if self.hot_ranges < 1:
             raise ValueError("hot_ranges must be >= 1")

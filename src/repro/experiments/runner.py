@@ -300,10 +300,11 @@ class SOCSimulation:
         self.workload = PoissonWorkload(
             self.factory, self.rngs.stream("arrivals"), config.effective_interarrival
         )
+        # One submit and one liveness callable shared by every chain.
+        submit, is_alive = self._submit_task, self.ctx.is_alive
         for node_id in sorted(self._alive):
             self.workload.start_node(
-                node_id, self.sim, self._submit_task, self._alive.__contains__,
-                quantum=config.arrival_quantum,
+                node_id, self.sim, submit, is_alive, quantum=config.arrival_quantum
             )
         #: Same-instant arrival buffer (``arrival_quantum > 0``): the first
         #: enqueue schedules a zero-delay flush, which runs after every
@@ -607,7 +608,7 @@ class SOCSimulation:
             newcomer = self._create_host(self._machine_rng)
             self.protocol.on_join(newcomer)
             self.workload.start_node(
-                newcomer, self.sim, self._submit_task, self._alive.__contains__,
+                newcomer, self.sim, self._submit_task, self.ctx.is_alive,
                 quantum=self.config.arrival_quantum,
             )
         self.sim.post(

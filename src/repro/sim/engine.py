@@ -55,7 +55,7 @@ def next_grid_index(epoch: float, interval: float, now: float) -> int:
     cohort timer and its per-member reference scheduler both rely on to stay
     tick-for-tick identical.
     """
-    if interval <= 0:
+    if not interval > 0:  # (also rejects NaN)
         raise SimulationError(f"non-positive interval {interval!r}")
     if now <= epoch:
         return 0
@@ -109,7 +109,7 @@ class CohortTimer:
         fn: Callable[[tuple], Any],
         epoch: float = 0.0,
     ):
-        if interval <= 0:
+        if not interval > 0:  # (also rejects NaN)
             raise SimulationError(f"non-positive interval {interval!r}")
         self._sim = sim
         self.interval = float(interval)
@@ -187,6 +187,9 @@ class Simulator:
         self.events_processed = 0
         self._extra_units = 0
         self._event_serial = 0
+        #: :meth:`periodic`'s re-arm callback, bound once so every chain's
+        #: heap entries share it.
+        self._repeat = self._repeat_tick
 
     # ------------------------------------------------------------------
     # clock
@@ -249,15 +252,17 @@ class Simulator:
     def periodic(self, interval: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` every ``interval`` seconds from ``now +
         interval`` to the end of the run — a post chain, like
-        :meth:`~repro.core.context.ProtocolContext.start_periodic`."""
-        if interval <= 0:
+        :meth:`~repro.core.context.ProtocolContext.start_periodic`: one
+        heap entry whose callback is the simulator's shared re-arm
+        method and whose arguments carry ``interval``, ``fn`` and
+        ``args``, so a chain allocates no closure."""
+        if not interval > 0:  # (also rejects NaN)
             raise SimulationError(f"non-positive interval {interval!r}")
+        self.post(interval, self._repeat, interval, fn, args)
 
-        def tick() -> None:
-            fn(*args)
-            self.post(interval, tick)
-
-        self.post(interval, tick)
+    def _repeat_tick(self, interval: float, fn: Callable[..., Any], args: tuple) -> None:
+        fn(*args)
+        self.post(interval, self._repeat, interval, fn, args)
 
     def periodic_cohort(
         self, interval: float, fn: Callable[[tuple], Any], epoch: float = 0.0

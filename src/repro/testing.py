@@ -635,7 +635,7 @@ class ReferenceCANOverlay(CANOverlay):
     def pointer_walks(self, node_id, max_hops, rng):
         """The seed's table walk, verbatim: one :func:`_step_directional`
         call (and one ``directional_neighbors`` under it) per hop."""
-        links: dict[tuple[int, int], list[int]] = {}
+        chains: list[tuple[int, ...]] = []
         build_messages = 0
         for dim in range(self.dims):
             for sign in (+1, -1):
@@ -651,9 +651,8 @@ class ReferenceCANOverlay(CANOverlay):
                     current = nxt
                     if hop == (1 << len(chain)):
                         chain.append(current)
-                if chain:
-                    links[(dim, sign)] = chain
-        return links, build_messages
+                chains.append(tuple(chain))
+        return tuple(chains), build_messages
 
     def _split_neighbors(self, owner, joiner) -> None:
         """No cached directions to classify a split by: rebind both halves
@@ -810,7 +809,7 @@ def reference_inscan_path(
 
     def extra(node_id: int) -> list[int]:
         table = tables.get(node_id)
-        return table.all_links() if table is not None else []
+        return table.all_links if table is not None else []
 
     return reference_greedy_path(
         overlay, start_id, point, max_hops=max_hops, extra_links=extra
@@ -854,7 +853,7 @@ class ReferenceDiffusionEngine(DiffusionEngine):
             return []
         pool = [
             t
-            for t in table.negative_index_nodes(dim)
+            for t in table.chains[2 * dim + 1]
             if t != exclude and t != node and self.ctx.is_alive(t)
         ]
         if not pool:
@@ -974,7 +973,7 @@ def assert_overlays_equivalent(
         )
         for node_id in ids:
             assert (
-                vec_tables[node_id].links == ref_tables[node_id].links
+                vec_tables[node_id].chains == ref_tables[node_id].chains
             ), f"pointer table diverged at {node_id}"
         for origin in ids[:: max(1, len(ids) // 6)]:
             for method in ("hid", "sid"):
@@ -1052,7 +1051,7 @@ def construction_digest(sim) -> dict[str, str]:
             for n in ids
         ],
         "tables": [
-            (n, sorted((list(k), v) for k, v in table.links.items()))
+            (n, sorted((list(f), list(c)) for f, c in zip(faces, table.chains) if c))
             for n, table in sorted(sim.protocol.tables.items())
         ],
         "lans": sorted(lans.items()),

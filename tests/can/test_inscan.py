@@ -19,6 +19,13 @@ def build_all_tables(overlay, seed=0):
     return {i: build_index_table(overlay, i, rng) for i in overlay.node_ids()}
 
 
+def walked_faces(table):
+    """``((dim, sign), chain)`` for every non-empty chain, in face order."""
+    for code, chain in enumerate(table.chains):
+        if chain:
+            yield (code >> 1, -1 if code & 1 else 1), chain
+
+
 def test_max_pointer_exponent_formula():
     assert max_pointer_exponent(1, 2) == 0
     assert max_pointer_exponent(16, 2) == 2  # 16^(1/2)=4 → log2=2
@@ -30,7 +37,8 @@ def test_pointer_chain_lengths_bounded_by_exponent():
     overlay = make_overlay(256, 2, seed=1)
     table = build_index_table(overlay, 0, np.random.default_rng(0))
     k_max = max_pointer_exponent(256, 2)
-    for (dim, sign), chain in table.links.items():
+    assert len(table.chains) == 2 * 2
+    for (dim, sign), chain in walked_faces(table):
         assert 1 <= len(chain) <= k_max + 1
 
 
@@ -38,7 +46,7 @@ def test_first_pointer_is_adjacent_neighbor():
     overlay = make_overlay(64, 2, seed=2)
     for node_id in overlay.node_ids()[:10]:
         table = build_index_table(overlay, node_id, np.random.default_rng(1))
-        for (dim, sign), chain in table.links.items():
+        for (dim, sign), chain in walked_faces(table):
             first = overlay.nodes[chain[0]]
             direction = adjacency_direction(
                 overlay.nodes[node_id].zone, first.zone
@@ -51,7 +59,7 @@ def test_pointers_follow_requested_direction():
     for node_id in overlay.node_ids()[:20]:
         table = build_index_table(overlay, node_id, np.random.default_rng(2))
         me = overlay.nodes[node_id].zone
-        for (dim, sign), chain in table.links.items():
+        for (dim, sign), chain in walked_faces(table):
             for target in chain:
                 z = overlay.nodes[target].zone
                 if sign > 0:
@@ -66,7 +74,7 @@ def test_edge_nodes_lack_outward_pointers():
     for node in overlay.nodes.values():
         if node.zone.lo[0] == 0.0:
             table = build_index_table(overlay, node.node_id, np.random.default_rng(3))
-            assert (0, -1) not in table.links
+            assert table.chains[1] == ()  # the (0, -1) face
             break
     else:
         pytest.fail("no edge node found")
@@ -81,9 +89,10 @@ def test_negative_index_nodes_include_k0():
         if n.zone.lo[0] > 0.25 and n.zone.hi[0] < 0.75
     )
     table = build_index_table(overlay, inner, np.random.default_rng(4))
-    ninodes = table.negative_index_nodes(0)
+    ninodes = table.chains[1]  # the (0, -1) chain
     assert ninodes  # non-edge nodes always have at least the adjacent link
-    assert ninodes == table.pointers(0, -1)
+    first = overlay.nodes[ninodes[0]].zone
+    assert adjacency_direction(overlay.nodes[inner].zone, first) == (0, -1)
 
 
 def test_inscan_routing_reaches_owner():
@@ -149,7 +158,7 @@ def test_routing_with_stale_tables_survives_churn():
 def test_build_messages_charged():
     overlay = make_overlay(64, 2, seed=15)
     table = build_index_table(overlay, overlay.node_ids()[5], np.random.default_rng(0))
-    walked = sum(len(c) for c in table.links.values())
+    walked = sum(map(len, table.chains))
     assert table.build_messages >= walked  # walks at least as far as chains
 
 
@@ -178,7 +187,8 @@ def test_loop_local_walk_equals_the_per_step_walk_draw_for_draw():
         for node_id in sorted(vec.nodes):
             got = build_index_table(vec, node_id, vec_rng)
             want = build_index_table(ref, node_id, ref_rng)
-            assert list(got.links.items()) == list(want.links.items())
+            assert got.chains == want.chains
+            assert got.all_links == want.all_links
             assert got.build_messages == want.build_messages
         assert vec_rng.integers(1 << 62) == ref_rng.integers(1 << 62)
 

@@ -665,7 +665,7 @@ def test_block_without_a_live_candidate_fails_like_the_empty_block(rig, with_tab
     what the empty block raises, in both routers."""
     overlay, tables = rig
     start, point = 0, 1.0 - zone_center(overlay.nodes[0].zone)
-    links = set(tables[0].all_links())
+    links = set(tables[0].all_links)
     assert links and 0 not in links
     inscan_path(overlay, tables, 0, point)  # block filled while all is well
     for link in links:

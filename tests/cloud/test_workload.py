@@ -57,6 +57,25 @@ def test_arrivals_stop_when_node_dies():
     assert all(t.submit_time <= 500.0 for t in tasks)
 
 
+def test_arrival_chains_are_heap_entries_sharing_one_callback():
+    """Each node's arrival chain is one heap entry whose callback is the
+    workload's shared fire method; the node id and the caller's
+    callables ride in its args, before and after a re-arm."""
+    sim = Simulator()
+    wl = make_workload(mean=10.0)
+    tasks = []
+    always = lambda n: True  # noqa: E731
+    for node in range(5):
+        wl.start_node(node, sim, tasks.append, always)
+    for _ in range(2):
+        entries = [(fn, args) for _, _, fn, args in sim._heap]
+        assert all(fn is wl._fire for fn, _ in entries)
+        assert sorted(args[0] for _, args in entries) == list(range(5))
+        assert all(args[2] == tasks.append and args[3] is always for _, args in entries)
+        sim.run(until=sim.now + 50.0)
+    assert tasks
+
+
 def test_independent_nodes_have_different_arrivals():
     sim = Simulator()
     wl = make_workload(mean=100.0)

@@ -1,5 +1,7 @@
 """Tests for the PID-CAN protocol assembly and variant factory."""
 
+from types import MethodType
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,37 @@ def test_normalize_is_np_clip_of_the_quotient():
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(vector, before)  # clamped in the quotient
         assert got.dtype == np.float64
+
+
+@pytest.mark.parametrize("name,activities", [
+    ("hid-can", 3), ("khdn-can", 1), ("newscast", 1), ("mercury", 1),
+])
+def test_periodic_chains_are_heap_entries_without_closures(name, activities):
+    """With continuous phases every node's periodic activity is one heap
+    entry whose callback is the context's shared re-arm method and whose
+    args carry the node id: the tick and liveness callables are shared
+    by all nodes, never a closure, ``partial`` or lambda per node."""
+    ctx, alive, _ = make_ctx()
+    proto = make_protocol(name, ctx, PIDCANParams())
+    proto.bootstrap(sorted(alive))
+    chains = [args for _, _, fn, args in ctx.sim._heap if fn == ctx._chain]
+    assert len(chains) == activities * len(alive)
+    assert all(fn is ctx._chain for _, _, fn, _ in ctx.sim._heap if fn == ctx._chain)
+    assert all(isinstance(tick, MethodType) for _, tick, _, _ in chains)
+    assert sorted(args[2] for args in chains) == sorted(list(alive) * activities)
+    assert len({(tick, is_live) for _, tick, _, is_live in chains}) == activities
+    ctx.sim.run(until=2 * PIDCANParams().table_refresh_period)
+    rearmed = [args for _, _, fn, args in ctx.sim._heap if fn is ctx._chain]
+    assert len(rearmed) == activities * len(alive)
+
+
+@pytest.mark.parametrize("period", [0.0, -5.0, float("nan")])
+def test_start_periodic_refuses_a_non_positive_period(period):
+    from repro.sim.engine import SimulationError
+
+    ctx, _, _ = make_ctx()
+    with pytest.raises(SimulationError):
+        ctx.start_periodic(period, print, 0, ctx.is_alive)
 
 
 def test_bootstrap_creates_per_node_state():

@@ -281,6 +281,11 @@ def test_bad_override_values_fail_at_spec_construction():
         small_spec(overrides={**FAST, "n_nodes": 1})
     with pytest.raises(ValueError, match="churn_lifetime"):
         small_spec(overrides={**FAST, "churn_lifetime": 0})
+    # A zero state period hung the worker; a NaN quantum ran silently.
+    with pytest.raises(ValueError, match="state_period"):
+        small_spec(overrides={**FAST, "pidcan": {"state_period": 0.0}})
+    with pytest.raises(ValueError, match="delivery_quantum"):
+        small_spec(overrides={**FAST, "delivery_quantum": float("nan")})
     # ``--override duration=NaN`` parses (``json.loads`` takes NaN) and
     # used to hang the worker that ran the cell.
     from repro.experiments.cli import _resolve_spec, build_campaign_parser

@@ -46,13 +46,38 @@ def test_validation():
         ExperimentConfig(churn_degree=1.0)
     # A NaN horizon hung the run, a negative one returned no samples, and
     # a zero or negative period failed only once a worker built the cell.
+    nan = float("nan")
     for field, value in [
-        ("duration", float("nan")), ("duration", float("inf")), ("duration", -5.0),
+        ("duration", nan), ("duration", float("inf")), ("duration", -5.0),
         ("sample_period", 0.0), ("churn_lifetime", 0.0),
         ("mean_nominal_time", -1.0), ("checkpoint_period", 0.0),
+        # NaN passed ``x <= 0``-style checks, and a NaN delivery quantum
+        # ran silently.
+        ("mean_interarrival", nan), ("burst_factor", nan),
+        ("arrival_quantum", nan), ("delivery_quantum", nan),
+        ("cache_ttl", nan), ("replication_window", nan), ("zipf_s", nan),
     ]:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", [
+    "state_ttl", "state_period", "diffusion_period", "pilist_ttl",
+    "table_refresh_period", "query_timeout",
+])
+@pytest.mark.parametrize("value", [0.0, -5.0, float("nan"), float("inf")])
+def test_pidcan_periods_and_ttls_must_be_finite_and_positive(field, value):
+    """A zero state period hung the run, a NaN TTL never expired a
+    record, a negative diffusion period failed deep in set-up."""
+    with pytest.raises(ValueError, match=field):
+        PIDCANParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["L", "delta", "jump_list_size", "pilist_max"])
+def test_pidcan_counts_must_be_at_least_one(field):
+    with pytest.raises(ValueError, match=field):
+        PIDCANParams(**{field: 0})
+    PIDCANParams(**{field: 1})
 
 
 def test_with_protocol_merges_kwargs():

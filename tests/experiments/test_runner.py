@@ -340,3 +340,45 @@ def test_collector_state_is_restored_when_construction_raises(
             SOCSimulation(ExperimentConfig(**MICRO))
         assert gc.isenabled() is enabled
     assert gc_passes == []
+
+
+# ----------------------------------------------------------------------
+# what a built cell leaves for the collector to walk
+# ----------------------------------------------------------------------
+#: Collector-tracked objects a freshly built cell may hold per node.
+#: Every collector pass walks all of them; per-node closures,
+#: ``partial``s around the timers and arrival chains, and dict-of-lists
+#: pointer tables once put 34-66 here (``docs/architecture.md``, "Cell
+#: construction").
+TRACKED_PER_NODE_BUDGET = 30
+
+
+def _budget_cells() -> dict[str, ExperimentConfig]:
+    from repro.experiments.scenarios import (
+        CHURN_SWEEP_PROTOCOLS, hotrange_configs, mega_configs,
+    )
+
+    size = {"n_nodes": 400, "duration": 1000.0, "seed": 1}
+    cells = {
+        protocol: ExperimentConfig(protocol=protocol, demand_ratio=0.5, **size)
+        for protocol in CHURN_SWEEP_PROTOCOLS
+    }
+    cells["hid-can-batched"] = mega_configs("small", **size)["hid-can"]
+    cells["hotrange-lru+repl"] = hotrange_configs("small", **size)["lru+repl"]
+    return cells
+
+
+@pytest.mark.parametrize("cell", list(_budget_cells()))
+def test_built_cell_stays_within_the_tracked_object_budget(cell):
+    from dataclasses import replace
+
+    config = _budget_cells()[cell]
+    # A small twin first, so one-off imports and module caches are not
+    # charged to the cell.
+    SOCSimulation(replace(config, n_nodes=20))
+    gc.collect()
+    before = len(gc.get_objects())
+    sim = SOCSimulation(config)
+    gc.collect()
+    per_node = (len(gc.get_objects()) - before) / config.n_nodes
+    assert per_node <= TRACKED_PER_NODE_BUDGET, f"{per_node:.1f} tracked objects per node"

@@ -167,8 +167,28 @@ def test_periodic_fires_on_schedule():
 
 def test_periodic_rejects_bad_interval():
     sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.periodic(0.0, lambda: None)
+    for interval in (0.0, -1.0, float("nan")):
+        with pytest.raises(SimulationError):
+            sim.periodic(interval, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.periodic_cohort(interval, lambda batch: None)
+    assert not sim._heap
+
+
+def test_periodic_chains_share_one_callback():
+    """A periodic chain is one heap entry at a time whose callback is the
+    simulator's shared re-arm method, the function and its args riding
+    in the entry: no closure per chain."""
+    sim = Simulator()
+    out = []
+    sim.periodic(3.0, out.append, "a")
+    sim.periodic(5.0, out.append, "b")
+    sim.run(until=10.0)
+    assert out == ["a", "b", "a", "a", "b"]  # at 3, 5, 6, 9, 10
+    assert [(fn, args[0]) for _, _, fn, args in sorted(sim._heap)] == [
+        (sim._repeat, 3.0), (sim._repeat, 5.0),
+    ]
+    assert sim._heap[0][2] is sim._heap[1][2]
 
 
 def test_stop_halts_run():
