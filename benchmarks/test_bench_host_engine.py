@@ -34,7 +34,7 @@ import pytest
 pytest.importorskip("pytest_benchmark")
 
 from repro.cloud.engine import HostEngine
-from repro.cloud.machine import capacity_matrix, sample_machines
+from repro.cloud.machine import sample_machines
 from repro.cloud.tasks import TaskFactory
 from repro.experiments import runner
 from repro.experiments.config import SCALES
@@ -58,9 +58,9 @@ def build(engine_cls, n_hosts: int, tasks_per_host: int = TASKS_PER_HOST):
         return _BUILT[key]
     eng = engine_cls()
     rng = np.random.default_rng(11)
-    machines = sample_machines(rng, rng.uniform(5.0, 10.0, n_hosts).tolist())
+    _, capacities = sample_machines(rng, rng.uniform(5.0, 10.0, n_hosts).tolist())
     ids = list(range(n_hosts))
-    eng.add_hosts(ids, capacity_matrix(machines))
+    eng.add_hosts(ids, capacities)
     fac = TaskFactory(0.5, np.random.default_rng(12))
     for host_id in ids:
         for _ in range(tasks_per_host):

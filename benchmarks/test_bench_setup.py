@@ -8,16 +8,22 @@ keep it linear (``docs/architecture.md``, "Cell construction"):
 
 1. **Set-up scaling** — constructing the ``mega`` cell at 4n nodes costs
    at most 6x the cell at n (linear is 4; when ``NetworkModel.add_node``
-   still scanned every LAN, that phase alone grew 16x).
+   still scanned every LAN, that phase alone grew 16x).  What still
+   outgrows n is the overlay bootstrap — deeper tree descents and
+   owners with more edges in a larger cell — and every per-node cost as
+   the working set leaves the CPU caches (``docs/architecture.md``,
+   "What grows faster than n").
 2. **LAN assignment** — ``NetworkModel.add_node`` for 10^5 nodes in under
-   3 CPU seconds (the scan took 33 s; the heap takes ~0.4 s).
+   3 CPU seconds (the scan took 33 s; the heap takes ~0.7 s, each
+   ``add_node`` a one-element ``add_nodes`` batch).
 
 CPU seconds (``time.process_time``), best of three per size, the sizes
-interleaved; a small-cell sample is the mean of four consecutive cells.  The per-phase split of the larger cell is recorded in
-``extra_info``: each phase timed on its own with the cell's parameters
-and the collector paused, as the cell builds it; "timers and the rest"
-(state caches, cohort timers, workload arming, the closing collection)
-as the remainder.
+interleaved; a small-cell sample is the mean of four consecutive cells.
+The per-phase split of both cells is recorded in ``extra_info``: each
+phase timed on its own with the cell's parameters and the collector
+paused, through the one batch call the cell makes for it; "timers and
+the rest" (state caches, cohort timers, workload arming, the closing
+collection) as the remainder.
 """
 
 import gc
@@ -25,11 +31,13 @@ import gc
 import numpy as np
 import pytest
 
-from repro.can.inscan import build_index_table
-from repro.can.overlay import CANOverlay
-from repro.cloud.machine import sample_machines
+from repro.cloud.machine import CMAX, sample_machines
+from repro.core.context import ProtocolContext
+from repro.core.protocol import make_protocol
 from repro.experiments.runner import SOCSimulation
 from repro.experiments.scenarios import mega_configs
+from repro.metrics.traffic import TrafficMeter
+from repro.sim.engine import Simulator
 from repro.sim.network import NetworkModel, NetworkParams
 
 from benchmarks.conftest import cpu_timed, run_once
@@ -52,30 +60,26 @@ def _best_of_3(benchmark, fn) -> float:
 
 def _phase_split(cfg, setup_s: float) -> dict[str, float]:
     """CPU seconds per construction phase at ``cfg``'s size, each phase
-    run on its own with the collector paused, as ``SOCSimulation`` runs
-    it (the closing collection lands in the remainder)."""
-    n = cfg.n_nodes
+    run on its own with the collector paused, through the batch call
+    ``SOCSimulation`` makes for it (the closing collection lands in the
+    remainder)."""
+    ids = list(range(cfg.n_nodes))
     network = NetworkModel(cfg.network, np.random.default_rng(1))
-    overlay = CANOverlay(cfg.pidcan.overlay_dims, np.random.default_rng(2))
-    table_rng = np.random.default_rng(3)
-
-    def add_nodes():
-        for node_id in range(n):
-            network.add_node(node_id)
-
-    def build_tables():
-        for node_id in range(n):
-            build_index_table(overlay, node_id, table_rng)
+    ctx = ProtocolContext(
+        Simulator(), network, TrafficMeter(), np.random.default_rng(2), CMAX,
+        availability_of=lambda i: CMAX, is_alive=lambda i: True,
+    )
+    protocol = make_protocol(cfg.protocol, ctx, cfg.pidcan)
 
     gc.disable()
     try:
-        phases = {"network_s": _cpu(add_nodes)}
-        bandwidths = [network.node_bandwidth_mbps(i) for i in range(n)]
+        phases = {"network_s": _cpu(lambda: network.add_nodes(ids))}
+        bandwidths = [network.node_bandwidth_mbps(i) for i in ids]
         phases["machines_s"] = _cpu(
             lambda: sample_machines(np.random.default_rng(4), bandwidths)
         )
-        phases["overlay_bootstrap_s"] = _cpu(lambda: overlay.bootstrap(range(n)))
-        phases["table_build_s"] = _cpu(build_tables)
+        phases["overlay_bootstrap_s"] = _cpu(lambda: protocol.overlay.bootstrap(ids))
+        phases["table_build_s"] = _cpu(lambda: protocol._build_tables(ids, charge=False))
     finally:
         gc.enable()
     phases["timers_and_rest_s"] = max(0.0, setup_s - sum(phases.values()))
@@ -107,6 +111,7 @@ def test_setup_scales_linearly(benchmark, scale):
     benchmark.extra_info["n_nodes"] = [n, 4 * n]
     benchmark.extra_info["setup_cpu_s"] = [round(small_s, 3), round(large_s, 3)]
     benchmark.extra_info["ratio_4n_over_n"] = round(ratio, 2)
+    benchmark.extra_info["phases_at_n"] = _phase_split(small, small_s)
     benchmark.extra_info["phases_at_4n"] = _phase_split(large, large_s)
     assert ratio <= 6.0, f"set-up grew {ratio:.1f}x for 4x the nodes"
 

@@ -35,14 +35,13 @@ class CANStateBaseline(DutyStateProtocol):
             self._init_cache(node_id)
         # Tables are built after the full overlay exists (uncharged, like
         # PID-CAN's bootstrap).
-        for node_id in node_ids:
-            self._refresh_table(node_id, charge=False)
+        self._build_tables(node_ids, charge=False)
         self._arm_all(node_ids)
 
     def on_join(self, node_id: int) -> None:
         self.overlay.join(node_id)
         self._init_cache(node_id)
-        self._refresh_table(node_id, charge=True)
+        self._build_tables([node_id], charge=True)
         self._arm_all([node_id])
 
     def on_leave(self, node_id: int) -> None:

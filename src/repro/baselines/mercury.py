@@ -137,14 +137,19 @@ class MercuryProtocol(DiscoveryProtocol):
     # membership
     # ------------------------------------------------------------------
     def bootstrap(self, node_ids: list[int]) -> None:
-        for node_id in node_ids:
-            self._join(node_id)
-        for node_id in node_ids:
-            self._arm_state_updates(node_id)
+        """Every node joins a hub at a random arc position, all positions
+        drawn in one call, then every node's state updates are armed,
+        all phases drawn in one call."""
+        positions = self.ctx.rng.uniform(size=len(node_ids)).tolist()
+        for node_id, position in zip(node_ids, positions):
+            self._join(node_id, position)
+        self.ctx.start_periodic_many(
+            node_ids, [(self.params.state_period, self._state_update)],
+            self.ctx.is_alive,
+        )
 
     def on_join(self, node_id: int) -> None:
-        self._join(node_id)
-        self._arm_state_updates(node_id)
+        self.bootstrap([node_id])
 
     def on_leave(self, node_id: int) -> None:
         hub_idx = self.hub_of.pop(node_id, None)
@@ -152,21 +157,16 @@ class MercuryProtocol(DiscoveryProtocol):
             self.hubs[hub_idx].remove(node_id)
         self.caches.pop(node_id, None)
 
-    def _join(self, node_id: int) -> None:
-        # keep hubs balanced: join the smallest, at a random arc position
+    def _join(self, node_id: int, position: float) -> None:
+        # keep hubs balanced: join the smallest, at the drawn arc position
         hub = min(self.hubs, key=len)
-        hub.add(node_id, float(self.ctx.rng.uniform()))
+        hub.add(node_id, position)
         self.hub_of[node_id] = hub.attribute
         self.caches[node_id] = StateCache(self.params.state_ttl)
 
     # ------------------------------------------------------------------
     # state updates: one insertion per hub (Mercury's replication)
     # ------------------------------------------------------------------
-    def _arm_state_updates(self, node_id: int) -> None:
-        self.ctx.start_periodic(
-            self.params.state_period, self._state_update, node_id, self.ctx.is_alive
-        )
-
     def _state_update(self, node_id: int) -> None:
         availability = self.ctx.availability_of(node_id)
         record = StateRecord(node_id, availability.copy(), self.ctx.sim.now)

@@ -85,13 +85,16 @@ class NewscastProtocol(DiscoveryProtocol):
         self._population = len(ids)
         now = self.ctx.sim.now
         size = self.view_size()
-        for node_id in ids:
-            peers = [p for p in ids if p != node_id]
-            k = min(size, len(peers))
-            picked = distinct_draw(self.ctx.rng, len(peers), k)
+        k = min(size, len(ids) - 1)
+        # A node's peers are ``ids`` without it: pick ``i`` is ``ids[i]``
+        # before the node's own position and ``ids[i + 1]`` from it on.
+        # The view and phase draws interleave on the ctx stream, so both
+        # stay per node.
+        for position, node_id in enumerate(ids):
+            picked = distinct_draw(self.ctx.rng, len(ids) - 1, k)
+            peers = [ids[i] if i < position else ids[i + 1] for i in picked]
             self.views[node_id] = [
-                ViewEntry(peers[i], self.ctx.availability_of(peers[i]), now)
-                for i in picked
+                ViewEntry(peer, self.ctx.availability_of(peer), now) for peer in peers
             ]
             self._arm_gossip(node_id)
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.can.overlay import CANOverlay
 from repro.can.routing import greedy_path, greedy_paths
+from repro.sim.rng import index_draw
 
 __all__ = [
     "IndexPointerTable",
@@ -76,11 +77,12 @@ def build_index_table(
     """Build the pointer table for ``node_id``: one randomized walk of
     ``2^max_exponent`` hops per direction, all of them inside one call of
     :meth:`~repro.can.overlay.CANOverlay.pointer_walks` (no call per
-    hop); the hops walked are charged as ``build_messages``."""
+    hop), drawing from ``rng`` as ``int(rng.integers(n))`` would; the
+    hops walked are charged as ``build_messages``."""
     if max_exponent is None:
         max_exponent = max_pointer_exponent(len(overlay), overlay.dims)
     return IndexPointerTable(
-        node_id, *overlay.pointer_walks(node_id, 1 << max_exponent, rng)
+        node_id, *overlay.pointer_walks(node_id, 1 << max_exponent, index_draw(rng))
     )
 
 

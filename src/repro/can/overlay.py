@@ -25,9 +25,10 @@ takeover), and the overlay one dimension-major ``(2·d, capacity)`` array
 ``bounds`` whose column ``i`` is node ``i``'s zone — ``lo`` rows over
 ``hi`` rows — so routing gathers the bounds of a whole candidate set
 with one ``take`` ("Bounds rows").  :meth:`CANOverlay._bind` is the only
-writer of a node's leaf and of its column; :meth:`CANOverlay.leave`
-overwrites a departed id's column with ``+inf``, so a stale long link to
-it loses every distance comparison.
+writer of a node's leaf and the only way to its column (a join batch
+writes the columns of the nodes it rebound once, after its last join);
+:meth:`CANOverlay.leave` overwrites a departed id's column with
+``+inf``, so a stale long link to it loses every distance comparison.
 ``directional_neighbors`` and ``pointer_walks`` — the INSCAN table
 build — read the node's neighbors bucketed by face, rebuilt lazily
 after the node's edges changed ("Face buckets", same document).
@@ -35,14 +36,13 @@ after the node's edges changed ("Face buckets", same document).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from repro.can.node import OverlayNode
 from repro.can.partition_tree import PartitionTree, TakeoverPlan, TreeLeaf
 from repro.can.zone import adjacency_direction
-from repro.sim.rng import index_draw
 
 __all__ = ["CANOverlay"]
 
@@ -69,9 +69,12 @@ class CANOverlay:
         self.tree: Optional[PartitionTree] = None
         #: Zone bounds by node id, dimension-major: column ``i`` is node
         #: ``i``'s zone (rows ``[:dims]`` its ``lo``, rows ``[dims:]`` its
-        #: ``hi``), written by :meth:`_bind` only; the column of an id
+        #: ``hi``), written through :meth:`_bind` only; the column of an id
         #: that is not a member is ``+inf``.
         self.bounds = np.full((2 * dims, 8), np.inf)
+        #: The nodes a join batch rebound whose columns are still to be
+        #: written (None outside a batch; see :meth:`_bind`).
+        self._unwritten: Optional[dict[int, OverlayNode]] = None
         #: Bumped whenever a zone or the membership changes; the routing
         #: pools drop their route memo on any change.
         self.epoch = 0
@@ -129,7 +132,7 @@ class CANOverlay:
         return tuple(map(tuple, by_face))
 
     def pointer_walks(
-        self, node_id: int, max_hops: int, rng: np.random.Generator
+        self, node_id: int, max_hops: int, below: Callable[[int], int]
     ) -> tuple[tuple[tuple[int, ...], ...], int]:
         """One randomized walk from ``node_id`` per direction — a random
         neighbor across the ``(dim, sign)`` face each hop, ``max_hops``
@@ -138,10 +141,10 @@ class CANOverlay:
         after 1, 2, 4, ... hops across that face.
 
         Each walk is one loop over the face buckets (a stale one rebuilt
-        as ``directional_neighbors`` would), and a hop draws from ``rng``
-        only when it has more than one candidate."""
+        as ``directional_neighbors`` would), and a hop draws an index
+        with ``below`` (``below(n) == int(rng.integers(n))``, see
+        :mod:`repro.sim.rng`) only when it has more than one candidate."""
         nodes, chains, total = self.nodes, [], 0
-        below = index_draw(rng)
         for code in range(len(self._faces)):
             chain, hops, mark, current = [], 0, 1, node_id
             while hops < max_hops:
@@ -169,48 +172,80 @@ class CANOverlay:
         """Build the overlay by sequential random joins — produces the
         realistically skewed zone-size distribution the paper's §I notes
         (records 'intensively stored in only a few small-zone nodes')."""
-        for node_id in node_ids:
-            self.join(node_id)
-
-    def random_point(self) -> np.ndarray:
-        return self._rng.uniform(0.0, 1.0, size=self.dims)
+        self._join_all(list(node_ids))
 
     def join(self, node_id: int, point: Optional[np.ndarray] = None) -> OverlayNode:
-        """Add ``node_id``, splitting the zone containing ``point``."""
-        if node_id < 0:
-            raise ValueError(f"node id must be >= 0, got {node_id}")
-        if node_id in self.nodes:
-            raise ValueError(f"node {node_id} already joined")
-        if self.tree is None or not self.nodes:
-            self.tree = PartitionTree(self.dims, node_id)
-            leaf = self.tree.leaf_of(node_id)
-            node = self.nodes[node_id] = OverlayNode(node_id, leaf)
-            self._bind(node, leaf)
-            return node
+        """Add ``node_id``, splitting the zone containing ``point`` (a
+        random one when None): :meth:`bootstrap` for one node."""
+        self._join_all(
+            [node_id], None if point is None else np.asarray(point, np.float64)[None]
+        )
+        return self.nodes[node_id]
 
-        p = self.random_point() if point is None else np.asarray(point, np.float64)
-        owner = self.nodes[self.tree.find_leaf(p).owner]
-        kept_leaf, new_leaf = self.tree.split(owner.node_id, node_id, p)
-        new_node = self.nodes[node_id] = OverlayNode(node_id, new_leaf)
-        self._bind(owner, kept_leaf)
-        self._bind(new_node, new_leaf)
-        self._split_neighbors(owner, new_node)
-        return new_node
+    def _join_all(self, ids: list[int], points: Optional[np.ndarray] = None) -> None:
+        """Join ``ids`` in order.  Each but the first node of an empty
+        overlay splits the zone containing its row of ``points``; when
+        None, one ``uniform`` call draws them all, the values a call per
+        join would draw.  The bounds columns of the nodes the joins
+        rebound are written once, after the last join."""
+        for node_id in ids:
+            if node_id < 0:
+                raise ValueError(f"node id must be >= 0, got {node_id}")
+            if node_id in self.nodes:
+                raise ValueError(f"node {node_id} already joined")
+        if len(set(ids)) != len(ids):
+            raise ValueError("a node id repeats in one join batch")
+        if points is None:
+            drawn = max(len(ids) - (self.tree is None or not self.nodes), 0)
+            points = self._rng.uniform(0.0, 1.0, size=(drawn, self.dims))
+        rows = iter(points)
+        self._unwritten = {}
+        try:
+            for node_id in ids:
+                if self.tree is None or not self.nodes:
+                    self.tree = PartitionTree(self.dims, node_id)
+                    leaf = self.tree.leaf_of(node_id)
+                    node = self.nodes[node_id] = OverlayNode(node_id, leaf)
+                    self._bind(node, leaf)
+                    continue
+                p = next(rows)
+                owner = self.nodes[self.tree.find_leaf(p).owner]
+                kept_leaf, new_leaf = self.tree.split(owner.node_id, node_id, p)
+                new_node = self.nodes[node_id] = OverlayNode(node_id, new_leaf)
+                self._bind(owner, kept_leaf)
+                self._bind(new_node, new_leaf)
+                self._split_neighbors(owner, new_node)
+        finally:
+            unwritten, self._unwritten = self._unwritten, None
+            self._write_columns(list(unwritten.values()))
 
     def _bind(self, node: OverlayNode, leaf: TreeLeaf) -> None:
-        """Make ``leaf`` the node's zone — the one place ``node.leaf`` and
-        the node's bounds column are written."""
+        """Make ``leaf`` the node's zone — the one place ``node.leaf`` is
+        written, and the one way to a bounds column: written here, or,
+        inside a join batch, once at the batch's end."""
         node.leaf = leaf
-        col, dims = node.node_id, self.dims
+        if self._unwritten is not None:
+            self._unwritten[node.node_id] = node
+        else:
+            self._write_columns([node])
+
+    def _write_columns(self, nodes: list[OverlayNode]) -> None:
+        """Copy each node's zone into its bounds column (on behalf of
+        :meth:`_bind`), growing the array to the largest id."""
+        if not nodes:
+            return
+        top = max(node.node_id for node in nodes)
         capacity = self.bounds.shape[1]
-        if col >= capacity:
+        if top >= capacity:
             old = self.bounds
-            while capacity <= col:
+            while capacity <= top:
                 capacity *= 2
-            self.bounds = np.full((2 * dims, capacity), np.inf)
+            self.bounds = np.full((2 * self.dims, capacity), np.inf)
             self.bounds[:, : old.shape[1]] = old
-        self.bounds[:dims, col] = leaf.zone.lo
-        self.bounds[dims:, col] = leaf.zone.hi
+        bounds = self.bounds
+        for node in nodes:
+            zone = node.leaf.zone
+            bounds[:, node.node_id] = zone._lo + zone._hi
         self.epoch += 1
 
     def _split_neighbors(self, owner: OverlayNode, joiner: OverlayNode) -> None:

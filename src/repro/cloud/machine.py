@@ -19,18 +19,17 @@ system-wide maximum capacity vector ``CMAX`` is known in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
 from repro.cloud.resources import ResourceVector
-from repro.sim.rng import index_draw
+from repro.sim.rng import bulk_index_draw
 
 __all__ = [
     "MachineConfig",
     "sample_machine",
     "sample_machines",
-    "capacity_matrix",
     "CMAX",
     "CMAX_VECTOR",
 ]
@@ -40,6 +39,9 @@ _RATES = (1.0, 2.0, 2.4, 3.2)
 _IO_SPEEDS = (20.0, 40.0, 60.0, 80.0)
 _MEM_SIZES = (512.0, 1024.0, 2048.0, 4096.0)
 _DISK_SIZES = (20.0, 60.0, 120.0, 240.0)
+#: The pools in draw order: one draw per field, machine by machine.
+_POOLS = (_PROCESSORS, _RATES, _IO_SPEEDS, _DISK_SIZES, _MEM_SIZES)
+_POOL_TABLE = np.array(_POOLS, dtype=np.float64)
 
 #: System-wide maximum capacity per dimension (cpu, io, net, disk, mem).
 #: net = 10 Mbps is the top of the LAN bandwidth range.
@@ -71,45 +73,45 @@ class MachineConfig:
 
 
 def sample_machine(rng: np.random.Generator, net_bandwidth_mbps: float) -> MachineConfig:
-    """Draw one Table-I configuration.
+    """Draw one Table-I configuration: :func:`sample_machines` for one
+    host.
 
     ``net_bandwidth_mbps`` comes from the network model (the host's LAN),
     keeping the capacity dimension consistent with the transfer-delay model.
-
-    Each field is one bounded integer draw indexing its pool — the same
-    draw ``Generator.choice`` makes on the pool, made by
-    :func:`repro.sim.rng.index_draw` without numpy's call overhead
-    (``tests/sim/test_rng.py`` pins the stream identity).
     """
-    return _sample(index_draw(rng), net_bandwidth_mbps)
-
-
-def _sample(draw: Callable[[int], int], net_bandwidth_mbps: float) -> MachineConfig:
-    return MachineConfig(
-        processors=_PROCESSORS[draw(len(_PROCESSORS))],
-        rate_per_processor=_RATES[draw(len(_RATES))],
-        io_speed=_IO_SPEEDS[draw(len(_IO_SPEEDS))],
-        net_bandwidth_mbps=float(net_bandwidth_mbps),
-        disk_size=_DISK_SIZES[draw(len(_DISK_SIZES))],
-        memory_size=_MEM_SIZES[draw(len(_MEM_SIZES))],
-    )
+    return sample_machines(rng, [net_bandwidth_mbps])[0][0]
 
 
 def sample_machines(
-    rng: np.random.Generator, net_bandwidths_mbps: list[float]
-) -> list[MachineConfig]:
-    """Draw one Table-I configuration per LAN bandwidth entry.
+    rng: np.random.Generator, net_bandwidths_mbps: Sequence[float]
+) -> tuple[list[MachineConfig], np.ndarray]:
+    """Draw one Table-I configuration per LAN bandwidth entry:
+    ``(machines, capacities)``, where row ``i`` of the ``(H, 5)`` matrix
+    is ``machines[i].capacity`` — the batch form feeding
+    :meth:`repro.cloud.engine.HostEngine.add_hosts`, built from the drawn
+    pool indexes in one pass.
 
-    Stream-compatible with repeated :func:`sample_machine` calls: the
-    draws happen machine-by-machine in the exact same order, so a seeded
-    population is identical whether it was sampled one host at a time
-    (the seed runner) or in one batch (the host-engine runner).
+    Each field is one bounded integer draw indexing its pool, machine by
+    machine in field order — the draw ``Generator.choice`` makes on the
+    pool, made in one :func:`repro.sim.rng.bulk_index_draw` scope
+    (``tests/sim/test_rng.py`` pins the stream identity).  A population
+    is the same whether it was sampled one host at a time or in one
+    batch.
     """
-    draw = index_draw(rng)
-    return [_sample(draw, bw) for bw in net_bandwidths_mbps]
-
-
-def capacity_matrix(machines: list[MachineConfig]) -> np.ndarray:
-    """``(H, 5)`` capacity vectors ``c_i``, one row per machine — the
-    batch form feeding :meth:`repro.cloud.engine.HostEngine.add_hosts`."""
-    return np.stack([m.capacity.values for m in machines])
+    bandwidths = [float(bw) for bw in net_bandwidths_mbps]
+    with bulk_index_draw(rng, len(_POOLS) * len(bandwidths)) as below:
+        picks = [below(len(pool)) for _ in bandwidths for pool in _POOLS]
+    rows = np.array(picks, dtype=np.intp).reshape(-1, len(_POOLS))
+    machines = [
+        MachineConfig(
+            _PROCESSORS[p], _RATES[r], _IO_SPEEDS[io], bw, _DISK_SIZES[disk], _MEM_SIZES[mem]
+        )
+        for bw, (p, r, io, disk, mem) in zip(bandwidths, zip(*[iter(picks)] * len(_POOLS)))
+    ]
+    # The drawn values in pool order (processors, rate, io, disk, mem),
+    # rearranged in place into capacity order (cpu, io, net, disk, mem).
+    capacities = _POOL_TABLE[np.arange(len(_POOLS)), rows]
+    capacities[:, 0] *= capacities[:, 1]
+    capacities[:, 1] = capacities[:, 2]
+    capacities[:, 2] = bandwidths
+    return machines, capacities

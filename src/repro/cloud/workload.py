@@ -18,7 +18,7 @@ inverse-CDF samplers (:class:`ZipfRankSampler`,
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -153,16 +153,30 @@ class PoissonWorkload:
         is_alive: Callable[[int], bool],
         quantum: float = 0.0,
     ) -> None:
-        """Begin the arrival process for ``node_id``.
+        """Begin the arrival process for ``node_id``: :meth:`start_nodes`
+        for one node."""
+        self.start_nodes([node_id], sim, submit, is_alive, quantum)
 
-        The first arrival is offset by a fresh exponential draw, so nodes
-        are naturally staggered.  The chain self-terminates once the node is
-        no longer alive (churned out) — it simply stops re-arming.  It is
-        one heap entry at a time whose callback is this workload's shared
-        fire method and whose arguments carry the node id with its
-        ``sim``, ``submit``, ``is_alive`` and ``quantum`` — no closure per
-        node, so a caller that passes the same callables for every node
-        adds one entry per node and nothing else.
+    def start_nodes(
+        self,
+        node_ids: Sequence[int],
+        sim: Simulator,
+        submit: Callable[[Task], None],
+        is_alive: Callable[[int], bool],
+        quantum: float = 0.0,
+    ) -> None:
+        """Begin the arrival process of every node, in order.
+
+        Each first arrival is offset by a fresh exponential draw, so nodes
+        are naturally staggered; the draws are made in one call, node by
+        node, and the chains are posted in the same order.  A chain
+        self-terminates once its node is no longer alive (churned out) —
+        it simply stops re-arming.  It is one heap entry at a time whose
+        callback is this workload's shared fire method and whose
+        arguments carry the node id with its ``sim``, ``submit``,
+        ``is_alive`` and ``quantum`` — no closure per node, so a caller
+        that passes the same callables for every node adds one entry per
+        node and nothing else.
 
         ``quantum`` > 0 rounds every fire time *up* onto the quantum grid
         (the exponential draws themselves are untouched, so the RNG stream
@@ -170,17 +184,19 @@ class PoissonWorkload:
         delivery instants and the runner's arrival coalescing gets real
         batches instead of singletons.
         """
-        self._arm(node_id, sim, submit, is_alive, quantum)
+        offsets = self._rng.exponential(self.mean_interarrival, size=len(node_ids))
+        for node_id, offset in zip(node_ids, offsets.tolist()):
+            self._post(node_id, sim.now + offset, sim, submit, is_alive, quantum)
 
-    def _arm(
+    def _post(
         self,
         node_id: int,
+        target: float,
         sim: Simulator,
         submit: Callable[[Task], None],
         is_alive: Callable[[int], bool],
         quantum: float,
     ) -> None:
-        target = sim.now + self._rng.exponential(self.mean_interarrival)
         if quantum > 0.0:
             target = math.ceil(target / quantum) * quantum
         sim.post_at(target, self._fire, node_id, sim, submit, is_alive, quantum)
@@ -198,4 +214,7 @@ class PoissonWorkload:
         task = self.factory.create(node_id, sim.now)
         self.generated += 1
         submit(task)
-        self._arm(node_id, sim, submit, is_alive, quantum)
+        self._post(
+            node_id, sim.now + self._rng.exponential(self.mean_interarrival),
+            sim, submit, is_alive, quantum,
+        )

@@ -63,7 +63,7 @@ class ProtocolContext:
         #: with their own sends pass it in, the default is an exact
         #: (quantum 0) one.
         self.delivery = delivery if delivery is not None else DeliveryCalendar(sim)
-        #: :meth:`start_periodic`'s re-arm callback, bound once so every
+        #: :meth:`start_periodic_many`'s re-arm callback, bound once so every
         #: node's chain entries share it.
         self._chain = self._chain_tick
 
@@ -194,24 +194,43 @@ class ProtocolContext:
         node_id: int,
         alive: Callable[[int], bool],
     ) -> None:
-        """Arm a self-chaining periodic ``tick(node_id)`` with a
-        randomized phase drawn uniformly from ``[0, period)`` — the shared
-        form of the periodic-start boilerplate every baseline used to
-        duplicate.
+        """Arm one self-chaining periodic ``tick(node_id)``:
+        :meth:`start_periodic_many` for one node and one activity."""
+        self.start_periodic_many([node_id], [(period, tick)], alive)
 
-        The phase draw happens *at call time* on the ctx RNG stream
-        (identical stream position to the inlined pattern it replaces).
-        The chain is one heap entry at a time whose callback is this
+    def start_periodic_many(
+        self,
+        node_ids: Sequence[int],
+        ticks: Sequence[tuple[float, Callable[[int], None]]],
+        alive: Callable[[int], bool],
+    ) -> None:
+        """Arm a self-chaining periodic ``tick(node_id)`` for every node
+        and every ``(period, tick)`` of ``ticks``, node by node, each with
+        a randomized phase drawn uniformly from ``[0, period)`` — the
+        shared form of the periodic-start boilerplate every protocol used
+        to duplicate.
+
+        The phase draws happen *at call time* on the ctx RNG stream, in
+        that order and one call: ``uniform(0, period)`` computes ``0 +
+        period · u`` from the stream's next double ``u``, which is the
+        rounded product ``period · u`` this method takes of ``random``'s
+        doubles, bit for bit.  The chains are posted in the same order.
+        A chain is one heap entry at a time whose callback is this
         context's shared re-arm method and whose arguments carry
         ``period``, ``tick``, ``node_id`` and ``alive`` — no closure per
-        node.  The chain dies when ``alive(node_id)`` turns false, so it
-        needs no cancellation handle.
+        node.  It dies when ``alive(node_id)`` turns false, so it needs
+        no cancellation handle.
         """
-        if not period > 0:  # (also rejects NaN)
-            raise SimulationError(f"non-positive period {period!r}")
-        self.sim.post(
-            self.rng.uniform(0, period), self._chain, period, tick, node_id, alive
-        )
+        periods = [period for period, _ in ticks]
+        for period in periods:
+            if not period > 0:  # (also rejects NaN)
+                raise SimulationError(f"non-positive period {period!r}")
+        draws = self.rng.random(len(node_ids) * len(periods))
+        phases = iter((np.tile(periods, len(node_ids)) * draws).tolist())
+        post, chain = self.sim.post, self._chain
+        for node_id in node_ids:
+            for period, tick in ticks:
+                post(next(phases), chain, period, tick, node_id, alive)
 
     def _chain_tick(
         self,

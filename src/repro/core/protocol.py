@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.can.inscan import (
-    IndexPointerTable, build_index_table, inscan_path, inscan_paths,
+    IndexPointerTable, inscan_path, inscan_paths, max_pointer_exponent,
 )
 from repro.can.overlay import CANOverlay
 from repro.can.routing import RoutingError
@@ -43,6 +43,7 @@ from repro.core.lifecycle import QueryLifecycle
 from repro.core.pilist import PIList
 from repro.core.query import QueryEngine, QueryParams
 from repro.core.state import StateCache, StateRecord
+from repro.sim.rng import bulk_index_draw
 
 __all__ = [
     "DiscoveryProtocol",
@@ -55,9 +56,10 @@ __all__ = [
 ]
 
 
-def quantize_phase(u: float, period: float, buckets: int) -> float:
-    """Snap a uniform phase draw ``u ~ U(0, period)`` down onto the
-    ``buckets``-point grid ``{0, period/buckets, ...}``.
+def quantize_phase(u: np.ndarray, period: np.ndarray, buckets: int) -> np.ndarray:
+    """Snap uniform phase draws ``u ~ U(0, period)`` down onto the
+    ``buckets``-point grid ``{0, period/buckets, ...}`` of their period,
+    elementwise.
 
     Quantization is what makes nodes share tick instants at all: with
     continuous phases every cohort would hold one node.  The draw itself
@@ -66,7 +68,7 @@ def quantize_phase(u: float, period: float, buckets: int) -> float:
     """
     if buckets < 1:
         raise ValueError(f"buckets must be >= 1, got {buckets!r}")
-    b = min(int(u / period * buckets), buckets - 1)
+    b = np.minimum((u / period * buckets).astype(np.int64), buckets - 1)
     return b * (period / buckets)
 
 
@@ -189,7 +191,7 @@ class DutyStateProtocol(DiscoveryProtocol):
     It is also the one home of the periodic-activity plumbing.
     Subclasses list their activities in :meth:`_periodic_kinds`;
     ``params.phase_buckets`` alone selects how they tick — continuous
-    per-node phases through ``ctx.start_periodic`` (scalar actions), or
+    per-node phases through ``ctx.start_periodic_many`` (scalar actions), or
     quantized phases through one cohort timer per (activity, phase)
     (batched rounds).  Two hooks specialize the state update:
     :meth:`_virtual_coordinates` (PID-CAN's VD variants) and
@@ -233,8 +235,12 @@ class DutyStateProtocol(DiscoveryProtocol):
         With ``phase_buckets == 0`` this is the seed's path: continuous
         per-node phases make every cohort a singleton, so each node gets
         one self-chaining timer per activity running the scalar action.
-        With buckets, phase draws stay **node-major** (the seed's RNG
-        stream order: one draw per activity, node by node) while cohort
+        Either way every phase is drawn in one call, the values of
+        ``uniform(0, period)`` (see
+        :meth:`~repro.core.context.ProtocolContext.start_periodic_many`),
+        in **node-major** order (the seed's RNG stream order: one draw
+        per activity, node by node).  With buckets the draws are snapped by
+        :func:`quantize_phase`, and cohort
         membership is filled **kind-major** — all state ticks, then all
         diffusion ticks, then all table refreshes — the delivery order
         the per-member reference scheduler reproduces event for event
@@ -243,19 +249,14 @@ class DutyStateProtocol(DiscoveryProtocol):
         kinds = self._periodic_kinds()
         buckets = self.params.phase_buckets
         if buckets == 0:
-            start, ticking = self.ctx.start_periodic, self._ticking
-            for node_id in node_ids:
-                for _, period, _, action in kinds:
-                    start(period, action, node_id, ticking)
+            self.ctx.start_periodic_many(
+                node_ids, [(period, action) for _, period, _, action in kinds],
+                self._ticking,
+            )
             return
-        rng = self.ctx.rng
-        phases = [
-            [
-                quantize_phase(rng.uniform(0, period), period, buckets)
-                for _, period, _, _ in kinds
-            ]
-            for _ in node_ids
-        ]
+        periods = np.array([period for _, period, _, _ in kinds] * len(node_ids))
+        draws = periods * self.ctx.rng.random(len(periods))  # (uniform(0, period)'s values)
+        phases = quantize_phase(draws, periods, buckets).reshape(-1, len(kinds)).tolist()
         for i, (kind, period, round_fn, _) in enumerate(kinds):
             for node_id, node_phases in zip(node_ids, phases):
                 key = (kind, node_phases[i])
@@ -351,8 +352,28 @@ class DutyStateProtocol(DiscoveryProtocol):
             cache.put(record)
             self._on_state_stored(duty, record)
 
+    # ------------------------------------------------------------------
+    # pointer tables
+    # ------------------------------------------------------------------
+    def _build_tables(self, node_ids: Sequence[int], charge: bool) -> None:
+        """Build the pointer tables of ``node_ids`` in order, every walk
+        drawing in one :func:`~repro.sim.rng.bulk_index_draw` scope on the
+        ctx stream (the draws of one ``build_index_table`` call per node;
+        about one per walk is expected)."""
+        walks = 2 * self.overlay.dims * len(node_ids)
+        with bulk_index_draw(self.ctx.rng, walks) as below:
+            for node_id in node_ids:
+                self._store_table(node_id, below, charge)
+
     def _refresh_table(self, node_id: int, charge: bool) -> None:
-        table = build_index_table(self.overlay, node_id, self.ctx.rng)
+        self._store_table(node_id, self.ctx.below, charge)
+
+    def _store_table(
+        self, node_id: int, below: Callable[[int], int], charge: bool
+    ) -> None:
+        overlay = self.overlay
+        hops = 1 << max_pointer_exponent(len(overlay), overlay.dims)
+        table = IndexPointerTable(node_id, *overlay.pointer_walks(node_id, hops, below))
         self.tables[node_id] = table
         if charge:
             self.ctx.charge_local("maintenance", node_id, table.build_messages)
@@ -392,14 +413,13 @@ class PIDCANProtocol(DutyStateProtocol):
             self._init_node_state(node_id)
         # Tables are built after the full overlay exists, then kept fresh
         # by the periodic refresh.
-        for node_id in node_ids:
-            self._refresh_table(node_id, charge=False)
+        self._build_tables(node_ids, charge=False)
         self._arm_all(node_ids)
 
     def on_join(self, node_id: int) -> None:
         self.overlay.join(node_id)
         self._init_node_state(node_id)
-        self._refresh_table(node_id, charge=True)
+        self._build_tables([node_id], charge=True)
         self._arm_all([node_id])
 
     def on_leave(self, node_id: int) -> None:

@@ -32,13 +32,7 @@ import numpy as np
 
 from repro.cloud.checkpoint import CheckpointStore
 from repro.cloud.engine import HostEngine
-from repro.cloud.machine import (
-    CMAX,
-    MachineConfig,
-    capacity_matrix,
-    sample_machine,
-    sample_machines,
-)
+from repro.cloud.machine import CMAX, MachineConfig, sample_machine, sample_machines
 from repro.cloud.resources import dominates
 from repro.cloud.tasks import N_WORK_DIMS, Task, TaskFactory
 from repro.cloud.workload import PoissonWorkload, SkewedTaskFactory
@@ -219,22 +213,16 @@ class SOCSimulation:
         self._completion_handle: Optional[Event] = None
         self._completion_key: Optional[tuple[float, int, int]] = None
 
-        # --- hosts (batch-sampled, batch-registered) -------------------
-        machine_rng = self.rngs.stream("machines")
-        self._machine_rng = machine_rng
+        # --- hosts (each phase one batch call) --------------------------
+        self._machine_rng = self.rngs.stream("machines")
         node_ids = list(range(config.n_nodes))
         self._next_node_id = config.n_nodes
-        for node_id in node_ids:
-            self.network.add_node(node_id)
-        machines = sample_machines(
-            machine_rng, [self.network.node_bandwidth_mbps(i) for i in node_ids]
+        self.network.add_nodes(node_ids)
+        machines, capacities = sample_machines(
+            self._machine_rng, [self.network.node_bandwidth_mbps(i) for i in node_ids]
         )
-        capacities = capacity_matrix(machines)
         self.engine.add_hosts(node_ids, capacities)
-        for node_id, machine in zip(node_ids, machines):
-            self.hosts[node_id] = HostNode(node_id, machine)
-            self._alive.add(node_id)
-        self._peak_population = len(self._alive)
+        self._register_hosts(node_ids, machines)
 
         # --- capacity statistics --------------------------------------
         self.mean_capacity = capacities.mean(axis=0)
@@ -300,12 +288,13 @@ class SOCSimulation:
         self.workload = PoissonWorkload(
             self.factory, self.rngs.stream("arrivals"), config.effective_interarrival
         )
-        # One submit and one liveness callable shared by every chain.
-        submit, is_alive = self._submit_task, self.ctx.is_alive
-        for node_id in sorted(self._alive):
-            self.workload.start_node(
-                node_id, self.sim, submit, is_alive, quantum=config.arrival_quantum
-            )
+        # One submit and one liveness callable shared by every chain, a
+        # churn newcomer's included.
+        self._submit, self._is_alive = self._submit_task, self.ctx.is_alive
+        self.workload.start_nodes(
+            sorted(self._alive), self.sim, self._submit, self._is_alive,
+            quantum=config.arrival_quantum,
+        )
         #: Same-instant arrival buffer (``arrival_quantum > 0``): the first
         #: enqueue schedules a zero-delay flush, which runs after every
         #: arrival event of the instant and hands the protocol one batch.
@@ -337,15 +326,23 @@ class SOCSimulation:
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
-    def _create_host(self, machine_rng: np.random.Generator) -> int:
+    def _register_hosts(self, node_ids: list[int], machines: list[MachineConfig]) -> None:
+        """Enter hosts the network and the engine already hold, with their
+        Table-I machines, into the membership."""
+        for node_id, machine in zip(node_ids, machines):
+            self.hosts[node_id] = HostNode(node_id, machine)
+            self._alive.add(node_id)
+        self._peak_population = max(self._peak_population, len(self._alive))
+
+    def _create_host(self) -> int:
         node_id = self._next_node_id
         self._next_node_id += 1
         self.network.add_node(node_id)
-        machine = sample_machine(machine_rng, self.network.node_bandwidth_mbps(node_id))
+        machine = sample_machine(
+            self._machine_rng, self.network.node_bandwidth_mbps(node_id)
+        )
         self.engine.add_host(node_id, machine.capacity.values)
-        self.hosts[node_id] = HostNode(node_id, machine)
-        self._alive.add(node_id)
-        self._peak_population = max(self._peak_population, len(self._alive))
+        self._register_hosts([node_id], [machine])
         return node_id
 
     def is_alive(self, node_id: int) -> bool:
@@ -605,10 +602,10 @@ class SOCSimulation:
         victim_id = self._pick_churn_victim()
         if victim_id is not None:
             self._depart(victim_id)
-            newcomer = self._create_host(self._machine_rng)
+            newcomer = self._create_host()
             self.protocol.on_join(newcomer)
             self.workload.start_node(
-                newcomer, self.sim, self._submit_task, self.ctx.is_alive,
+                newcomer, self.sim, self._submit, self._is_alive,
                 quantum=self.config.arrival_quantum,
             )
         self.sim.post(

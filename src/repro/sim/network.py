@@ -14,7 +14,9 @@ hop costs "about 200 milliseconds on the WAN".
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -37,6 +39,21 @@ class NetworkParams:
     wan_bw_mbps_hi: float = 2.0
     lan_latency_s: float = 0.005
     wan_latency_s: float = 0.2
+
+    def __post_init__(self) -> None:
+        if not self.lan_size >= 1:
+            raise ValueError(f"lan_size must be >= 1, got {self.lan_size!r}")
+        for name in ("lan_latency_s", "wan_latency_s"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # (also rejects NaN)
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        for link in ("lan", "wan"):
+            lo_name, hi_name = f"{link}_bw_mbps_lo", f"{link}_bw_mbps_hi"
+            lo, hi = getattr(self, lo_name), getattr(self, hi_name)
+            if not 0.0 < lo < math.inf:
+                raise ValueError(f"{lo_name} must be finite and positive, got {lo!r}")
+            if not lo <= hi < math.inf:
+                raise ValueError(f"{hi_name} must be finite and >= {lo_name}, got {hi!r}")
 
 
 class NetworkModel:
@@ -94,26 +111,53 @@ class NetworkModel:
     # ------------------------------------------------------------------
     def add_node(self, node_id: int) -> None:
         """Register a node, assigning it a LAN and a WAN uplink bandwidth."""
-        if node_id in self._lan_of:
+        self.add_nodes([node_id])
+
+    def add_nodes(self, node_ids: Iterable[int]) -> None:
+        """Register nodes in order, as many :meth:`add_node` calls would:
+        each joins the least-populated LAN, a LAN's bandwidth is drawn
+        when its first member joins, then the member's WAN uplink — all
+        of them in one ``uniform`` call, with per-draw bounds where LAN
+        and WAN draws mix; either form computes every value exactly as
+        the scalar call does."""
+        p = self.params
+        lan_pair = (p.lan_bw_mbps_lo, p.lan_bw_mbps_hi)
+        wan_pair = (p.wan_bw_mbps_lo, p.wan_bw_mbps_hi)
+        lan_of, lan_bw, wan_bw = self._lan_of, self._lan_bw, self._wan_bw
+        added: list[int] = []
+        lans: list[int] = []
+        bounds: list[tuple[float, float]] = []
+        for node_id in node_ids:
+            if node_id in lan_of:
+                continue
+            lan = self._pick_lan()
+            lan_of[node_id] = lan
+            count = self._lan_members.get(lan, 0)
+            self._set_lan_count(lan, count + 1)
+            if count == 0 and lan not in lan_bw:  # (stored below, after the draw)
+                bounds.append(lan_pair)
+            bounds.append(wan_pair)
+            added.append(node_id)
+            lans.append(lan)
+        if not added:
             return
-        lan = self._pick_lan()
-        self._lan_of[node_id] = lan
-        self._set_lan_count(lan, self._lan_members.get(lan, 0) + 1)
-        if lan not in self._lan_bw:
-            bw = float(
-                self._rng.uniform(self.params.lan_bw_mbps_lo, self.params.lan_bw_mbps_hi)
-            )
-            self._lan_bw[lan] = bw
-            self._ensure_lan_capacity(lan)
-            self._lanbw_arr[lan] = bw
-        wan = float(
-            self._rng.uniform(self.params.wan_bw_mbps_lo, self.params.wan_bw_mbps_hi)
-        )
-        self._wan_bw[node_id] = wan
-        if node_id >= 0:
-            self._ensure_capacity(node_id)
-            self._lan_arr[node_id] = lan
-            self._wan_arr[node_id] = wan
+        if len(bounds) > len(added):
+            lo, hi = zip(*bounds)
+            draws = self._rng.uniform(lo, hi)
+        else:  # (WAN draws only: one pair of bounds, numpy's cheaper form)
+            draws = self._rng.uniform(*wan_pair, size=len(added))
+        values = iter(draws.tolist())
+        self._ensure_capacity(max(added))
+        lan_arr, wan_arr = self._lan_arr, self._wan_arr
+        for node_id, lan in zip(added, lans):
+            if lan not in lan_bw:
+                lan_bw[lan] = bw = next(values)
+                self._ensure_lan_capacity(lan)
+                self._lanbw_arr[lan] = bw
+            wan_bw[node_id] = wan = next(values)
+            if node_id >= 0:
+                lan_arr[node_id] = lan
+                wan_arr[node_id] = wan
 
     def remove_node(self, node_id: int) -> None:
         lan = self._lan_of.pop(node_id, None)

@@ -17,16 +17,32 @@ draw (``tests/sim/test_rng.py`` pins the identity).  The second commonest,
 short list (a PIList sample, a duty's δ records, gossip and flooding
 fan-outs), pays ~2.4 µs more for the same reason; :func:`distinct_draw`
 replays numpy's small-pool algorithm over the same primitive.
+
+Cell construction makes tens of thousands of index draws in a row (the
+Table-I machine fields, every pointer-table walk), and there even the
+ctypes call per word of :func:`index_draw` is most of the cost.
+:func:`bulk_index_draw` opens a scope whose ``below`` makes the same
+draws off raw 32-bit words fetched in chunks with one
+``Generator.integers(0, 2**32, dtype=np.uint32)`` call each.  The scope
+contract: on exit the generator is rewound to the state saved at entry
+and exactly the words ``below`` used are drawn again, so the stream
+position is the one the scalar draws leave; and any other draw from the
+generator inside the scope — it would be lost to the rewind — is refused
+with a :class:`RuntimeError` at the next refill or at exit.  A scope told
+to expect few draws (a churn newcomer's table) skips the buffer and
+hands out :func:`index_draw`'s ``below``, which costs less there.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["RngRegistry", "derive_seed", "distinct_draw", "index_draw"]
+__all__ = [
+    "RngRegistry", "bulk_index_draw", "derive_seed", "distinct_draw", "index_draw",
+]
 
 _U32 = 0x1_0000_0000
 
@@ -93,6 +109,136 @@ def index_draw(gen: np.random.Generator) -> Callable[[int], int]:
         return _lemire_draw(gen)
     integers = gen.integers
     return lambda n: int(integers(n))
+
+
+#: A bulk scope expecting fewer draws than this makes them one at a
+#: time with :func:`index_draw`: buffering costs two state reads, a
+#: fetch and a rewind, ~50 µs against ~1 µs a draw (2-core x86 VM).
+_BULK_MIN_DRAWS = 64
+#: A bulk scope fetches as many words as it expects draws, then twice as
+#: many at each refill, up to this many (64 KB) per fetch.
+_BULK_CHUNK_MAX = 16_384
+
+
+def _draw_words(gen: np.random.Generator, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit words of ``gen``'s stream — the words
+    ``count`` consecutive ``next_uint32`` calls return, the half of a
+    64-bit output buffered by an odd draw first."""
+    return gen.integers(0, _U32, size=count, dtype=np.uint32)
+
+
+def _word_scope(
+    gen: np.random.Generator, chunk: int
+) -> tuple[Callable[[int], int], Callable[[], None]]:
+    """``(below, close)`` of one bulk scope over ``gen`` whose first
+    fetch is ``chunk`` words: ``below`` is :func:`_lemire_draw`'s rule on
+    buffered words, ``close`` rewinds the generator and re-draws the
+    words used (see the module docstring) — unless it used every word
+    it fetched, which leaves the generator where it should stand."""
+    bit_generator = gen.bit_generator
+    entry = expected = bit_generator.state
+    words: Sequence[int] = ()
+    pos = fetched = 0
+
+    def check() -> None:
+        if bit_generator.state != expected:
+            raise RuntimeError(
+                "the generator was drawn from inside a bulk_index_draw scope"
+            )
+
+    def next_word() -> int:
+        nonlocal words, pos, fetched, chunk, expected
+        if pos == len(words):
+            check()
+            fetched += len(words)
+            # (read through a memoryview: one int per draw, made when the
+            # draw is, instead of one per word of the chunk held at once)
+            words, pos = memoryview(_draw_words(gen, chunk)), 0
+            expected = bit_generator.state
+            chunk = min(2 * chunk, _BULK_CHUNK_MAX)
+        pos += 1
+        return words[pos - 1]
+
+    def below(n: int) -> int:
+        nonlocal pos
+        if not 1 < n < _U32:
+            if n == 1:
+                return 0
+            raise ValueError(f"bulk index draws take bounds in [1, 2**32), got {n}")
+        if pos < len(words):
+            m = words[pos] * n
+            pos += 1
+        else:
+            m = next_word() * n
+        if (m & 0xFFFF_FFFF) < n:
+            threshold = (_U32 - n) % n
+            while (m & 0xFFFF_FFFF) < threshold:
+                m = next_word() * n
+        return m >> 32
+
+    def close() -> None:
+        check()
+        if pos == len(words):
+            return
+        used = fetched + pos
+        bit_generator.state = entry
+        while used:
+            count = min(used, _BULK_CHUNK_MAX)
+            _draw_words(gen, count)
+            used -= count
+
+    return below, close
+
+
+def _probe_bulk_draw() -> bool:
+    """Does a bulk scope reproduce ``Generator.integers`` here?  Probed
+    once at import like the index draw — values and final generator
+    state, from an odd buffered half-word, over bounds near powers of two
+    and rejection-prone ones, across two refills — and
+    :func:`bulk_index_draw` only buffers words where the probe passed."""
+    ours, theirs = np.random.default_rng(0xB01C), np.random.default_rng(0xB01C)
+    ours.integers(7), theirs.integers(7)  # (one word: half a 64-bit output)
+    bounds = [2, 3, 4, 5, 7, 255, 257, 65_537, 2**31 - 1, 2**31 + 1,
+              3 * 2**30, 2**32 - 1]
+    below, close = _word_scope(ours, _BULK_MIN_DRAWS)
+    for n in bounds * (4 * _BULK_MIN_DRAWS // len(bounds)):
+        if below(n) != int(theirs.integers(n)):
+            return False
+    close()
+    return ours.bit_generator.state == theirs.bit_generator.state
+
+
+_BULK_MATCHES = _probe_bulk_draw()
+
+
+class bulk_index_draw:
+    """``with bulk_index_draw(gen, draws) as below:`` — inside the scope
+    ``below(n) == int(gen.integers(n))`` draw for draw for ``1 <= n <
+    2**32``; on exit ``gen`` stands where those scalar draws would have
+    left it.  ``draws`` is how many draws the caller expects: from
+    ``_BULK_MIN_DRAWS`` on they are made off words fetched in chunks, the
+    first ``draws`` words long, and nothing else may draw from ``gen``
+    inside the scope — a foreign draw raises :class:`RuntimeError`.
+    Fewer are made one at a time by :func:`index_draw`, which is also
+    what the scope hands out when the import-time probe failed.  (A
+    class, not a generator function: a one-node call pays ~1 µs for the
+    scope instead of ~4.)"""
+
+    __slots__ = ("_below", "_close")
+
+    def __init__(self, gen: np.random.Generator, draws: int):
+        self._close: Optional[Callable[[], None]] = None
+        if draws < _BULK_MIN_DRAWS or not _BULK_MATCHES:
+            self._below = index_draw(gen)
+        else:
+            self._below, self._close = _word_scope(gen, min(draws, _BULK_CHUNK_MAX))
+
+    def __enter__(self) -> Callable[[int], int]:
+        return self._below
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._close is not None:
+            self._close()
 
 
 #: ``Generator.choice`` samples pools above this size without replacement

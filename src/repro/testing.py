@@ -452,7 +452,7 @@ def assert_engines_equivalent(
     counters (used by the equivalence tests and the pre-commit smoke).
     """
     from repro.cloud.engine import HostEngine
-    from repro.cloud.machine import capacity_matrix, sample_machines
+    from repro.cloud.machine import sample_machines
     from repro.cloud.tasks import TaskFactory
 
     rng = np.random.default_rng(seed)
@@ -465,9 +465,8 @@ def assert_engines_equivalent(
 
     machine_rng = np.random.default_rng(seed + 2)
     bandwidths = machine_rng.uniform(5.0, 10.0, n_hosts).tolist()
-    machines = sample_machines(machine_rng, bandwidths)
+    _, caps = sample_machines(machine_rng, bandwidths)
     host_ids = list(range(n_hosts))
-    caps = capacity_matrix(machines)
     vec.add_hosts(host_ids, caps)
     ref.add_hosts(host_ids, caps)
 
@@ -533,9 +532,9 @@ def assert_engines_equivalent(
                 del resident[task.task_id]
             stats["evicted"] += len(out_vec)
         elif op < 0.97 and churn:  # a fresh host joins mid-run
-            machine = sample_machines(machine_rng, [7.5])[0]
-            vec.add_host(next_host_id, machine.capacity.values)
-            ref.add_host(next_host_id, machine.capacity.values)
+            capacity = sample_machines(machine_rng, [7.5])[1][0]
+            vec.add_host(next_host_id, capacity)
+            ref.add_host(next_host_id, capacity)
             host_ids.append(next_host_id)
             next_host_id += 1
             stats["joined"] += 1
@@ -632,9 +631,10 @@ class ReferenceCANOverlay(CANOverlay):
                 out.append(m)
         return tuple(sorted(out))
 
-    def pointer_walks(self, node_id, max_hops, rng):
-        """The seed's table walk, verbatim: one :func:`_step_directional`
-        call (and one ``directional_neighbors`` under it) per hop."""
+    def pointer_walks(self, node_id, max_hops, below):
+        """The seed's table walk, verbatim but for the index draw, made
+        by ``below``: one :func:`_step_directional` call (and one
+        ``directional_neighbors`` under it) per hop."""
         chains: list[tuple[int, ...]] = []
         build_messages = 0
         for dim in range(self.dims):
@@ -643,7 +643,7 @@ class ReferenceCANOverlay(CANOverlay):
                 current = node_id
                 hop = 0
                 while hop < max_hops:
-                    nxt = _step_directional(self, current, dim, sign, rng)
+                    nxt = _step_directional(self, current, dim, sign, below)
                     if nxt is None:
                         break  # reached the edge of the CAN space
                     hop += 1
@@ -704,17 +704,17 @@ def _step_directional(
     node_id: int,
     dim: int,
     sign: int,
-    rng: np.random.Generator,
+    below: Callable[[int], int],
 ) -> Optional[int]:
     """One randomized hop across the ``(dim, sign)`` face, or None at the
     space edge (the seed's per-step form of the pointer-table walk,
-    verbatim)."""
+    verbatim; ``below(n)`` draws as ``int(rng.integers(n))``)."""
     candidates = overlay.directional_neighbors(node_id, dim, sign)
     if not candidates:
         return None
     if len(candidates) == 1:
         return candidates[0]
-    return int(candidates[int(rng.integers(len(candidates)))])
+    return int(candidates[below(len(candidates))])
 
 
 def reference_greedy_path(

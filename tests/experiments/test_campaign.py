@@ -286,6 +286,12 @@ def test_bad_override_values_fail_at_spec_construction():
         small_spec(overrides={**FAST, "pidcan": {"state_period": 0.0}})
     with pytest.raises(ValueError, match="delivery_quantum"):
         small_spec(overrides={**FAST, "delivery_quantum": float("nan")})
+    # A negative latency failed deep in the run, an infinite bandwidth
+    # bound in set-up, and a zero LAN size ran one LAN per node.
+    for field, value in [("wan_latency_s", -0.2), ("wan_bw_mbps_hi", float("inf")),
+                         ("lan_size", 0)]:
+        with pytest.raises(ValueError, match=field):
+            small_spec(overrides={**FAST, "network": {field: value}})
     # ``--override duration=NaN`` parses (``json.loads`` takes NaN) and
     # used to hang the worker that ran the cell.
     from repro.experiments.cli import _resolve_spec, build_campaign_parser

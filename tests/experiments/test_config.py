@@ -59,6 +59,19 @@ def test_validation():
     ]:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{field: value})
+    # A negative or NaN latency, or a negative bandwidth, failed deep in
+    # the run ("cannot schedule at ... < now"); an infinite bandwidth
+    # bound overflowed numpy in set-up; a zero LAN size gave every node
+    # its own LAN.
+    for field, value in [
+        ("lan_latency_s", -0.001), ("wan_latency_s", nan),
+        ("wan_latency_s", float("inf")), ("lan_bw_mbps_lo", -1.0),
+        ("lan_bw_mbps_lo", 0.0), ("wan_bw_mbps_lo", nan),
+        ("lan_bw_mbps_hi", 4.0), ("wan_bw_mbps_hi", float("inf")),
+        ("wan_bw_mbps_hi", nan), ("lan_size", 0),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(network=NetworkParams(**{field: value}))
 
 
 @pytest.mark.parametrize("field", [

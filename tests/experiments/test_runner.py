@@ -382,3 +382,65 @@ def test_built_cell_stays_within_the_tracked_object_budget(cell):
     gc.collect()
     per_node = (len(gc.get_objects()) - before) / config.n_nodes
     assert per_node <= TRACKED_PER_NODE_BUDGET, f"{per_node:.1f} tracked objects per node"
+
+
+# ----------------------------------------------------------------------
+# generator calls a built cell makes
+# ----------------------------------------------------------------------
+#: Generator calls constructing a 400-node budget cell may make.  Each
+#: set-up phase consumes each of its streams with one call, and a bulk
+#: index-draw scope with one call per chunk of words and one to re-draw
+#: them; a draw per node per phase made 3 620-5 289 here
+#: (``docs/architecture.md``, "Cell construction").
+CONSTRUCTION_CALL_BUDGET = 32
+
+#: The drawing methods of ``numpy.random.Generator`` a cell could call.
+_DRAW_METHODS = (
+    "integers", "random", "uniform", "exponential", "choice", "permutation",
+    "shuffle", "normal", "standard_normal", "standard_exponential", "pareto",
+    "zipf", "poisson", "binomial", "beta", "gamma",
+)
+
+
+class _CountingGenerator(np.random.Generator):
+    """A generator that counts calls of its drawing methods."""
+
+    calls = 0
+
+
+def _counted(name):
+    def method(self, *args, **kwargs):
+        self.calls += 1
+        return getattr(np.random.Generator, name)(self, *args, **kwargs)
+
+    return method
+
+
+for _name in _DRAW_METHODS:
+    setattr(_CountingGenerator, _name, _counted(_name))
+
+
+@pytest.mark.parametrize(
+    "cell", [name for name in _budget_cells() if name != "newscast"]
+)
+def test_built_cell_makes_few_generator_calls(cell, monkeypatch):
+    """Newscast is left out: its view and phase draws interleave on one
+    stream, so both stay per node."""
+    from repro.sim import rng as rng_mod
+
+    def stream(self, name):
+        gen = self._streams.get(name)
+        if gen is None:
+            seed = rng_mod.derive_seed(self.master_seed, name)
+            gen = self._streams[name] = _CountingGenerator(np.random.PCG64(seed))
+        return gen
+
+    monkeypatch.setattr(rng_mod.RngRegistry, "stream", stream)
+    # Scalar draws then go through the counted numpy methods, one call
+    # each, instead of straight to the bit generator.
+    monkeypatch.setattr(rng_mod, "_LEMIRE_MATCHES", False)
+    monkeypatch.setattr(rng_mod, "_FLOYD_MATCHES", False)
+    config = _budget_cells()[cell]
+    sim = SOCSimulation(config)
+    calls = sum(gen.calls for gen in sim.rngs._streams.values())
+    assert 0 < calls <= CONSTRUCTION_CALL_BUDGET, f"{calls} generator calls"

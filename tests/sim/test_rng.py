@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.sim.rng import RngRegistry, derive_seed, distinct_draw, index_draw
+from repro.sim.rng import (
+    _BULK_MIN_DRAWS,
+    RngRegistry,
+    bulk_index_draw,
+    derive_seed,
+    distinct_draw,
+    index_draw,
+)
 
 
 def test_same_name_returns_cached_stream():
@@ -141,3 +148,65 @@ def test_distinct_draw_edge_sizes():
         distinct_draw(gen, 3, 4)
     with pytest.raises(ValueError):
         distinct_draw(gen, 3, -1)
+
+
+def test_bulk_index_draw_is_stream_identical_to_integers():
+    """A :func:`bulk_index_draw` scope makes the draws of as many
+    ``int(gen.integers(n))`` calls, value for value, and leaves the
+    generator in the same state — starting on an odd buffered half-word
+    of a 64-bit output, over bounds that reject a quarter to a half of
+    their words, across refills of the word buffer, and when it expected
+    too few draws to buffer at all."""
+    bounds = [1, 2, 3, 4, 5, 7, 8, 255, 256, 257, 65_537, 2**31 - 1,
+              2**31 + 1, 3 * 2**30, 2**32 - 1]
+    for skip in (0, 1, 3):
+        for expected in (1, _BULK_MIN_DRAWS):
+            a, b = np.random.default_rng(29), np.random.default_rng(29)
+            for _ in range(skip):  # (32-bit draws: an odd count buffers a half)
+                a.integers(7), b.integers(7)
+            wanted = [bounds[i % len(bounds)] for i in range(9 * _BULK_MIN_DRAWS)]
+            with bulk_index_draw(a, expected) as below:
+                got = [below(n) for n in wanted]
+            assert got == [int(b.integers(n)) for n in wanted]
+            assert a.bit_generator.state == b.bit_generator.state
+            assert a.uniform() == b.uniform()
+
+
+def test_bulk_index_draw_scopes_of_any_length_leave_the_exact_position():
+    """Scopes that end before, on and after a refill boundary, and an
+    empty one, each leave the stream where the scalar draws would."""
+    a, b = np.random.default_rng(31), np.random.default_rng(31)
+    for count in (0, 1, _BULK_MIN_DRAWS - 1, _BULK_MIN_DRAWS, _BULK_MIN_DRAWS + 1,
+                  3 * _BULK_MIN_DRAWS, 4 * _BULK_MIN_DRAWS):
+        with bulk_index_draw(a, _BULK_MIN_DRAWS) as below:
+            got = [below(6) for _ in range(count)]
+        assert got == [int(b.integers(6)) for _ in range(count)]
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_bulk_index_draw_refuses_a_foreign_draw_inside_its_scope():
+    """The exit rewinds the generator, which would lose any other draw
+    made inside the scope — so such a draw raises, whether the scope
+    notices it at a refill or at its exit."""
+    gen = np.random.default_rng(37)
+    with pytest.raises(RuntimeError, match="inside a bulk_index_draw scope"):
+        with bulk_index_draw(gen, _BULK_MIN_DRAWS) as below:
+            below(5)
+            gen.uniform()
+    with pytest.raises(RuntimeError, match="inside a bulk_index_draw scope"):
+        with bulk_index_draw(gen, _BULK_MIN_DRAWS) as below:
+            below(5)
+            index_draw(gen)(5)
+            for _ in range(_BULK_MIN_DRAWS):
+                below(5)
+
+
+def test_bulk_index_draw_bounds():
+    gen = np.random.default_rng(41)
+    before = gen.bit_generator.state
+    with bulk_index_draw(gen, _BULK_MIN_DRAWS) as below:
+        assert [below(1) for _ in range(5)] == [0] * 5
+        for n in (0, -1, 2**32, 2**40):
+            with pytest.raises(ValueError):
+                below(n)
+    assert gen.bit_generator.state == before

@@ -389,7 +389,10 @@ def test_scalar_index_draws_go_through_index_draw():
     and no ``.choice(..., replace=False)`` outside ``repro/sim/rng.py``,
     which defines the draws, and ``repro/testing.py``, whose oracles keep
     numpy's own calls — that is what makes the lockstep suites a
-    cross-check of the primitives.  Array draws (``size=``) may stay."""
+    cross-check of the primitives.  Array draws (``size=``) may stay, but
+    raw words — the bit generator, or ``integers`` with a ``dtype`` — are
+    drawn in ``repro/sim/rng.py`` only, where the bulk scope accounts for
+    every one."""
     import ast
 
     exempt = {"repro/sim/rng.py", "repro/testing.py"}
@@ -409,6 +412,12 @@ def test_scalar_index_draws_go_through_index_draw():
             f"{name}:{node.lineno}" for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "integers"
             and id(node) not in array_draws
+        ]
+        offenders += [
+            f"{name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "bit_generator"
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "integers" and any(k.arg == "dtype" for k in node.keywords)
         ]
         offenders += [
             f"{name}:{node.lineno}" for node in ast.walk(tree)
