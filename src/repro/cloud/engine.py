@@ -15,8 +15,9 @@ graph with structure-of-arrays state shared by *all* hosts:
 - **task arrays** — remaining work, expectation vectors, owning-host rows
   and a liveness bit in ``(M, ·)`` arrays with lazy compaction
   (completion/eviction only flips the bit; rows are squeezed out once dead
-  rows outnumber the live ones, preserving insertion order — the same
-  discipline as :class:`repro.core.state.StateCache`);
+  rows outnumber the live ones, preserving insertion order — the engine
+  is a :class:`repro.sim.rows.RowTable` over its task rows, like the
+  caches);
 - a **global completion calendar** — a lazy binary heap holding at most one
   live entry per host, rebuilt per host from the vectorized next-completion
   prediction, so the simulation schedules exactly one event for the
@@ -50,20 +51,21 @@ import numpy as np
 
 from repro.cloud.psm import DEFAULT_OVERHEAD, VMOverhead, effective_capacity_batch
 from repro.cloud.tasks import N_WORK_DIMS, Task
+from repro.sim.rows import MIN_CAPACITY, RowTable, grow_columns
 
 __all__ = ["HostEngine"]
 
 #: Work below this is treated as done (guards float round-off at completion).
 _WORK_EPS = 1e-6
 
-#: Initial row capacity of the SoA arrays.
-_MIN_CAPACITY = 8
+#: The host arrays, ``(H, ·)`` columns grown together.
+_HOST_COLUMNS = (
+    "_cap", "_eff", "_load", "_avail", "_share", "_nrun", "_last", "_gen",
+    "_next_when", "_next_row",
+)
 
-#: Compact once dead task rows outnumber both this floor and the live rows.
-_COMPACT_FLOOR = 64
 
-
-class HostEngine:
+class HostEngine(RowTable):
     """Executes every host's resident tasks under PSM sharing.
 
     Usage pattern (driven by the simulation runner)::
@@ -75,7 +77,13 @@ class HostEngine:
         done = eng.complete(host_id, task_id, when)
     """
 
+    #: Task rows (keyed by task id): remaining work, expectation vector
+    #: and owning host row, beside the ``_tasks`` objects.
+    _COLUMNS = ("_t_rem", "_t_exp", "_t_host")
+    _OBJECTS = "_tasks"
+
     def __init__(self, overhead: VMOverhead = DEFAULT_OVERHEAD):
+        super().__init__()
         self.overhead = overhead
         self._frac, self._flat = overhead.arrays()
         #: Resource dimensionality, fixed by the overhead model's vectors.
@@ -97,14 +105,10 @@ class HostEngine:
         self._h_n = 0
 
         # --- task SoA -------------------------------------------------
-        self._task_row: dict[int, int] = {}
         self._tasks: list[Optional[Task]] = []  # task row -> Task (None = dead)
         self._t_rem = np.empty((0, N_WORK_DIMS), dtype=np.float64)
         self._t_exp = np.empty((0, dims), dtype=np.float64)
         self._t_host = np.empty(0, dtype=np.int64)
-        self._t_live = np.empty(0, dtype=bool)
-        self._t_n = 0
-        self._t_dead = 0
 
         # --- completion calendar -------------------------------------
         # One live heap entry per host; staleness is detected by comparing
@@ -115,78 +119,20 @@ class HostEngine:
         self._next_row = np.empty(0, dtype=np.int64)  # predicted task row
         self._gen_counter = 0
 
-    # ------------------------------------------------------------------
-    # storage management
-    # ------------------------------------------------------------------
-    def _grow_hosts(self, need: int) -> None:
-        capacity = max(_MIN_CAPACITY, 2 * self._h_n, need)
-        n = self._h_n
-        for name, width in (
-            ("_cap", self.dims), ("_eff", self.dims), ("_load", self.dims),
-            ("_avail", self.dims), ("_share", N_WORK_DIMS),
-        ):
-            old = getattr(self, name)
-            fresh = np.zeros((capacity, width), dtype=np.float64)
-            fresh[:n] = old[:n]
-            setattr(self, name, fresh)
-        for name, dtype, fill in (
-            ("_nrun", np.int64, 0),
-            ("_last", np.float64, 0.0),
-            ("_gen", np.int64, 0),
-            ("_next_when", np.float64, np.inf),
-            ("_next_row", np.int64, -1),
-        ):
-            old = getattr(self, name)
-            fresh = np.full(capacity, fill, dtype=dtype)
-            fresh[:n] = old[:n]
-            setattr(self, name, fresh)
-
-    def _grow_tasks(self) -> None:
-        capacity = max(_MIN_CAPACITY, 2 * self._t_n)
-        n = self._t_n
-        for name, shape in (
-            ("_t_rem", (capacity, N_WORK_DIMS)),
-            ("_t_exp", (capacity, self.dims)),
-        ):
-            old = getattr(self, name)
-            fresh = np.zeros(shape, dtype=np.float64)
-            fresh[:n] = old[:n]
-            setattr(self, name, fresh)
-        host = np.full(capacity, -1, dtype=np.int64)
-        host[:n] = self._t_host[:n]
-        self._t_host = host
-        live = np.zeros(capacity, dtype=bool)
-        live[:n] = self._t_live[:n]
-        self._t_live = live
-
-    def _compact_tasks(self) -> None:
-        """Squeeze out dead task rows, preserving insertion order."""
-        keep = np.flatnonzero(self._t_live[: self._t_n])
-        m = int(keep.size)
-        if m:
-            self._t_rem[:m] = self._t_rem[keep]
-            self._t_exp[:m] = self._t_exp[keep]
-            self._t_host[:m] = self._t_host[keep]
-        self._t_live[:m] = True
-        self._t_live[m : self._t_n] = False
-        tasks = [self._tasks[row] for row in keep]
-        self._tasks[:] = tasks
-        self._task_row = {task.task_id: row for row, task in enumerate(tasks)}
-        # Remap every host's row list and calendar prediction.
-        new_row = np.full(self._t_n, -1, dtype=np.int64)
-        new_row[keep] = np.arange(m)
-        for h in range(self._h_n):
-            lst = self._host_tasks[h]
-            if lst:
-                lst[:] = [int(new_row[r]) for r in lst]
-            if self._next_row[h] >= 0:
-                self._next_row[h] = new_row[self._next_row[h]]
-        self._t_n = m
-        self._t_dead = 0
-
-    def _maybe_compact(self) -> None:
-        if self._t_dead > _COMPACT_FLOOR and self._t_dead > self._t_n - self._t_dead:
-            self._compact_tasks()
+    def _compact(self) -> np.ndarray:
+        """Squeeze out dead task rows, then remap every host's row list
+        and calendar prediction."""
+        n = self._n
+        keep = super()._compact()
+        new_row = np.full(n, -1, dtype=np.int64)
+        new_row[keep] = np.arange(keep.size)
+        for h in np.flatnonzero(self._nrun[: self._h_n]).tolist():
+            rows = self._host_tasks[h]
+            rows[:] = new_row[rows].tolist()
+        predicted = self._next_row[: self._h_n]
+        busy = predicted >= 0
+        predicted[busy] = new_row[predicted[busy]]
+        return keep
 
     # ------------------------------------------------------------------
     # membership
@@ -212,7 +158,7 @@ class HostEngine:
             if host_id in self._host_row:
                 raise ValueError(f"host {host_id} already registered")
         if self._h_n + k > self._cap.shape[0]:
-            self._grow_hosts(self._h_n + k)
+            grow_columns(self, _HOST_COLUMNS, self._h_n, self._h_n + k)
         rows = slice(self._h_n, self._h_n + k)
         for offset, host_id in enumerate(host_ids):
             self._host_row[host_id] = self._h_n + offset
@@ -224,8 +170,10 @@ class HostEngine:
         )
         self._load[rows] = 0.0
         self._avail[rows] = self._eff[rows]
+        self._share[rows] = 0.0
         self._nrun[rows] = 0
         self._last[rows] = 0.0
+        self._gen[rows] = 0
         self._next_when[rows] = np.inf
         self._next_row[rows] = -1
         self._h_n += k
@@ -296,14 +244,10 @@ class HostEngine:
     def footprint_bytes(self) -> int:
         """Bytes held by the SoA arrays (the dominant storage; the Python
         task list and calendar heap are small by comparison)."""
-        total = 0
-        for name in (
-            "_cap", "_eff", "_load", "_avail", "_share", "_nrun", "_last",
-            "_gen", "_next_when", "_next_row",
-            "_t_rem", "_t_exp", "_t_host", "_t_live",
-        ):
-            total += getattr(self, name).nbytes
-        return total
+        return sum(
+            getattr(self, name).nbytes
+            for name in (*_HOST_COLUMNS, *self._columns())
+        )
 
     def trim(self) -> int:
         """Release slack: compact dead task rows, shrink every SoA array to
@@ -311,19 +255,14 @@ class HostEngine:
         number of bytes released.  Semantics-preserving — only spare
         capacity goes away, never live state."""
         before = self.footprint_bytes()
-        if self._t_dead:
-            self._compact_tasks()
-        t_cap = max(_MIN_CAPACITY, self._t_n)
-        if self._t_rem.shape[0] > t_cap:
-            for name in ("_t_rem", "_t_exp", "_t_host", "_t_live"):
-                setattr(self, name, getattr(self, name)[:t_cap].copy())
-        h_cap = max(_MIN_CAPACITY, self._h_n)
-        if self._cap.shape[0] > h_cap:
-            for name in (
-                "_cap", "_eff", "_load", "_avail", "_share", "_nrun", "_last",
-                "_gen", "_next_when", "_next_row",
-            ):
-                setattr(self, name, getattr(self, name)[:h_cap].copy())
+        if self._dead:
+            self._compact()
+        for names, n in ((self._columns(), self._n), (_HOST_COLUMNS, self._h_n)):
+            capacity = max(MIN_CAPACITY, n)
+            for name in names:
+                col = getattr(self, name)
+                if col.shape[0] > capacity:
+                    setattr(self, name, col[:capacity].copy())
         live = [(w, g, h) for (w, g, h) in self._heap if g == self._gen[h]]
         if len(live) < len(self._heap):
             heapq.heapify(live)
@@ -344,7 +283,7 @@ class HostEngine:
         if bool((dt < 0).any()):
             worst = float(self._last[:n].max())
             raise ValueError(f"time went backwards: {now} < {worst}")
-        rows = np.flatnonzero(self._t_live[: self._t_n])
+        rows = np.flatnonzero(self._live[: self._n])
         if rows.size:
             hosts = self._t_host[rows]
             rem = self._t_rem[rows]
@@ -381,7 +320,9 @@ class HostEngine:
         if dt < 0:
             raise ValueError(f"time went backwards: {now} < {self._last[h]}")
         if arriving is not None:
-            row = self._new_task_row(arriving)
+            row = self._append(arriving.task_id, arriving)
+            self._t_rem[row] = arriving.remaining_work
+            self._t_exp[row] = arriving.expectation
             self._t_host[row] = h
             stay.append(row)
         k = len(stay)
@@ -461,17 +402,13 @@ class HostEngine:
         out = []
         for j, row in enumerate(leave, start=k):
             task = self._tasks[row]
-            self._tasks[row] = None
-            del self._task_row[task.task_id]
-            self._t_live[row] = False
-            self._t_host[row] = -1
+            self._kill(row)
             if finishing:
                 task.remaining_work[:] = 0.0
                 task.finish_time = now
             else:
                 task.remaining_work[:] = rem[j]
             out.append(task)
-        self._t_dead += len(leave)
         self._maybe_compact()
         return out
 
@@ -492,22 +429,10 @@ class HostEngine:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def _new_task_row(self, task: Task) -> int:
-        if self._t_n >= self._t_rem.shape[0]:
-            self._grow_tasks()
-        row = self._t_n
-        self._t_rem[row] = task.remaining_work
-        self._t_exp[row] = task.expectation
-        self._t_live[row] = True
-        self._tasks.append(task)
-        self._task_row[task.task_id] = row
-        self._t_n += 1
-        return row
-
     def _resident(self, host_id: int, task_id: int) -> tuple[int, list[int], int]:
         """Host row, host task rows and task row of a resident task."""
         h = self._row(host_id)
-        row = self._task_row[task_id]
+        row = self._row_of[task_id]
         if self._t_host[row] != h:
             raise KeyError(f"task {task_id} is not resident on host {host_id}")
         stay = self._host_tasks[h].copy()
@@ -517,7 +442,7 @@ class HostEngine:
     def place(self, host_id: int, task: Task, now: float) -> None:
         """Admit ``task`` on ``host_id``; the host's shares are re-computed
         and its calendar entry refreshed."""
-        if task.task_id in self._task_row:
+        if task.task_id in self._row_of:
             raise ValueError(f"task {task.task_id} already running here")
         h = self._row(host_id)
         task.start_time = now

@@ -17,14 +17,13 @@ inverse-CDF samplers (:class:`ZipfRankSampler`,
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.cloud.resources import ResourceVector
 from repro.cloud.tasks import Task, TaskFactory
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, ceil_to_grid
 
 __all__ = [
     "PoissonWorkload",
@@ -198,7 +197,7 @@ class PoissonWorkload:
         quantum: float,
     ) -> None:
         if quantum > 0.0:
-            target = math.ceil(target / quantum) * quantum
+            target = ceil_to_grid(target, quantum)
         sim.post_at(target, self._fire, node_id, sim, submit, is_alive, quantum)
 
     def _fire_arrival(

@@ -16,10 +16,10 @@ Two classes implement the mechanism:
     :class:`repro.core.pilist.PIList`); LRU, LFU and an adaptive
     recency+frequency policy (utility-based eviction in the spirit of
     learning-based cache management, arXiv:1902.00795) generalize it.
-    Storage is structure-of-arrays per the StateCache/HostEngine
-    discipline: keys, stamps and hit counters live in parallel arrays
-    beside a ``(capacity, d)`` lo/hi bounds pair, eviction and
-    expiry flip a liveness bit, compaction is lazy, and the
+    Storage is a :class:`repro.sim.rows.RowTable`, like StateCache and
+    HostEngine's task rows: keys, stamps and hit counters live in
+    parallel arrays beside a ``(capacity, d)`` lo/hi bounds pair,
+    eviction and expiry flip a liveness bit, compaction is lazy, and the
     box-containment lookup is a single vectorized comparison.  The
     store keeps no clock of its own: every read (``entries``,
     ``lookup``) takes ``now`` and purges against it first.
@@ -42,6 +42,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.sim.rows import RowTable
+
 __all__ = ["RangeCache", "CacheStats", "PathCacheIndex", "CACHE_POLICIES"]
 
 #: Pluggable eviction policies (docs/caching.md):
@@ -52,14 +54,7 @@ __all__ = ["RangeCache", "CacheStats", "PathCacheIndex", "CACHE_POLICIES"]
 #:               τ = ttl/2 — frequency discounted by recency.
 CACHE_POLICIES = ("ttl", "lru", "lfu", "adaptive")
 
-#: Initial row capacity of the SoA arrays.
-_MIN_CAPACITY = 8
-
-#: Compact once dead rows outnumber both this floor and the live rows.
-_COMPACT_FLOOR = 32
-
-
-class RangeCache:
+class RangeCache(RowTable):
     """Expiring, capped SoA store of duty-node index entries.
 
     Every entry carries a ``[lo, hi)`` resource-range box over ``dims``
@@ -69,10 +64,11 @@ class RangeCache:
     """
 
     __slots__ = (
-        "ttl", "max_size", "policy", "dims", "_tau", "_row", "_keys",
-        "_added", "_last", "_hits", "_live", "_lo", "_hi", "_n", "_dead",
-        "_oldest",
+        "ttl", "max_size", "policy", "dims", "_tau", "_added", "_last",
+        "_hits", "_lo", "_hi",
     )
+
+    _COLUMNS = ("_added", "_last", "_hits", "_lo", "_hi")
 
     def __init__(
         self, ttl: float, max_size: int = 64, policy: str = "ttl", *, dims: int
@@ -87,75 +83,22 @@ class RangeCache:
             raise ValueError("max_size must be >= 1")
         if dims < 1:
             raise ValueError("dims must be >= 1")
+        super().__init__()
         self.ttl = float(ttl)
         self.max_size = int(max_size)
         self.policy = policy
         self.dims = int(dims)
         #: Recency decay constant of the adaptive utility.
         self._tau = self.ttl / 2.0
-        self._row: dict[int, int] = {}  # key -> row index
-        self._keys = np.empty(0, dtype=np.int64)
         self._added = np.empty(0, dtype=np.float64)
         self._last = np.empty(0, dtype=np.float64)
         self._hits = np.empty(0, dtype=np.int64)
-        self._live = np.empty(0, dtype=bool)
         self._lo = np.empty((0, self.dims), dtype=np.float64)
         self._hi = np.empty((0, self.dims), dtype=np.float64)
-        self._n = 0  # rows in use (live + dead holes)
-        self._dead = 0  # dead holes among the first _n rows
-        #: Lower bound on the insertion stamps of live rows: ``purge``
-        #: runs on every lookup and scans only once this can be stale.
-        self._oldest = np.inf
 
-    # ------------------------------------------------------------------
-    # storage management
-    # ------------------------------------------------------------------
-    def _grow(self) -> None:
-        capacity = max(_MIN_CAPACITY, 2 * self._n)
-        keys = np.empty(capacity, dtype=np.int64)
-        added = np.empty(capacity, dtype=np.float64)
-        last = np.empty(capacity, dtype=np.float64)
-        hits = np.zeros(capacity, dtype=np.int64)
-        live = np.zeros(capacity, dtype=bool)
-        lo = np.empty((capacity, self.dims), dtype=np.float64)
-        hi = np.empty((capacity, self.dims), dtype=np.float64)
-        if self._n:
-            keys[: self._n] = self._keys[: self._n]
-            added[: self._n] = self._added[: self._n]
-            last[: self._n] = self._last[: self._n]
-            hits[: self._n] = self._hits[: self._n]
-            live[: self._n] = self._live[: self._n]
-            lo[: self._n] = self._lo[: self._n]
-            hi[: self._n] = self._hi[: self._n]
-        self._keys, self._added, self._last = keys, added, last
-        self._hits, self._live = hits, live
-        self._lo, self._hi = lo, hi
-
-    def _compact(self) -> None:
-        """Squeeze out dead rows, preserving insertion order."""
-        keep = np.flatnonzero(self._live[: self._n])
-        m = int(keep.size)
-        if m:
-            self._keys[:m] = self._keys[keep]
-            self._added[:m] = self._added[keep]
-            self._last[:m] = self._last[keep]
-            self._hits[:m] = self._hits[keep]
-            self._lo[:m] = self._lo[keep]
-            self._hi[:m] = self._hi[keep]
-        self._live[:m] = True
-        self._live[m : self._n] = False
-        self._row = {int(self._keys[row]): row for row in range(m)}
-        self._n = m
-        self._dead = 0
-
-    def _maybe_compact(self) -> None:
-        if self._dead > _COMPACT_FLOOR and self._dead > self._n - self._dead:
-            self._compact()
-
-    def _kill_row(self, row: int) -> None:
-        self._live[row] = False
+    def _kill(self, row: int) -> None:
+        super()._kill(row)
         self._lo[row] = np.inf  # contains no point: lookups need no mask
-        self._dead += 1
 
     # ------------------------------------------------------------------
     # mutation
@@ -167,16 +110,10 @@ class RangeCache:
         hit history — re-learning a route confirms the entry, it does not
         make it a stranger.
         """
-        row = self._row.get(key)
+        row = self._row_of.get(key)
         if row is None:
-            if self._n >= self._keys.shape[0]:
-                self._grow()
-            row = self._n
-            self._keys[row] = key
+            row = self._append(key)
             self._hits[row] = 0
-            self._live[row] = True
-            self._row[key] = row
-            self._n += 1
         self._added[row] = now
         self._last[row] = now
         if now < self._oldest:
@@ -184,7 +121,7 @@ class RangeCache:
         self._lo[row] = lo
         # A box on the top face of the unit cube is closed there.
         self._hi[row] = np.where(hi >= 1.0, np.inf, hi)
-        if len(self._row) > self.max_size:
+        if len(self._row_of) > self.max_size:
             self._evict(now)
 
     def _evict(self, now: float) -> None:
@@ -214,41 +151,19 @@ class RangeCache:
             rows = rows[vals == vals.min()]
             if rows.size == 1:
                 break
-        victim = int(rows[0])
-        del self._row[int(self._keys[victim])]
-        self._kill_row(victim)
+        self._kill(int(rows[0]))
         self._maybe_compact()
-
-    def discard(self, key: int) -> None:
-        row = self._row.pop(key, None)
-        if row is not None:
-            self._kill_row(row)
-            self._maybe_compact()
 
     def purge(self, now: float) -> None:
         """Drop entries stored strictly longer than ``ttl`` ago."""
-        if not self._row:
-            return
-        cutoff = now - self.ttl
-        if cutoff <= self._oldest:
-            return  # every live row is at least as fresh as the bound
-        n = self._n
-        stale = self._live[:n] & (self._added[:n] < cutoff)
-        if stale.any():
-            for row in stale.nonzero()[0].tolist():
-                del self._row[int(self._keys[row])]
-                self._kill_row(row)
-        self._oldest = (
-            float(self._added[:n][self._live[:n]].min()) if self._row else np.inf
-        )
-        self._maybe_compact()
+        self._expire(self._added, now - self.ttl)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def entries(self, now: float) -> list[int]:
         self.purge(now)
-        return sorted(self._row)
+        return sorted(self._row_of)
 
     def lookup(self, point: np.ndarray, now: float) -> Optional[int]:
         """The cached duty whose range box contains ``point``, or None.
@@ -261,7 +176,7 @@ class RangeCache:
         recency — the signal LRU/LFU/adaptive eviction ranks by.
         """
         self.purge(now)
-        if not self._row:
+        if not self._row_of:
             return None
         n = self._n
         point = np.asarray(point, dtype=np.float64)

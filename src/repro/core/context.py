@@ -140,27 +140,22 @@ class ProtocolContext:
         args_list: Sequence[tuple],
         size_bits: float = CONTROL_MSG_BITS,
     ) -> None:
-        """:meth:`send_path` for a whole batch of routes in path order —
-        identical traffic charges, delays (vectorized but bit-equal, see
-        :meth:`NetworkModel.path_delays`) and delivery event ordering to
-        the sequential calls.  One delivery event per path."""
+        """:meth:`send_path` for each route of a batch, in path order:
+        identical traffic charges, delays and delivery events, with the
+        delays priced by one :meth:`NetworkModel.path_delays` call."""
         if len(paths) != len(args_list):
             raise ValueError("paths and args_list must align")
-        charge = self.traffic.by_node
-        total_hops = 0
-        for path in paths:
-            if len(path) < 1:
-                raise ValueError("empty path")
-            total_hops += len(path) - 1
-            for sender in path[:-1]:
-                charge[sender] += 1
-        if total_hops:
-            # (guarded so an all-single-hop batch does not materialize a
-            # zero-count kind the sequential path would never create)
-            self.traffic.by_kind[kind] += total_hops
-        delays = self.network.path_delays([list(p) for p in paths], size_bits)
+        by_kind, by_node = self.traffic.by_kind, self.traffic.by_node
         deliver = self.delivery.deliver
+        delays = self.network.path_delays(paths, size_bits)
         for path, delay, args in zip(paths, delays, args_list):
+            hops = len(path) - 1
+            if hops < 0:
+                raise ValueError("empty path")
+            if hops:  # (a zero-hop path creates no kind entry)
+                by_kind[kind] += hops
+                for sender in path[:-1]:
+                    by_node[sender] += 1
             deliver(delay, self._deliver, path[-1], handler, args)
 
     def deliver_after(

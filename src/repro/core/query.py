@@ -197,6 +197,12 @@ class QueryEngine:
         only the requester callback (no RNG, no sends), so deferring
         dead/unroutable resolutions behind the batch changes nothing
         observable.
+
+        Cache-on, one difference is possible: :meth:`_route_batch` probes
+        every requester's path cache before any route of the batch
+        populates the caches.  A requester that is a relay on an earlier
+        member's route can therefore miss where one-by-one submission
+        would have hit the entry that route just stored.
         """
         rts: list[QueryRuntime] = []
         live: list[QueryRuntime] = []

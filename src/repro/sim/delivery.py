@@ -41,10 +41,9 @@ suites (``tests/sim/test_delivery.py``,
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, ceil_to_grid
 
 __all__ = ["DeliveryCalendar"]
 
@@ -80,7 +79,7 @@ class DeliveryCalendar:
         # (deliver_at written out: this is the per-message path)
         when = self.sim.now + delay
         if self.quantum > 0.0:
-            when = math.ceil(when / self.quantum) * self.quantum
+            when = ceil_to_grid(when, self.quantum)
         batch = self._batches.get(when)
         if batch is None:
             self.sim.post_at(when, self._flush, when)
@@ -94,9 +93,9 @@ class DeliveryCalendar:
         if self.quantum > 0.0:
             # Round *up*: a delivery may arrive later than its un-quantized
             # instant but never earlier, and never before ``now`` (the
-            # un-quantized instant is >= now, and ceil only moves it
-            # forward).  Same idiom as the workload's arrival quantum.
-            when = math.ceil(when / self.quantum) * self.quantum
+            # un-quantized instant is >= now).  Same rounding as the
+            # workload's arrival quantum.
+            when = ceil_to_grid(when, self.quantum)
         batch = self._batches.get(when)
         if batch is None:
             # Post first: an instant it rejects (past, NaN) opens no batch.

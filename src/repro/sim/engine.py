@@ -39,6 +39,7 @@ __all__ = [
     "CohortTimer",
     "SimulationError",
     "next_grid_index",
+    "ceil_to_grid",
 ]
 
 
@@ -66,6 +67,16 @@ def next_grid_index(epoch: float, interval: float, now: float) -> int:
     while epoch + k * interval < now:
         k += 1
     return k
+
+
+def ceil_to_grid(x: float, quantum: float) -> float:
+    """``x`` rounded up onto the grid ``k * quantum``: the float product
+    ``ceil(x / quantum) * quantum`` where it is ``>= x``, one grid point
+    on where the division rounded it below ``x`` (``0.9000000000000001``
+    at quantum 0.1 names 0.9).  Never earlier than ``x``."""
+    k = math.ceil(x / quantum)
+    when = k * quantum
+    return when if when >= x else (k + 1) * quantum
 
 
 class CohortTimer:

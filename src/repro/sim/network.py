@@ -61,6 +61,8 @@ class NetworkModel:
 
     Node ids are arbitrary hashable ints; joining nodes are assigned to the
     least-populated LAN (keeps LAN sizes near ``lan_size`` under churn).
+    Table I's facts have one store, dicts keyed by node (LAN, WAN uplink)
+    and by LAN (bandwidth), and every delay reads them hop by hop.
     """
 
     def __init__(self, params: NetworkParams, rng: np.random.Generator):
@@ -76,35 +78,6 @@ class NetworkModel:
         self._lan_heap: list[tuple[int, int]] = []
         self._lan_bw: dict[int, float] = {}
         self._wan_bw: dict[int, float] = {}
-        # Dense mirrors of the dicts, indexed by node id / LAN id, so
-        # batched delay computation gathers with array indexing instead
-        # of per-hop dict lookups.  ``-1`` marks an absent node; absent
-        # WAN cells hold the ``wan_bw_mbps_lo`` fallback the scalar path
-        # uses for churned-out endpoints.
-        self._lan_arr = np.full(0, -1, dtype=np.int64)
-        self._wan_arr = np.zeros(0, dtype=np.float64)
-        self._lanbw_arr = np.zeros(0, dtype=np.float64)
-
-    def _ensure_capacity(self, node_id: int) -> None:
-        n = self._lan_arr.shape[0]
-        if node_id < n:
-            return
-        new = max(node_id + 1, 2 * n, 64)
-        lan_arr = np.full(new, -1, dtype=np.int64)
-        lan_arr[:n] = self._lan_arr
-        self._lan_arr = lan_arr
-        wan_arr = np.full(new, self.params.wan_bw_mbps_lo, dtype=np.float64)
-        wan_arr[:n] = self._wan_arr
-        self._wan_arr = wan_arr
-
-    def _ensure_lan_capacity(self, lan: int) -> None:
-        n = self._lanbw_arr.shape[0]
-        if lan < n:
-            return
-        new = max(lan + 1, 2 * n, 16)
-        arr = np.ones(new, dtype=np.float64)
-        arr[:n] = self._lanbw_arr
-        self._lanbw_arr = arr
 
     # ------------------------------------------------------------------
     # membership
@@ -147,26 +120,16 @@ class NetworkModel:
         else:  # (WAN draws only: one pair of bounds, numpy's cheaper form)
             draws = self._rng.uniform(*wan_pair, size=len(added))
         values = iter(draws.tolist())
-        self._ensure_capacity(max(added))
-        lan_arr, wan_arr = self._lan_arr, self._wan_arr
         for node_id, lan in zip(added, lans):
             if lan not in lan_bw:
-                lan_bw[lan] = bw = next(values)
-                self._ensure_lan_capacity(lan)
-                self._lanbw_arr[lan] = bw
-            wan_bw[node_id] = wan = next(values)
-            if node_id >= 0:
-                lan_arr[node_id] = lan
-                wan_arr[node_id] = wan
+                lan_bw[lan] = next(values)
+            wan_bw[node_id] = next(values)
 
     def remove_node(self, node_id: int) -> None:
         lan = self._lan_of.pop(node_id, None)
         if lan is not None:
             self._set_lan_count(lan, self._lan_members[lan] - 1)
         self._wan_bw.pop(node_id, None)
-        if 0 <= node_id < self._lan_arr.shape[0]:
-            self._lan_arr[node_id] = -1
-            self._wan_arr[node_id] = self.params.wan_bw_mbps_lo
 
     def _set_lan_count(self, lan: int, count: int) -> None:
         self._lan_members[lan] = count
@@ -246,57 +209,5 @@ class NetworkModel:
     def path_delays(
         self, paths: list[list[int]], size_bits: float = CONTROL_MSG_BITS
     ) -> list[float]:
-        """Total per-path delays for a batch of paths in one vectorized
-        pass — value-identical to calling :meth:`path_delay` per path.
-
-        All hops are concatenated, each hop's delay computed with the
-        exact elementwise expressions of :meth:`delay`, and each path's
-        hops summed left-to-right (matching the scalar accumulation
-        order, so not even the float rounding differs).
-        """
-        hops_src: list[int] = []
-        hops_dst: list[int] = []
-        counts: list[int] = []
-        for path in paths:
-            hops_src.extend(path[:-1])
-            hops_dst.extend(path[1:])
-            counts.append(len(path) - 1)
-        if not hops_src:
-            return [0.0] * len(paths)
-        p = self.params
-        n = len(hops_src)
-        s = np.asarray(hops_src, dtype=np.int64)
-        d = np.asarray(hops_dst, dtype=np.int64)
-        if int(min(s.min(), d.min())) < 0:
-            # Exotic (negative) ids live only in the dicts — take the
-            # scalar path rather than special-casing the dense mirrors.
-            return [self.path_delay(list(path), size_bits) for path in paths]
-        self._ensure_capacity(int(max(s.max(), d.max())))
-        # Gather endpoint attributes from the dense mirrors ...
-        lan_s = self._lan_arr[s]
-        same_lan = (lan_s >= 0) & (lan_s == self._lan_arr[d])
-        if same_lan.any():
-            lan_bw = np.where(
-                same_lan, self._lanbw_arr[np.where(same_lan, lan_s, 0)], 1.0
-            )
-        else:
-            lan_bw = np.ones(n)
-        # ... then one vectorized delay expression per hop.
-        lan_val = p.lan_latency_s + size_bits / (lan_bw * 1e6)
-        wan_val = p.wan_latency_s + size_bits / (
-            np.minimum(self._wan_arr[s], self._wan_arr[d]) * 1e6
-        )
-        hop = np.where(same_lan, lan_val, wan_val)
-        loop = s == d
-        if loop.any():
-            hop = np.where(loop, 0.0, hop)
-        hop_list = hop.tolist()
-        out: list[float] = []
-        i = 0
-        for count in counts:
-            total = 0.0
-            for j in range(i, i + count):
-                total += hop_list[j]
-            out.append(total)
-            i += count
-        return out
+        """:meth:`path_delay` of each path, in order."""
+        return [self.path_delay(path, size_bits) for path in paths]

@@ -56,7 +56,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import math
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -73,7 +72,7 @@ from repro.core.diffusion import DiffusionEngine
 from repro.core.pilist import PIList
 from repro.core.state import StateCache, StateRecord
 from repro.metrics.traffic import TrafficMeter
-from repro.sim.engine import Simulator, next_grid_index
+from repro.sim.engine import Simulator, ceil_to_grid, next_grid_index
 from repro.sim.network import NetworkModel, NetworkParams
 
 __all__ = [
@@ -1388,7 +1387,7 @@ class ReferenceDeliveryCalendar:
 
     def deliver_at(self, when: float, fn: Callable, *args) -> None:
         if self.quantum > 0.0:
-            when = math.ceil(when / self.quantum) * self.quantum
+            when = ceil_to_grid(when, self.quantum)
         self.deliveries += 1
         self.flushes += 1
         self.sim.schedule_at(when, fn, *args)

@@ -14,10 +14,12 @@ from repro.cloud.engine import HostEngine
 from repro.cloud.psm import DEFAULT_OVERHEAD, VMOverhead
 from repro.cloud.tasks import TaskFactory
 from repro.testing import ReferenceHostEngine, assert_engines_equivalent
+from tests.conftest import seeds_and_floors, set_compact_floor
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_randomized_schedules_agree(seed):
+@pytest.mark.parametrize("seed, floor", seeds_and_floors(range(8)))
+def test_randomized_schedules_agree(seed, floor, monkeypatch):
+    set_compact_floor(monkeypatch, floor)
     stats = assert_engines_equivalent(seed, n_hosts=12, steps=400)
     # the schedule must exercise every operation class, not trivially pass
     assert stats["placed"] > 50
@@ -35,7 +37,7 @@ def test_randomized_schedule_without_churn():
 def test_compaction_preserves_equivalence(monkeypatch):
     """Force aggressive compaction so every schedule crosses the lazy
     row-squeeze path many times."""
-    monkeypatch.setattr("repro.cloud.engine._COMPACT_FLOOR", 2)
+    set_compact_floor(monkeypatch, 2)
     assert_engines_equivalent(7, n_hosts=6, steps=200)
 
 

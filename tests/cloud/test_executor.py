@@ -59,7 +59,7 @@ class SingleHostEngine:
         if head is None:
             return None
         when, _, task_id = head
-        return when, self._engine._tasks[self._engine._task_row[task_id]]
+        return when, self._engine._tasks[self._engine._row_of[task_id]]
 
 
 IMPLEMENTATIONS = {

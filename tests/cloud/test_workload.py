@@ -45,6 +45,17 @@ def test_tasks_carry_origin_and_submit_time():
     assert [t.submit_time for t in tasks] == sorted(t.submit_time for t in tasks)
 
 
+def test_quantized_arrival_never_rounds_below_its_draw():
+    """``ceil(x / q) * q`` names 0.9 for ``x = 0.9000000000000001`` at
+    ``q = 0.1``; the arrival must still fire at or after ``x``."""
+    sim = Simulator()
+    wl = make_workload(mean=1e6)
+    tasks = []
+    wl._post(7, 0.9000000000000001, sim, tasks.append, lambda n: True, 0.1)
+    sim.run(until=2.0)
+    assert [t.submit_time for t in tasks] == [1.0]
+
+
 def test_arrivals_stop_when_node_dies():
     sim = Simulator()
     wl = make_workload(mean=10.0)

@@ -10,6 +10,7 @@ import pytest
 from repro.can import routing
 from repro.can.overlay import CANOverlay
 from repro.sim.rng import RngRegistry
+from repro.sim.rows import RowTable
 
 
 @pytest.fixture
@@ -20,6 +21,24 @@ def rngs() -> RngRegistry:
 @pytest.fixture
 def rng(rngs: RngRegistry) -> np.random.Generator:
     return rngs.stream("test")
+
+
+def seeds_and_floors(seeds) -> list:
+    """``(seed, floor)`` cases for a lockstep suite: every seed at the
+    stock compaction floor (``None``, under the plain seed id), then at a
+    floor of 2, where a :class:`~repro.sim.rows.RowTable` store compacts
+    on nearly every removal."""
+    seeds = list(seeds)
+    return [pytest.param(seed, None, id=str(seed)) for seed in seeds] + [
+        pytest.param(seed, 2, id=f"{seed}-floor2") for seed in seeds
+    ]
+
+
+def set_compact_floor(monkeypatch, floor) -> None:
+    """Lower every row table's compaction floor to ``floor`` for one test
+    (``None`` keeps the stock floor)."""
+    if floor is not None:
+        monkeypatch.setattr(RowTable, "COMPACT_FLOOR", floor)
 
 
 def make_overlay(n: int, dims: int, seed: int = 0) -> CANOverlay:

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.cache import CACHE_POLICIES, PathCacheIndex, RangeCache
 from repro.testing import ReferencePIList
+from tests.conftest import seeds_and_floors, set_compact_floor
 
 
 def box(lo, hi, dims=2):
@@ -25,8 +26,9 @@ DUMMY = box(0.0, 1.0, dims=1)
 # ----------------------------------------------------------------------
 # randomized lockstep: RangeCache TTL policy == seed PIList
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_ttl_policy_lockstep_with_reference_pilist(seed):
+@pytest.mark.parametrize("seed, floor", seeds_and_floors(range(4)))
+def test_ttl_policy_lockstep_with_reference_pilist(seed, floor, monkeypatch):
+    set_compact_floor(monkeypatch, floor)
     rng = np.random.default_rng(seed)
     soa = RangeCache(ttl=50.0, max_size=8, policy="ttl", dims=1)
     ref = ReferencePIList(ttl=50.0, max_size=8)
@@ -50,16 +52,17 @@ def test_ttl_policy_lockstep_with_reference_pilist(seed):
 def _assert_expiry_bound_holds(cache: RangeCache) -> None:
     """``_oldest`` gates the staleness scan: it must never exceed a live
     entry's insertion stamp, or that entry could outlive its TTL."""
-    stamps = [float(cache._added[row]) for row in cache._row.values()]
+    stamps = [float(cache._added[row]) for row in cache._row_of.values()]
     assert all(cache._oldest <= stamp for stamp in stamps)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_ttl_lockstep_with_time_running_backwards_too(seed):
+@pytest.mark.parametrize("seed, floor", seeds_and_floors(range(3)))
+def test_ttl_lockstep_with_time_running_backwards_too(seed, floor, monkeypatch):
     """Callers pass ``now``; nothing makes it monotone.  A stamp below
     the bound must lower it, and a purge at an earlier ``now`` must not
     let the gate skip a later one.  Lookups ride along: a key is found
     exactly while the reference still lists it."""
+    set_compact_floor(monkeypatch, floor)
     rng = np.random.default_rng(seed)
     soa = RangeCache(ttl=50.0, max_size=8, policy="ttl", dims=1)
     ref = ReferencePIList(ttl=50.0, max_size=8)
@@ -104,10 +107,10 @@ def test_purge_after_compaction_keeps_the_expiry_bound_a_lower_bound():
     for now in (219.0, 250.0, 250.0, 240.0, 299.0, 300.0):
         soa.purge(now)
         ref.purge(now)
-        assert sorted(soa._row) == ref.entries(now)
+        assert sorted(soa._row_of) == ref.entries(now)
         _assert_expiry_bound_holds(soa)
-        assert soa.lookup(np.array([0.5]), now) == (max(soa._row) if soa._row else None)
-    assert soa._oldest == np.inf and not soa._row
+        assert soa.lookup(np.array([0.5]), now) == (max(soa._row_of) if soa._row_of else None)
+    assert soa._oldest == np.inf and not soa._row_of
 
 
 def test_dead_rows_match_no_point_without_a_liveness_mask():
@@ -224,7 +227,7 @@ def test_refresh_keeps_hit_history():
     touch(cache, 0, now=10.0)
     lo, hi = box(0.0, 0.05)
     cache.add(0, now=11.0, lo=lo, hi=hi)  # re-learn the same route
-    row = cache._row[0]
+    row = cache._row_of[0]
     assert cache._hits[row] == 1  # refresh confirms, it doesn't reset
     assert cache._added[row] == 11.0 and cache._last[row] == 11.0
 
@@ -272,7 +275,7 @@ def test_lookup_expires_entries():
 def test_lookup_bumps_frequency_and_recency():
     cache = RangeCache(ttl=100.0, max_size=4, policy="lfu", dims=2)
     cache.add(1, now=0.0, lo=np.zeros(2), hi=np.ones(2))
-    row = cache._row[1]
+    row = cache._row_of[1]
     cache.lookup(np.array([0.5, 0.5]), now=3.0)
     assert cache._hits[row] == 1
     assert cache._last[row] == 3.0

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.state import StateCache, StateRecord
 from repro.testing import ReferenceStateCache
+from tests.conftest import seeds_and_floors, set_compact_floor
 
 
 def rec(owner, avail, ts=0.0):
@@ -106,9 +107,10 @@ def test_growth_reallocations_keep_contents():
     pair.assert_equivalent(now=10.0, demand=np.array([0.4, 0.1, 0.1]))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_randomized_operation_sequences(seed):
+@pytest.mark.parametrize("seed, floor", seeds_and_floors(range(4)))
+def test_randomized_operation_sequences(seed, floor, monkeypatch):
     """Fuzz puts / purges / queries through both caches."""
+    set_compact_floor(monkeypatch, floor)
     rng = np.random.default_rng(seed)
     pair = CachePair(ttl=80.0)
     now = 0.0

@@ -58,16 +58,27 @@ def _run(config: ExperimentConfig):
 def test_arrival_coalescing_is_identical(monkeypatch):
     """Handing each quantized instant's arrivals to PID-CAN's natively
     batched ``submit_bulk`` changes nothing observable against the
-    one-by-one ``DiscoveryProtocol.submit_bulk`` fan-out."""
-    base = quantized(n_nodes=80, duration=4000.0, sample_period=1000.0,
-                     seed=9, arrival_quantum=5.0)
-    batched = _run(base)
+    one-by-one ``DiscoveryProtocol.submit_bulk`` fan-out — cache-off, and
+    cache-on (Zipf demand in bursts, LRU path caches with and without
+    replicas), where the batch probes every requester's cache first."""
+    hot = {"zipf_s": 1.0, "burst_factor": 8.0, "cache_policy": "lru"}
+    configs = [
+        quantized(n_nodes=80, duration=4000.0, sample_period=1000.0,
+                  seed=9, arrival_quantum=5.0),
+        *(
+            quantized(n_nodes=120, duration=4000.0, sample_period=1000.0,
+                      seed=9, arrival_quantum=5.0, cache_replication=replicas,
+                      **hot)
+            for replicas in (False, True)
+        ),
+    ]
+    batched = [_run(config) for config in configs]
     monkeypatch.setattr(
         PIDCANProtocol, "submit_bulk", DiscoveryProtocol.submit_bulk
     )
-    sequential = _run(base)
-    assert batched.generated > 0
-    assert_results_identical(sequential, batched)
+    for config, result in zip(configs, batched):
+        assert result.generated > 0
+        assert_results_identical(_run(config), result)
 
 
 def test_memory_budget_sweep_is_identical():

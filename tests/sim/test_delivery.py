@@ -111,6 +111,29 @@ def test_quantum_never_moves_delivery_before_now():
     assert cal.deliveries == 2
 
 
+#: ``ceil(x / 0.1) * 0.1`` of this ``x`` is 0.9: the float division
+#: lands on 9.0 exactly, so the plain idiom rounds one ulp *down*.
+ULP_ABOVE_GRID = 0.9000000000000001
+
+
+def test_deliver_at_never_rounds_below_the_instant():
+    sim = Simulator()
+    cal = DeliveryCalendar(sim, quantum=0.1)
+    seen: list[float] = []
+    cal.deliver_at(ULP_ABOVE_GRID, lambda: seen.append(sim.now))
+    sim.run()
+    assert seen == [1.0]
+
+
+def test_zero_delay_deliver_just_above_a_grid_point():
+    sim = Simulator()
+    cal = DeliveryCalendar(sim, quantum=0.1)
+    seen: list[float] = []
+    sim.post_at(ULP_ABOVE_GRID, cal.deliver, 0.0, lambda: seen.append(sim.now))
+    sim.run()
+    assert seen == [1.0]
+
+
 def test_randomized_lockstep_matches_per_message_reference():
     """Random workload with engineered instant collisions: the calendar
     and the per-message reference must deliver in the same order at the

@@ -4,8 +4,9 @@ add/remove interleavings drive the heap-backed
 :class:`~repro.testing.ReferenceNetworkModel` — every node must land in
 the same LAN with the same bandwidths, and the heap must stay bounded.
 Paths over live, departed and unknown ids are priced three ways —
-``path_delay``'s one loop, the reference's ``delay`` per hop, and the
-batched ``path_delays`` — which must agree to the bit."""
+``path_delay``'s one loop over the model's dicts, the reference's
+``delay`` per hop, and ``path_delays``, ``path_delay`` over a batch —
+which must agree to the bit."""
 
 import numpy as np
 from hypothesis import settings

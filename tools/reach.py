@@ -61,7 +61,8 @@ NOT_AUDITED = {"repro.testing"}
 #: ``(ExperimentConfig overrides, PIDCANParams overrides)`` of one tiny
 #: cell per non-default value of an enumerated knob, plus the lever
 #: combinations no scenario runs: a baseline under quantized arrivals,
-#: churn under mega's cohort ticks and churn under hotrange's cache.  The
+#: churn under mega's cohort ticks, churn under hotrange's cache and the
+#: cache under quantized arrivals (batched cache-on routing).  The
 #: scenarios cover the protocols, the cache policies and the levers alone.
 KNOB_SWEEP: tuple[tuple[dict, dict], ...] = (
     ({"admission": "strict"}, {}),
@@ -82,6 +83,7 @@ KNOB_SWEEP: tuple[tuple[dict, dict], ...] = (
      {"phase_buckets": 16}),
     ({"churn_degree": 0.25, "zipf_s": 1.0, "burst_factor": 8.0, "cache_policy": "lru",
       "cache_replication": True}, {}),
+    ({"zipf_s": 1.0, "burst_factor": 8.0, "cache_policy": "lru", "arrival_quantum": 5.0}, {}),
 )
 
 
