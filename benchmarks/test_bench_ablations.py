@@ -5,8 +5,6 @@ best-fit selection, lenient admission) to show each choice's effect —
 the evidence behind the defaults.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from benchmarks.conftest import run_once

@@ -30,7 +30,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import SOCSimulation
 from repro.sim import engine
 from repro.sim.engine import Simulator
-from repro.testing import ReferenceCohortScheduler
+from tests.oracles import ReferenceCohortScheduler
 
 from benchmarks.conftest import cpu_timed, run_once
 

@@ -2,7 +2,7 @@
 
 Compares the vectorized SoA :class:`repro.cloud.engine.HostEngine`
 against the seed's scalar per-host executor fleet (kept verbatim behind
-:class:`repro.testing.ReferenceHostEngine`) on the three operations that
+:class:`tests.oracles.ReferenceHostEngine`) on the three operations that
 dominate §IV-A execution at paper scale:
 
 - **availability probes** — every query hop and every state-update cycle
@@ -41,7 +41,7 @@ from repro.experiments.config import SCALES
 from repro.experiments.runner import SOCSimulation
 from repro.experiments.scenarios import scenario_configs
 from repro.experiments.store import result_to_dict
-from repro.testing import ReferenceHostEngine
+from tests.oracles import ReferenceHostEngine
 
 #: Resident tasks per host in the substrate benches (a mid-run backlog).
 TASKS_PER_HOST = 8

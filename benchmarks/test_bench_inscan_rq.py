@@ -12,7 +12,6 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.baselines.inscan_rq import INSCANRangeQuery
 from repro.can.inscan import inscan_path
-from repro.can.routing import greedy_path
 from tests.core.helpers import Harness
 
 

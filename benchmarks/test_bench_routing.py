@@ -4,7 +4,7 @@ Compares the vectorized :mod:`repro.can.routing` — id-only candidate
 blocks, bounds gathered per hop from the overlay's dimension-major
 array — against the seed's scalar per-candidate forwarding loop (kept
 verbatim behind
-:func:`repro.testing.reference_greedy_path` /
+:func:`tests.oracles.reference_greedy_path` /
 ``reference_inscan_path``) at the paper's d=5, on the two operations
 that dominate CAN wall clock at 10⁴ nodes (ROADMAP: greedy routing +
 index walks are ~70-80% of a paper-scale run):
@@ -55,7 +55,7 @@ from repro.can.routing import _pool_for, greedy_path, greedy_paths
 from repro.core import protocol as protocol_mod
 from repro.experiments.runner import SOCSimulation
 from repro.experiments.scenarios import scenario_configs
-from repro.testing import (
+from tests.oracles import (
     ReferenceCANOverlay,
     assert_results_identical,
     reference_greedy_path,

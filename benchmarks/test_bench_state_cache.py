@@ -3,7 +3,7 @@
 Compares the vectorized structure-of-arrays ``StateCache.qualified`` (one
 ``(matrix >= demand).all(axis=1)`` mask) against the seed's scalar
 dict-of-records loop (kept verbatim as
-:class:`repro.testing.ReferenceStateCache`) at N ∈ {10², 10³, 10⁴} cached
+:class:`tests.oracles.ReferenceStateCache`) at N ∈ {10², 10³, 10⁴} cached
 records, in the scarce-resource regime the paper motivates (§III-A: "in
 the situation with scarce available resources") where a query must scan
 the entire cache.
@@ -20,7 +20,7 @@ import pytest
 pytest.importorskip("pytest_benchmark")
 
 from repro.core.state import StateCache, StateRecord
-from repro.testing import ReferenceStateCache
+from tests.oracles import ReferenceStateCache
 
 DIMS = 5
 #: Scarce regime: per-dimension qualify probability 0.1 → full-cache scans.

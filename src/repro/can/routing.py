@@ -22,7 +22,7 @@ space (near-tied accumulators are re-compared with the identical Python
 pow, which merges values a couple of ulps apart into exact ties, lowest
 id winning) — see ``docs/can_geometry.md`` for the bit-exactness
 contract against the scalar reference
-(:func:`repro.testing.reference_greedy_path`).
+(:func:`tests.oracles.reference_greedy_path`).
 
 :func:`greedy_paths` routes a whole batch of queries in lockstep rounds
 — all active routes' candidate blocks are concatenated and resolved by
@@ -154,7 +154,7 @@ def _box_accs(lo: np.ndarray, hi: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _squared_distance(zone: Zone, point: Sequence[float]) -> float:
     """The scalar gap loop of the seed's distance-to-zone
-    (:func:`repro.testing.reference_distance_to_point`),
+    (:func:`tests.oracles.reference_distance_to_point`),
     without the final square root — the exactness yardstick for the
     vectorized kernel."""
     lo, hi = zone._lo, zone._hi

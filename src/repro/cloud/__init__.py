@@ -6,7 +6,7 @@ capacities (Table I), user tasks with minimal-demand expectation vectors
 maintenance overhead, and the vectorized host-execution engine whose
 piecewise constant shares drive actual completion times
 (:mod:`repro.cloud.engine`; the seed's scalar per-host executor survives as
-:class:`repro.testing.ReferenceNodeExecutor`, the equivalence oracle).
+:class:`tests.oracles.ReferenceNodeExecutor`, the equivalence oracle).
 """
 
 from repro.cloud.resources import (
@@ -19,7 +19,6 @@ from repro.cloud.machine import MachineConfig, sample_machine, sample_machines, 
 from repro.cloud.tasks import Task, TaskFactory
 from repro.cloud.workload import PoissonWorkload
 from repro.cloud.psm import (
-    effective_capacity,
     effective_capacity_batch,
     VMOverhead,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "Task",
     "TaskFactory",
     "PoissonWorkload",
-    "effective_capacity",
     "effective_capacity_batch",
     "VMOverhead",
     "HostEngine",

@@ -34,7 +34,7 @@ progress at all, so between scheduling points it is served straight from
 the cached ``(H, d)`` matrix without integrating anything.
 
 The arithmetic (operation order included) mirrors the scalar executor
-exactly; :class:`repro.testing.ReferenceNodeExecutor` is kept verbatim as
+exactly; :class:`tests.oracles.ReferenceNodeExecutor` is kept verbatim as
 the behavioural oracle and ``tests/cloud/test_engine_equivalence.py``
 drives randomized schedules through both.
 

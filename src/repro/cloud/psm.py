@@ -27,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "VMOverhead",
-    "effective_capacity",
     "effective_capacity_batch",
 ]
 
@@ -51,28 +50,19 @@ class VMOverhead:
 DEFAULT_OVERHEAD = VMOverhead()
 
 
-def effective_capacity(
-    capacity: np.ndarray, n_vms: int, overhead: VMOverhead = DEFAULT_OVERHEAD
-) -> np.ndarray:
-    """Capacity remaining for task work with ``n_vms`` VM instances resident.
-
-    Clamped at zero: a node hosting 20 VMs at 5 % CPU overhead apiece has no
-    CPU left for work, it does not go negative.
-    """
-    frac, flat = overhead.arrays()
-    eff = capacity * (1.0 - frac * n_vms) - flat * n_vms
-    return np.maximum(eff, 0.0)
-
-
 def effective_capacity_batch(
     capacities: np.ndarray,
     n_vms: np.ndarray,
     overhead: VMOverhead = DEFAULT_OVERHEAD,
 ) -> np.ndarray:
-    """Vectorized :func:`effective_capacity`: ``(H, d)`` capacities and a
-    per-host VM-count vector in, ``(H, d)`` effective capacities out.
-    Row ``i`` equals ``effective_capacity(capacities[i], n_vms[i])``
-    bit-for-bit (same elementwise arithmetic, just broadcast)."""
+    """Capacity remaining for task work with ``n_vms[i]`` VM instances
+    resident on host ``i``: ``(H, d)`` capacities and a per-host VM-count
+    vector in, ``(H, d)`` effective capacities out.
+
+    Clamped at zero: a node hosting 20 VMs at 5 % CPU overhead apiece has no
+    CPU left for work, it does not go negative.  Row ``i`` equals the
+    seed's scalar form (``tests.oracles.effective_capacity``) bit-for-bit:
+    the same elementwise arithmetic, just broadcast."""
     frac, flat = overhead.arrays()
     n = np.asarray(n_vms, dtype=np.float64)[:, None]
     eff = np.asarray(capacities, dtype=np.float64) * (1.0 - frac * n) - flat * n

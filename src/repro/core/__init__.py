@@ -6,7 +6,8 @@
 - :mod:`repro.core.query` — Algorithms 3-5 (duty-query / index-agent /
   index-jump) plus requester-side bookkeeping.
 - :mod:`repro.core.sos` — Slack-on-Submission (Formula 3).
-- :mod:`repro.core.vd` — virtual-dimension variant support.
+- :meth:`repro.core.protocol.PIDCANProtocol._virtual_coordinates` — the
+  virtual-dimension (VD) variant.
 - :mod:`repro.core.selection` — best-fit record selection (the paper title's
   "best-fit": among returned candidates pick the tightest qualifying one).
 - :mod:`repro.core.protocol` — per-node protocol assembly and the factory

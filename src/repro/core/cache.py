@@ -12,7 +12,7 @@ Two classes implement the mechanism:
 :class:`RangeCache`
     One node's expiring, capped entry store.  The TTL policy is *exactly*
     the PIList of §III-B (the reference policy, pinned to the same
-    :class:`repro.testing.ReferencePIList` oracle as
+    :class:`tests.oracles.ReferencePIList` oracle as
     :class:`repro.core.pilist.PIList`); LRU, LFU and an adaptive
     recency+frequency policy (utility-based eviction in the spirit of
     learning-based cache management, arXiv:1902.00795) generalize it.

@@ -196,7 +196,7 @@ class DiffusionEngine:
         dimension while the TTL lasts and opens the next one with a fresh
         TTL; the opening is pushed first, so its NINode is drawn after the
         whole same-dimension subtree, as in the recursion
-        (:class:`repro.testing.ReferenceDiffusionEngine`).  Senders are
+        (:class:`tests.oracles.ReferenceDiffusionEngine`).  Senders are
         charged as they send, the message kind once per trigger.
         """
         dims, L = self.dims, self.L
@@ -277,7 +277,7 @@ class DiffusionEngine:
         the table's negative pointer chain (3-5 entries at realistic n)
         filtered for exclusion and liveness in chain order, draw for draw
         RNG-compatible with the scalar reference
-        (:class:`repro.testing.ReferenceDiffusionEngine`) through
+        (:class:`tests.oracles.ReferenceDiffusionEngine`) through
         :func:`repro.sim.rng.distinct_draw`, whose picks are those of
         ``choice(n, size=k, replace=False)`` (``tests/sim/test_rng.py``
         pins the stream identity)."""

@@ -11,7 +11,7 @@ backwards, and a refresh is delete + reinsert, so the oldest entries
 lead — eviction reads only the leading run of equal stamps, expiry pops
 from the front.  Eviction order, purge boundary and
 ``sample`` RNG consumption are the seed's, kept verbatim as
-:class:`repro.testing.ReferencePIList` and pinned by
+:class:`tests.oracles.ReferencePIList` and pinned by
 ``tests/core/test_pilist_lockstep.py``.
 """
 

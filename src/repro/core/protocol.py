@@ -200,8 +200,8 @@ class DutyStateProtocol(DiscoveryProtocol):
     This constructor is the one place every CAN protocol gets its
     :class:`CANOverlay`; a whole-experiment cross-check swaps this
     module's ``CANOverlay`` for the scalar
-    :class:`repro.testing.ReferenceCANOverlay`
-    (:func:`repro.testing.assert_oracle_equivalent`).
+    :class:`tests.oracles.ReferenceCANOverlay`
+    (:func:`tests.oracles.assert_oracle_equivalent`).
     """
 
     def __init__(

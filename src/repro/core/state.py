@@ -42,10 +42,6 @@ class StateRecord:
     availability: np.ndarray
     timestamp: float
 
-    def qualifies(self, demand: np.ndarray) -> bool:
-        """Inequality (2): the recorded availability dominates ``demand``."""
-        return bool(np.all(self.availability >= demand - _EPS))
-
 
 class StateCache(RowTable):
     """TTL-bounded per-duty-node record store, keyed by reporting owner.

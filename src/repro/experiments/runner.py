@@ -166,7 +166,7 @@ class SOCSimulation:
     under the same runner by swapping a class at its module: this
     module's ``HostEngine`` or ``DeliveryCalendar``, or
     :mod:`repro.core.protocol`'s ``CANOverlay`` (see
-    :func:`repro.testing.assert_oracle_equivalent`).
+    :func:`tests.oracles.assert_oracle_equivalent`).
     """
 
     def __init__(self, config: ExperimentConfig):

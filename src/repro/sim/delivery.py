@@ -34,7 +34,7 @@ longer identical to the un-quantized run — the same contract stance as
 ``arrival_quantum``.
 
 The per-message discipline lives on only as the oracle
-:class:`repro.testing.ReferenceDeliveryCalendar`, and the equivalence
+:class:`tests.oracles.ReferenceDeliveryCalendar`, and the equivalence
 suites (``tests/sim/test_delivery.py``,
 ``tests/experiments/test_coalescing.py``) pin the identity end to end.
 """

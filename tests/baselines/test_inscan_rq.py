@@ -2,7 +2,6 @@
 and traffic/delay claims."""
 
 import numpy as np
-import pytest
 
 from repro.baselines.inscan_rq import INSCANRangeQuery
 from tests.core.helpers import Harness

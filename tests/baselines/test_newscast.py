@@ -1,7 +1,6 @@
 """Tests for the Newscast gossip baseline."""
 
 import numpy as np
-import pytest
 
 from repro.baselines.newscast import NewscastProtocol, ViewEntry
 from repro.core.protocol import PIDCANParams

@@ -24,7 +24,7 @@ from repro.can.routing import (
     _box_accs, _pow_space_best, _squared_distance, greedy_path, greedy_paths,
 )
 from repro.can.zone import Zone
-from repro.testing import reference_greedy_path, reference_inscan_path
+from tests.oracles import reference_greedy_path, reference_inscan_path
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 #: Candidates per block: one, two, below/at/above the pairwise unroll

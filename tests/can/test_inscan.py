@@ -10,8 +10,8 @@ from repro.can.inscan import (
 )
 from repro.can.routing import greedy_path
 from repro.can.zone import adjacency_direction
-from repro.testing import ReferenceCANOverlay
 from tests.conftest import make_overlay, zone_center
+from tests.oracles import ReferenceCANOverlay
 
 
 def build_all_tables(overlay, seed=0):

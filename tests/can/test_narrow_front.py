@@ -13,8 +13,8 @@ import pytest
 from repro.can import routing
 from repro.can.inscan import build_index_table
 from repro.can.routing import _NARROW_FRONT, _pool_for, greedy_path, greedy_paths
-from repro.testing import reference_greedy_path, reference_inscan_path
 from tests.conftest import make_overlay, zone_center
+from tests.oracles import reference_greedy_path, reference_inscan_path
 
 N_NODES = 96
 

@@ -2,7 +2,7 @@
 
 The vectorized :class:`CANOverlay` (one id-indexed bounds array, cached edge
 directions, batched routing) and the verbatim seed oracle
-(:class:`repro.testing.ReferenceCANOverlay` + ``reference_greedy_path``)
+(:class:`tests.oracles.ReferenceCANOverlay` + ``reference_greedy_path``)
 must stay indistinguishable: identical adjacency, identical routing
 paths hop for hop (not just owners), identical diffusion recipients.
 """
@@ -12,13 +12,13 @@ import pytest
 
 from repro.can.inscan import build_index_table, inscan_path, inscan_paths
 from repro.can.routing import RoutingError, greedy_path, greedy_paths
-from repro.testing import (
+from tests.conftest import make_overlay
+from tests.oracles import (
     ReferenceCANOverlay,
     assert_overlays_equivalent,
     reference_greedy_path,
     reference_inscan_path,
 )
-from tests.conftest import make_overlay
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

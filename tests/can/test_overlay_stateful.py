@@ -18,7 +18,7 @@ from repro.can.inscan import build_index_table
 from repro.can.overlay import CANOverlay
 from repro.can.routing import greedy_path, greedy_paths
 from repro.core.diffusion import DiffusionEngine
-from repro.testing import (
+from tests.oracles import (
     ReferenceCANOverlay,
     ReferenceDiffusionEngine,
     _diffusion_rig,

@@ -16,7 +16,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from repro.can.overlay import CANOverlay
 from repro.can.routing import _perimeter_hops, greedy_path, greedy_paths
-from repro.testing import _reference_perimeter_hops
+from tests.oracles import _reference_perimeter_hops
 
 DIMS = 3
 START_N = 8

@@ -29,14 +29,13 @@ from hypothesis.stateful import (
     RuleBasedStateMachine, initialize, invariant, rule,
 )
 
-from repro.can import routing
 from repro.can.inscan import build_index_table, inscan_path, inscan_paths
 from repro.can.overlay import CANOverlay
 from repro.can.routing import (
     _NARROW_FRONT, RoutingError, _pool_for, _squared_distance, greedy_path, greedy_paths,
 )
-from repro.testing import reference_greedy_path, reference_inscan_path
 from tests.conftest import assert_no_dead_storage, zone_center
+from tests.oracles import reference_greedy_path, reference_inscan_path
 
 DIMS = 3
 START_N = 12

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.can.overlay import CANOverlay
-from repro.testing import ReferenceCANOverlay
+from tests.oracles import ReferenceCANOverlay
 
 #: Join coordinates: every one a split plane or a cube face at depth <= 2.
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)

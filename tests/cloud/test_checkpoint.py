@@ -1,7 +1,6 @@
 """Tests for checkpoint/restart fault tolerance (§VI future work)."""
 
 import numpy as np
-import pytest
 
 from repro.cloud.checkpoint import CheckpointStore
 from repro.cloud.resources import ResourceVector

@@ -1,7 +1,7 @@
 """HostEngine vs the scalar reference path — behavioural equivalence.
 
 The vectorized engine must be indistinguishable from one
-:class:`repro.testing.ReferenceNodeExecutor` per host: identical
+:class:`tests.oracles.ReferenceNodeExecutor` per host: identical
 completion order (host and task ids exact, times within 1e-9) and
 identical availabilities, across randomized place / remove / complete /
 churn schedules and across full SOC scenario runs.
@@ -13,8 +13,8 @@ import pytest
 from repro.cloud.engine import HostEngine
 from repro.cloud.psm import DEFAULT_OVERHEAD, VMOverhead
 from repro.cloud.tasks import TaskFactory
-from repro.testing import ReferenceHostEngine, assert_engines_equivalent
 from tests.conftest import seeds_and_floors, set_compact_floor
+from tests.oracles import ReferenceHostEngine, assert_engines_equivalent
 
 
 @pytest.mark.parametrize("seed, floor", seeds_and_floors(range(8)))

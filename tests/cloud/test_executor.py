@@ -1,7 +1,7 @@
 """Unit tests for the event-driven PSM execution semantics.
 
 Parametrized over both implementations: the scalar
-:class:`repro.testing.ReferenceNodeExecutor` oracle and the vectorized
+:class:`tests.oracles.ReferenceNodeExecutor` oracle and the vectorized
 :class:`repro.cloud.engine.HostEngine` behind a single-host adapter — the
 same behavioural contract must hold for either.
 """
@@ -13,7 +13,7 @@ from repro.cloud.engine import HostEngine
 from repro.cloud.psm import VMOverhead
 from repro.cloud.resources import ResourceVector
 from repro.cloud.tasks import Task
-from repro.testing import ReferenceNodeExecutor
+from tests.oracles import ReferenceNodeExecutor
 
 #: Zero overhead isolates the PSM arithmetic in timing tests.
 NO_OVERHEAD = VMOverhead(fractions=(0, 0, 0, 0, 0), flat=(0, 0, 0, 0, 0))

@@ -22,7 +22,7 @@ from repro.cloud.engine import HostEngine
 from repro.cloud.psm import VMOverhead
 from repro.cloud.resources import ResourceVector
 from repro.cloud.tasks import Task
-from repro.testing import ReferenceNodeExecutor
+from tests.oracles import ReferenceNodeExecutor
 
 NO_OVERHEAD = VMOverhead(fractions=(0, 0, 0, 0, 0), flat=(0, 0, 0, 0, 0))
 

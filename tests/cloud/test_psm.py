@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.engine import HostEngine
-from repro.cloud.psm import VMOverhead, effective_capacity
+from repro.cloud.psm import VMOverhead
 from repro.cloud.resources import ResourceVector
 from repro.cloud.tasks import N_WORK_DIMS, Task
+from tests.oracles import effective_capacity
 
 #: Zero overhead isolates Eq. 1 from the VM maintenance cost.
 NO_OVERHEAD = VMOverhead(fractions=(0, 0, 0, 0, 0), flat=(0, 0, 0, 0, 0))

@@ -1,7 +1,7 @@
 """Unit tests for the hot-range path cache (docs/caching.md).
 
 The TTL policy is pinned against the verbatim seed PIList
-(:class:`repro.testing.ReferencePIList`) by a randomized lockstep drive;
+(:class:`tests.oracles.ReferencePIList`) by a randomized lockstep drive;
 the other policies get behavioural tests of their eviction orders, and
 :class:`PathCacheIndex` gets registry + heat-window coverage.
 """
@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from repro.core.cache import CACHE_POLICIES, PathCacheIndex, RangeCache
-from repro.testing import ReferencePIList
 from tests.conftest import seeds_and_floors, set_compact_floor
+from tests.oracles import ReferencePIList
 
 
 def box(lo, hi, dims=2):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.diffusion import DiffusionEngine, diffusion_message_count
-from repro.testing import (
-    ReferenceDiffusionEngine, ReferencePIList, _diffusion_rig,
-)
 from tests.conftest import make_overlay
 from tests.core.helpers import Harness, binary_hop_decomposition, line_diffusion_rounds
+from tests.oracles import (
+    ReferenceDiffusionEngine, ReferencePIList, _diffusion_rig,
+)
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +148,7 @@ def test_dead_ninodes_skipped():
     # kill everything except the origin: no recipients, no crash
     for other in h.overlay.node_ids():
         if other != origin:
-            h.kill(other)
+            h.dead.add(other)
     result = engine.diffuse(origin, "hid")
     assert result.messages == 0
     assert result.recipients <= {origin}

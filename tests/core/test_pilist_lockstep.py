@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.pilist import PIList
-from repro.testing import ReferencePIList
+from tests.oracles import ReferencePIList
 
 TTL = 50.0
 CAP = 6

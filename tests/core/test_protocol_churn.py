@@ -30,7 +30,7 @@ def build(name, n=32, seed=0):
 
 
 def churn_out(h, proto, node_id):
-    h.kill(node_id)
+    h.dead.add(node_id)
     proto.on_leave(node_id)
 
 
@@ -101,7 +101,7 @@ def test_sos_retry_failing_after_timeout_counts_as_timeout():
     h.sim.run(until=900.0)
     calls = []
     proto.submit_query(np.array([0.9, 0.9]), 0, lambda r, m: calls.append((r, m)))
-    h.kill(0)  # requester churns out with the chain in flight
+    h.dead.add(0)  # requester churns out with the chain in flight
     h.sim.run(until=900.0 + 10 * TIMEOUT)
     assert len(calls) == 1
     assert proto.lifecycle.timeouts == 1

@@ -1,7 +1,6 @@
 """End-to-end tests for the three-phase query (Algorithms 3-5)."""
 
 import numpy as np
-import pytest
 
 from repro.core.query import QueryEngine, QueryParams
 from tests.core.helpers import Harness
@@ -104,7 +103,7 @@ def test_timeout_finalizes_query_when_chain_dies():
     # the chain will go to an agent that is dead → message dropped
     for dim in range(2):
         for agent in h.overlay.directional_neighbors(duty, dim, +1):
-            h.kill(agent)
+            h.dead.add(agent)
     out = {}
     engine.submit(demand, 0, lambda r, m: out.setdefault("records", r))
     h.sim.run(until=29.0)

@@ -183,7 +183,7 @@ def test_submit_many_batched_routing_matches_sequential():
 def test_submit_many_dead_requester_resolves_all_queries():
     h = Harness(n=24, dims=2, seed=22)
     engine = make_engine(h)
-    h.kill(0)
+    h.dead.add(0)
     calls = []
     engine.submit_many(
         [np.array([0.4, 0.4]), np.array([0.6, 0.2])], 0, calls.append
@@ -203,7 +203,7 @@ def test_submit_many_dead_requester_draws_what_submit_draws():
         for batched in (True, False):
             h = Harness(n=24, dims=3, seed=22, cmax=np.ones(2))
             engine = make_engine(h, **overrides)
-            h.kill(0)
+            h.dead.add(0)
             if batched:
                 engine.submit_many(demands, 0, lambda results: None)
             else:

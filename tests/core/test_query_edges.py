@@ -1,7 +1,6 @@
 """Edge-case tests for the query engine beyond the happy paths."""
 
 import numpy as np
-import pytest
 
 from repro.core.query import QueryEngine, QueryParams
 from repro.testing import ProtocolSandbox
@@ -27,7 +26,7 @@ def drive(sb: ProtocolSandbox, engine, demand, requester=0, horizon=600.0):
 def test_dead_requester_fails_immediately():
     sb = ProtocolSandbox(n=16, dims=2, seed=1)
     engine = make_engine(sb)
-    sb.kill(0)
+    sb.dead.add(0)
     out = drive(sb, engine, [0.5, 0.5], requester=0)
     assert out["records"] == []
 
@@ -78,7 +77,7 @@ def test_requester_dies_mid_query_without_leak():
     engine = make_engine(sb, timeout=30.0)
     fired = []
     engine.submit(np.array([0.4, 0.4]), 0, lambda r, m: fired.append(1))
-    sb.kill(0)  # found-notify / query-end to the requester now drop
+    sb.dead.add(0)  # found-notify / query-end to the requester now drop
     sb.sim.run(until=120.0)
     # the timeout still finalizes the runtime exactly once
     assert len(fired) == 1

@@ -11,10 +11,14 @@ def rec(owner, avail, ts=0.0):
 
 
 def test_record_qualification_is_dominance():
+    """Inequality (2): a record qualifies when its availability
+    dominates the demand, ties included."""
+    cache = StateCache(600)
     r = rec(1, [4.0, 4.0])
-    assert r.qualifies(np.array([4.0, 3.0]))
-    assert r.qualifies(np.array([4.0, 4.0]))
-    assert not r.qualifies(np.array([4.1, 3.0]))
+    cache.put(r)
+    assert cache.qualified(np.array([4.0, 3.0]), now=0.0) == [r]
+    assert cache.qualified(np.array([4.0, 4.0]), now=0.0) == [r]
+    assert cache.qualified(np.array([4.1, 3.0]), now=0.0) == []
 
 
 def test_ttl_must_be_positive():

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from repro.core.state import StateCache, StateRecord
-from repro.testing import ReferenceStateCache
 from tests.conftest import seeds_and_floors, set_compact_floor
+from tests.oracles import ReferenceStateCache
 
 
 def rec(owner, avail, ts=0.0):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import SOCSimulation
-from repro.testing import construction_digest
+from tests.oracles import construction_digest
 
 _DIGESTS = Path(__file__).with_name("construction_digests.json")
 #: Key of the digest taken after the churned run (67 leave/join pairs).

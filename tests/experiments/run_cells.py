@@ -38,7 +38,7 @@ from repro.experiments.runner import SOCSimulation
 from repro.experiments.scenarios import (
     CHURN_SWEEP_PROTOCOLS, hotrange_configs, mega_configs,
 )
-from repro.testing import (
+from tests.oracles import (
     ReferenceCANOverlay,
     assert_cache_off_equivalent,
     assert_delivery_modes_equivalent,

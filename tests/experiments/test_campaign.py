@@ -342,7 +342,7 @@ def _run_cell_explode_newscast(config_doc):
         raise RuntimeError("injected failure")
     import os
 
-    from repro.experiments.config import config_from_dict, config_to_dict
+    from repro.experiments.config import config_from_dict
     from repro.experiments.runner import run_config
     from repro.experiments.store import result_to_dict
 

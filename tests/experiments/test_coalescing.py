@@ -3,9 +3,9 @@
 The contract (docs/coalescing.md): with quantized phases
 (``phase_buckets >= 1``) cohort timers are a pure event-batching
 transform of one grid chain per member
-(``repro.testing.ReferenceCohortScheduler``), and the delivery calendar
+(``tests.oracles.ReferenceCohortScheduler``), and the delivery calendar
 at quantum 0 of one heap event per message
-(``repro.testing.ReferenceDeliveryCalendar``) — every metric and every
+(``tests.oracles.ReferenceDeliveryCalendar``) — every metric and every
 series sample is *exactly* equal, at paper scale and under churn.  The
 cells' oracle runs are recorded: each test here runs its cell stock once
 against the row that ``tests/experiments/run_cells.py`` wrote only after
@@ -22,8 +22,8 @@ from repro.core.protocol import DiscoveryProtocol, PIDCANParams, PIDCANProtocol
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import SOCSimulation
 from repro.experiments.scenarios import hotrange_configs, mega2_configs, mega_configs
-from repro.testing import assert_results_identical
 from tests.experiments.run_cells import pair_run, quantized
+from tests.oracles import assert_results_identical
 
 
 def test_cohort_ticking_identical_at_paper_scale():

@@ -4,7 +4,7 @@ machines — is pinned, section by section, to digests recorded from the
 commit before set-up was made linear (PR 14).  Any change that reorders
 or adds a set-up RNG draw, or rewires an edge differently, moves a
 digest.  The same cells built on the scalar
-:class:`~repro.testing.ReferenceCANOverlay`, swapped in where every CAN
+:class:`~tests.oracles.ReferenceCANOverlay`, swapped in where every CAN
 protocol builds its overlay, must digest alike.  The cells and the
 re-record command live in ``tests/experiments/construction.py``.
 """
@@ -13,13 +13,13 @@ import pytest
 
 from repro.core import protocol as protocol_mod
 from repro.experiments.runner import SOCSimulation
-from repro.testing import ReferenceCANOverlay, construction_digest
 from tests.experiments.construction import (
     CHURNED_CELL,
     build_churned_cell,
     construction_cell,
     recorded_digests,
 )
+from tests.oracles import ReferenceCANOverlay, construction_digest
 
 RECORDED = recorded_digests()
 

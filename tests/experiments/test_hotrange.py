@@ -2,7 +2,7 @@
 
 Two contracts are pinned here.  First, the opt-in contract: with
 ``cache_policy=None`` (the default) a run is *bit-identical* to the
-pre-cache protocol — :func:`repro.testing.assert_cache_off_equivalent`
+pre-cache protocol — :func:`tests.oracles.assert_cache_off_equivalent`
 checks that from both ends by also swapping the stamp-ordered PIList for
 the verbatim seed scalar.  The cells here run once against rows that
 ``tests/experiments/run_cells.py`` recorded only after that check

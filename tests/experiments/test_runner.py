@@ -14,8 +14,8 @@ from repro.cloud.resources import dominates
 from repro.core import protocol as protocol_mod
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import SOCSimulation
-from repro.testing import ReferenceCANOverlay, assert_oracle_equivalent
 from tests.experiments.run_cells import pair_run
+from tests.oracles import ReferenceCANOverlay, assert_oracle_equivalent
 
 MICRO = dict(n_nodes=40, duration=4000.0, demand_ratio=0.4, seed=11)
 
@@ -221,7 +221,7 @@ def _cross_check(cfg):
     engine takes one mean."""
     from repro.experiments import runner
     from repro.experiments.store import result_to_dict
-    from repro.testing import ReferenceHostEngine
+    from tests.oracles import ReferenceHostEngine
 
     vec = SOCSimulation(cfg).run()
     with pytest.MonkeyPatch.context() as patch:

@@ -3,7 +3,7 @@ chains deliver the identical global ``(time, member)`` log under
 arbitrary add/discard/advance interleavings.
 
 The machine drives one cohort timer and one
-:class:`~repro.testing.ReferenceCohortScheduler` in lockstep on twin
+:class:`~tests.oracles.ReferenceCohortScheduler` in lockstep on twin
 simulators.  Adds and discards always happen at half-integer instants
 (the grid is integer-period with integer epoch), so the measure-zero
 straggler edge — joining *exactly* at a grid instant after that
@@ -21,7 +21,7 @@ from hypothesis.stateful import (
 )
 
 from repro.sim.engine import Simulator
-from repro.testing import ReferenceCohortScheduler
+from tests.oracles import ReferenceCohortScheduler
 
 PERIOD = 4.0
 EPOCH = 1.0

@@ -13,7 +13,7 @@ import pytest
 
 from repro.sim.delivery import DeliveryCalendar
 from repro.sim.engine import Simulator
-from repro.testing import ReferenceDeliveryCalendar
+from tests.oracles import ReferenceDeliveryCalendar
 
 
 def test_negative_quantum_rejected():

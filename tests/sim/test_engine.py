@@ -427,7 +427,7 @@ def test_charge_events_rejects_negative():
 def test_cohort_matches_per_member_reference_under_churn():
     """Global delivery log of one cohort timer == N per-member grid
     chains, including members that join/leave mid-run (off-grid)."""
-    from repro.testing import ReferenceCohortScheduler
+    from tests.oracles import ReferenceCohortScheduler
 
     def drive(make_timer):
         sim = Simulator()

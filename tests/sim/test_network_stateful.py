@@ -1,7 +1,7 @@
 """Stateful lockstep property test of LAN assignment: arbitrary
 add/remove interleavings drive the heap-backed
 :class:`~repro.sim.network.NetworkModel` next to the scan-based
-:class:`~repro.testing.ReferenceNetworkModel` — every node must land in
+:class:`~tests.oracles.ReferenceNetworkModel` — every node must land in
 the same LAN with the same bandwidths, and the heap must stay bounded.
 Paths over live, departed and unknown ids are priced three ways —
 ``path_delay``'s one loop over the model's dicts, the reference's
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.sim.network import CONTROL_MSG_BITS, STATE_MSG_BITS, NetworkModel, NetworkParams
-from repro.testing import ReferenceNetworkModel
+from tests.oracles import ReferenceNetworkModel
 
 
 class LanPickLockstepMachine(RuleBasedStateMachine):

@@ -273,18 +273,20 @@ def test_config_field_gate_catches_retired_flags():
 # ----------------------------------------------------------------------
 # modules and files named in prose must exist
 # ----------------------------------------------------------------------
-_DOTTED_NAME_RE = re.compile(r"^repro(?:\.\w+)+$")
+_DOTTED_NAME_RE = re.compile(r"^(?:repro|tests)(?:\.\w+)+$")
 _PY_PATH_RE = re.compile(r"^([\w./-]+\.py)(?:::(\w+))?$")
 #: Where a quoted ``x/y.py`` may live, as the docs abbreviate paths.
 _PY_ROOTS = ("", "src/repro", "tests", "bench")
 
 
 def quoted_names(text: str) -> tuple[list[str], list[tuple[str, str | None]]]:
-    """Back-ticked spans of ``text`` that are a ``repro.a.b[.C[.d]]`` dotted
-    name, and those that are a ``….py[::test]`` path (``*`` globs are not
-    paths)."""
+    """Back-ticked spans of ``text`` that are a ``repro.a.b[.C[.d]]`` or
+    ``tests.a[.b]`` dotted name (a docstring's ``~`` role prefix
+    stripped), and those that are a ``….py[::test]`` path (``*`` globs
+    are not paths)."""
     dotted, paths = [], []
     for span in re.findall(r"`([^`\n]+)`", text):
+        span = span.removeprefix("~")
         if _DOTTED_NAME_RE.match(span):
             dotted.append(span)
         else:
@@ -342,17 +344,37 @@ def test_quoted_modules_and_files_exist():
     assert checked >= 100  # the docs name their code densely
 
 
+def test_quoted_names_in_docstrings_exist():
+    """The same check over the source: a module, class or function a
+    ``src/repro`` docstring or comment names must still be there."""
+    checked = 0
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        dotted, _ = quoted_names(path.read_text())
+        for name in dotted:
+            try:
+                resolve_dotted(name)
+            except AttributeError as exc:
+                pytest.fail(f"{path.relative_to(REPO_ROOT)}: `{name}` does not resolve: {exc}")
+        checked += len(dotted)
+    assert checked >= 90  # the source cross-references itself densely too
+
+
 def test_quoted_name_gate_catches_deleted_modules():
     dotted, paths = quoted_names(
         "`repro.can.geometry` backed `can/geometry.py`, see "
         "`tests/can/test_geometry.py::test_x`; `repro.can.zone.Zone.split`, "
+        ":class:`~tests.oracles.ReferenceNodeExecutor`, "
         "`tests/*.py` and `a.py b` are left alone or fine"
     )
-    assert dotted == ["repro.can.geometry", "repro.can.zone.Zone.split"]
+    assert dotted == [
+        "repro.can.geometry", "repro.can.zone.Zone.split",
+        "tests.oracles.ReferenceNodeExecutor",
+    ]
     assert paths == [
         ("can/geometry.py", None), ("tests/can/test_geometry.py", "test_x"),
     ]
     resolve_dotted(dotted[1])
+    resolve_dotted(dotted[2])
     resolve_py_path("can/zone.py", None)
     resolve_py_path("tests/can/test_zone.py", "test_split_halves_tile_parent")
     with pytest.raises(AttributeError):

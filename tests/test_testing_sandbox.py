@@ -24,7 +24,7 @@ def test_plant_record_and_duty_lookup():
 def test_kill_drops_messages():
     sb = ProtocolSandbox(n=8, dims=2, seed=3)
     received = []
-    sb.kill(3)
+    sb.dead.add(3)
     sb.ctx.send("test", 0, 3, received.append, "payload")
     sb.sim.run()
     assert received == []

@@ -3,9 +3,11 @@
 The project pins its lint policy in ``pyproject.toml`` (``[tool.ruff]``).
 Containers that ship without ruff skip this test instead of failing —
 the configuration still travels with the repo so any environment that
-has the linter (CI, dev machines) catches drift immediately.
+has the linter (CI, dev machines) catches drift immediately.  Unused
+imports (pyflakes' F401) are caught either way, by a stdlib ``ast`` scan.
 """
 
+import ast
 import shutil
 import subprocess
 import sys
@@ -48,13 +50,101 @@ def test_ruff_config_present():
     assert "[tool.ruff]" in config
 
 
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names inside the string annotations (``"TreeLeaf"``) under ``node``."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names |= {n.id for n in ast.walk(ast.parse(sub.value, mode="eval"))
+                      if isinstance(n, ast.Name)}
+    return names
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` of every name ``source`` imports and its scope
+    never reads — pyflakes' F401, with stdlib ``ast``.  A module-level
+    import may be read anywhere in the module, a function's only in that
+    function; a name in the module's ``__all__`` counts as read, and so
+    does a name in a string annotation.  ``__future__`` imports and lines
+    marked ``noqa`` are skipped."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    exported = {
+        elt.value
+        for node in tree.body if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+        for elt in node.value.elts if isinstance(elt, ast.Constant)
+    }
+
+    def imports_of(scope: ast.AST):
+        for child in ast.iter_child_nodes(scope):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                yield child
+            elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from imports_of(child)
+
+    unused = []
+    scopes = [tree] + [
+        node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    for scope in scopes:
+        read = exported | {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        for node in ast.walk(scope):
+            for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+                if annotation is not None:
+                    read |= _annotation_names(annotation)
+        for node in imports_of(scope):
+            if getattr(node, "module", None) == "__future__" or "noqa" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    unused.append((node.lineno, name))
+    return unused
+
+
+def test_no_unused_imports():
+    """F401 without ruff: no module under ``src``, ``tests`` or
+    ``benchmarks`` imports a name it never uses (``__init__.py``
+    re-exports are the package's API and are skipped)."""
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{line} {name}"
+        for root in ("src", "tests", "benchmarks")
+        for path in sorted((REPO_ROOT / root).rglob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in unused_imports(path.read_text())
+    ]
+    assert not offenders, f"unused imports: {offenders}"
+
+
+def test_unused_import_gate_catches_planted_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "import numpy as np\n"
+        "from typing import TYPE_CHECKING, Sequence\n"
+        "from a.b import Kept, Gone\n"
+        "import ruff  # noqa: F401\n"
+        "__all__ = ['Kept']\n"
+        "if TYPE_CHECKING:\n"
+        "    from c import Leaf\n"
+        "def f(x: 'Leaf | Sequence[int]'):\n"
+        "    import json\n"
+        "    from d import used_here\n"
+        "    return used_here(sys.argv)\n"
+        "def g():\n"
+        "    return json\n"
+    )
+    assert unused_imports(source) == [(2, "os"), (3, "np"), (5, "Gone"), (11, "json")]
+
+
 def test_host_engine_equivalence_smoke():
     """Fast-gate smoke of the execution substrate: one short randomized
     schedule through both the vectorized HostEngine and the scalar
     reference must stay indistinguishable (the heavy property suite lives
     in tests/cloud/test_engine_equivalence.py; this runs in well under a
     second so it belongs in the pre-commit gate)."""
-    from repro.testing import assert_engines_equivalent
+    from tests.oracles import assert_engines_equivalent
 
     stats = assert_engines_equivalent(seed=1, n_hosts=8, steps=120)
     assert stats["placed"] > 0 and stats["completed"] > 0
@@ -67,7 +157,7 @@ def test_overlay_equivalence_smoke():
     indistinguishable — identical adjacency, routing paths (hop for hop)
     and diffusion recipients (the heavy suites live in
     tests/can/test_overlay_equivalence.py and test_overlay_stateful.py)."""
-    from repro.testing import assert_overlays_equivalent
+    from tests.oracles import assert_overlays_equivalent
 
     stats = assert_overlays_equivalent(seed=1, n=20, dims=3, steps=21)
     assert stats["routes"] > 0 and stats["diffusions"] > 0
@@ -81,7 +171,7 @@ def test_cohort_equivalence_smoke():
     tests/experiments/test_coalescing.py)."""
     from repro.core.protocol import PIDCANParams
     from repro.experiments.config import ExperimentConfig
-    from repro.testing import assert_tick_modes_equivalent
+    from tests.oracles import assert_tick_modes_equivalent
 
     per_node, _ = assert_tick_modes_equivalent(
         ExperimentConfig(
@@ -105,7 +195,7 @@ def test_delivery_coalescing_equivalence_smoke():
     tests/experiments/test_coalescing.py)."""
     from repro.core.protocol import PIDCANParams
     from repro.experiments.config import ExperimentConfig
-    from repro.testing import assert_delivery_modes_equivalent
+    from tests.oracles import assert_delivery_modes_equivalent
 
     per_message, _ = assert_delivery_modes_equivalent(
         ExperimentConfig(
@@ -156,7 +246,7 @@ def test_cache_off_equivalence_smoke():
     scalar, and no cache counter moves (the paper-scale and churn cells
     run against recorded rows in tests/experiments/test_hotrange.py)."""
     from repro.experiments.config import ExperimentConfig
-    from repro.testing import assert_cache_off_equivalent
+    from tests.oracles import assert_cache_off_equivalent
 
     stock, _ = assert_cache_off_equivalent(
         ExperimentConfig(
@@ -181,8 +271,8 @@ def test_construction_digest_smoke():
     (the 500-node, churned and reference-overlay cells live in
     tests/experiments/test_construction.py)."""
     from repro.experiments.runner import SOCSimulation
-    from repro.testing import construction_digest
     from tests.experiments.construction import construction_cell, recorded_digests
+    from tests.oracles import construction_digest
 
     digest = construction_digest(SOCSimulation(construction_cell(300, 1)))
     assert digest == recorded_digests()["n300-seed1"]
@@ -347,12 +437,14 @@ def test_route_pool_survives_churn_smoke(monkeypatch):
 
 
 def test_oracle_budget_and_allocator_gate():
-    """ROADMAP item 5: ``repro/testing.py`` is capped at its line count,
+    """ROADMAP item 5: ``tests/oracles.py`` is capped at its line count,
     so a PR that leaves the path it replaced behind as an oracle has to
-    retire another.  An oracle is swapped in at its module, so no
-    production constructor carries a test-only substrate parameter.  And
-    the routing pool stays an index of arrays — the fields of the
-    offset-recycling arena it used to be may not return."""
+    retire another, and ``src/repro`` defines no oracle — no
+    ``Reference*`` class, ``reference_*`` function or
+    ``assert_*_equivalent`` helper.  An oracle is swapped in at its
+    module, so no production constructor carries a test-only substrate
+    parameter.  And the routing pool stays an index of arrays — the
+    fields of the offset-recycling arena it used to be may not return."""
     import inspect
 
     from repro.baselines.can_base import CANStateBaseline
@@ -368,8 +460,19 @@ def test_oracle_budget_and_allocator_gate():
     from repro.experiments.runner import SOCSimulation
     from repro.testing import ProtocolSandbox
 
-    lines = len((REPO_ROOT / "src/repro/testing.py").read_text().splitlines())
-    assert lines <= 1410, "a new oracle displaces an old one"
+    lines = len((REPO_ROOT / "tests/oracles.py").read_text().splitlines())
+    assert lines <= 1323, "a new oracle displaces an old one"
+    src = REPO_ROOT / "src"
+    in_src = [
+        f"{path.relative_to(src)}:{node.lineno} {node.name}"
+        for path in sorted((src / "repro").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name.startswith("Reference")
+        or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and (node.name.startswith("reference_")
+             or node.name.startswith("assert_") and node.name.endswith("_equivalent"))
+    ]
+    assert not in_src, f"oracles belong in tests/oracles.py: {in_src}"
     assert list(inspect.signature(SOCSimulation).parameters) == ["config"]
     for built in (
         make_protocol, DutyStateProtocol, PIDCANProtocol, CANStateBaseline,
@@ -387,15 +490,13 @@ def test_scalar_index_draws_go_through_index_draw():
     and every pick without replacement is
     :func:`repro.sim.rng.distinct_draw`: no ``.integers`` call or alias
     and no ``.choice(..., replace=False)`` outside ``repro/sim/rng.py``,
-    which defines the draws, and ``repro/testing.py``, whose oracles keep
+    which defines the draws.  The oracles in ``tests/oracles.py`` keep
     numpy's own calls — that is what makes the lockstep suites a
     cross-check of the primitives.  Array draws (``size=``) may stay, but
     raw words — the bit generator, or ``integers`` with a ``dtype`` — are
     drawn in ``repro/sim/rng.py`` only, where the bulk scope accounts for
     every one."""
-    import ast
-
-    exempt = {"repro/sim/rng.py", "repro/testing.py"}
+    exempt = {"repro/sim/rng.py"}
     src = REPO_ROOT / "src"
     offenders = []
     for path in sorted((src / "repro").rglob("*.py")):
@@ -445,6 +546,24 @@ def test_reach_allowlist_names_live_functions_with_known_reasons():
     assert not gone, f"allowlisted functions no longer defined: {gone}"
     unknown = [f"{m}:{q} {r}" for m, q, r in entries if r not in reach.REASONS]
     assert not unknown, f"reasons outside {sorted(reach.REASONS)}: {unknown}"
+
+
+def test_reach_observers_are_called_under_tests():
+    """An ``observer`` stays in ``src/`` only because a test reads model
+    state through it: each one's name is called somewhere under
+    ``tests/``."""
+    from tools import reach
+
+    called = set()
+    for path in (REPO_ROOT / "tests").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+    observers = [f"{m}:{q}" for m, q, reason in reach.load_allowlist() if reason == "observer"]
+    assert observers
+    uncalled = [name for name in observers if name.rsplit(".", 1)[-1] not in called]
+    assert not uncalled, f"observers no test calls: {uncalled}"
 
 
 def test_reach_allowlist_has_no_duplicates():

@@ -20,8 +20,8 @@ A ``sys.setprofile`` / ``threading.setprofile`` hook, installed before
 object entered.  Every function or method defined under ``src/repro`` —
 found by AST; lambdas and comprehensions are not counted — that the
 surface never entered is printed, unless :data:`ALLOWLIST` names it with
-one of the :data:`REASONS`.  ``repro/testing.py`` is the oracle module:
-tests drive it by design, so it is not audited here.
+one of the :data:`REASONS`.  Every module under ``src/repro`` is audited;
+the seed's scalar oracles live test-side, in ``tests/oracles.py``.
 
 Exit status 0 when every unentered function is allowlisted and every
 allowlist entry is still unentered, 1 otherwise.
@@ -48,15 +48,12 @@ ALLOWLIST = Path(__file__).resolve().with_name("reach_allowlist.txt")
 
 #: Why an unentered function may stay in ``src/``.
 REASONS = {
-    "oracle": "repro.testing calls it, or a lockstep test drives it against its twin there",
     "trace-target": "bench/trace.py TARGETS wraps it",
     "example": "an example uses it",
     "safety": "an invariant audit, the capacity/eviction path or input validation",
     "abstract": "an abstract base class requires it",
+    "observer": "a test reads model state through it",
 }
-
-#: Modules the audit skips: the oracle module is entered by tests only.
-NOT_AUDITED = {"repro.testing"}
 
 #: ``(ExperimentConfig overrides, PIDCANParams overrides)`` of one tiny
 #: cell per non-default value of an enumerated knob, plus the lever
@@ -266,10 +263,7 @@ def main() -> int:
 
     defined = defined_functions()
     reached = entered_keys(entered)
-    unentered = {
-        key: path for key, path in defined.items()
-        if key not in reached and key[0] not in NOT_AUDITED
-    }
+    unentered = {key: path for key, path in defined.items() if key not in reached}
     allowed = {(module, qualname): reason for module, qualname, reason in load_allowlist()}
     unexplained = sorted(
         (path, line, qualname) for (module, qualname, line), path in unentered.items()
@@ -278,8 +272,7 @@ def main() -> int:
     unentered_names = {(module, qualname) for module, qualname, _ in unentered}
     stale = sorted(name for name in allowed if name not in unentered_names)
 
-    audited = sum(1 for key in defined if key[0] not in NOT_AUDITED)
-    print(f"{audited - len(unentered)} of {audited} audited functions entered "
+    print(f"{len(defined) - len(unentered)} of {len(defined)} functions entered "
           f"in {elapsed:.0f}s; {len(unentered)} unentered, "
           f"{len(unentered) - len(unexplained)} of them allowlisted")
     for path, line, qualname in unexplained:
