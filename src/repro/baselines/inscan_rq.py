@@ -94,7 +94,7 @@ class INSCANRangeQuery:
                 cache = self.caches.get(node)
                 if cache is not None and len(cache):
                     records.extend(cache.qualified(demand, now))
-                for m in sorted(self.overlay.nodes[node].neighbors):
+                for m in sorted(self.overlay.nodes[node].directions):
                     if m in seen:
                         continue
                     zone = self.overlay.nodes[m].zone

@@ -2,7 +2,7 @@
 
 Implements the Content-Addressable Network of Ratnasamy et al. [14] as used
 by the paper: a d-dimensional unit key space dynamically partitioned into
-per-node zones via a binary partition tree, face-adjacency neighbor sets,
+per-node zones via a binary partition tree, face-adjacency edge maps,
 greedy routing, the binary-partition-tree leave/takeover repair, and the
 INSCAN extension (2^k-hop index pointers giving O(log n) routing, §III-A).
 
@@ -11,7 +11,7 @@ propagates "until reaching the edge of the CAN space", so directions are
 meaningful and absolute.
 
 Authoritative :class:`Zone` objects hang off the partition tree; the
-overlay also keeps every zone's bounds in two arrays indexed by node id,
+overlay also keeps every zone's bounds in one array indexed by node id,
 which is what routing gathers its candidate blocks from, and rewires
 joins and leaves from cached edge directions alone (see
 ``docs/can_geometry.md``).

@@ -12,16 +12,18 @@ because
 - a relocated owner takes over an existing zone verbatim,
 
 so who touches whom after a join or a leave follows from the tree and
-the ``(dim, sign)`` every edge caches on both endpoints: a join hands
-the owner's edges out to the two halves (``docs/can_geometry.md``,
-"Structural split"), a leave lets the absorber — and the mover, in the
-handoff case — inherit the edges of the zone it took over ("Structural
-takeover").  ``check_invariants`` cross-checks both against a
-brute-force recomputation in the tests.
+the ``(dim, sign)`` every edge carries on both endpoints, in each node's
+``directions`` map — its one edge record: a join hands the owner's edges
+out to the two halves at the split coordinate the tree branch stores
+(``docs/can_geometry.md``, "Structural split"), a leave lets the
+absorber — and the mover, in the handoff case — inherit the edges of the
+zone it took over ("Structural takeover").  ``check_invariants``
+cross-checks both against a brute-force recomputation in the tests.
 
 Zone bounds are kept once per way they are read: the partition tree has
 the authoritative :class:`~repro.can.zone.Zone` objects (split history,
-takeover), and the overlay one dimension-major ``(2·d, capacity)`` array
+takeover; each a pair of float tuples), and the overlay one
+dimension-major ``(2·d, capacity)`` array
 ``bounds`` whose column ``i`` is node ``i``'s zone — ``lo`` rows over
 ``hi`` rows — so routing gathers the bounds of a whole candidate set
 with one ``take`` ("Bounds rows").  :meth:`CANOverlay._bind` is the only
@@ -51,14 +53,10 @@ class CANOverlay:
     """A complete, consistent CAN overlay over ``[0,1]^dims``.
 
     ``join`` and ``leave`` rewire by structure (:meth:`_split_neighbors`,
-    :meth:`_takeover`: the cached edge directions, no geometry call);
-    both leave ``neighbors``, ``directions`` and ``face_buckets`` of
-    every node they touch consistent, and bump the ``edge_stamp`` of
-    every node whose neighbor set they change."""
-
-    #: Subclasses that recompute adjacency per call (the scalar reference
-    #: oracle) set this False so invariants skip the direction cache.
-    _caches_directions = True
+    :meth:`_takeover`: the recorded edge directions, no geometry call);
+    both leave ``directions`` and ``face_buckets`` of every node they
+    touch consistent, and bump the ``edge_stamp`` of every node whose
+    edges they change."""
 
     def __init__(self, dims: int, rng: np.random.Generator):
         if dims < 1:
@@ -187,7 +185,8 @@ class CANOverlay:
         overlay splits the zone containing its row of ``points``; when
         None, one ``uniform`` call draws them all, the values a call per
         join would draw.  The bounds columns of the nodes the joins
-        rebound are written once, after the last join."""
+        rebound are written once, after the last join.  Every check runs
+        before the first join: a refused batch changes nothing."""
         for node_id in ids:
             if node_id < 0:
                 raise ValueError(f"node id must be >= 0, got {node_id}")
@@ -198,6 +197,8 @@ class CANOverlay:
         if points is None:
             drawn = max(len(ids) - (self.tree is None or not self.nodes), 0)
             points = self._rng.uniform(0.0, 1.0, size=(drawn, self.dims))
+        elif not ((points >= 0.0) & (points <= 1.0)).all():
+            raise ValueError("a join point lies outside the unit cube or is NaN")
         rows = iter(points)
         self._unwritten = {}
         try:
@@ -257,8 +258,7 @@ class CANOverlay:
         edge the owner keeps is not touched, so that neighbor's face
         buckets stay valid unless it gains the joiner as well."""
         branch = joiner.leaf.parent
-        k, joiner_high = branch.dim, branch.high is joiner.leaf
-        mid = branch.high.zone._lo[k]
+        k, mid, joiner_high = branch.dim, branch.mid, branch.high is joiner.leaf
         nodes, owner_id, joiner_id = self.nodes, owner.node_id, joiner.node_id
         for cand_id, face in list(owner.directions.items()):
             cand = nodes[cand_id]
@@ -273,22 +273,16 @@ class CANOverlay:
                 cand.directions[joiner_id] = cand.directions[owner_id]
             elif to_joiner:
                 cand.directions[joiner_id] = cand.directions.pop(owner_id)
-                cand.neighbors.discard(owner_id)
-                owner.neighbors.discard(cand_id)
                 del owner.directions[cand_id]
             else:
                 continue
-            cand.neighbors.add(joiner_id)
             cand.face_buckets = None
             cand.edge_stamp += 1
-            joiner.neighbors.add(cand_id)
             joiner.directions[cand_id] = face
         face, back = self._faces[2 * k + (not joiner_high)]
-        owner.neighbors.add(joiner_id)
         owner.directions[joiner_id] = face
         owner.face_buckets = None
         owner.edge_stamp += 1
-        joiner.neighbors.add(owner_id)
         joiner.directions[owner_id] = back
 
     # ------------------------------------------------------------------
@@ -324,10 +318,9 @@ class CANOverlay:
         """Every peer forgets ``node``; the node keeps its own edge record
         for whoever takes its zone over."""
         node_id, nodes = node.node_id, self.nodes
-        for m in node.neighbors:
+        for m in node.directions:
             peer = nodes[m]
-            peer.neighbors.discard(node_id)
-            peer.directions.pop(node_id, None)
+            del peer.directions[node_id]
             peer.face_buckets = None
             peer.edge_stamp += 1
 
@@ -350,7 +343,6 @@ class CANOverlay:
         # if at all, through the zone that is the absorber's now.
         self._unlink(mover)
         self._inherit(absorber, mover.directions)
-        mover.neighbors.clear()
         mover.directions.clear()
         mover.face_buckets = None
         mover.edge_stamp += 1
@@ -373,9 +365,7 @@ class CANOverlay:
                 continue
             face, back = faces[2 * dim + (sign < 0)]
             cand = nodes[cand_id]
-            heir.neighbors.add(cand_id)
             heir.directions[cand_id] = face
-            cand.neighbors.add(heir_id)
             cand.directions[heir_id] = back
             cand.face_buckets = None
             cand.edge_stamp += 1
@@ -388,15 +378,16 @@ class CANOverlay:
         column equal to the zone for every member and ``+inf`` for every
         other id, every current candidate block of every routing pool
         equal to a fresh one), tree consistency, leaf binding, and
-        brute-force adjacency equality (including the cached edge
-        directions and the face buckets ``directional_neighbors``
+        brute-force adjacency equality (of the edge directions on both
+        endpoints and the face buckets ``directional_neighbors``
         serves)."""
-        dims, live = self.dims, np.zeros(self.bounds.shape[1], dtype=bool)
+        live = np.zeros(self.bounds.shape[1], dtype=bool)
         for node_id, node in self.nodes.items():
             live[node_id] = True
-            assert np.array_equal(self.bounds[:dims, node_id], node.zone.lo) and (
-                np.array_equal(self.bounds[dims:, node_id], node.zone.hi)
-            ), f"bounds column of node {node_id} stale"
+            zone = node.zone
+            assert self.bounds[:, node_id].tolist() == list(zone._lo + zone._hi), (
+                f"bounds column of node {node_id} stale"
+            )
         assert (self.bounds[:, ~live] == np.inf).all(), (
             "bounds column of a departed id is not +inf"
         )
@@ -416,38 +407,23 @@ class CANOverlay:
         for i, a in enumerate(ids):
             za = self.nodes[a].zone
             for b in ids[i + 1 :]:
-                zb = self.nodes[b].zone
-                direction = adjacency_direction(za, zb)
-                adjacent = direction is not None
-                linked = b in self.nodes[a].neighbors
-                linked_sym = a in self.nodes[b].neighbors
-                assert linked == linked_sym, f"asymmetric edge {a}-{b}"
-                assert linked == adjacent, (
-                    f"edge {a}-{b}: linked={linked} adjacent={adjacent} "
-                    f"zones {za} {zb}"
+                direction = adjacency_direction(za, self.nodes[b].zone)
+                cached = self.nodes[a].directions.get(b)
+                cached_sym = self.nodes[b].directions.get(a)
+                assert cached == direction, (
+                    f"edge {a}->{b}: recorded {cached}, adjacency {direction}"
                 )
-                if self._caches_directions:
-                    cached = self.nodes[a].directions.get(b)
-                    cached_sym = self.nodes[b].directions.get(a)
-                    assert cached == direction, (
-                        f"direction cache {a}->{b}: {cached} != {direction}"
-                    )
-                    expected_sym = (
-                        None if direction is None
-                        else (direction[0], -direction[1])
-                    )
-                    assert cached_sym == expected_sym, (
-                        f"direction cache {b}->{a}: {cached_sym} != "
-                        f"{expected_sym}"
-                    )
-        if self._caches_directions:
-            for node_id, node in self.nodes.items():
-                assert set(node.directions) == node.neighbors, (
-                    f"direction cache of {node_id} out of sync"
+                expected_sym = (
+                    None if direction is None else (direction[0], -direction[1])
                 )
-                for face, _ in self._faces:
-                    assert self.directional_neighbors(node_id, *face) == tuple(
-                        sorted(
-                            m for m, d in node.directions.items() if d == face
-                        )
-                    ), f"face bucket {face} of {node_id} stale"
+                assert cached_sym == expected_sym, (
+                    f"edge {b}->{a}: recorded {cached_sym}, adjacency {expected_sym}"
+                )
+        for node_id, node in self.nodes.items():
+            assert node_id not in node.directions and (
+                node.directions.keys() <= self.nodes.keys()
+            ), f"edge record of {node_id} names itself or a non-member"
+            for face, _ in self._faces:
+                assert self.directional_neighbors(node_id, *face) == tuple(
+                    sorted(m for m, d in node.directions.items() if d == face)
+                ), f"face bucket {face} of {node_id} stale"

@@ -42,10 +42,12 @@ class TreeLeaf:
 
 @dataclass(slots=True)
 class TreeBranch:
-    """An internal node: the zone that was split at ``dim``."""
+    """An internal node: the zone that was split at ``dim``, at the
+    coordinate ``mid`` where its high child starts."""
 
     zone: Zone
     dim: int
+    mid: float
     depth: int
     low: Union["TreeBranch", TreeLeaf] = field(default=None)  # type: ignore[assignment]
     high: Union["TreeBranch", TreeLeaf] = field(default=None)  # type: ignore[assignment]
@@ -91,15 +93,15 @@ class PartitionTree:
         return self._leaf_of[owner]
 
     def find_leaf(self, point: np.ndarray) -> TreeLeaf:
-        """Descend to the leaf whose zone contains ``point``."""
+        """Descend to the leaf whose zone contains ``point``; raises
+        ``ValueError`` for a point no zone owns (outside the unit cube,
+        or with a NaN coordinate)."""
         node = self.root
         coords = point.tolist()  # plain floats: same comparisons, no boxing
         while isinstance(node, TreeBranch):
-            # The high child starts at the split midpoint on node.dim.
-            dim, high = node.dim, node.high
-            node = high if coords[dim] >= high.zone._lo[dim] else node.low
+            node = node.high if coords[node.dim] >= node.mid else node.low
         if not node.zone.contains(coords):
-            raise AssertionError(f"tree descent missed point {point}")
+            raise ValueError(f"no zone owns point {point}")
         return node
 
     # ------------------------------------------------------------------
@@ -120,10 +122,12 @@ class PartitionTree:
         split_dim = leaf.depth % self.dims if dim is None else dim
         low_zone, high_zone = leaf.zone.split(split_dim)
 
+        mid = high_zone._lo[split_dim]
         branch = TreeBranch(
-            zone=leaf.zone, dim=split_dim, depth=leaf.depth, parent=leaf.parent
+            zone=leaf.zone, dim=split_dim, mid=mid, depth=leaf.depth,
+            parent=leaf.parent,
         )
-        new_in_high = point[split_dim] >= high_zone._lo[split_dim]
+        new_in_high = point[split_dim] >= mid
         low_owner = owner if new_in_high else new_owner
         high_owner = new_owner if new_in_high else owner
         low_leaf = TreeLeaf(low_zone, low_owner, leaf.depth + 1, branch)
@@ -237,6 +241,7 @@ class PartitionTree:
                 for child in (node.low, node.high):
                     assert child.parent is node, "broken parent link"
                     stack.append(child)
+                assert node.mid == node.high.zone._lo[node.dim], "split coordinate stale"
                 merged = node.low.zone.merged_with(node.high.zone)
                 assert merged == node.zone, "children do not tile the branch"
         assert seen_owners == set(self._leaf_of), "owner index mismatch"

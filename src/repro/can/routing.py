@@ -217,7 +217,7 @@ class _RouteBlockPool:
         links, departed ones included — their ``+inf`` bounds lose every
         comparison, and an id that joins again is a candidate again."""
         links = () if table is None else table.all_links
-        return sorted(self.overlay.nodes[node_id].neighbors.union(links))
+        return sorted(self.overlay.nodes[node_id].directions.keys() | links)
 
     def block(self, node_id: int) -> np.ndarray:
         """The node's candidate ids, (re)built first unless its index
@@ -625,7 +625,7 @@ def _perimeter_hops(
     owner_id = overlay.owner_of(point)
     if owner_id == start_id:
         return []
-    if owner_id in overlay.nodes[start_id].neighbors:
+    if owner_id in overlay.nodes[start_id].directions:
         # The owner's closed zone contains the point by construction, so
         # it always passes the incidence test: the level-1 BFS scan would
         # return ``[owner_id]`` no matter how its siblings sort.  This is
@@ -638,7 +638,7 @@ def _perimeter_hops(
     budget = 4 ** overlay.dims  # generous cap on the incident cluster size
     while queue and budget > 0:
         node_id, hops = queue.popleft()
-        for m in sorted(nodes[node_id].neighbors):
+        for m in sorted(nodes[node_id].directions):
             if m in seen or _squared_distance(nodes[m].zone, pt) != 0.0:
                 continue
             seen.add(m)

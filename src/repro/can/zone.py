@@ -7,7 +7,8 @@ no epsilon needed.
 
 The upper face of the unit cube is closed (a point with coordinate exactly
 1.0 belongs to the zone whose ``hi`` is 1.0 on that dimension) so that every
-point of ``[0,1]^d`` has an owner.
+point of ``[0,1]^d`` has an owner; a point outside it, or with a NaN
+coordinate, has none.
 
 Terminology from §III-A of the paper:
 
@@ -22,6 +23,8 @@ Terminology from §III-A of the paper:
 
 from __future__ import annotations
 
+import math
+import operator
 from typing import Optional
 
 import numpy as np
@@ -32,25 +35,24 @@ __all__ = ["Zone", "adjacency_direction"]
 class Zone:
     """An axis-aligned box ``[lo, hi)`` in the unit cube.
 
-    ``lo``/``hi`` are exposed as read-only numpy arrays; the private tuple
-    mirrors (``_lo``/``_hi``) serve the hot geometric predicates, where
-    plain float arithmetic beats numpy dispatch on 2-5 element vectors by
-    an order of magnitude (the scalar routing hop reads them too).
+    The bounds are stored once, as the tuples ``_lo``/``_hi`` of plain
+    floats that the hot geometric predicates read: on 2-5 element vectors
+    float arithmetic beats numpy dispatch by an order of magnitude (the
+    scalar routing hop reads them too).  ``lo``/``hi`` are read-only
+    numpy copies built on each read, for the few cold readers; the
+    overlay's ``bounds`` array is the per-node bounds store routing and
+    the query engine read.
     """
 
-    __slots__ = ("lo", "hi", "_lo", "_hi")
+    __slots__ = ("_lo", "_hi")
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray):
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lo/hi must be 1-D arrays of equal length")
-        if bool(np.any(hi <= lo)):
+        if not bool(np.all(lo < hi)):  # also refuses a NaN bound
             raise ValueError(f"degenerate zone lo={lo} hi={hi}")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        self.lo = lo
-        self.hi = hi
         self._lo = tuple(lo.tolist())
         self._hi = tuple(hi.tolist())
 
@@ -60,18 +62,29 @@ class Zone:
         return cls(np.zeros(dims), np.ones(dims))
 
     @property
+    def lo(self) -> np.ndarray:
+        """The lower corner as a new read-only array."""
+        return _frozen(self._lo)
+
+    @property
+    def hi(self) -> np.ndarray:
+        """The upper corner as a new read-only array."""
+        return _frozen(self._hi)
+
+    @property
     def volume(self) -> float:
-        return float(np.prod(self.hi - self.lo))
+        return math.prod(h - l for l, h in zip(self._lo, self._hi))
 
     # ------------------------------------------------------------------
     # point / box relations
     # ------------------------------------------------------------------
     def contains(self, point: np.ndarray) -> bool:
-        """Half-open containment; the unit cube's top faces are closed."""
+        """Half-open containment; the unit cube's top faces are closed.
+        A NaN coordinate lies in no zone."""
         lo, hi = self._lo, self._hi
         for k in range(len(lo)):
             v = point[k]
-            if v < lo[k]:
+            if not lo[k] <= v:
                 return False
             if v >= hi[k] and not (v == hi[k] == 1.0):
                 return False
@@ -79,9 +92,9 @@ class Zone:
 
     def overlaps_box(self, lo: np.ndarray, hi: np.ndarray) -> bool:
         """Open-overlap with the box ``[lo, hi)`` on every dimension."""
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
-        return bool(np.all(self.lo < hi) and np.all(lo < self.hi))
+        return all(map(operator.lt, self._lo, hi)) and all(
+            map(operator.lt, lo, self._hi)
+        )
 
     # ------------------------------------------------------------------
     # splitting
@@ -92,24 +105,21 @@ class Zone:
         The halves skip the validating constructor: this zone passed it
         and only coordinate ``dim`` of one bound per half is new, so the
         one check left is that the midpoint lies strictly inside.  The
-        unchanged bound shares this zone's read-only array and tuple."""
+        unchanged bound shares this zone's tuple."""
         lo, hi = self._lo, self._hi
         mid = (lo[dim] + hi[dim]) / 2.0
         if not lo[dim] < mid < hi[dim]:
-            raise ValueError(
-                f"degenerate zone lo={self.lo} hi={self.hi}: no midpoint on {dim}"
-            )
+            raise ValueError(f"degenerate zone lo={lo} hi={hi}: no midpoint on {dim}")
         low, high = Zone.__new__(Zone), Zone.__new__(Zone)
-        low.lo, low._lo, high.hi, high._hi = self.lo, lo, self.hi, hi
-        low.hi, low._hi = _moved(self.hi, hi, dim, mid)
-        high.lo, high._lo = _moved(self.lo, lo, dim, mid)
+        low._lo, low._hi = lo, hi[:dim] + (mid,) + hi[dim + 1:]
+        high._lo, high._hi = lo[:dim] + (mid,) + lo[dim + 1:], hi
         return low, high
 
     def merged_with(self, other: "Zone") -> "Zone":
         """The union box; only valid for sibling halves of a split."""
-        lo = np.minimum(self.lo, other.lo)
-        hi = np.maximum(self.hi, other.hi)
-        merged = Zone(lo, hi)
+        merged = Zone(
+            tuple(map(min, self._lo, other._lo)), tuple(map(max, self._hi, other._hi))
+        )
         if not np.isclose(merged.volume, self.volume + other.volume):
             raise ValueError("zones are not complementary halves")
         return merged
@@ -117,18 +127,13 @@ class Zone:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Zone):
             return NotImplemented
-        return bool(
-            np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
-        )
+        return self._lo == other._lo and self._hi == other._hi
 
 
-def _moved(bound: np.ndarray, mirror: tuple, dim: int, mid: float):
-    """Read-only copy of ``bound``, and its tuple mirror, with coordinate
-    ``dim`` at ``mid``."""
-    moved = bound.copy()
-    moved[dim] = mid
-    moved.flags.writeable = False
-    return moved, mirror[:dim] + (mid,) + mirror[dim + 1:]
+def _frozen(bound: tuple[float, ...]) -> np.ndarray:
+    array = np.array(bound, dtype=np.float64)
+    array.flags.writeable = False
+    return array
 
 
 def adjacency_direction(a: Zone, b: Zone) -> Optional[tuple[int, int]]:

@@ -300,12 +300,14 @@ class QueryEngine:
     def _populate_route(self, path: list[int]) -> None:
         """Remember the routed duty node (with its zone box) at the
         requester and every relay hop — the query response travelling the
-        return path carries exactly this binding."""
+        return path carries exactly this binding.  The box is read from the
+        duty's column of the overlay's ``bounds``."""
         duty = path[-1]
-        node = self.overlay.nodes.get(duty)
-        if node is None:
+        overlay = self.overlay
+        if duty not in overlay.nodes:
             return
-        lo, hi = node.zone.lo, node.zone.hi
+        dims, bounds = overlay.dims, overlay.bounds
+        lo, hi = bounds[:dims, duty], bounds[dims:, duty]
         now = self.ctx.sim.now
         for node in path[:-1]:
             self.cache.store(node, duty, lo, hi, now)

@@ -32,6 +32,21 @@ def test_corner_points_have_owners(overlay_2d):
         assert overlay_2d.nodes[owner].zone.contains(np.array(p))
 
 
+@pytest.mark.parametrize("point", [[np.nan, 0.3], [0.2, np.nan], [1.5, 0.2]])
+def test_a_point_no_zone_owns_has_no_owner_and_splits_no_zone(overlay_2d, point):
+    """A NaN or out-of-cube point is refused by the lookup and by a join,
+    before the join touches any state."""
+    with pytest.raises(ValueError, match="no zone owns point"):
+        overlay_2d.owner_of(point)
+    epoch, members = overlay_2d.epoch, set(overlay_2d.nodes)
+    bounds = overlay_2d.bounds.copy()
+    with pytest.raises(ValueError, match="outside the unit cube or is NaN"):
+        overlay_2d.join(max(members) + 1, point)
+    assert (overlay_2d.epoch, set(overlay_2d.nodes)) == (epoch, members)
+    assert np.array_equal(overlay_2d.bounds, bounds)
+    overlay_2d.check_invariants()
+
+
 def test_join_duplicate_id_rejected(overlay_2d):
     with pytest.raises(ValueError):
         overlay_2d.join(0)
@@ -51,7 +66,7 @@ def test_join_negative_id_rejected_before_touching_state(overlay_2d):
 
 def test_neighbors_nonempty_for_multinodes(overlay_2d):
     for node in overlay_2d.nodes.values():
-        assert node.neighbors, f"node {node.node_id} is isolated"
+        assert node.directions, f"node {node.node_id} is isolated"
 
 
 def test_directional_neighbors_partition_neighbor_set(overlay_2d):
@@ -62,7 +77,7 @@ def test_directional_neighbors_partition_neighbor_set(overlay_2d):
                 directional.update(
                     overlay_2d.directional_neighbors(node_id, dim, sign)
                 )
-        assert directional == node.neighbors
+        assert directional == node.directions.keys()
 
 
 def test_directional_neighbors_are_immutable_sorted_and_track_churn():

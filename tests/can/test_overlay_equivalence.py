@@ -188,7 +188,7 @@ def test_directional_neighbors_match_reference_after_churn():
         vec.join(3000 + step, join_points[step])
         ref.join(3000 + step, join_points[step])
     for node_id in vec.nodes:
-        assert vec.nodes[node_id].neighbors == ref.nodes[node_id].neighbors
+        assert vec.nodes[node_id].directions == ref.nodes[node_id].directions
         for dim in range(3):
             for sign in (+1, -1):
                 assert vec.directional_neighbors(

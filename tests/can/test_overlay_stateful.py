@@ -149,8 +149,8 @@ class OverlayLockstepMachine(RuleBasedStateMachine):
         assert set(self.vec.nodes) == set(self.ref.nodes)
         for node_id in self.vec.nodes:
             assert (
-                self.vec.nodes[node_id].neighbors
-                == self.ref.nodes[node_id].neighbors
+                self.vec.nodes[node_id].directions
+                == self.ref.nodes[node_id].directions
             )
 
     @invariant()

@@ -16,6 +16,17 @@ def test_single_owner_covers_unit_cube():
     assert leaf.owner == 0
 
 
+@pytest.mark.parametrize(
+    "point", [[np.nan, 0.3], [0.3, np.nan], [1.5, 0.2], [-0.25, 0.5], [0.5, np.inf]]
+)
+def test_a_point_no_zone_owns_is_refused(point):
+    tree = PartitionTree(2, first_owner=0)
+    tree.split(0, 1, np.array([0.9, 0.9]))
+    tree.split(1, 2, np.array([0.9, 0.9]))
+    with pytest.raises(ValueError, match="no zone owns point"):
+        tree.find_leaf(np.array(point))
+
+
 def test_split_hands_point_half_to_new_owner():
     tree = PartitionTree(2, first_owner=0)
     point = np.array([0.75, 0.2])

@@ -42,7 +42,7 @@ def test_consecutive_path_nodes_are_neighbors_or_perimeter():
         p = rng.uniform(0, 1, 2)
         path = greedy_path(overlay, start, p)
         for a, b in zip(path[:-1], path[1:]):
-            assert b in overlay.nodes[a].neighbors
+            assert b in overlay.nodes[a].directions
 
 
 def test_boundary_targets_resolve():

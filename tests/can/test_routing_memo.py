@@ -327,18 +327,22 @@ def test_a_start_that_left_is_not_answered_from_the_memo(rig):
 
 
 def test_nan_coordinate_never_hits(rig):
+    """A NaN coordinate lies in no zone, the start's included: the scalar
+    router, at distance zero, refuses it as a point no zone owns; the
+    batched one, whose distance is NaN, fails the route.  Every time —
+    the memo neither records it nor answers it."""
     overlay, tables = rig
     zone = overlay.nodes[0].zone
     point = 0.5 * (zone.lo + zone.hi)
     point[1] = np.nan  # the other coordinates sit inside the start zone
-    first = inscan_path(overlay, tables, 0, point)
     pool = _pool_for(overlay, tables)
-    assert 0 in pool.routes  # the route succeeded and was recorded ...
     for _ in range(3):
-        assert inscan_path(overlay, tables, 0, point) == first
-        inscan_paths(overlay, tables, [0], [point], on_error="none")
-    assert pool.route_hits == 0  # ... but NaN equals nothing, itself included
-    assert pool.route_misses == 7
+        with pytest.raises(ValueError, match="no zone owns point"):
+            inscan_path(overlay, tables, 0, point)
+        assert inscan_paths(overlay, tables, [0], [point], on_error="none") == [None]
+    assert 0 not in pool.routes
+    assert pool.route_hits == 0
+    assert pool.route_misses == 6
 
 
 # ----------------------------------------------------------------------
@@ -598,7 +602,7 @@ def test_departed_long_link_is_skipped_and_is_a_candidate_again_after_rejoining(
     every comparison, as the liveness filter dropped it — and is not
     rebuilt when the link leaves, nor when the same id joins again."""
     for overlay, tables, start, point, path in _trials(rig):
-        if len(path) < 2 or path[-1] in overlay.nodes[path[-2]].neighbors:
+        if len(path) < 2 or path[-1] in overlay.nodes[path[-2]].directions:
             continue  # want a route whose last hop is a long link
         holder, link = path[-2:]
         pool = _pool_for(overlay, tables)
@@ -671,7 +675,7 @@ def test_block_without_a_live_candidate_fails_like_the_empty_block(rig, with_tab
         overlay.leave(link)
         del tables[link]
     node = overlay.nodes[0]
-    node.neighbors.clear()  # the forged inconsistency
+    node.directions.clear()  # the forged inconsistency
     node.edge_stamp += 1
     args, single, batched, reference = _entry_points(overlay, tables, with_tables)
     for route in (
@@ -694,7 +698,7 @@ def _one_hop_routes(overlay, count, avoid):
     each, none from or to a node in ``avoid``."""
     routes = []
     for start in sorted(set(overlay.nodes) - avoid):
-        nb = min(overlay.nodes[start].neighbors - avoid)
+        nb = min(overlay.nodes[start].directions.keys() - avoid)
         routes.append((start, zone_center(overlay.nodes[nb].zone), [start, nb]))
     return routes[:count]
 
@@ -754,14 +758,14 @@ def test_both_routers_word_a_failure_alike(rig, width, with_tables):
 
     # The forged inconsistency: node 0 knows one node, the farthest one.
     tables.pop(0)
-    node.neighbors.clear()
-    node.neighbors.add(worst)
+    node.directions.clear()
+    node.directions[worst] = (0, +1)
     node.edge_stamp += 1
     assert failure(point) == (
         f"no progress at node 0 toward {pt} "
         f"(dist {dist[0]}, best candidate {dist[worst]})"
     )
-    node.neighbors.clear()
+    node.directions.clear()
     node.edge_stamp += 1
     assert failure(point) == (
         f"no progress at node 0 toward {pt} (dist {dist[0]}, no candidates)"
@@ -773,7 +777,7 @@ def _takeover_kind(overlay, node_id):
     plan = copy.deepcopy(overlay.tree).remove(node_id)
     if plan.mover is None:
         return "merge"
-    if plan.mover in overlay.nodes[node_id].neighbors:
+    if plan.mover in overlay.nodes[node_id].directions:
         return "handoff"
     return "handoff of a stranger"
 

@@ -24,7 +24,7 @@ def assert_same_wiring(structural: CANOverlay, geometric: CANOverlay) -> None:
     for node_id, node in structural.nodes.items():
         twin = geometric.nodes[node_id]
         assert node.zone == twin.zone
-        assert node.neighbors == twin.neighbors, f"neighbors of {node_id}"
+        assert node.directions == twin.directions, f"edges of {node_id}"
         for dim in range(structural.dims):
             for sign in (+1, -1):
                 assert structural.directional_neighbors(
@@ -106,8 +106,8 @@ def test_kept_edge_leaves_the_neighbor_buckets_alone_moved_edge_resets_them():
     assert kept is not None and overlay.nodes[2].face_buckets is not None
 
     overlay.join(3, np.array([0.8, 0.8]))    # splits 1 along y at .5
-    assert overlay.nodes[1].neighbors == {0, 3}
-    assert overlay.nodes[3].neighbors == {1, 2}
+    assert overlay.nodes[1].directions.keys() == {0, 3}
+    assert overlay.nodes[3].directions.keys() == {1, 2}
     assert overlay.nodes[0].face_buckets is kept      # edge 0-1 stayed with 1
     assert overlay.nodes[2].face_buckets is None      # edge 2-1 moved to 3
     assert overlay.nodes[1].face_buckets is None      # gained the joiner
@@ -120,15 +120,15 @@ def test_edge_the_absorber_had_keeps_the_neighbor_buckets_inherited_one_resets()
     overlay.join(1, np.array([0.75, 0.5]))   # 0: x in [0, .5), 1: x in [.5, 1)
     overlay.join(2, np.array([0.75, 0.75]))  # 1: y in [0, .5), 2: y in [.5, 1)
     overlay.join(3, np.array([0.25, 0.75]))  # 0: y in [0, .5), 3: y in [.5, 1)
-    assert overlay.nodes[1].neighbors == {0, 2}
-    assert overlay.nodes[2].neighbors == {1, 3}
+    assert overlay.nodes[1].directions.keys() == {0, 2}
+    assert overlay.nodes[2].directions.keys() == {1, 3}
     for node_id in overlay.nodes:
         overlay.directional_neighbors(node_id, 0, +1)  # fill every bucket
     had = overlay.nodes[0].face_buckets
 
     plan = overlay.leave(2)                  # 1 grows back to x in [.5, 1)
     assert (plan.absorber, plan.mover) == (1, None)
-    assert overlay.nodes[1].neighbors == {0, 3}
+    assert overlay.nodes[1].directions.keys() == {0, 3}
     assert overlay.nodes[0].face_buckets is had       # edge 1-0 was there
     assert overlay.nodes[3].face_buckets is None      # edge 1-3 inherited from 2
     overlay.check_invariants()

@@ -25,6 +25,26 @@ def test_contains_is_half_open():
     assert not z.contains(np.array([0.25, 0.5]))
 
 
+def test_contains_refuses_a_nan_coordinate_and_keeps_every_finite_answer():
+    """NaN compares false both ways, so a ``v < lo``/``v >= hi`` test lets
+    it in; containment must not.  For finite values the answer is the
+    half-open box with the unit cube's top faces closed."""
+    z = zone([0.25, 0.5], [0.5, 1.0])
+    for coords in ([np.nan, 0.75], [0.3, np.nan], [np.nan, np.nan]):
+        assert not z.contains(np.array(coords))
+        assert not Zone.unit(2).contains(coords)
+    grid = (-0.25, 0.0, 0.25, 0.3, 0.5, 0.75, 1.0, 1.25)
+    for x in grid:
+        for y in grid:
+            want = 0.25 <= x < 0.5 and (0.5 <= y < 1.0 or y == 1.0)
+            assert z.contains(np.array([x, y])) is want, (x, y)
+
+
+def test_nan_bound_rejected():
+    with pytest.raises(ValueError, match="degenerate zone"):
+        zone([0.0, np.nan], [0.5, 1.0])
+
+
 def test_unit_top_faces_are_closed():
     z = zone([0.5, 0.5], [1.0, 1.0])
     assert z.contains(np.array([1.0, 1.0]))
@@ -178,8 +198,8 @@ def test_split_halves_equal_validated_construction_field_by_field(dims):
             assert all(type(v) is float for v in got._lo + got._hi)
             assert got == want
         # the bound a half did not move is the parent's own
-        assert halves[0].lo is parent.lo and halves[0]._lo is parent._lo
-        assert halves[1].hi is parent.hi and halves[1]._hi is parent._hi
+        assert halves[0]._lo is parent._lo
+        assert halves[1]._hi is parent._hi
         parent = halves[int(rng.integers(2))]
 
 

@@ -6,6 +6,8 @@ admission policies and determinism.
 """
 
 import gc
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -349,8 +351,14 @@ def test_collector_state_is_restored_when_construction_raises(
 #: Every collector pass walks all of them; per-node closures,
 #: ``partial``s around the timers and arrival chains, and dict-of-lists
 #: pointer tables once put 34-66 here (``docs/architecture.md``, "Cell
-#: construction").
-TRACKED_PER_NODE_BUDGET = 30
+#: construction"); a neighbor set beside each node's edge map, 22.3.
+TRACKED_PER_NODE_BUDGET = 24
+
+#: Bytes a freshly built cell may hold per node, as ``tracemalloc``
+#: counts them.  One edge map per overlay node and zones kept as float
+#: tuples alone put the CAN cells at 4 245-5 959; a neighbor set beside
+#: the edge map and a numpy array beside each zone tuple, 5 436-7 149.
+ALLOCATED_PER_NODE_BUDGET = 6_250
 
 
 def _budget_cells() -> dict[str, ExperimentConfig]:
@@ -370,8 +378,6 @@ def _budget_cells() -> dict[str, ExperimentConfig]:
 
 @pytest.mark.parametrize("cell", list(_budget_cells()))
 def test_built_cell_stays_within_the_tracked_object_budget(cell):
-    from dataclasses import replace
-
     config = _budget_cells()[cell]
     # A small twin first, so one-off imports and module caches are not
     # charged to the cell.
@@ -382,6 +388,22 @@ def test_built_cell_stays_within_the_tracked_object_budget(cell):
     gc.collect()
     per_node = (len(gc.get_objects()) - before) / config.n_nodes
     assert per_node <= TRACKED_PER_NODE_BUDGET, f"{per_node:.1f} tracked objects per node"
+
+
+@pytest.mark.parametrize("cell", list(_budget_cells()))
+def test_built_cell_stays_within_the_allocation_budget(cell):
+    config = _budget_cells()[cell]
+    SOCSimulation(replace(config, n_nodes=20))  # imports and caches, as above
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sim = SOCSimulation(config)
+        gc.collect()
+        allocated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    per_node = allocated / config.n_nodes
+    assert per_node <= ALLOCATED_PER_NODE_BUDGET, f"{per_node:.0f} B allocated per node"
 
 
 # ----------------------------------------------------------------------

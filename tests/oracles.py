@@ -10,7 +10,7 @@ imports this module):
   them), against :class:`repro.cloud.engine.HostEngine`;
 - :func:`reference_adjacency_direction` / :class:`ReferenceCANOverlay` /
   :func:`reference_greedy_path` — the scalar CAN predicates over a
-  zone's tuple mirrors, per-call adjacency recomputation
+  zone's bound tuples, per-call adjacency recomputation
   (joins and leaves rebound geometrically, pointer tables walked one
   call per hop) and per-candidate greedy routing loop, against the structural
   rewiring and the batched routing over the overlay's bounds array (see
@@ -546,7 +546,7 @@ def assert_engines_equivalent(
 # ----------------------------------------------------------------------
 def reference_distance_to_point(zone, point) -> float:
     """The seed's scalar box distance over the zone's ``_lo``/``_hi``
-    tuple mirrors."""
+    bound tuples."""
     lo, hi = zone._lo, zone._hi
     acc = 0.0
     for k in range(len(lo)):
@@ -585,21 +585,19 @@ def reference_adjacency_direction(a, b) -> Optional[tuple[int, int]]:
 class ReferenceCANOverlay(CANOverlay):
     """Scalar oracle overlay: identical membership/tree mechanics, but
     adjacency is recomputed per call and per candidate with the verbatim
-    scalar predicate — no batched geometry, no cached edge directions,
-    hence no structural split or takeover and no bucket-reading table
-    walk either.
+    scalar predicate, which a rebind records in ``directions`` — no
+    batched geometry, structural split or takeover, or bucket-reading
+    table walk.
     Routed with :func:`reference_greedy_path` it reproduces the seed's
     behaviour end to end; the lockstep equivalence suites drive it next
     to the vectorized :class:`~repro.can.overlay.CANOverlay`."""
-
-    _caches_directions = False
 
     def directional_neighbors(
         self, node_id: int, dim: int, sign: int
     ) -> tuple[int, ...]:
         node = self.nodes[node_id]
         out = []
-        for m in node.neighbors:
+        for m in node.directions:
             d = reference_adjacency_direction(node.zone, self.nodes[m].zone)
             if d is not None and d == (dim, sign):
                 out.append(m)
@@ -629,9 +627,9 @@ class ReferenceCANOverlay(CANOverlay):
         return tuple(chains), build_messages
 
     def _split_neighbors(self, owner, joiner) -> None:
-        """No cached directions to classify a split by: rebind both halves
-        over {owner, joiner} ∪ the previous neighborhood geometrically."""
-        old = set(owner.neighbors)
+        """Not by the recorded directions: rebind both halves over
+        {owner, joiner} ∪ the previous neighborhood geometrically."""
+        old = set(owner.directions)
         self._rebind_neighbors(
             (owner.node_id, old | {joiner.node_id}),
             (joiner.node_id, old | {owner.node_id}),
@@ -642,13 +640,13 @@ class ReferenceCANOverlay(CANOverlay):
         over the old neighborhoods of every zone that changed hands."""
         if mover is None:
             self._rebind_neighbors(
-                (absorber.node_id, absorber.neighbors | departed.neighbors)
+                (absorber.node_id, absorber.directions.keys() | departed.directions)
             )
         else:
             self._rebind_neighbors(
-                (absorber.node_id, absorber.neighbors | mover.neighbors),
+                (absorber.node_id, absorber.directions.keys() | mover.directions),
                 (mover.node_id,
-                 departed.neighbors | mover.neighbors | {absorber.node_id}),
+                 departed.directions.keys() | mover.directions | {absorber.node_id}),
             )
 
     def _rebind_neighbors(self, *rebinds: tuple[int, set[int]]) -> None:
@@ -665,12 +663,13 @@ class ReferenceCANOverlay(CANOverlay):
                 if cand is None:
                     continue
                 cand.edge_stamp += 1
-                if reference_adjacency_direction(node.zone, cand.zone) is not None:
-                    node.neighbors.add(cand_id)
-                    cand.neighbors.add(node_id)
+                direction = reference_adjacency_direction(node.zone, cand.zone)
+                if direction is not None:
+                    node.directions[cand_id] = direction
+                    cand.directions[node_id] = (direction[0], -direction[1])
                 else:
-                    node.neighbors.discard(cand_id)
-                    cand.neighbors.discard(node_id)
+                    node.directions.pop(cand_id, None)
+                    cand.directions.pop(node_id, None)
 
 
 def _step_directional(
@@ -701,7 +700,7 @@ def reference_greedy_path(
     """The seed's per-candidate greedy forwarding loop, verbatim: one
     scalar ``distance_to_point`` per candidate per hop, lowest-id
     tie-break, scalar perimeter walk.  Runs against either overlay class
-    (it only reads zones and neighbor sets)."""
+    (it only reads zones and the neighbor ids of ``directions``)."""
     # Plain floats: the per-hop distance predicates index the point
     # element-wise, where np.float64 boxing costs more than the math.
     p = tuple(float(x) for x in np.asarray(point, dtype=np.float64))
@@ -718,7 +717,7 @@ def reference_greedy_path(
             # perimeter walk across the zero-distance cluster.
             path.extend(_reference_perimeter_hops(overlay, current.node_id, p))
             return path
-        candidates = list(current.neighbors)
+        candidates = list(current.directions)
         if extra_links is not None:
             candidates.extend(extra_links(current.node_id))
         best_id = -1
@@ -756,7 +755,7 @@ def _reference_perimeter_hops(
     budget = 4 ** overlay.dims  # generous cap on the incident cluster size
     while queue and budget > 0:
         node_id, hops = queue.popleft()
-        for m in sorted(overlay.nodes[node_id].neighbors):
+        for m in sorted(overlay.nodes[node_id].directions):
             if m in seen:
                 continue
             zone = overlay.nodes[m].zone
@@ -873,9 +872,9 @@ def assert_overlays_equivalent(
     scalar :class:`ReferenceCANOverlay` through one identically-seeded
     randomized schedule of joins, leaves, greedy/INSCAN routes (single and
     batched, including exact-boundary targets) and SID/HID diffusion
-    triggers, asserting they stay indistinguishable: identical adjacency
-    sets, directional neighbor lists, routing paths (hop for hop) and
-    diffusion recipients/messages/depth.
+    triggers, asserting they stay indistinguishable: identical edge
+    records (``directions``), directional neighbor lists, routing paths
+    (hop for hop) and diffusion recipients/messages/depth.
 
     Raises ``AssertionError`` on the first divergence; returns summary
     counters (used by the equivalence tests and the pre-commit smoke).
@@ -892,7 +891,7 @@ def assert_overlays_equivalent(
     def check_structure() -> None:
         assert set(vec.nodes) == set(ref.nodes)
         for node_id in vec.nodes:
-            assert vec.nodes[node_id].neighbors == ref.nodes[node_id].neighbors, (
+            assert vec.nodes[node_id].directions == ref.nodes[node_id].directions, (
                 f"adjacency diverged at node {node_id}"
             )
             for dim in range(dims):
@@ -902,6 +901,7 @@ def assert_overlays_equivalent(
                         == ref.directional_neighbors(node_id, dim, sign)
                     ), f"directional neighbors diverged at {node_id}"
         vec.check_invariants()
+        ref.check_invariants()
 
     def check_routes() -> None:
         ids = sorted(vec.nodes)
@@ -1004,8 +1004,8 @@ class ReferenceNetworkModel(NetworkModel):
 def construction_digest(sim) -> dict[str, str]:
     """Fingerprint what ``sim`` (a :class:`~repro.experiments.runner.
     SOCSimulation` on a CAN protocol) has constructed, one short hash per
-    section: zone bounds, sorted neighbor sets, per-face directional
-    neighbors (the content of ``directions``, read through the overlay's
+    section: zone bounds, sorted neighbor ids, per-face directional
+    neighbors (the values of ``directions``, read through the overlay's
     public lookup so the scalar reference overlay digests alike), every
     pointer table's links, each live host's LAN, the LAN bandwidths and
     every machine configuration.  Floats are hashed by ``repr``, so
@@ -1016,10 +1016,10 @@ def construction_digest(sim) -> dict[str, str]:
     lans = {node_id: sim.network.lan_of(node_id) for node_id in sorted(sim._alive)}
     sections = {
         "zones": [
-            (n, overlay.nodes[n].zone.lo.tolist(), overlay.nodes[n].zone.hi.tolist())
+            (n, list(overlay.nodes[n].zone._lo), list(overlay.nodes[n].zone._hi))
             for n in ids
         ],
-        "neighbors": [(n, sorted(overlay.nodes[n].neighbors)) for n in ids],
+        "neighbors": [(n, sorted(overlay.nodes[n].directions)) for n in ids],
         "directions": [
             (n, [list(overlay.directional_neighbors(n, d, s)) for d, s in faces])
             for n in ids
