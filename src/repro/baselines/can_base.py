@@ -6,18 +6,26 @@ per-node state caches γ, INSCAN pointer tables, and the §IV-A periodic
 state updates routed to duty nodes.  All of that — including the timer
 plumbing and the state-update action/round — is
 :class:`repro.core.protocol.DutyStateProtocol`, shared with PID-CAN; this
-base adds the baselines' membership handling and query lifecycle.
-Subclasses add their query strategy on top and may hook
+base adds the baselines' membership handling, query lifecycle and the
+one duty-query launch (:meth:`CANStateBaseline.submit_query`).
+Subclasses add their query strategy on top as ``_on_duty(qid, duty)``
+and may hook
 :meth:`~repro.core.protocol.DutyStateProtocol._on_state_stored` (KHDN's
 K-hop replication).
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
+import numpy as np
+
+from repro.can.inscan import inscan_path
+from repro.can.routing import RoutingError
 from repro.core.context import ProtocolContext
-from repro.core.lifecycle import QueryLifecycle
+from repro.core.lifecycle import QueryLifecycle, QueryRuntime
 from repro.core.protocol import DutyStateProtocol, PIDCANParams
-from repro.core.state import StateCache
+from repro.core.state import StateCache, StateRecord
 
 __all__ = ["CANStateBaseline"]
 
@@ -53,3 +61,46 @@ class CANStateBaseline(DutyStateProtocol):
 
     def _init_cache(self, node_id: int) -> None:
         self.caches[node_id] = StateCache(self.params.state_ttl)
+
+    # ------------------------------------------------------------------
+    # query: route to the duty node, then the subclass's strategy
+    # ------------------------------------------------------------------
+    def submit_query(
+        self,
+        demand: np.ndarray,
+        requester: int,
+        callback: Callable[[list[StateRecord], int], None],
+    ) -> None:
+        """Route ``demand``'s normalized point from ``requester`` to its
+        duty node and hand the query to the subclass's ``_on_duty(qid,
+        duty)`` there.  A dead requester, or a route lost to an overlay
+        under repair, resolves the query at once, empty."""
+        rt = self.lifecycle.begin(demand, requester, callback)
+        if not self.ctx.is_alive(requester):
+            self.lifecycle.finalize(rt)
+            return
+        try:
+            path = inscan_path(
+                self.overlay, self.tables, requester,
+                self.ctx.normalize(rt.demand), memo=False,
+            )
+        except (RoutingError, KeyError):
+            self.lifecycle.finalize(rt)
+            return
+        rt.messages += len(path) - 1
+        self.ctx.send_path("duty-query", path, self._on_duty, rt.qid, path[-1])
+
+    def _collect(self, rt: QueryRuntime, node: int) -> None:
+        """Add ``node``'s qualified records to ``rt.found``, up to δ in
+        all.  ``rt.found`` holds one record per owner: each cache is
+        owner-keyed and every scan excludes the owners already found."""
+        cache = self.caches.get(node)
+        if cache is not None and len(cache):
+            need = self.params.delta - len(rt.found)
+            if need > 0:
+                rt.found.extend(
+                    cache.qualified(
+                        rt.demand, self.ctx.sim.now, limit=need,
+                        exclude={r.owner for r in rt.found},
+                    )
+                )

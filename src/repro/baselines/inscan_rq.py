@@ -26,7 +26,6 @@ resolves queries whose duty route died mid-churn) lives in the shared
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -133,26 +132,8 @@ class InscanRQProtocol(CANStateBaseline):
         self.engine = INSCANRangeQuery(self.overlay, self.tables, self.caches)
 
     # ------------------------------------------------------------------
-    # query: route to the duty node, flood from there
+    # query: flood from the duty node the shared submit_query reached
     # ------------------------------------------------------------------
-    def submit_query(
-        self,
-        demand: np.ndarray,
-        requester: int,
-        callback: Callable[[list[StateRecord], int], None],
-    ) -> None:
-        rt = self.lifecycle.begin(demand, requester, callback)
-        point = self.ctx.normalize(rt.demand)
-        try:
-            path = inscan_path(
-                self.overlay, self.tables, requester, point, memo=False
-            )
-        except (RoutingError, KeyError):
-            self.lifecycle.finalize(rt)
-            return
-        rt.messages += len(path) - 1
-        self.ctx.send_path("duty-query", path, self._on_duty, rt.qid, path[-1])
-
     def _on_duty(self, qid: int, duty: int) -> None:
         rt = self.lifecycle.get(qid)
         if rt is None:

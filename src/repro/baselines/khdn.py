@@ -20,13 +20,7 @@ the query id plus the remaining probe list.
 
 from __future__ import annotations
 
-from typing import Callable
-
-import numpy as np
-
 from repro.baselines.can_base import CANStateBaseline
-from repro.can.inscan import inscan_path
-from repro.can.routing import RoutingError
 from repro.core.context import ProtocolContext
 from repro.core.lifecycle import QueryRuntime
 from repro.core.protocol import PIDCANParams
@@ -100,24 +94,6 @@ class KHDNProtocol(CANStateBaseline):
     # ------------------------------------------------------------------
     # query: duty node + sampled positive probing
     # ------------------------------------------------------------------
-    def submit_query(
-        self,
-        demand: np.ndarray,
-        requester: int,
-        callback: Callable[[list[StateRecord], int], None],
-    ) -> None:
-        rt = self.lifecycle.begin(demand, requester, callback)
-        point = self.ctx.normalize(rt.demand)
-        try:
-            path = inscan_path(
-                self.overlay, self.tables, requester, point, memo=False
-            )
-        except (RoutingError, KeyError):
-            self.lifecycle.finalize(rt)
-            return
-        rt.messages += len(path) - 1
-        self.ctx.send_path("duty-query", path, self._on_duty, rt.qid, path[-1])
-
     def _on_duty(self, qid: int, duty: int) -> None:
         rt = self.lifecycle.get(qid)
         if rt is None:
@@ -152,14 +128,5 @@ class KHDNProtocol(CANStateBaseline):
         rt = self.lifecycle.get(qid)
         if rt is None:
             return
-        cache = self.caches.get(me)
-        if cache is not None and len(cache):
-            need = self.params.delta - len(rt.found)
-            if need > 0:
-                rt.found.extend(
-                    cache.qualified(
-                        rt.demand, self.ctx.sim.now, limit=need,
-                        exclude={r.owner for r in rt.found},
-                    )
-                )
+        self._collect(rt, me)
         self._probe_chain(rt, me, probes)

@@ -203,6 +203,9 @@ class MercuryProtocol(DiscoveryProtocol):
         callback: Callable[[list[StateRecord], int], None],
     ) -> None:
         rt = self.lifecycle.begin(demand, requester, callback)
+        if not self.ctx.is_alive(requester):
+            self.lifecycle.finalize(rt)
+            return
         point = self.ctx.normalize(rt.demand)
         try:
             hub = self._most_selective_hub(point)

@@ -171,6 +171,9 @@ class NewscastProtocol(DiscoveryProtocol):
         callback: Callable[[list[StateRecord], int], None],
     ) -> None:
         rt = self.lifecycle.begin(demand, requester, callback)
+        if not self.ctx.is_alive(requester):
+            self.lifecycle.finalize(rt)
+            return
         self._walk(rt.qid, requester, self.walk_hops())
 
     def _walk(self, qid: int, node_id: int, hops_left: int) -> None:

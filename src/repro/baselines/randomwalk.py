@@ -18,16 +18,9 @@ only the query id.
 
 from __future__ import annotations
 
-from typing import Callable
-
-import numpy as np
-
 from repro.baselines.can_base import CANStateBaseline
-from repro.can.inscan import inscan_path
-from repro.can.routing import RoutingError
 from repro.core.context import ProtocolContext
 from repro.core.protocol import PIDCANParams
-from repro.core.state import StateRecord
 
 __all__ = ["RandomWalkProtocol"]
 
@@ -47,42 +40,14 @@ class RandomWalkProtocol(CANStateBaseline):
         self.walk_hops = walk_hops
 
     # ------------------------------------------------------------------
-    def submit_query(
-        self,
-        demand: np.ndarray,
-        requester: int,
-        callback: Callable[[list[StateRecord], int], None],
-    ) -> None:
-        rt = self.lifecycle.begin(demand, requester, callback)
-        try:
-            path = inscan_path(
-                self.overlay, self.tables, requester, self.ctx.normalize(rt.demand),
-                memo=False,
-            )
-        except (RoutingError, KeyError):
-            self.lifecycle.finalize(rt)
-            return
-        rt.messages += len(path) - 1
-        self.ctx.send_path(
-            "duty-query", path, self._on_step, rt.qid, path[-1], self.walk_hops
-        )
+    def _on_duty(self, qid: int, duty: int) -> None:
+        self._on_step(qid, duty, self.walk_hops)
 
     def _on_step(self, qid: int, me: int, hops_left: int) -> None:
         rt = self.lifecycle.get(qid)
         if rt is None:
             return
-        cache = self.caches.get(me)
-        if cache is not None and len(cache):
-            # ``rt.found`` holds one record per owner (each cache is
-            # owner-keyed and every scan excludes the owners already found).
-            need = self.params.delta - len(rt.found)
-            if need > 0:
-                rt.found.extend(
-                    cache.qualified(
-                        rt.demand, self.ctx.sim.now, limit=need,
-                        exclude={r.owner for r in rt.found},
-                    )
-                )
+        self._collect(rt, me)
         if hops_left <= 0 or len(rt.found) >= self.params.delta:
             self.lifecycle.finalize(rt)
             return

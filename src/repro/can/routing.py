@@ -31,8 +31,9 @@ the single-route path.  A round costs the same ~45 numpy calls however
 few routes it carries, so once the front is no wider than
 ``_NARROW_FRONT`` — a small arrival burst from the start, the thin tail
 of a wide state round — its routes finish by the scalar hop loop the
-single router runs (:func:`_greedy_hops`).  Batched submission
-(``submit_bulk`` → ``QueryEngine.submit_burst``) and the routing
+single router runs (:func:`_greedy_hops`).  Every PID-CAN query launch
+(``QueryEngine.submit``, ``submit_burst`` and the SoS relaunch; a lone
+query is a batch of one), the batched state rounds and the routing
 benchmarks use it; results are bit-identical to routing each query alone.
 
 Boundary targets need care: Table-I capacities are discrete, so normalized
@@ -163,10 +164,12 @@ def _squared_distance(zone: Zone, point: Sequence[float]) -> float:
         v = point[k]
         if v < lo[k]:
             gap = lo[k] - v
-        elif v > hi[k]:
-            gap = v - hi[k]
-        else:
+        elif v <= hi[k]:
             continue
+        else:
+            # Past the zone — or NaN, which carries into ``acc`` as it
+            # does in the kernel, so both routers fail it as no progress.
+            gap = v - hi[k]
         acc += gap * gap
     return acc
 

@@ -52,9 +52,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.can.inscan import IndexPointerTable, inscan_path, inscan_paths
+from repro.can.inscan import IndexPointerTable, inscan_paths
 from repro.can.overlay import CANOverlay
-from repro.can.routing import RoutingError
 from repro.core.cache import PathCacheIndex
 from repro.core.context import ProtocolContext
 from repro.core.lifecycle import QueryLifecycle, QueryRuntime
@@ -123,7 +122,10 @@ class QueryEngine:
         """Start a query for ``demand`` issued by ``requester``.
 
         ``callback(records, messages)`` fires exactly once with the deduped
-        qualified records (possibly empty = failed task).
+        qualified records (possibly empty = failed task).  The query is
+        launched as a batch of one through :meth:`_route_and_send`, the
+        step :meth:`submit_burst` ends in too (calling ``submit_burst``
+        itself would count the submission twice in the bench tracer).
         """
         rt = self._begin(demand, requester, callback)
         self._launch(rt)
@@ -219,16 +221,7 @@ class QueryEngine:
         for rt in dead:
             self._resolve(rt, False)
         if live:
-            paths = self._route_batch([rt.requester for rt in live], points)
-            for rt, path in zip(live, paths):
-                if path is None:
-                    # Overlay under repair (churn); the query is lost.
-                    self._resolve(rt, False)
-                    continue
-                rt.messages += max(0, len(path) - 1)
-                self.ctx.send_path(
-                    "duty-query", path, self._on_duty, rt.qid, path[-1]
-                )
+            self._route_and_send(live, points)
         return [rt.qid for rt in rts]
 
     # ------------------------------------------------------------------
@@ -333,10 +326,9 @@ class QueryEngine:
         batched pass); cache operations consume no RNG, so the miss
         sub-batch routes identically to routing it alone.
         """
-        arr = np.asarray(points)
         if self.cache is None:
             return inscan_paths(
-                self.overlay, self.tables, requesters, arr, on_error="none",
+                self.overlay, self.tables, requesters, points, on_error="none",
                 memo=False,
             )
         paths: list[list[int] | None] = [None] * len(requesters)
@@ -350,7 +342,7 @@ class QueryEngine:
         if miss:
             routed = inscan_paths(
                 self.overlay, self.tables,
-                [requesters[i] for i in miss], arr[miss],
+                [requesters[i] for i in miss], [points[i] for i in miss],
                 on_error="none", memo=False,
             )
             for i, path in zip(miss, routed):
@@ -361,8 +353,28 @@ class QueryEngine:
                 )
         return paths
 
+    def _route_and_send(
+        self,
+        rts: list[QueryRuntime],
+        points: list[np.ndarray],
+        timed_out: bool = False,
+    ) -> None:
+        """Phase 1's one launch step, shared by :meth:`submit`,
+        :meth:`submit_burst` and the SoS relaunch: route live requesters'
+        query points to their duty nodes (:meth:`_route_batch`) and send
+        each ``duty-query`` along its path.  A route that fails resolves
+        its query (``timed_out`` as in :meth:`_launch`)."""
+        paths = self._route_batch([rt.requester for rt in rts], points)
+        for rt, path in zip(rts, paths):
+            if path is None:
+                # Overlay under repair (churn); the query is lost.
+                self._resolve(rt, timed_out)
+                continue
+            rt.messages += len(path) - 1
+            self.ctx.send_path("duty-query", path, self._on_duty, rt.qid, path[-1])
+
     def _launch(self, rt: QueryRuntime, timed_out: bool = False) -> None:
-        """Start (or re-start, for SoS) the query chain.
+        """Start (or re-start, for SoS) one query's chain: a batch of one.
 
         ``timed_out`` records how we got here: a launch that fails
         synchronously during a failsafe-triggered retry resolves through
@@ -372,25 +384,7 @@ class QueryEngine:
         if not self.ctx.is_alive(rt.requester):
             self._resolve(rt, timed_out)
             return
-        point = self._query_point(rt.v)
-        path: list[int] | None = None
-        if self.cache is not None:
-            duty = self._cache_probe(rt.requester, point)
-            if duty is not None:
-                path = [rt.requester, duty]
-        if path is None:
-            try:
-                path = inscan_path(
-                    self.overlay, self.tables, rt.requester, point, memo=False
-                )
-            except (RoutingError, KeyError):
-                # Overlay under repair (churn); the query is lost.
-                self._resolve(rt, timed_out)
-                return
-            if self.cache is not None:
-                path = self._finish_route(path, point)
-        rt.messages += max(0, len(path) - 1)
-        self.ctx.send_path("duty-query", path, self._on_duty, rt.qid, path[-1])
+        self._route_and_send([rt], [self._query_point(rt.v)], timed_out)
 
     def _duty_phi(
         self, cache: StateCache, v: np.ndarray, now: float, delta: int
@@ -452,12 +446,7 @@ class QueryEngine:
             # backward diffusion).
             self._on_agent(qid, duty, delta, [], found_owners, 1)
             return
-        alpha = agents.pop(self.ctx.below(len(agents)))
-        rt.messages += 1
-        self.ctx.send(
-            "index-agent", duty, alpha,
-            self._on_agent, qid, alpha, delta, agents, found_owners, 1,
-        )
+        self._next_agent(qid, duty, delta, agents, found_owners, 0, rt)
 
     # ------------------------------------------------------------------
     # phase 2: index-agent handler (Algorithm 4)

@@ -327,17 +327,17 @@ def test_a_start_that_left_is_not_answered_from_the_memo(rig):
 
 
 def test_nan_coordinate_never_hits(rig):
-    """A NaN coordinate lies in no zone, the start's included: the scalar
-    router, at distance zero, refuses it as a point no zone owns; the
-    batched one, whose distance is NaN, fails the route.  Every time —
-    the memo neither records it nor answers it."""
+    """A NaN coordinate lies in no zone, the start's included: its
+    distance is NaN in the scalar gap loop and in the kernel alike, so
+    both routers fail the route as no progress.  Every time — the memo
+    neither records it nor answers it."""
     overlay, tables = rig
     zone = overlay.nodes[0].zone
     point = 0.5 * (zone.lo + zone.hi)
     point[1] = np.nan  # the other coordinates sit inside the start zone
     pool = _pool_for(overlay, tables)
     for _ in range(3):
-        with pytest.raises(ValueError, match="no zone owns point"):
+        with pytest.raises(RoutingError, match="no progress"):
             inscan_path(overlay, tables, 0, point)
         assert inscan_paths(overlay, tables, [0], [point], on_error="none") == [None]
     assert 0 not in pool.routes

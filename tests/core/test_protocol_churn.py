@@ -66,6 +66,23 @@ def test_submit_many_resolves_under_aggressive_churn(name):
     assert lc.active_queries() == 0
 
 
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_dead_requester_resolves_at_once_empty_and_sends_nothing(name):
+    """A query whose requester is dead (still in the overlay, not yet
+    churned out) resolves inside ``submit_query``: the callback fires
+    once, with no records and no messages, and no traffic is charged."""
+    h, proto = build(name, seed=5)
+    h.sim.run(until=900.0)
+    h.dead.add(0)
+    before = h.traffic.kind_snapshot()
+    calls = []
+    proto.submit_query(np.array([0.9, 0.9]), 0, lambda r, m: calls.append((r, m)))
+    assert calls == [([], 0)]
+    assert h.traffic.kind_snapshot() == before
+    lc = proto.lifecycle
+    assert (lc.started, lc.completed, lc.active_queries()) == (1, 1, 0)
+
+
 def test_timed_out_query_counts_exactly_once():
     """Kill a walk's duty node mid-flight: the callback fires once (via
     the failsafe), the expiry is observed once, and late stragglers of

@@ -8,6 +8,7 @@ query-end — mirroring the TrafficMeter charges for those kinds.
 
 import numpy as np
 
+from repro.core.cache import PathCacheIndex
 from repro.core.query import QueryEngine, QueryParams
 from tests.core.helpers import Harness
 
@@ -178,6 +179,65 @@ def test_submit_many_batched_routing_matches_sequential():
         assert (
             h_batch.traffic.kind_snapshot() == h_seq.traffic.kind_snapshot()
         ), f"traffic diverged ({overrides})"
+
+
+def test_lone_query_through_submit_equals_a_burst_of_one():
+    """``submit`` and ``submit_burst([item])`` share one launch, cache-on
+    and with SoS too: twin engines fed the same queries at the same
+    instants — one of them relaunched by the failsafe after the duty node
+    of its first, slacked attempt died — end with equal records, message
+    counts, traffic by kind, path-cache stats and protocol RNG state."""
+    queries = [  # (instant, demand, requester)
+        (0.0, [0.2, 0.3], 0), (5.0, [0.2, 0.3], 0), (10.0, [0.6, 0.6], 7),
+        (15.0, [0.5, 0.5], 3), (20.0, [0.6, 0.6], 7), (25.0, [0.3, 0.7], 11),
+        (30.0, [0.85, 0.1], 5), (35.0, [0.2, 0.3], 0),
+    ]
+    victim, timeout = 6, 40.0  # the victim's first duty dies at once
+
+    def run(burst):
+        h = Harness(n=48, dims=2, seed=31)
+        cache = PathCacheIndex("lru", size=8, ttl=1000.0)
+        for node in h.overlay.node_ids():
+            cache.add_node(node, h.overlay.dims)
+        engine = QueryEngine(
+            h.ctx, h.overlay, h.tables, h.caches, h.pilists,
+            QueryParams(sos=True, timeout=timeout), cache=cache,
+        )
+        h.plant_record(h.duty_of([0.25, 0.35]), 401, [0.3, 0.4])
+        h.plant_record(h.duty_of([0.7, 0.7]), 402, [0.75, 0.75])
+        h.plant_record(h.duty_of([0.55, 0.55]), 403, [0.6, 0.9])
+        results = []
+
+        def submit(i, demand, requester):
+            demand = np.array(demand)
+            callback = (
+                lambda r, m: results.append((i, h.sim.now, [x.owner for x in r], m))
+            )
+            if burst:
+                (qid,) = engine.submit_burst([(demand, requester, callback)])
+            else:
+                qid = engine.submit(demand, requester, callback)
+            if i == victim:
+                h.dead.add(h.duty_of(engine.lifecycle.get(qid).v))
+
+        for i, (t, demand, requester) in enumerate(queries):
+            h.sim.schedule(t, submit, i, demand, requester)
+        h.sim.run(until=600.0)
+        return (
+            results, h.traffic.kind_snapshot(), vars(cache.stats),
+            h.ctx.rng.bit_generator.state, engine.lifecycle.timeouts,
+        )
+
+    lone, burst = run(False), run(True)
+    assert lone == burst
+    results, kinds, stats, _, timeouts = lone
+    assert sorted(i for i, *_ in results) == list(range(len(queries)))
+    # The victim resolved after its failsafe fired, through the chain of
+    # the relaunch, not by expiry.
+    (resolved_at,) = [now for i, now, *_ in results if i == victim]
+    assert resolved_at > queries[victim][0] + timeout
+    assert timeouts == 0 and kinds["dropped"] == 1
+    assert stats["hits"] > 0
 
 
 def test_submit_many_dead_requester_resolves_all_queries():

@@ -104,12 +104,13 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
 
 
 def test_no_unused_imports():
-    """F401 without ruff: no module under ``src``, ``tests`` or
-    ``benchmarks`` imports a name it never uses (``__init__.py``
-    re-exports are the package's API and are skipped)."""
+    """F401 without ruff: no module under ``src``, ``tests``,
+    ``benchmarks``, ``tools`` or ``examples`` imports a name it never
+    uses (``__init__.py`` re-exports are the package's API and are
+    skipped)."""
     offenders = [
         f"{path.relative_to(REPO_ROOT)}:{line} {name}"
-        for root in ("src", "tests", "benchmarks")
+        for root in ("src", "tests", "benchmarks", "tools", "examples")
         for path in sorted((REPO_ROOT / root).rglob("*.py"))
         if path.name != "__init__.py"
         for line, name in unused_imports(path.read_text())
