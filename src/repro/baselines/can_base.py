@@ -92,15 +92,5 @@ class CANStateBaseline(DutyStateProtocol):
 
     def _collect(self, rt: QueryRuntime, node: int) -> None:
         """Add ``node``'s qualified records to ``rt.found``, up to δ in
-        all.  ``rt.found`` holds one record per owner: each cache is
-        owner-keyed and every scan excludes the owners already found."""
-        cache = self.caches.get(node)
-        if cache is not None and len(cache):
-            need = self.params.delta - len(rt.found)
-            if need > 0:
-                rt.found.extend(
-                    cache.qualified(
-                        rt.demand, self.ctx.sim.now, limit=need,
-                        exclude={r.owner for r in rt.found},
-                    )
-                )
+        all (:meth:`~repro.core.lifecycle.QueryRuntime.collect`)."""
+        rt.collect(self.caches.get(node), self.ctx.sim.now, self.params.delta)

@@ -228,18 +228,7 @@ class MercuryProtocol(DiscoveryProtocol):
             return
         hub = self.hubs[hub_idx]
         if self.ctx.is_alive(node_id):
-            cache = self.caches.get(node_id)
-            if cache is not None and len(cache):
-                # one record per owner in ``rt.found`` (owner-keyed caches +
-                # exclusion on every scan)
-                need = self.params.delta - len(rt.found)
-                if need > 0:
-                    rt.found.extend(
-                        cache.qualified(
-                            rt.demand, self.ctx.sim.now, limit=need,
-                            exclude={r.owner for r in rt.found},
-                        )
-                    )
+            rt.collect(self.caches.get(node_id), self.ctx.sim.now, self.params.delta)
         if budget <= 0 or len(rt.found) >= self.params.delta:
             self.lifecycle.finalize(rt)
             return

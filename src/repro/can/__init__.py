@@ -10,15 +10,16 @@ The key space is *not* toroidal: the paper's backward index diffusion
 propagates "until reaching the edge of the CAN space", so directions are
 meaningful and absolute.
 
-Authoritative :class:`Zone` objects hang off the partition tree; the
-overlay also keeps every zone's bounds in one array indexed by node id,
+Authoritative :class:`Zone` objects sit in the partition tree's
+owner-indexed rows; the overlay also keeps every zone's bounds in one
+array indexed by node id,
 which is what routing gathers its candidate blocks from, and rewires
 joins and leaves from cached edge directions alone (see
 ``docs/can_geometry.md``).
 """
 
 from repro.can.zone import Zone, adjacency_direction
-from repro.can.partition_tree import PartitionTree, TreeLeaf
+from repro.can.partition_tree import PartitionTree
 from repro.can.node import OverlayNode
 from repro.can.overlay import CANOverlay
 from repro.can.routing import greedy_path, greedy_paths, RoutingError
@@ -33,7 +34,6 @@ __all__ = [
     "Zone",
     "adjacency_direction",
     "PartitionTree",
-    "TreeLeaf",
     "OverlayNode",
     "CANOverlay",
     "greedy_path",

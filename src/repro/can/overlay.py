@@ -27,13 +27,18 @@ dimension-major ``(2·d, capacity)`` array
 ``bounds`` whose column ``i`` is node ``i``'s zone — ``lo`` rows over
 ``hi`` rows — so routing gathers the bounds of a whole candidate set
 with one ``take`` ("Bounds rows").  :meth:`CANOverlay._bind` is the only
-writer of a node's leaf and the only way to its column (a join batch
+writer of a node's ``zone`` and the only way to its column (a join batch
 writes the columns of the nodes it rebound once, after its last join);
 :meth:`CANOverlay.leave` overwrites a departed id's column with
 ``+inf``, so a stale long link to it loses every distance comparison.
+
 ``directional_neighbors`` and ``pointer_walks`` — the INSCAN table
-build — read the node's neighbors bucketed by face, rebuilt lazily
-after the node's edges changed ("Face buckets", same document).
+build — read a node's neighbors bucketed by face from one list indexed
+by node id, ``buckets``.  A join batch rebuilds the entries it reset in
+one pass after its last join (every member at bootstrap, the joiner,
+its owner and the neighbors whose edges moved for a churn join); an
+entry a leave reset stays ``None`` until its next read ("Face buckets",
+same document).
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from repro.can.node import OverlayNode
-from repro.can.partition_tree import PartitionTree, TakeoverPlan, TreeLeaf
-from repro.can.zone import adjacency_direction
+from repro.can.partition_tree import PartitionTree, TakeoverPlan
+from repro.can.zone import Zone, adjacency_direction
 
 __all__ = ["CANOverlay"]
 
@@ -54,8 +59,8 @@ class CANOverlay:
 
     ``join`` and ``leave`` rewire by structure (:meth:`_split_neighbors`,
     :meth:`_takeover`: the recorded edge directions, no geometry call);
-    both leave ``directions`` and ``face_buckets`` of every node they
-    touch consistent, and bump the ``edge_stamp`` of every node whose
+    both leave ``directions`` of every node they touch consistent, reset
+    the ``buckets`` entry and bump the ``edge_stamp`` of every node whose
     edges they change."""
 
     def __init__(self, dims: int, rng: np.random.Generator):
@@ -73,6 +78,15 @@ class CANOverlay:
         #: The nodes a join batch rebound whose columns are still to be
         #: written (None outside a batch; see :meth:`_bind`).
         self._unwritten: Optional[dict[int, OverlayNode]] = None
+        #: Face buckets by node id: entry ``i`` is node ``i``'s edges
+        #: grouped by face (see :meth:`_bucket_by_face`), ``None`` where
+        #: an edge of the node changed since it was built or no member
+        #: lives.
+        self.buckets: list[Optional[tuple[tuple[int, ...], ...]]] = []
+        #: The ids whose entry a join batch made ``None`` — each joiner and
+        #: every built entry it reset, once each — rebuilt in one pass at
+        #: the batch's end (None outside a batch).
+        self._rebucket: Optional[list[int]] = None
         #: Bumped whenever a zone or the membership changes; the routing
         #: pools drop their route memo on any change.
         self.epoch = 0
@@ -104,25 +118,27 @@ class CANOverlay:
         """The node whose zone contains ``point``."""
         if self.tree is None:
             raise LookupError("overlay is empty")
-        return self.tree.find_leaf(np.asarray(point, dtype=np.float64)).owner
+        return self.tree.find_leaf(np.asarray(point, dtype=np.float64).tolist())
 
     def directional_neighbors(
         self, node_id: int, dim: int, sign: int
     ) -> tuple[int, ...]:
         """Adjacent neighbors across the ``(dim, sign)`` face in ascending
-        id order — a lookup in the node's face buckets, which are rebuilt
-        first if an edge of the node changed since they were last read."""
-        node = self.nodes[node_id]
-        buckets = node.face_buckets
-        if buckets is None:
-            buckets = node.face_buckets = self._bucket_by_face(node.directions)
-        return buckets[2 * dim + (sign < 0)]
+        id order — a lookup in the node's ``buckets`` entry, which is
+        rebuilt first if a leave reset it."""
+        faces = self.buckets[node_id]
+        if faces is None:
+            faces = self.buckets[node_id] = self._bucket_by_face(
+                self.nodes[node_id].directions
+            )
+        return faces[2 * dim + (sign < 0)]
 
     def _bucket_by_face(
         self, directions: dict[int, tuple[int, int]]
     ) -> tuple[tuple[int, ...], ...]:
         """Group a node's edges by face: entry ``2 * dim + (sign < 0)`` is
-        the ascending tuple of neighbors across ``(dim, sign)``."""
+        the ascending tuple of neighbors across ``(dim, sign)`` — the one
+        builder of a ``buckets`` entry."""
         by_face: list[list[int]] = [[] for _ in self._faces]
         for m in sorted(directions):
             dim, sign = directions[m]
@@ -138,19 +154,21 @@ class CANOverlay:
         where ``chains[2 * dim + (sign < 0)]`` holds the nodes reached
         after 1, 2, 4, ... hops across that face.
 
-        Each walk is one loop over the face buckets (a stale one rebuilt
-        as ``directional_neighbors`` would), and a hop draws an index
-        with ``below`` (``below(n) == int(rng.integers(n))``, see
-        :mod:`repro.sim.rng`) only when it has more than one candidate."""
-        nodes, chains, total = self.nodes, [], 0
+        Each walk is one loop over the ``buckets`` list (an entry a leave
+        reset rebuilt as ``directional_neighbors`` would), and a hop
+        draws an index with ``below`` (``below(n) == int(rng.integers(n))``,
+        see :mod:`repro.sim.rng`) only when it has more than one
+        candidate."""
+        buckets, chains, total = self.buckets, [], 0
         for code in range(len(self._faces)):
             chain, hops, mark, current = [], 0, 1, node_id
             while hops < max_hops:
-                node = nodes[current]
-                buckets = node.face_buckets
-                if buckets is None:
-                    buckets = node.face_buckets = self._bucket_by_face(node.directions)
-                candidates = buckets[code]
+                faces = buckets[current]
+                if faces is None:
+                    faces = buckets[current] = self._bucket_by_face(
+                        self.nodes[current].directions
+                    )
+                candidates = faces[code]
                 if not candidates:
                     break
                 n = len(candidates)
@@ -185,8 +203,10 @@ class CANOverlay:
         overlay splits the zone containing its row of ``points``; when
         None, one ``uniform`` call draws them all, the values a call per
         join would draw.  The bounds columns of the nodes the joins
-        rebound are written once, after the last join.  Every check runs
-        before the first join: a refused batch changes nothing."""
+        rebound are written once, after the last join, and the
+        ``buckets`` entries the joins reset are rebuilt in one pass after
+        it.  Every check runs before the first join: a refused batch
+        changes nothing."""
         for node_id in ids:
             if node_id < 0:
                 raise ValueError(f"node id must be >= 0, got {node_id}")
@@ -199,32 +219,39 @@ class CANOverlay:
             points = self._rng.uniform(0.0, 1.0, size=(drawn, self.dims))
         elif not ((points >= 0.0) & (points <= 1.0)).all():
             raise ValueError("a join point lies outside the unit cube or is NaN")
-        rows = iter(points)
-        self._unwritten = {}
+        if ids:
+            self.buckets.extend([None] * (max(ids) + 1 - len(self.buckets)))
+        rows = iter(points.tolist())  # plain floats: same comparisons, no boxing
+        self._unwritten, self._rebucket = {}, []
         try:
             for node_id in ids:
                 if self.tree is None or not self.nodes:
                     self.tree = PartitionTree(self.dims, node_id)
-                    leaf = self.tree.leaf_of(node_id)
-                    node = self.nodes[node_id] = OverlayNode(node_id, leaf)
-                    self._bind(node, leaf)
+                    node = self.nodes[node_id] = OverlayNode(node_id)
+                    self._bind(node, self.tree.zones[node_id])
+                    self._rebucket.append(node_id)
                     continue
                 p = next(rows)
-                owner = self.nodes[self.tree.find_leaf(p).owner]
-                kept_leaf, new_leaf = self.tree.split(owner.node_id, node_id, p)
-                new_node = self.nodes[node_id] = OverlayNode(node_id, new_leaf)
-                self._bind(owner, kept_leaf)
-                self._bind(new_node, new_leaf)
+                tree = self.tree
+                owner = self.nodes[tree.find_leaf(p)]
+                tree.split(owner.node_id, node_id, p)
+                new_node = self.nodes[node_id] = OverlayNode(node_id)
+                self._bind(owner, tree.zones[owner.node_id])
+                self._bind(new_node, tree.zones[node_id])
                 self._split_neighbors(owner, new_node)
         finally:
             unwritten, self._unwritten = self._unwritten, None
             self._write_columns(list(unwritten.values()))
+            rebucket, self._rebucket = self._rebucket, None
+            buckets, nodes = self.buckets, self.nodes
+            for node_id in rebucket:
+                buckets[node_id] = self._bucket_by_face(nodes[node_id].directions)
 
-    def _bind(self, node: OverlayNode, leaf: TreeLeaf) -> None:
-        """Make ``leaf`` the node's zone — the one place ``node.leaf`` is
+    def _bind(self, node: OverlayNode, zone: Zone) -> None:
+        """Make ``zone`` the node's — the one place ``node.zone`` is
         written, and the one way to a bounds column: written here, or,
         inside a join batch, once at the batch's end."""
-        node.leaf = leaf
+        node.zone = zone
         if self._unwritten is not None:
             self._unwritten[node.node_id] = node
         else:
@@ -243,10 +270,9 @@ class CANOverlay:
                 capacity *= 2
             self.bounds = np.full((2 * self.dims, capacity), np.inf)
             self.bounds[:, : old.shape[1]] = old
-        bounds = self.bounds
-        for node in nodes:
-            zone = node.leaf.zone
-            bounds[:, node.node_id] = zone._lo + zone._hi
+        self.bounds[:, [node.node_id for node in nodes]] = np.array(
+            [node.zone._lo + node.zone._hi for node in nodes]
+        ).T
         self.epoch += 1
 
     def _split_neighbors(self, owner: OverlayNode, joiner: OverlayNode) -> None:
@@ -255,35 +281,46 @@ class CANOverlay:
         neighbor across face ``k`` touches only the half on its side,
         one across any other face each half its ``k``-interval overlaps
         (exact on dyadic bounds), and its direction does not change.  An
-        edge the owner keeps is not touched, so that neighbor's face
-        buckets stay valid unless it gains the joiner as well."""
-        branch = joiner.leaf.parent
-        k, mid, joiner_high = branch.dim, branch.mid, branch.high is joiner.leaf
-        nodes, owner_id, joiner_id = self.nodes, owner.node_id, joiner.node_id
-        for cand_id, face in list(owner.directions.items()):
-            cand = nodes[cand_id]
+        edge the owner keeps is not touched, so that neighbor's ``buckets``
+        entry stays valid unless it gains the joiner as well.  The joiner
+        and every built entry reset here are queued for the batch's
+        rebuild pass, each once: an entry queued stays ``None`` until the
+        pass, and one a leave reset is rebuilt on its next read."""
+        tree, nodes, buckets, rebucket = self.tree, self.nodes, self.buckets, self._rebucket
+        owner_id, joiner_id = owner.node_id, joiner.node_id
+        owner_edges, joiner_edges, zones = owner.directions, joiner.directions, tree.zones
+        branch = tree.up[joiner_id]
+        k, mid = tree.dim[branch], tree.mid[branch]
+        joiner_high = tree.high[branch] == ~joiner_id
+        for cand_id, face in list(owner_edges.items()):
             if face[0] == k:
                 low = face[1] < 0
                 high = not low
             else:
-                zone = cand.leaf.zone
+                zone = zones[cand_id]
                 low, high = zone._lo[k] < mid, zone._hi[k] > mid
             to_joiner, to_owner = (high, low) if joiner_high else (low, high)
-            if to_joiner and to_owner:
-                cand.directions[joiner_id] = cand.directions[owner_id]
-            elif to_joiner:
-                cand.directions[joiner_id] = cand.directions.pop(owner_id)
-                del owner.directions[cand_id]
-            else:
+            if not to_joiner:
                 continue
-            cand.face_buckets = None
+            cand = nodes[cand_id]
+            if to_owner:
+                cand.directions[joiner_id] = cand.directions[owner_id]
+            else:
+                cand.directions[joiner_id] = cand.directions.pop(owner_id)
+                del owner_edges[cand_id]
+            if buckets[cand_id] is not None:
+                buckets[cand_id] = None
+                rebucket.append(cand_id)
             cand.edge_stamp += 1
-            joiner.directions[cand_id] = face
+            joiner_edges[cand_id] = face
         face, back = self._faces[2 * k + (not joiner_high)]
-        owner.directions[joiner_id] = face
-        owner.face_buckets = None
+        owner_edges[joiner_id] = face
+        if buckets[owner_id] is not None:
+            buckets[owner_id] = None
+            rebucket.append(owner_id)
+        rebucket.append(joiner_id)
         owner.edge_stamp += 1
-        joiner.directions[owner_id] = back
+        joiner_edges[owner_id] = back
 
     # ------------------------------------------------------------------
     # departure
@@ -295,6 +332,7 @@ class CANOverlay:
         self._unlink(departed)
         self.epoch += 1
         self.bounds[:, node_id] = np.inf
+        self.buckets[node_id] = None
         for pool in self._route_pools.values():
             pool.forget(node_id)
 
@@ -304,24 +342,24 @@ class CANOverlay:
             self.tree = None
             return None
 
+        zones = self.tree.zones
         absorber = self.nodes[plan.absorber]
-        self._bind(absorber, plan.absorber_leaf)
+        self._bind(absorber, zones[plan.absorber])
         mover = None
         if plan.mover is not None:
-            assert plan.mover_leaf is not None
             mover = self.nodes[plan.mover]
-            self._bind(mover, plan.mover_leaf)
+            self._bind(mover, zones[plan.mover])
         self._takeover(departed, absorber, mover)
         return plan
 
     def _unlink(self, node: OverlayNode) -> None:
         """Every peer forgets ``node``; the node keeps its own edge record
         for whoever takes its zone over."""
-        node_id, nodes = node.node_id, self.nodes
+        node_id, nodes, buckets = node.node_id, self.nodes, self.buckets
         for m in node.directions:
             peer = nodes[m]
             del peer.directions[node_id]
-            peer.face_buckets = None
+            buckets[m] = None
             peer.edge_stamp += 1
 
     def _takeover(
@@ -344,7 +382,7 @@ class CANOverlay:
         self._unlink(mover)
         self._inherit(absorber, mover.directions)
         mover.directions.clear()
-        mover.face_buckets = None
+        self.buckets[mover.node_id] = None
         mover.edge_stamp += 1
         self._inherit(mover, {
             absorber.node_id if m == mover.node_id else m: face
@@ -356,10 +394,10 @@ class CANOverlay:
     ) -> None:
         """Give ``heir`` every edge of ``edges`` it does not have yet, in
         the same direction, linking both endpoints.  An edge it already
-        has is not touched, so that neighbor's face buckets stay valid;
-        the heir's own were reset, and its edge stamp bumped, when its
-        sibling was unlinked."""
-        heir_id, nodes, faces = heir.node_id, self.nodes, self._faces
+        has is not touched, so that neighbor's ``buckets`` entry stays
+        valid; the heir's own was reset, and its edge stamp bumped, when
+        its sibling was unlinked."""
+        heir_id, nodes, faces, buckets = heir.node_id, self.nodes, self._faces, self.buckets
         for cand_id, (dim, sign) in edges.items():
             if cand_id == heir_id or cand_id in heir.directions:
                 continue
@@ -367,7 +405,7 @@ class CANOverlay:
             cand = nodes[cand_id]
             heir.directions[cand_id] = face
             cand.directions[heir_id] = back
-            cand.face_buckets = None
+            buckets[cand_id] = None
             cand.edge_stamp += 1
 
     # ------------------------------------------------------------------
@@ -377,10 +415,10 @@ class CANOverlay:
         """Full structural validation: what routing trusts (a bounds
         column equal to the zone for every member and ``+inf`` for every
         other id, every current candidate block of every routing pool
-        equal to a fresh one), tree consistency, leaf binding, and
+        equal to a fresh one), tree consistency, zone binding, and
         brute-force adjacency equality (of the edge directions on both
         endpoints and the face buckets ``directional_neighbors``
-        serves)."""
+        serves, with no entry kept for an id that is not a member)."""
         live = np.zeros(self.bounds.shape[1], dtype=bool)
         for node_id, node in self.nodes.items():
             live[node_id] = True
@@ -400,9 +438,12 @@ class CANOverlay:
         self.tree.check_invariants()
         assert set(self.tree.owners()) == set(self.nodes)
         for node_id, node in self.nodes.items():
-            assert self.tree.leaf_of(node_id) is node.leaf, (
-                f"node {node_id} leaf binding stale"
+            assert self.tree.zones[node_id] is node.zone, (
+                f"node {node_id} zone binding stale"
             )
+        assert all(
+            faces is None for i, faces in enumerate(self.buckets) if i not in self.nodes
+        ), "bucket entry kept for a non-member"
         ids = sorted(self.nodes)
         for i, a in enumerate(ids):
             za = self.nodes[a].zone

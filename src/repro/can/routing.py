@@ -439,10 +439,13 @@ def greedy_paths(
 ) -> list[Optional[list[int]]]:
     """Route a batch of queries in lockstep, one vectorized round per hop
     front: every active route's candidate block is concatenated and the
-    per-route winners come out of two segmented reductions.  A front of
-    at most ``_NARROW_FRONT`` routes is finished route by route with
-    :func:`_greedy_hops` instead — whether the batch was that small or
-    has thinned out to it.  Paths are bit-identical to calling
+    per-route winners come out of two segmented reductions
+    (:func:`_lockstep_front`).  A front of at most ``_NARROW_FRONT``
+    routes is finished route by route with :func:`_greedy_hops` instead —
+    whether it has thinned out to that width, or the batch was that small
+    from the start, which then pays none of the lockstep set-up: its start
+    distances are the scalar ones :func:`greedy_path` takes, bit-equal to
+    the kernel's.  Paths are bit-identical to calling
     :func:`greedy_path` per query, and the two share the pool's
     last-route memo (both consult it and record, unless ``memo=False``).
 
@@ -457,17 +460,12 @@ def greedy_paths(
     if n_routes == 0:
         return []
     P = np.asarray(points, dtype=np.float64).reshape(n_routes, -1)
-    PT = np.ascontiguousarray(P.T)  # dimension-major, like the bounds
     if max_hops is None:
         max_hops = 4 * (len(overlay) + 1)
 
     paths: list[Optional[list[int]]] = [None] * n_routes
     errors: list[Optional[Exception]] = [None] * n_routes
-    cur = np.zeros(n_routes, dtype=np.int64)
-    dist = np.zeros(n_routes, dtype=np.float64)
-    nhops = np.zeros(n_routes, dtype=np.int64)
     boundary: list[int] = []
-    initially_active = []
     known: list[int] = []
     pool = _pool_for(overlay, link_tables)
     pts = list(map(tuple, P.tolist()))
@@ -483,9 +481,88 @@ def greedy_paths(
             continue
         paths[r] = path
         if not complete:
-            cur[r] = path[-1]
-            nhops[r] = len(path) - 1
             known.append(r)
+    nodes = overlay.nodes
+    if n_routes <= _NARROW_FRONT:
+        # Narrow from the start: the scalar start distance, bit-equal to
+        # the kernel's, then straight to the scalar hop loop below.
+        narrow = []
+        for r in known:
+            d = _squared_distance(nodes[paths[r][-1]].zone, pts[r]) ** 0.5
+            if d == 0.0:
+                boundary.append(r)
+            else:
+                narrow.append((r, d))
+    else:
+        narrow = _lockstep_front(
+            overlay, pool, known, paths, errors, boundary, P, pts, max_hops
+        )
+    for r, d in narrow:
+        try:
+            _greedy_hops(pool, paths[r], d, P[r].reshape(-1, 1), pts[r], max_hops)
+        except RoutingError as err:
+            errors[r] = err
+        else:
+            boundary.append(r)
+    # Only the (rare) routes that stalled on a zone face walk the
+    # perimeter.  Memoize the walks within this batch: Table-I capacities
+    # are discrete, so stalled routes repeat the exact same (landing
+    # zone, boundary point) pairs — and the overlay is immutable for the
+    # duration of the call, so a cached walk is exact, not approximate.
+    walks: dict[tuple[int, tuple[float, ...]], list[int]] = {}
+    greedy_len: dict[int, int] = {}
+    for r in boundary:
+        if errors[r] is not None:
+            continue
+        greedy_len[r] = len(paths[r])
+        if not nodes[paths[r][-1]].zone.contains(pts[r]):
+            key = (paths[r][-1], pts[r])
+            hops = walks.get(key)
+            if hops is None:
+                hops = _perimeter_hops(overlay, paths[r][-1], P[r])
+                walks[key] = hops
+            paths[r].extend(hops)
+    if memo:
+        for r in known:
+            if errors[r] is None:
+                pool.remember(pts[r], paths[r], greedy_len[r])
+
+    if on_error == "raise":
+        for err in errors:
+            if err is not None:
+                raise err
+    else:
+        for r, err in enumerate(errors):
+            if err is not None:
+                paths[r] = None
+    return paths
+
+
+def _lockstep_front(
+    overlay: CANOverlay,
+    pool: _RouteBlockPool,
+    known: list[int],
+    paths: list,
+    errors: list,
+    boundary: list[int],
+    P: np.ndarray,
+    pts: list[tuple[float, ...]],
+    max_hops: int,
+) -> list[tuple[int, float]]:
+    """:func:`greedy_paths`' lockstep rounds over the routes ``known``
+    (each path so far in ``paths``): hops go onto the paths, failures
+    into ``errors``, routes at distance zero onto ``boundary``.  Returns
+    the front left once it is no wider than ``_NARROW_FRONT``, as
+    ``(route, distance)`` pairs for the scalar hop loop."""
+    n_routes = len(paths)
+    PT = np.ascontiguousarray(P.T)  # dimension-major, like the bounds
+    cur = np.zeros(n_routes, dtype=np.int64)
+    dist = np.zeros(n_routes, dtype=np.float64)
+    nhops = np.zeros(n_routes, dtype=np.int64)
+    for r in known:
+        cur[r] = paths[r][-1]
+        nhops[r] = len(paths[r]) - 1
+    initially_active = []
     dims = overlay.dims
     if known:
         # One start-distance pass through the hop kernel.
@@ -500,7 +577,7 @@ def greedy_paths(
 
     active = np.asarray(initially_active, dtype=np.intp)
     hop_log: list[tuple[np.ndarray, np.ndarray]] = []
-    nodes, pool_block = overlay.nodes, pool.block
+    pool_block = pool.block
     while active.size > _NARROW_FRONT:
         # Hot per-route loop; empty blocks contribute nothing to the
         # concatenation, so a starved route only has to leave the front.
@@ -569,47 +646,9 @@ def greedy_paths(
         for r, b in zip(adv.tolist(), adv_ids.tolist()):
             if errors[r] is None:
                 paths[r].append(b)
-    # A narrow front — a small burst, or the thin tail of a wide batch —
-    # finishes route by route; its lockstep hops are on the paths by now.
-    for r in active.tolist():
-        try:
-            _greedy_hops(
-                pool, paths[r], dist.item(r), P[r].reshape(-1, 1), pts[r], max_hops
-            )
-        except RoutingError as err:
-            errors[r] = err
-        else:
-            nhops[r] = len(paths[r]) - 1
-            boundary.append(r)
-    # Only the (rare) routes that stalled on a zone face walk the
-    # perimeter.  Memoize the walks within this batch: Table-I capacities
-    # are discrete, so stalled routes repeat the exact same (landing
-    # zone, boundary point) pairs — and the overlay is immutable for the
-    # duration of the call, so a cached walk is exact, not approximate.
-    walks: dict[tuple[int, tuple[float, ...]], list[int]] = {}
-    for r in boundary:
-        if errors[r] is None and not nodes[paths[r][-1]].zone.contains(pts[r]):
-            key = (paths[r][-1], pts[r])
-            hops = walks.get(key)
-            if hops is None:
-                hops = _perimeter_hops(overlay, paths[r][-1], P[r])
-                walks[key] = hops
-            paths[r].extend(hops)
-    if memo:
-        greedy_hops = nhops.tolist()
-        for r in known:
-            if errors[r] is None:
-                pool.remember(pts[r], paths[r], greedy_hops[r] + 1)
-
-    if on_error == "raise":
-        for err in errors:
-            if err is not None:
-                raise err
-    else:
-        for r, err in enumerate(errors):
-            if err is not None:
-                paths[r] = None
-    return paths
+    # A narrow front — the thin tail of a wide batch — finishes route by
+    # route; its lockstep hops are on the paths by now.
+    return [(r, dist.item(r)) for r in active.tolist()]
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.cloud.resources import (
     ResourceVector,
     dominates,
 )
-from repro.cloud.machine import MachineConfig, sample_machine, sample_machines, CMAX
+from repro.cloud.machine import MachineConfig, machine_of, sample_machines, CMAX
 from repro.cloud.tasks import Task, TaskFactory
 from repro.cloud.workload import PoissonWorkload
 from repro.cloud.psm import (
@@ -31,7 +31,7 @@ __all__ = [
     "ResourceVector",
     "dominates",
     "MachineConfig",
-    "sample_machine",
+    "machine_of",
     "sample_machines",
     "CMAX",
     "Task",

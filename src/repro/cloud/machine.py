@@ -28,7 +28,7 @@ from repro.sim.rng import bulk_index_draw
 
 __all__ = [
     "MachineConfig",
-    "sample_machine",
+    "machine_of",
     "sample_machines",
     "CMAX",
     "CMAX_VECTOR",
@@ -72,46 +72,44 @@ class MachineConfig:
         )
 
 
-def sample_machine(rng: np.random.Generator, net_bandwidth_mbps: float) -> MachineConfig:
-    """Draw one Table-I configuration: :func:`sample_machines` for one
-    host.
-
-    ``net_bandwidth_mbps`` comes from the network model (the host's LAN),
-    keeping the capacity dimension consistent with the transfer-delay model.
-    """
-    return sample_machines(rng, [net_bandwidth_mbps])[0][0]
+def machine_of(picks: Sequence[int], net_bandwidth_mbps: float) -> MachineConfig:
+    """The configuration one row of :func:`sample_machines`' pool indexes
+    names, on a host whose LAN bandwidth is ``net_bandwidth_mbps``."""
+    p, r, io, disk, mem = (int(pick) for pick in picks)
+    return MachineConfig(
+        _PROCESSORS[p], _RATES[r], _IO_SPEEDS[io], float(net_bandwidth_mbps),
+        _DISK_SIZES[disk], _MEM_SIZES[mem],
+    )
 
 
 def sample_machines(
     rng: np.random.Generator, net_bandwidths_mbps: Sequence[float]
-) -> tuple[list[MachineConfig], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw one Table-I configuration per LAN bandwidth entry:
-    ``(machines, capacities)``, where row ``i`` of the ``(H, 5)`` matrix
-    is ``machines[i].capacity`` — the batch form feeding
-    :meth:`repro.cloud.engine.HostEngine.add_hosts`, built from the drawn
-    pool indexes in one pass.
+    ``(picks, capacities)``.  Row ``i`` of the ``(H, 5)`` integer matrix
+    ``picks`` holds host ``i``'s pool indexes in draw order (processors,
+    rate, io, disk, mem; :func:`machine_of` turns a row back into a
+    :class:`MachineConfig`), and row ``i`` of the ``(H, 5)`` float matrix
+    ``capacities`` is that machine's ``capacity`` — the batch form feeding
+    :meth:`repro.cloud.engine.HostEngine.add_hosts`.
 
-    Each field is one bounded integer draw indexing its pool, machine by
-    machine in field order — the draw ``Generator.choice`` makes on the
-    pool, made in one :func:`repro.sim.rng.bulk_index_draw` scope
-    (``tests/sim/test_rng.py`` pins the stream identity).  A population
-    is the same whether it was sampled one host at a time or in one
-    batch.
+    ``net_bandwidths_mbps`` come from the network model (each host's
+    LAN), keeping the capacity dimension consistent with the
+    transfer-delay model.  Each field is one bounded integer draw
+    indexing its pool, machine by machine in field order — the draw
+    ``Generator.choice`` makes on the pool, made in one
+    :func:`repro.sim.rng.bulk_index_draw` scope (``tests/sim/test_rng.py``
+    pins the stream identity).  A population is the same whether it was
+    sampled one host at a time or in one batch.
     """
     bandwidths = [float(bw) for bw in net_bandwidths_mbps]
     with bulk_index_draw(rng, len(_POOLS) * len(bandwidths)) as below:
         picks = [below(len(pool)) for _ in bandwidths for pool in _POOLS]
-    rows = np.array(picks, dtype=np.intp).reshape(-1, len(_POOLS))
-    machines = [
-        MachineConfig(
-            _PROCESSORS[p], _RATES[r], _IO_SPEEDS[io], bw, _DISK_SIZES[disk], _MEM_SIZES[mem]
-        )
-        for bw, (p, r, io, disk, mem) in zip(bandwidths, zip(*[iter(picks)] * len(_POOLS)))
-    ]
+    rows = np.array(picks, dtype=np.uint8).reshape(-1, len(_POOLS))
     # The drawn values in pool order (processors, rate, io, disk, mem),
     # rearranged in place into capacity order (cpu, io, net, disk, mem).
     capacities = _POOL_TABLE[np.arange(len(_POOLS)), rows]
     capacities[:, 0] *= capacities[:, 1]
     capacities[:, 1] = capacities[:, 2]
     capacities[:, 2] = bandwidths
-    return machines, capacities
+    return rows, capacities

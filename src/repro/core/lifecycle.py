@@ -37,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core.context import ProtocolContext
-from repro.core.state import StateRecord
+from repro.core.state import StateCache, StateRecord
 from repro.sim.events import Event
 
 __all__ = ["QueryLifecycle", "QueryRuntime"]
@@ -58,6 +58,21 @@ class QueryRuntime:
     timed_out: bool = False  # resolved by the failsafe, not the chain
     sos_attempted: bool = False
     timeout_handle: Optional[Event] = None
+
+    def collect(self, cache: Optional[StateCache], now: float, delta: int) -> None:
+        """Add ``cache``'s records qualified at ``now`` to ``found``, up
+        to ``delta`` in all.  ``found`` holds one record per owner: each
+        cache is owner-keyed and every scan excludes the owners already
+        found."""
+        if cache is not None and len(cache):
+            need = delta - len(self.found)
+            if need > 0:
+                self.found.extend(
+                    cache.qualified(
+                        self.demand, now, limit=need,
+                        exclude={r.owner for r in self.found},
+                    )
+                )
 
 
 class QueryLifecycle:

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.cloud.checkpoint import CheckpointStore
 from repro.cloud.engine import HostEngine
-from repro.cloud.machine import CMAX, MachineConfig, sample_machine, sample_machines
+from repro.cloud.machine import CMAX, MachineConfig, machine_of, sample_machines
 from repro.cloud.resources import dominates
 from repro.cloud.tasks import N_WORK_DIMS, Task, TaskFactory
 from repro.cloud.workload import PoissonWorkload, SkewedTaskFactory
@@ -57,7 +57,7 @@ from repro.sim.rng import RngRegistry, index_draw
 from repro.sim.stats import TimeSeries
 from repro.sim.tracing import Tracer
 
-__all__ = ["SOCSimulation", "SimulationResult", "HostNode", "run_config"]
+__all__ = ["SOCSimulation", "SimulationResult", "run_config"]
 
 #: Task dispatch ships input data, not just control traffic (64 KB).
 PLACEMENT_MSG_BITS = 8 * 64 * 1024
@@ -65,16 +65,6 @@ PLACEMENT_MSG_BITS = 8 * 64 * 1024
 #: How many further candidates a task tries after its chosen host turns
 #: the placement down (dead, or full under ``admission="strict"``).
 PLACEMENT_RETRIES = 2
-
-
-@dataclass(slots=True)
-class HostNode:
-    """One participating host.  Execution state (resident tasks, shares,
-    availability, predicted completion) lives in the shared
-    :class:`~repro.cloud.engine.HostEngine`, keyed by ``node_id``."""
-
-    node_id: int
-    machine: MachineConfig
 
 
 @dataclass
@@ -201,7 +191,14 @@ class SOCSimulation:
         #: its handler through this calendar: one heap event per delivery
         #: instant, exact at quantum 0 (docs/coalescing.md).
         self.delivery = DeliveryCalendar(self.sim, quantum=config.delivery_quantum)
-        self.hosts: dict[int, HostNode] = {}
+        #: Host ``i``'s Table-I machine, kept for every host ever made:
+        #: row ``i`` of pool indexes (see
+        #: :func:`~repro.cloud.machine.sample_machines`) and entry ``i``
+        #: of LAN bandwidths; :meth:`machine` rebuilds the configuration.
+        #: Execution state (resident tasks, shares, availability) lives
+        #: in the shared ``engine``.
+        self._machine_picks = np.zeros((0, 5), dtype=np.uint8)
+        self._machine_bw = np.zeros(0)
         #: The live membership, and the one record of it: the protocol
         #: and the workload test ids against this set directly.
         self._alive: set[int] = set()
@@ -218,11 +215,11 @@ class SOCSimulation:
         node_ids = list(range(config.n_nodes))
         self._next_node_id = config.n_nodes
         self.network.add_nodes(node_ids)
-        machines, capacities = sample_machines(
+        picks, capacities = sample_machines(
             self._machine_rng, [self.network.node_bandwidth_mbps(i) for i in node_ids]
         )
         self.engine.add_hosts(node_ids, capacities)
-        self._register_hosts(node_ids, machines)
+        self._register_hosts(node_ids, picks, capacities)
 
         # --- capacity statistics --------------------------------------
         self.mean_capacity = capacities.mean(axis=0)
@@ -326,24 +323,33 @@ class SOCSimulation:
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
-    def _register_hosts(self, node_ids: list[int], machines: list[MachineConfig]) -> None:
-        """Enter hosts the network and the engine already hold, with their
-        Table-I machines, into the membership."""
-        for node_id, machine in zip(node_ids, machines):
-            self.hosts[node_id] = HostNode(node_id, machine)
-            self._alive.add(node_id)
+    def _register_hosts(
+        self, node_ids: list[int], picks: np.ndarray, capacities: np.ndarray
+    ) -> None:
+        """Enter hosts the network and the engine already hold into the
+        membership, with their Table-I machines as
+        :func:`~repro.cloud.machine.sample_machines` drew them (ids are
+        handed out in order, so row ``i`` stays host ``i``'s)."""
+        self._machine_picks = np.concatenate([self._machine_picks, picks])
+        self._machine_bw = np.concatenate([self._machine_bw, capacities[:, 2]])
+        self._alive.update(node_ids)
         self._peak_population = max(self._peak_population, len(self._alive))
 
     def _create_host(self) -> int:
         node_id = self._next_node_id
         self._next_node_id += 1
         self.network.add_node(node_id)
-        machine = sample_machine(
-            self._machine_rng, self.network.node_bandwidth_mbps(node_id)
+        picks, capacities = sample_machines(
+            self._machine_rng, [self.network.node_bandwidth_mbps(node_id)]
         )
-        self.engine.add_host(node_id, machine.capacity.values)
-        self._register_hosts([node_id], [machine])
+        self.engine.add_host(node_id, capacities[0])
+        self._register_hosts([node_id], picks, capacities)
         return node_id
+
+    def machine(self, node_id: int) -> MachineConfig:
+        """Host ``node_id``'s Table-I configuration (a departed host's
+        too), rebuilt from its pool indexes and LAN bandwidth."""
+        return machine_of(self._machine_picks[node_id], self._machine_bw.item(node_id))
 
     def is_alive(self, node_id: int) -> bool:
         return node_id in self._alive
@@ -377,7 +383,8 @@ class SOCSimulation:
             return CMAX.copy()
         # Gossip estimation (reference [23]); messages are charged evenly.
         values = {
-            h.node_id: h.machine.capacity.values for h in self.hosts.values()
+            node_id: self.machine(node_id).capacity.values
+            for node_id in range(self._next_node_id)
         }
         result = gossip_aggregate(values, "max", self.rngs.stream("aggregation"))
         ids = sorted(values)

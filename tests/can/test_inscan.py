@@ -200,7 +200,7 @@ def test_loop_local_walk_equals_the_per_step_walk_draw_for_draw():
         for overlay in (vec, ref):
             overlay.leave(victim)
             overlay.join(500 + step, point)
-    stale = sum(node.face_buckets is None for node in vec.nodes.values())
+    stale = sum(vec.buckets[node_id] is None for node_id in vec.nodes)
     assert stale > 60  # rebuilt mid-walk below
     compare_tables(24)
-    assert all(node.face_buckets is not None for node in vec.nodes.values())
+    assert all(vec.buckets[node_id] is not None for node_id in vec.nodes)

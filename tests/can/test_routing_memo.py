@@ -494,9 +494,9 @@ def test_refresh_that_changes_the_winner_keeps_the_prefix_and_records_the_new_ro
         assert spy.kernel == 2 * width + 1 + hops_after_k
         assert spy.hops == [path[0], path[k]] * width
     else:
-        # A one-route batch reads like the single router, which takes its
+        # A one-route batch reads like the single router: both take the
         # start distance without the kernel.
-        assert spy.kernel == 2 + (width or 0) + hops_after_k
+        assert spy.kernel == 2 + hops_after_k
         assert spy.hops == [path[0], path[k]] + want[k : recorded[2] - 1]
     _assert_plain_hit(
         spy, pool, lambda: _route(width is not None, overlay, tables, start, point), want)

@@ -100,18 +100,57 @@ def test_kept_edge_leaves_the_neighbor_buckets_alone_moved_edge_resets_them():
     overlay.join(0)
     overlay.join(1, np.array([0.75, 0.5]))   # 1: x in [.5, 1)
     overlay.join(2, np.array([0.25, 0.75]))  # 0: y in [0, .5), 2: y in [.5, 1)
-    for node_id in overlay.nodes:
-        overlay.directional_neighbors(node_id, 0, +1)  # fill every bucket
-    kept = overlay.nodes[0].face_buckets
-    assert kept is not None and overlay.nodes[2].face_buckets is not None
+    before = list(overlay.buckets)  # the join batches built every entry
+    kept = before[0]
+    assert kept is not None and before[2] is not None
 
     overlay.join(3, np.array([0.8, 0.8]))    # splits 1 along y at .5
     assert overlay.nodes[1].directions.keys() == {0, 3}
     assert overlay.nodes[3].directions.keys() == {1, 2}
-    assert overlay.nodes[0].face_buckets is kept      # edge 0-1 stayed with 1
-    assert overlay.nodes[2].face_buckets is None      # edge 2-1 moved to 3
-    assert overlay.nodes[1].face_buckets is None      # gained the joiner
+    # A reset entry is rebuilt by the batch's pass: a new object.
+    assert overlay.buckets[0] is kept             # edge 0-1 stayed with 1
+    assert overlay.buckets[2] is not before[2]    # edge 2-1 moved to 3
+    assert overlay.buckets[1] is not before[1]    # gained the joiner
     overlay.check_invariants()
+
+
+def _brute_force_buckets(overlay, node_id):
+    """A node's face buckets from its edge record: the neighbors across
+    each ``(dim, sign)`` face, ascending."""
+    directions = overlay.nodes[node_id].directions
+    return tuple(
+        tuple(sorted(m for m, face in directions.items() if face == (dim, sign)))
+        for dim in range(overlay.dims)
+        for sign in (+1, -1)
+    )
+
+
+def test_bootstrap_builds_every_members_bucket_entry():
+    overlay = CANOverlay(4, np.random.default_rng(7))
+    overlay.bootstrap(range(300))
+    assert len(overlay.buckets) == 300
+    for node_id in overlay.nodes:
+        assert overlay.buckets[node_id] == _brute_force_buckets(overlay, node_id)
+
+
+def test_one_node_join_rebuilds_only_the_entries_it_reset(monkeypatch):
+    """The join batch's pass builds the joiner's entry, its owner's and
+    those of the neighbors whose edges moved — never a scan of all n."""
+    overlay = CANOverlay(5, np.random.default_rng(8))
+    overlay.bootstrap(range(2000))
+    built = []
+    bucket_by_face = CANOverlay._bucket_by_face
+
+    def counting(self, directions):
+        built.append(directions)
+        return bucket_by_face(self, directions)
+
+    monkeypatch.setattr(CANOverlay, "_bucket_by_face", counting)
+    overlay.join(2000, np.array([0.3, 0.6, 0.2, 0.9, 0.5]))
+    degree = len(overlay.nodes[2000].directions)
+    assert 2 <= len(built) <= degree + 2
+    for node_id in overlay.nodes:
+        assert overlay.buckets[node_id] == _brute_force_buckets(overlay, node_id)
 
 
 def test_edge_the_absorber_had_keeps_the_neighbor_buckets_inherited_one_resets():
@@ -122,15 +161,14 @@ def test_edge_the_absorber_had_keeps_the_neighbor_buckets_inherited_one_resets()
     overlay.join(3, np.array([0.25, 0.75]))  # 0: y in [0, .5), 3: y in [.5, 1)
     assert overlay.nodes[1].directions.keys() == {0, 2}
     assert overlay.nodes[2].directions.keys() == {1, 3}
-    for node_id in overlay.nodes:
-        overlay.directional_neighbors(node_id, 0, +1)  # fill every bucket
-    had = overlay.nodes[0].face_buckets
+    had = overlay.buckets[0]
+    assert had is not None and overlay.buckets[3] is not None
 
     plan = overlay.leave(2)                  # 1 grows back to x in [.5, 1)
     assert (plan.absorber, plan.mover) == (1, None)
     assert overlay.nodes[1].directions.keys() == {0, 3}
-    assert overlay.nodes[0].face_buckets is had       # edge 1-0 was there
-    assert overlay.nodes[3].face_buckets is None      # edge 1-3 inherited from 2
+    assert overlay.buckets[0] is had              # edge 1-0 was there
+    assert overlay.buckets[3] is None             # edge 1-3 inherited from 2
     overlay.check_invariants()
 
 

@@ -3,9 +3,18 @@
 import numpy as np
 
 from repro.cloud import machine as pools
-from repro.cloud.machine import CMAX, CMAX_VECTOR, sample_machine
+from repro.cloud.machine import CMAX, CMAX_VECTOR, machine_of, sample_machines
 from repro.cloud.resources import RESOURCE_DIMS
 from repro.cloud.tasks import demand_bounds
+
+
+def sample_machine(rng, net_bandwidth_mbps):
+    """One host's configuration: a batch of one, turned back into a
+    :class:`~repro.cloud.machine.MachineConfig`."""
+    picks, capacities = sample_machines(rng, [net_bandwidth_mbps])
+    machine = machine_of(picks[0], net_bandwidth_mbps)
+    assert capacities[0].tolist() == machine.capacity.values.tolist()
+    return machine
 
 
 def test_cmax_matches_table_one_maxima():

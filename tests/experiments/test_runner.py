@@ -351,14 +351,19 @@ def test_collector_state_is_restored_when_construction_raises(
 #: Every collector pass walks all of them; per-node closures,
 #: ``partial``s around the timers and arrival chains, and dict-of-lists
 #: pointer tables once put 34-66 here (``docs/architecture.md``, "Cell
-#: construction"); a neighbor set beside each node's edge map, 22.3.
-TRACKED_PER_NODE_BUDGET = 24
+#: construction"); a neighbor set beside each node's edge map, 22.3; a
+#: tree leaf and branch object per node and a host record holding a
+#: machine record, 21.3.  Tree rows and machine rows put these cells at
+#: 7.3-16.3.
+TRACKED_PER_NODE_BUDGET = 17
 
 #: Bytes a freshly built cell may hold per node, as ``tracemalloc``
-#: counts them.  One edge map per overlay node and zones kept as float
-#: tuples alone put the CAN cells at 4 245-5 959; a neighbor set beside
-#: the edge map and a numpy array beside each zone tuple, 5 436-7 149.
-ALLOCATED_PER_NODE_BUDGET = 6_250
+#: counts them.  One edge map per overlay node, zones kept as float
+#: tuples alone, the partition tree and the machines as rows put the CAN
+#: cells at 3 943-5 658; tree and host records as objects, 4 243-5 957;
+#: a neighbor set beside the edge map and a numpy array beside each zone
+#: tuple, 5 436-7 149.
+ALLOCATED_PER_NODE_BUDGET = 5_800
 
 
 def _budget_cells() -> dict[str, ExperimentConfig]:

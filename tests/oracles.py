@@ -1033,8 +1033,8 @@ def construction_digest(sim) -> dict[str, str]:
             {lan: sim.network.node_bandwidth_mbps(n) for n, lan in lans.items()}.items()
         ),
         "machines": [
-            (n, [getattr(host.machine, f) for f in host.machine.__slots__])
-            for n, host in sorted(sim.hosts.items())
+            (n, [getattr(m, f) for f in m.__slots__])
+            for n, m in enumerate(map(sim.machine, range(sim._next_node_id)))
         ],
     }
     return {name: _short_hash(value) for name, value in sections.items()}

@@ -51,7 +51,7 @@ def test_ruff_config_present():
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
-    """Names inside the string annotations (``"TreeLeaf"``) under ``node``."""
+    """Names inside the string annotations (``"Zone"``) under ``node``."""
     names = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
@@ -379,9 +379,10 @@ def test_route_memo_smoke(monkeypatch):
 
 def test_narrow_front_smoke(routing_spy):
     """The width rule of ``greedy_paths`` must hold in both directions:
-    a batch of at most ``_NARROW_FRONT`` routes pays one start-distance
-    pass and then one ``pool.hop`` per greedy hop — no lockstep round,
-    which costs ~45 numpy calls whatever it carries — while a wide batch
+    a batch of at most ``_NARROW_FRONT`` routes takes the scalar start
+    distance and then one ``pool.hop`` per greedy hop — no kernel
+    start-distance pass and no lockstep round, which costs ~45 numpy
+    calls whatever it carries — while a wide batch
     makes most of its hops in rounds.  A refactor that sends the arrival
     bursts of ``mega_coalesced`` (three queries on average) through
     rounds again, or state rounds through the scalar hop, fails here,
@@ -405,7 +406,7 @@ def test_narrow_front_smoke(routing_spy):
         greedy_hops = sum(pool.routes[s][2] - 1 for s in starts)
         assert greedy_hops > width
         if width <= routing._NARROW_FRONT:
-            assert (spy.kernel, len(spy.hops)) == (1 + greedy_hops, greedy_hops)
+            assert (spy.kernel, len(spy.hops)) == (greedy_hops, greedy_hops)
         else:
             assert len(spy.hops) < greedy_hops / 2
             assert spy.kernel - 1 - len(spy.hops) < greedy_hops / 2  # rounds
