@@ -75,3 +75,20 @@ def cpu_timed(fn):
     t0 = time.process_time()
     result = fn()
     return result, time.process_time() - t0
+
+
+def calibrated(fn):
+    """``(fn(), note)``: ``note`` gives the CPU time of the fixed
+    calibration kernel of ``bench/calibrate.py`` run just before and just
+    after ``fn``, against its reference time — so the failure message of
+    a timed gate tells a loaded machine from a regression."""
+    from bench.calibrate import CALIB_REF_S, Calibrator
+
+    kernel = Calibrator()
+    before = kernel.run()
+    result = fn()
+    after = kernel.run()
+    return result, (
+        f"calibration kernel {before * 1e3:.0f} / {after * 1e3:.0f} ms before / "
+        f"after the timed region, {CALIB_REF_S * 1e3:.0f} ms on a quiet machine"
+    )

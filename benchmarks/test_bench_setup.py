@@ -17,6 +17,13 @@ keep it linear (``docs/architecture.md``, "Cell construction"):
    3 CPU seconds (the scan took 33 s; the heap takes ~0.7 s, each
    ``add_node`` a one-element ``add_nodes`` batch).
 
+Beside the timed scaling bound, the set-up's work is counted exactly at
+n and 4n — collector-tracked objects and ``tracemalloc`` bytes the built
+cell holds per node, generator calls it made per node — and the class is
+asserted on the counts: no load can fail those, and a timed failure with
+the counts in class points at the machine (its message carries the
+calibration kernel's time, ``bench/calibrate.py``).
+
 CPU seconds (``time.process_time``), best of three per size, the sizes
 interleaved; a small-cell sample is the mean of four consecutive cells.
 The per-phase split of both cells is recorded in ``extra_info``: each
@@ -27,6 +34,8 @@ collection) as the remainder.
 """
 
 import gc
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,11 +49,18 @@ from repro.metrics.traffic import TrafficMeter
 from repro.sim.engine import Simulator
 from repro.sim.network import NetworkModel, NetworkParams
 
-from benchmarks.conftest import cpu_timed, run_once
+from benchmarks.conftest import calibrated, cpu_timed, run_once
+from tests.conftest import count_generator_calls
 
 #: Base population n per REPRO_SCALE; the bench builds n and 4n.
 SETUP_POPULATION = {"tiny": 2_000, "small": 8_000, "paper": 25_000}
 ADD_NODE_POPULATION = 100_000
+
+#: How much a per-node work count may grow from n to 4n nodes and still
+#: be linear: measured 0.99x tracked objects, 1.02x bytes and 0.39x
+#: generator calls per node at 2 000 -> 8 000 nodes; work growing with
+#: n per node (a scan, a quadratic structure) reads 4x.
+PER_NODE_GROWTH_BOUND = 1.2
 
 
 def _cpu(fn) -> float:
@@ -86,11 +102,52 @@ def _phase_split(cfg, setup_s: float) -> dict[str, float]:
     return {name: round(seconds, 3) for name, seconds in phases.items()}
 
 
+def _work_per_node(cfg) -> dict[str, float]:
+    """Exact work of building ``cfg``'s cell, per node: the
+    collector-tracked objects and the ``tracemalloc`` bytes the built
+    cell holds, and the generator calls its construction made."""
+    SOCSimulation(replace(cfg, n_nodes=20))  # imports and module caches
+    gc.collect()
+    before = len(gc.get_objects())
+    sim = SOCSimulation(cfg)
+    gc.collect()
+    tracked = len(gc.get_objects()) - before
+    del sim
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sim = SOCSimulation(cfg)
+        gc.collect()
+        allocated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del sim
+    with pytest.MonkeyPatch.context() as patch:
+        count_generator_calls(patch)
+        sim = SOCSimulation(cfg)
+        calls = sum(gen.calls for gen in sim.rngs._streams.values())
+    n = cfg.n_nodes
+    return {"tracked": tracked / n, "bytes": allocated / n, "generator_calls": calls / n}
+
+
 @pytest.mark.benchmark(group="setup")
 def test_setup_scales_linearly(benchmark, scale):
     n = SETUP_POPULATION[scale]
     small = mega_configs("small", seed=1, n_nodes=n, duration=600.0)["hid-can"]
     large = mega_configs("small", seed=1, n_nodes=4 * n, duration=600.0)["hid-can"]
+
+    work = {"at_n": _work_per_node(small), "at_4n": _work_per_node(large)}
+    growth = {
+        name: work["at_4n"][name] / work["at_n"][name] for name in work["at_n"]
+    }
+    benchmark.extra_info["work_per_node"] = {
+        size: {name: round(count, 4) for name, count in counts.items()}
+        for size, counts in work.items()
+    }
+    counts = ", ".join(f"{name} x{g:.2f}" for name, g in growth.items())
+    assert max(growth.values()) <= PER_NODE_GROWTH_BOUND, (
+        f"per-node set-up work grew from n to 4n: {counts}"
+    )
 
     # Small and large set-ups alternate, so a shift of the machine's CPU
     # speed between two blocks of runs cannot skew the ratio.  A small
@@ -99,12 +156,18 @@ def test_setup_scales_linearly(benchmark, scale):
     # the small minimum alone.  The first large one goes through
     # ``benchmark`` so the report carries a timing.
     small_runs, large_runs = [], []
-    for i in range(3):
-        small_runs.append(sum(_cpu(lambda: SOCSimulation(small)) for _ in range(4)) / 4)
-        large_runs.append(_cpu(
-            lambda: run_once(benchmark, SOCSimulation, large) if i == 0
-            else SOCSimulation(large)
-        ))
+
+    def timed_runs():
+        for i in range(3):
+            small_runs.append(
+                sum(_cpu(lambda: SOCSimulation(small)) for _ in range(4)) / 4
+            )
+            large_runs.append(_cpu(
+                lambda: run_once(benchmark, SOCSimulation, large) if i == 0
+                else SOCSimulation(large)
+            ))
+
+    _, machine = calibrated(timed_runs)
     small_s, large_s = min(small_runs), min(large_runs)
 
     ratio = large_s / small_s
@@ -113,7 +176,10 @@ def test_setup_scales_linearly(benchmark, scale):
     benchmark.extra_info["ratio_4n_over_n"] = round(ratio, 2)
     benchmark.extra_info["phases_at_n"] = _phase_split(small, small_s)
     benchmark.extra_info["phases_at_4n"] = _phase_split(large, large_s)
-    assert ratio <= 6.0, f"set-up grew {ratio:.1f}x for 4x the nodes"
+    assert ratio <= 6.0, (
+        f"set-up grew {ratio:.1f}x for 4x the nodes; work per node in class "
+        f"({counts}); {machine}"
+    )
 
 
 @pytest.mark.benchmark(group="setup")

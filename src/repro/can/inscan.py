@@ -14,7 +14,6 @@ k ≥ 1, in the negative direction of a dimension.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,26 +43,31 @@ def max_pointer_exponent(n_nodes: int, dims: int) -> int:
 class IndexPointerTable:
     """Per-node directional long-link table, immutable once built.
 
-    ``chains[2 * dim + (sign < 0)]`` is the tuple of node ids the walk
-    across the ``(dim, sign)`` face reached at distances ``2^0, 2^1,
-    ...`` (index = exponent k) — empty where the node sits on that edge
-    of the space.  The ``(dim, -1)`` chain is the pool of negative-index
-    nodes along ``dim``; its k=0 (adjacent) pointer belongs to it:
-    Theorem 1's binary decomposition of relay distances (13 = 8 + 4 + 1)
-    needs the 2^0 link, otherwise odd distances would be unreachable.
-    ``all_links`` is every chain concatenated in face order, routing's
-    extra hop candidates.  Entries may go stale under churn; routing
-    skips dead ids and the table is rebuilt periodically.
+    ``all_links`` holds the node ids the walk across each ``(dim, sign)``
+    face reached at distances ``2^0, 2^1, ...``, the faces' chains
+    concatenated in face order — routing's extra hop candidates as they
+    stand.  ``ends`` has ``2 * d + 1`` offsets: the chain of face
+    ``c = 2 * dim + (sign < 0)`` is ``all_links[ends[c]:ends[c + 1]]``
+    (index within it = exponent k), empty where the node sits on that
+    edge of the space.  A table holds at most ``2 * d * (K + 1)`` links
+    (64 at d = 16 and 10^6 nodes), so ``ends`` is ``bytes``.  The
+    ``(dim, -1)`` chain is the pool of negative-index nodes along
+    ``dim``; its k=0 (adjacent) pointer belongs to it: Theorem 1's binary
+    decomposition of relay distances (13 = 8 + 4 + 1) needs the 2^0
+    link, otherwise odd distances would be unreachable.  Entries may go
+    stale under churn; routing skips dead ids and the table is rebuilt
+    periodically.
     """
 
-    __slots__ = ("node_id", "chains", "all_links", "build_messages")
+    __slots__ = ("node_id", "all_links", "ends", "build_messages")
 
     def __init__(
-        self, node_id: int, chains: tuple[tuple[int, ...], ...], build_messages: int
+        self, node_id: int, all_links: tuple[int, ...], ends: bytes,
+        build_messages: int,
     ):
         self.node_id = node_id
-        self.chains = chains
-        self.all_links = tuple(itertools.chain.from_iterable(chains))
+        self.all_links = all_links
+        self.ends = ends
         #: directional-walk steps spent building the table (traffic charge)
         self.build_messages = build_messages
 

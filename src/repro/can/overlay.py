@@ -34,15 +34,17 @@ writes the columns of the nodes it rebound once, after its last join);
 
 ``directional_neighbors`` and ``pointer_walks`` — the INSCAN table
 build — read a node's neighbors bucketed by face from one list indexed
-by node id, ``buckets``.  A join batch rebuilds the entries it reset in
-one pass after its last join (every member at bootstrap, the joiner,
-its owner and the neighbors whose edges moved for a churn join); an
-entry a leave reset stays ``None`` until its next read ("Face buckets",
-same document).
+by node id, ``buckets``, whose entry is one flat tuple: the ``2·d + 1``
+face offsets, then the neighbor ids face by face.  A join batch
+rebuilds the entries it reset in one pass after its last join (every
+member at bootstrap, the joiner, its owner and the neighbors whose
+edges moved for a churn join); an entry a leave reset stays ``None``
+until its next read ("Face buckets", same document).
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -79,10 +81,10 @@ class CANOverlay:
         #: written (None outside a batch; see :meth:`_bind`).
         self._unwritten: Optional[dict[int, OverlayNode]] = None
         #: Face buckets by node id: entry ``i`` is node ``i``'s edges
-        #: grouped by face (see :meth:`_bucket_by_face`), ``None`` where
-        #: an edge of the node changed since it was built or no member
-        #: lives.
-        self.buckets: list[Optional[tuple[tuple[int, ...], ...]]] = []
+        #: grouped by face in one flat tuple (see :meth:`_bucket_by_face`),
+        #: ``None`` where an edge of the node changed since it was built
+        #: or no member lives.
+        self.buckets: list[Optional[tuple[int, ...]]] = []
         #: The ids whose entry a join batch made ``None`` — each joiner and
         #: every built entry it reset, once each — rebuilt in one pass at
         #: the batch's end (None outside a batch).
@@ -124,62 +126,73 @@ class CANOverlay:
         self, node_id: int, dim: int, sign: int
     ) -> tuple[int, ...]:
         """Adjacent neighbors across the ``(dim, sign)`` face in ascending
-        id order — a lookup in the node's ``buckets`` entry, which is
+        id order — a slice of the node's ``buckets`` entry, which is
         rebuilt first if a leave reset it."""
-        faces = self.buckets[node_id]
-        if faces is None:
-            faces = self.buckets[node_id] = self._bucket_by_face(
+        entry = self.buckets[node_id]
+        if entry is None:
+            entry = self.buckets[node_id] = self._bucket_by_face(
                 self.nodes[node_id].directions
             )
-        return faces[2 * dim + (sign < 0)]
+        code = 2 * dim + (sign < 0)
+        return entry[entry[code] : entry[code + 1]]
 
     def _bucket_by_face(
         self, directions: dict[int, tuple[int, int]]
-    ) -> tuple[tuple[int, ...], ...]:
-        """Group a node's edges by face: entry ``2 * dim + (sign < 0)`` is
-        the ascending tuple of neighbors across ``(dim, sign)`` — the one
-        builder of a ``buckets`` entry."""
+    ) -> tuple[int, ...]:
+        """Group a node's edges by face into one flat tuple — the one
+        builder of a ``buckets`` entry: ``2 * d + 1`` offsets, then the
+        neighbors face by face, so the ascending neighbors across face
+        ``c = 2 * dim + (sign < 0)`` are ``entry[entry[c]:entry[c + 1]]``.
+        One tuple of ints holds any degree, with no object per face."""
         by_face: list[list[int]] = [[] for _ in self._faces]
         for m in sorted(directions):
             dim, sign = directions[m]
             by_face[2 * dim + (sign < 0)].append(m)
-        return tuple(map(tuple, by_face))
+        ends, at = [], len(by_face) + 1
+        for ids in by_face:
+            ends.append(at)
+            at += len(ids)
+        ends.append(at)
+        return tuple(chain(ends, *by_face))
 
     def pointer_walks(
         self, node_id: int, max_hops: int, below: Callable[[int], int]
-    ) -> tuple[tuple[tuple[int, ...], ...], int]:
+    ) -> tuple[tuple[int, ...], bytes, int]:
         """One randomized walk from ``node_id`` per direction — a random
         neighbor across the ``(dim, sign)`` face each hop, ``max_hops``
-        hops or to the edge of the space: ``(chains, hops made in all)``,
-        where ``chains[2 * dim + (sign < 0)]`` holds the nodes reached
-        after 1, 2, 4, ... hops across that face.
+        hops or to the edge of the space: ``(links, ends, hops made in
+        all)`` in :class:`~repro.can.inscan.IndexPointerTable`'s flat
+        form, where ``links[ends[c]:ends[c + 1]]`` holds the nodes reached
+        after 1, 2, 4, ... hops across face ``c = 2 * dim + (sign < 0)``.
 
         Each walk is one loop over the ``buckets`` list (an entry a leave
-        reset rebuilt as ``directional_neighbors`` would), and a hop
-        draws an index with ``below`` (``below(n) == int(rng.integers(n))``,
-        see :mod:`repro.sim.rng`) only when it has more than one
-        candidate."""
-        buckets, chains, total = self.buckets, [], 0
+        reset rebuilt as ``directional_neighbors`` would), a hop indexes
+        the entry by its offsets with no slice, and draws an index with
+        ``below`` (``below(n) == int(rng.integers(n))``, see
+        :mod:`repro.sim.rng`) only when it has more than one candidate.
+        A walk keeps at most ``max_hops.bit_length()`` links, so ``bytes``
+        holds the offsets."""
+        buckets, links, ends, total = self.buckets, [], [0], 0
         for code in range(len(self._faces)):
-            chain, hops, mark, current = [], 0, 1, node_id
+            hops, mark, current = 0, 1, node_id
             while hops < max_hops:
-                faces = buckets[current]
-                if faces is None:
-                    faces = buckets[current] = self._bucket_by_face(
+                entry = buckets[current]
+                if entry is None:
+                    entry = buckets[current] = self._bucket_by_face(
                         self.nodes[current].directions
                     )
-                candidates = faces[code]
-                if not candidates:
+                first = entry[code]
+                n = entry[code + 1] - first
+                if not n:
                     break
-                n = len(candidates)
-                current = candidates[below(n)] if n > 1 else candidates[0]
+                current = entry[first + below(n)] if n > 1 else entry[first]
                 hops += 1
                 if hops == mark:
-                    chain.append(current)
+                    links.append(current)
                     mark <<= 1
-            chains.append(tuple(chain))
+            ends.append(len(links))
             total += hops
-        return tuple(chains), total
+        return tuple(links), bytes(ends), total
 
     # ------------------------------------------------------------------
     # construction
@@ -442,7 +455,7 @@ class CANOverlay:
                 f"node {node_id} zone binding stale"
             )
         assert all(
-            faces is None for i, faces in enumerate(self.buckets) if i not in self.nodes
+            entry is None for i, entry in enumerate(self.buckets) if i not in self.nodes
         ), "bucket entry kept for a non-member"
         ids = sorted(self.nodes)
         for i, a in enumerate(ids):

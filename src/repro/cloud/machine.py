@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.cloud.resources import ResourceVector
-from repro.sim.rng import bulk_index_draw
+from repro.sim.rng import power_of_two_draws
 
 __all__ = [
     "MachineConfig",
@@ -97,15 +97,17 @@ def sample_machines(
     LAN), keeping the capacity dimension consistent with the
     transfer-delay model.  Each field is one bounded integer draw
     indexing its pool, machine by machine in field order — the draw
-    ``Generator.choice`` makes on the pool, made in one
-    :func:`repro.sim.rng.bulk_index_draw` scope (``tests/sim/test_rng.py``
-    pins the stream identity).  A population is the same whether it was
-    sampled one host at a time or in one batch.
+    ``Generator.choice`` makes on the pool.  Every pool has four
+    entries, a power of two, so the draws come from one
+    :func:`repro.sim.rng.power_of_two_draws` call (``tests/sim/test_rng.py``
+    and ``tests/cloud/test_machine.py`` pin the stream identity).  A
+    population is the same whether it was sampled one host at a time or
+    in one batch.
     """
     bandwidths = [float(bw) for bw in net_bandwidths_mbps]
-    with bulk_index_draw(rng, len(_POOLS) * len(bandwidths)) as below:
-        picks = [below(len(pool)) for _ in bandwidths for pool in _POOLS]
-    rows = np.array(picks, dtype=np.uint8).reshape(-1, len(_POOLS))
+    rows = power_of_two_draws(
+        rng, _POOL_TABLE.shape[1], len(_POOLS) * len(bandwidths)
+    ).astype(np.uint8).reshape(-1, len(_POOLS))
     # The drawn values in pool order (processors, rate, io, disk, mem),
     # rearranged in place into capacity order (cpu, io, net, disk, mem).
     capacities = _POOL_TABLE[np.arange(len(_POOLS)), rows]

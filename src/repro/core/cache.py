@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.sim.rows import RowTable
+from repro.sim.rows import RowTable, empty_column
 
 __all__ = ["RangeCache", "CacheStats", "PathCacheIndex", "CACHE_POLICIES"]
 
@@ -90,11 +90,9 @@ class RangeCache(RowTable):
         self.dims = int(dims)
         #: Recency decay constant of the adaptive utility.
         self._tau = self.ttl / 2.0
-        self._added = np.empty(0, dtype=np.float64)
-        self._last = np.empty(0, dtype=np.float64)
-        self._hits = np.empty(0, dtype=np.int64)
-        self._lo = np.empty((0, self.dims), dtype=np.float64)
-        self._hi = np.empty((0, self.dims), dtype=np.float64)
+        self._added = self._last = empty_column(np.float64)
+        self._hits = empty_column(np.int64)
+        self._lo = self._hi = empty_column(np.float64, self.dims)
 
     def _kill(self, row: int) -> None:
         super()._kill(row)

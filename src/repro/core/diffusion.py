@@ -213,9 +213,10 @@ class DiffusionEngine:
             table = tables.get(node)
             if table is None:
                 continue
+            links, ends = table.all_links, table.ends
             for dim in range(first_dim, dims):
                 pool = [  # the NINodes: the (dim, -1) chain
-                    t for t in table.chains[2 * dim + 1]
+                    t for t in links[ends[2 * dim + 1] : ends[2 * dim + 2]]
                     if t != origin and t != node and is_alive(t)
                 ]
                 if pool:
@@ -285,8 +286,9 @@ class DiffusionEngine:
         if table is None:
             return []
         is_alive = self.ctx.is_alive
+        ends = table.ends
         pool = [
-            t for t in table.chains[2 * dim + 1]
+            t for t in table.all_links[ends[2 * dim + 1] : ends[2 * dim + 2]]
             if t != exclude and t != node and is_alive(t)
         ]
         if len(pool) <= k:

@@ -212,10 +212,10 @@ class DutyStateProtocol(DiscoveryProtocol):
         self.overlay = CANOverlay(overlay_dims, ctx.rng)
         self.caches: dict[int, StateCache] = {}
         self.tables: dict[int, IndexPointerTable] = {}
-        #: (activity kind, phase) -> shared CohortTimer (phase_buckets >= 1).
+        #: (activity kind, phase) -> shared CohortTimer (phase_buckets >= 1):
+        #: at most ``phase_buckets`` per activity, so a departing node is
+        #: discarded from each of them instead of from a list of its own.
         self._cohorts: dict[tuple[str, float], "object"] = {}
-        #: node id -> the cohort timers it belongs to, for O(1) discard.
-        self._memberships: dict[int, list] = {}
 
     # ------------------------------------------------------------------
     # periodic activities (they die with the node)
@@ -266,10 +266,11 @@ class DutyStateProtocol(DiscoveryProtocol):
                         period, round_fn, epoch=node_phases[i]
                     )
                 timer.add(node_id)
-                self._memberships.setdefault(node_id, []).append(timer)
 
     def _disarm(self, node_id: int) -> None:
-        for timer in self._memberships.pop(node_id, ()):
+        """Drop ``node_id`` from every cohort timer (and cancel its
+        pending straggler): a discard is a no-op where it is no member."""
+        for timer in self._cohorts.values():
             timer.discard(node_id)
 
     def _ticking(self, node_id: int) -> bool:

@@ -23,15 +23,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.sim.rows import RowTable
+from repro.sim.rows import RowTable, empty_column
 
 __all__ = ["StateRecord", "StateCache"]
 
 _EPS = 1e-9
-
-#: The matrix of a cache that has held no record: width 0 until the first
-#: record fixes ``d``; shared, as nothing is ever written to it.
-_NO_MATRIX = np.empty((0, 0), dtype=np.float64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,13 +58,14 @@ class StateCache(RowTable):
         super().__init__()
         self.ttl = float(ttl)
         self._recs: list[Optional[StateRecord]] = []  # row -> record (None = dead)
-        self._ts = np.empty(0, dtype=np.float64)
-        self._matrix = _NO_MATRIX  # (capacity, d)
+        self._ts = empty_column(np.float64)
+        # (capacity, d): width 0 until the first record fixes ``d``
+        self._matrix = empty_column(np.float64, 0)
 
     def _fix_dims(self, dims: int) -> None:
         """The first record fixes the matrix width ``d``."""
         if not self._matrix.shape[1]:
-            self._matrix = np.empty((0, dims), dtype=np.float64)
+            self._matrix = empty_column(np.float64, dims)
 
     # ------------------------------------------------------------------
     # mutation

@@ -31,6 +31,9 @@ generator inside the scope — it would be lost to the rewind — is refused
 with a :class:`RuntimeError` at the next refill or at exit.  A scope told
 to expect few draws (a churn newcomer's table) skips the buffer and
 hands out :func:`index_draw`'s ``below``, which costs less there.
+Where every bound is one power of two (each Table-I pool has four
+entries) Lemire's rule never rejects, so :func:`power_of_two_draws`
+makes all the draws from one fetch with no Python call per draw.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import numpy as np
 
 __all__ = [
     "RngRegistry", "bulk_index_draw", "derive_seed", "distinct_draw", "index_draw",
+    "power_of_two_draws",
 ]
 
 _U32 = 0x1_0000_0000
@@ -239,6 +243,26 @@ class bulk_index_draw:
     def __exit__(self, *exc_info: object) -> None:
         if self._close is not None:
             self._close()
+
+
+def power_of_two_draws(gen: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """``count`` draws of ``int(gen.integers(n))`` for a power of two
+    ``n``, as one int64 array, leaving ``gen`` where those scalar draws
+    would.  Lemire's rule never rejects at a power of two — the low 32
+    bits of ``word * n`` fall below ``n`` only when they are 0, and the
+    threshold ``(2**32 - n) % n`` is 0 — so a draw is the top ``log2 n``
+    bits of one 32-bit word, and all ``count`` words come from one
+    fetch.  Where the import-time probe of the bulk draw failed, the
+    draws are made one at a time by :func:`index_draw`.  Any other ``n``
+    raises :class:`ValueError`."""
+    if not 0 < n < _U32 or n & (n - 1):
+        raise ValueError(f"power-of-two draws take a power of two below 2**32, got {n}")
+    if n == 1 or not count:
+        return np.zeros(count, dtype=np.int64)  # (n == 1 consumes nothing)
+    if not _BULK_MATCHES:
+        below = index_draw(gen)
+        return np.array([below(n) for _ in range(count)], dtype=np.int64)
+    return (_draw_words(gen, count) >> (33 - n.bit_length())).astype(np.int64)
 
 
 #: ``Generator.choice`` samples pools above this size without replacement

@@ -11,8 +11,12 @@ entries as rows of parallel numpy columns addressed by an int key.
 - **tombstones** — removing a key only drops the row's liveness bit (and
   empties its slot in the row-aligned object list, if the store keeps
   one);
+- **birth** — the base columns and the caches' own start as the one
+  shared, read-only zero-length array of their dtype and width
+  (:func:`empty_column`), so a cache that never holds a row — most of a
+  cell's caches at set-up — owns no array;
 - **growth** — capacity doubles when full (:func:`grow_columns`, which
-  the engine's host arrays use too);
+  the engine's host arrays use too); the first append allocates;
 - **compaction** — once dead rows outnumber both :attr:`COMPACT_FLOOR`
   and the live rows they are squeezed out, preserving order, so every
   scan sees the live rows in the order a dict of entries would iterate;
@@ -30,14 +34,26 @@ returns; the lockstep suites run with a floor of 2 to pin that.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Any, Optional
 
 import numpy as np
 
-__all__ = ["RowTable", "grow_columns", "MIN_CAPACITY"]
+__all__ = ["RowTable", "empty_column", "grow_columns", "MIN_CAPACITY"]
 
 #: Initial row capacity of every SoA column.
 MIN_CAPACITY = 8
+
+
+@cache
+def empty_column(dtype: type, *width: int) -> np.ndarray:
+    """The zero-length column of ``dtype`` (``(0,)``, or ``(0, width)``
+    for a matrix column): one read-only array per kind, shared by every
+    store whose column holds no row yet — :func:`grow_columns` replaces
+    it at the first append, and nothing writes it."""
+    column = np.empty((0, *width), dtype=dtype)
+    column.flags.writeable = False
+    return column
 
 
 def grow_columns(owner: Any, names: tuple[str, ...], n: int, need: int) -> None:
@@ -68,8 +84,8 @@ class RowTable:
 
     def __init__(self) -> None:
         self._row_of: dict[int, int] = {}  # key -> row
-        self._keys = np.empty(0, dtype=np.int64)
-        self._live = np.empty(0, dtype=bool)
+        self._keys = empty_column(np.int64)
+        self._live = empty_column(np.bool_)
         self._n = 0  # rows in use (live + dead holes)
         self._dead = 0  # dead holes among the first _n rows
         #: Lower bound on the stamps of live rows (:meth:`_expire`).
@@ -92,8 +108,8 @@ class RowTable:
         return row
 
     def _extend(self, keys: list[int], objs: list) -> int:
-        """Live rows for ``keys`` (distinct, none present yet) in order,
-        with their objects; returns the first row."""
+        """Live rows for ``keys`` (at least one, distinct, none present
+        yet) in order, with their objects; returns the first row."""
         start = self._n
         stop = start + len(keys)
         if stop > self._live.shape[0]:

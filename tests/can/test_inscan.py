@@ -11,7 +11,7 @@ from repro.can.inscan import (
 from repro.can.routing import greedy_path
 from repro.can.zone import adjacency_direction
 from tests.conftest import make_overlay, zone_center
-from tests.oracles import ReferenceCANOverlay
+from tests.oracles import ReferenceCANOverlay, table_chains
 
 
 def build_all_tables(overlay, seed=0):
@@ -21,7 +21,7 @@ def build_all_tables(overlay, seed=0):
 
 def walked_faces(table):
     """``((dim, sign), chain)`` for every non-empty chain, in face order."""
-    for code, chain in enumerate(table.chains):
+    for code, chain in enumerate(table_chains(table)):
         if chain:
             yield (code >> 1, -1 if code & 1 else 1), chain
 
@@ -37,7 +37,7 @@ def test_pointer_chain_lengths_bounded_by_exponent():
     overlay = make_overlay(256, 2, seed=1)
     table = build_index_table(overlay, 0, np.random.default_rng(0))
     k_max = max_pointer_exponent(256, 2)
-    assert len(table.chains) == 2 * 2
+    assert isinstance(table.ends, bytes) and len(table.ends) == 2 * 2 + 1
     for (dim, sign), chain in walked_faces(table):
         assert 1 <= len(chain) <= k_max + 1
 
@@ -74,7 +74,7 @@ def test_edge_nodes_lack_outward_pointers():
     for node in overlay.nodes.values():
         if node.zone.lo[0] == 0.0:
             table = build_index_table(overlay, node.node_id, np.random.default_rng(3))
-            assert table.chains[1] == ()  # the (0, -1) face
+            assert table.ends[1] == table.ends[2]  # the (0, -1) face is empty
             break
     else:
         pytest.fail("no edge node found")
@@ -89,7 +89,7 @@ def test_negative_index_nodes_include_k0():
         if n.zone.lo[0] > 0.25 and n.zone.hi[0] < 0.75
     )
     table = build_index_table(overlay, inner, np.random.default_rng(4))
-    ninodes = table.chains[1]  # the (0, -1) chain
+    ninodes = table.all_links[table.ends[1] : table.ends[2]]  # the (0, -1) chain
     assert ninodes  # non-edge nodes always have at least the adjacent link
     first = overlay.nodes[ninodes[0]].zone
     assert adjacency_direction(overlay.nodes[inner].zone, first) == (0, -1)
@@ -158,7 +158,7 @@ def test_routing_with_stale_tables_survives_churn():
 def test_build_messages_charged():
     overlay = make_overlay(64, 2, seed=15)
     table = build_index_table(overlay, overlay.node_ids()[5], np.random.default_rng(0))
-    walked = sum(map(len, table.chains))
+    walked = len(table.all_links)
     assert table.build_messages >= walked  # walks at least as far as chains
 
 
@@ -187,7 +187,7 @@ def test_loop_local_walk_equals_the_per_step_walk_draw_for_draw():
         for node_id in sorted(vec.nodes):
             got = build_index_table(vec, node_id, vec_rng)
             want = build_index_table(ref, node_id, ref_rng)
-            assert got.chains == want.chains
+            assert got.ends == want.ends
             assert got.all_links == want.all_links
             assert got.build_messages == want.build_messages
         assert vec_rng.integers(1 << 62) == ref_rng.integers(1 << 62)
@@ -204,3 +204,33 @@ def test_loop_local_walk_equals_the_per_step_walk_draw_for_draw():
     assert stale > 60  # rebuilt mid-walk below
     compare_tables(24)
     assert all(vec.buckets[node_id] is not None for node_id in vec.nodes)
+
+
+def test_flat_table_equals_the_per_face_walk():
+    """``all_links`` is the per-face chains concatenated in face order and
+    ``ends`` their ``2 * d + 1`` offsets: every chain equals the seed's
+    per-face walk on the scalar overlay, holds at most K + 1 links, and
+    is empty exactly on the faces at the edge of the space."""
+    dims, n = 3, 400
+    vec = make_overlay(n, dims, seed=31)
+    ref = ReferenceCANOverlay(dims, np.random.default_rng(31))
+    ref.bootstrap(range(n))
+    k_max = max_pointer_exponent(n, dims)
+    vec_rng, ref_rng = np.random.default_rng(32), np.random.default_rng(32)
+    edge_faces = 0
+    for node_id, node in vec.nodes.items():
+        got = build_index_table(vec, node_id, vec_rng)
+        want = build_index_table(ref, node_id, ref_rng)
+        assert got.all_links == want.all_links and got.ends == want.ends
+        ends = got.ends
+        assert type(ends) is bytes and len(ends) == 2 * dims + 1
+        assert ends[0] == 0 and ends[-1] == len(got.all_links)
+        chains = table_chains(got)
+        assert got.all_links == sum(chains, ())
+        for code, chain in enumerate(chains):
+            dim, low = code >> 1, code & 1
+            on_edge = node.zone.lo[dim] == 0.0 if low else node.zone.hi[dim] == 1.0
+            assert (not chain) == on_edge
+            assert len(chain) <= k_max + 1
+            edge_faces += on_edge
+    assert edge_faces > 0

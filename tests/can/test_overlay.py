@@ -81,9 +81,10 @@ def test_directional_neighbors_partition_neighbor_set(overlay_2d):
 
 
 def test_directional_neighbors_are_immutable_sorted_and_track_churn():
-    """Face buckets: a tuple per face in ascending id order, equal to the
-    filter over ``directions`` they replaced, and never served stale —
-    every face is read (buckets built) before each mutation."""
+    """Face buckets: a slice of the node's flat ``buckets`` entry per
+    face, a tuple in ascending id order, equal to the filter over
+    ``directions`` they replaced, and never served stale — every face is
+    read (buckets built) before each mutation."""
     overlay = make_overlay(30, 3, seed=21)
     rng = np.random.default_rng(22)
 

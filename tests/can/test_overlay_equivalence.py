@@ -66,7 +66,8 @@ def test_inscan_paths_bit_identical_with_twin_tables():
         for i in ref.node_ids()
     }
     for i in vec.node_ids():
-        assert vec_tables[i].chains == ref_tables[i].chains
+        assert vec_tables[i].ends == ref_tables[i].ends
+        assert vec_tables[i].all_links == ref_tables[i].all_links
         assert vec_tables[i].build_messages == ref_tables[i].build_messages
     rng = np.random.default_rng(9)
     for _ in range(60):

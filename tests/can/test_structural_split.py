@@ -115,14 +115,17 @@ def test_kept_edge_leaves_the_neighbor_buckets_alone_moved_edge_resets_them():
 
 
 def _brute_force_buckets(overlay, node_id):
-    """A node's face buckets from its edge record: the neighbors across
-    each ``(dim, sign)`` face, ascending."""
+    """A node's ``buckets`` entry from its edge record: the ``2 * d + 1``
+    face offsets, then the neighbors across each ``(dim, sign)`` face,
+    ascending, face after face."""
     directions = overlay.nodes[node_id].directions
-    return tuple(
-        tuple(sorted(m for m, face in directions.items() if face == (dim, sign)))
+    faces = [
+        sorted(m for m, face in directions.items() if face == (dim, sign))
         for dim in range(overlay.dims)
         for sign in (+1, -1)
-    )
+    ]
+    ends = np.cumsum([len(faces) + 1] + [len(ids) for ids in faces]).tolist()
+    return tuple(ends + sum(faces, []))
 
 
 def test_bootstrap_builds_every_members_bucket_entry():
@@ -214,3 +217,30 @@ def test_bounds_rows_follow_the_node_ids():
     assert np.array_equal(column(7)[0], np.zeros(3))
     assert np.array_equal(column(7)[1], np.ones(3))
     overlay.check_invariants()
+
+
+def test_flat_buckets_hold_empty_faces_and_any_degree():
+    """An entry is one flat tuple of ints, no tuple per face, equal to
+    the brute-force grouping: on the cube's faces its slices are empty,
+    and past 255 neighbors (where ``bytes`` offsets would overflow) its
+    offsets and slices still hold.  Node 0 keeps the left half; joins
+    hugging ``x = 0.5`` slice the column beside it ever thinner."""
+    overlay = CANOverlay(2, np.random.default_rng(5))
+    overlay.join(0)
+    hug = np.random.default_rng(6)
+    for node_id in range(1, 1200):
+        overlay.join(node_id, np.array([0.5, hug.uniform()]))
+    overlay.check_invariants()
+    degrees = {n: len(node.directions) for n, node in overlay.nodes.items()}
+    assert degrees[0] == max(degrees.values()) > 255
+    for node_id in overlay.nodes:
+        entry = overlay.buckets[node_id]
+        assert entry == _brute_force_buckets(overlay, node_id)
+        assert all(type(x) is int for x in entry)
+    entry = overlay.buckets[0]
+    assert entry[1] == entry[2] == entry[3] == entry[4]  # three faces on the cube
+    assert overlay.directional_neighbors(0, 0, +1) == entry[5:]
+    assert overlay.directional_neighbors(0, 0, -1) == ()
+    links, ends, hops = overlay.pointer_walks(0, 1 << 10, lambda n: n - 1)
+    assert ends == bytes([0, len(links), len(links), len(links), len(links)])
+    assert links[0] == entry[-1] and hops >= 1

@@ -71,3 +71,19 @@ def test_sample_machine_draws_what_choice_drew():
         assert tuple(getattr(got, f) for f in got.__slots__) == want
         assert type(got.processors) is int
     assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_sampled_picks_are_the_scalar_draws_for_one_host_and_a_batch():
+    """The Table-I pools have four entries, so :func:`sample_machines`
+    draws all ``5 * n`` pool indexes in one fetch.  Picks and the
+    generator afterwards equal one ``integers(4)`` call per field, for a
+    churn newcomer (one host) and a whole batch, from an odd buffered
+    half-word start."""
+    assert {len(pool) for pool in pools._POOLS} == {4}
+    for hosts in (1, 500):
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        a.integers(7), b.integers(7)  # (an odd 32-bit draw buffers a half)
+        picks, _ = sample_machines(a, [6.0] * hosts)
+        want = [int(b.integers(4)) for _ in range(5 * hosts)]
+        assert picks.reshape(-1).tolist() == want
+        assert a.bit_generator.state == b.bit_generator.state

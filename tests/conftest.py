@@ -9,6 +9,7 @@ import pytest
 
 from repro.can import routing
 from repro.can.overlay import CANOverlay
+from repro.sim import rng as rng_mod
 from repro.sim.rng import RngRegistry
 from repro.sim.rows import RowTable
 
@@ -107,3 +108,47 @@ def overlay_2d() -> CANOverlay:
 @pytest.fixture
 def overlay_5d() -> CANOverlay:
     return make_overlay(64, 5, seed=7)
+
+
+#: The drawing methods of ``numpy.random.Generator`` a cell could call.
+_DRAW_METHODS = (
+    "integers", "random", "uniform", "exponential", "choice", "permutation",
+    "shuffle", "normal", "standard_normal", "standard_exponential", "pareto",
+    "zipf", "poisson", "binomial", "beta", "gamma",
+)
+
+
+class _CountingGenerator(np.random.Generator):
+    """A generator that counts calls of its drawing methods."""
+
+    calls = 0
+
+
+def _counted(name):
+    def method(self, *args, **kwargs):
+        self.calls += 1
+        return getattr(np.random.Generator, name)(self, *args, **kwargs)
+
+    return method
+
+
+for _name in _DRAW_METHODS:
+    setattr(_CountingGenerator, _name, _counted(_name))
+
+
+def count_generator_calls(monkeypatch) -> None:
+    """Every :class:`~repro.sim.rng.RngRegistry` stream made from here on
+    counts the calls of its drawing methods in ``.calls``; scalar index
+    and distinct draws go through those numpy methods, one call each,
+    instead of straight to the bit generator."""
+
+    def stream(self, name):
+        gen = self._streams.get(name)
+        if gen is None:
+            seed = rng_mod.derive_seed(self.master_seed, name)
+            gen = self._streams[name] = _CountingGenerator(np.random.PCG64(seed))
+        return gen
+
+    monkeypatch.setattr(RngRegistry, "stream", stream)
+    monkeypatch.setattr(rng_mod, "_LEMIRE_MATCHES", False)
+    monkeypatch.setattr(rng_mod, "_FLOYD_MATCHES", False)

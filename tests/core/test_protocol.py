@@ -156,6 +156,40 @@ def test_periodic_chains_stop_for_dead_nodes():
     assert live_events(ctx.sim) < before
 
 
+def test_disarm_drops_the_node_from_every_cohort_timer_and_its_straggler():
+    """With quantized phases a node sits in one cohort timer per activity,
+    and a churn newcomer waits for its first tick as a pending straggler.
+    A leave discards the node from every timer of the protocol — there is
+    no per-node membership list — and cancels that straggler."""
+    ctx, alive, avail = make_ctx()
+    proto = PIDCANProtocol(ctx, PIDCANParams(phase_buckets=4))
+    proto.bootstrap(sorted(alive))
+    assert not hasattr(proto, "_memberships")
+    kinds = len(proto._periodic_kinds())
+    assert len(proto._cohorts) <= kinds * 4
+
+    def timers_of(node_id):
+        return [
+            t for t in proto._cohorts.values()
+            if node_id in t._members or node_id in t._pending
+        ]
+
+    ctx.sim.run(until=100.0)
+    avail[99] = np.full(5, 5.0)
+    alive.add(99)
+    proto.on_join(99)
+    stragglers = [t._pending[99] for t in timers_of(99) if 99 in t._pending]
+    assert len(timers_of(99)) == kinds and stragglers
+    assert len(timers_of(3)) == kinds
+    for node_id in (99, 3):
+        proto.on_leave(node_id)
+        alive.discard(node_id)
+        assert timers_of(node_id) == []
+    assert all(event.cancelled for event in stragglers)
+    ctx.sim.run(until=2 * PIDCANParams().table_refresh_period)
+    assert timers_of(99) == timers_of(3) == []
+
+
 def test_vd_adds_overlay_dimension():
     params = PIDCANParams(vd=True, resource_dims=5)
     assert params.overlay_dims == 6

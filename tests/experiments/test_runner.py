@@ -9,13 +9,13 @@ import gc
 import tracemalloc
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.cloud.resources import dominates
 from repro.core import protocol as protocol_mod
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import SOCSimulation
+from tests.conftest import count_generator_calls
 from tests.experiments.run_cells import pair_run
 from tests.oracles import ReferenceCANOverlay, assert_oracle_equivalent
 
@@ -353,17 +353,19 @@ def test_collector_state_is_restored_when_construction_raises(
 #: pointer tables once put 34-66 here (``docs/architecture.md``, "Cell
 #: construction"); a neighbor set beside each node's edge map, 22.3; a
 #: tree leaf and branch object per node and a host record holding a
-#: machine record, 21.3.  Tree rows and machine rows put these cells at
+#: machine record, 21.3; a list of cohort timers per node, 10.7 on the
+#: cohort cell.  Tree rows and machine rows put these cells at
 #: 7.3-16.3.
-TRACKED_PER_NODE_BUDGET = 17
+TRACKED_PER_NODE_BUDGET = 16.5
 
 #: Bytes a freshly built cell may hold per node, as ``tracemalloc``
-#: counts them.  One edge map per overlay node, zones kept as float
-#: tuples alone, the partition tree and the machines as rows put the CAN
-#: cells at 3 943-5 658; tree and host records as objects, 4 243-5 957;
-#: a neighbor set beside the edge map and a numpy array beside each zone
-#: tuple, 5 436-7 149.
-ALLOCATED_PER_NODE_BUDGET = 5_800
+#: counts them.  Flat pointer tables and face buckets, row tables born
+#: without arrays and no cohort membership lists put the cells at
+#: 1 407-3 788; a tuple per chain and per face, 3-7 zero-length arrays
+#: per cache and a timer list per cohort node, 1 746-5 662; tree and
+#: host records as objects, 4 243-5 957; a neighbor set beside the edge
+#: map and a numpy array beside each zone tuple, 5 436-7 149.
+ALLOCATED_PER_NODE_BUDGET = 3_850
 
 
 def _budget_cells() -> dict[str, ExperimentConfig]:
@@ -421,52 +423,13 @@ def test_built_cell_stays_within_the_allocation_budget(cell):
 #: (``docs/architecture.md``, "Cell construction").
 CONSTRUCTION_CALL_BUDGET = 32
 
-#: The drawing methods of ``numpy.random.Generator`` a cell could call.
-_DRAW_METHODS = (
-    "integers", "random", "uniform", "exponential", "choice", "permutation",
-    "shuffle", "normal", "standard_normal", "standard_exponential", "pareto",
-    "zipf", "poisson", "binomial", "beta", "gamma",
-)
-
-
-class _CountingGenerator(np.random.Generator):
-    """A generator that counts calls of its drawing methods."""
-
-    calls = 0
-
-
-def _counted(name):
-    def method(self, *args, **kwargs):
-        self.calls += 1
-        return getattr(np.random.Generator, name)(self, *args, **kwargs)
-
-    return method
-
-
-for _name in _DRAW_METHODS:
-    setattr(_CountingGenerator, _name, _counted(_name))
-
-
 @pytest.mark.parametrize(
     "cell", [name for name in _budget_cells() if name != "newscast"]
 )
 def test_built_cell_makes_few_generator_calls(cell, monkeypatch):
     """Newscast is left out: its view and phase draws interleave on one
     stream, so both stay per node."""
-    from repro.sim import rng as rng_mod
-
-    def stream(self, name):
-        gen = self._streams.get(name)
-        if gen is None:
-            seed = rng_mod.derive_seed(self.master_seed, name)
-            gen = self._streams[name] = _CountingGenerator(np.random.PCG64(seed))
-        return gen
-
-    monkeypatch.setattr(rng_mod.RngRegistry, "stream", stream)
-    # Scalar draws then go through the counted numpy methods, one call
-    # each, instead of straight to the bit generator.
-    monkeypatch.setattr(rng_mod, "_LEMIRE_MATCHES", False)
-    monkeypatch.setattr(rng_mod, "_FLOYD_MATCHES", False)
+    count_generator_calls(monkeypatch)
     config = _budget_cells()[cell]
     sim = SOCSimulation(config)
     calls = sum(gen.calls for gen in sim.rngs._streams.values())

@@ -582,6 +582,12 @@ def reference_adjacency_direction(a, b) -> Optional[tuple[int, int]]:
     return abut_dim
 
 
+def table_chains(table) -> list[tuple[int, ...]]:
+    """A flat pointer table's chains, face ``2 * dim + (sign < 0)`` at that index."""
+    links, ends = table.all_links, table.ends
+    return [links[a:b] for a, b in zip(ends, ends[1:])]
+
+
 class ReferenceCANOverlay(CANOverlay):
     """Scalar oracle overlay: identical membership/tree mechanics, but
     adjacency is recomputed per call and per candidate with the verbatim
@@ -606,7 +612,7 @@ class ReferenceCANOverlay(CANOverlay):
     def pointer_walks(self, node_id, max_hops, below):
         """The seed's table walk, verbatim but for the index draw, made
         by ``below``: one :func:`_step_directional` call (and one
-        ``directional_neighbors`` under it) per hop."""
+        ``directional_neighbors`` under it) per hop; returned flat."""
         chains: list[tuple[int, ...]] = []
         build_messages = 0
         for dim in range(self.dims):
@@ -624,7 +630,8 @@ class ReferenceCANOverlay(CANOverlay):
                     if hop == (1 << len(chain)):
                         chain.append(current)
                 chains.append(tuple(chain))
-        return tuple(chains), build_messages
+        ends = bytes([0, *np.cumsum([len(c) for c in chains]).tolist()])
+        return sum(chains, ()), ends, build_messages
 
     def _split_neighbors(self, owner, joiner) -> None:
         """Not by the recorded directions: rebind both halves over
@@ -826,7 +833,7 @@ class ReferenceDiffusionEngine(DiffusionEngine):
             return []
         pool = [
             t
-            for t in table.chains[2 * dim + 1]
+            for t in table_chains(table)[2 * dim + 1]
             if t != exclude and t != node and self.ctx.is_alive(t)
         ]
         if not pool:
@@ -947,7 +954,7 @@ def assert_overlays_equivalent(
         )
         for node_id in ids:
             assert (
-                vec_tables[node_id].chains == ref_tables[node_id].chains
+                table_chains(vec_tables[node_id]) == table_chains(ref_tables[node_id])
             ), f"pointer table diverged at {node_id}"
         for origin in ids[:: max(1, len(ids) // 6)]:
             for method in ("hid", "sid"):
@@ -1025,7 +1032,7 @@ def construction_digest(sim) -> dict[str, str]:
             for n in ids
         ],
         "tables": [
-            (n, sorted((list(f), list(c)) for f, c in zip(faces, table.chains) if c))
+            (n, sorted((list(f), list(c)) for f, c in zip(faces, table_chains(table)) if c))
             for n, table in sorted(sim.protocol.tables.items())
         ],
         "lans": sorted(lans.items()),
@@ -1196,19 +1203,10 @@ def assert_results_identical(a, b) -> None:
     series-identical.  Equality is exact — not approx — because every
     coalescing lever and every oracle swapped in whole keeps the same
     RNG streams, the same instants and the same delivery order."""
-    assert a.generated == b.generated
-    assert a.finished == b.finished
-    assert a.failed == b.failed
-    assert a.placed == b.placed
-    assert a.evicted == b.evicted
-    assert a.recovered == b.recovered
-    assert a.query_timeouts == b.query_timeouts
-    assert a.peak_population == b.peak_population
-    assert a.traffic_by_kind == b.traffic_by_kind
-    assert a.traffic_total == b.traffic_total
-    assert a.balance == b.balance
-    assert a.query_latency == b.query_latency
-    assert a.efficiencies == b.efficiencies
+    for name in ("generated", "finished", "failed", "placed", "evicted", "recovered",
+                 "query_timeouts", "peak_population", "traffic_by_kind", "traffic_total",
+                 "balance", "query_latency", "efficiencies"):
+        assert getattr(a, name) == getattr(b, name), f"{name} diverges"
     assert set(a.series) == set(b.series)
     for name, series in a.series.items():
         other = b.series[name]

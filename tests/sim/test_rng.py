@@ -10,6 +10,7 @@ from repro.sim.rng import (
     derive_seed,
     distinct_draw,
     index_draw,
+    power_of_two_draws,
 )
 
 
@@ -209,4 +210,31 @@ def test_bulk_index_draw_bounds():
         for n in (0, -1, 2**32, 2**40):
             with pytest.raises(ValueError):
                 below(n)
+    assert gen.bit_generator.state == before
+
+
+def test_power_of_two_draws_are_stream_identical_to_integers():
+    """One fetch makes the draws of ``count`` ``int(gen.integers(n))``
+    calls at a power-of-two ``n`` — value for value, and leaving the
+    generator in the same state — from an odd buffered half-word start
+    too, for one draw as for many."""
+    for n in (1, 2, 4, 8, 256, 2**31):
+        for skip in (0, 1):
+            for count in (0, 1, 5, 5 * 400):
+                a, b = np.random.default_rng(43), np.random.default_rng(43)
+                for _ in range(skip):  # (an odd 32-bit draw buffers a half)
+                    a.integers(7), b.integers(7)
+                got = power_of_two_draws(a, n, count)
+                assert got.dtype == np.int64 and got.shape == (count,)
+                assert got.tolist() == [int(b.integers(n)) for _ in range(count)]
+                assert a.bit_generator.state == b.bit_generator.state
+                assert a.uniform() == b.uniform()
+
+
+def test_power_of_two_draws_refuse_any_other_bound():
+    gen = np.random.default_rng(47)
+    before = gen.bit_generator.state
+    for n in (0, -4, 3, 5, 6, 12, 2**32, 2**32 + 1):
+        with pytest.raises(ValueError, match="power of two"):
+            power_of_two_draws(gen, n, 10)
     assert gen.bit_generator.state == before
