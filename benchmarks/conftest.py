@@ -13,6 +13,7 @@ tiny campaign, seeds 1-3.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -92,3 +93,34 @@ def calibrated(fn):
         f"calibration kernel {before * 1e3:.0f} / {after * 1e3:.0f} ms before / "
         f"after the timed region, {CALIB_REF_S * 1e3:.0f} ms on a quiet machine"
     )
+
+
+def numpy_calls(fn):
+    """``(fn(), n)``: ``n`` counts the calls ``fn`` makes into numpy from
+    outside it — numpy's Python functions and the C functions and methods
+    of numpy and its arrays (a profile hook sees those; operators and
+    ufunc calls it does not).  A work count, exact on every machine."""
+    import numpy as np
+
+    root = os.path.dirname(np.__file__)
+    count = 0
+
+    def outside(frame) -> bool:
+        return frame is None or not frame.f_code.co_filename.startswith(root)
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            count += not outside(frame) and outside(frame.f_back)
+        elif event == "c_call" and outside(frame):
+            owner = getattr(arg, "__self__", None)
+            count += (str(getattr(arg, "__module__", None)).startswith("numpy")
+                      or type(owner).__module__.startswith("numpy"))
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(previous)
+    return result, count

@@ -65,15 +65,14 @@ class KHDNProtocol(CANStateBaseline):
 
     def _sampled_frontier(self, start: int, sign: int) -> list[int]:
         """Sampled BFS through ``sign``-direction adjacent neighbors, up to
-        ``k_hops`` deep with per-node fanout ``replication_fanout``."""
+        ``k_hops`` deep with per-node fanout ``replication_fanout``.
+        ``start`` is a live duty node, and neighbours are overlay members."""
         seen = {start}
         frontier = [start]
         out: list[int] = []
         for _ in range(self.k_hops):
             nxt: list[int] = []
             for node in frontier:
-                if node not in self.overlay:
-                    continue
                 candidates: list[int] = []
                 for dim in range(self.overlay.dims):
                     candidates.extend(

@@ -190,10 +190,10 @@ class MercuryProtocol(DiscoveryProtocol):
     # ------------------------------------------------------------------
     def _most_selective_hub(self, point: np.ndarray) -> HubRing:
         """The hub whose attribute has the highest normalized demand —
-        fewest records above the range start, so the shortest walk."""
+        fewest records above the range start, so the shortest walk.  Only
+        live requesters ask, and each is a member of one hub, so some hub
+        is populated."""
         populated = [hub for hub in self.hubs if len(hub) > 0]
-        if not populated:
-            raise LookupError("no populated hubs")
         return max(populated, key=lambda hub: point[hub.attribute])
 
     def submit_query(
@@ -207,11 +207,7 @@ class MercuryProtocol(DiscoveryProtocol):
             self.lifecycle.finalize(rt)
             return
         point = self.ctx.normalize(rt.demand)
-        try:
-            hub = self._most_selective_hub(point)
-        except LookupError:
-            self.lifecycle.finalize(rt)
-            return
+        hub = self._most_selective_hub(point)
         value = point[hub.attribute]
         entry = hub.owner_of(value)
         hops = hub.routing_hops(requester, value)

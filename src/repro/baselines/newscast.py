@@ -139,10 +139,8 @@ class NewscastProtocol(DiscoveryProtocol):
         self.ctx.send("gossip", me, src, self._on_gossip_reply, src, my_view)
 
     def _on_gossip_reply(self, me: int, their_view: list[ViewEntry]) -> None:
-        my_view = self.views.get(me)
-        if my_view is None:
-            return
-        self.views[me] = self._merge(my_view, their_view)
+        # Delivered only while ``me`` is alive, and every live member has a view.
+        self.views[me] = self._merge(self.views[me], their_view)
 
     def _with_self(
         self, node_id: int, view: list[ViewEntry], now: float

@@ -2,19 +2,15 @@
 
 §III-C notes that the system-wide upper-bound capacity ``cmax`` "can be
 statistically aggregated using cached information" via the push-pull gossip
-of Jelasity et al.  This module provides the round-based protocol for both
-the MAX aggregate (cmax itself) and the MEAN aggregate (the average node
-capacity used by the fairness index's expected-time estimate).
+of Jelasity et al.  This module provides the round-based protocol for
+the MAX aggregate (cmax itself).
 
 Push-pull semantics per round: every node contacts one uniformly random
-peer; both replace their estimates with ``op(mine, theirs)``.  MAX
-converges exactly in O(log n) rounds w.h.p.; MEAN (pairwise averaging)
-converges to the true mean with variance halving per round.
+peer; both replace their estimates with ``max(mine, theirs)``.  MAX
+converges exactly in O(log n) rounds w.h.p.
 """
 
 from __future__ import annotations
-
-from typing import Literal
 
 import numpy as np
 
@@ -41,19 +37,16 @@ class AggregationResult:
 
 def gossip_aggregate(
     values: dict[int, np.ndarray],
-    op: Literal["max", "mean"],
     rng: np.random.Generator,
     rounds: int | None = None,
 ) -> AggregationResult:
-    """Run push-pull gossip over ``values`` (node id → local vector).
+    """Run push-pull MAX gossip over ``values`` (node id → local vector).
 
     ``rounds`` defaults to ``2·⌈log2 n⌉ + 2``, enough for MAX to converge
-    exactly and MEAN to be within a few percent.
+    exactly.
     """
     if not values:
         raise ValueError("no nodes to aggregate over")
-    if op not in ("max", "mean"):
-        raise ValueError(f"unknown aggregation op {op!r}")
     ids = sorted(values)
     n = len(ids)
     if rounds is None:
@@ -70,12 +63,7 @@ def gossip_aggregate(
             if a == b:
                 continue
             messages += 2  # push + pull
-            if op == "max":
-                merged = np.maximum(est[a], est[b])
-                est[a] = merged.copy()
-                est[b] = merged
-            else:
-                merged = (est[a] + est[b]) / 2.0
-                est[a] = merged.copy()
-                est[b] = merged
+            merged = np.maximum(est[a], est[b])
+            est[a] = merged.copy()
+            est[b] = merged
     return AggregationResult(est, messages, rounds)

@@ -186,9 +186,9 @@ class QueryLifecycle:
         rt.callback(rt.found, rt.messages)
 
     def _fire_timeout(self, qid: int) -> None:
-        rt = self.get(qid)
-        if rt is None:
-            return
+        # A resolved query's timeout never fires: _finish cancels it, and
+        # restart_timeout cancels the one it replaces.
+        rt = self._active[qid]
         if self._on_timeout is not None:
             self._on_timeout(rt)
         else:

@@ -264,12 +264,10 @@ class QueryEngine:
         """Staleness-induced best-fit regret: the cached duty no longer
         matches the ground-truth owner of the query point (its zone split
         or moved since the entry was stored), so the query lands on a
-        node whose γ holds looser-fitting records than the true duty's."""
-        try:
-            owner = self.overlay.owner_of(point)
-        except LookupError:
-            return
-        if duty != owner:
+        node whose γ holds looser-fitting records than the true duty's.
+        Every hit names a ``_cache_usable`` duty, an overlay member, so
+        ``owner_of`` never meets an empty overlay."""
+        if duty != self.overlay.owner_of(point):
             self.cache.stats.stale_hits += 1
 
     def _relay_shorten(self, path: list[int], point: np.ndarray) -> list[int]:
@@ -294,11 +292,10 @@ class QueryEngine:
         """Remember the routed duty node (with its zone box) at the
         requester and every relay hop — the query response travelling the
         return path carries exactly this binding.  The box is read from the
-        duty's column of the overlay's ``bounds``."""
+        duty's column of the overlay's ``bounds``: ``path`` was routed in
+        this event, so its duty is an overlay member."""
         duty = path[-1]
         overlay = self.overlay
-        if duty not in overlay.nodes:
-            return
         dims, bounds = overlay.dims, overlay.bounds
         lo, hi = bounds[:dims, duty], bounds[dims:, duty]
         now = self.ctx.sim.now
@@ -432,10 +429,9 @@ class QueryEngine:
             return
 
         # Algorithm 3 lines 5-7: one random positive neighbor per dimension.
+        # ``duty`` is alive (the message reached it), so an overlay member.
         agents: list[int] = []
         for dim in range(self.overlay.dims):
-            if duty not in self.overlay.nodes:
-                break
             pos = self.overlay.directional_neighbors(duty, dim, +1)
             pick = self.ctx.choice(pos, exclude=set(agents) | {duty})
             if pick is not None:
@@ -580,8 +576,8 @@ class QueryEngine:
         self._maybe_retry_or_finalize(rt, timed_out=True)
 
     def _maybe_retry_or_finalize(self, rt: QueryRuntime, timed_out: bool) -> None:
-        if rt.finalized:
-            return
+        # ``rt`` is live: _on_end reads it through lifecycle.get, and the
+        # lifecycle calls _on_timeout only for a live query.
         if not rt.found and self.params.sos and rt.sos_attempted:
             # SoS failure path: restore the original expectation vector and
             # re-conduct the search once (§III-C last paragraph).

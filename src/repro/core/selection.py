@@ -10,7 +10,7 @@ worst-fit and random policies are provided for the ablation benches.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,14 +66,12 @@ def select_record(
     cmax: np.ndarray,
     rng: np.random.Generator,
     policy: str = "best-fit",
-) -> Optional[StateRecord]:
-    """Pick the record to place the task on, or ``None`` if none is given.
+) -> StateRecord:
+    """Pick the record to place the task on from a non-empty ``records``.
 
     Duplicate owners are collapsed to their freshest record before the
     policy is applied (an owner can be reported by several index nodes).
     """
-    if not records:
-        return None
     freshest: dict[int, StateRecord] = {}
     for rec in records:
         old = freshest.get(rec.owner)

@@ -364,19 +364,9 @@ class SOCSimulation:
 
     def _availability_matrix_of(self, node_ids) -> np.ndarray:
         # Batched twin of _availability_of: one SoA gather for the whole
-        # cohort, rows bitwise-equal to the scalar lookups (dead nodes,
-        # if any slip through, read as zero availability just the same).
-        ids = list(node_ids)
-        alive = [self.is_alive(n) for n in ids]
-        if all(alive):
-            return self.engine.availability_matrix(ids)
-        rows = np.zeros((len(ids),) + np.shape(CMAX))
-        live_idx = [i for i, ok in enumerate(alive) if ok]
-        if live_idx:
-            rows[live_idx] = self.engine.availability_matrix(
-                [ids[i] for i in live_idx]
-            )
-        return rows
+        # cohort, rows bitwise-equal to the scalar lookups.  Its one caller,
+        # the batched state round, passes live members only.
+        return self.engine.availability_matrix(list(node_ids))
 
     def _resolve_cmax(self) -> np.ndarray:
         if self.config.cmax_mode == "exact":
@@ -386,7 +376,7 @@ class SOCSimulation:
             node_id: self.machine(node_id).capacity.values
             for node_id in range(self._next_node_id)
         }
-        result = gossip_aggregate(values, "max", self.rngs.stream("aggregation"))
+        result = gossip_aggregate(values, self.rngs.stream("aggregation"))
         ids = sorted(values)
         for i in range(result.messages):
             self.traffic.charge("aggregation", ids[i % len(ids)])
@@ -475,11 +465,6 @@ class SOCSimulation:
             self.rngs.stream("selection"),
             self.config.selection_policy,
         )
-        if pick is None:
-            task.failed = True
-            self.ratios.on_failed()
-            self.tracer.emit(self.sim.now, "rejected", task.task_id)
-            return
         remaining = [r for r in records if r.owner != pick.owner]
         delay = self.network.delay(task.origin, pick.owner, PLACEMENT_MSG_BITS)
         self.traffic.charge("placement", task.origin)
@@ -544,17 +529,11 @@ class SOCSimulation:
         )
 
     def _fire_completion(self) -> None:
+        # The armed head is still the head: every engine call that moves it
+        # ends in _sync_completions, which cancels this event first.
         self._completion_handle = None
         self._completion_key = None
-        head = self.engine.peek()
-        if head is None:
-            return
-        when, node_id, task_id = head
-        if when > self.sim.now:
-            # The head moved later without a scheduling point in between —
-            # cannot happen today, but re-arming is always safe.
-            self._sync_completions()
-            return
+        _when, node_id, task_id = self.engine.peek()
         task = self.engine.complete(node_id, task_id, self.sim.now)
         self.ratios.on_finished()
         self.balance.on_remove(node_id)

@@ -1,9 +1,13 @@
 """Tests for the shared requester-side query lifecycle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.lifecycle import QueryLifecycle
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import SOCSimulation
 from tests.core.helpers import Harness
 
 
@@ -144,3 +148,37 @@ def test_submit_batch_empty_fires_immediately(monkeypatch):
     results = []
     assert engine.submit_many([], 0, results.append) == []
     assert results == [[]] and done == []  # no burst for an empty batch
+
+
+@pytest.mark.parametrize("timeout", [0.3, 0.8])
+@pytest.mark.parametrize(
+    "protocol", ["hid-can", "newscast", "khdn-can", "randomwalk-can", "mercury", "inscan-rq"]
+)
+def test_chain_messages_that_outlive_their_query_fall_on_the_floor(monkeypatch, protocol, timeout):
+    """A failsafe shorter than a chain resolves queries while their
+    messages are still in flight.  Each later delivery finds no live
+    runtime and is dropped by its handler, so every query still resolves
+    exactly once.  The two timeouts catch chains at different depths:
+    0.3 s before most duty nodes, 0.8 s inside PID-CAN's agent and jump
+    hops and before its ``query-end``."""
+    late, finished = [], []
+    get, finish = QueryLifecycle.get, QueryLifecycle._finish
+
+    def counted_get(self, qid):
+        rt = get(self, qid)
+        if rt is None:
+            late.append(qid)
+        return rt
+
+    def counted_finish(self, rt):
+        finished.append(rt.qid)
+        finish(self, rt)
+
+    monkeypatch.setattr(QueryLifecycle, "get", counted_get)
+    monkeypatch.setattr(QueryLifecycle, "_finish", counted_finish)
+    base = ExperimentConfig(protocol=protocol, n_nodes=40, duration=1800.0, seed=1,
+                            demand_ratio=0.5)
+    result = SOCSimulation(replace(base, pidcan=replace(base.pidcan, query_timeout=timeout))).run()
+    assert result.query_timeouts > 0
+    assert late and set(late) <= set(finished)
+    assert len(finished) == len(set(finished))

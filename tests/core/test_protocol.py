@@ -282,3 +282,27 @@ def test_scalar_actions_match_batched_rounds(vd):
     scalar, batched = run(False), run(True)
     assert scalar[0]["state-update"] > 0 and scalar[0]["index-diffusion"] > 0
     assert scalar == batched
+
+
+@pytest.mark.parametrize("name", ["hid-can", "khdn-can", "inscan-rq"])
+def test_a_route_from_a_node_outside_the_overlay_is_dropped(name):
+    """``inscan_path`` raises ``KeyError`` for a start the overlay does
+    not hold (and ``RoutingError`` for a route that cannot progress).  A
+    state update from such a node sends nothing and waits for its next
+    cycle, a query from it resolves at once, empty, and an INSCAN-RQ
+    flood at such a duty node leaves the query to its failsafe."""
+    ctx, _, _ = make_ctx()
+    proto = make_protocol(name, ctx)
+    proto.bootstrap(list(range(24)))
+    proto.overlay.leave(5)  # still alive to ctx: membership and overlay disagree
+    before = ctx.traffic.total()
+    proto._state_update(5)
+    assert ctx.traffic.total() == before
+    results = []
+    proto.submit_query(np.full(5, 1.0), 5, lambda records, messages: results.append(records))
+    assert results == [[]]
+    if name == "inscan-rq":
+        rt = proto.lifecycle.begin(np.full(5, 1.0), 0, lambda r, m: results.append(r))
+        proto._on_duty(rt.qid, 5)
+        ctx.sim.run(until=2 * proto.params.query_timeout)
+        assert results == [[], []] and proto.lifecycle.timeouts == 1

@@ -20,10 +20,6 @@ def rng():
     return np.random.default_rng(0)
 
 
-def test_empty_records_returns_none():
-    assert select_record([], DEMAND, CMAX, rng()) is None
-
-
 def test_best_fit_picks_tightest():
     records = [rec(1, [9, 9]), rec(2, [3, 3]), rec(3, [5, 5])]
     pick = select_record(records, DEMAND, CMAX, rng(), "best-fit")

@@ -537,17 +537,38 @@ def test_scalar_index_draws_go_through_index_draw():
 # ----------------------------------------------------------------------
 def test_reach_allowlist_names_live_functions_with_known_reasons():
     """Every allowlisted function still exists under ``src/repro`` (found
-    by AST, as the probe finds them) and says why it stays with one of
-    the fixed reasons."""
+    by AST, as the probe finds them), every branch entry's anchor names
+    exactly one statement of its function, and every entry says why it
+    stays with one of the fixed reasons.  A ``race`` names the tier-1 test
+    that drives it, and that test exists."""
     from tools import reach
 
-    defined = {(module, qualname) for module, qualname, _ in reach.defined_functions()}
+    defined = reach.defined_functions()
+    by_name: dict[tuple[str, str], list] = {}
+    for (module, qualname, _), function in defined.items():
+        by_name.setdefault((module, qualname), []).append(function)
     entries = reach.load_allowlist()
-    assert entries
-    gone = [f"{m}:{q}" for m, q, _ in entries if (m, q) not in defined]
+    assert entries and any(e.anchor is not None for e in entries)
+    gone = [f"{e.module}:{e.qualname}" for e in entries if (e.module, e.qualname) not in by_name]
     assert not gone, f"allowlisted functions no longer defined: {gone}"
-    unknown = [f"{m}:{q} {r}" for m, q, r in entries if r not in reach.REASONS]
+    unanchored = [
+        f"{e.module}:{e.qualname} | {e.anchor}" for e in entries if e.anchor is not None
+        and sum(len(reach.anchored(f, e.anchor)) for f in by_name[e.module, e.qualname]) != 1
+    ]
+    assert not unanchored, f"anchors naming no statement, or several: {unanchored}"
+    unknown = [f"{e.module}:{e.qualname} {e.reason}" for e in entries if e.reason not in reach.REASONS]
     assert not unknown, f"reasons outside {sorted(reach.REASONS)}: {unknown}"
+    undriven = []
+    for e in entries:
+        if e.reason == "race":
+            path, _, test = e.note.partition("::")
+            file = REPO_ROOT / path
+            if not (path.startswith("tests/") and file.is_file() and test in {
+                node.name for node in ast.walk(ast.parse(file.read_text()))
+                if isinstance(node, ast.FunctionDef)
+            }):
+                undriven.append(f"{e.module}:{e.qualname} | {e.anchor}  # {e.note}")
+    assert not undriven, f"race entries naming no existing test: {undriven}"
 
 
 def test_reach_observers_are_called_under_tests():
@@ -562,7 +583,7 @@ def test_reach_observers_are_called_under_tests():
             if isinstance(node, ast.Call):
                 func = node.func
                 called.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
-    observers = [f"{m}:{q}" for m, q, reason in reach.load_allowlist() if reason == "observer"]
+    observers = [f"{e.module}:{e.qualname}" for e in reach.load_allowlist() if e.reason == "observer"]
     assert observers
     uncalled = [name for name in observers if name.rsplit(".", 1)[-1] not in called]
     assert not uncalled, f"observers no test calls: {uncalled}"
@@ -571,24 +592,43 @@ def test_reach_observers_are_called_under_tests():
 def test_reach_allowlist_has_no_duplicates():
     from tools import reach
 
-    names = [f"{m}:{q}" for m, q, _ in reach.load_allowlist()]
+    names = [f"{e.module}:{e.qualname} | {e.anchor}" for e in reach.load_allowlist()]
     assert len(names) == len(set(names)), sorted(n for n in names if names.count(n) > 1)
 
 
 def test_reach_hook_records_a_tiny_cell():
-    """The probe's hook sees what a run enters — and only that: a tiny
-    cell records ``SOCSimulation.run`` but not the allowlisted
-    ``HostEngine.trim``, which no run calls."""
+    """The probe's hook sees what a run enters and runs — and only that:
+    a tiny cell records ``SOCSimulation.run`` and the statement that runs
+    the simulator in it, but not the allowlisted ``HostEngine.trim``,
+    which no run calls.  Whatever trace functions were installed before
+    (pytest's, hypothesis's) are back in place afterwards."""
+    import threading
+
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import SOCSimulation
     from tools import reach
 
+    def sentinel(frame, event, arg):
+        return None
+
     sim = SOCSimulation(ExperimentConfig(n_nodes=24, duration=600.0, seed=1))
-    with reach.recording() as entered:
-        sim.run()
-    names = {(m, q) for m, q, _ in reach.entered_keys(entered)}
+    previous = sys.gettrace(), threading.gettrace()
+    sys.settrace(sentinel)
+    threading.settrace(sentinel)
+    try:
+        with reach.recording() as recorded:
+            sim.run()
+        assert sys.gettrace() is sentinel and threading.gettrace() is sentinel
+    finally:
+        sys.settrace(previous[0])
+        threading.settrace(previous[1])
+    names = {(m, q) for m, q, _ in reach.entered_keys(recorded.codes)}
     assert ("repro.experiments.runner", "SOCSimulation.run") in names
     assert ("repro.cloud.engine", "HostEngine.trim") not in names
     assert ("repro.cloud.engine", "HostEngine.trim") in {
-        (m, q) for m, q, _ in reach.load_allowlist()
+        (e.module, e.qualname) for e in reach.load_allowlist() if e.anchor is None
     }
+    (run,) = [f for (m, q, _), f in reach.defined_functions().items()
+              if (m, q) == ("repro.experiments.runner", "SOCSimulation.run")]
+    (statement,) = reach.anchored(run, "self.sim.run(until=self.config.duration)")
+    assert not recorded.lines[str(reach.SRC / run.path)].isdisjoint(statement.header)
